@@ -3,10 +3,10 @@
 //! Times the raw hot kernels the full-matrix gauge exercises indirectly:
 //! event-queue scheduling under both implementations ([`QueueImpl::Wheel`]
 //! and the reference [`QueueImpl::Heap`]), the miss-curve sampler's observe
-//! path, consistent-hash bucket-table construction, and power-law graph
-//! generation. Results land in `BENCH_PERF.json` under `"micro"` so a CI
-//! artifact records where a wall-clock regression came from without
-//! re-profiling the whole matrix.
+//! path, the Algorithm 1 solver, consistent-hash bucket-table construction,
+//! and power-law graph generation. Results land in `BENCH_PERF.json` under
+//! `"micro"` so a CI artifact records where a wall-clock regression came
+//! from without re-profiling the whole matrix.
 //!
 //! These are wall-clock measurements, not digest-gated simulation: they
 //! exist to explain performance, never to define correctness.
@@ -15,7 +15,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use ndpx_core::layout::Group;
-use ndpx_core::runtime::sampler::{capacity_points, SetSampler};
+use ndpx_core::runtime::configure::{allocate_ndpext, ConfigCtx, StreamDemand};
+use ndpx_core::runtime::sampler::{capacity_points, MissCurve, SetSampler};
 use ndpx_sim::engine::{EventQueue, QueueImpl};
 use ndpx_sim::rng::Xoshiro256;
 use ndpx_sim::time::Time;
@@ -149,6 +150,49 @@ fn sampler_observe(iters: u64) -> MicroResult {
     })
 }
 
+/// Algorithm 1 (`allocate_ndpext`) on the test profile's 16-unit shape:
+/// three read-only streams touched by every unit start fully replicated
+/// (16 groups each) next to one read-write stream, and the cache holds half
+/// of their data, so the solve extends and merges groups as the
+/// reconfiguring runs' epochs do (each replicated stream ends as one group
+/// over 4–10 units). One solve per iteration.
+fn configure_ndpext(iters: u64) -> MicroResult {
+    let units = 16usize;
+    let hops = |u: usize, v: usize| (u % 4).abs_diff(v % 4) + (u / 4).abs_diff(v / 4);
+    let ctx = ConfigCtx {
+        units,
+        unit_capacity: 64 << 10,
+        affine_cap: 16 << 10,
+        attenuation: (0..units)
+            .map(|u| (0..units).map(|v| 1.0 / (1.0 + hops(u, v) as f64 * 0.2)).collect())
+            .collect(),
+        dram_lat_ps: 45_000.0,
+        miss_extra_ps: 466_000.0,
+        dead: vec![false; units],
+    };
+    let mut rng = Xoshiro256::seed_from(0xA1C1);
+    let demands: Vec<StreamDemand> = (0..4)
+        .map(|s| {
+            let total = 20_000 + rng.below(80_000);
+            let pts = (1..=16).map(|k| (k << 15, total as f64 / (1.0 + k as f64))).collect();
+            StreamDemand {
+                curve: MissCurve::from_samples(total as f64, pts),
+                acc_units: (0..units).map(|u| (u, 100 + rng.below(1000))).collect(),
+                read_only: s != 0,
+                affine: false,
+                grain: 64,
+                total_accesses: total,
+                footprint: 512 << 10,
+            }
+        })
+        .collect();
+    timed("configure_ndpext", iters, || {
+        for _ in 0..iters {
+            black_box(allocate_ndpext(black_box(&demands), black_box(&ctx)));
+        }
+    })
+}
+
 /// Consistent-hash group construction: one full 1024-bucket weighted
 /// rendezvous rehash per iteration (the reconfiguration kernel).
 fn bucket_table(iters: u64) -> MicroResult {
@@ -187,6 +231,7 @@ pub fn run_all() -> Vec<MicroResult> {
         queue_churn(QueueImpl::Wheel, "queue_wheel_batch_churn", 1_000_000),
         queue_churn(QueueImpl::Heap, "queue_heap_batch_churn", 1_000_000),
         sampler_observe(300_000),
+        configure_ndpext(500),
         bucket_table(2_000),
         graph_powerlaw(),
     ]
@@ -207,6 +252,7 @@ mod tests {
             queue_churn(QueueImpl::Wheel, "wc", 8_192),
             queue_churn(QueueImpl::Heap, "hc", 8_192),
             sampler_observe(2_000),
+            configure_ndpext(2),
             bucket_table(8),
         ];
         for r in rs {

@@ -14,6 +14,7 @@
 //! * [`allocate_baseline`] — Jigsaw / Whirlpool / Nexus / static-interleave
 //!   and NDPExt-static, each with the paper's described placement rule.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -25,7 +26,8 @@ use crate::runtime::sampler::MissCurve;
 pub struct StreamDemand {
     /// Miss curve (absolute misses vs. capacity).
     pub curve: MissCurve,
-    /// Units that accessed the stream, with access counts.
+    /// Units that accessed the stream, with access counts (each unit at
+    /// most once).
     pub acc_units: Vec<(usize, u64)>,
     /// Replication is only legal for read-only streams (§IV-B).
     pub read_only: bool,
@@ -126,7 +128,7 @@ impl ConfigCtx {
     }
 
     /// The unit nearest to `u` (highest attenuation) among candidates where
-    /// `pred` holds; excludes `u` itself unless it is the only candidate.
+    /// `pred` holds; never `u` itself. Ties go to the lowest unit index.
     fn nearest_where(&self, u: usize, mut pred: impl FnMut(usize) -> bool) -> Option<usize> {
         let mut best = None;
         let mut best_k = f64::NEG_INFINITY;
@@ -144,10 +146,34 @@ impl ConfigCtx {
     }
 }
 
+/// A lookahead segment `(target capacity, slope)`, if the curve has one.
+type Segment = Option<(u64, f64)>;
+
+/// One replication group's solver state.
+///
+/// Algorithm 1 pops hundreds of heap entries per solve and needs the
+/// group's total, utility, and lookahead segment at each, so they are kept
+/// incrementally (DESIGN.md §11) — exactly, so every f64 the solver
+/// compares equals a from-scratch recomputation: `total` is an integer sum
+/// updated at each `cap`/`members` change, `util` is recomputed in member
+/// order after such a change, and `seg` is keyed on the total it was
+/// computed for.
 #[derive(Debug, Clone)]
 struct GroupState {
     cap: Vec<u64>,
+    /// Member units in insertion order; utility and access-time sums
+    /// iterate this order, so it is part of every f64 result.
     members: Vec<usize>,
+    /// `members` as a per-unit bitset.
+    member_bits: Vec<u64>,
+    /// `Σ cap[m]` over `members`.
+    total: u64,
+    /// Memoized [`GroupState::utility`]; cleared when `cap` or `members`
+    /// change.
+    util: Cell<Option<f64>>,
+    /// Memoized `curve.next_segment(total)` as `(total, result)`; the curve
+    /// is fixed for the whole solve.
+    seg: Cell<Option<(u64, Segment)>>,
     /// Anchor unit: the original (or highest-traffic) accessing unit.
     anchor: usize,
     /// This group's share of the stream's accesses.
@@ -156,21 +182,113 @@ struct GroupState {
 }
 
 impl GroupState {
-    fn total(&self) -> u64 {
-        self.members.iter().map(|&u| self.cap[u]).sum()
+    /// An empty group over `units` units; `members` must be distinct.
+    fn new(units: usize, members: Vec<usize>, anchor: usize, share: f64) -> Self {
+        let mut member_bits = vec![0u64; units.div_ceil(64)];
+        for &u in &members {
+            debug_assert_eq!(member_bits[u / 64] >> (u % 64) & 1, 0, "duplicate member {u}");
+            member_bits[u / 64] |= 1 << (u % 64);
+        }
+        GroupState {
+            cap: vec![0; units],
+            members,
+            member_bits,
+            total: 0,
+            util: Cell::new(None),
+            seg: Cell::new(None),
+            anchor,
+            share,
+            alive: true,
+        }
+    }
+
+    fn is_member(&self, u: usize) -> bool {
+        self.member_bits[u / 64] >> (u % 64) & 1 == 1
+    }
+
+    /// Whether the two groups share a member unit.
+    fn overlaps(&self, other: &GroupState) -> bool {
+        self.member_bits.iter().zip(&other.member_bits).any(|(a, b)| a & b != 0)
+    }
+
+    /// Appends `u` to the members unless it already is one.
+    fn add_member(&mut self, u: usize) {
+        if !self.is_member(u) {
+            self.members.push(u);
+            self.member_bits[u / 64] |= 1 << (u % 64);
+            self.total += self.cap[u];
+            self.util.set(None);
+        }
+    }
+
+    fn add_cap(&mut self, u: usize, bytes: u64) {
+        self.cap[u] += bytes;
+        if self.is_member(u) {
+            self.total += bytes;
+        }
+        self.util.set(None);
+    }
+
+    /// Returns all capacity to `budget`.
+    fn release(&mut self, budget: &mut Budget, affine: bool) {
+        for (u, c) in self.cap.iter_mut().enumerate() {
+            if *c > 0 {
+                budget.give(u, affine, *c);
+                *c = 0;
+            }
+        }
+        self.total = 0;
+        self.util.set(None);
     }
 
     /// Paper-style group utility: every member values every member's
     /// capacity, attenuated by distance.
     fn utility(&self, ctx: &ConfigCtx) -> f64 {
-        let mut util = 0.0;
-        for &u in &self.members {
-            for &v in &self.members {
-                util += self.cap[v] as f64 * ctx.attenuation[u][v];
-            }
+        if let Some(u) = self.util.get() {
+            return u;
         }
+        let util = pair_utility(self.members.iter().copied(), |v| self.cap[v], ctx);
+        self.util.set(Some(util));
         util
     }
+
+    /// The utility this group would have with non-member `v` appended to
+    /// its members and `bytes` placed there — the extend trial of lines
+    /// 9–21, scored without cloning the group.
+    fn utility_extended(&self, v: usize, bytes: u64, ctx: &ConfigCtx) -> f64 {
+        debug_assert!(!self.is_member(v));
+        let members = self.members.iter().copied().chain(std::iter::once(v));
+        pair_utility(members, |w| if w == v { self.cap[w] + bytes } else { self.cap[w] }, ctx)
+    }
+
+    /// `curve.next_segment(self.total)`, memoized.
+    fn next_segment(&self, curve: &MissCurve) -> Segment {
+        match self.seg.get() {
+            Some((at, seg)) if at == self.total => seg,
+            _ => {
+                let seg = curve.next_segment(self.total);
+                self.seg.set(Some((self.total, seg)));
+                seg
+            }
+        }
+    }
+}
+
+/// `Σ_u Σ_v cap(v) · attenuation[u][v]` over `members` (both loops in
+/// iteration order).
+fn pair_utility(
+    members: impl Iterator<Item = usize> + Clone,
+    cap: impl Fn(usize) -> u64,
+    ctx: &ConfigCtx,
+) -> f64 {
+    let mut util = 0.0;
+    for u in members.clone() {
+        let row = &ctx.attenuation[u];
+        for v in members.clone() {
+            util += cap(v) as f64 * row[v];
+        }
+    }
+    util
 }
 
 struct Budget {
@@ -233,36 +351,34 @@ pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation 
             if d.read_only {
                 d.acc_units
                     .iter()
-                    .map(|&(u, a)| GroupState {
-                        cap: vec![0; ctx.units],
-                        members: vec![u],
-                        anchor: u,
-                        share: a as f64 / total.max(1) as f64,
-                        alive: true,
+                    .map(|&(u, a)| {
+                        GroupState::new(ctx.units, vec![u], u, a as f64 / total.max(1) as f64)
                     })
                     .collect()
             } else {
                 let anchor = d.acc_units.iter().max_by_key(|&&(_, a)| a).expect("non-empty").0;
-                vec![GroupState {
-                    cap: vec![0; ctx.units],
-                    members: d.acc_units.iter().map(|&(u, _)| u).collect(),
-                    anchor,
-                    share: 1.0,
-                    alive: true,
-                }]
+                let members = d.acc_units.iter().map(|&(u, _)| u).collect();
+                vec![GroupState::new(ctx.units, members, anchor, 1.0)]
             }
         })
         .collect();
+    // Live groups per stream: a merge needs a live sibling to fold into.
+    let mut alive_count: Vec<usize> = groups.iter().map(Vec::len).collect();
+    let mut primary: Vec<Option<Primary>> =
+        groups.iter().zip(demands).map(|(gs, d)| Primary::of(gs, d)).collect();
 
+    // A dead group's entry would only be popped and skipped, so dead groups
+    // are never queued.
     let mut heap: BinaryHeap<HeapKey> = BinaryHeap::new();
     let push = |heap: &mut BinaryHeap<HeapKey>,
-                demands: &[StreamDemand],
                 all: &[Vec<GroupState>],
+                primary: &[Option<Primary>],
                 s: usize,
                 g: usize| {
-        let gs = &all[s][g];
-        if let Some((_, slope)) = demands[s].curve.next_segment(gs.total()) {
-            let weighted = slope * gs.share * replica_factor(&all[s], g, &demands[s], ctx);
+        if !all[s][g].alive {
+            return;
+        }
+        if let Some((_, weighted)) = weighted_segment(&all[s], g, primary[s], &demands[s], ctx) {
             if weighted > 0.0 {
                 heap.push(HeapKey(slope_bits(weighted), Reverse(s), Reverse(g)));
             }
@@ -270,22 +386,25 @@ pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation 
     };
     for s in 0..groups.len() {
         for g in 0..groups[s].len() {
-            push(&mut heap, demands, &groups, s, g);
+            push(&mut heap, &groups, &primary, s, g);
         }
     }
 
+    let mut staged: Vec<(usize, u64)> = Vec::new();
+    let mut member_order: Vec<usize> = Vec::new();
     while let Some(HeapKey(bits, Reverse(s), Reverse(g))) = heap.pop() {
         if !groups[s][g].alive {
             continue;
         }
         // Lazy heap: recompute and skip stale entries.
-        let cur_total = groups[s][g].total();
-        let Some((next_cap, slope)) = demands[s].curve.next_segment(cur_total) else {
+        let cur_total = groups[s][g].total;
+        let Some((next_cap, weighted)) =
+            weighted_segment(&groups[s], g, primary[s], &demands[s], ctx)
+        else {
             continue;
         };
-        let weighted = slope * groups[s][g].share * replica_factor(&groups[s], g, &demands[s], ctx);
         if slope_bits(weighted) != bits {
-            push(&mut heap, demands, &groups, s, g);
+            push(&mut heap, &groups, &primary, s, g);
             continue;
         }
 
@@ -300,8 +419,9 @@ pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation 
 
         // Try to place `seg` bytes within the group's members.
         let mut remaining = seg;
-        let mut staged: Vec<(usize, u64)> = Vec::new();
-        let mut member_order = groups[s][g].members.clone();
+        staged.clear();
+        member_order.clear();
+        member_order.extend_from_slice(&groups[s][g].members);
         member_order.sort_by_key(|&u| Reverse(budget.available(u, affine)));
         for &u in &member_order {
             if remaining == 0 {
@@ -317,116 +437,70 @@ pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation 
 
         if remaining > 0 {
             // Lines 9–21: extend the group or merge two groups.
-            let anchor = groups[s][g].anchor;
-            let members = groups[s][g].members.clone();
-            let extend_unit = ctx.nearest_where(anchor, |v| {
-                !members.contains(&v) && budget.available(v, affine) >= grain
+            let st = &groups[s][g];
+            let extend_unit = ctx.nearest_where(st.anchor, |v| {
+                !st.is_member(v) && budget.available(v, affine) >= grain
             });
-            let extend_gain = extend_unit.map(|v| {
-                let mut trial = groups[s][g].clone();
-                trial.members.push(v);
-                let placeable = (budget.available(v, affine).min(remaining) / grain) * grain;
-                trial.cap[v] += placeable;
-                trial.utility(ctx) - groups[s][g].utility(ctx)
-            });
+            let merge_pick = merge_candidate(&groups, &alive_count, st, ctx);
 
-            // Merge candidate: the lowest-utility group (any stream) with
-            // capacity at a member unit of this group, merged into its
-            // nearest sibling group.
-            let mut merge_pick: Option<(usize, usize, usize, f64)> = None;
-            for (s2, gs2) in groups.iter().enumerate() {
-                if gs2.len() < 2 {
-                    continue;
-                }
-                for (g2, st2) in gs2.iter().enumerate() {
-                    // Only merging a group that holds capacity frees space.
-                    if !st2.alive
-                        || st2.total() == 0
-                        || !st2.members.iter().any(|m| members.contains(m))
-                    {
-                        continue;
-                    }
-                    // Nearest sibling group of the same stream.
-                    let sibling =
-                        gs2.iter().enumerate().filter(|&(o, os)| o != g2 && os.alive).max_by(
-                            |a, b| {
-                                let ka = ctx.attenuation[st2.anchor][a.1.anchor];
-                                let kb = ctx.attenuation[st2.anchor][b.1.anchor];
-                                ka.partial_cmp(&kb).expect("attenuations are finite")
-                            },
-                        );
-                    if let Some((g3, _)) = sibling {
-                        let u = st2.utility(ctx);
-                        if merge_pick.is_none_or(|(.., best_u)| u < best_u) {
-                            merge_pick = Some((s2, g2, g3, u));
-                        }
-                    }
-                }
-            }
-
-            let do_merge = match (extend_gain, merge_pick) {
+            let do_merge = match (extend_unit, merge_pick) {
                 (None, None) => {
                     // Nothing helps: this group is done.
                     continue;
                 }
                 (Some(_), None) => false,
                 (None, Some(_)) => true,
-                (Some(eg), Some((s2, g2, g3, _))) => {
+                (Some(v), Some((s2, g2, g3))) => {
+                    // Extend gain: the utility the nearest free unit adds.
+                    let placeable = (budget.available(v, affine).min(remaining) / grain) * grain;
+                    let eg = st.utility_extended(v, placeable, ctx) - st.utility(ctx);
                     // Merge gain: freed capacity enables this allocation; its
                     // utility cost is the dropped replica's utility drop.
-                    let freed = groups[s2][g2].total() as f64;
-                    let merged_cost = groups[s2][g2].utility(ctx)
-                        - groups[s2][g2].total() as f64
-                            * ctx.attenuation[groups[s2][g2].anchor][groups[s2][g3].anchor];
+                    let st2 = &groups[s2][g2];
+                    let freed = st2.total as f64;
+                    let merged_cost = st2.utility(ctx)
+                        - st2.total as f64 * ctx.attenuation[st2.anchor][groups[s2][g3].anchor];
                     freed - merged_cost > eg
                 }
             };
 
             if do_merge {
-                let (s2, g2, g3, _) = merge_pick.expect("checked above");
+                let (s2, g2, g3) = merge_pick.expect("checked above");
                 // Drop replica g2: free its capacity, fold its members into
                 // g3 (they are now served remotely).
-                let (cap2, members2, share2, anchor2);
-                {
-                    let st2 = &mut groups[s2][g2];
-                    st2.alive = false;
-                    cap2 = st2.cap.clone();
-                    members2 = st2.members.clone();
-                    share2 = st2.share;
-                    anchor2 = st2.anchor;
-                    for u in 0..ctx.units {
-                        if st2.cap[u] > 0 {
-                            budget.give(u, demands[s2].affine, st2.cap[u]);
-                            st2.cap[u] = 0;
-                        }
-                    }
+                let st2 = &mut groups[s2][g2];
+                st2.alive = false;
+                st2.release(&mut budget, demands[s2].affine);
+                let members2 = st2.members.clone();
+                let share2 = st2.share;
+                alive_count[s2] -= 1;
+                if primary[s2].is_some_and(|p| p.group == g2) {
+                    primary[s2] = Primary::of(&groups[s2], &demands[s2]);
                 }
-                let _ = (cap2, anchor2);
                 let st3 = &mut groups[s2][g3];
                 for m in members2 {
-                    if !st3.members.contains(&m) {
-                        st3.members.push(m);
-                    }
+                    st3.add_member(m);
                 }
                 st3.share += share2;
+                Primary::grown(&mut primary[s2], &groups[s2], g3, &demands[s2]);
                 // The surviving group's slope improved (more share); requeue.
-                push(&mut heap, demands, &groups, s2, g3);
+                push(&mut heap, &groups, &primary, s2, g3);
             } else if let Some(v) = extend_unit {
-                if !groups[s][g].members.contains(&v) {
-                    groups[s][g].members.push(v);
-                }
+                groups[s][g].add_member(v);
+                Primary::grown(&mut primary[s], &groups[s], g, &demands[s]);
             }
             // Retry this group next round.
-            push(&mut heap, demands, &groups, s, g);
+            push(&mut heap, &groups, &primary, s, g);
             continue;
         }
 
         // Commit the staged allocation.
-        for (u, b) in staged {
+        for &(u, b) in &staged {
             budget.take(u, affine, b);
-            groups[s][g].cap[u] += b;
+            groups[s][g].add_cap(u, b);
         }
-        push(&mut heap, demands, &groups, s, g);
+        Primary::grown(&mut primary[s], &groups[s], g, &demands[s]);
+        push(&mut heap, &groups, &primary, s, g);
     }
 
     // Leftover fill: sampled curves flatten into noise long before capacity
@@ -435,6 +509,8 @@ pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation 
     // Capacity goes into each stream's *largest* group — growing one shared
     // copy rather than inflating replication — and is capped by the stream's
     // footprint across all groups.
+    let alive_total =
+        |gs: &[GroupState]| -> u64 { gs.iter().filter(|g| g.alive).map(|g| g.total).sum() };
     for u in 0..ctx.units {
         let mut cands: Vec<(usize, usize, u64)> = Vec::new();
         for (s, d) in demands.iter().enumerate() {
@@ -443,12 +519,11 @@ pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation 
             };
             let Some(g) = (0..groups[s].len())
                 .filter(|&g| groups[s][g].alive)
-                .max_by_key(|&g| groups[s][g].total())
+                .max_by_key(|&g| groups[s][g].total)
             else {
                 continue;
             };
-            let have: u64 = groups[s].iter().filter(|g| g.alive).map(GroupState::total).sum();
-            if have < d.footprint {
+            if alive_total(&groups[s]) < d.footprint {
                 cands.push((s, g, acc));
             }
         }
@@ -461,8 +536,7 @@ pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation 
             let d = &demands[s];
             let grain = d.grain.max(1);
             let share = free_u * w / total_w;
-            let have: u64 = groups[s].iter().filter(|g| g.alive).map(GroupState::total).sum();
-            let room = d.footprint.saturating_sub(have);
+            let room = d.footprint.saturating_sub(alive_total(&groups[s]));
             // Keep the filled capacity spatially spread: no unit holds more
             // than ~2× the stream's fair per-unit share (hot-spotting one
             // unit concentrates traffic and lengthens average hops).
@@ -474,10 +548,8 @@ pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation 
                     * grain;
             if add > 0 {
                 budget.take(u, d.affine, add);
-                groups[s][g].cap[u] += add;
-                if !groups[s][g].members.contains(&u) {
-                    groups[s][g].members.push(u);
-                }
+                groups[s][g].add_cap(u, add);
+                groups[s][g].add_member(u);
             }
         }
     }
@@ -495,17 +567,17 @@ pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation 
             // Merge the two smallest groups (the least capacity-efficient
             // replicas) if that lowers expected access time.
             let mut by_size = alive.clone();
-            by_size.sort_by_key(|&g| groups[s][g].total());
+            by_size.sort_by_key(|&g| groups[s][g].total);
             let (a, b) = (by_size[0], by_size[1]);
             let before = group_time(&groups[s][a], d, ctx) + group_time(&groups[s][b], d, ctx);
             let mut merged = groups[s][a].clone();
             for &m in &groups[s][b].members {
-                if !merged.members.contains(&m) {
-                    merged.members.push(m);
-                }
+                merged.add_member(m);
             }
-            for u in 0..ctx.units {
-                merged.cap[u] += groups[s][b].cap[u];
+            for (u, &c) in groups[s][b].cap.iter().enumerate() {
+                if c > 0 {
+                    merged.add_cap(u, c);
+                }
             }
             merged.share += groups[s][b].share;
             let after = group_time(&merged, d, ctx);
@@ -521,32 +593,114 @@ pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation 
     to_allocation(&groups, ctx.units)
 }
 
+/// A stream's primary copy — its largest live group, lowest index on ties —
+/// which earns full miss-curve credit; every other group is a replica (see
+/// [`replica_factor`]). Kept per stream during the heap loop, where group
+/// totals only grow until a merge kills a group.
+#[derive(Debug, Clone, Copy)]
+struct Primary {
+    group: usize,
+    /// Fraction of the stream's accesses the primary serves as hits.
+    covered: f64,
+}
+
+impl Primary {
+    /// Scans the stream's live groups.
+    fn of(gs: &[GroupState], d: &StreamDemand) -> Option<Primary> {
+        let (group, _) = gs
+            .iter()
+            .enumerate()
+            .filter(|(_, st)| st.alive)
+            .max_by(|a, b| a.1.total.cmp(&b.1.total).then(b.0.cmp(&a.0)))?;
+        Some(Primary::at(gs, group, d))
+    }
+
+    fn at(gs: &[GroupState], group: usize, d: &StreamDemand) -> Primary {
+        let total = d.total_accesses.max(1) as f64;
+        let covered = (1.0 - d.curve.misses_at(gs[group].total) / total).clamp(0.0, 1.0);
+        Primary { group, covered }
+    }
+
+    /// Updates `primary` after live group `g`'s total grew.
+    fn grown(primary: &mut Option<Primary>, gs: &[GroupState], g: usize, d: &StreamDemand) {
+        let takes_over = primary.is_none_or(|p| {
+            let (mine, theirs) = (gs[g].total, gs[p.group].total);
+            p.group == g || mine > theirs || (mine == theirs && g < p.group)
+        });
+        if takes_over {
+            *primary = Some(Primary::at(gs, g, d));
+        }
+    }
+}
+
+/// The group's next lookahead segment: `(target capacity, slope weighted by
+/// the group's access share and replica factor)`.
+fn weighted_segment(
+    gs: &[GroupState],
+    g: usize,
+    primary: Option<Primary>,
+    d: &StreamDemand,
+    ctx: &ConfigCtx,
+) -> Option<(u64, f64)> {
+    debug_assert_eq!(primary.map(|p| p.group), Primary::of(gs, d).map(|p| p.group));
+    let (next_cap, slope) = gs[g].next_segment(&d.curve)?;
+    Some((next_cap, slope * gs[g].share * replica_factor(gs, g, primary, ctx)))
+}
+
+/// The merge candidate of lines 9–21 for a group that ran out of room:
+/// the lowest-utility live group (any stream, first on ties) that holds
+/// capacity at a member unit of `of`, with the nearest live sibling group
+/// of its stream to fold into, as `(stream, group, sibling)`.
+///
+/// A candidate has a sibling exactly when its stream has another live
+/// group, so the sibling search runs for the winner only.
+fn merge_candidate(
+    groups: &[Vec<GroupState>],
+    alive_count: &[usize],
+    of: &GroupState,
+    ctx: &ConfigCtx,
+) -> Option<(usize, usize, usize)> {
+    let mut best: Option<(usize, usize, f64)> = None;
+    for (s2, gs2) in groups.iter().enumerate() {
+        if alive_count[s2] < 2 {
+            continue;
+        }
+        for (g2, st2) in gs2.iter().enumerate() {
+            // Only merging a group that holds capacity frees space.
+            if !st2.alive || st2.total == 0 || !st2.overlaps(of) {
+                continue;
+            }
+            let u = st2.utility(ctx);
+            if best.is_none_or(|(.., best_u)| u < best_u) {
+                best = Some((s2, g2, u));
+            }
+        }
+    }
+    let (s2, g2, _) = best?;
+    let anchor2 = groups[s2][g2].anchor;
+    let (g3, _) =
+        groups[s2].iter().enumerate().filter(|&(o, os)| o != g2 && os.alive).max_by(|a, b| {
+            let ka = ctx.attenuation[anchor2][a.1.anchor];
+            let kb = ctx.attenuation[anchor2][b.1.anchor];
+            ka.partial_cmp(&kb).expect("attenuations are finite")
+        })?;
+    Some((s2, g2, g3))
+}
+
 /// Discounts a replica group's marginal utility: if the stream already has
 /// a larger group covering its accesses, an extra copy only converts
 /// *remote hits* into *local hits* — worth the interconnect saving, not the
 /// full miss penalty (the paper's hit-rate vs hit-latency tradeoff, §V-C).
-fn replica_factor(gs: &[GroupState], g: usize, d: &StreamDemand, ctx: &ConfigCtx) -> f64 {
-    // The stream's primary copy (largest group, lowest index on ties) earns
-    // full miss-curve credit; every other group is a replica.
-    let Some(other) = gs
-        .iter()
-        .enumerate()
-        .filter(|&(i, st)| {
-            i != g
-                && st.alive
-                && (st.total() > gs[g].total() || (st.total() == gs[g].total() && i < g))
-        })
-        .max_by(|a, b| a.1.total().cmp(&b.1.total()).then(b.0.cmp(&a.0)))
-        .map(|(_, st)| st)
-    else {
+fn replica_factor(gs: &[GroupState], g: usize, primary: Option<Primary>, ctx: &ConfigCtx) -> f64 {
+    // The stream's primary copy earns full miss-curve credit; every other
+    // group is a replica.
+    debug_assert!(gs[g].alive, "dead groups are never scored");
+    let Some(Primary { group: other, covered }) = primary.filter(|p| p.group != g) else {
         return 1.0;
     };
-    // Fraction of accesses the larger group would serve as hits.
-    let total = d.total_accesses.max(1) as f64;
-    let covered = (1.0 - d.curve.misses_at(other.total()) / total).clamp(0.0, 1.0);
     // Value of localizing a covered access: the interconnect saving relative
     // to the full miss penalty an uncovered access pays.
-    let noc = ctx.noc_ps(gs[g].anchor, other.anchor).max(0.0);
+    let noc = ctx.noc_ps(gs[g].anchor, gs[other].anchor).max(0.0);
     let latency_value = (noc / (ctx.dram_lat_ps + ctx.miss_extra_ps)).min(1.0);
     covered * latency_value + (1.0 - covered)
 }
@@ -559,10 +713,10 @@ fn group_time(g: &GroupState, d: &StreamDemand, ctx: &ConfigCtx) -> f64 {
     if acc <= 0.0 {
         return 0.0;
     }
-    let misses = d.curve.misses_at(g.total()) * g.share;
+    let misses = d.curve.misses_at(g.total) * g.share;
     let hits = (acc - misses).max(0.0);
     // Average NoC distance within the group, capacity-weighted.
-    let total_cap = g.total().max(1) as f64;
+    let total_cap = g.total.max(1) as f64;
     let mut avg_noc = 0.0;
     if g.members.len() > 1 {
         for &u in &g.members {
@@ -582,7 +736,7 @@ fn to_allocation(groups: &[Vec<GroupState>], units: usize) -> Allocation {
             .iter()
             .map(|gs| {
                 gs.iter()
-                    .filter(|st| st.alive && st.total() > 0)
+                    .filter(|st| st.alive && st.total > 0)
                     .map(|st| AllocGroup {
                         unit_bytes: (0..units)
                             .filter(|&u| st.cap[u] > 0)

@@ -1249,24 +1249,30 @@ impl NdpSystem {
         let mut new_layouts = Vec::with_capacity(self.table.len());
         for si in 0..self.table.len() {
             let grain = self.descs[si].grain;
-            let mut layout = StreamLayout::empty(units_n, grain);
-            for g in alloc.streams.get(si).map_or(&[][..], |v| &v[..]) {
-                let mut shares = vec![0u64; units_n];
-                for &(u, bytes) in &g.unit_bytes {
-                    shares[u] = bytes / grain;
-                }
-                if shares.iter().any(|&s| s > 0) {
-                    layout.groups.push(Group::new(shares, consistent));
-                }
-            }
+            // Per-group slot shares; a group without a whole slot is dropped.
+            let shares: Vec<Vec<u64>> = alloc
+                .streams
+                .get(si)
+                .map_or(&[][..], |v| &v[..])
+                .iter()
+                .map(|g| {
+                    let mut shares = vec![0u64; units_n];
+                    for &(u, bytes) in &g.unit_bytes {
+                        shares[u] = bytes / grain;
+                    }
+                    shares
+                })
+                .filter(|shares| shares.iter().any(|&s| s > 0))
+                .collect();
             // Hysteresis: sampling noise makes successive allocations jitter;
             // rebuilding (and invalidating) a stream's cache for a <25% size
             // change costs more than the size change is worth. Keep the old
-            // layout when the new one is structurally similar.
+            // layout when the new one is structurally similar — decided from
+            // the shares alone, before any placement table is built.
             if let Some(old) = self.layouts.get(si) {
                 let old_total = old.total_slots() * old.grain;
-                let new_total = layout.total_slots() * grain;
-                let similar = old.groups.len() == layout.groups.len()
+                let new_total = shares.iter().flatten().sum::<u64>() * grain;
+                let similar = old.groups.len() == shares.len()
                     && old.grain == grain
                     && old_total > 0
                     && new_total.abs_diff(old_total) * 4 < old_total;
@@ -1278,6 +1284,8 @@ impl NdpSystem {
                     continue;
                 }
             }
+            let mut layout = StreamLayout::empty(units_n, grain);
+            layout.groups = shares.into_iter().map(|s| Group::new(s, consistent)).collect();
             let per_unit = layout.finalize_offsets(units_n);
             layout.unit_base.copy_from_slice(&unit_offsets);
             for (off, &per) in unit_offsets.iter_mut().zip(&per_unit) {

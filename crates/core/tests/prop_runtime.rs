@@ -1,6 +1,6 @@
 //! Randomized property tests for the runtime: miss curves, the sampler,
-//! max-flow assignment, and the configuration algorithm's capacity
-//! invariants.
+//! max-flow assignment, the configuration algorithm's capacity invariants,
+//! and the incremental Algorithm 1 solver against its from-scratch oracle.
 //!
 //! Cases are driven by the workspace's seeded [`Xoshiro256`] so the suite is
 //! deterministic and needs no external property-testing framework.
@@ -10,6 +10,8 @@ use ndpx_core::runtime::configure::{allocate_baseline, allocate_ndpext, ConfigCt
 use ndpx_core::runtime::maxflow::assign_samplers;
 use ndpx_core::runtime::sampler::{capacity_points, MissCurve, SetSampler};
 use ndpx_sim::rng::Xoshiro256;
+
+mod oracle;
 
 fn random_curve(rng: &mut Xoshiro256) -> MissCurve {
     let total = 1_000.0 + rng.next_f64() * 1e6;
@@ -151,5 +153,122 @@ fn allocators_never_oversubscribe() {
                 assert!(x <= cap, "{policy:?} oversubscribed unit {u}: {x} > {cap}");
             }
         }
+    }
+}
+
+/// A random mesh: `units` on a `w`-wide grid, attenuation decaying with hop
+/// count, so many unit pairs tie on distance.
+fn mesh_ctx(rng: &mut Xoshiro256, units: usize) -> ConfigCtx {
+    let w = (units as f64).sqrt().ceil() as usize;
+    let per_hop = [0.1, 0.2, 0.35][rng.below(3) as usize];
+    let hops = |u: usize, v: usize| (u % w).abs_diff(v % w) + (u / w).abs_diff(v / w);
+    let attenuation = (0..units)
+        .map(|u| (0..units).map(|v| 1.0 / (1.0 + hops(u, v) as f64 * per_hop)).collect())
+        .collect();
+    // Capacity from starved to roomy relative to the footprints below.
+    let unit_capacity = (1 + rng.below(48)) << 12;
+    // Affine budget from tight (1/8 of a unit) to the whole unit.
+    let affine_cap = unit_capacity / [8, 4, 2, 1][rng.below(4) as usize];
+    let mut dead = vec![false; units];
+    if rng.chance(0.3) {
+        for _ in 0..=units / 4 {
+            dead[rng.below(units as u64) as usize] = true;
+        }
+    }
+    ConfigCtx {
+        units,
+        unit_capacity,
+        affine_cap,
+        attenuation,
+        dram_lat_ps: 45_000.0,
+        miss_extra_ps: 466_000.0,
+        dead,
+    }
+}
+
+/// Random demands. With `ties`, every stream shares one curve, one access
+/// pattern, and one grain, so weighted slopes coincide across streams and
+/// across read-only replicas and the heap's tie order decides.
+fn random_demands(rng: &mut Xoshiro256, units: usize, ties: bool) -> Vec<StreamDemand> {
+    let streams = 1 + rng.below(8) as usize;
+    let draw = |rng: &mut Xoshiro256| {
+        let footprint = (1 + rng.below(256)) << 10;
+        let total = 1_000 + rng.below(100_000);
+        let n = 1 + rng.below(10) as usize;
+        let pts: Vec<(u64, f64)> = (0..n)
+            .map(|_| (64 + rng.below(footprint * 3 / 2), rng.next_f64() * total as f64))
+            .collect();
+        let curve = MissCurve::from_samples(total as f64, pts);
+        // Distinct accessing units; sometimes none (an idle stream).
+        let k = rng.below(units as u64 + 1) as usize;
+        let mut acc: Vec<(usize, u64)> = Vec::new();
+        for u in 0..units {
+            if rng.below(units as u64) < k as u64 {
+                acc.push((u, if ties { 100 } else { 1 + rng.below(1000) }));
+            }
+        }
+        let grain = [64, 256, 4096][rng.below(3) as usize];
+        (curve, acc, grain, total, footprint)
+    };
+    let shared = draw(rng);
+    (0..streams)
+        .map(|_| {
+            let (curve, acc_units, grain, total, footprint) =
+                if ties { shared.clone() } else { draw(rng) };
+            StreamDemand {
+                curve,
+                acc_units,
+                read_only: rng.chance(0.5),
+                affine: rng.chance(0.3),
+                grain,
+                total_accesses: total,
+                footprint,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn incremental_solver_matches_the_from_scratch_oracle() {
+    let mut rng = Xoshiro256::seed_from(0x0A1C);
+    // How often each solver path was reached, judged from the oracle's
+    // output: counted per stream, dead units per case.
+    let (mut extended, mut replicated, mut merged, mut dead, mut affine) = (0, 0, 0, 0, 0);
+    for case in 0..600 {
+        // A few cases span more than one 64-unit bitset word.
+        let units =
+            if case % 50 == 0 { 65 + rng.below(16) as usize } else { 2 + rng.below(15) as usize };
+        let ctx = mesh_ctx(&mut rng, units);
+        let ties = rng.chance(0.25);
+        let demands = random_demands(&mut rng, units, ties);
+        let want = oracle::allocate_ndpext_oracle(&demands, &ctx);
+        let got = allocate_ndpext(&demands, &ctx);
+        assert_eq!(got.streams, want.streams, "case {case}: allocations differ");
+
+        dead += usize::from(ctx.dead.contains(&true));
+        for (d, gs) in demands.iter().zip(&want.streams) {
+            let accessed = |u: usize| d.acc_units.iter().any(|&(a, _)| a == u);
+            if gs.iter().flat_map(|g| &g.unit_bytes).any(|&(u, _)| !accessed(u)) {
+                extended += 1;
+            }
+            if d.read_only && gs.len() > 1 {
+                replicated += 1;
+            }
+            if d.read_only && !gs.is_empty() && gs.len() < d.acc_units.len() {
+                merged += 1;
+            }
+            if d.affine && !gs.is_empty() {
+                affine += 1;
+            }
+        }
+    }
+    for (path, hits) in [
+        ("extend", extended),
+        ("replication", replicated),
+        ("merge", merged),
+        ("dead units", dead),
+        ("affine", affine),
+    ] {
+        assert!(hits >= 20, "{path} reached only {hits} times");
     }
 }
