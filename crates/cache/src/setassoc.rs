@@ -131,19 +131,42 @@ impl SetAssocCache {
 
     /// Accesses `key`, filling on miss. `write` marks the line dirty.
     pub fn access(&mut self, key: u64, write: bool) -> Outcome {
-        self.tick += 1;
-        let set = self.set_of(key);
-        let base = set * self.ways;
-        let ways = &mut self.lines[base..base + self.ways];
-
-        if let Some(w) = ways.iter_mut().find(|w| w.tag == key + 1) {
-            w.lru = self.tick;
-            w.dirty |= write;
-            self.stats.hits.inc();
+        let base = self.set_of(key) * self.ways;
+        if self.hit_at(base, key, write) {
             return Outcome::Hit;
         }
+        self.fill_at(base, key, write)
+    }
 
+    /// Accesses `key` only if it is present: on a hit this does exactly
+    /// what [`access`](Self::access) does (recency, dirty bit, stats) and
+    /// returns `true`; on a miss it leaves the cache untouched and returns
+    /// `false`, so a later `access` of the same key sees the same state.
+    #[inline]
+    pub fn access_if_hit(&mut self, key: u64, write: bool) -> bool {
+        let base = self.set_of(key) * self.ways;
+        self.hit_at(base, key, write)
+    }
+
+    /// The hit half of an access to the set starting at `base`.
+    #[inline]
+    fn hit_at(&mut self, base: usize, key: u64, write: bool) -> bool {
+        let Some(w) = self.lines[base..base + self.ways].iter_mut().find(|w| w.tag == key + 1)
+        else {
+            return false;
+        };
+        self.tick += 1;
+        w.lru = self.tick;
+        w.dirty |= write;
+        self.stats.hits.inc();
+        true
+    }
+
+    /// The miss half: fills `key` into the set starting at `base`.
+    fn fill_at(&mut self, base: usize, key: u64, write: bool) -> Outcome {
+        self.tick += 1;
         self.stats.misses.inc();
+        let ways = &mut self.lines[base..base + self.ways];
         // Choose an invalid way, else the LRU way.
         let victim = ways
             .iter()
@@ -299,6 +322,30 @@ mod tests {
         assert_eq!(c.occupancy(), before - evens);
         assert_eq!(c.invalidate_all(), before - evens);
         assert_eq!(c.occupancy(), 0);
+    }
+
+    #[test]
+    fn access_if_hit_matches_access_on_hits_and_is_inert_on_misses() {
+        // Drive two caches with the same keys; one takes the `access_if_hit`
+        // probe before every access. Whatever the probe says, the caches
+        // must end up in the same state with the same stats.
+        let mut plain = SetAssocCache::new(4, 2);
+        let mut probed = SetAssocCache::new(4, 2);
+        for i in 0..200u64 {
+            let key = (i * 7 + i / 3) % 13;
+            let write = i % 5 == 0;
+            let expect = plain.access(key, write);
+            if probed.access_if_hit(key, write) {
+                assert_eq!(expect, Outcome::Hit);
+            } else {
+                assert_eq!(probed.access(key, write), expect);
+            }
+        }
+        assert_eq!(plain.stats(), probed.stats());
+        assert_eq!(plain.tick, probed.tick);
+        for key in 0..13 {
+            assert_eq!(plain.invalidate(key), probed.invalidate(key));
+        }
     }
 
     #[test]

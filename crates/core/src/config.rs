@@ -279,6 +279,15 @@ impl SystemConfig {
         if self.sampler_points < 2 {
             return Err("need at least two sampler capacity points".into());
         }
+        if self.sampler_sets == 0 {
+            return Err("samplers need at least one monitored set".into());
+        }
+        if self.slb_entries == 0 {
+            return Err("the SLB needs at least one entry".into());
+        }
+        if self.epoch_cycles == 0 {
+            return Err("epoch length must be positive".into());
+        }
         self.fault.validate().map_err(str::to_string)?;
         self.chaos.validate()?;
         let stacks = self.topology.stacks();

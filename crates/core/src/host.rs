@@ -11,7 +11,7 @@ use ndpx_mem::device::{DramConfig, DramDevice};
 use ndpx_noc::network::{LinkParams, Network};
 use ndpx_noc::topology::{IntraKind, Topology, UnitId};
 use ndpx_sim::energy::Power;
-use ndpx_sim::engine::{batching_from_env, BatchStats, EventQueue, QueueStats, BATCH_CAP};
+use ndpx_sim::engine::{BatchStats, EventQueue, ProgressWatchdog, QueueStats, BATCH_CAP};
 use ndpx_sim::rng::hash_range;
 use ndpx_sim::stats::Histogram;
 use ndpx_sim::telemetry::{StatRegistry, TimelineSampler};
@@ -87,11 +87,13 @@ pub struct HostSystem {
     llc_hits: u64,
     llc_misses: u64,
     access_latency: Histogram,
-    /// Run-ahead batching enabled (`NDPX_BATCH`; see
-    /// [`set_batching`](Self::set_batching)).
+    /// Run-ahead batching enabled (on unless a differential test turns it
+    /// off through [`set_batching`](Self::set_batching)).
     batch: bool,
     /// Run-loop batch telemetry (`engine.batch.*`).
     batch_stats: BatchStats,
+    /// Progress-watchdog stall diagnostics observed during the run.
+    stalls: u64,
     /// Opt-in windowed timeline sampler (`NDPX_TIMELINE`), mirroring
     /// [`crate::system::NdpSystem`]'s.
     timeline: Option<Box<TimelineSampler>>,
@@ -148,8 +150,9 @@ impl HostSystem {
             llc_hits: 0,
             llc_misses: 0,
             access_latency: Histogram::new(),
-            batch: batching_from_env(),
+            batch: true,
             batch_stats: BatchStats::default(),
+            stalls: 0,
             timeline: TimelineSampler::from_env().map(Box::new),
         })
     }
@@ -160,9 +163,9 @@ impl HostSystem {
         self.timeline = cfg.map(|c| Box::new(TimelineSampler::new(c)));
     }
 
-    /// Enables or disables run-ahead batching for this host, overriding
-    /// `NDPX_BATCH`. Bit-identical either way; exists for differential
-    /// tests (see [`crate::system::NdpSystem::set_batching`]).
+    /// Enables or disables run-ahead batching for this host. Bit-identical
+    /// either way; switching it off exists for differential tests (see
+    /// [`crate::system::NdpSystem::set_batching`]).
     pub fn set_batching(&mut self, on: bool) {
         self.batch = on;
     }
@@ -170,18 +173,41 @@ impl HostSystem {
     /// Runs `ops_per_core` operations per core; returns the report.
     ///
     /// Scheduling mirrors [`crate::system::NdpSystem::run`]: cores go
-    /// through the shared [`EventQueue`], tie-broken by core index, with
-    /// the in-place `push_pop` fast path for re-scheduling.
+    /// through the shared [`EventQueue`], tie-broken by core index, and a
+    /// popped core runs ahead through the shared window (ops below the
+    /// queue's next pending time) and then the private horizon (compute
+    /// and L1 hits only, parking the first other op until its event pops).
+    /// The host has no epochs or chaos, so only a timeline boundary bounds
+    /// the private horizon.
     pub fn run(&mut self, ops_per_core: u64) -> RunReport {
+        self.run_with_watchdog(ops_per_core, ProgressWatchdog::from_env())
+    }
+
+    /// [`run`](Self::run) with an explicit progress watchdog (tests inject
+    /// small limits; the environment default is `NDPX_STALL_ITERS`).
+    pub fn run_with_watchdog(
+        &mut self,
+        ops_per_core: u64,
+        mut watchdog: ProgressWatchdog,
+    ) -> RunReport {
+        let cores = self.cfg.cores;
         let mut queue: EventQueue<usize> = EventQueue::new();
-        let mut remaining = vec![ops_per_core; self.cfg.cores];
-        for c in 0..self.cfg.cores {
+        let mut remaining = vec![ops_per_core; cores];
+        let mut pending: Vec<Option<Op>> = vec![None; cores];
+        for c in 0..cores {
             queue.push_ranked(Time::ZERO, c as u64, c);
         }
         let mut makespan = Time::ZERO;
         let mut ops = 0u64;
         let mut next = queue.pop();
         while let Some((mut t, core)) = next {
+            if let Some(stall) = watchdog.observe(t, queue.len()) {
+                self.stalls += 1;
+                ndpx_warn!(
+                    "engine deadlock suspected in host/{} while serving core {core}: {stall}",
+                    self.workload_name
+                );
+            }
             // Timeline boundary: snapshot cumulative state strictly before
             // processing the first event at or past it.
             if self.timeline.as_deref().is_some_and(|tl| tl.due(t)) {
@@ -190,34 +216,17 @@ impl HostSystem {
                     tl.record(t, snap);
                 }
             }
-            // Run-ahead window: the host has no epochs, so only the queue
-            // (and any timeline boundary) bounds it (see `NdpSystem::run`
-            // for the invariant).
-            let window = if self.batch {
-                let base = queue.peek_time().unwrap_or(Time::MAX);
-                match self.timeline.as_deref() {
-                    Some(tl) => base.min(tl.next_boundary()),
-                    None => base,
-                }
+            let (window, horizon) = if self.batch {
+                let horizon = self.timeline.as_deref().map_or(Time::MAX, |tl| tl.next_boundary());
+                (queue.peek_time().map_or(horizon, |m| m.min(horizon)), horizon)
             } else {
-                Time::ZERO
+                (Time::ZERO, Time::ZERO)
             };
             let fast0 = self.l1_hits;
             let mut batch_len = 0u64;
+            let op = pending[core].take().unwrap_or_else(|| self.source.next_op(core));
+            let mut done = self.execute(core, op, t);
             loop {
-                let op = self.source.next_op(core);
-                let is_mem = !matches!(op, Op::Compute(_));
-                let done = match op {
-                    Op::Compute(c) => t + self.cfg.freq.cycles_to_time(u64::from(c)),
-                    Op::Mem(m) => {
-                        let addr = self.table.get(m.sid).addr_of(m.elem);
-                        self.access(core, addr, m.write, t)
-                    }
-                    Op::RawMem { addr, write } => self.access(core, addr, write, t),
-                };
-                if is_mem {
-                    self.access_latency.record(done.saturating_sub(t));
-                }
                 batch_len += 1;
                 makespan = makespan.max(done);
                 remaining[core] -= 1;
@@ -225,11 +234,21 @@ impl HostSystem {
                     next = queue.pop();
                     break;
                 }
-                if done < window && batch_len < BATCH_CAP {
-                    t = done;
-                    continue;
+                t = done;
+                if batch_len < BATCH_CAP && t < horizon {
+                    let op = self.source.next_op(core);
+                    let ran = if t < window {
+                        Some(self.execute(core, op, t))
+                    } else {
+                        self.execute_private(core, op, t)
+                    };
+                    if let Some(d) = ran {
+                        done = d;
+                        continue;
+                    }
+                    pending[core] = Some(op);
                 }
-                next = Some(queue.push_pop_ranked(done, core as u64, core));
+                next = Some(queue.push_pop_ranked(t, core as u64, core));
                 break;
             }
             ops += batch_len;
@@ -276,19 +295,58 @@ impl HostSystem {
         reg
     }
 
+    /// Runs one op through the full access path; returns its completion.
+    #[inline]
+    fn execute(&mut self, core: usize, op: Op, t: Time) -> Time {
+        let done = match op {
+            Op::Compute(c) => return t + self.cfg.freq.cycles_to_time(u64::from(c)),
+            Op::Mem(m) => {
+                let addr = self.table.get(m.sid).addr_of(m.elem);
+                self.access(core, addr, m.write, t)
+            }
+            Op::RawMem { addr, write } => self.access(core, addr, write, t),
+        };
+        self.access_latency.record(done.saturating_sub(t));
+        done
+    }
+
+    /// Runs `op` only if it touches nothing but `core`'s private state —
+    /// compute, or an L1 hit — and returns its completion; returns `None`
+    /// with all state untouched otherwise.
+    #[inline]
+    fn execute_private(&mut self, core: usize, op: Op, t: Time) -> Option<Time> {
+        let (addr, write) = match op {
+            Op::Compute(c) => return Some(t + self.cfg.freq.cycles_to_time(u64::from(c))),
+            Op::Mem(m) => (self.table.get(m.sid).addr_of(m.elem), m.write),
+            Op::RawMem { addr, write } => (addr, write),
+        };
+        if !self.l1s[core].access_if_hit(addr / 64, write) {
+            return None;
+        }
+        let done = self.l1_hit(t);
+        self.access_latency.record(done - t);
+        Some(done)
+    }
+
+    /// Bookkeeping of an L1 hit issued at `t`; returns its completion.
+    #[inline]
+    fn l1_hit(&mut self, t: Time) -> Time {
+        self.mem_ops += 1;
+        self.l1_hits += 1;
+        t + self.cfg.freq.cycles_to_time(2)
+    }
+
     /// One memory access: the slim L1 probe inlines into the run loop; the
     /// NUCA/DRAM continuation lives in [`access_miss`](Self::access_miss).
     #[inline]
     fn access(&mut self, core: usize, addr: u64, write: bool, t: Time) -> Time {
-        self.mem_ops += 1;
         let line = addr / 64;
-        let l1_lat = self.cfg.freq.cycles_to_time(2);
-        let now = t + l1_lat;
         if self.l1s[core].access(line, write).is_hit() {
-            self.l1_hits += 1;
-            return now;
+            return self.l1_hit(t);
         }
-        self.access_miss(core, addr, line, write, l1_lat, now)
+        self.mem_ops += 1;
+        let l1_lat = self.cfg.freq.cycles_to_time(2);
+        self.access_miss(core, addr, line, write, l1_lat, t + l1_lat)
     }
 
     /// The post-L1 continuation of [`access`](Self::access).
@@ -333,6 +391,7 @@ impl HostSystem {
             // across batching on/off (see `NdpSystem::build_registry`).
             engine.count("events", self.batch_stats.ops);
             engine.count("peak_queue_depth", qstats.peak_depth);
+            engine.count("stalls", self.stalls);
             let mut queue = engine.scope("queue");
             queue.count("scheduled", qstats.scheduled);
             queue.count("processed", qstats.processed);

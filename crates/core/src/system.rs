@@ -35,9 +35,7 @@ use ndpx_noc::network::{Network, NocFault};
 use ndpx_noc::topology::UnitId;
 use ndpx_sim::chaos::{ChaosEvent, ChaosKind, ChaosPlan};
 use ndpx_sim::energy::Power;
-use ndpx_sim::engine::{
-    batching_from_env, BatchStats, EventQueue, ProgressWatchdog, QueueStats, BATCH_CAP,
-};
+use ndpx_sim::engine::{BatchStats, EventQueue, ProgressWatchdog, QueueStats, BATCH_CAP};
 use ndpx_sim::fastdiv::Divisor;
 use ndpx_sim::fault::domain;
 use ndpx_sim::stats::Histogram;
@@ -308,9 +306,9 @@ pub struct NdpSystem {
     replicated_fraction: f64,
     /// End-to-end latency distribution of post-L1 memory accesses.
     access_latency: Histogram,
-    /// Run-ahead batching enabled (`NDPX_BATCH`, overridable per system
-    /// via [`set_batching`](Self::set_batching)). Purely a performance
-    /// switch: results are bit-identical either way.
+    /// Run-ahead batching enabled (on unless a differential test turns it
+    /// off through [`set_batching`](Self::set_batching)). Purely a
+    /// performance switch: results are bit-identical either way.
     batch: bool,
     /// Run-loop batch telemetry (`engine.batch.*`).
     batch_stats: BatchStats,
@@ -419,7 +417,7 @@ impl NdpSystem {
             stream_aborts: 0,
             replicated_fraction: 0.0,
             access_latency: Histogram::new(),
-            batch: batching_from_env(),
+            batch: true,
             batch_stats: BatchStats::default(),
             stalls: 0,
             trace_noc: enabled(Level::Trace),
@@ -541,10 +539,10 @@ impl NdpSystem {
         }
     }
 
-    /// Enables or disables run-ahead batching for this system, overriding
-    /// whatever `NDPX_BATCH` configured at construction. Batching is
-    /// bit-identical to the per-op loop (see [`run`](Self::run)); this
-    /// exists so differential tests can compare both paths in one process.
+    /// Enables or disables run-ahead batching for this system. Batching is
+    /// on by default and bit-identical to the per-op loop (see
+    /// [`run`](Self::run)); switching it off exists so differential tests
+    /// can compare both paths, the per-op loop being the oracle.
     pub fn set_batching(&mut self, on: bool) {
         self.batch = on;
     }
@@ -554,17 +552,27 @@ impl NdpSystem {
     ///
     /// Cores are scheduled through [`EventQueue`] with the core index as
     /// the equal-time tiebreak (lower core first). When a core is popped
-    /// at time `t` the loop *runs ahead*: it keeps executing that core's
-    /// ops in a tight inner loop for as long as each completion stays
-    /// strictly below both the queue's minimum pending time and the next
-    /// epoch boundary. Inside that window no other core (and no epoch
-    /// action) can be scheduled, so shared state is touched in exactly
-    /// the per-op order and results are bit-identical — the queue
-    /// round-trip, epoch check, and watchdog observation are simply
-    /// amortized over the batch. A batch ends by landing on or past the
-    /// window (re-entering through the fused `push_pop`, whose tiebreak
-    /// resolves equal times identically), by exhausting the core's ops,
-    /// or at [`BATCH_CAP`] (a liveness bound for the watchdog).
+    /// at time `t` the loop *runs ahead* of the queue, over two horizons:
+    ///
+    /// - the **shared window** `W`: the queue's minimum pending time, the
+    ///   next epoch, chaos event and timeline boundary. No other core and
+    ///   no boundary action can come before an op issued below `W`, so
+    ///   such ops run through the full access path in exactly the per-op
+    ///   order;
+    /// - the **private horizon** `P ≥ W`: the same bound without the
+    ///   queue, further clamped while a trace window is open. An op issued
+    ///   in `[W, P)` runs at once only if it touches nothing but the core's
+    ///   own state — compute, or an L1 hit (L1s belong to their core, op
+    ///   sources keep per-core cursors, and everything a hit updates is an
+    ///   order-free integer sum). Any other op is parked in the core's
+    ///   pending slot and the core re-enters the queue at the op's issue
+    ///   time, where the per-op loop would have it; the parked op runs
+    ///   first, through the full path, when that event pops.
+    ///
+    /// A batch also ends by exhausting the core's ops or at [`BATCH_CAP`]
+    /// (a liveness bound for the watchdog). Results are bit-identical to
+    /// the per-op loop; the queue round trip, boundary checks and watchdog
+    /// observation are simply amortized over the batch.
     pub fn run(&mut self, ops_per_core: u64) -> RunReport {
         self.run_with_watchdog(ops_per_core, ProgressWatchdog::from_env())
     }
@@ -579,6 +587,9 @@ impl NdpSystem {
         let cores = self.cfg.units();
         let mut queue: EventQueue<usize> = EventQueue::new();
         let mut remaining: Vec<u64> = vec![ops_per_core; cores];
+        // Per-core pending slot: an op fetched past the shared window that
+        // needs shared state, waiting for its core's event to pop.
+        let mut pending: Vec<Option<Op>> = vec![None; cores];
         for c in 0..cores {
             queue.push_ranked(Time::ZERO, c as u64, c);
         }
@@ -620,8 +631,10 @@ impl NdpSystem {
                 }
             }
             // A chaos-killed core surfaces here with no ops left: retire it
-            // without touching the op source (its trace was aborted).
+            // without touching the op source (its trace was aborted). Chaos
+            // clamps the private horizon, so it never strands a parked op.
             if remaining[core] == 0 {
+                debug_assert!(pending[core].is_none(), "chaos retired a parked op");
                 next = queue.pop();
                 continue;
             }
@@ -634,48 +647,12 @@ impl NdpSystem {
                     tl.record(t, snap);
                 }
             }
-            // Run-ahead window: completions strictly below it cannot
-            // interleave with any pending event or epoch boundary. With
-            // batching off the window is ZERO, so every completion exits
-            // the inner loop — the historical per-op behaviour.
-            let window = if self.batch {
-                let base = queue.peek_time().map_or(self.next_epoch, |m| m.min(self.next_epoch));
-                // Clamp run-ahead to the next chaos boundary so no batch
-                // skips a scheduled failure or restore.
-                let base = match self.chaos_next_at() {
-                    Some(c) => base.min(c),
-                    None => base,
-                };
-                // Clamp run-ahead to the next timeline boundary so windows
-                // close on time. Batching stays bit-identical — batches just
-                // end earlier when a boundary is near.
-                match self.timeline.as_deref() {
-                    Some(tl) => base.min(tl.next_boundary()),
-                    None => base,
-                }
-            } else {
-                Time::ZERO
-            };
+            let (window, horizon) = self.run_ahead_horizons(queue.peek_time(), t);
             let fast0 = self.l1_hits;
             let mut batch_len = 0u64;
+            let op = pending[core].take().unwrap_or_else(|| self.source.next_op(core));
+            let mut done = self.execute(core, op, t);
             loop {
-                let op = self.source.next_op(core);
-                let is_mem = !matches!(op, Op::Compute(_));
-                let done = match op {
-                    Op::Compute(cycles) => t + self.cfg.core_freq.cycles_to_time(u64::from(cycles)),
-                    Op::Mem(m) => self.process_mem(core, m, t),
-                    Op::RawMem { addr, write } => self.process_raw(core, addr, write, t),
-                };
-                if is_mem {
-                    let lat = done.saturating_sub(t);
-                    self.access_latency.record(lat);
-                    self.slo.record(lat);
-                    if let Some(tr) = self.trace.as_deref_mut() {
-                        if tr.in_window(t) {
-                            tr.complete("engine", "mem_op", core as u32, t, lat);
-                        }
-                    }
-                }
                 batch_len += 1;
                 makespan = makespan.max(done);
                 remaining[core] -= 1;
@@ -683,11 +660,21 @@ impl NdpSystem {
                     next = queue.pop();
                     break;
                 }
-                if done < window && batch_len < BATCH_CAP {
-                    t = done;
-                    continue;
+                t = done;
+                if batch_len < BATCH_CAP && t < horizon {
+                    let op = self.source.next_op(core);
+                    let ran = if t < window {
+                        Some(self.execute(core, op, t))
+                    } else {
+                        self.execute_private(core, op, t)
+                    };
+                    if let Some(d) = ran {
+                        done = d;
+                        continue;
+                    }
+                    pending[core] = Some(op);
                 }
-                next = Some(queue.push_pop_ranked(done, core as u64, core));
+                next = Some(queue.push_pop_ranked(t, core as u64, core));
                 break;
             }
             total_ops += batch_len;
@@ -724,6 +711,83 @@ impl NdpSystem {
             }
         }
         report
+    }
+
+    /// The run-ahead horizons `(W, P)`, `W ≤ P`, for a core popped at `t`
+    /// with the queue's next pending event at `peek` (see
+    /// [`run`](Self::run)). Both are [`Time::ZERO`] with batching off,
+    /// which is the per-op loop.
+    fn run_ahead_horizons(&self, peek: Option<Time>, t: Time) -> (Time, Time) {
+        if !self.batch {
+            return (Time::ZERO, Time::ZERO);
+        }
+        // Epoch, chaos and timeline boundaries: no reconfiguration,
+        // failure or snapshot may see an op from its future.
+        let mut horizon = self.next_epoch;
+        if let Some(c) = self.chaos_next_at() {
+            horizon = horizon.min(c);
+        }
+        if let Some(tl) = self.timeline.as_deref() {
+            horizon = horizon.min(tl.next_boundary());
+        }
+        let window = peek.map_or(horizon, |m| m.min(horizon));
+        // The trace ring keeps insertion order, so private ops may not
+        // run ahead into (or inside) its capture window.
+        if let Some(tr) = self.trace.as_deref() {
+            horizon = horizon.min(tr.reorder_bound(t)).max(window);
+        }
+        (window, horizon)
+    }
+
+    /// Runs one op through the full access path; returns its completion.
+    #[inline]
+    fn execute(&mut self, core: usize, op: Op, t: Time) -> Time {
+        let done = match op {
+            Op::Compute(cycles) => return t + self.cycles(u64::from(cycles)),
+            Op::Mem(m) => self.process_mem(core, m, t),
+            Op::RawMem { addr, write } => self.process_raw(core, addr, write, t),
+        };
+        self.record_access(core, t, done);
+        done
+    }
+
+    /// Runs `op` only if it touches nothing but `core`'s private state —
+    /// compute, or a memory op that hits the core's L1 — and returns its
+    /// completion; returns `None` with all state untouched otherwise.
+    #[inline]
+    fn execute_private(&mut self, core: usize, op: Op, t: Time) -> Option<Time> {
+        let (addr, write) = match op {
+            Op::Compute(cycles) => return Some(t + self.cycles(u64::from(cycles))),
+            Op::Mem(m) => (self.descs[m.sid.index()].addr_of_elem(m.elem), m.write),
+            Op::RawMem { addr, write } => (addr, write),
+        };
+        if !self.l1s[core].access_if_hit(self.line_div.div(addr), write) {
+            return None;
+        }
+        let done = self.l1_hit(t);
+        self.record_access(core, t, done);
+        Some(done)
+    }
+
+    /// Bookkeeping of an L1 hit issued at `t`; returns its completion.
+    #[inline]
+    fn l1_hit(&mut self, t: Time) -> Time {
+        self.mem_ops += 1;
+        self.l1_hits += 1;
+        t + self.cycles(L1_CYCLES)
+    }
+
+    /// Records a memory op issued at `t` and completing at `done`.
+    #[inline]
+    fn record_access(&mut self, core: usize, t: Time, done: Time) {
+        let lat = done.saturating_sub(t);
+        self.access_latency.record(lat);
+        self.slo.record(lat);
+        if let Some(tr) = self.trace.as_deref_mut() {
+            if tr.in_window(t) {
+                tr.complete("engine", "mem_op", core as u32, t, lat);
+            }
+        }
     }
 
     /// Stable per-cell label — memory kind, policy, workload — used for
@@ -855,13 +919,12 @@ impl NdpSystem {
     }
 
     fn process_raw(&mut self, core: usize, addr: u64, write: bool, t: Time) -> Time {
-        self.mem_ops += 1;
-        let t = t + self.cycles(L1_CYCLES);
         let line = self.line_div.div(addr);
         if self.l1s[core].access(line, write).is_hit() {
-            self.l1_hits += 1;
-            return t;
+            return self.l1_hit(t);
         }
+        self.mem_ops += 1;
+        let t = t + self.cycles(L1_CYCLES);
         self.breakdown.add(LatComponent::CoreL1, self.cycles(L1_CYCLES));
         // Not a stream: bypass the DRAM cache (§IV-C).
         self.bypass += 1;
@@ -878,23 +941,20 @@ impl NdpSystem {
     /// mutation).
     #[inline]
     fn process_mem(&mut self, core: usize, m: MemRef, t: Time) -> Time {
-        self.mem_ops += 1;
         let addr = self.descs[m.sid.index()].addr_of_elem(m.elem);
-        let now = t + self.cycles(L1_CYCLES);
 
         // L1.
         let line = self.line_div.div(addr);
         match self.l1s[core].access(line, m.write) {
-            ndpx_cache::setassoc::Outcome::Hit => {
-                self.l1_hits += 1;
-                now
-            }
+            ndpx_cache::setassoc::Outcome::Hit => self.l1_hit(t),
             ndpx_cache::setassoc::Outcome::Miss { evicted } => {
+                self.mem_ops += 1;
                 // Copy out the cached descriptor only on the miss path:
                 // everything it needs (grain, key math, fetch size)
                 // without re-consulting the table, while the dominant hit
                 // path above stays copy-free.
                 let desc = self.descs[m.sid.index()];
+                let now = t + self.cycles(L1_CYCLES);
                 self.process_mem_miss(core, m, desc, addr, evicted, now)
             }
         }
@@ -2240,6 +2300,25 @@ mod tests {
     }
 
     #[test]
+    fn zero_sized_structures_fail_construction_without_panicking() {
+        // A zero-set sampler or a zero-entry SLB would panic in the
+        // constructor and a zero epoch would spin the boundary loop, so
+        // validation must reject each before anything is built.
+        let tweaks: [fn(&mut SystemConfig); 3] =
+            [|c| c.sampler_sets = 0, |c| c.slb_entries = 0, |c| c.epoch_cycles = 0];
+        for tweak in tweaks {
+            let mut cfg = SystemConfig::test(PolicyKind::NdpExt);
+            tweak(&mut cfg);
+            let p = ScaleParams { cores: cfg.units(), footprint: 1 << 20, seed: 1 };
+            let wl = ndpx_workloads::build("pr", &p).unwrap().unwrap();
+            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                NdpSystem::new(cfg, wl).map(|_| ())
+            }));
+            assert!(matches!(built, Ok(Err(_))), "expected an error, not a panic or a system");
+        }
+    }
+
+    #[test]
     fn slo_and_profile_scopes_are_opt_in() {
         let cfg = SystemConfig::test(PolicyKind::NdpExt);
         let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
@@ -2372,36 +2451,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_is_identical_with_batching_on_and_off() {
-        let render = |batch: bool| {
-            let mut cfg = SystemConfig::test(PolicyKind::NdpExt);
-            cfg.chaos = ndpx_sim::chaos::ChaosConfig::parse(
-                Some("cxl-down@5us+20us;stack-down@20us:1"),
-                None,
-            )
-            .expect("valid");
-            let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
-            let wl = ndpx_workloads::build("pr", &p).expect("known").expect("builds");
-            let mut sys = NdpSystem::new(cfg, wl).expect("valid");
-            sys.set_batching(batch);
-            sys.run(20_000)
-        };
-        let a = render(false);
-        let b = render(true);
-        assert_eq!(a.sim_time, b.sim_time, "chaos boundaries must clamp run-ahead windows");
-        let strip = |r: &RunReport| {
-            let mut reg = StatRegistry::new();
-            for (k, v) in r.registry.iter() {
-                if !k.starts_with("engine.") {
-                    reg.publish(k, v.clone());
-                }
-            }
-            reg.to_json()
-        };
-        assert_eq!(strip(&a), strip(&b));
-    }
-
-    #[test]
     fn timeline_writes_windows_without_perturbing_results() {
         use ndpx_sim::telemetry::TimelineConfig;
 
@@ -2433,43 +2482,5 @@ mod tests {
         assert!(text.contains("\"slo.epochs\""), "timeline runs carry the slo series");
         assert!(text.contains("\"noc."), "per-link NoC series present");
         ndpx_sim::telemetry::Json::parse(&text).expect("timeline is valid JSON");
-    }
-
-    #[test]
-    fn timeline_is_identical_with_batching_on_and_off() {
-        use ndpx_sim::telemetry::TimelineConfig;
-
-        let render = |batch: bool| {
-            let cfg = SystemConfig::test(PolicyKind::NdpExt);
-            let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
-            let wl = ndpx_workloads::build("pr", &p).unwrap().unwrap();
-            let mut sys = NdpSystem::new(cfg, wl).expect("valid");
-            sys.set_batching(batch);
-            let stem = std::env::temp_dir()
-                .join(format!("ndpx-core-test-timeline-batch{}.json", u8::from(batch)));
-            let mut tc = TimelineConfig::to_path(&stem);
-            tc.window = Time::from_ns(1_000);
-            sys.set_timeline(Some(tc));
-            let r = sys.run(3000);
-            assert!(r.sim_time > Time::ZERO);
-            let label = format!(
-                "{:?}-{:?}-pr",
-                SystemConfig::test(PolicyKind::NdpExt).mem_kind,
-                PolicyKind::NdpExt
-            );
-            let path = std::env::temp_dir()
-                .join(format!("ndpx-core-test-timeline-batch{}.{label}.json", u8::from(batch)));
-            let text = std::fs::read_to_string(&path).expect("timeline written");
-            std::fs::remove_file(&path).ok();
-            text
-        };
-        // The `engine.batch.*` series legitimately differs (batching groups
-        // ops into fewer batches); every simulation-derived series must not.
-        let strip = |text: String| -> String {
-            text.lines().filter(|l| !l.contains("\"engine.batch.")).collect::<Vec<_>>().join("\n")
-        };
-        let a = strip(render(false));
-        let b = strip(render(true));
-        assert_eq!(a, b, "run-ahead batching must not change simulation-derived timelines");
     }
 }

@@ -2,16 +2,24 @@
 //!
 //! The batched run loop (the default) may only move the wall clock: every
 //! simulated fact — the full [`RunReport`], including the telemetry
-//! registry dump — must be byte-identical to the per-op loop
-//! (`NDPX_BATCH=0`). These tests drive both loops directly through
-//! `set_batching`, so they hold regardless of the process environment, and
-//! sweep random workloads, seeds, policies, and footprints so the
-//! equivalence is a property, not three blessed cases.
+//! registry dump — must be byte-identical to the per-op loop, which
+//! `set_batching(false)` selects and which serves as the oracle. The
+//! batched loop runs ahead over two horizons: the shared window below the
+//! queue's next event, and the private horizon past it (compute and L1
+//! hits only), clamped by epochs, chaos events, timeline boundaries and
+//! the trace window. The tests sweep random workloads, seeds, policies and
+//! footprints, then cover each clamp with a case that actually crosses it,
+//! and pin that the run-ahead engages at all.
+
+use std::path::{Path, PathBuf};
 
 use ndpx_core::config::{PolicyKind, SystemConfig};
 use ndpx_core::{HostConfig, HostSystem, NdpSystem, RunReport};
+use ndpx_sim::chaos::ChaosConfig;
 use ndpx_sim::engine::ProgressWatchdog;
 use ndpx_sim::rng::Xoshiro256;
+use ndpx_sim::telemetry::{StatValue, TimelineConfig, TraceConfig};
+use ndpx_sim::time::Time;
 use ndpx_workloads::trace::ScaleParams;
 use ndpx_workloads::{build, Workload, REPRESENTATIVE_WORKLOADS};
 
@@ -127,4 +135,177 @@ fn watchdog_observations_match_across_loops() {
         r.registry.get("engine.stalls").and_then(|v| v.as_count()).unwrap_or(0)
     };
     assert_eq!(stalls_with(true), stalls_with(false));
+}
+
+fn count(r: &RunReport, path: &str) -> u64 {
+    r.registry.get(path).and_then(StatValue::as_count).unwrap_or(0)
+}
+
+fn mean_len(r: &RunReport) -> f64 {
+    r.registry.get("engine.batch.mean_len").and_then(StatValue::as_gauge).unwrap_or(0.0)
+}
+
+/// Runs `cfg` on `name` once per loop (run-ahead first, then the per-op
+/// oracle), letting `attach` hook telemetry onto each system; returns both
+/// reports after asserting their fingerprints match.
+fn ndp_both(
+    cfg: &SystemConfig,
+    name: &str,
+    p: &ScaleParams,
+    ops: u64,
+    attach: impl Fn(&mut NdpSystem, bool),
+) -> (RunReport, RunReport) {
+    let run = |batch: bool| {
+        let mut sys = NdpSystem::new(cfg.clone(), build_wl(name, p)).expect("valid");
+        sys.set_batching(batch);
+        attach(&mut sys, batch);
+        sys.run(ops)
+    };
+    let (ahead, oracle) = (run(true), run(false));
+    assert_eq!(
+        fingerprint(&ahead),
+        fingerprint(&oracle),
+        "{:?}/{name} at {ops} ops diverged between loops",
+        cfg.policy
+    );
+    (ahead, oracle)
+}
+
+/// A fresh, empty temporary directory for one test's telemetry files.
+fn fresh_temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ndpx-batching-diff-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// The one file a run wrote into `dir`, read and removed with its dir.
+fn take_only_file(dir: &Path) -> String {
+    let files: Vec<PathBuf> =
+        std::fs::read_dir(dir).expect("dir").map(|e| e.expect("entry").path()).collect();
+    assert_eq!(files.len(), 1, "expected one file in {}", dir.display());
+    let text = std::fs::read_to_string(&files[0]).expect("readable");
+    std::fs::remove_dir_all(dir).ok();
+    text
+}
+
+#[test]
+fn run_ahead_stops_at_epoch_boundaries_that_reconfigure() {
+    // NDPExt with a tenfold shorter epoch: every run reconfigures and
+    // migrates, so private ops run right up to boundaries that move
+    // placement. The profiler switches on the per-epoch latency
+    // percentiles (`slo.*`), the one series that sees which epoch an L1
+    // hit landed in; pathfinder's percentiles shift when hits cross an
+    // epoch boundary, so it catches a horizon that ignores epochs.
+    let mut cfg = SystemConfig::test(PolicyKind::NdpExt);
+    cfg.epoch_cycles /= 10;
+    for name in ["bfs", "recsys", "pathfinder"] {
+        let p = ScaleParams { cores: cfg.units(), footprint: 20 << 20, seed: 0xBEEF };
+        let (r, _) = ndp_both(&cfg, name, &p, 4_000, |sys, _| sys.set_profile(true));
+        assert!(count(&r, "slo.epochs") > 0, "{name}: no epoch percentiles recorded");
+        assert!(r.reconfigs > 0, "{name}: no epoch fired");
+        assert!(r.migrations > 0, "{name}: no entry migrated");
+    }
+}
+
+#[test]
+fn run_ahead_stops_at_chaos_events() {
+    let mut cfg = SystemConfig::test(PolicyKind::NdpExt);
+    cfg.chaos = ChaosConfig::parse(Some("cxl-down@5us+20us;stack-down@20us:1"), None)
+        .expect("valid chaos spec");
+    let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
+    let (r, _) = ndp_both(&cfg, "pr", &p, 6_000, |_, _| {});
+    assert_eq!(count(&r, "chaos.applied"), 2, "both failures must fire mid-run");
+    assert!(count(&r, "chaos.ops_aborted") > 0, "the dead stack's cores lose ops");
+}
+
+#[test]
+fn run_ahead_stops_at_timeline_boundaries() {
+    let cfg = SystemConfig::test(PolicyKind::NdpExt);
+    let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 5 };
+    let dirs = [fresh_temp_dir("timeline-ahead"), fresh_temp_dir("timeline-oracle")];
+    ndp_both(&cfg, "mv", &p, 3_000, |sys, batch| {
+        let mut tc = TimelineConfig::to_path(dirs[usize::from(!batch)].join("tl.json"));
+        tc.window = Time::from_ns(700);
+        sys.set_timeline(Some(tc));
+    });
+    // The `engine.batch.*` series describe the loop's shape and differ on
+    // purpose; every other line must match.
+    let strip = |text: String| -> String {
+        text.lines().filter(|l| !l.contains("\"engine.batch.")).collect::<Vec<_>>().join("\n")
+    };
+    let [ahead, oracle] = dirs.map(|d| strip(take_only_file(&d)));
+    assert!(ahead.matches("\"start_ns\"").count() > 10, "expected many windows");
+    assert_eq!(ahead, oracle, "timelines diverged between loops");
+}
+
+#[test]
+fn run_ahead_keeps_the_trace_ring_order() {
+    // The window opens mid-run and the ring wraps inside it, so both which
+    // events survive and their order depend on recording order.
+    let cfg = SystemConfig::test(PolicyKind::NdpExtStatic);
+    let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 9 };
+    let dirs = [fresh_temp_dir("trace-ahead"), fresh_temp_dir("trace-oracle")];
+    let (r, _) = ndp_both(&cfg, "tc", &p, 3_000, |sys, batch| {
+        let mut tc = TraceConfig::to_path(dirs[usize::from(!batch)].join("trace.json"));
+        tc.start = Time::from_us(4);
+        tc.stop = Time::from_us(8);
+        tc.capacity = 512;
+        sys.set_trace(Some(tc));
+    });
+    assert!(r.sim_time > Time::from_us(8), "the run must outlast the trace window");
+    let [ahead, oracle] = dirs.map(|d| take_only_file(&d));
+    assert!(ahead.matches("\"mem_op\"").count() > 100, "the window must record ops");
+    assert!(!ahead.contains("\"dropped_events\": 0}"), "the ring must wrap");
+    assert_eq!(ahead, oracle, "trace rings diverged between loops");
+}
+
+#[test]
+fn host_run_ahead_matches_with_a_timeline() {
+    let cfg = HostConfig::test(16);
+    let p = ScaleParams { cores: 16, footprint: 8 << 20, seed: 3 };
+    let dirs = [fresh_temp_dir("host-tl-ahead"), fresh_temp_dir("host-tl-oracle")];
+    let mut reports = Vec::new();
+    for (dir, batch) in dirs.iter().zip([true, false]) {
+        let mut sys = HostSystem::new(cfg.clone(), build_wl("hotspot", &p)).expect("valid");
+        sys.set_batching(batch);
+        let mut tc = TimelineConfig::to_path(dir.join("tl.json"));
+        tc.window = Time::from_ns(2_000);
+        sys.set_timeline(Some(tc));
+        reports.push(sys.run(3_000));
+    }
+    assert_eq!(fingerprint(&reports[0]), fingerprint(&reports[1]));
+    let strip = |text: String| -> String {
+        text.lines().filter(|l| !l.contains("\"engine.batch.")).collect::<Vec<_>>().join("\n")
+    };
+    let [ahead, oracle] = dirs.map(|d| strip(take_only_file(&d)));
+    assert_eq!(ahead, oracle, "host timelines diverged between loops");
+}
+
+#[test]
+fn host_watchdog_fires_under_the_run_ahead_loop() {
+    // All cores start at Time::ZERO, so the first pops repeat one
+    // (time, depth) observation; a limit of 4 must trip on that burst.
+    let p = ScaleParams { cores: 8, footprint: 8 << 20, seed: 7 };
+    let mut sys = HostSystem::new(HostConfig::test(8), build_wl("pr", &p)).expect("valid");
+    let r = sys.run_with_watchdog(2_000, ProgressWatchdog::new(4));
+    assert!(count(&r, "engine.stalls") >= 1, "watchdog did not fire on the host loop");
+    assert!(mean_len(&r) > 1.0, "the run-ahead loop must be the one under test");
+}
+
+#[test]
+fn run_ahead_engages_on_l1_resident_workloads() {
+    // Pinned engagement: anything that silently disables the private
+    // horizon drops the mean batch length back to about one op.
+    let cfg = SystemConfig::test(PolicyKind::NdpExtStatic);
+    let cache = cfg.units() as u64 * cfg.unit_capacity;
+    let p = ScaleParams { cores: cfg.units(), footprint: cache * 6 / 5, seed: 0xBEEF };
+    let mut sys = NdpSystem::new(cfg, build_wl("tc", &p)).expect("valid");
+    let ndp = sys.run(4_000);
+    assert!(mean_len(&ndp) >= 10.0, "tc/NDPExt-static mean batch {}", mean_len(&ndp));
+
+    let p = ScaleParams { cores: 16, footprint: cache * 4, seed: 0xBEEF };
+    let mut host = HostSystem::new(HostConfig::test(16), build_wl("hotspot", &p)).expect("valid");
+    let r = host.run(4_000);
+    assert!(mean_len(&r) >= 10.0, "hotspot/host mean batch {}", mean_len(&r));
 }

@@ -87,30 +87,16 @@ impl QueueImpl {
     }
 }
 
-/// Whether the system run loops may run ahead — executing several of a
-/// core's ops per queue event while completions stay inside the safe
-/// window (see the run-loop docs). `NDPX_BATCH=0` (or any other off token
-/// of [`crate::knobs::parse_bool`]) restores the historical per-op loop;
-/// anything else (including unset) enables batching. The choice is read
-/// once per process.
-pub fn batching_from_env() -> bool {
-    static CHOICE: OnceLock<bool> = OnceLock::new();
-    *CHOICE.get_or_init(|| parse_batching(crate::knobs::BATCH.raw().as_deref()))
-}
-
-/// Pure form of the `NDPX_BATCH` parse for tests: the unified boolean
-/// grammar with batching on by default.
-pub fn parse_batching(v: Option<&str>) -> bool {
-    crate::knobs::parse_bool(v, true)
-}
-
 /// Maximum ops a run loop may execute per run-ahead batch before it
 /// returns to the queue. Purely a liveness bound: it keeps the progress
 /// watchdog (which observes once per batch) firing within a bounded
 /// number of ops when simulated time freezes, and it cannot change
-/// results — a batch cut short re-enters through the fused push-pop,
-/// which returns the same core whenever its completion still precedes
-/// every pending event.
+/// results — a batch cut short re-enters the queue at the issue time of
+/// its next op with the core as the equal-time rank, exactly where the
+/// per-op loop would have it. That holds for both run-ahead horizons the
+/// system loops use: the shared window below the queue's next pending
+/// event, and the private horizon past it, in which only ops that touch
+/// the core's own state (compute and L1 hits) run.
 pub const BATCH_CAP: u64 = 1024;
 
 /// Number of log2 batch-length classes tracked in [`BatchStats`]
@@ -1140,15 +1126,6 @@ mod tests {
         assert_eq!(ProgressWatchdog::parse_limit(Some("123")), 123);
         assert_eq!(ProgressWatchdog::parse_limit(Some("0")), 0);
         assert_eq!(ProgressWatchdog::parse_limit(Some("bad")), ProgressWatchdog::DEFAULT_LIMIT);
-    }
-
-    #[test]
-    fn batching_parse() {
-        assert!(parse_batching(None));
-        assert!(parse_batching(Some("1")));
-        assert!(parse_batching(Some("yes")));
-        assert!(!parse_batching(Some("0")));
-        assert!(!parse_batching(Some(" 0 ")));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! Boolean knobs share one parse ([`parse_bool`]): an *unset* variable
 //! takes the knob's default, while a set value counts as false exactly when
 //! it trims to one of `""`, `0`, `false`, `off`, or `no`
-//! (case-insensitive) and true otherwise. `NDPX_BATCH=0`, `NDPX_BATCH=off`
-//! and `NDPX_BATCH=false` therefore all disable batching, and the same
-//! tokens disable every other boolean knob — there are no per-knob
-//! spellings.
+//! (case-insensitive) and true otherwise. `NDPX_PROFILE=0`,
+//! `NDPX_PROFILE=off` and `NDPX_PROFILE=false` therefore all disable the
+//! profiler, and the same tokens disable every other boolean knob — there
+//! are no per-knob spellings.
 
 /// The value shape a knob accepts, for documentation and lint checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,14 +153,6 @@ knob!(
     "wheel",
     "Event-queue backend: the hierarchical time-wheel or the reference binary heap. Digests are \
      byte-identical either way."
-);
-knob!(
-    BATCH,
-    "NDPX_BATCH",
-    KnobKind::Bool,
-    "1",
-    "Run-ahead batching in the system run loops; disabling restores the historical per-op loop \
-     with byte-identical results."
 );
 knob!(
     STALL_ITERS,
@@ -394,7 +386,6 @@ pub const ALL: &[&Knob] = &[
     &HEARTBEAT_SECS,
     &SLOW_MULT,
     &QUEUE,
-    &BATCH,
     &STALL_ITERS,
     &LOG,
     &TRACE,
@@ -448,7 +439,7 @@ mod tests {
     fn the_registry_holds_all_knobs() {
         // The count is asserted so adding a knob without registering it in
         // `ALL` (or removing one without pruning) cannot go unnoticed.
-        assert_eq!(ALL.len(), 36);
+        assert_eq!(ALL.len(), 35);
     }
 
     #[test]

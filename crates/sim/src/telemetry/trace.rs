@@ -126,6 +126,22 @@ impl TraceSink {
         t >= self.cfg.start && t < self.cfg.stop
     }
 
+    /// The latest simulated time up to which a run loop serving an event at
+    /// `t` may execute ops out of global time order without changing which
+    /// events the ring holds or their order: the capture start while `t`
+    /// precedes the window, `t` itself inside it (no reordering), and
+    /// unbounded once the window has closed.
+    #[inline]
+    pub fn reorder_bound(&self, t: Time) -> Time {
+        if t < self.cfg.start {
+            self.cfg.start
+        } else if t < self.cfg.stop {
+            t
+        } else {
+            Time::MAX
+        }
+    }
+
     /// Records a complete (duration) event.
     pub fn complete(
         &mut self,
@@ -347,6 +363,11 @@ mod tests {
         s.instant("core", "in", 0, Time::from_ns(150));
         s.instant("core", "late", 0, Time::from_ns(250));
         assert_eq!(s.len(), 1);
+        // Run-ahead may reach the window's start, never into it.
+        assert_eq!(s.reorder_bound(Time::from_ns(50)), Time::from_ns(100));
+        assert_eq!(s.reorder_bound(Time::from_ns(100)), Time::from_ns(100));
+        assert_eq!(s.reorder_bound(Time::from_ns(150)), Time::from_ns(150));
+        assert_eq!(s.reorder_bound(Time::from_ns(200)), Time::MAX);
     }
 
     #[test]
