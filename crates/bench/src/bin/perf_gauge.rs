@@ -10,15 +10,14 @@
 //!
 //! Usage:
 //!   perf_gauge                      # measure, write BENCH_PERF.json
-//!   perf_gauge --check OLD.json     # additionally assert digests match
-//!                                   # OLD.json and report the speedup
+//!   perf_gauge --check OLD.json     # additionally assert every cell of
+//!                                   # OLD.json is present with the same
+//!                                   # digest, and report the speedup
 //!   NDPX_THREADS=n perf_gauge       # pool width of the optimized phase
 //!   NDPX_THREAD_SWEEP=1,2,4 ...     # extra cached runs per thread count
 //!   NDPX_PERF_OUT=path perf_gauge   # write somewhere else
 //!   NDPX_METRICS=dir perf_gauge     # also write metrics.json + registry
 //!                                   # dump sidecars (see ndpx_bench::manifest)
-//!   NDPX_QUEUE=heap perf_gauge      # run on the reference BinaryHeap event
-//!                                   # queue instead of the time wheel
 //!   NDPX_GAUGE_MICRO=1 perf_gauge   # also run component micro-benchmarks
 //!                                   # (queue ops, vectorized kernels) and
 //!                                   # record them under "micro"
@@ -28,9 +27,12 @@
 //!   NDPX_PROFILE=1 perf_gauge       # cells attribute wall/sim time to
 //!                                   # phases (profile.* registry scope)
 //!
-//! `--check` exits non-zero on any digest mismatch (against the baseline
-//! file or between the two phases), so the CI smoke run doubles as a
-//! regression gate for simulated results at every thread count.
+//! `--check` exits 1 on any digest mismatch (against the baseline file or
+//! between the two phases) or on a cell present in only one of the runs,
+//! and 2 when the baseline cannot be read or parsed, so the CI smoke run
+//! doubles as a regression gate for simulated results at every thread
+//! count. The baseline is compared by [`ndpx_bench::report::compare`], the
+//! rule `ndpx_report` applies.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -40,10 +42,10 @@ use ndpx_bench::gauge::{cell_key, gauge_ops, gauge_specs, scale_name};
 use ndpx_bench::manifest::{self, RunManifest};
 use ndpx_bench::micro::{self, MicroResult};
 use ndpx_bench::pool::{CellPool, CellResult, CellTask, MonitorConfig, ThreadPlan};
+use ndpx_bench::report::{compare, parse_perf, PerfRun};
 use ndpx_bench::runner::{run_ndp_cached, BenchScale, RunSpec};
 use ndpx_core::config::PolicyKind;
 use ndpx_core::stats::RunReport;
-use ndpx_sim::engine::QueueImpl;
 use ndpx_sim::telemetry::StatRegistry;
 use ndpx_workloads::TraceCache;
 
@@ -177,10 +179,10 @@ fn run_matrix(
 fn main() {
     let scale = BenchScale::from_env();
     let args: Vec<String> = std::env::args().collect();
-    let check_path = args
+    let baseline = args
         .iter()
         .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).expect("--check needs a path").clone());
+        .map(|i| read_baseline(args.get(i + 1).expect("--check needs a path")));
     let ops = gauge_ops(scale);
     let specs = gauge_specs(scale, ops);
     let names: Vec<String> = specs.iter().map(cell_key).collect();
@@ -259,8 +261,8 @@ fn main() {
         parallel_results.iter().map(|r| BatchCell::from_registry(&r.value.registry)).collect();
     drop(parallel_results);
 
-    // Optional component micro-benchmarks: raw queue ops under both
-    // implementations plus the vectorized analytic kernels, recorded in the
+    // Optional component micro-benchmarks: raw queue ops plus the
+    // vectorized analytic kernels, recorded in the
     // report so CI artifacts can attribute wall-clock movement.
     let micros = if micro::enabled_from_env() {
         let rs = micro::run_all();
@@ -290,39 +292,7 @@ fn main() {
     let (serial, parallel) = (&phases[0], &phases[1]);
 
     let agg = parallel.rate();
-    let mut baseline_agg = None;
-    if let Some(path) = check_path {
-        let old = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        let old_digests = parse_digests(&old);
-        let mut mismatches = 0;
-        for cell in &parallel.cells {
-            match old_digests.iter().find(|(k, _)| *k == cell.key) {
-                Some((_, d)) if *d == cell.digest => {}
-                Some((_, d)) => {
-                    eprintln!(
-                        "DIGEST MISMATCH {}: baseline {d:016x} != current {:016x}",
-                        cell.key, cell.digest
-                    );
-                    mismatches += 1;
-                }
-                None => eprintln!("note: baseline has no cell {}", cell.key),
-            }
-        }
-        if mismatches > 0 {
-            eprintln!("{mismatches} digest mismatch(es): simulated results changed");
-            std::process::exit(1);
-        }
-        baseline_agg = parse_number(&old, "\"sim_ops_per_sec\":");
-        if let Some(b) = baseline_agg {
-            eprintln!("digests unchanged; speedup over baseline: {:.2}x", agg / b);
-        } else {
-            eprintln!("digests unchanged ({} cells)", parallel.cells.len());
-        }
-    }
-
+    let baseline_agg = baseline.as_ref().map(|b| b.sim_ops_per_sec).filter(|&r| r > 0.0);
     let speedup = serial.wall_s / parallel.wall_s.max(1e-9);
     if plan.host_cpus == 1 && speedup < 1.0 {
         eprintln!(
@@ -341,6 +311,9 @@ fn main() {
         &micros,
         &batch_cells,
     );
+    if let Some(base) = &baseline {
+        check(base, &json);
+    }
     std::fs::write(&out_path, json).expect("write BENCH_PERF.json");
     println!(
         "{agg:.0} simulated ops/sec over {} cells at {} thread(s) ({:.2}x vs serial) -> {out_path}",
@@ -353,9 +326,8 @@ fn main() {
 /// Renders the report (`ndpx-perf-gauge-v6`: v5 plus the telemetry line —
 /// whether windowed timelines and the phase profiler were active during the
 /// measured run — and an explicit `pool_overhead` flag for sub-1.0 speedups
-/// on single-CPU hosts). Hand-rolled: the workspace has no JSON dependency,
-/// and the format below is line-oriented so `parse_digests` can read it
-/// back without a parser (v1–v5 baselines parse the same way).
+/// on single-CPU hosts). Hand-rolled: the workspace has no JSON dependency;
+/// [`parse_perf`] reads every version back.
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     scale: BenchScale,
@@ -373,7 +345,6 @@ fn render_json(
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"ndpx-perf-gauge-v6\",");
     let _ = writeln!(s, "  \"scale\": \"{}\",", scale_name(scale));
-    let _ = writeln!(s, "  \"queue_impl\": \"{}\",", QueueImpl::from_env().name());
     let _ = writeln!(s, "  \"threads\": {},", parallel.threads);
     let _ = writeln!(s, "  \"requested_threads\": {},", plan.requested);
     let _ = writeln!(s, "  \"host_cpus\": {},", plan.host_cpus);
@@ -492,19 +463,53 @@ fn render_json(
     s
 }
 
-/// Extracts `("cell", digest)` pairs from a previously written report
-/// (v1, v2, or v3 — the cell line format only ever gains fields, so the
-/// line-oriented scan reads every version).
-fn parse_digests(json: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(cell) = extract_str(line, "\"cell\": \"") else { continue };
-        let Some(digest) = extract_str(line, "\"digest\": \"") else { continue };
-        if let Ok(d) = u64::from_str_radix(digest, 16) {
-            out.push((cell.to_string(), d));
-        }
+/// Reads and parses the `--check` baseline; exits 2 when either fails.
+fn read_baseline(path: &str) -> PerfRun {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read baseline {path}: {e}");
+        std::process::exit(2);
+    });
+    parse_perf(&text).unwrap_or_else(|e| {
+        eprintln!("cannot parse baseline {path}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// `--check`: this run's report against the baseline. Exits 1 unless the
+/// comparison is clean — every cell in both runs, with equal digests.
+fn check(base: &PerfRun, report: &str) {
+    let cur = parse_perf(report).expect("the gauge parses its own report");
+    // The threshold only flags throughput regressions, which never gate.
+    let cmp = compare(base, &cur, 0.0);
+    let digest = |run: &PerfRun, key: &str| {
+        run.cells.iter().find(|c| c.key == key).map_or(String::new(), |c| c.digest.clone())
+    };
+    for key in &cmp.digest_mismatches {
+        eprintln!(
+            "DIGEST MISMATCH {key}: baseline {} != current {}",
+            digest(base, key),
+            digest(&cur, key)
+        );
     }
-    out
+    for key in &cmp.missing_cells {
+        eprintln!("CELL IN ONLY ONE RUN {key}");
+    }
+    if !cmp.is_clean() {
+        eprintln!(
+            "{} digest mismatch(es), {} cell(s) in only one run: the baseline does not vouch for this run",
+            cmp.digest_mismatches.len(),
+            cmp.missing_cells.len()
+        );
+        std::process::exit(1);
+    }
+    if base.sim_ops_per_sec > 0.0 {
+        eprintln!(
+            "digests unchanged; speedup over baseline: {:.2}x",
+            cur.sim_ops_per_sec / base.sim_ops_per_sec
+        );
+    } else {
+        eprintln!("digests unchanged ({} cells)", cur.cells.len());
+    }
 }
 
 /// True when `NDPX_TIMELINE` pointed the run at a timeline output path.
@@ -515,21 +520,4 @@ fn timeline_active() -> bool {
 /// True when `NDPX_PROFILE` enabled the sim-phase profiler.
 fn profile_active() -> bool {
     ndpx_sim::knobs::PROFILE.bool_or(false)
-}
-
-fn extract_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
-fn parse_number(json: &str, key: &str) -> Option<f64> {
-    for line in json.lines() {
-        if let Some(pos) = line.find(key) {
-            let rest = line[pos + key.len()..].trim().trim_end_matches(',');
-            return rest.parse().ok();
-        }
-    }
-    None
 }

@@ -1,9 +1,8 @@
 //! Component micro-benchmarks for the perf gauge (`NDPX_GAUGE_MICRO=1`).
 //!
 //! Times the raw hot kernels the full-matrix gauge exercises indirectly:
-//! event-queue scheduling under both implementations ([`QueueImpl::Wheel`]
-//! and the reference [`QueueImpl::Heap`]), the miss-curve sampler's observe
-//! path, the Algorithm 1 solver, consistent-hash bucket-table construction,
+//! event-queue scheduling ([`EventQueue`]), the miss-curve sampler's
+//! observe path, the Algorithm 1 solver, consistent-hash bucket-table construction,
 //! and power-law graph generation. Results land in `BENCH_PERF.json` under
 //! `"micro"` so a CI artifact records where a wall-clock regression came
 //! from without re-profiling the whole matrix.
@@ -17,7 +16,7 @@ use std::time::Instant;
 use ndpx_core::layout::Group;
 use ndpx_core::runtime::configure::{allocate_ndpext, ConfigCtx, StreamDemand};
 use ndpx_core::runtime::sampler::{capacity_points, MissCurve, SetSampler};
-use ndpx_sim::engine::{EventQueue, QueueImpl};
+use ndpx_sim::engine::EventQueue;
 use ndpx_sim::rng::Xoshiro256;
 use ndpx_sim::time::Time;
 use ndpx_workloads::graph::CsrGraph;
@@ -59,8 +58,8 @@ fn timed(name: &'static str, iters: u64, f: impl FnOnce()) -> MicroResult {
 
 /// The simulator's scheduling pattern: one pending event per core, each pop
 /// immediately re-pushed a short random delta ahead (`push_pop_ranked`).
-fn queue_fused(impl_kind: QueueImpl, name: &'static str, iters: u64) -> MicroResult {
-    let mut q: EventQueue<usize> = EventQueue::with_impl(impl_kind);
+fn queue_fused(name: &'static str, iters: u64) -> MicroResult {
+    let mut q: EventQueue<usize> = EventQueue::new();
     let cores = 16u64;
     for c in 0..cores {
         q.push_ranked(Time::ZERO, c, c as usize);
@@ -82,8 +81,8 @@ fn queue_fused(impl_kind: QueueImpl, name: &'static str, iters: u64) -> MicroRes
 /// touching the queue once per batch instead of once per op. Cores are
 /// staggered so the window admits a few ops per batch, matching the
 /// heterogeneous-latency phases where batching pays.
-fn queue_run_ahead(impl_kind: QueueImpl, name: &'static str, iters: u64) -> MicroResult {
-    let mut q: EventQueue<usize> = EventQueue::with_impl(impl_kind);
+fn queue_run_ahead(name: &'static str, iters: u64) -> MicroResult {
+    let mut q: EventQueue<usize> = EventQueue::new();
     let cores = 16u64;
     for c in 0..cores {
         q.push_ranked(Time::from_ps(c * 4000), c, c as usize);
@@ -106,10 +105,10 @@ fn queue_run_ahead(impl_kind: QueueImpl, name: &'static str, iters: u64) -> Micr
     })
 }
 
-/// Bursty schedule: fill a batch of future events, then drain it — the
-/// pattern that exercises bucket chains and the refill/cascade path.
-fn queue_churn(impl_kind: QueueImpl, name: &'static str, iters: u64) -> MicroResult {
-    let mut q: EventQueue<u64> = EventQueue::with_impl(impl_kind);
+/// Bursty schedule: fill a batch of future events, then drain it — a
+/// deep queue, unlike the run loops' one event per core.
+fn queue_churn(name: &'static str, iters: u64) -> MicroResult {
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut rng = Xoshiro256::seed_from(0xC0DE);
     let batch = 256u64;
     let rounds = iters / (2 * batch);
@@ -117,13 +116,13 @@ fn queue_churn(impl_kind: QueueImpl, name: &'static str, iters: u64) -> MicroRes
     timed(name, rounds * 2 * batch, || {
         for _ in 0..rounds {
             for i in 0..batch {
-                // Mostly near-horizon, occasionally far enough to overflow.
+                // Mostly sub-200 ns ahead, occasionally microseconds.
                 let dt = if rng.below(64) == 0 {
                     Time::from_us(1 + rng.below(4))
                 } else {
                     Time::from_ps(rng.below(200_000))
                 };
-                q.push(now + dt, i);
+                q.push_ranked(now + dt, i, i);
             }
             for _ in 0..batch {
                 if let Some((t, v)) = q.pop() {
@@ -224,12 +223,9 @@ fn graph_powerlaw() -> MicroResult {
 /// Runs the full micro-bench suite (a few hundred milliseconds).
 pub fn run_all() -> Vec<MicroResult> {
     vec![
-        queue_fused(QueueImpl::Wheel, "queue_wheel_push_pop_ranked", 2_000_000),
-        queue_fused(QueueImpl::Heap, "queue_heap_push_pop_ranked", 2_000_000),
-        queue_run_ahead(QueueImpl::Wheel, "run_ahead_wheel", 2_000_000),
-        queue_run_ahead(QueueImpl::Heap, "run_ahead_heap", 2_000_000),
-        queue_churn(QueueImpl::Wheel, "queue_wheel_batch_churn", 1_000_000),
-        queue_churn(QueueImpl::Heap, "queue_heap_batch_churn", 1_000_000),
+        queue_fused("queue_push_pop_ranked", 2_000_000),
+        queue_run_ahead("run_ahead", 2_000_000),
+        queue_churn("queue_batch_churn", 1_000_000),
         sampler_observe(300_000),
         configure_ndpext(500),
         bucket_table(2_000),
@@ -245,12 +241,9 @@ mod tests {
     fn micro_suite_produces_sane_rates() {
         // Tiny iteration counts: this guards plumbing, not performance.
         let rs = [
-            queue_fused(QueueImpl::Wheel, "w", 4_000),
-            queue_fused(QueueImpl::Heap, "h", 4_000),
-            queue_run_ahead(QueueImpl::Wheel, "rw", 4_000),
-            queue_run_ahead(QueueImpl::Heap, "rh", 4_000),
-            queue_churn(QueueImpl::Wheel, "wc", 8_192),
-            queue_churn(QueueImpl::Heap, "hc", 8_192),
+            queue_fused("q", 4_000),
+            queue_run_ahead("r", 4_000),
+            queue_churn("c", 8_192),
             sampler_observe(2_000),
             configure_ndpext(2),
             bucket_table(8),

@@ -30,8 +30,6 @@ pub struct PerfRun {
     pub schema: String,
     /// Scale profile name (`micro`, `small`, …).
     pub scale: String,
-    /// Event-queue backend the run used.
-    pub queue_impl: String,
     /// Pool width of the measured (cached) phase.
     pub threads: u64,
     /// CPUs visible to the run.
@@ -112,7 +110,6 @@ pub fn parse_perf(source: &str) -> Result<PerfRun, String> {
     Ok(PerfRun {
         schema: text(&doc, "schema"),
         scale: text(&doc, "scale"),
-        queue_impl: text(&doc, "queue_impl"),
         threads: num(&doc, "threads") as u64,
         host_cpus: num(&doc, "host_cpus") as u64,
         sim_ops_per_sec: num(&doc, "sim_ops_per_sec"),
@@ -250,8 +247,8 @@ pub fn render_markdown(
     s.push_str("# ndpx run diff\n\n");
     let _ = writeln!(
         s,
-        "| | baseline | current |\n|---|---|---|\n| schema | {} | {} |\n| scale | {} | {} |\n| queue | {} | {} |\n| threads | {} | {} |\n| host cpus | {} | {} |",
-        base.schema, cur.schema, base.scale, cur.scale, base.queue_impl, cur.queue_impl,
+        "| | baseline | current |\n|---|---|---|\n| schema | {} | {} |\n| scale | {} | {} |\n| threads | {} | {} |\n| host cpus | {} | {} |",
+        base.schema, cur.schema, base.scale, cur.scale,
         base.threads, cur.threads, base.host_cpus, cur.host_cpus
     );
     s.push('\n');
@@ -576,6 +573,18 @@ mod tests {
         let md = render_markdown(&base, &cur, &cmp, &[]);
         assert!(md.contains("DIGEST CHANGE"));
         assert!(md.contains("hbm/ndpext/pr"));
+    }
+
+    #[test]
+    fn cell_less_baseline_is_not_clean() {
+        // A baseline the parser accepts but that names no cell must not
+        // vouch for the current run's digests.
+        let base =
+            parse_perf("{\"schema\": \"ndpx-perf-gauge-v6\", \"sim_ops_per_sec\": 1.0}").unwrap();
+        let cur = parse_perf(&sample("ndpx-perf-gauge-v6", 1000.0, "00ff")).unwrap();
+        let cmp = compare(&base, &cur, 0.10);
+        assert!(!cmp.is_clean());
+        assert_eq!(cmp.missing_cells, vec!["hbm/ndpext/pr".to_string()]);
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //!
 //! Timelines snapshot simulated state at simulated-time boundaries, so
 //! their bytes are a pure function of the run: identical at any pool width
-//! and under seeded fault injection. (The wheel/heap queue-backend pairing
-//! is process-global via `NDPX_QUEUE`, so *that* axis is covered by the CI
-//! timeline-invariance job, not here — parallel tests race on env vars.)
+//! and under seeded fault injection.
 //!
 //! Timelines and the profiler are configured through their APIs
-//! (`set_timeline` / `set_profile`), never the environment, for the same
-//! reason.
+//! (`set_timeline` / `set_profile`), never the environment: parallel tests
+//! race on env vars.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

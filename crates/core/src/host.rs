@@ -11,15 +11,15 @@ use ndpx_mem::device::{DramConfig, DramDevice};
 use ndpx_noc::network::{LinkParams, Network};
 use ndpx_noc::topology::{IntraKind, Topology, UnitId};
 use ndpx_sim::energy::Power;
-use ndpx_sim::engine::{BatchStats, EventQueue, ProgressWatchdog, QueueStats, BATCH_CAP};
+use ndpx_sim::engine::ProgressWatchdog;
 use ndpx_sim::rng::hash_range;
 use ndpx_sim::stats::Histogram;
 use ndpx_sim::telemetry::{StatRegistry, TimelineSampler};
 use ndpx_sim::time::{Freq, Time};
-use ndpx_sim::{ndpx_info, ndpx_warn};
 use ndpx_workloads::trace::{Op, Workload};
 
 use crate::config::PolicyKind;
+use crate::driver::{self, Engine, EngineScope, RunTotals, Simulated};
 use crate::stats::{Breakdown, EnergyBreakdown, LatComponent, RunReport};
 
 /// Host system configuration.
@@ -66,6 +66,21 @@ impl HostConfig {
         HostConfig { cores, l1_bytes: 8 << 10, llc_bytes: 256 << 10, ..Self::paper() }
     }
 
+    /// Checks that every structure the host builds is non-empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first zero-sized parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cores == 0 {
+            return Err("the host needs at least one core".into());
+        }
+        if self.l1_ways == 0 || self.llc_ways == 0 {
+            return Err("associativities must be positive".into());
+        }
+        Ok(())
+    }
+
     fn mesh_dim(&self) -> usize {
         (self.cores as f64).sqrt().ceil() as usize
     }
@@ -87,16 +102,9 @@ pub struct HostSystem {
     llc_hits: u64,
     llc_misses: u64,
     access_latency: Histogram,
-    /// Run-ahead batching enabled (on unless a differential test turns it
-    /// off through [`set_batching`](Self::set_batching)).
-    batch: bool,
-    /// Run-loop batch telemetry (`engine.batch.*`).
-    batch_stats: BatchStats,
-    /// Progress-watchdog stall diagnostics observed during the run.
-    stalls: u64,
-    /// Opt-in windowed timeline sampler (`NDPX_TIMELINE`), mirroring
-    /// [`crate::system::NdpSystem`]'s.
-    timeline: Option<Box<TimelineSampler>>,
+    /// Run-loop state: batching switch, batch and stall telemetry, and
+    /// the opt-in timeline sampler.
+    engine: Engine,
 }
 
 /// Static power of one host core (wider than an NDP core).
@@ -107,8 +115,10 @@ impl HostSystem {
     ///
     /// # Errors
     ///
-    /// Returns a message on a core-count mismatch.
+    /// Returns a message on an invalid configuration (see
+    /// [`HostConfig::validate`]) or a core-count mismatch.
     pub fn new(cfg: HostConfig, workload: Workload) -> Result<Self, String> {
+        cfg.validate()?;
         if workload.cores != cfg.cores {
             return Err(format!(
                 "workload built for {} cores but host has {}",
@@ -150,35 +160,28 @@ impl HostSystem {
             llc_hits: 0,
             llc_misses: 0,
             access_latency: Histogram::new(),
-            batch: true,
-            batch_stats: BatchStats::default(),
-            stalls: 0,
-            timeline: TimelineSampler::from_env().map(Box::new),
+            engine: Engine::from_env(),
         })
     }
 
     /// Attaches (or, with `None`, detaches) a windowed timeline sampler,
     /// overriding whatever `NDPX_TIMELINE` configured at construction.
     pub fn set_timeline(&mut self, cfg: Option<ndpx_sim::telemetry::TimelineConfig>) {
-        self.timeline = cfg.map(|c| Box::new(TimelineSampler::new(c)));
+        self.engine.timeline = cfg.map(|c| Box::new(TimelineSampler::new(c)));
     }
 
     /// Enables or disables run-ahead batching for this host. Bit-identical
     /// either way; switching it off exists for differential tests (see
     /// [`crate::system::NdpSystem::set_batching`]).
     pub fn set_batching(&mut self, on: bool) {
-        self.batch = on;
+        self.engine.batch = on;
     }
 
     /// Runs `ops_per_core` operations per core; returns the report.
     ///
-    /// Scheduling mirrors [`crate::system::NdpSystem::run`]: cores go
-    /// through the shared [`EventQueue`], tie-broken by core index, and a
-    /// popped core runs ahead through the shared window (ops below the
-    /// queue's next pending time) and then the private horizon (compute
-    /// and L1 hits only, parking the first other op until its event pops).
-    /// The host has no epochs or chaos, so only a timeline boundary bounds
-    /// the private horizon.
+    /// Scheduling and run-ahead batching are the shared driver's, as for
+    /// [`crate::system::NdpSystem::run`]. The host has no epochs or chaos,
+    /// so only a timeline boundary bounds the private horizon.
     pub fn run(&mut self, ops_per_core: u64) -> RunReport {
         self.run_with_watchdog(ops_per_core, ProgressWatchdog::from_env())
     }
@@ -188,144 +191,10 @@ impl HostSystem {
     pub fn run_with_watchdog(
         &mut self,
         ops_per_core: u64,
-        mut watchdog: ProgressWatchdog,
+        watchdog: ProgressWatchdog,
     ) -> RunReport {
-        let cores = self.cfg.cores;
-        let mut queue: EventQueue<usize> = EventQueue::new();
-        let mut remaining = vec![ops_per_core; cores];
-        let mut pending: Vec<Option<Op>> = vec![None; cores];
-        for c in 0..cores {
-            queue.push_ranked(Time::ZERO, c as u64, c);
-        }
-        let mut makespan = Time::ZERO;
-        let mut ops = 0u64;
-        let mut next = queue.pop();
-        while let Some((mut t, core)) = next {
-            if let Some(stall) = watchdog.observe(t, queue.len()) {
-                self.stalls += 1;
-                ndpx_warn!(
-                    "engine deadlock suspected in host/{} while serving core {core}: {stall}",
-                    self.workload_name
-                );
-            }
-            // Timeline boundary: snapshot cumulative state strictly before
-            // processing the first event at or past it.
-            if self.timeline.as_deref().is_some_and(|tl| tl.due(t)) {
-                let snap = self.timeline_snapshot(queue.len() as u64);
-                if let Some(tl) = self.timeline.as_deref_mut() {
-                    tl.record(t, snap);
-                }
-            }
-            let (window, horizon) = if self.batch {
-                let horizon = self.timeline.as_deref().map_or(Time::MAX, |tl| tl.next_boundary());
-                (queue.peek_time().map_or(horizon, |m| m.min(horizon)), horizon)
-            } else {
-                (Time::ZERO, Time::ZERO)
-            };
-            let fast0 = self.l1_hits;
-            let mut batch_len = 0u64;
-            let op = pending[core].take().unwrap_or_else(|| self.source.next_op(core));
-            let mut done = self.execute(core, op, t);
-            loop {
-                batch_len += 1;
-                makespan = makespan.max(done);
-                remaining[core] -= 1;
-                if remaining[core] == 0 {
-                    next = queue.pop();
-                    break;
-                }
-                t = done;
-                if batch_len < BATCH_CAP && t < horizon {
-                    let op = self.source.next_op(core);
-                    let ran = if t < window {
-                        Some(self.execute(core, op, t))
-                    } else {
-                        self.execute_private(core, op, t)
-                    };
-                    if let Some(d) = ran {
-                        done = d;
-                        continue;
-                    }
-                    pending[core] = Some(op);
-                }
-                next = Some(queue.push_pop_ranked(t, core as u64, core));
-                break;
-            }
-            ops += batch_len;
-            self.batch_stats.record(batch_len, self.l1_hits - fast0);
-        }
-        if self.timeline.is_some() {
-            let snap = self.timeline_snapshot(queue.len() as u64);
-            if let Some(mut tl) = self.timeline.take() {
-                tl.finish(snap);
-                let label = format!("Host-{}", self.workload_name);
-                match tl.write(&label) {
-                    Ok(path) => ndpx_info!("timeline for {label} written to {}", path.display()),
-                    Err(e) => ndpx_warn!("failed to write timeline for {label}: {e}"),
-                }
-            }
-        }
-        self.report(makespan, ops, &queue.stats())
-    }
-
-    /// Cumulative registry snapshot for one timeline window: the host's
-    /// simulation-derived series only (see `NdpSystem::timeline_snapshot`
-    /// for the determinism contract).
-    fn timeline_snapshot(&self, queue_depth: u64) -> StatRegistry {
-        let mut reg = StatRegistry::new();
-        {
-            let mut engine = reg.scope("engine");
-            engine.gauge("queue.depth", queue_depth as f64);
-            let b = &self.batch_stats;
-            let mut batch = engine.scope("batch");
-            batch.count("batches", b.batches);
-            batch.count("ops", b.ops);
-            batch.count("fast_hits", b.fast_hits);
-            batch.gauge("fast_hit_ratio", b.fast_hit_ratio());
-        }
-        {
-            let mut core = reg.scope("core");
-            core.count("mem_ops", self.mem_ops);
-            core.count("l1_hits", self.l1_hits);
-            core.count("llc_hits", self.llc_hits);
-            core.count("llc_misses", self.llc_misses);
-        }
-        self.net.register_stats(&mut reg.scope("noc"));
-        self.mem.register_stats(&mut reg.scope("mem"));
-        reg
-    }
-
-    /// Runs one op through the full access path; returns its completion.
-    #[inline]
-    fn execute(&mut self, core: usize, op: Op, t: Time) -> Time {
-        let done = match op {
-            Op::Compute(c) => return t + self.cfg.freq.cycles_to_time(u64::from(c)),
-            Op::Mem(m) => {
-                let addr = self.table.get(m.sid).addr_of(m.elem);
-                self.access(core, addr, m.write, t)
-            }
-            Op::RawMem { addr, write } => self.access(core, addr, write, t),
-        };
-        self.access_latency.record(done.saturating_sub(t));
-        done
-    }
-
-    /// Runs `op` only if it touches nothing but `core`'s private state —
-    /// compute, or an L1 hit — and returns its completion; returns `None`
-    /// with all state untouched otherwise.
-    #[inline]
-    fn execute_private(&mut self, core: usize, op: Op, t: Time) -> Option<Time> {
-        let (addr, write) = match op {
-            Op::Compute(c) => return Some(t + self.cfg.freq.cycles_to_time(u64::from(c))),
-            Op::Mem(m) => (self.table.get(m.sid).addr_of(m.elem), m.write),
-            Op::RawMem { addr, write } => (addr, write),
-        };
-        if !self.l1s[core].access_if_hit(addr / 64, write) {
-            return None;
-        }
-        let done = self.l1_hit(t);
-        self.access_latency.record(done - t);
-        Some(done)
+        let totals = driver::run(self, ops_per_core, watchdog);
+        self.report(&totals)
     }
 
     /// Bookkeeping of an L1 hit issued at `t`; returns its completion.
@@ -383,37 +252,9 @@ impl HostSystem {
         t3 + self.cfg.freq.cycle()
     }
 
-    fn build_registry(&self, qstats: &QueueStats) -> StatRegistry {
+    fn build_registry(&self, totals: &RunTotals) -> StatRegistry {
         let mut registry = StatRegistry::new();
-        {
-            let mut engine = registry.scope("engine");
-            // Ops executed by the loop, not raw queue pops — comparable
-            // across batching on/off (see `NdpSystem::build_registry`).
-            engine.count("events", self.batch_stats.ops);
-            engine.count("peak_queue_depth", qstats.peak_depth);
-            engine.count("stalls", self.stalls);
-            let mut queue = engine.scope("queue");
-            queue.count("scheduled", qstats.scheduled);
-            queue.count("processed", qstats.processed);
-            queue.count("peak_depth", qstats.peak_depth);
-            queue.count("overflow_scheduled", qstats.overflow_scheduled);
-            for (i, &n) in qstats.bucket_occupancy.iter().enumerate() {
-                queue.count(&format!("bucket_occ{i}"), n);
-            }
-            drop(queue);
-            let b = &self.batch_stats;
-            let mut batch = engine.scope("batch");
-            batch.count("enabled", u64::from(self.batch));
-            batch.count("batches", b.batches);
-            batch.count("ops", b.ops);
-            batch.count("fast_hits", b.fast_hits);
-            batch.count("max_len", b.max_len);
-            batch.gauge("mean_len", b.mean_len());
-            batch.gauge("fast_hit_ratio", b.fast_hit_ratio());
-            for (i, &n) in b.len_hist.iter().enumerate() {
-                batch.count(&format!("len_c{i}"), n);
-            }
-        }
+        self.engine.register(&mut registry, EngineScope::Run(&totals.queue));
         {
             let mut core = registry.scope("core");
             core.count("mem_ops", self.mem_ops);
@@ -428,7 +269,8 @@ impl HostSystem {
         registry
     }
 
-    fn report(&self, makespan: Time, ops: u64, qstats: &QueueStats) -> RunReport {
+    fn report(&self, totals: &RunTotals) -> RunReport {
+        let (makespan, ops) = (totals.makespan, totals.ops);
         let energy = EnergyBreakdown {
             static_: (HOST_CORE_STATIC * self.cfg.cores as f64).over(makespan)
                 + self.mem.background_energy(makespan),
@@ -458,9 +300,86 @@ impl HostSystem {
             access_latency: self.access_latency.clone(),
             // Engine-loop ops, not raw queue pops (see `NdpSystem::report`).
             engine_events: ops,
-            peak_queue_depth: qstats.peak_depth,
-            registry: self.build_registry(qstats),
+            peak_queue_depth: totals.queue.peak_depth,
+            registry: self.build_registry(totals),
         }
+    }
+}
+
+impl Simulated for HostSystem {
+    #[inline]
+    fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    #[inline]
+    fn engine_mut(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
+    fn cores(&self) -> usize {
+        self.cfg.cores
+    }
+
+    #[inline]
+    fn next_op(&mut self, core: usize) -> Op {
+        self.source.next_op(core)
+    }
+
+    #[inline]
+    fn execute(&mut self, core: usize, op: Op, t: Time) -> Time {
+        let done = match op {
+            Op::Compute(c) => return t + self.cfg.freq.cycles_to_time(u64::from(c)),
+            Op::Mem(m) => {
+                let addr = self.table.get(m.sid).addr_of(m.elem);
+                self.access(core, addr, m.write, t)
+            }
+            Op::RawMem { addr, write } => self.access(core, addr, write, t),
+        };
+        self.access_latency.record(done.saturating_sub(t));
+        done
+    }
+
+    #[inline]
+    fn execute_private(&mut self, core: usize, op: Op, t: Time) -> Option<Time> {
+        let (addr, write) = match op {
+            Op::Compute(c) => return Some(t + self.cfg.freq.cycles_to_time(u64::from(c))),
+            Op::Mem(m) => (self.table.get(m.sid).addr_of(m.elem), m.write),
+            Op::RawMem { addr, write } => (addr, write),
+        };
+        if !self.l1s[core].access_if_hit(addr / 64, write) {
+            return None;
+        }
+        let done = self.l1_hit(t);
+        self.access_latency.record(done - t);
+        Some(done)
+    }
+
+    #[inline]
+    fn l1_hits(&self) -> u64 {
+        self.l1_hits
+    }
+
+    /// The host's simulation-derived series only (see `NdpSystem`'s for
+    /// the determinism contract).
+    fn timeline_stats(&self, reg: &mut StatRegistry, _now: Time) {
+        {
+            let mut core = reg.scope("core");
+            core.count("mem_ops", self.mem_ops);
+            core.count("l1_hits", self.l1_hits);
+            core.count("llc_hits", self.llc_hits);
+            core.count("llc_misses", self.llc_misses);
+        }
+        self.net.register_stats(&mut reg.scope("noc"));
+        self.mem.register_stats(&mut reg.scope("mem"));
+    }
+
+    fn timeline_label(&self) -> String {
+        format!("Host-{}", self.workload_name)
+    }
+
+    fn run_label(&self) -> String {
+        format!("host/{}", self.workload_name)
     }
 }
 
@@ -532,5 +451,18 @@ mod tests {
         let p = ScaleParams { cores: 4, footprint: 1 << 20, seed: 1 };
         let wl = ndpx_workloads::build("pr", &p).unwrap().unwrap();
         assert!(HostSystem::new(cfg, wl).is_err());
+    }
+
+    #[test]
+    fn zero_ways_fail_construction_without_panicking() {
+        let p = ScaleParams { cores: 4, footprint: 1 << 20, seed: 1 };
+        for cfg in [
+            HostConfig { l1_ways: 0, ..HostConfig::test(4) },
+            HostConfig { llc_ways: 0, ..HostConfig::test(4) },
+        ] {
+            let wl = ndpx_workloads::build("pr", &p).unwrap().unwrap();
+            assert!(HostSystem::new(cfg, wl).is_err());
+        }
+        assert!(HostConfig { cores: 0, ..HostConfig::test(4) }.validate().is_err());
     }
 }

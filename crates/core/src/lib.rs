@@ -12,6 +12,7 @@
 //! * [`system`] — the full NDP-with-extended-memory simulator (data plane +
 //!   epoch control plane) under any [`config::PolicyKind`];
 //! * [`host`] — the conventional chip-multiprocessor baseline;
+//! * `driver` (private) — the event-queue run loop both systems share;
 //! * [`stats`] — latency/energy breakdowns and the run report.
 //!
 //! # Examples
@@ -36,6 +37,7 @@
 
 pub mod config;
 pub mod desc;
+mod driver;
 pub mod layout;
 pub mod runtime;
 

@@ -35,7 +35,7 @@ use ndpx_noc::network::{Network, NocFault};
 use ndpx_noc::topology::UnitId;
 use ndpx_sim::chaos::{ChaosEvent, ChaosKind, ChaosPlan};
 use ndpx_sim::energy::Power;
-use ndpx_sim::engine::{BatchStats, EventQueue, ProgressWatchdog, QueueStats, BATCH_CAP};
+use ndpx_sim::engine::ProgressWatchdog;
 use ndpx_sim::fastdiv::Divisor;
 use ndpx_sim::fault::domain;
 use ndpx_sim::stats::Histogram;
@@ -50,6 +50,7 @@ use ndpx_workloads::trace::{MemRef, Op, Workload};
 
 use crate::config::{PolicyKind, ReconfigTransfer, SystemConfig};
 use crate::desc::{DescParams, StreamDesc};
+use crate::driver::{self, Engine, EngineScope, RunTotals, Simulated};
 use crate::layout::{Group, StreamLayout};
 use crate::runtime::configure::{
     allocate_baseline, allocate_ndpext, Allocation, ConfigCtx, StreamDemand,
@@ -306,18 +307,13 @@ pub struct NdpSystem {
     replicated_fraction: f64,
     /// End-to-end latency distribution of post-L1 memory accesses.
     access_latency: Histogram,
-    /// Run-ahead batching enabled (on unless a differential test turns it
-    /// off through [`set_batching`](Self::set_batching)). Purely a
-    /// performance switch: results are bit-identical either way.
-    batch: bool,
-    /// Run-loop batch telemetry (`engine.batch.*`).
-    batch_stats: BatchStats,
+    /// Run-loop state: batching switch, batch and stall telemetry, and
+    /// the opt-in timeline sampler.
+    engine: Engine,
     /// Strength-reduced `/ cfg.line_bytes` (every op computes its line).
     line_div: Divisor,
     /// Strength-reduced `/ cfg.metadata_block` (per line-grain miss).
     meta_div: Divisor,
-    /// Progress-watchdog stall diagnostics observed during the run.
-    stalls: u64,
     /// Log-facade gates cached at construction so the hot paths pay one
     /// boolean test instead of an atomic load per access.
     trace_noc: bool,
@@ -325,9 +321,6 @@ pub struct NdpSystem {
     /// Opt-in Chrome-trace exporter (`NDPX_TRACE`); `None` costs one branch
     /// per recording site.
     trace: Option<Box<TraceSink>>,
-    /// Opt-in windowed timeline sampler (`NDPX_TIMELINE`); `None` costs one
-    /// branch per scheduler pop.
-    timeline: Option<Box<TimelineSampler>>,
     /// Opt-in sim-phase profiler (`NDPX_PROFILE`); phase boundaries are
     /// per-epoch, so the hot path never sees it.
     profile: Option<Box<PhaseProfiler>>,
@@ -417,18 +410,15 @@ impl NdpSystem {
             stream_aborts: 0,
             replicated_fraction: 0.0,
             access_latency: Histogram::new(),
-            batch: true,
-            batch_stats: BatchStats::default(),
-            stalls: 0,
+            engine: Engine::from_env(),
             trace_noc: enabled(Level::Trace),
             trace_alloc: enabled(Level::Debug),
             trace: TraceSink::from_env().map(Box::new),
-            timeline: TimelineSampler::from_env().map(Box::new),
             profile: PhaseProfiler::from_env().map(Box::new),
             slo: SloTracker::default(),
             chaos: None,
         };
-        sys.slo.enabled = sys.timeline.is_some() || sys.profile.is_some();
+        sys.slo.enabled = sys.engine.timeline.is_some() || sys.profile.is_some();
         sys.rebuild_noc_matrices();
         // Hard-failure schedule: a sim-time cursor over the validated chaos
         // plan. With no events scheduled the option stays `None` and every
@@ -487,7 +477,7 @@ impl NdpSystem {
     /// switches epoch SLO tracking, which feeds the timeline's `slo.*`
     /// series.
     pub fn set_timeline(&mut self, cfg: Option<ndpx_sim::telemetry::TimelineConfig>) {
-        self.timeline = cfg.map(|c| Box::new(TimelineSampler::new(c)));
+        self.engine.timeline = cfg.map(|c| Box::new(TimelineSampler::new(c)));
         self.sync_slo();
     }
 
@@ -509,7 +499,7 @@ impl NdpSystem {
     }
 
     fn sync_slo(&mut self) {
-        self.slo.enabled = self.timeline.is_some() || self.profile.is_some();
+        self.slo.enabled = self.engine.timeline.is_some() || self.profile.is_some();
     }
 
     fn config_ctx(&self) -> ConfigCtx {
@@ -544,35 +534,16 @@ impl NdpSystem {
     /// [`run`](Self::run)); switching it off exists so differential tests
     /// can compare both paths, the per-op loop being the oracle.
     pub fn set_batching(&mut self, on: bool) {
-        self.batch = on;
+        self.engine.batch = on;
     }
 
     /// Runs `ops_per_core` trace operations on every core; returns the
     /// report. Can be called once per system.
     ///
-    /// Cores are scheduled through [`EventQueue`] with the core index as
-    /// the equal-time tiebreak (lower core first). When a core is popped
-    /// at time `t` the loop *runs ahead* of the queue, over two horizons:
-    ///
-    /// - the **shared window** `W`: the queue's minimum pending time, the
-    ///   next epoch, chaos event and timeline boundary. No other core and
-    ///   no boundary action can come before an op issued below `W`, so
-    ///   such ops run through the full access path in exactly the per-op
-    ///   order;
-    /// - the **private horizon** `P ≥ W`: the same bound without the
-    ///   queue, further clamped while a trace window is open. An op issued
-    ///   in `[W, P)` runs at once only if it touches nothing but the core's
-    ///   own state — compute, or an L1 hit (L1s belong to their core, op
-    ///   sources keep per-core cursors, and everything a hit updates is an
-    ///   order-free integer sum). Any other op is parked in the core's
-    ///   pending slot and the core re-enters the queue at the op's issue
-    ///   time, where the per-op loop would have it; the parked op runs
-    ///   first, through the full path, when that event pops.
-    ///
-    /// A batch also ends by exhausting the core's ops or at [`BATCH_CAP`]
-    /// (a liveness bound for the watchdog). Results are bit-identical to
-    /// the per-op loop; the queue round trip, boundary checks and watchdog
-    /// observation are simply amortized over the batch.
+    /// Scheduling and run-ahead batching are the shared driver's (the
+    /// private `driver` module, DESIGN.md §9). This system adds epoch
+    /// reconfigurations and chaos events as boundary actions, and the open
+    /// trace window as a private-horizon clamp.
     pub fn run(&mut self, ops_per_core: u64) -> RunReport {
         self.run_with_watchdog(ops_per_core, ProgressWatchdog::from_env())
     }
@@ -582,191 +553,26 @@ impl NdpSystem {
     pub fn run_with_watchdog(
         &mut self,
         ops_per_core: u64,
-        mut watchdog: ProgressWatchdog,
+        watchdog: ProgressWatchdog,
     ) -> RunReport {
-        let cores = self.cfg.units();
-        let mut queue: EventQueue<usize> = EventQueue::new();
-        let mut remaining: Vec<u64> = vec![ops_per_core; cores];
-        // Per-core pending slot: an op fetched past the shared window that
-        // needs shared state, waiting for its core's event to pop.
-        let mut pending: Vec<Option<Op>> = vec![None; cores];
-        for c in 0..cores {
-            queue.push_ranked(Time::ZERO, c as u64, c);
-        }
-        let mut makespan = Time::ZERO;
-        let mut total_ops = 0u64;
-        // The profiler rides outside `self` for the duration of the loop so
-        // `reconfigure` can time its sub-phases while the rest of the system
-        // is mutably borrowed.
-        let mut profile = self.profile.take();
         // ndpx-lint: allow(det-wallclock): profiler wall span; dumps carry sim time only
         let run_start = std::time::Instant::now();
-
-        let mut next = queue.pop();
-        while let Some((mut t, core)) = next {
-            if let Some(stall) = watchdog.observe(t, queue.len()) {
-                self.stalls += 1;
-                ndpx_warn!(
-                    "engine deadlock suspected in {:?}/{} while serving core {core}: {stall}",
-                    self.cfg.policy,
-                    self.workload_name
-                );
-            }
-            // Boundary actions in simulated-time order: due chaos events
-            // (and restores of windowed failures) interleave with epoch
-            // reconfigurations. Ties go to chaos so a failure landing
-            // exactly on an epoch boundary escalates before the regular
-            // reconfiguration runs; with no chaos configured this loop is
-            // exactly the historical epoch advance.
-            loop {
-                let due_chaos = self.chaos_next_at().filter(|&c| c <= t && c <= self.next_epoch);
-                if let Some(c) = due_chaos {
-                    self.apply_next_chaos(c, &mut remaining);
-                } else if t >= self.next_epoch {
-                    let at = self.next_epoch;
-                    self.reconfigure(at, profile.as_deref_mut());
-                    self.next_epoch = at + self.cfg.epoch();
-                } else {
-                    break;
-                }
-            }
-            // A chaos-killed core surfaces here with no ops left: retire it
-            // without touching the op source (its trace was aborted). Chaos
-            // clamps the private horizon, so it never strands a parked op.
-            if remaining[core] == 0 {
-                debug_assert!(pending[core].is_none(), "chaos retired a parked op");
-                next = queue.pop();
-                continue;
-            }
-            // Timeline boundary: snapshot the cumulative state strictly
-            // before processing the first event at or past it. Sim-order
-            // only, so timelines are identical at any thread count.
-            if self.timeline.as_deref().is_some_and(|tl| tl.due(t)) {
-                let snap = self.timeline_snapshot(queue.len() as u64, t);
-                if let Some(tl) = self.timeline.as_deref_mut() {
-                    tl.record(t, snap);
-                }
-            }
-            let (window, horizon) = self.run_ahead_horizons(queue.peek_time(), t);
-            let fast0 = self.l1_hits;
-            let mut batch_len = 0u64;
-            let op = pending[core].take().unwrap_or_else(|| self.source.next_op(core));
-            let mut done = self.execute(core, op, t);
-            loop {
-                batch_len += 1;
-                makespan = makespan.max(done);
-                remaining[core] -= 1;
-                if remaining[core] == 0 {
-                    next = queue.pop();
-                    break;
-                }
-                t = done;
-                if batch_len < BATCH_CAP && t < horizon {
-                    let op = self.source.next_op(core);
-                    let ran = if t < window {
-                        Some(self.execute(core, op, t))
-                    } else {
-                        self.execute_private(core, op, t)
-                    };
-                    if let Some(d) = ran {
-                        done = d;
-                        continue;
-                    }
-                    pending[core] = Some(op);
-                }
-                next = Some(queue.push_pop_ranked(t, core as u64, core));
-                break;
-            }
-            total_ops += batch_len;
-            self.batch_stats.record(batch_len, self.l1_hits - fast0);
+        let totals = driver::run(self, ops_per_core, watchdog);
+        if let Some(p) = self.profile.as_deref_mut() {
+            p.add(Phase::Run, run_start.elapsed(), totals.makespan);
         }
-
-        if let Some(p) = profile.as_deref_mut() {
-            p.add(Phase::Run, run_start.elapsed(), makespan);
-        }
-        self.profile = profile;
-        // Close the trailing timeline window on the end-of-run state and
-        // write the file under a stable per-cell name.
-        if self.timeline.is_some() {
-            let snap = self.timeline_snapshot(queue.len() as u64, makespan);
-            if let Some(mut tl) = self.timeline.take() {
-                tl.finish(snap);
-                let label = self.cell_label();
-                match tl.write(&label) {
-                    Ok(path) => ndpx_info!("timeline for {label} written to {}", path.display()),
-                    Err(e) => ndpx_warn!("failed to write timeline for {label}: {e}"),
-                }
-            }
-        }
-
-        let report = self.report(makespan, total_ops, &queue.stats());
+        let report = self.report(&totals);
         if let Some(mut tr) = self.trace.take() {
             if let Some(p) = self.profile.as_deref() {
-                p.export_trace(&mut tr, 0, makespan);
+                p.export_trace(&mut tr, 0, totals.makespan);
             }
-            let label = format!("{:?}/{}", self.cfg.policy, self.workload_name);
+            let label = self.run_label();
             match tr.write(&label) {
                 Ok(path) => ndpx_info!("trace for {label} written to {}", path.display()),
                 Err(e) => ndpx_warn!("failed to write trace for {label}: {e}"),
             }
         }
         report
-    }
-
-    /// The run-ahead horizons `(W, P)`, `W ≤ P`, for a core popped at `t`
-    /// with the queue's next pending event at `peek` (see
-    /// [`run`](Self::run)). Both are [`Time::ZERO`] with batching off,
-    /// which is the per-op loop.
-    fn run_ahead_horizons(&self, peek: Option<Time>, t: Time) -> (Time, Time) {
-        if !self.batch {
-            return (Time::ZERO, Time::ZERO);
-        }
-        // Epoch, chaos and timeline boundaries: no reconfiguration,
-        // failure or snapshot may see an op from its future.
-        let mut horizon = self.next_epoch;
-        if let Some(c) = self.chaos_next_at() {
-            horizon = horizon.min(c);
-        }
-        if let Some(tl) = self.timeline.as_deref() {
-            horizon = horizon.min(tl.next_boundary());
-        }
-        let window = peek.map_or(horizon, |m| m.min(horizon));
-        // The trace ring keeps insertion order, so private ops may not
-        // run ahead into (or inside) its capture window.
-        if let Some(tr) = self.trace.as_deref() {
-            horizon = horizon.min(tr.reorder_bound(t)).max(window);
-        }
-        (window, horizon)
-    }
-
-    /// Runs one op through the full access path; returns its completion.
-    #[inline]
-    fn execute(&mut self, core: usize, op: Op, t: Time) -> Time {
-        let done = match op {
-            Op::Compute(cycles) => return t + self.cycles(u64::from(cycles)),
-            Op::Mem(m) => self.process_mem(core, m, t),
-            Op::RawMem { addr, write } => self.process_raw(core, addr, write, t),
-        };
-        self.record_access(core, t, done);
-        done
-    }
-
-    /// Runs `op` only if it touches nothing but `core`'s private state —
-    /// compute, or a memory op that hits the core's L1 — and returns its
-    /// completion; returns `None` with all state untouched otherwise.
-    #[inline]
-    fn execute_private(&mut self, core: usize, op: Op, t: Time) -> Option<Time> {
-        let (addr, write) = match op {
-            Op::Compute(cycles) => return Some(t + self.cycles(u64::from(cycles))),
-            Op::Mem(m) => (self.descs[m.sid.index()].addr_of_elem(m.elem), m.write),
-            Op::RawMem { addr, write } => (addr, write),
-        };
-        if !self.l1s[core].access_if_hit(self.line_div.div(addr), write) {
-            return None;
-        }
-        let done = self.l1_hit(t);
-        self.record_access(core, t, done);
-        Some(done)
     }
 
     /// Bookkeeping of an L1 hit issued at `t`; returns its completion.
@@ -788,55 +594,6 @@ impl NdpSystem {
                 tr.complete("engine", "mem_op", core as u32, t, lat);
             }
         }
-    }
-
-    /// Stable per-cell label — memory kind, policy, workload — used for
-    /// deterministically named timeline files (one per bench-matrix cell).
-    fn cell_label(&self) -> String {
-        format!("{:?}-{:?}-{}", self.cfg.mem_kind, self.cfg.policy, self.workload_name)
-    }
-
-    /// Cumulative registry snapshot for one timeline window. Restricted to
-    /// values that are a pure function of simulated event order — never
-    /// queue-backend internals like wheel bucket occupancy — so timelines
-    /// are byte-identical across thread counts and event-queue backends.
-    fn timeline_snapshot(&self, queue_depth: u64, now: Time) -> StatRegistry {
-        let mut reg = StatRegistry::new();
-        {
-            let mut engine = reg.scope("engine");
-            engine.gauge("queue.depth", queue_depth as f64);
-            let b = &self.batch_stats;
-            let mut batch = engine.scope("batch");
-            batch.count("batches", b.batches);
-            batch.count("ops", b.ops);
-            batch.count("fast_hits", b.fast_hits);
-            batch.gauge("fast_hit_ratio", b.fast_hit_ratio());
-        }
-        {
-            let mut core = reg.scope("core");
-            core.count("mem_ops", self.mem_ops);
-            core.count("l1_hits", self.l1_hits);
-            core.count("cache_hits", self.cache_hits);
-            core.count("cache_misses", self.cache_misses);
-            core.count("reconfigs", self.reconfigs);
-            core.count("invalidations", self.invalidations);
-            core.count("migrations", self.migrations);
-        }
-        self.net.register_stats(&mut reg.scope("noc"));
-        {
-            let mut cxl = reg.scope("cxl");
-            self.ext.register_stats(&mut cxl);
-            cxl.gauge("degradation", self.ext.degradation());
-        }
-        self.register_fault_scope(&mut reg);
-        self.register_chaos_scope(&mut reg, now);
-        if self.slo.enabled {
-            let mut slo = reg.scope("slo");
-            self.slo.register(&mut slo, now);
-            slo.count("streams.poisoned", self.table.poisoned_streams());
-            slo.count("streams.refetched", self.table.poison_events());
-        }
-        reg
     }
 
     fn cycles(&self, n: u64) -> Time {
@@ -1917,40 +1674,10 @@ impl NdpSystem {
     /// Gathers the hierarchical stat dump from every subsystem. Built from
     /// single-threaded post-run state, so it is identical no matter how many
     /// harness worker threads surround the run.
-    fn build_registry(&self, qstats: &QueueStats, makespan: Time) -> StatRegistry {
+    fn build_registry(&self, totals: &RunTotals) -> StatRegistry {
+        let makespan = totals.makespan;
         let mut registry = StatRegistry::new();
-        {
-            let mut engine = registry.scope("engine");
-            // Engine-loop events are *ops executed by the loop*: with
-            // run-ahead batching one queue event can carry a whole batch,
-            // so this deliberately counts ops (comparable across batching
-            // on/off and with pre-batching baselines), while the raw queue
-            // traffic stays under `engine.queue.*`.
-            engine.count("events", self.batch_stats.ops);
-            engine.count("peak_queue_depth", qstats.peak_depth);
-            engine.count("stalls", self.stalls);
-            let mut queue = engine.scope("queue");
-            queue.count("scheduled", qstats.scheduled);
-            queue.count("processed", qstats.processed);
-            queue.count("peak_depth", qstats.peak_depth);
-            queue.count("overflow_scheduled", qstats.overflow_scheduled);
-            for (i, &n) in qstats.bucket_occupancy.iter().enumerate() {
-                queue.count(&format!("bucket_occ{i}"), n);
-            }
-            drop(queue);
-            let b = &self.batch_stats;
-            let mut batch = engine.scope("batch");
-            batch.count("enabled", u64::from(self.batch));
-            batch.count("batches", b.batches);
-            batch.count("ops", b.ops);
-            batch.count("fast_hits", b.fast_hits);
-            batch.count("max_len", b.max_len);
-            batch.gauge("mean_len", b.mean_len());
-            batch.gauge("fast_hit_ratio", b.fast_hit_ratio());
-            for (i, &n) in b.len_hist.iter().enumerate() {
-                batch.count(&format!("len_c{i}"), n);
-            }
-        }
+        self.engine.register(&mut registry, EngineScope::Run(&totals.queue));
         {
             let mut core = registry.scope("core");
             core.count("mem_ops", self.mem_ops);
@@ -2028,7 +1755,8 @@ impl NdpSystem {
         fault.scope("stream").count("aborts", self.stream_aborts);
     }
 
-    fn report(&self, makespan: Time, ops: u64, qstats: &QueueStats) -> RunReport {
+    fn report(&self, totals: &RunTotals) -> RunReport {
+        let (makespan, ops) = (totals.makespan, totals.ops);
         let mut energy = EnergyBreakdown::default();
         for dram in &self.drams {
             energy.dram += dram.dynamic_energy();
@@ -2065,9 +1793,139 @@ impl NdpSystem {
             // batch, so raw queue traffic would under-count under batching
             // and break comparability with pre-batching baselines.
             engine_events: ops,
-            peak_queue_depth: qstats.peak_depth,
-            registry: self.build_registry(qstats, makespan),
+            peak_queue_depth: totals.queue.peak_depth,
+            registry: self.build_registry(totals),
         }
+    }
+}
+
+impl Simulated for NdpSystem {
+    #[inline]
+    fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    #[inline]
+    fn engine_mut(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
+    fn cores(&self) -> usize {
+        self.cfg.units()
+    }
+
+    #[inline]
+    fn next_op(&mut self, core: usize) -> Op {
+        self.source.next_op(core)
+    }
+
+    #[inline]
+    fn execute(&mut self, core: usize, op: Op, t: Time) -> Time {
+        let done = match op {
+            Op::Compute(cycles) => return t + self.cycles(u64::from(cycles)),
+            Op::Mem(m) => self.process_mem(core, m, t),
+            Op::RawMem { addr, write } => self.process_raw(core, addr, write, t),
+        };
+        self.record_access(core, t, done);
+        done
+    }
+
+    #[inline]
+    fn execute_private(&mut self, core: usize, op: Op, t: Time) -> Option<Time> {
+        let (addr, write) = match op {
+            Op::Compute(cycles) => return Some(t + self.cycles(u64::from(cycles))),
+            Op::Mem(m) => (self.descs[m.sid.index()].addr_of_elem(m.elem), m.write),
+            Op::RawMem { addr, write } => (addr, write),
+        };
+        if !self.l1s[core].access_if_hit(self.line_div.div(addr), write) {
+            return None;
+        }
+        let done = self.l1_hit(t);
+        self.record_access(core, t, done);
+        Some(done)
+    }
+
+    /// Boundary actions in simulated-time order: due chaos events (and
+    /// restores of windowed failures) interleave with epoch
+    /// reconfigurations. Ties go to chaos so a failure landing exactly on
+    /// an epoch boundary escalates before the regular reconfiguration
+    /// runs; with no chaos configured this loop is exactly the historical
+    /// epoch advance.
+    #[inline]
+    fn boundaries(&mut self, t: Time, remaining: &mut [u64]) {
+        loop {
+            let due_chaos = self.chaos_next_at().filter(|&c| c <= t && c <= self.next_epoch);
+            if let Some(c) = due_chaos {
+                self.apply_next_chaos(c, remaining);
+            } else if t >= self.next_epoch {
+                let at = self.next_epoch;
+                // The profiler rides outside `self` so `reconfigure` can
+                // time its sub-phases while the rest of the system is
+                // mutably borrowed.
+                let mut profile = self.profile.take();
+                self.reconfigure(at, profile.as_deref_mut());
+                self.profile = profile;
+                self.next_epoch = at + self.cfg.epoch();
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// The next epoch or chaos boundary: no reconfiguration or failure may
+    /// see an op from its future.
+    fn boundary_horizon(&self) -> Time {
+        self.chaos_next_at().map_or(self.next_epoch, |c| c.min(self.next_epoch))
+    }
+
+    /// The trace ring keeps insertion order, so private ops may not run
+    /// ahead into (or inside) its capture window.
+    fn private_bound(&self, t: Time) -> Time {
+        self.trace.as_deref().map_or(Time::MAX, |tr| tr.reorder_bound(t))
+    }
+
+    #[inline]
+    fn l1_hits(&self) -> u64 {
+        self.l1_hits
+    }
+
+    /// Restricted to values that are a pure function of simulated event
+    /// order, so timelines are byte-identical at any thread count.
+    fn timeline_stats(&self, reg: &mut StatRegistry, now: Time) {
+        {
+            let mut core = reg.scope("core");
+            core.count("mem_ops", self.mem_ops);
+            core.count("l1_hits", self.l1_hits);
+            core.count("cache_hits", self.cache_hits);
+            core.count("cache_misses", self.cache_misses);
+            core.count("reconfigs", self.reconfigs);
+            core.count("invalidations", self.invalidations);
+            core.count("migrations", self.migrations);
+        }
+        self.net.register_stats(&mut reg.scope("noc"));
+        {
+            let mut cxl = reg.scope("cxl");
+            self.ext.register_stats(&mut cxl);
+            cxl.gauge("degradation", self.ext.degradation());
+        }
+        self.register_fault_scope(reg);
+        self.register_chaos_scope(reg, now);
+        if self.slo.enabled {
+            let mut slo = reg.scope("slo");
+            self.slo.register(&mut slo, now);
+            slo.count("streams.poisoned", self.table.poisoned_streams());
+            slo.count("streams.refetched", self.table.poison_events());
+        }
+    }
+
+    /// Memory kind, policy, workload: one timeline file per bench-matrix
+    /// cell.
+    fn timeline_label(&self) -> String {
+        format!("{:?}-{:?}-{}", self.cfg.mem_kind, self.cfg.policy, self.workload_name)
+    }
+
+    fn run_label(&self) -> String {
+        format!("{:?}/{}", self.cfg.policy, self.workload_name)
     }
 }
 

@@ -147,14 +147,6 @@ knob!(
 
 // Engine ---------------------------------------------------------------------
 knob!(
-    QUEUE,
-    "NDPX_QUEUE",
-    KnobKind::Enum(&["wheel", "heap"]),
-    "wheel",
-    "Event-queue backend: the hierarchical time-wheel or the reference binary heap. Digests are \
-     byte-identical either way."
-);
-knob!(
     STALL_ITERS,
     "NDPX_STALL_ITERS",
     KnobKind::U64,
@@ -385,7 +377,6 @@ pub const ALL: &[&Knob] = &[
     &CELL_RETRIES,
     &HEARTBEAT_SECS,
     &SLOW_MULT,
-    &QUEUE,
     &STALL_ITERS,
     &LOG,
     &TRACE,
@@ -439,7 +430,7 @@ mod tests {
     fn the_registry_holds_all_knobs() {
         // The count is asserted so adding a knob without registering it in
         // `ALL` (or removing one without pruning) cannot go unnoticed.
-        assert_eq!(ALL.len(), 35);
+        assert_eq!(ALL.len(), 34);
     }
 
     #[test]

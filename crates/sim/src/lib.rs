@@ -27,7 +27,7 @@
 //! use ndpx_sim::time::Time;
 //!
 //! let mut queue = EventQueue::new();
-//! queue.push(Time::from_ns(10), "memory response");
+//! queue.push_ranked(Time::from_ns(10), 0, "memory response");
 //! let mut lat = LatencyStat::new();
 //! while let Some((at, _event)) = queue.pop() {
 //!     lat.record(at);

@@ -5,15 +5,14 @@
 //! deterministic and needs no external property-testing framework (the
 //! workspace builds fully offline).
 
-use ndpx_sim::engine::{EventQueue, QueueImpl};
+use ndpx_sim::engine::EventQueue;
 use ndpx_sim::rng::{hash_range, Xoshiro256};
 use ndpx_sim::time::{Freq, Time};
 
 const CASES: u64 = 256;
 
-/// A random event time mixing near-horizon and far-future (overflow-tree)
-/// scales: mostly nanoseconds, sometimes tens of microseconds beyond the
-/// wheel's near horizon, with repeated values so equal-time ties occur.
+/// A random event time mixing scales: mostly nanoseconds, sometimes tens
+/// of microseconds, with repeated values so equal-time ties occur.
 fn mixed_time(rng: &mut Xoshiro256, base: Time) -> Time {
     let t = match rng.below(8) {
         0..=4 => Time::from_ns(rng.below(64)),
@@ -22,6 +21,34 @@ fn mixed_time(rng: &mut Xoshiro256, base: Time) -> Time {
         _ => Time::from_ps(rng.below(1 << 30)),
     };
     base + t
+}
+
+/// Linear-scan reference model of [`EventQueue`]: every pop scans for the
+/// minimum `(time, rank, insertion seq)`.
+#[derive(Default)]
+struct Model {
+    events: Vec<(Time, u64, u64, u64)>,
+    seq: u64,
+}
+
+impl Model {
+    fn push(&mut self, t: Time, rank: u64, payload: u64) {
+        self.events.push((t, rank, self.seq, payload));
+        self.seq += 1;
+    }
+
+    fn min(&self) -> Option<usize> {
+        (0..self.events.len()).min_by_key(|&i| self.events[i])
+    }
+
+    fn pop(&mut self) -> Option<(Time, u64)> {
+        let (t, _, _, payload) = self.events.remove(self.min()?);
+        Some((t, payload))
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        self.min().map(|i| self.events[i].0)
+    }
 }
 
 #[test]
@@ -69,7 +96,7 @@ fn event_queue_pops_sorted_and_stable() {
         let n = 1 + rng.below(200) as usize;
         let mut q = EventQueue::new();
         for i in 0..n {
-            q.push(Time::from_ns(rng.below(1000)), i);
+            q.push_ranked(Time::from_ns(rng.below(1000)), 0, i);
         }
         let mut last: Option<(Time, usize)> = None;
         while let Some((t, i)) = q.pop() {
@@ -84,143 +111,132 @@ fn event_queue_pops_sorted_and_stable() {
     }
 }
 
-/// Differential oracle: the time-wheel and the reference `BinaryHeap`
-/// implementation must produce identical results for identical random
-/// FIFO-mode sequences (`push` / `push_pop` / `pop`), including equal-time
-/// ties and far-future times that route through the wheel's overflow tree.
+/// Differential check against the reference model: random `push_ranked`
+/// / `push_pop_ranked` / `pop` sequences drawn from few ranks, so equal
+/// `(time, rank)` pairs (FIFO among themselves) are common, including
+/// equal-time ties and µs-scale times.
 #[test]
-fn wheel_matches_heap_fifo_sequences() {
+fn queue_matches_reference_with_equal_keys() {
     let mut rng = Xoshiro256::seed_from(0xD1FF);
     for _ in 0..96 {
-        let mut wheel = EventQueue::with_impl(QueueImpl::Wheel);
-        let mut heap = EventQueue::with_impl(QueueImpl::Heap);
+        let mut queue = EventQueue::new();
+        let mut model = Model::default();
         let mut now = Time::ZERO;
         let mut payload = 0u64;
         for _ in 0..400 {
+            let rank = rng.below(3);
             match rng.below(4) {
                 0 | 1 => {
                     let t = mixed_time(&mut rng, now);
-                    wheel.push(t, payload);
-                    heap.push(t, payload);
+                    queue.push_ranked(t, rank, payload);
+                    model.push(t, rank, payload);
                     payload += 1;
                 }
                 2 => {
                     let t = mixed_time(&mut rng, now);
-                    let a = wheel.push_pop(t, payload);
-                    let b = heap.push_pop(t, payload);
-                    assert_eq!(a, b, "push_pop diverged");
+                    let a = queue.push_pop_ranked(t, rank, payload);
+                    model.push(t, rank, payload);
+                    assert_eq!(Some(a), model.pop(), "push_pop_ranked diverged");
                     payload += 1;
                     now = now.max(a.0);
                 }
                 _ => {
-                    let a = wheel.pop();
-                    let b = heap.pop();
-                    assert_eq!(a, b, "pop diverged");
+                    let a = queue.pop();
+                    assert_eq!(a, model.pop(), "pop diverged");
                     if let Some((t, _)) = a {
                         now = now.max(t);
                     }
                 }
             }
-            assert_eq!(wheel.len(), heap.len());
+            assert_eq!(queue.len(), model.events.len());
         }
-        assert_eq!(wheel.peek_time(), heap.peek_time());
+        assert_eq!(queue.peek_time(), model.peek_time());
         loop {
-            match (wheel.pop(), heap.pop()) {
+            match (queue.pop(), model.pop()) {
                 (None, None) => break,
                 (a, b) => assert_eq!(a, b, "drain diverged"),
             }
         }
-        assert_eq!(wheel.scheduled(), heap.scheduled());
-        assert_eq!(wheel.processed(), heap.processed());
+        assert_eq!(queue.scheduled(), model.seq);
     }
 }
 
-/// `peek_time` checked after every mutation: the wheel memoizes its
-/// minimum, and that cache must stay coherent through inserts (smaller,
-/// equal, and later keys), removals, and overflow cascades. The run-ahead
-/// batching window reads `peek_time` once per batch — a stale cache would
-/// silently widen or shrink the window, changing simulated interleavings.
+/// `peek_time` checked after every mutation. The run-ahead window reads
+/// `peek_time` once per batch — a wrong answer would silently widen or
+/// shrink the window, changing simulated interleavings.
 #[test]
 fn peek_time_stays_coherent_under_churn() {
     let mut rng = Xoshiro256::seed_from(0x9EEC);
     for _ in 0..96 {
-        let mut wheel = EventQueue::with_impl(QueueImpl::Wheel);
-        let mut heap = EventQueue::with_impl(QueueImpl::Heap);
+        let mut queue = EventQueue::new();
+        let mut model = Model::default();
         let mut now = Time::ZERO;
         let mut payload = 0u64;
         for _ in 0..300 {
+            let rank = rng.below(4);
             match rng.below(5) {
                 0 | 1 => {
                     let t = mixed_time(&mut rng, now);
-                    wheel.push(t, payload);
-                    heap.push(t, payload);
+                    queue.push_ranked(t, rank, payload);
+                    model.push(t, rank, payload);
                     payload += 1;
                 }
                 2 => {
                     let t = mixed_time(&mut rng, now);
-                    let a = wheel.push_pop(t, payload);
-                    let b = heap.push_pop(t, payload);
-                    assert_eq!(a, b, "push_pop diverged");
+                    let a = queue.push_pop_ranked(t, rank, payload);
+                    model.push(t, rank, payload);
+                    assert_eq!(Some(a), model.pop(), "push_pop_ranked diverged");
                     payload += 1;
                     now = now.max(a.0);
                 }
                 _ => {
-                    let a = wheel.pop();
-                    let b = heap.pop();
-                    assert_eq!(a, b, "pop diverged");
+                    let a = queue.pop();
+                    assert_eq!(a, model.pop(), "pop diverged");
                     if let Some((t, _)) = a {
                         now = now.max(t);
                     }
                 }
             }
-            assert_eq!(wheel.peek_time(), heap.peek_time(), "peek diverged mid-churn");
+            assert_eq!(queue.peek_time(), model.peek_time(), "peek diverged mid-churn");
         }
         // Drain: every peek must equal the time the next pop returns, and
         // peeking must never perturb pop order.
-        while let Some(pt) = wheel.peek_time() {
-            let (t, _) = wheel.pop().expect("peek said non-empty");
+        while let Some(pt) = queue.peek_time() {
+            let (t, p) = queue.pop().expect("peek said non-empty");
             assert_eq!(pt, t, "peek disagreed with pop");
-            let (th, _) = heap.pop().expect("heap in lockstep");
-            assert_eq!(t, th, "drain diverged");
+            assert_eq!(Some((t, p)), model.pop(), "drain diverged");
         }
-        assert!(heap.peek_time().is_none());
-        assert!(wheel.pop().is_none() && heap.pop().is_none());
+        assert!(model.pop().is_none());
     }
 }
 
-/// Differential oracle for the ranked tiebreak space: identical random
-/// `push_ranked` / `push_pop_ranked` / `pop` sequences — with deliberate
-/// equal-time, distinct-rank collisions — must pop identically from both
-/// implementations.
+/// The run-loop shape: one pending event per rank, each pop re-pushed
+/// under its own rank, with times drawn so equal-time rank ties are
+/// common. `push_pop_ranked`'s replace-top fast path must pop exactly what
+/// the reference model does.
 #[test]
-fn wheel_matches_heap_ranked_sequences() {
+fn queue_matches_reference_ranked_sequences() {
     let mut rng = Xoshiro256::seed_from(0xAB1E);
     for _ in 0..96 {
-        let mut wheel = EventQueue::with_impl(QueueImpl::Wheel);
-        let mut heap = EventQueue::with_impl(QueueImpl::Heap);
-        // One pending event per rank (the run-loop invariant), times drawn
-        // from few distinct values so equal-time rank ties are common.
+        let mut queue = EventQueue::new();
+        let mut model = Model::default();
         let ranks = 2 + rng.below(14);
         for r in 0..ranks {
             let t = mixed_time(&mut rng, Time::ZERO);
-            wheel.push_ranked(t, r, r);
-            heap.push_ranked(t, r, r);
+            queue.push_ranked(t, r, r);
+            model.push(t, r, r);
         }
-        let (mut now, mut rank) = {
-            let a = wheel.pop().expect("non-empty");
-            let b = heap.pop().expect("non-empty");
-            assert_eq!(a, b);
-            a
-        };
+        let (mut now, mut rank) = queue.pop().expect("non-empty");
+        assert_eq!(Some((now, rank)), model.pop());
         for _ in 0..500 {
             let t = mixed_time(&mut rng, now);
-            let a = wheel.push_pop_ranked(t, rank, rank);
-            let b = heap.push_pop_ranked(t, rank, rank);
-            assert_eq!(a, b, "push_pop_ranked diverged");
+            let a = queue.push_pop_ranked(t, rank, rank);
+            model.push(t, rank, rank);
+            assert_eq!(Some(a), model.pop(), "push_pop_ranked diverged");
             (now, rank) = a;
         }
         loop {
-            match (wheel.pop(), heap.pop()) {
+            match (queue.pop(), model.pop()) {
                 (None, None) => break,
                 (a, b) => assert_eq!(a, b, "ranked drain diverged"),
             }
