@@ -10,9 +10,9 @@
 //! 2. asserts the run actually injected faults (nonzero `fault.*`
 //!    counters), so a silently-disabled injector cannot pass;
 //! 3. re-runs one cell next to a deliberately panicking cell through the
-//!    panic-isolated [`CellPool::run_cells`] path and
-//!    [`manifest::emit_outcomes`], asserting the sweep completes with
-//!    partial results and (under `NDPX_METRICS`) a failure manifest.
+//!    panic-isolated [`CellPool::run_cells`] path and [`manifest::emit`],
+//!    asserting the sweep completes with partial results and (under
+//!    `NDPX_METRICS`) a failure manifest.
 //!
 //! Exit codes: 0 on success, 2 on missing/zeroed fault environment, 1 on
 //! any assertion failure (via panic).
@@ -20,7 +20,7 @@
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::cell_key;
 use ndpx_bench::manifest;
-use ndpx_bench::pool::{CellPool, CellTask, RetryPolicy};
+use ndpx_bench::pool::{CellPool, CellTask};
 use ndpx_bench::runner::{run_many_with, run_ndp_cached, BenchScale, RunSpec};
 use ndpx_core::config::{MemKind, PolicyKind};
 use ndpx_core::stats::RunReport;
@@ -119,21 +119,17 @@ fn main() {
         }),
         Box::new(|| -> RunReport { panic!("deliberate fault_smoke panic") }),
     ];
-    let completions = CellPool::with_threads(2).run_cells(RetryPolicy::from_env(), tasks);
-    manifest::emit_outcomes("fault_smoke", 2, &names, &completions, Some(cache.stats()));
-    let failed: Vec<&String> = names
-        .iter()
-        .zip(&completions)
-        .filter(|(_, c)| c.outcome.is_failed())
-        .map(|(n, _)| n)
-        .collect();
+    let results = CellPool::with_threads(2).run_cells(None, tasks);
+    manifest::emit("fault_smoke", 2, &names, &results, Some(cache.stats()));
+    let failed: Vec<&String> =
+        names.iter().zip(&results).filter(|(_, r)| r.value.is_err()).map(|(n, _)| n).collect();
     assert_eq!(
         failed,
         vec!["smoke/deliberate-panic"],
         "exactly the deliberate panic cell must fail; siblings must survive"
     );
     assert!(
-        completions[0].outcome.value().is_some(),
+        results[0].value.is_ok(),
         "the healthy cell must produce a report despite its panicking sibling"
     );
     println!("fault_smoke: panic-isolated sweep completed with partial results");

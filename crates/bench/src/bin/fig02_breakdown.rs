@@ -6,7 +6,7 @@
 //! visible share on metadata, while achieving a much higher cache hit rate
 //! (70% vs 47%) and thus a smaller next-level-memory share.
 
-use ndpx_bench::pool::{CellPool, CellTask};
+use ndpx_bench::pool::{expect_ok, CellPool, CellTask};
 use ndpx_bench::runner::{run_host_cached, run_ndp_cached, BenchScale, RunSpec};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
@@ -31,7 +31,10 @@ fn main() {
         Box::new(move || run_ndp_cached(spec, cache)),
         Box::new(move || run_host_cached("pr", scale, scale.ops_per_core(), cache)),
     ];
-    let mut reports = CellPool::from_env().run_values(tasks);
+    let mut reports: Vec<RunReport> = expect_ok(CellPool::from_env().run_cells(None, tasks))
+        .into_iter()
+        .map(|r| r.value)
+        .collect();
     let host = reports.pop().expect("two tasks");
     let ndp = reports.pop().expect("two tasks");
 

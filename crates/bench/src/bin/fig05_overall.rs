@@ -9,9 +9,11 @@
 //! NDPExt-static between the baselines and NDPExt.
 
 use ndpx_bench::gauge::cell_key;
-use ndpx_bench::pool::{CellPool, CellTask, MonitorConfig};
-use ndpx_bench::runner::{geomean, run_host_cached, run_ndp_cached, BenchScale, RunSpec};
-use ndpx_bench::{manifest, TraceCache};
+use ndpx_bench::pool::{CellPool, CellTask};
+use ndpx_bench::runner::{
+    geomean, run_host_cached, run_ndp_cached, run_tasks_monitored, BenchScale, RunSpec,
+};
+use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
 use ndpx_core::stats::RunReport;
 use ndpx_workloads::ALL_WORKLOADS;
@@ -51,11 +53,7 @@ fn main() {
         .chain(ALL_WORKLOADS.iter().map(|&w| format!("host/{w}")))
         .collect();
     let run_name = format!("fig05_overall_{}", if mem == MemKind::Hmc { "hmc" } else { "hbm" });
-    let monitor = MonitorConfig::from_env(run_name.clone(), names);
-    let pool = CellPool::from_env();
-    let results = pool.run_monitored(&monitor, tasks);
-    manifest::emit(&run_name, pool.threads(), &monitor.names, &results, Some(cache.stats()));
-    let mut reports: Vec<RunReport> = results.into_iter().map(|r| r.value).collect();
+    let mut reports = run_tasks_monitored(&run_name, CellPool::from_env(), cache, names, tasks);
     let hosts = reports.split_off(specs.len());
 
     let header: Vec<String> = std::iter::once("workload".to_string())

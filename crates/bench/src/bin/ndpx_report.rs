@@ -11,9 +11,6 @@
 //!       [--registry A.json B.json] # append profile.*/slo.* deltas from
 //!                                  # two registry dumps
 //!
-//! Environment: `NDPX_REPORT_STRICT=1` is equivalent to `--strict`,
-//! `NDPX_REPORT_THRESHOLD=<pct>` to `--threshold`.
-//!
 //! Exit status encodes signal quality, matching how CI consumes it:
 //!
 //! * `0` — clean, or throughput-only movement without strict mode;
@@ -41,8 +38,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional = Vec::new();
     let mut out_path = "ndpx_report.md".to_string();
-    let mut threshold_pct: f64 = ndpx_sim::knobs::REPORT_THRESHOLD.f64_opt().unwrap_or(10.0);
-    let mut strict = ndpx_sim::knobs::REPORT_STRICT.bool_or(false);
+    let mut threshold_pct: f64 = 10.0;
+    let mut strict = false;
     let mut timeline_pair: Option<(String, String)> = None;
     let mut registry_pair: Option<(String, String)> = None;
 

@@ -14,7 +14,6 @@
 //!                                   # OLD.json is present with the same
 //!                                   # digest, and report the speedup
 //!   NDPX_THREADS=n perf_gauge       # pool width of the optimized phase
-//!   NDPX_THREAD_SWEEP=1,2,4 ...     # extra cached runs per thread count
 //!   NDPX_PERF_OUT=path perf_gauge   # write somewhere else
 //!   NDPX_METRICS=dir perf_gauge     # also write metrics.json + registry
 //!                                   # dump sidecars (see ndpx_bench::manifest)
@@ -41,7 +40,7 @@ use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops, gauge_specs, scale_name};
 use ndpx_bench::manifest::{self, RunManifest};
 use ndpx_bench::micro::{self, MicroResult};
-use ndpx_bench::pool::{CellPool, CellResult, CellTask, MonitorConfig, ThreadPlan};
+use ndpx_bench::pool::{expect_ok, CellPool, CellResult, CellTask, MonitorConfig, ThreadPlan};
 use ndpx_bench::report::{compare, parse_perf, PerfRun};
 use ndpx_bench::runner::{run_ndp_cached, BenchScale, RunSpec};
 use ndpx_core::config::PolicyKind;
@@ -142,9 +141,9 @@ impl Phase {
 }
 
 /// Runs the matrix once. With a monitor the pool emits heartbeat/watchdog
-/// lines and the full per-cell results come back for sidecar emission;
-/// without one (the serial baseline and sweep passes) results are digested
-/// and dropped.
+/// lines and the run writes its `NDPX_METRICS` sidecars (failure manifest
+/// included) before a failed cell escalates; without one (the serial
+/// baseline) results are only digested.
 fn run_matrix(
     specs: &[RunSpec],
     pool: CellPool,
@@ -156,11 +155,12 @@ fn run_matrix(
         .iter()
         .map(|spec| Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, RunReport>)
         .collect();
-    let results = match monitor {
-        Some(m) => pool.run_monitored(m, tasks),
-        None => pool.run(tasks),
-    };
+    let results = pool.run_cells(monitor, tasks);
     let wall_s = t0.elapsed().as_secs_f64();
+    if let Some(m) = monitor {
+        manifest::emit("perf_gauge", pool.threads(), &m.names, &results, Some(cache.stats()));
+    }
+    let results = expect_ok(results);
     let cells = specs
         .iter()
         .zip(&results)
@@ -239,16 +239,8 @@ fn main() {
         cache_stats.saved().as_secs_f64()
     );
 
-    // The run manifest feeds both the v3 report fields below and, under
-    // NDPX_METRICS, the metrics.json + registry-dump sidecars.
+    // The run manifest feeds the v3 report fields below.
     let run_manifest = RunManifest::collect(
-        "perf_gauge",
-        parallel.threads,
-        &monitor.names,
-        &parallel_results,
-        Some(cache_stats),
-    );
-    manifest::emit(
         "perf_gauge",
         parallel.threads,
         &monitor.names,
@@ -279,16 +271,7 @@ fn main() {
         Vec::new()
     };
 
-    // Optional sweep: extra cached passes at other widths, reusing the now
-    // warm cache so the entries compare pure simulation scaling.
-    let mut phases = vec![serial, parallel];
-    if let Some(sweep) = ndpx_sim::knobs::THREAD_SWEEP.raw() {
-        for n in sweep.split(',').filter_map(|s| s.trim().parse::<usize>().ok()) {
-            let (p, _) = run_matrix(&specs, CellPool::with_threads(n), &cache, None);
-            eprintln!("sweep threads={n}: {:.3}s ({:.0} ops/s)", p.wall_s, p.rate());
-            phases.push(p);
-        }
-    }
+    let phases = [serial, parallel];
     let (serial, parallel) = (&phases[0], &phases[1]);
 
     let agg = parallel.rate();

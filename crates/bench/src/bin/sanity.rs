@@ -1,18 +1,21 @@
-//! Quick trend sanity check: NDPExt vs baselines vs host on one workload.
+//! Quick trend sanity check: NDPExt vs baselines vs host on one workload,
+//! with each policy's Fig 2a latency breakdown.
 //!
 //! All runs (host included) go through the [`CellPool`], so the check
 //! parallelizes under `NDPX_THREADS`; printing happens after collection, in
 //! canonical policy order, so the output is identical at any width.
-use ndpx_bench::pool::{CellPool, CellTask, MonitorConfig};
-use ndpx_bench::runner::{run_host_cached, run_ndp_cached, BenchScale, RunSpec};
-use ndpx_bench::{manifest, TraceCache};
+use ndpx_bench::pool::{CellPool, CellTask};
+use ndpx_bench::runner::{
+    run_host_cached, run_ndp_cached, run_tasks_monitored, BenchScale, RunSpec,
+};
+use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
-use ndpx_core::stats::RunReport;
+use ndpx_core::stats::{LatComponent, RunReport};
 
 fn main() {
     let scale = BenchScale::from_env();
     let workload: &'static str = std::env::args().nth(1).map(|s| &*s.leak()).unwrap_or("pr");
-    let ops = ndpx_sim::knobs::OPS.u64_opt().unwrap_or(scale.ops_per_core());
+    let ops = scale.ops_per_core();
     let filter = ndpx_sim::knobs::POLICY.raw();
     let policies: Vec<PolicyKind> = PolicyKind::ALL
         .into_iter()
@@ -38,11 +41,7 @@ fn main() {
     let names: Vec<String> = std::iter::once(format!("host/{workload}"))
         .chain(policies.iter().map(|p| format!("hbm/{}/{workload}", p.label())))
         .collect();
-    let monitor = MonitorConfig::from_env("sanity", names);
-    let pool = CellPool::from_env();
-    let results = pool.run_monitored(&monitor, tasks);
-    manifest::emit("sanity", pool.threads(), &monitor.names, &results, Some(cache.stats()));
-    let mut reports: Vec<RunReport> = results.into_iter().map(|r| r.value).collect();
+    let mut reports = run_tasks_monitored("sanity", CellPool::from_env(), cache, names, tasks);
     let rest = reports.split_off(1);
     let host = reports.pop().expect("host task ran");
 
@@ -53,14 +52,6 @@ fn main() {
         host.ops_per_us()
     );
     for (policy, r) in policies.iter().zip(&rest) {
-        if ndpx_sim::knobs::DEBUG.bool_or(false) {
-            use ndpx_core::stats::LatComponent;
-            let parts: Vec<String> = LatComponent::ALL
-                .iter()
-                .map(|&c| format!("{}={:.2}", c.label(), r.breakdown.fraction(c)))
-                .collect();
-            println!("    breakdown: {} total={}", parts.join(" "), r.breakdown.total());
-        }
         println!(
             "{:<10}: time {:>12}  miss {:.3}  l1 {:.2}  local {:.2}  icn {:>9}  slbm {}  metaD {}  inv {}  repl {:.2}  vs-host {:.2}x",
             policy.label(), r.sim_time.to_string(), r.miss_rate(), r.l1_hit_rate(),
@@ -69,5 +60,11 @@ fn main() {
             r.replicated_fraction,
             host.sim_time.as_ps() as f64 / r.sim_time.as_ps() as f64 * (r.ops as f64 / host.ops as f64),
         );
+        // The Fig 2a latency breakdown of the same run, indented under it.
+        let parts: Vec<String> = LatComponent::ALL
+            .iter()
+            .map(|&c| format!("{}={:.2}", c.label(), r.breakdown.fraction(c)))
+            .collect();
+        println!("    breakdown: {} total={}", parts.join(" "), r.breakdown.total());
     }
 }

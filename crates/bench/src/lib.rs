@@ -18,10 +18,8 @@ pub mod runner;
 
 pub use manifest::{CellFailure, CellMetrics, RunManifest};
 pub use ndpx_workloads::TraceCache;
-pub use pool::{
-    CellCompletion, CellOutcome, CellPool, CellResult, CellTask, MonitorConfig, RetryPolicy,
-};
+pub use pool::{expect_ok, CellPool, CellResult, CellTask, MonitorConfig};
 pub use runner::{
-    geomean, run_host, run_host_cached, run_many, run_many_monitored, run_many_with, run_ndp,
-    run_ndp_cached, BenchScale, RunSpec,
+    geomean, run_host_cached, run_many, run_many_monitored, run_many_with, run_ndp, run_ndp_cached,
+    run_tasks_monitored, BenchScale, RunSpec,
 };

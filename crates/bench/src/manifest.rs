@@ -15,13 +15,14 @@
 //! byte-identical at any `NDPX_THREADS`; only wall-clock, worker, and the
 //! derived events-per-second rates vary run to run.
 
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use ndpx_core::stats::RunReport;
 use ndpx_workloads::TraceCacheStats;
 
-use crate::pool::{CellCompletion, CellOutcome, CellResult};
+use crate::pool::CellResult;
 
 /// The telemetry of one finished cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,16 +44,18 @@ pub struct CellMetrics {
 }
 
 impl CellMetrics {
-    /// Extracts the metrics of one pooled cell result.
-    pub fn from_result(name: impl Into<String>, r: &CellResult<RunReport>) -> Self {
+    /// Extracts the metrics of one pooled cell result. Engine events are
+    /// completed ops: one queue event can carry a whole run-ahead batch.
+    pub fn from_result(name: impl Into<String>, r: &CellResult<impl Borrow<RunReport>>) -> Self {
+        let report = r.value.borrow();
         CellMetrics {
             name: name.into(),
             worker: r.worker,
             wall_s: r.wall_s,
-            sim_us: r.value.sim_time.as_us_f64(),
-            ops: r.value.ops,
-            engine_events: r.value.engine_events,
-            peak_queue_depth: r.value.peak_queue_depth,
+            sim_us: report.sim_time.as_us_f64(),
+            ops: report.ops,
+            engine_events: report.ops,
+            peak_queue_depth: report.peak_queue_depth,
         }
     }
 
@@ -91,7 +94,7 @@ impl RunManifest {
         run: impl Into<String>,
         threads: usize,
         names: &[String],
-        results: &[CellResult<RunReport>],
+        results: &[CellResult<impl Borrow<RunReport>>],
         trace_cache: Option<TraceCacheStats>,
     ) -> Self {
         assert_eq!(names.len(), results.len(), "one name per cell");
@@ -200,47 +203,40 @@ pub fn registry_dump_json(run: &str, names: &[String], reports: &[&RunReport]) -
     s
 }
 
-/// One permanently failed cell, for the failure manifest.
+/// One failed cell, for the failure manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// Cell key (`mem/policy/workload` or `host/workload`).
     pub name: String,
-    /// Worker thread the last attempt ran on.
+    /// Worker thread the cell ran on.
     pub worker: usize,
-    /// Attempts consumed (all panicked).
-    pub attempts: u32,
-    /// The last panic payload.
+    /// The panic payload.
     pub message: String,
 }
 
-/// Extracts the permanently failed cells from a completed matrix. `names`
-/// must parallel `completions` (both in submission order).
+/// Extracts the failed cells from a completed matrix. `names` must parallel
+/// `results` (both in submission order).
 pub fn collect_failures<T>(
     names: &[String],
-    completions: &[CellCompletion<T>],
+    results: &[CellResult<Result<T, String>>],
 ) -> Vec<CellFailure> {
     names
         .iter()
-        .zip(completions)
-        .filter_map(|(name, c)| match &c.outcome {
-            CellOutcome::Panicked { attempts, message } => Some(CellFailure {
-                name: name.clone(),
-                worker: c.worker,
-                attempts: *attempts,
-                message: message.clone(),
-            }),
-            _ => None,
+        .zip(results)
+        .filter_map(|(name, r)| {
+            let message = r.value.as_ref().err()?;
+            Some(CellFailure { name: name.clone(), worker: r.worker, message: message.clone() })
         })
         .collect()
 }
 
-/// Renders the failure manifest (`ndpx-failure-manifest-v1`): every cell
-/// that exhausted its retries, in submission order, with the total cell
-/// count for context.
+/// Renders the failure manifest (`ndpx-failure-manifest-v2`): every cell
+/// that panicked, in submission order, with the total cell count for
+/// context.
 pub fn failure_manifest_json(run: &str, total_cells: usize, failures: &[CellFailure]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"ndpx-failure-manifest-v1\",");
+    let _ = writeln!(s, "  \"schema\": \"ndpx-failure-manifest-v2\",");
     let _ = writeln!(s, "  \"run\": \"{run}\",");
     let _ = writeln!(s, "  \"cells_total\": {total_cells},");
     let _ = writeln!(s, "  \"cells_failed\": {},", failures.len());
@@ -249,10 +245,9 @@ pub fn failure_manifest_json(run: &str, total_cells: usize, failures: &[CellFail
         let comma = if i + 1 < failures.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "    {{\"cell\": \"{}\", \"worker\": {}, \"attempts\": {}, \"message\": \"{}\"}}{comma}",
+            "    {{\"cell\": \"{}\", \"worker\": {}, \"message\": \"{}\"}}{comma}",
             f.name,
             f.worker,
-            f.attempts,
             escape(&f.message)
         );
     }
@@ -314,67 +309,48 @@ pub fn write_sidecars(
     Ok(metrics_path)
 }
 
-/// The one-call sidecar hook every monitored binary uses: when
-/// `NDPX_METRICS` is set, builds the manifest and writes both sidecars,
-/// logging the destination at info level and any filesystem failure at warn
+/// The one-call sidecar hook every monitored run uses: when `NDPX_METRICS`
+/// is set, writes the metrics and registry sidecars over the cells that
+/// succeeded (so partial results survive a lost cell) and, when any cell
+/// failed, a `<run>.failures.json` failure manifest alongside them. Logs
+/// each destination at info level and any filesystem failure at warn
 /// level. A no-op (no allocation, no I/O) when the variable is unset.
+///
+/// # Panics
+///
+/// Panics if `names` and `results` disagree in length.
 pub fn emit(
     run: &str,
     threads: usize,
     names: &[String],
-    results: &[CellResult<RunReport>],
+    results: &[CellResult<Result<RunReport, String>>],
     trace_cache: Option<TraceCacheStats>,
 ) {
+    assert_eq!(names.len(), results.len(), "one name per cell");
     let Some(dir) = metrics_dir() else { return };
-    let manifest = RunManifest::collect(run, threads, names, results, trace_cache);
-    let reports: Vec<&RunReport> = results.iter().map(|r| &r.value).collect();
-    match write_sidecars(&dir, &manifest, names, &reports) {
-        Ok(path) => ndpx_sim::ndpx_info!("{run}: wrote {}", path.display()),
-        Err(e) => ndpx_sim::ndpx_warn!("{run}: cannot write metrics under {}: {e}", dir.display()),
-    }
-}
-
-/// [`emit`] for a panic-isolated matrix: writes the metrics and registry
-/// sidecars over the cells that *succeeded* (so partial results survive a
-/// lost cell) and, when any cell failed permanently, a
-/// `<run>.failures.json` failure manifest alongside them. Like [`emit`],
-/// a no-op when `NDPX_METRICS` is unset.
-pub fn emit_outcomes(
-    run: &str,
-    threads: usize,
-    names: &[String],
-    completions: &[CellCompletion<RunReport>],
-    trace_cache: Option<TraceCacheStats>,
-) {
-    assert_eq!(names.len(), completions.len(), "one name per cell");
-    let Some(dir) = metrics_dir() else { return };
-    let mut ok_names = Vec::with_capacity(names.len());
-    let mut ok_results = Vec::with_capacity(names.len());
-    for (name, c) in names.iter().zip(completions) {
-        if let Some(report) = c.outcome.value() {
-            ok_names.push(name.clone());
-            ok_results.push(CellResult {
-                value: report.clone(),
-                worker: c.worker,
-                wall_s: c.wall_s,
-            });
-        }
-    }
-    let manifest = RunManifest::collect(run, threads, &ok_names, &ok_results, trace_cache);
-    let reports: Vec<&RunReport> = ok_results.iter().map(|r| &r.value).collect();
+    let (ok_names, ok): (Vec<String>, Vec<CellResult<&RunReport>>) = names
+        .iter()
+        .zip(results)
+        .filter_map(|(name, r)| {
+            let value = r.value.as_ref().ok()?;
+            Some((name.clone(), CellResult { value, worker: r.worker, wall_s: r.wall_s }))
+        })
+        .unzip();
+    let manifest = RunManifest::collect(run, threads, &ok_names, &ok, trace_cache);
+    let reports: Vec<&RunReport> = ok.iter().map(|r| r.value).collect();
     match write_sidecars(&dir, &manifest, &ok_names, &reports) {
         Ok(path) => ndpx_sim::ndpx_info!("{run}: wrote {}", path.display()),
         Err(e) => ndpx_sim::ndpx_warn!("{run}: cannot write metrics under {}: {e}", dir.display()),
     }
-    let failures = collect_failures(names, completions);
+    let failures = collect_failures(names, results);
     if !failures.is_empty() {
         let path = dir.join(format!("{}.failures.json", sanitize(run)));
-        let doc = failure_manifest_json(run, completions.len(), &failures);
+        let doc = failure_manifest_json(run, results.len(), &failures);
         match std::fs::write(&path, doc) {
             Ok(()) => ndpx_sim::ndpx_warn!(
                 "{run}: {} of {} cells failed; manifest at {}",
                 failures.len(),
-                completions.len(),
+                results.len(),
                 path.display()
             ),
             Err(e) => {
@@ -398,7 +374,7 @@ mod tests {
             policy: PolicyKind::NdpExt,
             workload: "test".into(),
             sim_time: Time::from_ns(sim_us * 1000),
-            ops: 100,
+            ops: events,
             mem_ops: 0,
             l1_hits: 0,
             cache_hits: 0,
@@ -414,7 +390,6 @@ mod tests {
             migrations: 0,
             replicated_fraction: 0.0,
             access_latency: Default::default(),
-            engine_events: events,
             peak_queue_depth: peak,
             registry: Default::default(),
         };
@@ -452,26 +427,22 @@ mod tests {
 
     #[test]
     fn failure_manifest_lists_failed_cells_only() {
-        use crate::pool::{CellCompletion, CellOutcome};
         let ok = result(10, 200, 16, 0.5);
-        let completions = vec![
-            CellCompletion { outcome: CellOutcome::Ok(ok.value), worker: 0, wall_s: 0.5 },
-            CellCompletion {
-                outcome: CellOutcome::Panicked { attempts: 3, message: "tag \"x\" died".into() },
-                worker: 1,
-                wall_s: 0.1,
-            },
+        let results = vec![
+            CellResult { value: Ok(ok.value), worker: 0, wall_s: 0.5 },
+            CellResult { value: Err("tag \"x\" died".to_string()), worker: 1, wall_s: 0.1 },
         ];
         let names = vec!["hbm/NdpExt/pr".to_string(), "hbm/NdpExt/mv".to_string()];
-        let failures = collect_failures(&names, &completions);
+        let failures = collect_failures(&names, &results);
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].name, "hbm/NdpExt/mv");
-        assert_eq!(failures[0].attempts, 3);
-        let doc = failure_manifest_json("fig", completions.len(), &failures);
-        assert!(doc.contains("\"schema\": \"ndpx-failure-manifest-v1\""));
+        assert_eq!(failures[0].worker, 1);
+        let doc = failure_manifest_json("fig", results.len(), &failures);
+        assert!(doc.contains("\"schema\": \"ndpx-failure-manifest-v2\""));
         assert!(doc.contains("\"cells_total\": 2"));
         assert!(doc.contains("\"cells_failed\": 1"));
-        assert!(doc.contains("\"cell\": \"hbm/NdpExt/mv\""));
+        assert!(doc.contains("\"cell\": \"hbm/NdpExt/mv\", \"worker\": 1, \"message\""));
+        assert!(!doc.contains("attempts"), "v2 has no attempts field");
         assert!(doc.contains("tag \\\"x\\\" died"), "messages are JSON-escaped");
         assert!(!doc.contains("hbm/NdpExt/pr\", \"worker"), "successful cells stay out");
     }

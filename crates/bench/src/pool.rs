@@ -9,10 +9,12 @@
 //! calling thread in submission order — exactly the historical serial
 //! behaviour.
 //!
-//! Cells are panic-isolated: a panicking cell is caught on its worker,
-//! optionally re-executed per [`RetryPolicy`] (`NDPX_CELL_RETRIES`), and
-//! reported as a [`CellOutcome`] — one exploding cell can never abort its
-//! siblings or lose the rest of a long sweep.
+//! Cells are panic-isolated: a panicking cell is caught on its worker and
+//! comes back as an `Err` carrying the panic message, so one exploding
+//! cell can never abort its siblings or lose the rest of a long sweep.
+//! Cells are deterministic, so a panicked cell is never re-run: it would
+//! panic again, identically. [`expect_ok`] escalates failures once the
+//! whole matrix has finished.
 
 #![deny(clippy::unwrap_used)]
 
@@ -25,11 +27,13 @@ use ndpx_sim::{ndpx_info, ndpx_warn};
 
 /// One unit of pool work. Boxed so heterogeneous cells (NDP runs, host
 /// baselines, tweaked sweeps) can share a matrix; the lifetime lets tasks
-/// borrow shared immutable state such as a trace cache. `Fn` (not `FnOnce`)
-/// so a panicked attempt can be re-executed under a [`RetryPolicy`].
-pub type CellTask<'a, T> = Box<dyn Fn() -> T + Send + 'a>;
+/// borrow shared immutable state such as a trace cache.
+pub type CellTask<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
-/// The outcome of one cell, tagged with where and how long it ran.
+/// One finished cell, tagged with where and how long it ran.
+/// [`CellPool::run_cells`] returns `CellResult<Result<T, String>>`, where
+/// a panicked cell carries its panic message; [`expect_ok`] turns a whole
+/// run into `CellResult<T>`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellResult<T> {
     /// The task's return value.
@@ -38,114 +42,6 @@ pub struct CellResult<T> {
     pub worker: usize,
     /// Wall-clock seconds the cell took on its worker.
     pub wall_s: f64,
-}
-
-/// How one cell's execution ended.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellOutcome<T> {
-    /// The first attempt returned a value.
-    Ok(T),
-    /// A retry returned a value after `attempts - 1` panicked attempts.
-    Retried {
-        /// The successful attempt's return value.
-        value: T,
-        /// Total attempts, including the successful one.
-        attempts: u32,
-    },
-    /// Every attempt panicked; the cell has no value.
-    Panicked {
-        /// Total attempts, all panicked.
-        attempts: u32,
-        /// The last panic payload (best-effort string rendering).
-        message: String,
-    },
-}
-
-impl<T> CellOutcome<T> {
-    /// The cell's value, if any attempt succeeded.
-    pub fn value(&self) -> Option<&T> {
-        match self {
-            CellOutcome::Ok(v) | CellOutcome::Retried { value: v, .. } => Some(v),
-            CellOutcome::Panicked { .. } => None,
-        }
-    }
-
-    /// Consumes the outcome into its value, if any attempt succeeded.
-    pub fn into_value(self) -> Option<T> {
-        match self {
-            CellOutcome::Ok(v) | CellOutcome::Retried { value: v, .. } => Some(v),
-            CellOutcome::Panicked { .. } => None,
-        }
-    }
-
-    /// True when every attempt panicked.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, CellOutcome::Panicked { .. })
-    }
-
-    /// Number of execution attempts the cell consumed.
-    pub fn attempts(&self) -> u32 {
-        match self {
-            CellOutcome::Ok(_) => 1,
-            CellOutcome::Retried { attempts, .. } | CellOutcome::Panicked { attempts, .. } => {
-                *attempts
-            }
-        }
-    }
-}
-
-/// One completed cell: its [`CellOutcome`] plus scheduling metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellCompletion<T> {
-    /// How the cell ended.
-    pub outcome: CellOutcome<T>,
-    /// Index of the worker thread that executed the cell (0 when serial).
-    pub worker: usize,
-    /// Wall-clock seconds across every attempt of the cell.
-    pub wall_s: f64,
-}
-
-/// How panicked cells are re-executed before being reported as failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Re-executions allowed after the first panicked attempt.
-    pub retries: u32,
-    /// Backoff before the first retry, in milliseconds; doubles per
-    /// subsequent retry. `0` retries immediately.
-    pub backoff_ms: u64,
-}
-
-impl RetryPolicy {
-    /// Default backoff before the first retry.
-    pub const DEFAULT_BACKOFF_MS: u64 = 100;
-
-    /// No retries: a panicked cell fails on its first attempt.
-    pub const fn none() -> Self {
-        RetryPolicy { retries: 0, backoff_ms: 0 }
-    }
-
-    /// `retries` re-executions with the default doubling backoff.
-    pub const fn with_retries(retries: u32) -> Self {
-        RetryPolicy { retries, backoff_ms: Self::DEFAULT_BACKOFF_MS }
-    }
-
-    /// Reads `NDPX_CELL_RETRIES` (default: no retries).
-    pub fn from_env() -> Self {
-        Self::with_retries(Self::parse(ndpx_sim::knobs::CELL_RETRIES.raw().as_deref()))
-    }
-
-    /// Parses a retry-count override; `None` and unparsable values map to
-    /// zero. Pure so tests need not touch the (process-global, racy)
-    /// environment.
-    pub fn parse(value: Option<&str>) -> u32 {
-        value.and_then(|v| v.trim().parse::<u32>().ok()).unwrap_or(0)
-    }
-
-    /// Backoff before retry number `retry` (1-based), capped at 32× base.
-    fn backoff_before(self, retry: u32) -> std::time::Duration {
-        let factor = 1u64 << (retry - 1).min(5);
-        std::time::Duration::from_millis(self.backoff_ms.saturating_mul(factor))
-    }
 }
 
 /// Best-effort string rendering of a panic payload.
@@ -160,7 +56,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Locks a mutex, recovering the guard if a previous holder panicked. Pool
-/// state stays consistent under poisoning: slots hold plain data, and every
+/// state stays consistent under poisoning: it holds plain data, and every
 /// cell body already runs under `catch_unwind`.
 fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
@@ -169,58 +65,11 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// One attempt of a cell body under `catch_unwind`.
-fn attempt_cell<T>(task: &(dyn Fn() -> T + Send + '_)) -> Result<T, String> {
-    catch_unwind(AssertUnwindSafe(task)).map_err(|p| panic_message(p.as_ref()))
-}
-
-/// A panicked cell parked until its backoff deadline. The task rides along
-/// so any worker can re-execute it once due; parking (instead of sleeping
-/// in place) keeps the worker free to run sibling cells through the
-/// backoff window.
-struct PendingRetry<'env, T> {
-    /// Submission index of the cell.
-    idx: usize,
-    task: CellTask<'env, T>,
-    /// Panicked attempts so far.
-    attempts: u32,
-    /// Earliest instant the next attempt may start.
-    due: Instant,
-    /// First-attempt start: `wall_s` spans every attempt, backoff included.
-    t0: Instant,
-}
-
-/// Decides what a failed attempt becomes: a final [`CellOutcome::Panicked`]
-/// once the budget is spent, or a parked retry stamped with its backoff
-/// deadline.
-fn park_or_fail<'env, T>(
-    retry: RetryPolicy,
-    idx: usize,
-    task: CellTask<'env, T>,
-    failed_attempts: u32,
-    t0: Instant,
-    message: String,
-) -> Result<PendingRetry<'env, T>, CellOutcome<T>> {
-    if failed_attempts > retry.retries {
-        return Err(CellOutcome::Panicked { attempts: failed_attempts, message });
-    }
-    let backoff = retry.backoff_before(failed_attempts);
-    ndpx_warn!(
-        "cell {idx} attempt {failed_attempts}/{} panicked ({message}); retry due in {backoff:?}",
-        retry.retries + 1
-    );
-    Ok(PendingRetry { idx, task, attempts: failed_attempts, due: Instant::now() + backoff, t0 })
-}
-
-/// Index of the next parked entry to serve: earliest deadline, submission
-/// index as the tiebreak. `due_only` restricts to entries already due.
-fn next_parked<T>(parked: &[PendingRetry<'_, T>], due_only: Option<Instant>) -> Option<usize> {
-    parked
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| due_only.is_none_or(|now| e.due <= now))
-        .min_by_key(|(_, e)| (e.due, e.idx))
-        .map(|(p, _)| p)
+/// Runs one cell on `worker` under `catch_unwind`.
+fn run_cell<T>(task: CellTask<'_, T>, worker: usize) -> CellResult<Result<T, String>> {
+    let t0 = Instant::now();
+    let value = catch_unwind(AssertUnwindSafe(task)).map_err(|p| panic_message(p.as_ref()));
+    CellResult { value, worker, wall_s: t0.elapsed().as_secs_f64() }
 }
 
 /// The host's available parallelism (1 when it cannot be queried).
@@ -302,247 +151,32 @@ impl CellPool {
         self.threads
     }
 
-    /// Executes every task and returns completions in submission order,
-    /// never propagating a cell panic.
+    /// Executes every task and returns one result per task in submission
+    /// order, never propagating a cell panic.
     ///
     /// With one thread the tasks run inline, in order, with no thread
-    /// machinery. Otherwise workers claim cells from a shared counter
-    /// (cheap work stealing: long cells never block the queue behind them)
-    /// and deposit completions into per-cell slots, so the output order
-    /// never depends on scheduling. Each cell runs under `catch_unwind` and
-    /// is re-executed per `retry`, so a panicking cell is reported as
-    /// [`CellOutcome::Panicked`] while every sibling still completes.
+    /// machinery. Otherwise workers claim cells from a shared queue (cheap
+    /// work stealing: long cells never block the queue behind them) and
+    /// deposit results into per-cell slots, so the output order never
+    /// depends on scheduling.
     ///
-    /// Retry backoff never blocks execution: a panicked cell is *parked*
-    /// with a deadline instead of sleeping on its worker, fresh cells keep
-    /// flowing through the backoff window, and due retries are served in
-    /// deadline order (submission index as the tiebreak). A thread only
-    /// sleeps when it has literally nothing else runnable.
+    /// With a `monitor`, each finished cell may emit one throttled
+    /// heartbeat line (info level, so silent unless `NDPX_LOG=info`); after
+    /// the matrix completes, cells whose wall clock exceeded
+    /// `monitor.slow_mult` × the median are named at warn level. Monitoring
+    /// never changes what runs or the order results come back in — it only
+    /// observes.
     pub fn run_cells<'env, T: Send>(
         self,
-        retry: RetryPolicy,
+        monitor: Option<&MonitorConfig>,
         tasks: Vec<CellTask<'env, T>>,
-    ) -> Vec<CellCompletion<T>> {
-        let n = tasks.len();
-        if self.threads == 1 || n <= 1 {
-            return Self::run_cells_serial(retry, tasks);
-        }
-        let slots: Vec<Mutex<Option<CellTask<'env, T>>>> =
-            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<CellCompletion<T>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let outstanding = AtomicUsize::new(n);
-        let parked: Mutex<Vec<PendingRetry<'env, T>>> = Mutex::new(Vec::new());
-        let wakeup = std::sync::Condvar::new();
-        std::thread::scope(|scope| {
-            for worker in 0..self.threads.min(n) {
-                let (slots, results) = (&slots, &results);
-                let (next, outstanding) = (&next, &outstanding);
-                let (parked, wakeup) = (&parked, &wakeup);
-                let complete = move |idx: usize, outcome: CellOutcome<T>, t0: Instant| {
-                    *lock_or_recover(&results[idx]) = Some(CellCompletion {
-                        outcome,
-                        worker,
-                        wall_s: t0.elapsed().as_secs_f64(),
-                    });
-                    if outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        wakeup.notify_all();
-                    }
-                };
-                scope.spawn(move || loop {
-                    // 1. A due retry beats everything (it has waited).
-                    let due = {
-                        let mut queue = lock_or_recover(parked);
-                        next_parked(&queue, Some(Instant::now())).map(|p| queue.remove(p))
-                    };
-                    if let Some(entry) = due {
-                        let attempts = entry.attempts + 1;
-                        match attempt_cell(entry.task.as_ref()) {
-                            Ok(value) => complete(
-                                entry.idx,
-                                CellOutcome::Retried { value, attempts },
-                                entry.t0,
-                            ),
-                            Err(msg) => match park_or_fail(
-                                retry, entry.idx, entry.task, attempts, entry.t0, msg,
-                            ) {
-                                Ok(again) => {
-                                    lock_or_recover(parked).push(again);
-                                    wakeup.notify_all();
-                                }
-                                Err(outcome) => complete(entry.idx, outcome, entry.t0),
-                            },
-                        }
-                        continue;
-                    }
-                    // 2. Claim a fresh cell.
-                    if next.load(Ordering::Relaxed) < n {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i < n {
-                            let Some(task) = lock_or_recover(&slots[i]).take() else {
-                                // Each index is handed out exactly once by
-                                // the counter; an empty slot is unreachable.
-                                continue;
-                            };
-                            let t0 = Instant::now();
-                            match attempt_cell(task.as_ref()) {
-                                Ok(value) => complete(i, CellOutcome::Ok(value), t0),
-                                Err(msg) => match park_or_fail(retry, i, task, 1, t0, msg) {
-                                    Ok(entry) => {
-                                        lock_or_recover(parked).push(entry);
-                                        wakeup.notify_all();
-                                    }
-                                    Err(outcome) => complete(i, outcome, t0),
-                                },
-                            }
-                            continue;
-                        }
-                    }
-                    // 3. Nothing runnable. Exit when the matrix is done;
-                    // otherwise park until the earliest retry deadline or a
-                    // notification (bounded, so a missed notify can only
-                    // delay a poll, never deadlock).
-                    if outstanding.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    let queue = lock_or_recover(parked);
-                    let wait = next_parked(&queue, None)
-                        .map(|p| queue[p].due.saturating_duration_since(Instant::now()))
-                        .unwrap_or(std::time::Duration::from_millis(5));
-                    if !wait.is_zero() {
-                        let _unused = wakeup.wait_timeout(queue, wait);
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                let inner = match slot.into_inner() {
-                    Ok(v) => v,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                inner.unwrap_or(CellCompletion {
-                    outcome: CellOutcome::Panicked {
-                        attempts: 0,
-                        message: "cell was never executed".to_string(),
-                    },
-                    worker: 0,
-                    wall_s: 0.0,
-                })
-            })
-            .collect()
-    }
-
-    /// Serial `run_cells`: fresh cells run inline in submission order, then
-    /// parked retries in deadline order. The thread sleeps only once every
-    /// fresh cell has finished and the earliest retry is not yet due, so a
-    /// backoff can never starve a sibling cell.
-    fn run_cells_serial<'env, T: Send>(
-        retry: RetryPolicy,
-        tasks: Vec<CellTask<'env, T>>,
-    ) -> Vec<CellCompletion<T>> {
-        let n = tasks.len();
-        let mut out: Vec<Option<CellCompletion<T>>> = (0..n).map(|_| None).collect();
-        let mut parked: Vec<PendingRetry<'env, T>> = Vec::new();
-        let complete = |out: &mut Vec<Option<CellCompletion<T>>>,
-                        idx: usize,
-                        outcome: CellOutcome<T>,
-                        t0: Instant| {
-            out[idx] =
-                Some(CellCompletion { outcome, worker: 0, wall_s: t0.elapsed().as_secs_f64() });
-        };
-        for (idx, task) in tasks.into_iter().enumerate() {
-            let t0 = Instant::now();
-            match attempt_cell(task.as_ref()) {
-                Ok(value) => complete(&mut out, idx, CellOutcome::Ok(value), t0),
-                Err(msg) => match park_or_fail(retry, idx, task, 1, t0, msg) {
-                    Ok(entry) => parked.push(entry),
-                    Err(outcome) => complete(&mut out, idx, outcome, t0),
-                },
-            }
-        }
-        while let Some(pos) = next_parked(&parked, None) {
-            let entry = parked.remove(pos);
-            let now = Instant::now();
-            if entry.due > now {
-                std::thread::sleep(entry.due - now);
-            }
-            let attempts = entry.attempts + 1;
-            match attempt_cell(entry.task.as_ref()) {
-                Ok(value) => {
-                    complete(
-                        &mut out,
-                        entry.idx,
-                        CellOutcome::Retried { value, attempts },
-                        entry.t0,
-                    );
-                }
-                Err(msg) => {
-                    match park_or_fail(retry, entry.idx, entry.task, attempts, entry.t0, msg) {
-                        Ok(again) => parked.push(again),
-                        Err(outcome) => complete(&mut out, entry.idx, outcome, entry.t0),
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            .map(|slot| {
-                slot.unwrap_or(CellCompletion {
-                    outcome: CellOutcome::Panicked {
-                        attempts: 0,
-                        message: "cell was never executed".to_string(),
-                    },
-                    worker: 0,
-                    wall_s: 0.0,
-                })
-            })
-            .collect()
-    }
-
-    /// Executes every task and returns their results in submission order.
-    ///
-    /// Panic-isolated compatibility wrapper over [`CellPool::run_cells`]
-    /// with the environment's [`RetryPolicy`]: every cell completes even if
-    /// some panic, and the pool panics only *after* the whole matrix has
-    /// run, naming each permanently failed cell.
-    ///
-    /// # Panics
-    ///
-    /// At the end of the run, if any cell exhausted its retries.
-    pub fn run<'env, T: Send>(self, tasks: Vec<CellTask<'env, T>>) -> Vec<CellResult<T>> {
-        unwrap_completions(self.run_cells(RetryPolicy::from_env(), tasks))
-    }
-
-    /// [`CellPool::run`] without the per-cell metadata.
-    ///
-    /// # Panics
-    ///
-    /// At the end of the run, if any cell exhausted its retries.
-    pub fn run_values<'env, T: Send>(self, tasks: Vec<CellTask<'env, T>>) -> Vec<T> {
-        self.run(tasks).into_iter().map(|r| r.value).collect()
-    }
-
-    /// [`CellPool::run_cells`] with progress heartbeats and a slow-cell
-    /// watchdog.
-    ///
-    /// Each finished cell may emit one throttled heartbeat line (info level,
-    /// so silent unless `NDPX_LOG=info`); after the matrix completes, cells
-    /// whose wall clock exceeded `monitor.slow_mult` × the median are named
-    /// at warn level. Monitoring never changes what runs or the order results
-    /// come back in — it only observes.
-    pub fn run_cells_monitored<'env, T: Send>(
-        self,
-        monitor: &MonitorConfig,
-        retry: RetryPolicy,
-        tasks: Vec<CellTask<'env, T>>,
-    ) -> Vec<CellCompletion<T>> {
+    ) -> Vec<CellResult<Result<T, String>>> {
+        let Some(monitor) = monitor else { return self.execute(tasks) };
         let n = tasks.len();
         let t0 = Instant::now();
         let done = AtomicUsize::new(0);
         let last_beat_ms = AtomicU64::new(0);
-        let beat_ms = monitor.heartbeat_secs.saturating_mul(1000);
+        let beat_ms = monitor.heartbeat_ms;
         let wrapped: Vec<CellTask<'_, T>> = tasks
             .into_iter()
             .map(|task| {
@@ -575,8 +209,8 @@ impl CellPool {
                 }) as CellTask<'_, T>
             })
             .collect();
-        let completions = self.run_cells(retry, wrapped);
-        let walls: Vec<f64> = completions.iter().map(|r| r.wall_s).collect();
+        let results = self.execute(wrapped);
+        let walls: Vec<f64> = results.iter().map(|r| r.wall_s).collect();
         for i in slow_cells(&walls, monitor.slow_mult) {
             let name = monitor.names.get(i).map_or("?", |s| s.as_str());
             ndpx_warn!(
@@ -585,69 +219,93 @@ impl CellPool {
                 walls[i],
                 walls[i] / median(&walls).max(1e-9),
                 median(&walls),
-                completions[i].worker
+                results[i].worker
             );
         }
-        completions
+        results
     }
 
-    /// [`CellPool::run`] with the monitoring envelope of
-    /// [`CellPool::run_cells_monitored`].
-    ///
-    /// # Panics
-    ///
-    /// At the end of the run, if any cell exhausted its retries.
-    pub fn run_monitored<'env, T: Send>(
+    /// The unmonitored executor behind [`CellPool::run_cells`].
+    fn execute<'env, T: Send>(
         self,
-        monitor: &MonitorConfig,
         tasks: Vec<CellTask<'env, T>>,
-    ) -> Vec<CellResult<T>> {
-        unwrap_completions(self.run_cells_monitored(monitor, RetryPolicy::from_env(), tasks))
+    ) -> Vec<CellResult<Result<T, String>>> {
+        let n = tasks.len();
+        if self.threads == 1 || n <= 1 {
+            return tasks.into_iter().map(|task| run_cell(task, 0)).collect();
+        }
+        let queue = Mutex::new(tasks.into_iter().enumerate());
+        let slots: Vec<Mutex<Option<_>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for worker in 0..self.threads.min(n) {
+                let (queue, slots) = (&queue, &slots);
+                scope.spawn(move || loop {
+                    // The guard drops at the end of this statement, so the
+                    // cell itself runs without holding the queue.
+                    let Some((i, task)) = lock_or_recover(queue).next() else { break };
+                    *lock_or_recover(&slots[i]) = Some(run_cell(task, worker));
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                let inner = match slot.into_inner() {
+                    Ok(v) => v,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                inner.unwrap_or(CellResult {
+                    value: Err("cell was never executed".to_string()),
+                    worker: 0,
+                    wall_s: 0.0,
+                })
+            })
+            .collect()
     }
 }
 
-/// Converts completions into plain results, panicking at the *end* if any
-/// cell failed permanently — sibling results are all computed first, so a
-/// lost cell never discards the rest of the matrix's work.
-fn unwrap_completions<T>(completions: Vec<CellCompletion<T>>) -> Vec<CellResult<T>> {
-    let failed: Vec<String> = completions
+/// Escalates a finished run: panics naming every failed cell, otherwise
+/// returns the results with their values unwrapped. Call it only once the
+/// whole matrix has run (and any failure manifest is on disk), so a lost
+/// cell never discards its siblings' work.
+///
+/// # Panics
+///
+/// If any cell panicked.
+pub fn expect_ok<T>(results: Vec<CellResult<Result<T, String>>>) -> Vec<CellResult<T>> {
+    let failed: Vec<String> = results
         .iter()
         .enumerate()
-        .filter_map(|(i, c)| match &c.outcome {
-            CellOutcome::Panicked { message, .. } => Some(format!("cell {i}: {message}")),
-            _ => None,
-        })
+        .filter_map(|(i, r)| r.value.as_ref().err().map(|message| format!("cell {i}: {message}")))
         .collect();
     assert!(
         failed.is_empty(),
-        "{} of {} cells failed permanently after retries: {}",
+        "{} of {} cells failed: {}",
         failed.len(),
-        completions.len(),
+        results.len(),
         failed.join("; ")
     );
-    completions
+    results
         .into_iter()
-        .map(|c| {
-            let (worker, wall_s) = (c.worker, c.wall_s);
-            match c.outcome.into_value() {
-                Some(value) => CellResult { value, worker, wall_s },
-                None => unreachable!("failed cells were rejected above"),
-            }
+        .filter_map(|r| {
+            let (worker, wall_s) = (r.worker, r.wall_s);
+            r.value.ok().map(|value| CellResult { value, worker, wall_s })
         })
         .collect()
 }
 
-/// Configuration for [`CellPool::run_monitored`]: a run label, per-cell
-/// names (for the watchdog), the heartbeat throttle, and the slow-cell
-/// threshold multiple.
+/// Configuration for a monitored [`CellPool::run_cells`]: a run label,
+/// per-cell names (for the watchdog), the heartbeat throttle, and the
+/// slow-cell threshold multiple.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorConfig {
     /// Run label prefixed to every heartbeat/watchdog line.
     pub label: String,
     /// Cell names in submission order (watchdog lines name cells by these).
     pub names: Vec<String>,
-    /// Minimum seconds between heartbeat lines; `0` disables heartbeats.
-    pub heartbeat_secs: u64,
+    /// Minimum milliseconds between heartbeat lines; `0` disables
+    /// heartbeats.
+    pub heartbeat_ms: u64,
     /// Watchdog threshold as a multiple of the median cell wall clock;
     /// `0.0` disables the watchdog.
     pub slow_mult: f64,
@@ -656,26 +314,34 @@ pub struct MonitorConfig {
 impl MonitorConfig {
     /// A monitor with the default heartbeat (5 s) and watchdog (4× median).
     pub fn new(label: impl Into<String>, names: Vec<String>) -> Self {
-        MonitorConfig { label: label.into(), names, heartbeat_secs: 5, slow_mult: 4.0 }
+        MonitorConfig { label: label.into(), names, heartbeat_ms: 5000, slow_mult: 4.0 }
     }
 
     /// Reads `NDPX_HEARTBEAT_SECS` and `NDPX_SLOW_MULT` overrides.
     pub fn from_env(label: impl Into<String>, names: Vec<String>) -> Self {
         let mut m = Self::new(label, names);
-        if let Some(secs) = monitor_knob(&ndpx_sim::knobs::HEARTBEAT_SECS) {
-            m.heartbeat_secs = secs as u64;
+        let heartbeat = ndpx_sim::knobs::HEARTBEAT_SECS.raw();
+        if let Some(ms) = parse_heartbeat_ms(heartbeat.as_deref()) {
+            m.heartbeat_ms = ms;
         }
-        if let Some(mult) = monitor_knob(&ndpx_sim::knobs::SLOW_MULT) {
+        if let Some(mult) = parse_monitor_value(ndpx_sim::knobs::SLOW_MULT.raw().as_deref()) {
             m.slow_mult = mult;
         }
         m
     }
 }
 
-/// Monitor overrides must be finite and non-negative; anything else keeps
-/// the default.
-fn monitor_knob(knob: &ndpx_sim::knobs::Knob) -> Option<f64> {
-    knob.f64_opt().filter(|v| v.is_finite() && *v >= 0.0)
+/// Monitor overrides must be finite and non-negative; anything else
+/// (`None` included) keeps the default.
+fn parse_monitor_value(value: Option<&str>) -> Option<f64> {
+    value?.trim().parse::<f64>().ok().filter(|v| v.is_finite() && *v >= 0.0)
+}
+
+/// Parses an `NDPX_HEARTBEAT_SECS` value into whole milliseconds, rounding
+/// up so fractional seconds keep heartbeats on; `0` disables them. `None`
+/// keeps the default. Pure so tests need not touch the environment.
+fn parse_heartbeat_ms(value: Option<&str>) -> Option<u64> {
+    parse_monitor_value(value).map(|secs| (secs * 1000.0).ceil() as u64)
 }
 
 /// Wall clocks below this never trigger the watchdog: at test scale a cell
@@ -713,10 +379,14 @@ mod tests {
         (0..n).map(|i| Box::new(move || i * i) as CellTask<'static, usize>).collect()
     }
 
+    fn values<T>(results: Vec<CellResult<Result<T, String>>>) -> Vec<T> {
+        expect_ok(results).into_iter().map(|r| r.value).collect()
+    }
+
     #[test]
     fn results_come_back_in_submission_order() {
         for threads in [1, 2, 4, 9] {
-            let out = CellPool::with_threads(threads).run_values(square_tasks(23));
+            let out = values(CellPool::with_threads(threads).run_cells(None, square_tasks(23)));
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
         }
     }
@@ -726,7 +396,7 @@ mod tests {
         let id = std::thread::current().id();
         let tasks: Vec<CellTask<'_, bool>> =
             (0..4).map(|_| Box::new(move || std::thread::current().id() == id) as _).collect();
-        assert!(CellPool::with_threads(1).run_values(tasks).into_iter().all(|same| same));
+        assert!(values(CellPool::with_threads(1).run_cells(None, tasks)).into_iter().all(|s| s));
     }
 
     #[test]
@@ -767,12 +437,12 @@ mod tests {
         let shared = &shared;
         let tasks: Vec<CellTask<'_, usize>> =
             (0..3).map(|i| Box::new(move || shared[i] + 1) as CellTask<'_, usize>).collect();
-        assert_eq!(CellPool::with_threads(2).run_values(tasks), vec![11, 21, 31]);
+        assert_eq!(values(CellPool::with_threads(2).run_cells(None, tasks)), vec![11, 21, 31]);
     }
 
     #[test]
     fn worker_ids_are_within_pool_width() {
-        let results = CellPool::with_threads(3).run(square_tasks(16));
+        let results = expect_ok(CellPool::with_threads(3).run_cells(None, square_tasks(16)));
         assert!(results.iter().all(|r| r.worker < 3));
         assert!(results.iter().all(|r| r.wall_s >= 0.0));
     }
@@ -782,65 +452,38 @@ mod tests {
         let names = (0..23).map(|i| format!("cell{i}")).collect();
         let monitor = MonitorConfig::new("test", names);
         for threads in [1, 4] {
-            let out = CellPool::with_threads(threads).run_monitored(&monitor, square_tasks(23));
-            let values: Vec<usize> = out.into_iter().map(|r| r.value).collect();
-            assert_eq!(values, (0..23).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
+            let pool = CellPool::with_threads(threads);
+            let out = values(pool.run_cells(Some(&monitor), square_tasks(23)));
+            assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
         }
     }
 
     #[test]
     fn panicking_cell_never_aborts_siblings() {
+        let monitor = MonitorConfig::new("test", Vec::new());
         for threads in [1, 4] {
-            let tasks: Vec<CellTask<'static, usize>> = (0..8usize)
-                .map(|i| {
-                    Box::new(move || {
-                        assert!(i != 3, "cell 3 exploded");
-                        i * 2
-                    }) as CellTask<'static, usize>
-                })
-                .collect();
-            let out = CellPool::with_threads(threads).run_cells(RetryPolicy::none(), tasks);
-            assert_eq!(out.len(), 8, "threads={threads}");
-            for (i, c) in out.iter().enumerate() {
-                if i == 3 {
-                    assert!(
-                        matches!(&c.outcome,
-                            CellOutcome::Panicked { attempts: 1, message } if message.contains("exploded")),
-                        "threads={threads}: {:?}",
-                        c.outcome
-                    );
-                } else {
-                    assert_eq!(c.outcome.value(), Some(&(i * 2)), "threads={threads}");
+            for monitor in [None, Some(&monitor)] {
+                let tasks: Vec<CellTask<'static, usize>> = (0..8usize)
+                    .map(|i| {
+                        Box::new(move || {
+                            assert!(i != 3, "cell 3 exploded");
+                            i * 2
+                        }) as CellTask<'static, usize>
+                    })
+                    .collect();
+                let out = CellPool::with_threads(threads).run_cells(monitor, tasks);
+                let case = format!("threads={threads} monitored={}", monitor.is_some());
+                assert_eq!(out.len(), 8, "{case}");
+                for (i, c) in out.iter().enumerate() {
+                    if i == 3 {
+                        let message = c.value.as_ref().expect_err("cell 3 must fail");
+                        assert!(message.contains("cell 3 exploded"), "{case}: {message}");
+                    } else {
+                        assert_eq!(c.value, Ok(i * 2), "{case}");
+                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn retries_recover_flaky_cells() {
-        let calls = AtomicUsize::new(0);
-        let calls = &calls;
-        let tasks: Vec<CellTask<'_, u32>> = vec![Box::new(move || {
-            let n = calls.fetch_add(1, Ordering::Relaxed);
-            assert!(n >= 2, "flaky failure {n}");
-            7
-        })];
-        let retry = RetryPolicy { retries: 2, backoff_ms: 0 };
-        let out = CellPool::with_threads(1).run_cells(retry, tasks);
-        assert_eq!(out[0].outcome, CellOutcome::Retried { value: 7, attempts: 3 });
-        assert_eq!(out[0].outcome.attempts(), 3);
-    }
-
-    #[test]
-    fn retry_exhaustion_reports_last_message() {
-        let tasks: Vec<CellTask<'static, u32>> =
-            vec![Box::new(|| -> u32 { panic!("always broken") }) as CellTask<'static, u32>];
-        let out =
-            CellPool::with_threads(1).run_cells(RetryPolicy { retries: 1, backoff_ms: 0 }, tasks);
-        assert!(matches!(&out[0].outcome,
-            CellOutcome::Panicked { attempts: 2, message } if message.contains("always broken")));
-        assert!(out[0].outcome.is_failed());
-        assert!(out[0].outcome.value().is_none());
     }
 
     #[test]
@@ -854,7 +497,7 @@ mod tests {
                     }) as CellTask<'static, usize>
                 })
                 .collect();
-            CellPool::with_threads(2).run(tasks);
+            expect_ok(CellPool::with_threads(2).run_cells(None, tasks));
         }));
         let payload = caught.expect_err("a failed cell must surface as a final panic");
         let message = panic_message(payload.as_ref());
@@ -864,86 +507,15 @@ mod tests {
     }
 
     #[test]
-    fn backoff_never_starves_sibling_cells() {
-        // A flaky cell with a real backoff must not block the rest of the
-        // matrix: by the time its retry runs, every sibling has finished.
-        // Holds for the serial inline path and the pooled path alike.
-        for threads in [1, 2] {
-            let n = 6usize;
-            let done = AtomicUsize::new(0);
-            let done = &done;
-            let tasks: Vec<CellTask<'_, usize>> = (0..n)
-                .map(|i| {
-                    Box::new(move || {
-                        if i == 0 {
-                            let seen = done.load(Ordering::SeqCst);
-                            assert!(seen >= n - 1, "retried before siblings finished");
-                            done.fetch_add(1, Ordering::SeqCst);
-                            return 100 + seen;
-                        }
-                        done.fetch_add(1, Ordering::SeqCst);
-                        i
-                    }) as CellTask<'_, usize>
-                })
-                .collect();
-            let retry = RetryPolicy { retries: 10, backoff_ms: 20 };
-            let out = CellPool::with_threads(threads).run_cells(retry, tasks);
-            assert_eq!(out.len(), n, "threads={threads}");
-            match &out[0].outcome {
-                CellOutcome::Retried { value, attempts } => {
-                    assert_eq!(*value, 100 + (n - 1), "threads={threads}");
-                    assert!(*attempts >= 2, "threads={threads}");
-                }
-                other => panic!("threads={threads}: cell 0 must recover via retry: {other:?}"),
-            }
-            // wall_s spans every attempt, so it covers at least one backoff.
-            assert!(out[0].wall_s >= 0.02, "threads={threads}: wall {}", out[0].wall_s);
-            for (i, c) in out.iter().enumerate().skip(1) {
-                assert_eq!(c.outcome.value(), Some(&i), "threads={threads}");
-            }
+    fn heartbeat_parse_keeps_fractional_seconds() {
+        assert_eq!(parse_heartbeat_ms(None), None);
+        assert_eq!(parse_heartbeat_ms(Some("5")), Some(5000));
+        assert_eq!(parse_heartbeat_ms(Some(" 0.5 ")), Some(500));
+        assert_eq!(parse_heartbeat_ms(Some("0.0001")), Some(1), "positive stays on");
+        assert_eq!(parse_heartbeat_ms(Some("0")), Some(0), "0 disables heartbeats");
+        for bad in ["-1", "inf", "NaN", "bogus", ""] {
+            assert_eq!(parse_heartbeat_ms(Some(bad)), None, "{bad:?} keeps the default");
         }
-    }
-
-    #[test]
-    fn parked_retries_run_in_deadline_order() {
-        // Two flaky cells park with different deadlines; the one with the
-        // shorter backoff must be retried first even though it was
-        // submitted later.
-        let order = Mutex::new(Vec::new());
-        let order = &order;
-        let fails = [AtomicUsize::new(0), AtomicUsize::new(0)];
-        let fails = &fails;
-        let tasks: Vec<CellTask<'_, usize>> = (0..2)
-            .map(|i| {
-                Box::new(move || {
-                    if fails[i].fetch_add(1, Ordering::SeqCst) == 0 {
-                        panic!("first attempt fails");
-                    }
-                    lock_or_recover(order).push(i);
-                    i
-                }) as CellTask<'_, usize>
-            })
-            .collect();
-        // Same backoff, so deadlines follow first-attempt order; the
-        // submission-index tiebreak keeps equal deadlines deterministic.
-        let retry = RetryPolicy { retries: 1, backoff_ms: 10 };
-        let out = CellPool::with_threads(1).run_cells(retry, tasks);
-        assert!(out.iter().all(|c| matches!(c.outcome, CellOutcome::Retried { .. })));
-        assert_eq!(*lock_or_recover(order), vec![0, 1]);
-    }
-
-    #[test]
-    fn retry_parse_and_backoff() {
-        assert_eq!(RetryPolicy::parse(None), 0);
-        assert_eq!(RetryPolicy::parse(Some("3")), 3);
-        assert_eq!(RetryPolicy::parse(Some(" 2 ")), 2);
-        assert_eq!(RetryPolicy::parse(Some("bogus")), 0);
-        let p = RetryPolicy::with_retries(8);
-        assert_eq!(p.backoff_before(1).as_millis(), 100);
-        assert_eq!(p.backoff_before(2).as_millis(), 200);
-        // The doubling caps so huge retry budgets cannot sleep for hours.
-        assert_eq!(p.backoff_before(40).as_millis(), 3200);
-        assert!(RetryPolicy::none().backoff_before(1).is_zero());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * **Throughput aggregates** (`sim_ops_per_sec`, the serial rate, the
 //!   event rate, per-policy rates) are wall-clock measurements on shared CI
 //!   runners, so they regress *advisorily*: the report lists them and the
-//!   caller decides whether to enforce (`--strict` / `NDPX_REPORT_STRICT`).
+//!   caller decides whether to enforce (`ndpx_report --strict`).
 //! * **Per-cell rates** are the noisiest; they are reported as the biggest
 //!   movers but never drive the exit status on their own.
 //!

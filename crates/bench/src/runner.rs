@@ -13,7 +13,7 @@ use ndpx_core::system::NdpSystem;
 use ndpx_workloads::trace::ScaleParams;
 use ndpx_workloads::TraceCache;
 
-use crate::pool::{CellPool, CellTask};
+use crate::pool::{expect_ok, CellPool, CellTask, MonitorConfig};
 
 /// Benchmark scale profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,19 +27,33 @@ pub enum BenchScale {
 }
 
 impl BenchScale {
-    /// Reads `NDPX_SCALE` (defaults to [`BenchScale::Small`]).
+    /// Reads `NDPX_SCALE` (defaults to [`BenchScale::Small`]). A value
+    /// that names no scale ends the process with exit status 2: a typo must
+    /// not silently run a different geometry.
     pub fn from_env() -> Self {
-        Self::parse(ndpx_sim::knobs::SCALE.raw().as_deref())
+        Self::parse(ndpx_sim::knobs::SCALE.raw().as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     }
 
-    /// Parses a scale name; `None` and unknown names map to the default
-    /// ([`BenchScale::Small`]). Pure so tests need not touch the (process
+    /// Parses a scale name; `None` and the empty string map to the default
+    /// ([`BenchScale::Small`]), any other unknown name is an error naming
+    /// the allowed values. Pure so tests need not touch the (process
     /// global, racy) environment.
-    pub fn parse(value: Option<&str>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `value` is set to an unknown name.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
         match value {
-            Some("test") => BenchScale::Test,
-            Some("paper") => BenchScale::Paper,
-            _ => BenchScale::Small,
+            None | Some("" | "small") => Ok(BenchScale::Small),
+            Some("test") => Ok(BenchScale::Test),
+            Some("paper") => Ok(BenchScale::Paper),
+            Some(other) => Err(format!(
+                "{}={other:?} is not a scale; use one of test, small, paper",
+                ndpx_sim::knobs::SCALE.name
+            )),
         }
     }
 
@@ -196,75 +210,66 @@ pub fn run_host_cached(
     HostSystem::new(host_cfg, wl).expect("consistent").run(host_ops)
 }
 
-/// Executes the non-NDP host baseline with a live (uncached) trace.
-///
-/// # Panics
-///
-/// Panics on unknown workloads — bench inputs are static.
-pub fn run_host(workload: &'static str, scale: BenchScale, ops_per_core: u64) -> RunReport {
-    run_host_cached(workload, scale, ops_per_core, &TraceCache::disabled())
+/// One unmonitored NDP task per spec, each served from `cache`.
+fn spec_tasks<'a>(specs: &'a [RunSpec], cache: &'a TraceCache) -> Vec<CellTask<'a, RunReport>> {
+    specs
+        .iter()
+        .map(|spec| Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, RunReport>)
+        .collect()
 }
 
 /// Runs many independent specs on `pool`, sharing `cache` across cells, and
 /// returns reports in spec order regardless of thread count.
+///
+/// # Panics
+///
+/// After the whole matrix has run, if any cell panicked.
 pub fn run_many_with(pool: CellPool, cache: &TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
-    let tasks: Vec<CellTask<'_, RunReport>> = specs
-        .iter()
-        .map(|spec| Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, RunReport>)
-        .collect();
-    pool.run_values(tasks)
+    expect_ok(pool.run_cells(None, spec_tasks(specs, cache))).into_iter().map(|r| r.value).collect()
 }
 
-/// [`run_many_with`] plus the full telemetry envelope: heartbeat lines and
-/// the slow-cell watchdog via [`CellPool::run_cells_monitored`], and the
+/// Runs report-producing `tasks` (named by `names`, in submission order) on
+/// `pool` inside the full telemetry envelope: heartbeat lines and the
+/// slow-cell watchdog via a monitored [`CellPool::run_cells`], and the
 /// `metrics.json` + registry-dump sidecars under `NDPX_METRICS` (see
 /// [`crate::manifest`]). `run_name` labels log lines and sidecar files.
 ///
-/// Cells are panic-isolated and retried per `NDPX_CELL_RETRIES`: a cell
-/// that fails permanently never aborts its siblings, and the sidecars plus
-/// a `<run>.failures.json` manifest are written *before* the failure is
-/// escalated, so a partial sweep is never lost.
+/// Cells are panic-isolated: a failed cell never aborts its siblings, and
+/// the sidecars plus a `<run>.failures.json` manifest are written *before*
+/// the failure is escalated, so a partial sweep is never lost.
 ///
 /// # Panics
 ///
 /// After the whole matrix has run and every manifest is on disk, if any
-/// cell exhausted its retries.
+/// cell panicked.
+pub fn run_tasks_monitored(
+    run_name: &str,
+    pool: CellPool,
+    cache: &TraceCache,
+    names: Vec<String>,
+    tasks: Vec<CellTask<'_, RunReport>>,
+) -> Vec<RunReport> {
+    let monitor = MonitorConfig::from_env(run_name, names);
+    let results = pool.run_cells(Some(&monitor), tasks);
+    crate::manifest::emit(run_name, pool.threads(), &monitor.names, &results, Some(cache.stats()));
+    expect_ok(results).into_iter().map(|r| r.value).collect()
+}
+
+/// [`run_many_with`] inside the telemetry envelope of
+/// [`run_tasks_monitored`], with cells named by [`crate::gauge::cell_key`].
+///
+/// # Panics
+///
+/// After the whole matrix has run and every manifest is on disk, if any
+/// cell panicked.
 pub fn run_many_monitored(
     run_name: &str,
     pool: CellPool,
     cache: &TraceCache,
     specs: &[RunSpec],
 ) -> Vec<RunReport> {
-    let names: Vec<String> = specs.iter().map(crate::gauge::cell_key).collect();
-    let monitor = crate::pool::MonitorConfig::from_env(run_name, names);
-    let tasks: Vec<CellTask<'_, RunReport>> = specs
-        .iter()
-        .map(|spec| Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, RunReport>)
-        .collect();
-    let completions =
-        pool.run_cells_monitored(&monitor, crate::pool::RetryPolicy::from_env(), tasks);
-    crate::manifest::emit_outcomes(
-        run_name,
-        pool.threads(),
-        &monitor.names,
-        &completions,
-        Some(cache.stats()),
-    );
-    let failed: Vec<String> = monitor
-        .names
-        .iter()
-        .zip(&completions)
-        .filter(|(_, c)| c.outcome.is_failed())
-        .map(|(name, _)| name.clone())
-        .collect();
-    assert!(
-        failed.is_empty(),
-        "{run_name}: {} of {} cells failed permanently after retries: {}",
-        failed.len(),
-        completions.len(),
-        failed.join(", ")
-    );
-    completions.into_iter().filter_map(|c| c.outcome.into_value()).collect()
+    let names = specs.iter().map(crate::gauge::cell_key).collect();
+    run_tasks_monitored(run_name, pool, cache, names, spec_tasks(specs, cache))
 }
 
 /// The current binary's name, for run labels (`"bench"` as a fallback).
@@ -321,11 +326,15 @@ mod tests {
     fn scale_parse_names() {
         // The pure parser is tested instead of `from_env`: mutating the
         // process environment races against parallel tests.
-        assert_eq!(BenchScale::parse(None), BenchScale::Small);
-        assert_eq!(BenchScale::parse(Some("test")), BenchScale::Test);
-        assert_eq!(BenchScale::parse(Some("small")), BenchScale::Small);
-        assert_eq!(BenchScale::parse(Some("paper")), BenchScale::Paper);
-        assert_eq!(BenchScale::parse(Some("bogus")), BenchScale::Small);
+        assert_eq!(BenchScale::parse(None), Ok(BenchScale::Small));
+        assert_eq!(BenchScale::parse(Some("")), Ok(BenchScale::Small), "empty counts as unset");
+        assert_eq!(BenchScale::parse(Some("test")), Ok(BenchScale::Test));
+        assert_eq!(BenchScale::parse(Some("small")), Ok(BenchScale::Small));
+        assert_eq!(BenchScale::parse(Some("paper")), Ok(BenchScale::Paper));
+        // A typo is an error naming the allowed values, never a silent
+        // fallback to another scale.
+        let err = BenchScale::parse(Some("bogus")).expect_err("unknown scale");
+        assert!(err.contains("bogus") && err.contains("test, small, paper"), "{err}");
     }
 
     #[test]

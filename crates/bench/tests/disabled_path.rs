@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops};
-use ndpx_bench::pool::{CellPool, CellTask};
+use ndpx_bench::pool::{expect_ok, CellPool, CellTask};
 use ndpx_bench::runner::{run_many_with, BenchScale, RunSpec};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
@@ -113,8 +113,10 @@ fn full_telemetry_does_not_move_a_digest() {
             }) as CellTask<'_, RunReport>
         })
         .collect();
-    let on: Vec<RunReport> =
-        CellPool::with_threads(1).run(tasks).into_iter().map(|r| r.value).collect();
+    let on: Vec<RunReport> = expect_ok(CellPool::with_threads(1).run_cells(None, tasks))
+        .into_iter()
+        .map(|r| r.value)
+        .collect();
     let wall_on = t_on.elapsed();
 
     for ((spec, a), b) in specs.iter().zip(&off).zip(&on) {

@@ -13,7 +13,7 @@
 
 use ndpx_bench::gauge::{cell_key, gauge_specs};
 use ndpx_bench::manifest::{registry_dump_json, RunManifest};
-use ndpx_bench::pool::{CellPool, CellTask};
+use ndpx_bench::pool::{expect_ok, CellPool, CellTask};
 use ndpx_bench::runner::{run_ndp_cached, BenchScale, RunSpec};
 use ndpx_bench::{CellResult, TraceCache};
 use ndpx_core::stats::RunReport;
@@ -35,7 +35,7 @@ fn run_matrix(pool: CellPool, specs: &[RunSpec]) -> Vec<CellResult<RunReport>> {
         .iter()
         .map(|spec| Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, RunReport>)
         .collect();
-    pool.run(tasks)
+    expect_ok(pool.run_cells(None, tasks))
 }
 
 #[test]

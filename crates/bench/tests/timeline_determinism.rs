@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use ndpx_bench::gauge::gauge_specs;
-use ndpx_bench::pool::{CellPool, CellTask};
+use ndpx_bench::pool::{expect_ok, CellPool, CellTask};
 use ndpx_bench::runner::{BenchScale, RunSpec};
 use ndpx_bench::TraceCache;
 use ndpx_core::stats::RunReport;
@@ -63,7 +63,10 @@ fn run_with_timelines(
             }) as CellTask<'_, RunReport>
         })
         .collect();
-    CellPool::with_threads(threads).run(tasks).into_iter().map(|r| r.value).collect()
+    expect_ok(CellPool::with_threads(threads).run_cells(None, tasks))
+        .into_iter()
+        .map(|r| r.value)
+        .collect()
 }
 
 /// All timeline files under `dir`, keyed by file name.

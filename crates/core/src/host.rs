@@ -298,8 +298,6 @@ impl HostSystem {
             migrations: 0,
             replicated_fraction: 0.0,
             access_latency: self.access_latency.clone(),
-            // Engine-loop ops, not raw queue pops (see `NdpSystem::report`).
-            engine_events: ops,
             peak_queue_depth: totals.queue.peak_depth,
             registry: self.build_registry(totals),
         }

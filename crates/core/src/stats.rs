@@ -157,8 +157,6 @@ pub struct RunReport {
     /// digest (`ndpx-bench`'s `report_digest` enumerates fields explicitly),
     /// so observability changes can never shift a perf baseline.
     pub access_latency: Histogram,
-    /// Events processed by the run's event queue (fused push-pops included).
-    pub engine_events: u64,
     /// High-water mark of the event queue.
     pub peak_queue_depth: u64,
     /// Hierarchical stat dump gathered from every subsystem after the run.
@@ -240,7 +238,6 @@ mod tests {
             migrations: 5,
             replicated_fraction: 0.2,
             access_latency: Histogram::new(),
-            engine_events: 0,
             peak_queue_depth: 0,
             registry: StatRegistry::new(),
         }

@@ -124,18 +124,12 @@ knob!(
     "Benchmark scale: `test` (CI geometry), `small`, or `paper` (full Table II geometry)."
 );
 knob!(
-    CELL_RETRIES,
-    "NDPX_CELL_RETRIES",
-    KnobKind::U64,
-    "0",
-    "Re-executions of a panicked bench cell before it is reported failed (doubling backoff)."
-);
-knob!(
     HEARTBEAT_SECS,
     "NDPX_HEARTBEAT_SECS",
     KnobKind::F64,
     "5",
-    "Minimum seconds between pool progress heartbeat lines (info level); `0` disables throttling."
+    "Minimum seconds between pool progress heartbeat lines (info level); fractions allowed, `0` \
+     disables heartbeats."
 );
 knob!(
     SLOW_MULT,
@@ -318,40 +312,11 @@ knob!(
      `perf_gauge` reports."
 );
 knob!(
-    THREAD_SWEEP,
-    "NDPX_THREAD_SWEEP",
-    KnobKind::Str,
-    "unset",
-    "Comma-separated extra thread widths for additional cached `perf_gauge` passes."
-);
-knob!(
     PERF_OUT,
     "NDPX_PERF_OUT",
     KnobKind::Path,
     "BENCH_PERF.json",
     "Output path for the `perf_gauge` report."
-);
-knob!(
-    REPORT_THRESHOLD,
-    "NDPX_REPORT_THRESHOLD",
-    KnobKind::F64,
-    "10.0",
-    "`ndpx_report` throughput-regression warning threshold, in percent."
-);
-knob!(
-    REPORT_STRICT,
-    "NDPX_REPORT_STRICT",
-    KnobKind::Bool,
-    "0",
-    "Makes `ndpx_report` exit non-zero on throughput regressions beyond the threshold (digest \
-     mismatches always fail)."
-);
-knob!(
-    OPS,
-    "NDPX_OPS",
-    KnobKind::U64,
-    "scale default",
-    "Per-core op budget override for the `sanity` binary."
 );
 knob!(
     POLICY,
@@ -360,13 +325,6 @@ knob!(
     "all policies",
     "Restricts the `sanity` binary to one placement policy label."
 );
-knob!(
-    DEBUG,
-    "NDPX_DEBUG",
-    KnobKind::Bool,
-    "0",
-    "Adds per-policy latency-breakdown lines to the `sanity` binary's output."
-);
 
 /// Every declared knob, in documentation order. `ndpx-lint --knobs-md`
 /// renders this table; the lint's workspace scan guarantees no knob exists
@@ -374,7 +332,6 @@ knob!(
 pub const ALL: &[&Knob] = &[
     &THREADS,
     &SCALE,
-    &CELL_RETRIES,
     &HEARTBEAT_SECS,
     &SLOW_MULT,
     &STALL_ITERS,
@@ -399,13 +356,8 @@ pub const ALL: &[&Knob] = &[
     &CHAOS,
     &CHAOS_RETRY_NS,
     &GAUGE_MICRO,
-    &THREAD_SWEEP,
     &PERF_OUT,
-    &REPORT_THRESHOLD,
-    &REPORT_STRICT,
-    &OPS,
     &POLICY,
-    &DEBUG,
 ];
 
 #[cfg(test)]
@@ -430,7 +382,7 @@ mod tests {
     fn the_registry_holds_all_knobs() {
         // The count is asserted so adding a knob without registering it in
         // `ALL` (or removing one without pruning) cannot go unnoticed.
-        assert_eq!(ALL.len(), 34);
+        assert_eq!(ALL.len(), 28);
     }
 
     #[test]
