@@ -44,10 +44,13 @@ impl FlowNetwork {
     /// Capacities are consumed in place.
     pub fn max_flow(&mut self, source: usize, sink: usize) -> i64 {
         let mut total = 0;
+        // BFS state, reset (not reallocated) for every augmenting path.
+        let mut parent_edge = vec![usize::MAX; self.nodes];
+        let mut queue = VecDeque::new();
         loop {
             // BFS for a shortest augmenting path.
-            let mut parent_edge = vec![usize::MAX; self.nodes];
-            let mut queue = VecDeque::new();
+            parent_edge.fill(usize::MAX);
+            queue.clear();
             queue.push_back(source);
             let mut found = false;
             'bfs: while let Some(u) = queue.pop_front() {

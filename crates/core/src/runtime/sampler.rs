@@ -7,7 +7,7 @@
 //! of address each) and counts hits/misses. Scaling the sampled miss rate by
 //! the stream's total access count yields the absolute miss curve.
 
-use ndpx_sim::fastdiv::Divisor;
+use ndpx_sim::fastdiv::{Divisor, MultipleTest};
 use ndpx_sim::rng::mix64;
 
 /// A miss curve: estimated misses per epoch at increasing capacities.
@@ -101,29 +101,52 @@ pub fn capacity_points(min_cap: u64, max_cap: u64, count: usize) -> Vec<u64> {
     points
 }
 
+/// The per-case test every access runs: `slots` is the case's slot count,
+/// `stride` the divisibility test of its monitoring stride
+/// `(slots / monitored).max(1)`. Packed apart from the rest of the case so
+/// the loop in [`SetSampler::observe`] streams through 32 bytes per case.
+#[derive(Debug, Clone, Copy)]
+struct Filter {
+    slots: u64,
+    stride: MultipleTest,
+}
+
+impl Filter {
+    /// The case's slot for a mixed key: multiply-shift range reduction.
+    #[inline]
+    fn slot_of(&self, mixed: u64) -> u64 {
+        ((u128::from(mixed) * u128::from(self.slots)) >> 64) as u64
+    }
+}
+
+/// The per-case state read only when a case's filter passes.
 #[derive(Debug, Clone)]
 struct CapCase {
     capacity: u64,
-    slots: u64,
-    /// Strength-reduced monitoring stride `(slots / sets.len()).max(1)` —
-    /// the per-access filter is the dominant cost of a sampled stream, and
-    /// a hardware divide per case per access serializes the whole case
-    /// loop.
+    /// Strength-reduced monitoring stride (a hardware divide per passing
+    /// case would serialize the loop).
     stride_div: Divisor,
-    /// Strength-reduced `sets.len()` for the monitored-set index.
+    /// Strength-reduced monitored-set count, for the set index.
     monitored_div: Divisor,
-    /// Sampled-set contents: key + 1 per monitored set (0 = empty).
-    sets: Vec<u64>,
+    /// Start of this case's monitored sets in [`SetSampler::sets`].
+    base: usize,
     hits: u64,
     misses: u64,
 }
 
 /// One hardware sampler, watching one stream at one unit.
 ///
-/// Storage per the paper: `k` sets × `c` cases × 4 B ≈ 8 kB.
+/// Storage per the paper: `k` sets × `c` cases × 4 B ≈ 8 kB. The cases
+/// are laid out as parallel arrays over one contiguous set buffer: every
+/// access walks only the packed `filters`, and touches a case's divisors,
+/// counters and sets only when its filter passes.
 #[derive(Debug, Clone)]
 pub struct SetSampler {
+    filters: Vec<Filter>,
     cases: Vec<CapCase>,
+    /// Sampled-set contents of every case, case-major: key + 1 per
+    /// monitored set (0 = empty).
+    sets: Vec<u64>,
 }
 
 impl SetSampler {
@@ -136,24 +159,25 @@ impl SetSampler {
     pub fn new(capacities: &[u64], grain: u64, k: usize) -> Self {
         assert!(k > 0, "need at least one sample set");
         assert!(grain > 0, "slot granularity must be positive");
-        let cases = capacities
-            .iter()
-            .map(|&capacity| {
-                let slots = (capacity / grain).max(1);
-                let monitored = k.min(slots as usize) as u64;
-                let stride = (slots / monitored).max(1);
-                CapCase {
-                    capacity,
-                    slots,
-                    stride_div: Divisor::new(stride),
-                    monitored_div: Divisor::new(monitored),
-                    sets: vec![0; monitored as usize],
-                    hits: 0,
-                    misses: 0,
-                }
-            })
-            .collect();
-        SetSampler { cases }
+        let mut filters = Vec::with_capacity(capacities.len());
+        let mut cases = Vec::with_capacity(capacities.len());
+        let mut base = 0;
+        for &capacity in capacities {
+            let slots = (capacity / grain).max(1);
+            let monitored = k.min(slots as usize) as u64;
+            let stride_div = Divisor::new((slots / monitored).max(1));
+            filters.push(Filter { slots, stride: stride_div.multiple_test() });
+            cases.push(CapCase {
+                capacity,
+                stride_div,
+                monitored_div: Divisor::new(monitored),
+                base,
+                hits: 0,
+                misses: 0,
+            });
+            base += monitored as usize;
+        }
+        SetSampler { filters, cases, sets: vec![0; base] }
     }
 
     /// Observes one access to the stream (key = slot-granularity index).
@@ -167,17 +191,26 @@ impl SetSampler {
     pub fn observe(&mut self, key: u64) {
         let mixed = mix64(key);
         let tag = key + 1;
-        for case in &mut self.cases {
-            let slot = ((u128::from(mixed) * u128::from(case.slots)) >> 64) as u64;
-            if !case.stride_div.is_multiple(slot) {
-                continue;
+        for (chunk, filters) in self.filters.chunks(64).enumerate() {
+            // Straight-line pass listing the cases whose filter takes this
+            // access. Few do, so only those pay for the set lookup.
+            let mut taken = [0u8; 64];
+            let mut n = 0;
+            for (i, f) in filters.iter().enumerate() {
+                taken[n] = i as u8;
+                n += usize::from(f.stride.is_multiple(f.slot_of(mixed)));
             }
-            let idx = case.monitored_div.rem(case.stride_div.div(slot)) as usize;
-            if case.sets[idx] == tag {
-                case.hits += 1;
-            } else {
-                case.misses += 1;
-                case.sets[idx] = tag;
+            for &i in &taken[..n] {
+                let i = chunk * 64 + usize::from(i);
+                let case = &mut self.cases[i];
+                let slot = self.filters[i].slot_of(mixed);
+                let idx = case.base + case.monitored_div.rem(case.stride_div.div(slot)) as usize;
+                if self.sets[idx] == tag {
+                    case.hits += 1;
+                } else {
+                    case.misses += 1;
+                    self.sets[idx] = tag;
+                }
             }
         }
     }
@@ -293,7 +326,7 @@ mod tests {
         // k = 32 sets × c = 64 cases × 4 B = 8 kB per sampler.
         let caps = capacity_points(32 << 10, 256 << 20, 64);
         let s = SetSampler::new(&caps, 64, 32);
-        let bytes: usize = s.cases.iter().map(|c| c.sets.len() * 4).sum();
+        let bytes = s.sets.len() * 4;
         assert!(bytes <= 8 << 10, "sampler storage {bytes} exceeds 8 kB");
     }
 }

@@ -25,7 +25,8 @@
 //! Every epoch the runtime assigns samplers (max-flow), reads the sampled
 //! miss curves, runs the configuration algorithm for the active policy, and
 //! applies the new layout with bulk invalidation or consistent-hash
-//! transfer (§V-D).
+//! transfer (§V-D). Samplers exist only when the policy reconfigures or a
+//! chaos plan can force a re-placement; otherwise nothing reads them.
 
 mod access;
 mod chaos;

@@ -426,9 +426,20 @@ impl NdpSystem {
         self.noc_weights = noc_weights;
     }
 
+    /// Whether any decision reads the miss-curve samples: an epoch
+    /// reconfiguration, or a chaos event's forced re-placement. Without a
+    /// reader no sampler is built, so the access path skips `observe` and
+    /// epochs skip the max-flow assignment.
+    fn reads_samples(&self) -> bool {
+        self.cfg.policy.reconfigures() || self.chaos.is_some()
+    }
+
     /// Runs the max-flow sampler assignment on this epoch's access bitvector
-    /// and instantiates fresh samplers.
+    /// and instantiates fresh samplers; a no-op when nothing reads them.
     pub(super) fn assign_epoch_samplers(&mut self) {
+        if !self.reads_samples() {
+            return;
+        }
         let units_n = self.cfg.units();
         let nothing_observed = self.acc_counts.iter().all(|&a| a == 0);
         let accessed: Vec<Vec<usize>> = if nothing_observed {

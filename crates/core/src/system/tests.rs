@@ -262,6 +262,36 @@ fn run_chaos(policy: PolicyKind, spec: &str, workload: &str, ops: u64) -> RunRep
     sys.run(ops)
 }
 
+/// Sampler slots a system holds after construction and after a short run
+/// that crosses epoch boundaries.
+fn sampler_slots(policy: PolicyKind, chaos: Option<&str>) -> (usize, usize) {
+    let mut cfg = SystemConfig::test(policy);
+    cfg.epoch_cycles /= 10;
+    if let Some(spec) = chaos {
+        cfg.chaos = ndpx_sim::chaos::ChaosConfig::parse(Some(spec), None).expect("valid spec");
+    }
+    let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
+    let wl = ndpx_workloads::build("pr", &p).expect("known").expect("builds");
+    let mut sys = NdpSystem::new(cfg, wl).expect("valid");
+    let held = |sys: &NdpSystem| sys.samplers.iter().flatten().count();
+    let built = held(&sys);
+    let r = sys.run(4000);
+    assert!(r.reconfigs > 0, "{policy:?}: no epoch fired");
+    (built, held(&sys))
+}
+
+#[test]
+fn samplers_exist_only_where_a_decision_reads_them() {
+    for policy in [PolicyKind::NdpExtStatic, PolicyKind::StaticInterleave] {
+        assert_eq!(sampler_slots(policy, None), (0, 0), "{policy:?} never reads its samples");
+    }
+    let (built, after) = sampler_slots(PolicyKind::NdpExt, None);
+    assert!(built > 0 && after > 0, "NDPExt reconfigures from its samples");
+    // Any chaos plan can force a re-placement, not only a stack loss.
+    let (built, after) = sampler_slots(PolicyKind::NdpExtStatic, Some("noc-down@1ms:0-1"));
+    assert!(built > 0 && after > 0, "a chaos plan's forced re-placement reads the samples");
+}
+
 fn count(r: &RunReport, k: &str) -> u64 {
     r.registry.get(k).unwrap_or_else(|| panic!("{k} missing")).as_count().expect("count")
 }

@@ -6,6 +6,10 @@
 //! allocation; `prop_runtime.rs` compares the two on seeded random cases.
 //! Apart from the two private `ConfigCtx` helpers becoming free functions,
 //! the code below is the from-scratch solver unchanged.
+//!
+//! The previous `SetSampler` is the [`sampler`] submodule.
+
+pub mod sampler;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

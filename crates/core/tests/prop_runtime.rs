@@ -1,6 +1,7 @@
 //! Randomized property tests for the runtime: miss curves, the sampler,
 //! max-flow assignment, the configuration algorithm's capacity invariants,
-//! and the incremental Algorithm 1 solver against its from-scratch oracle.
+//! the incremental Algorithm 1 solver against its from-scratch oracle, and
+//! the packed sampler against its per-case oracle.
 //!
 //! Cases are driven by the workspace's seeded [`Xoshiro256`] so the suite is
 //! deterministic and needs no external property-testing framework.
@@ -70,6 +71,40 @@ fn sampler_curve_is_bounded_by_access_count() {
         for &(c, m) in curve.points() {
             assert!(m <= total as f64 + 1e-9, "misses {m} exceed accesses {total} at cap {c}");
             assert!(m >= 0.0);
+        }
+    }
+}
+
+#[test]
+fn packed_sampler_matches_the_per_case_oracle() {
+    let mut rng = Xoshiro256::seed_from(0x5E7_5A3);
+    for _ in 0..48 {
+        // Up to 150 cases, so some samplers span several 64-case chunks;
+        // unsorted and duplicated capacities are allowed.
+        let n = 1 + rng.below(150) as usize;
+        let caps: Vec<u64> = (0..n)
+            .map(|_| {
+                let bits = 6 + rng.below(24);
+                1 + rng.below(1 << bits)
+            })
+            .collect();
+        let grain = 1 + rng.below(4096);
+        let k = 1 + rng.below(64) as usize;
+        let mut packed = SetSampler::new(&caps, grain, k);
+        let mut per_case = oracle::sampler::SetSampler::new(&caps, grain, k);
+        for _ in 0..4 {
+            let bits = 4 + rng.below(20);
+            let range = 1 + rng.below(1 << bits);
+            let total = rng.below(2_000);
+            for _ in 0..total {
+                let key = rng.below(range);
+                packed.observe(key);
+                per_case.observe(key);
+            }
+            assert_eq!(packed.observed(), per_case.observed(), "caps {caps:?} grain {grain} k {k}");
+            assert_eq!(packed.curve(total), per_case.curve(total), "caps {caps:?} grain {grain}");
+            packed.reset_counters();
+            per_case.reset_counters();
         }
     }
 }

@@ -35,11 +35,18 @@
 pub struct Divisor {
     d: u64,
     kind: Kind,
+    multiple: MultipleTest,
+}
+
+/// The divisibility test of a [`Divisor`] on its own: half the divisor's
+/// size, for loops that test many divisors per input and divide only on
+/// the rare multiple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MultipleTest {
     /// Modular inverse of the odd part of `d` (mod 2⁶⁴).
     odd_inv: u64,
-    /// `u64::MAX / odd_part`: multiples of the odd part map at or below
-    /// this bound under `odd_inv` multiplication.
-    odd_limit: u64,
+    /// `u64::MAX / d`: multiples of `d` map at or below this bound.
+    limit: u64,
     /// Trailing zero bits of `d` (the power-of-two part).
     tz: u32,
 }
@@ -72,7 +79,8 @@ impl Divisor {
         };
         let tz = d.trailing_zeros();
         let odd = d >> tz;
-        Divisor { d, kind, odd_inv: mod_inverse(odd), odd_limit: u64::MAX / odd, tz }
+        let multiple = MultipleTest { odd_inv: mod_inverse(odd), limit: u64::MAX / d, tz };
+        Divisor { d, kind, multiple }
     }
 
     /// The divisor value.
@@ -116,15 +124,28 @@ impl Divisor {
         }
     }
 
-    /// `n % d == 0`, exactly, for all 64-bit `n` (no 2³² restriction):
-    /// `d = odd · 2^k` divides `n` iff the low `k` bits of `n` are zero
-    /// and `(n >> k) · odd⁻¹ (mod 2⁶⁴) ≤ ⌊(2⁶⁴−1)/odd⌋`.
+    /// `n % d == 0`, exactly, for all 64-bit `n`; see
+    /// [`MultipleTest::is_multiple`].
     #[inline]
     pub fn is_multiple(&self, n: u64) -> bool {
-        if self.tz > 0 && n & ((1u64 << self.tz) - 1) != 0 {
-            return false;
-        }
-        (n >> self.tz).wrapping_mul(self.odd_inv) <= self.odd_limit
+        self.multiple.is_multiple(n)
+    }
+
+    /// This divisor's divisibility test alone.
+    pub fn multiple_test(&self) -> MultipleTest {
+        self.multiple
+    }
+}
+
+impl MultipleTest {
+    /// `n % d == 0`, exactly, for all 64-bit `n` (no 2³² restriction):
+    /// `d = odd · 2^k` divides `n` iff `n · odd⁻¹ (mod 2⁶⁴)` rotated right
+    /// by `k` is at most `⌊(2⁶⁴−1)/d⌋` (Hacker's Delight 10-17). A set
+    /// low bit of `n` rotates into the top `k` bits, above the bound. One
+    /// multiply, one rotate, one compare, and no branch.
+    #[inline]
+    pub fn is_multiple(&self, n: u64) -> bool {
+        n.wrapping_mul(self.odd_inv).rotate_right(self.tz) <= self.limit
     }
 }
 
