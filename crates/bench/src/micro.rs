@@ -2,10 +2,11 @@
 //!
 //! Times the raw hot kernels the full-matrix gauge exercises indirectly:
 //! event-queue scheduling ([`EventQueue`]), the miss-curve sampler's
-//! observe path, the Algorithm 1 solver, consistent-hash bucket-table construction,
-//! and power-law graph generation. Results land in `BENCH_PERF.json` under
-//! `"micro"` so a CI artifact records where a wall-clock regression came
-//! from without re-profiling the whole matrix.
+//! observe path, the Algorithm 1 solver, consistent-hash bucket-table
+//! construction, the reconfiguration tag transfer, and power-law graph
+//! generation. Results land in `BENCH_PERF.json` under `"micro"` so a CI
+//! artifact records where a wall-clock regression came from without
+//! re-profiling the whole matrix.
 //!
 //! These are wall-clock measurements, not digest-gated simulation: they
 //! exist to explain performance, never to define correctness.
@@ -13,6 +14,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use ndpx_cache::tagarray::TagArray;
 use ndpx_core::layout::Group;
 use ndpx_core::runtime::configure::{allocate_ndpext, ConfigCtx, StreamDemand};
 use ndpx_core::runtime::sampler::{capacity_points, MissCurve, SetSampler};
@@ -205,6 +207,32 @@ fn bucket_table(iters: u64) -> MicroResult {
     })
 }
 
+/// The reconfiguration tag transfer (`apply_allocation`): collect the
+/// resident entries of a 1M-slot direct-mapped array holding ~1k keys,
+/// `reset` it in place, and reinstall them. One transfer per iteration; the
+/// cost tracks the resident set, not the slot count.
+fn tag_transfer(iters: u64) -> MicroResult {
+    let slots = 1u64 << 20;
+    let mut tags = TagArray::new(slots, 1);
+    let mut rng = Xoshiro256::seed_from(0x7A65);
+    for _ in 0..1024 {
+        let key = rng.below(1 << 30);
+        tags.access(key % slots, key, key.is_multiple_of(4));
+    }
+    let mut moving = Vec::new();
+    timed("tag_transfer", iters, || {
+        for _ in 0..iters {
+            moving.clear();
+            moving.extend(tags.entries());
+            tags.reset(slots, 1);
+            for &(key, dirty) in &moving {
+                tags.install_if_free(key % slots, key, dirty);
+            }
+        }
+        black_box(tags.occupancy());
+    })
+}
+
 /// Raw power-law graph generation (the inverse-CDF `powf` kernel the
 /// process-wide graph cache exists to amortize); measured per edge.
 fn graph_powerlaw() -> MicroResult {
@@ -229,6 +257,7 @@ pub fn run_all() -> Vec<MicroResult> {
         sampler_observe(300_000),
         configure_ndpext(500),
         bucket_table(2_000),
+        tag_transfer(2_000),
         graph_powerlaw(),
     ]
 }
@@ -247,6 +276,7 @@ mod tests {
             sampler_observe(2_000),
             configure_ndpext(2),
             bucket_table(8),
+            tag_transfer(4),
         ];
         for r in rs {
             assert!(r.iters > 0, "{}: no iterations", r.name);

@@ -13,12 +13,18 @@
 //! static policy never reconfigures at an epoch, so a chaos event's forced
 //! re-placement is the only decision that reads its samples; these cells
 //! pin that path.
+//!
+//! Two more cells pin the other two ways a reconfiguration rebuilds tag
+//! arrays: NDPExt under bulk invalidation, which counts what each changed
+//! stream held and empties its arrays instead of moving entries, and the
+//! line-grain Jigsaw baseline on pr, whose direct-mapped arrays over 64 B
+//! slots both keep and drop lines when consistent hashing re-places them.
 
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::pool::CellPool;
 use ndpx_bench::runner::{run_many_with, BenchScale, RunSpec};
 use ndpx_bench::TraceCache;
-use ndpx_core::config::{MemKind, PolicyKind};
+use ndpx_core::config::{MemKind, PolicyKind, ReconfigTransfer};
 use ndpx_core::stats::RunReport;
 use ndpx_sim::chaos::ChaosConfig;
 use ndpx_sim::telemetry::StatValue;
@@ -33,8 +39,19 @@ fn count(r: &RunReport, path: &str) -> u64 {
 /// A cell at test scale with a tenfold shorter epoch. Chaos is forced
 /// explicitly so an environment schedule cannot reach the cell.
 fn spec(policy: PolicyKind, workload: &'static str, chaos: Option<&'static str>) -> RunSpec {
+    spec_with(policy, workload, chaos, ReconfigTransfer::ConsistentHash)
+}
+
+/// [`spec`] with an explicit reconfiguration transfer policy.
+fn spec_with(
+    policy: PolicyKind,
+    workload: &'static str,
+    chaos: Option<&'static str>,
+    transfer: ReconfigTransfer,
+) -> RunSpec {
     RunSpec::new(MemKind::Hbm, policy, workload, BenchScale::Test).with_tweak(move |cfg| {
         cfg.epoch_cycles /= EPOCH_DIV;
+        cfg.transfer = transfer;
         cfg.chaos = match chaos {
             Some(s) => ChaosConfig::parse(Some(s), None).expect("valid chaos spec"),
             None => ChaosConfig::disabled(),
@@ -85,5 +102,30 @@ fn reconfiguring_cells_keep_their_digests() {
         assert_eq!(count(chaos, "chaos.applied"), 1, "{name}: the loss must fire mid-run");
         assert!(count(chaos, "chaos.forced_reconfigs") >= 1, "{name}: the loss must re-place");
         assert_eq!(count(chaos, "chaos.dead_resident_streams"), 0, "{name}: stream left dead");
+    }
+}
+
+#[test]
+fn bulk_invalidate_and_line_grain_cells_keep_their_digests() {
+    // (name, spec, pinned digest): NDPExt empties every changed stream's
+    // arrays and counts their occupancy; Jigsaw re-places 64 B lines
+    // through direct-mapped arrays under consistent hashing. (Jigsaw on bfs
+    // finds a free slot for every line it moves, so it would not pin the
+    // dropped-line path; pr does.)
+    let cells = [
+        (
+            "bfs bulk-invalidate",
+            spec_with(PolicyKind::NdpExt, "bfs", None, ReconfigTransfer::BulkInvalidate),
+            0x1d1c_c732_b8d1_4fa7_u64,
+        ),
+        ("jigsaw pr", spec(PolicyKind::Jigsaw, "pr", None), 0x8489_3c1b_9ad3_28b7),
+    ];
+    let specs: Vec<RunSpec> = cells.iter().map(|(_, s, _)| s.clone()).collect();
+    let reports = run_many_with(CellPool::with_threads(1), &TraceCache::new(), &specs);
+    for ((name, _, want), r) in cells.iter().zip(&reports) {
+        assert!(r.reconfigs > 0, "{name}: no epoch fired");
+        assert!(r.invalidations > 0, "{name}: no entry invalidated");
+        let got = report_digest(r);
+        assert_eq!(got, *want, "{name}: digest moved to {got:016x}");
     }
 }

@@ -7,7 +7,7 @@
 //! This models both the baselines' in-DRAM cacheline tags and NDPExt's
 //! affine/indirect stream caches.
 
-use crate::setassoc::{CacheStats, Outcome};
+use crate::setassoc::Outcome;
 
 /// A resizable tag array of `slots` entries grouped into sets of `ways`.
 ///
@@ -15,6 +15,11 @@ use crate::setassoc::{CacheStats, Outcome};
 /// direct-mapped (the paper's default for indirect streams); higher
 /// associativity groups consecutive slots into one set with LRU replacement
 /// (evaluated in Fig. 9a).
+///
+/// A per-slot valid bitset tracks which slots hold a key, so enumerating,
+/// counting, or emptying the resident set costs O(resident + slots / 64)
+/// rather than a scan of every slot, and [`TagArray::reset`] re-sizes an
+/// array in place for a reconfiguration instead of allocating a new one.
 ///
 /// # Examples
 ///
@@ -35,9 +40,16 @@ pub struct TagArray {
     /// Key + 1 per physical slot; 0 = invalid.
     tags: Vec<u64>,
     dirty: Vec<bool>,
+    /// LRU stamps, empty when direct-mapped: with one way the only
+    /// candidate victim is the slot itself, so no stamp is ever compared.
+    /// A stamp is written whenever its slot is filled and read only while
+    /// the slot is valid, so stale stamps in empty slots are harmless.
     lru: Vec<u32>,
+    /// One bit per slot, set exactly while the slot's tag is non-zero.
+    valid: Vec<u64>,
+    /// Number of set bits in `valid`.
+    live: u64,
     tick: u32,
-    stats: CacheStats,
 }
 
 impl TagArray {
@@ -50,21 +62,45 @@ impl TagArray {
     ///
     /// Panics if `ways` is zero.
     pub fn new(slots: u64, ways: usize) -> Self {
+        let mut t = TagArray {
+            ways: 1,
+            sets: 0,
+            tags: Vec::new(),
+            dirty: Vec::new(),
+            lru: Vec::new(),
+            valid: Vec::new(),
+            live: 0,
+            tick: 0,
+        };
+        t.reset(slots, ways);
+        t
+    }
+
+    /// Empties the array and re-sizes it to `slots` entries at `ways`,
+    /// reusing its buffers. Afterwards the array behaves exactly like
+    /// `TagArray::new(slots, ways)`; the cost is O(resident + slots / 64)
+    /// plus zeroing whatever the buffers grow by.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero.
+    pub fn reset(&mut self, slots: u64, ways: usize) {
         assert!(ways > 0, "associativity must be at least 1");
+        self.invalidate_all();
         // A tiny allocation (fewer slots than ways) degrades gracefully to
         // a fully-associative array over the available slots.
         let ways = ways.min(slots.max(1) as usize);
         let sets = slots / ways as u64;
         let n = (sets * ways as u64) as usize;
-        TagArray {
-            ways,
-            sets,
-            tags: vec![0; n],
-            dirty: vec![false; n],
-            lru: vec![0; n],
-            tick: 0,
-            stats: CacheStats::default(),
-        }
+        // Every slot below the old length is empty now, so only growth is
+        // zeroed.
+        self.tags.resize(n, 0);
+        self.dirty.resize(n, false);
+        self.lru.resize(if ways > 1 { n } else { 0 }, 0);
+        self.valid.resize(n.div_ceil(64), 0);
+        self.ways = ways;
+        self.sets = sets;
+        self.tick = 0;
     }
 
     /// Number of usable slots.
@@ -77,36 +113,53 @@ impl TagArray {
         self.sets
     }
 
+    /// Records that the empty slot `i` now holds a key.
+    fn mark_valid(&mut self, i: usize) {
+        self.valid[i / 64] |= 1 << (i % 64);
+        self.live += 1;
+    }
+
     /// Accesses `key` at placement `slot` (reduced mod the set count),
     /// filling on miss.
     pub fn access(&mut self, slot: u64, key: u64, write: bool) -> Outcome {
         if self.sets == 0 {
-            self.stats.misses.inc();
             return Outcome::Miss { evicted: None };
         }
-        self.tick += 1;
         let set = (slot % self.sets) as usize;
-        let base = set * self.ways;
+        if self.ways == 1 {
+            let old = self.tags[set];
+            if old == key + 1 {
+                self.dirty[set] |= write;
+                return Outcome::Hit;
+            }
+            let evicted = if old != 0 {
+                Some((old - 1, self.dirty[set]))
+            } else {
+                self.mark_valid(set);
+                None
+            };
+            self.tags[set] = key + 1;
+            self.dirty[set] = write;
+            return Outcome::Miss { evicted };
+        }
 
+        self.tick += 1;
+        let base = set * self.ways;
         for i in base..base + self.ways {
             if self.tags[i] == key + 1 {
                 self.lru[i] = self.tick;
                 self.dirty[i] |= write;
-                self.stats.hits.inc();
                 return Outcome::Hit;
             }
         }
 
-        self.stats.misses.inc();
         let victim = (base..base + self.ways)
             .min_by_key(|&i| if self.tags[i] == 0 { (0, 0) } else { (1, self.lru[i]) })
             .expect("ways >= 1");
         let evicted = if self.tags[victim] != 0 {
-            if self.dirty[victim] {
-                self.stats.writebacks.inc();
-            }
             Some((self.tags[victim] - 1, self.dirty[victim]))
         } else {
+            self.mark_valid(victim);
             None
         };
         self.tags[victim] = key + 1;
@@ -124,55 +177,35 @@ impl TagArray {
         self.tags[base..base + self.ways].iter().any(|&t| t == key + 1)
     }
 
-    /// Invalidates everything; returns `(valid, dirty)` counts.
+    /// Invalidates everything; returns `(valid, dirty)` counts. Touches
+    /// only resident slots.
     pub fn invalidate_all(&mut self) -> (u64, u64) {
-        let mut valid = 0;
         let mut dirty = 0;
-        for i in 0..self.tags.len() {
-            if self.tags[i] != 0 {
-                valid += 1;
-                if self.dirty[i] {
-                    dirty += 1;
-                }
-            }
-            self.tags[i] = 0;
-            self.dirty[i] = false;
-        }
-        (valid, dirty)
-    }
-
-    /// Moves the resident keys of another array into this one, re-placing
-    /// each with `place` (used by consistent-hash reconfiguration to keep
-    /// surviving lines). Returns how many keys were retained.
-    pub fn adopt_from(&mut self, old: &TagArray, mut place: impl FnMut(u64) -> Option<u64>) -> u64 {
-        let mut kept = 0;
-        for i in 0..old.tags.len() {
-            if old.tags[i] != 0 {
-                let key = old.tags[i] - 1;
-                if let Some(slot) = place(key) {
-                    if self.sets > 0 {
-                        let set = (slot % self.sets) as usize;
-                        let base = set * self.ways;
-                        if let Some(j) = (base..base + self.ways).find(|&j| self.tags[j] == 0) {
-                            self.tags[j] = key + 1;
-                            self.dirty[j] = old.dirty[i];
-                            kept += 1;
-                        }
-                    }
-                }
+        for w in 0..self.valid.len() {
+            for b in SetBits(std::mem::take(&mut self.valid[w])) {
+                let i = w * 64 + b;
+                dirty += u64::from(self.dirty[i]);
+                self.tags[i] = 0;
+                self.dirty[i] = false;
             }
         }
-        kept
+        (std::mem::take(&mut self.live), dirty)
     }
 
-    /// Iterates over resident `(key, dirty)` entries.
+    /// Iterates over resident `(key, dirty)` entries in ascending slot
+    /// order.
     pub fn entries(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
-        self.tags.iter().zip(self.dirty.iter()).filter(|(&t, _)| t != 0).map(|(&t, &d)| (t - 1, d))
+        self.valid
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &bits)| SetBits(bits).map(move |b| w * 64 + b))
+            .map(|i| (self.tags[i] - 1, self.dirty[i]))
     }
 
     /// Installs `key` at `slot` only if a free way exists (no eviction);
     /// returns whether it was installed. Used when adopting entries across
-    /// a reconfiguration.
+    /// a reconfiguration. The entry ranks least recently used (stamp 0),
+    /// as every way of a fresh array does.
     pub fn install_if_free(&mut self, slot: u64, key: u64, dirty: bool) -> bool {
         if self.sets == 0 {
             return false;
@@ -181,6 +214,10 @@ impl TagArray {
         if let Some(j) = (base..base + self.ways).find(|&j| self.tags[j] == 0) {
             self.tags[j] = key + 1;
             self.dirty[j] = dirty;
+            if self.ways > 1 {
+                self.lru[j] = 0;
+            }
+            self.mark_valid(j);
             true
         } else {
             false
@@ -189,12 +226,23 @@ impl TagArray {
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> u64 {
-        self.tags.iter().filter(|&&t| t != 0).count() as u64
+        self.live
     }
+}
 
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+/// The indices of a word's set bits, ascending.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let b = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(b)
     }
 }
 
@@ -250,21 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn adopt_keeps_surviving_keys() {
-        let mut old = TagArray::new(8, 1);
-        for k in 0..8u64 {
-            old.access(k, k, k % 2 == 0);
-        }
-        let mut new = TagArray::new(8, 1);
-        // Keep only even keys, at the same slots.
-        let kept = new.adopt_from(&old, |k| if k % 2 == 0 { Some(k) } else { None });
-        assert_eq!(kept, 4);
-        assert_eq!(new.occupancy(), 4);
-        assert!(new.probe(0, 0));
-        assert!(!new.probe(1, 1));
-    }
-
-    #[test]
     fn ways_truncation() {
         let t = TagArray::new(7, 2);
         assert_eq!(t.slots(), 6);
@@ -295,14 +328,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
-        let mut t = TagArray::new(4, 1);
-        t.access(0, 1, false);
-        t.access(0, 1, false);
-        t.access(0, 2, true);
-        t.access(0, 3, false); // evicts dirty 2
-        assert_eq!(t.stats().hits.get(), 1);
-        assert_eq!(t.stats().misses.get(), 3);
-        assert_eq!(t.stats().writebacks.get(), 1);
+    fn reset_empties_and_resizes_in_place() {
+        let mut t = TagArray::new(8, 2);
+        t.access(0, 1, true);
+        t.access(3, 2, false);
+        t.reset(130, 1);
+        assert_eq!((t.slots(), t.sets(), t.occupancy()), (130, 130, 0));
+        assert_eq!(t.entries().count(), 0);
+        assert!(!t.probe(0, 1));
+        assert!(t.install_if_free(129, 7, true));
+        assert_eq!(t.entries().collect::<Vec<_>>(), vec![(7, true)]);
+        assert_eq!(t.invalidate_all(), (1, 1));
     }
 }

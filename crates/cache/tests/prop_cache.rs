@@ -5,7 +5,7 @@
 //! deterministic and needs no external property-testing framework.
 
 use ndpx_cache::placement::SharePlacement;
-use ndpx_cache::setassoc::SetAssocCache;
+use ndpx_cache::setassoc::{Outcome, SetAssocCache};
 use ndpx_cache::tagarray::TagArray;
 use ndpx_sim::rng::Xoshiro256;
 
@@ -113,21 +113,197 @@ fn tagarray_hit_follows_miss_at_same_slot() {
     }
 }
 
+/// The dense-scan tag array the bitset-indexed [`TagArray`] replaced, kept
+/// as an oracle: every query scans every slot. It drops the deleted hit and
+/// miss counters, and one line differs from the original: `install_if_free`
+/// stamps the entry 0. The original left the slot's previous stamp in
+/// place, which equals 0 on a fresh array (the only place it was ever
+/// called) but is stale after `invalidate_all`.
+#[derive(Clone)]
+struct DenseTags {
+    ways: usize,
+    sets: u64,
+    tags: Vec<u64>,
+    dirty: Vec<bool>,
+    lru: Vec<u32>,
+    tick: u32,
+}
+
+impl DenseTags {
+    fn new(slots: u64, ways: usize) -> Self {
+        let ways = ways.min(slots.max(1) as usize);
+        let sets = slots / ways as u64;
+        let n = (sets * ways as u64) as usize;
+        DenseTags { ways, sets, tags: vec![0; n], dirty: vec![false; n], lru: vec![0; n], tick: 0 }
+    }
+
+    fn access(&mut self, slot: u64, key: u64, write: bool) -> Outcome {
+        if self.sets == 0 {
+            return Outcome::Miss { evicted: None };
+        }
+        self.tick += 1;
+        let base = (slot % self.sets) as usize * self.ways;
+        for i in base..base + self.ways {
+            if self.tags[i] == key + 1 {
+                self.lru[i] = self.tick;
+                self.dirty[i] |= write;
+                return Outcome::Hit;
+            }
+        }
+        let victim = (base..base + self.ways)
+            .min_by_key(|&i| if self.tags[i] == 0 { (0, 0) } else { (1, self.lru[i]) })
+            .expect("ways >= 1");
+        let evicted = (self.tags[victim] != 0).then(|| (self.tags[victim] - 1, self.dirty[victim]));
+        self.tags[victim] = key + 1;
+        self.dirty[victim] = write;
+        self.lru[victim] = self.tick;
+        Outcome::Miss { evicted }
+    }
+
+    fn probe(&self, slot: u64, key: u64) -> bool {
+        if self.sets == 0 {
+            return false;
+        }
+        let base = (slot % self.sets) as usize * self.ways;
+        self.tags[base..base + self.ways].iter().any(|&t| t == key + 1)
+    }
+
+    fn invalidate_all(&mut self) -> (u64, u64) {
+        let (mut valid, mut dirty) = (0, 0);
+        for i in 0..self.tags.len() {
+            if self.tags[i] != 0 {
+                valid += 1;
+                dirty += u64::from(self.dirty[i]);
+            }
+            self.tags[i] = 0;
+            self.dirty[i] = false;
+        }
+        (valid, dirty)
+    }
+
+    fn entries(&self) -> Vec<(u64, bool)> {
+        self.tags
+            .iter()
+            .zip(&self.dirty)
+            .filter(|(&t, _)| t != 0)
+            .map(|(&t, &d)| (t - 1, d))
+            .collect()
+    }
+
+    fn install_if_free(&mut self, slot: u64, key: u64, dirty: bool) -> bool {
+        if self.sets == 0 {
+            return false;
+        }
+        let base = (slot % self.sets) as usize * self.ways;
+        if let Some(j) = (base..base + self.ways).find(|&j| self.tags[j] == 0) {
+            self.tags[j] = key + 1;
+            self.dirty[j] = dirty;
+            self.lru[j] = 0;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn occupancy(&self) -> u64 {
+        self.tags.iter().filter(|&&t| t != 0).count() as u64
+    }
+}
+
+/// A random geometry: `ways` in 1..=8, slot counts including zero, fewer
+/// slots than ways, and counts that are not a multiple of `ways`.
+fn random_geometry(rng: &mut Xoshiro256) -> (u64, usize) {
+    let ways = 1 + rng.below(8) as usize;
+    let slots = match rng.below(4) {
+        0 => 0,
+        1 => rng.below(ways as u64 + 1),
+        _ => rng.below(300),
+    };
+    (slots, ways)
+}
+
+fn assert_same(t: &TagArray, o: &DenseTags, ctx: &str) {
+    assert_eq!((t.slots(), t.sets()), (o.sets * o.ways as u64, o.sets), "{ctx}: geometry");
+    assert_eq!(t.occupancy(), o.occupancy(), "{ctx}: occupancy");
+    assert_eq!(t.entries().collect::<Vec<_>>(), o.entries(), "{ctx}: entries");
+}
+
+/// Drives `t` and `o` through the same seeded mix of fills, installs and
+/// probes, checking every outcome.
+fn drive(rng: &mut Xoshiro256, t: &mut TagArray, o: &mut DenseTags, ops: usize, ctx: &str) {
+    // A small key space so hits, conflicts and duplicates all occur; slots
+    // range past the set count to exercise the modulo.
+    let keys = 1 + rng.below(400);
+    for step in 0..ops {
+        let (slot, key, flag) = (rng.below(400), rng.below(keys), rng.below(3) == 0);
+        match rng.below(10) {
+            0..=4 => {
+                assert_eq!(t.access(slot, key, flag), o.access(slot, key, flag), "{ctx}@{step}")
+            }
+            5..=7 => assert_eq!(
+                t.install_if_free(slot, key, flag),
+                o.install_if_free(slot, key, flag),
+                "{ctx}@{step}"
+            ),
+            _ => assert_eq!(t.probe(slot, key), o.probe(slot, key), "{ctx}@{step}"),
+        }
+    }
+    assert_same(t, o, ctx);
+}
+
 #[test]
-fn tagarray_adoption_preserves_only_placed_keys() {
-    let mut rng = Xoshiro256::seed_from(0xAD09);
-    for _ in 0..64 {
-        let n = 1 + rng.below(63) as usize;
-        let keys: Vec<u64> = (0..n).map(|_| rng.below(1000)).collect();
-        let mut old = TagArray::new(128, 1);
-        for &k in &keys {
-            old.access(k, k, false);
+fn tagarray_matches_dense_scan_oracle() {
+    let mut rng = Xoshiro256::seed_from(0xB175);
+    for case in 0..200 {
+        let (slots, ways) = random_geometry(&mut rng);
+        let mut t = TagArray::new(slots, ways);
+        let mut o = DenseTags::new(slots, ways);
+        for round in 0..8 {
+            let ctx = format!("case {case} round {round}");
+            let ops = 1 + rng.below(300) as usize;
+            drive(&mut rng, &mut t, &mut o, ops, &ctx);
+            match rng.below(3) {
+                0 => assert_eq!(t.invalidate_all(), o.invalidate_all(), "{ctx}: invalidate_all"),
+                1 => {
+                    let (slots, ways) = random_geometry(&mut rng);
+                    t.reset(slots, ways);
+                    o = DenseTags::new(slots, ways);
+                }
+                _ => {}
+            }
+            assert_same(&t, &o, &ctx);
         }
-        let mut new = TagArray::new(128, 1);
-        let kept = new.adopt_from(&old, |k| if k % 3 == 0 { Some(k) } else { None });
-        assert_eq!(kept, new.occupancy());
-        for (k, _) in new.entries() {
-            assert_eq!(k % 3, 0, "non-placed key survived adoption");
+    }
+}
+
+#[test]
+fn tagarray_reset_matches_fresh_array() {
+    let mut rng = Xoshiro256::seed_from(0x2E5E7);
+    for case in 0..200 {
+        let ctx = format!("case {case}");
+        let (slots, ways) = random_geometry(&mut rng);
+        let mut reused = TagArray::new(slots, ways);
+        let mut o = DenseTags::new(slots, ways);
+        let ops = rng.below(500) as usize;
+        drive(&mut rng, &mut reused, &mut o, ops, &ctx);
+        let (slots, ways) = random_geometry(&mut rng);
+        reused.reset(slots, ways);
+        let mut fresh = TagArray::new(slots, ways);
+        let mut o = DenseTags::new(slots, ways);
+        // A reconfiguration's reinstall first, then a mixed epoch, the same
+        // on both arrays: the reused buffers' stale LRU stamps must never
+        // decide a victim.
+        for _ in 0..rng.below(300) {
+            let (slot, key, dirty) = (rng.below(400), rng.below(1000), rng.below(2) == 0);
+            let installed = o.install_if_free(slot, key, dirty);
+            assert_eq!(reused.install_if_free(slot, key, dirty), installed, "{ctx}");
+            assert_eq!(fresh.install_if_free(slot, key, dirty), installed, "{ctx}");
         }
+        assert_same(&reused, &o, &ctx);
+        let mut fresh_rng = rng.clone();
+        let mut fresh_o = o.clone();
+        drive(&mut rng, &mut reused, &mut o, 400, &ctx);
+        drive(&mut fresh_rng, &mut fresh, &mut fresh_o, 400, &ctx);
+        assert_eq!(reused.entries().collect::<Vec<_>>(), fresh.entries().collect::<Vec<_>>());
     }
 }

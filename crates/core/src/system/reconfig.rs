@@ -200,9 +200,10 @@ impl NdpSystem {
             new_layouts.push(layout);
         }
 
-        // Build new tag arrays, transferring contents per the configured
+        // Rebuild tag arrays, transferring contents per the configured
         // policy. Streams whose layout is unchanged keep their tags — only
         // reassigned space is invalidated (paper §V-D).
+        let mut moving: Vec<(usize, u64, bool)> = Vec::new();
         for (si, new_layout) in new_layouts.iter().enumerate() {
             let sid = StreamId(si as u16);
             let ways = self.tag_ways(sid);
@@ -227,14 +228,25 @@ impl NdpSystem {
                     *total += s;
                 }
             }
-            // Take the old arrays, build fresh ones. The stream's row of
-            // the flat tag matrix is contiguous.
+            // Re-size the stream's arrays in place: its row of the flat tag
+            // matrix is contiguous. Consistent hashing first collects the
+            // resident entries (unit, then slot order) so the old buffers can
+            // be emptied and reused; bulk invalidation only counts them.
             let row = si * units_n;
-            let old_arrays: Vec<Option<TagArray>> =
-                self.tags[row..row + units_n].iter_mut().map(Option::take).collect();
-            for (u, per) in per_unit.iter().enumerate() {
-                if *per > 0 {
-                    self.tags[row + u] = Some(TagArray::new(*per, ways));
+            moving.clear();
+            for (u, old) in self.tags[row..row + units_n].iter().enumerate() {
+                let Some(old) = old else { continue };
+                if consistent {
+                    moving.extend(old.entries().map(|(key, dirty)| (u, key, dirty)));
+                } else {
+                    self.invalidations += old.occupancy();
+                }
+            }
+            for (tags, &per) in self.tags[row..row + units_n].iter_mut().zip(&per_unit) {
+                match tags {
+                    _ if per == 0 => *tags = None,
+                    Some(t) => t.reset(per, ways),
+                    None => *tags = Some(TagArray::new(per, ways)),
                 }
             }
             if consistent {
@@ -244,25 +256,22 @@ impl NdpSystem {
                 // migrations (and consume NoC bandwidth), entries with no
                 // home any more are invalidated.
                 let mut migrated_bytes_from: Vec<u64> = vec![0; units_n];
-                for (u, old) in old_arrays.into_iter().enumerate() {
-                    let Some(old) = old else { continue };
-                    for (key, dirty) in old.entries() {
-                        match new_layout.locate(u, key) {
-                            Some((target, slot)) => {
-                                let installed = self.tags[row + target]
-                                    .as_mut()
-                                    .is_some_and(|t| t.install_if_free(slot, key, dirty));
-                                if !installed {
-                                    self.invalidations += 1;
-                                } else if target == u {
-                                    // Kept in place: free.
-                                } else {
-                                    self.migrations += 1;
-                                    migrated_bytes_from[u] += new_layout.grain;
-                                }
+                for &(u, key, dirty) in &moving {
+                    match new_layout.locate(u, key) {
+                        Some((target, slot)) => {
+                            let installed = self.tags[row + target]
+                                .as_mut()
+                                .is_some_and(|t| t.install_if_free(slot, key, dirty));
+                            if !installed {
+                                self.invalidations += 1;
+                            } else if target == u {
+                                // Kept in place: free.
+                            } else {
+                                self.migrations += 1;
+                                migrated_bytes_from[u] += new_layout.grain;
                             }
-                            None => self.invalidations += 1,
                         }
+                        None => self.invalidations += 1,
                     }
                 }
                 // Migration traffic drains in the background over the start
@@ -278,10 +287,6 @@ impl NdpSystem {
                         self.net.send(UnitId(u), UnitId(neighbor), 4096, t + spacing * i);
                     }
                     drain = drain.max(spacing * chunks);
-                }
-            } else {
-                for old in old_arrays.into_iter().flatten() {
-                    self.invalidations += old.occupancy();
                 }
             }
         }
