@@ -2,7 +2,8 @@
 //!
 //! Times the raw hot kernels the full-matrix gauge exercises indirectly:
 //! event-queue scheduling ([`EventQueue`]), the miss-curve sampler's
-//! observe path, the Algorithm 1 solver, consistent-hash bucket-table
+//! observe path, the Algorithm 1 solver (a small shape and the bfs
+//! reconfiguration cell's shape), consistent-hash bucket-table
 //! construction, the reconfiguration tag transfer, and power-law graph
 //! generation. Results land in `BENCH_PERF.json` under `"micro"` so a CI
 //! artifact records where a wall-clock regression came from without
@@ -16,7 +17,7 @@ use std::time::Instant;
 
 use ndpx_cache::tagarray::TagArray;
 use ndpx_core::layout::Group;
-use ndpx_core::runtime::configure::{allocate_ndpext, ConfigCtx, StreamDemand};
+use ndpx_core::runtime::configure::{allocate_ndpext, ConfigCtx, Solver, StreamDemand};
 use ndpx_core::runtime::sampler::{capacity_points, MissCurve, SetSampler};
 use ndpx_sim::engine::EventQueue;
 use ndpx_sim::rng::Xoshiro256;
@@ -194,6 +195,65 @@ fn configure_ndpext(iters: u64) -> MicroResult {
     })
 }
 
+/// Algorithm 1 on the shape of the bfs reconfiguration cell's solves: 16
+/// units of 1 MB, two read-only streams touched by 15 units each (30
+/// replica groups) next to two read-write streams over all units, with
+/// 65-point curves on the samplers' capacity points. The streams' data is
+/// twice the cache, so each solve extends and merges groups. One reused
+/// [`Solver`] runs every iteration, as a reconfiguring system's does.
+fn configure_ndpext_bfs(iters: u64) -> MicroResult {
+    let units = 16usize;
+    let unit_capacity = 1u64 << 20;
+    let global = unit_capacity * units as u64;
+    let caps = capacity_points(global / 16384, global, 64);
+    let hops = |u: usize, v: usize| (u % 4).abs_diff(v % 4) + (u / 4).abs_diff(v / 4);
+    let ctx = ConfigCtx {
+        units,
+        unit_capacity,
+        affine_cap: unit_capacity / 4,
+        attenuation: (0..units)
+            .map(|u| (0..units).map(|v| 1.0 / (1.0 + hops(u, v) as f64 * 0.2)).collect())
+            .collect(),
+        dram_lat_ps: 45_000.0,
+        miss_extra_ps: 466_000.0,
+        dead: vec![false; units],
+    };
+    let mut rng = Xoshiro256::seed_from(0xBF51);
+    let demands: Vec<StreamDemand> = (0..4)
+        .map(|s| {
+            let read_only = s < 2;
+            let footprint: u64 = if read_only { 12 << 20 } else { 4 << 20 };
+            let total = 50_000 + rng.below(100_000);
+            // Misses fall as the cache covers more of the footprint.
+            let pts = caps
+                .iter()
+                .map(|&c| {
+                    let covered = (c as f64 / footprint as f64).min(1.0);
+                    (c, total as f64 * (1.0 - 0.9 * covered.sqrt()))
+                })
+                .collect();
+            StreamDemand {
+                curve: MissCurve::from_samples(total as f64, pts),
+                acc_units: (0..units)
+                    .filter(|&u| !read_only || u != s)
+                    .map(|u| (u, 100 + rng.below(2000)))
+                    .collect(),
+                read_only,
+                affine: false,
+                grain: 64,
+                total_accesses: total,
+                footprint,
+            }
+        })
+        .collect();
+    let mut solver = Solver::default();
+    timed("configure_ndpext_bfs", iters, || {
+        for _ in 0..iters {
+            black_box(solver.solve(black_box(&demands), black_box(&ctx)));
+        }
+    })
+}
+
 /// Consistent-hash group construction: one full 1024-bucket weighted
 /// rendezvous rehash per iteration (the reconfiguration kernel).
 fn bucket_table(iters: u64) -> MicroResult {
@@ -256,6 +316,7 @@ pub fn run_all() -> Vec<MicroResult> {
         queue_churn("queue_batch_churn", 1_000_000),
         sampler_observe(300_000),
         configure_ndpext(500),
+        configure_ndpext_bfs(500),
         bucket_table(2_000),
         tag_transfer(2_000),
         graph_powerlaw(),
@@ -275,6 +336,7 @@ mod tests {
             queue_churn("c", 8_192),
             sampler_observe(2_000),
             configure_ndpext(2),
+            configure_ndpext_bfs(2),
             bucket_table(8),
             tag_transfer(4),
         ];

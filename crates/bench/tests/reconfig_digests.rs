@@ -2,17 +2,18 @@
 //!
 //! The 36 `BENCH_PERF.json` cells end before their first epoch
 //! (`digest_coincidence.rs`), so no digest there depends on what Algorithm 1
-//! (`allocate_ndpext`) decides or on how `apply_allocation` migrates cached
-//! contents. These cells cut the epoch tenfold — the benchmark's `reconfig`
-//! workload at its default seed — so every run reconfigures and migrates,
-//! and one of them also loses a stack mid-run, which re-runs Algorithm 1
-//! with dead units. Any change to the solver's output, to the migration
-//! path, or to their order of operations moves these digests.
+//! (a system's reused `Solver`) decides or on how `apply_allocation`
+//! migrates cached contents. These cells cut the epoch tenfold — the
+//! benchmark's `reconfig` workload at its default seed — so every run
+//! reconfigures and migrates, and one of them also loses a stack mid-run,
+//! which re-runs Algorithm 1 with dead units. Any change to the solver's
+//! output, to the migration path, or to their order of operations moves
+//! these digests.
 //!
 //! Two NDPExt-static cells lose a stack or an inter-stack link mid-run. A
-//! static policy never reconfigures at an epoch, so a chaos event's forced
-//! re-placement is the only decision that reads its samples; these cells
-//! pin that path.
+//! static policy never reconfigures at an epoch and its allocator reads no
+//! miss curve, so it builds no sampler even under chaos; these cells pin
+//! its forced re-placement.
 //!
 //! Two more cells pin the other two ways a reconfiguration rebuilds tag
 //! arrays: NDPExt under bulk invalidation, which counts what each changed

@@ -14,9 +14,8 @@
 //! * [`allocate_baseline`] — Jigsaw / Whirlpool / Nexus / static-interleave
 //!   and NDPExt-static, each with the paper's described placement rule.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::config::PolicyKind;
 use crate::runtime::sampler::MissCurve;
@@ -126,54 +125,55 @@ impl ConfigCtx {
     fn noc_ps(&self, u: usize, v: usize) -> f64 {
         self.dram_lat_ps * (1.0 / self.attenuation[u][v] - 1.0)
     }
-
-    /// The unit nearest to `u` (highest attenuation) among candidates where
-    /// `pred` holds; never `u` itself. Ties go to the lowest unit index.
-    fn nearest_where(&self, u: usize, mut pred: impl FnMut(usize) -> bool) -> Option<usize> {
-        let mut best = None;
-        let mut best_k = f64::NEG_INFINITY;
-        for v in 0..self.units {
-            if v == u || !pred(v) {
-                continue;
-            }
-            let k = self.attenuation[u][v];
-            if k > best_k {
-                best_k = k;
-                best = Some(v);
-            }
-        }
-        best
-    }
 }
 
 /// A lookahead segment `(target capacity, slope)`, if the curve has one.
 type Segment = Option<(u64, f64)>;
 
-/// One replication group's solver state.
+/// One stop on a stream's capacity walk: a group total the heap loop
+/// reaches, with the curve's misses and lookahead segment there.
+///
+/// Inside the heap loop a group's total changes only at a commit, which
+/// adds exactly the segment that the stream's curve, grain, and footprint
+/// derive from the current total. So every group of a stream — all of a
+/// read-only stream's replicas — walks the same sequence of totals: the
+/// solver computes each stop once per stream ([`Solver::walks`]) and a
+/// group keeps its position on the walk and a copy of the stop there.
+#[derive(Debug, Clone, Copy, Default)]
+struct Step {
+    total: u64,
+    /// `curve.misses_at(total)`.
+    misses: f64,
+    /// `curve.next_segment(total)`.
+    seg: Segment,
+}
+
+/// One replication group's solver state; its capacity row and member
+/// bitset live in the solver's flat arena ([`Solver::cap`],
+/// [`Solver::bits`]).
 ///
 /// Algorithm 1 pops hundreds of heap entries per solve and needs the
 /// group's total, utility, and lookahead segment at each, so they are kept
 /// incrementally (DESIGN.md §11) — exactly, so every f64 the solver
 /// compares equals a from-scratch recomputation: `total` is an integer sum
-/// updated at each `cap`/`members` change, `util` is recomputed in member
-/// order after such a change, and `seg` is keyed on the total it was
-/// computed for.
-#[derive(Debug, Clone)]
-struct GroupState {
-    cap: Vec<u64>,
+/// updated at each capacity or member change, `util` is recomputed in
+/// member order after such a change, and the segment and misses are the
+/// stream's walk stop at `step`.
+#[derive(Debug, Clone, Default)]
+struct Group {
+    stream: usize,
     /// Member units in insertion order; utility and access-time sums
     /// iterate this order, so it is part of every f64 result.
     members: Vec<usize>,
-    /// `members` as a per-unit bitset.
-    member_bits: Vec<u64>,
     /// `Σ cap[m]` over `members`.
     total: u64,
-    /// Memoized [`GroupState::utility`]; cleared when `cap` or `members`
+    /// Memoized [`Solver::utility`]; cleared when capacity or members
     /// change.
-    util: Cell<Option<f64>>,
-    /// Memoized `curve.next_segment(total)` as `(total, result)`; the curve
-    /// is fixed for the whole solve.
-    seg: Cell<Option<(u64, Segment)>>,
+    util: Option<f64>,
+    /// Position of `total` on the stream's walk, and the stop there
+    /// (heap loop only).
+    step: usize,
+    at: Step,
     /// Anchor unit: the original (or highest-traffic) accessing unit.
     anchor: usize,
     /// This group's share of the stream's accesses.
@@ -181,122 +181,33 @@ struct GroupState {
     alive: bool,
 }
 
-impl GroupState {
-    /// An empty group over `units` units; `members` must be distinct.
-    fn new(units: usize, members: Vec<usize>, anchor: usize, share: f64) -> Self {
-        let mut member_bits = vec![0u64; units.div_ceil(64)];
-        for &u in &members {
-            debug_assert_eq!(member_bits[u / 64] >> (u % 64) & 1, 0, "duplicate member {u}");
-            member_bits[u / 64] |= 1 << (u % 64);
-        }
-        GroupState {
-            cap: vec![0; units],
-            members,
-            member_bits,
-            total: 0,
-            util: Cell::new(None),
-            seg: Cell::new(None),
-            anchor,
-            share,
-            alive: true,
-        }
-    }
-
-    fn is_member(&self, u: usize) -> bool {
-        self.member_bits[u / 64] >> (u % 64) & 1 == 1
-    }
-
-    /// Whether the two groups share a member unit.
-    fn overlaps(&self, other: &GroupState) -> bool {
-        self.member_bits.iter().zip(&other.member_bits).any(|(a, b)| a & b != 0)
-    }
-
-    /// Appends `u` to the members unless it already is one.
-    fn add_member(&mut self, u: usize) {
-        if !self.is_member(u) {
-            self.members.push(u);
-            self.member_bits[u / 64] |= 1 << (u % 64);
-            self.total += self.cap[u];
-            self.util.set(None);
-        }
-    }
-
-    fn add_cap(&mut self, u: usize, bytes: u64) {
-        self.cap[u] += bytes;
-        if self.is_member(u) {
-            self.total += bytes;
-        }
-        self.util.set(None);
-    }
-
-    /// Returns all capacity to `budget`.
-    fn release(&mut self, budget: &mut Budget, affine: bool) {
-        for (u, c) in self.cap.iter_mut().enumerate() {
-            if *c > 0 {
-                budget.give(u, affine, *c);
-                *c = 0;
-            }
-        }
-        self.total = 0;
-        self.util.set(None);
-    }
-
-    /// Paper-style group utility: every member values every member's
-    /// capacity, attenuated by distance.
-    fn utility(&self, ctx: &ConfigCtx) -> f64 {
-        if let Some(u) = self.util.get() {
-            return u;
-        }
-        let util = pair_utility(self.members.iter().copied(), |v| self.cap[v], ctx);
-        self.util.set(Some(util));
-        util
-    }
-
-    /// The utility this group would have with non-member `v` appended to
-    /// its members and `bytes` placed there — the extend trial of lines
-    /// 9–21, scored without cloning the group.
-    fn utility_extended(&self, v: usize, bytes: u64, ctx: &ConfigCtx) -> f64 {
-        debug_assert!(!self.is_member(v));
-        let members = self.members.iter().copied().chain(std::iter::once(v));
-        pair_utility(members, |w| if w == v { self.cap[w] + bytes } else { self.cap[w] }, ctx)
-    }
-
-    /// `curve.next_segment(self.total)`, memoized.
-    fn next_segment(&self, curve: &MissCurve) -> Segment {
-        match self.seg.get() {
-            Some((at, seg)) if at == self.total => seg,
-            _ => {
-                let seg = curve.next_segment(self.total);
-                self.seg.set(Some((self.total, seg)));
-                seg
-            }
-        }
-    }
-}
-
-/// `Σ_u Σ_v cap(v) · attenuation[u][v]` over `members` (both loops in
-/// iteration order).
-fn pair_utility(
-    members: impl Iterator<Item = usize> + Clone,
-    cap: impl Fn(usize) -> u64,
-    ctx: &ConfigCtx,
-) -> f64 {
+/// `Σ_u Σ_v cap(v) · attenuation[u][v]` over the `(unit, cap)` terms
+/// (both loops in slice order).
+fn pair_utility(terms: &[(usize, f64)], ctx: &ConfigCtx) -> f64 {
     let mut util = 0.0;
-    for u in members.clone() {
+    for &(u, _) in terms {
         let row = &ctx.attenuation[u];
-        for v in members.clone() {
-            util += cap(v) as f64 * row[v];
+        for &(v, cap) in terms {
+            util += cap * row[v];
         }
     }
     util
 }
 
+#[derive(Debug, Default)]
 struct Budget {
     free: Vec<u64>,
     affine_free: Vec<u64>,
 }
 
 impl Budget {
+    fn reset(&mut self, ctx: &ConfigCtx) {
+        self.free.clear();
+        self.free.extend((0..ctx.units).map(|u| ctx.capacity_of(u)));
+        self.affine_free.clear();
+        self.affine_free.extend((0..ctx.units).map(|u| ctx.affine_cap.min(ctx.capacity_of(u))));
+    }
+
     fn available(&self, unit: usize, affine: bool) -> u64 {
         if affine {
             self.free[unit].min(self.affine_free[unit])
@@ -320,283 +231,36 @@ impl Budget {
     }
 }
 
-/// A heap entry: slope encoded as ordered bits (slopes are non-negative).
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct HeapKey(u64, Reverse<usize>, Reverse<usize>);
-
-fn slope_bits(slope: f64) -> u64 {
+/// A heap entry: the slope's bits above the complemented index, so the
+/// max-heap pops the steepest slope first and, on ties, the lowest index.
+/// Slopes are non-negative, so their bits order like their values; group
+/// indices are stream-major, so the order equals `(slope, Reverse(stream),
+/// Reverse(group))`.
+fn heap_key(slope: f64, index: usize) -> u128 {
     debug_assert!(slope >= 0.0);
-    slope.to_bits()
+    (u128::from(slope.to_bits()) << 64) | u128::from(!(index as u64))
 }
 
-/// Runs the NDPExt configuration algorithm (Algorithm 1).
-///
-/// Returns a per-stream group allocation. Capacity is expressed in bytes and
-/// already rounded to each stream's grain.
-pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation {
-    let mut budget = Budget {
-        free: (0..ctx.units).map(|u| ctx.capacity_of(u)).collect(),
-        affine_free: (0..ctx.units).map(|u| ctx.affine_cap.min(ctx.capacity_of(u))).collect(),
-    };
-
-    // Initial groups: maximal replication for read-only streams, a single
-    // shared group otherwise.
-    let mut groups: Vec<Vec<GroupState>> = demands
-        .iter()
-        .map(|d| {
-            if d.acc_units.is_empty() {
-                return Vec::new();
-            }
-            let total: u64 = d.acc_units.iter().map(|&(_, a)| a).sum();
-            if d.read_only {
-                d.acc_units
-                    .iter()
-                    .map(|&(u, a)| {
-                        GroupState::new(ctx.units, vec![u], u, a as f64 / total.max(1) as f64)
-                    })
-                    .collect()
-            } else {
-                let anchor = d.acc_units.iter().max_by_key(|&&(_, a)| a).expect("non-empty").0;
-                let members = d.acc_units.iter().map(|&(u, _)| u).collect();
-                vec![GroupState::new(ctx.units, members, anchor, 1.0)]
-            }
-        })
-        .collect();
-    // Live groups per stream: a merge needs a live sibling to fold into.
-    let mut alive_count: Vec<usize> = groups.iter().map(Vec::len).collect();
-    let mut primary: Vec<Option<Primary>> =
-        groups.iter().zip(demands).map(|(gs, d)| Primary::of(gs, d)).collect();
-
-    // A dead group's entry would only be popped and skipped, so dead groups
-    // are never queued.
-    let mut heap: BinaryHeap<HeapKey> = BinaryHeap::new();
-    let push = |heap: &mut BinaryHeap<HeapKey>,
-                all: &[Vec<GroupState>],
-                primary: &[Option<Primary>],
-                s: usize,
-                g: usize| {
-        if !all[s][g].alive {
-            return;
-        }
-        if let Some((_, weighted)) = weighted_segment(&all[s], g, primary[s], &demands[s], ctx) {
-            if weighted > 0.0 {
-                heap.push(HeapKey(slope_bits(weighted), Reverse(s), Reverse(g)));
-            }
-        }
-    };
-    for s in 0..groups.len() {
-        for g in 0..groups[s].len() {
-            push(&mut heap, &groups, &primary, s, g);
-        }
+/// Replaces the heap's top entry by group `g` at `slope`, or pops it when
+/// `slope` is not positive: the heap then holds what a pop followed by
+/// [`Solver::push`] leaves, after one sift instead of two.
+fn requeue(mut top: PeekMut<'_, u128>, slope: f64, g: usize) {
+    if slope > 0.0 {
+        *top = heap_key(slope, g);
+    } else {
+        PeekMut::pop(top);
     }
+}
 
-    let mut staged: Vec<(usize, u64)> = Vec::new();
-    let mut member_order: Vec<usize> = Vec::new();
-    while let Some(HeapKey(bits, Reverse(s), Reverse(g))) = heap.pop() {
-        if !groups[s][g].alive {
-            continue;
-        }
-        // Lazy heap: recompute and skip stale entries.
-        let cur_total = groups[s][g].total;
-        let Some((next_cap, weighted)) =
-            weighted_segment(&groups[s], g, primary[s], &demands[s], ctx)
-        else {
-            continue;
-        };
-        if slope_bits(weighted) != bits {
-            push(&mut heap, &groups, &primary, s, g);
-            continue;
-        }
-
-        let grain = demands[s].grain.max(1);
-        // A group never needs more than one full copy of the stream.
-        let room = demands[s].footprint.saturating_sub(cur_total);
-        if room == 0 {
-            continue;
-        }
-        let seg = ((next_cap - cur_total).min(room).div_ceil(grain)) * grain;
-        let affine = demands[s].affine;
-
-        // Try to place `seg` bytes within the group's members.
-        let mut remaining = seg;
-        staged.clear();
-        member_order.clear();
-        member_order.extend_from_slice(&groups[s][g].members);
-        member_order.sort_by_key(|&u| Reverse(budget.available(u, affine)));
-        for &u in &member_order {
-            if remaining == 0 {
-                break;
-            }
-            let avail = (budget.available(u, affine) / grain) * grain;
-            let take = avail.min(remaining);
-            if take > 0 {
-                staged.push((u, take));
-                remaining -= take;
-            }
-        }
-
-        if remaining > 0 {
-            // Lines 9–21: extend the group or merge two groups.
-            let st = &groups[s][g];
-            let extend_unit = ctx.nearest_where(st.anchor, |v| {
-                !st.is_member(v) && budget.available(v, affine) >= grain
-            });
-            let merge_pick = merge_candidate(&groups, &alive_count, st, ctx);
-
-            let do_merge = match (extend_unit, merge_pick) {
-                (None, None) => {
-                    // Nothing helps: this group is done.
-                    continue;
-                }
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(v), Some((s2, g2, g3))) => {
-                    // Extend gain: the utility the nearest free unit adds.
-                    let placeable = (budget.available(v, affine).min(remaining) / grain) * grain;
-                    let eg = st.utility_extended(v, placeable, ctx) - st.utility(ctx);
-                    // Merge gain: freed capacity enables this allocation; its
-                    // utility cost is the dropped replica's utility drop.
-                    let st2 = &groups[s2][g2];
-                    let freed = st2.total as f64;
-                    let merged_cost = st2.utility(ctx)
-                        - st2.total as f64 * ctx.attenuation[st2.anchor][groups[s2][g3].anchor];
-                    freed - merged_cost > eg
-                }
-            };
-
-            if do_merge {
-                let (s2, g2, g3) = merge_pick.expect("checked above");
-                // Drop replica g2: free its capacity, fold its members into
-                // g3 (they are now served remotely).
-                let st2 = &mut groups[s2][g2];
-                st2.alive = false;
-                st2.release(&mut budget, demands[s2].affine);
-                let members2 = st2.members.clone();
-                let share2 = st2.share;
-                alive_count[s2] -= 1;
-                if primary[s2].is_some_and(|p| p.group == g2) {
-                    primary[s2] = Primary::of(&groups[s2], &demands[s2]);
-                }
-                let st3 = &mut groups[s2][g3];
-                for m in members2 {
-                    st3.add_member(m);
-                }
-                st3.share += share2;
-                Primary::grown(&mut primary[s2], &groups[s2], g3, &demands[s2]);
-                // The surviving group's slope improved (more share); requeue.
-                push(&mut heap, &groups, &primary, s2, g3);
-            } else if let Some(v) = extend_unit {
-                groups[s][g].add_member(v);
-                Primary::grown(&mut primary[s], &groups[s], g, &demands[s]);
-            }
-            // Retry this group next round.
-            push(&mut heap, &groups, &primary, s, g);
-            continue;
-        }
-
-        // Commit the staged allocation.
-        for &(u, b) in &staged {
-            budget.take(u, affine, b);
-            groups[s][g].add_cap(u, b);
-        }
-        Primary::grown(&mut primary[s], &groups[s], g, &demands[s]);
-        push(&mut heap, &groups, &primary, s, g);
-    }
-
-    // Leftover fill: sampled curves flatten into noise long before capacity
-    // runs out; a real cache still uses the space. Hand each unit's free
-    // space to the streams that access it (weighted by access count).
-    // Capacity goes into each stream's *largest* group — growing one shared
-    // copy rather than inflating replication — and is capped by the stream's
-    // footprint across all groups.
-    let alive_total =
-        |gs: &[GroupState]| -> u64 { gs.iter().filter(|g| g.alive).map(|g| g.total).sum() };
-    for u in 0..ctx.units {
-        let mut cands: Vec<(usize, usize, u64)> = Vec::new();
-        for (s, d) in demands.iter().enumerate() {
-            let Some(&(_, acc)) = d.acc_units.iter().find(|&&(au, _)| au == u) else {
-                continue;
-            };
-            let Some(g) = (0..groups[s].len())
-                .filter(|&g| groups[s][g].alive)
-                .max_by_key(|&g| groups[s][g].total)
-            else {
-                continue;
-            };
-            if alive_total(&groups[s]) < d.footprint {
-                cands.push((s, g, acc));
-            }
-        }
-        let total_w: u64 = cands.iter().map(|&(.., w)| w).sum();
-        if total_w == 0 {
-            continue;
-        }
-        let free_u = budget.available(u, false);
-        for (s, g, w) in cands {
-            let d = &demands[s];
-            let grain = d.grain.max(1);
-            let share = free_u * w / total_w;
-            let room = d.footprint.saturating_sub(alive_total(&groups[s]));
-            // Keep the filled capacity spatially spread: no unit holds more
-            // than ~2× the stream's fair per-unit share (hot-spotting one
-            // unit concentrates traffic and lengthens average hops).
-            let fair = (d.footprint / ctx.units as u64).max(grain) * 2;
-            let at_u = groups[s][g].cap[u];
-            let add =
-                (share.min(room).min(fair.saturating_sub(at_u)).min(budget.available(u, d.affine))
-                    / grain)
-                    * grain;
-            if add > 0 {
-                budget.take(u, d.affine, add);
-                groups[s][g].add_cap(u, add);
-                groups[s][g].add_member(u);
-            }
-        }
-    }
-
-    // Consolidation pass: replication trades hit latency for hit rate
-    // (§V-C). For each read-only stream, merge replica groups while the
-    // estimated access time improves: a merge pools capacity (fewer misses
-    // to slow extended memory) at the cost of remote hits on the NoC.
-    for (s, d) in demands.iter().enumerate() {
-        loop {
-            let alive: Vec<usize> = (0..groups[s].len()).filter(|&g| groups[s][g].alive).collect();
-            if alive.len() < 2 {
-                break;
-            }
-            // Merge the two smallest groups (the least capacity-efficient
-            // replicas) if that lowers expected access time.
-            let mut by_size = alive.clone();
-            by_size.sort_by_key(|&g| groups[s][g].total);
-            let (a, b) = (by_size[0], by_size[1]);
-            let before = group_time(&groups[s][a], d, ctx) + group_time(&groups[s][b], d, ctx);
-            let mut merged = groups[s][a].clone();
-            for &m in &groups[s][b].members {
-                merged.add_member(m);
-            }
-            for (u, &c) in groups[s][b].cap.iter().enumerate() {
-                if c > 0 {
-                    merged.add_cap(u, c);
-                }
-            }
-            merged.share += groups[s][b].share;
-            let after = group_time(&merged, d, ctx);
-            if after < before {
-                groups[s][b].alive = false;
-                groups[s][a] = merged;
-            } else {
-                break;
-            }
-        }
-    }
-
-    to_allocation(&groups, ctx.units)
+/// The index a [`heap_key`] was built from.
+fn key_index(key: u128) -> usize {
+    !(key as u64) as usize
 }
 
 /// A stream's primary copy — its largest live group, lowest index on ties —
 /// which earns full miss-curve credit; every other group is a replica (see
-/// [`replica_factor`]). Kept per stream during the heap loop, where group
-/// totals only grow until a merge kills a group.
+/// [`Solver::replica_factor`]). Kept per stream during the heap loop, where
+/// group totals only grow until a merge kills a group.
 #[derive(Debug, Clone, Copy)]
 struct Primary {
     group: usize,
@@ -604,149 +268,816 @@ struct Primary {
     covered: f64,
 }
 
-impl Primary {
-    /// Scans the stream's live groups.
-    fn of(gs: &[GroupState], d: &StreamDemand) -> Option<Primary> {
-        let (group, _) = gs
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| st.alive)
-            .max_by(|a, b| a.1.total.cmp(&b.1.total).then(b.0.cmp(&a.0)))?;
-        Some(Primary::at(gs, group, d))
+/// The NDPExt configuration algorithm (Algorithm 1) with all of its
+/// scratch: the group arena, the heap, the per-stream lookahead memo, the
+/// merge index, and the placement buffers. A caller that solves every
+/// epoch keeps one solver and reuses its buffers; every solve starts from
+/// a full reset, so a reused solver returns exactly what a fresh one does.
+#[derive(Debug, Default)]
+pub struct Solver {
+    units: usize,
+    /// `u64` words per member bitset.
+    words: usize,
+    budget: Budget,
+    /// The group arena, stream-major: stream `s` owns groups
+    /// `first[s]..first[s + 1]`. Entries past the last stream's end are
+    /// left over from larger solves.
+    groups: Vec<Group>,
+    first: Vec<usize>,
+    /// Per-group bytes per unit: `cap[g * units + u]`.
+    cap: Vec<u64>,
+    /// Per-group member bitsets: `bits[g * words..][..words]`.
+    bits: Vec<u64>,
+    /// Live groups per stream: a merge needs a live sibling to fold into.
+    alive_count: Vec<usize>,
+    primary: Vec<Option<Primary>>,
+    /// Per-stream lookahead memo: the stream's capacity walk ([`Step`]).
+    walks: Vec<Vec<Step>>,
+    /// The merge index: every group a merge may drop — alive, holding
+    /// capacity, in a stream with another live group — ascending, with its
+    /// member bitset inline in `mergeable_bits`.
+    mergeable: Vec<usize>,
+    mergeable_bits: Vec<u64>,
+    /// The merge index entries sharing a unit with the group being placed.
+    overlapping: Vec<usize>,
+    heap: BinaryHeap<u128>,
+    staged: Vec<(usize, u64)>,
+    /// `(available bytes, unit)` per member of the group being placed.
+    member_order: Vec<(u64, usize)>,
+    /// Per anchor unit `a`, the other units nearest first (attenuation
+    /// descending, index ascending on ties) at `nearest[a * (units - 1)..]`,
+    /// sorted on first use and kept while the attenuation matrix stays
+    /// equal to `attenuation`.
+    nearest: Vec<usize>,
+    nearest_ready: Vec<bool>,
+    attenuation: Vec<Vec<f64>>,
+    /// Per anchor pair `a * units + b`, the replica latency value, computed
+    /// on first use.
+    latency_value: Vec<Option<f64>>,
+    /// Leftover fill: each stream's access count per unit, `acc_at[s *
+    /// units + u]`; each stream's receiving group and live total; the
+    /// current unit's candidates.
+    acc_at: Vec<Option<u64>>,
+    fill_to: Vec<Option<(usize, u64)>>,
+    cands: Vec<(usize, u64)>,
+    /// Group and member lists for the consolidation pass.
+    scratch: Vec<usize>,
+    /// `(unit, capacity)` terms of the utility being summed.
+    terms: Vec<(usize, f64)>,
+}
+
+impl Solver {
+    /// Runs Algorithm 1 on `demands`: a per-stream group allocation with
+    /// capacity in bytes, already rounded to each stream's grain. Equal to
+    /// [`allocate_ndpext`]; only the buffers are reused.
+    pub fn solve(&mut self, demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation {
+        self.reset(demands, ctx);
+        self.run_heap(demands, ctx);
+        self.fill_leftover(demands, ctx);
+        self.consolidate(demands, ctx);
+        self.allocation(demands.len())
     }
 
-    fn at(gs: &[GroupState], group: usize, d: &StreamDemand) -> Primary {
+    /// Builds the initial groups — maximal replication for read-only
+    /// streams, a single shared group otherwise — and clears every memo
+    /// and index.
+    fn reset(&mut self, demands: &[StreamDemand], ctx: &ConfigCtx) {
+        let units = ctx.units;
+        self.units = units;
+        self.words = units.div_ceil(64);
+        self.budget.reset(ctx);
+
+        self.first.clear();
+        self.first.push(0);
+        let mut n = 0;
+        for d in demands {
+            n += match (d.acc_units.len(), d.read_only) {
+                (0, _) => 0,
+                (k, true) => k,
+                (_, false) => 1,
+            };
+            self.first.push(n);
+        }
+        if self.groups.len() < n {
+            self.groups.resize_with(n, Group::default);
+        }
+        self.cap.clear();
+        self.cap.resize(n * units, 0);
+        self.bits.clear();
+        self.bits.resize(n * self.words, 0);
+        for (s, d) in demands.iter().enumerate() {
+            let g = self.first[s];
+            if d.acc_units.is_empty() {
+                continue;
+            }
+            if d.read_only {
+                let total: u64 = d.acc_units.iter().map(|&(_, a)| a).sum();
+                for (i, &(u, a)) in d.acc_units.iter().enumerate() {
+                    self.init_group(g + i, s, [u], u, a as f64 / total.max(1) as f64);
+                }
+            } else {
+                let anchor = d.acc_units.iter().max_by_key(|&&(_, a)| a).expect("non-empty").0;
+                self.init_group(g, s, d.acc_units.iter().map(|&(u, _)| u), anchor, 1.0);
+            }
+        }
+        self.alive_count.clear();
+        self.alive_count.extend(self.first.windows(2).map(|w| w[1] - w[0]));
+
+        if self.walks.len() < demands.len() {
+            self.walks.resize_with(demands.len(), Vec::new);
+        }
+        self.walks.iter_mut().for_each(Vec::clear);
+        self.primary.clear();
+        for (s, d) in demands.iter().enumerate() {
+            for g in self.first[s]..self.first[s + 1] {
+                self.arrive(g, d);
+            }
+            let p = self.primary_of(s, d);
+            self.primary.push(p);
+        }
+        self.mergeable.clear();
+        self.mergeable_bits.clear();
+        self.heap.clear();
+        if self.attenuation != ctx.attenuation {
+            self.attenuation.clone_from(&ctx.attenuation);
+            self.nearest.resize(units * units.saturating_sub(1), 0);
+            self.nearest_ready.clear();
+            self.nearest_ready.resize(units, false);
+        }
+        self.latency_value.clear();
+        self.latency_value.resize(units * units, None);
+    }
+
+    /// Resets arena slot `g` to an empty live group; `members` must be
+    /// distinct.
+    fn init_group(
+        &mut self,
+        g: usize,
+        stream: usize,
+        members: impl IntoIterator<Item = usize>,
+        anchor: usize,
+        share: f64,
+    ) {
+        let st = &mut self.groups[g];
+        st.members.clear();
+        for u in members {
+            let word = &mut self.bits[g * self.words + u / 64];
+            debug_assert_eq!(*word >> (u % 64) & 1, 0, "duplicate member {u}");
+            *word |= 1 << (u % 64);
+            st.members.push(u);
+        }
+        st.stream = stream;
+        st.total = 0;
+        st.util = None;
+        st.step = 0;
+        st.anchor = anchor;
+        st.share = share;
+        st.alive = true;
+    }
+
+    fn cap_row(&self, g: usize) -> &[u64] {
+        &self.cap[g * self.units..(g + 1) * self.units]
+    }
+
+    fn is_member(&self, g: usize, u: usize) -> bool {
+        self.bits[g * self.words + u / 64] >> (u % 64) & 1 == 1
+    }
+
+    /// Appends `u` to `g`'s members unless it already is one.
+    fn add_member(&mut self, g: usize, u: usize) {
+        if !self.is_member(g, u) {
+            self.bits[g * self.words + u / 64] |= 1 << (u % 64);
+            let st = &mut self.groups[g];
+            st.members.push(u);
+            st.total += self.cap[g * self.units + u];
+            st.util = None;
+        }
+    }
+
+    fn add_cap(&mut self, g: usize, u: usize, bytes: u64) {
+        self.cap[g * self.units + u] += bytes;
+        let member = self.is_member(g, u);
+        let st = &mut self.groups[g];
+        if member {
+            st.total += bytes;
+        }
+        st.util = None;
+    }
+
+    /// Kills `g` and returns all its capacity to the budget.
+    fn release(&mut self, g: usize, affine: bool) {
+        let row = &mut self.cap[g * self.units..(g + 1) * self.units];
+        for (u, c) in row.iter_mut().enumerate() {
+            if *c > 0 {
+                self.budget.give(u, affine, *c);
+                *c = 0;
+            }
+        }
+        let st = &mut self.groups[g];
+        st.alive = false;
+        st.total = 0;
+        st.util = None;
+    }
+
+    /// Paper-style group utility: every member values every member's
+    /// capacity, attenuated by distance.
+    fn utility(&mut self, g: usize, ctx: &ConfigCtx) -> f64 {
+        if let Some(u) = self.groups[g].util {
+            return u;
+        }
+        let cap = &self.cap[g * self.units..(g + 1) * self.units];
+        self.terms.clear();
+        self.terms.extend(self.groups[g].members.iter().map(|&v| (v, cap[v] as f64)));
+        let util = pair_utility(&self.terms, ctx);
+        self.groups[g].util = Some(util);
+        util
+    }
+
+    /// The utility `g` would have with non-member `v` appended to its
+    /// members and `bytes` placed there — the extend trial of lines 9–21,
+    /// scored without copying the group.
+    fn utility_extended(&mut self, g: usize, v: usize, bytes: u64, ctx: &ConfigCtx) -> f64 {
+        debug_assert!(!self.is_member(g, v));
+        let cap = &self.cap[g * self.units..(g + 1) * self.units];
+        self.terms.clear();
+        self.terms.extend(self.groups[g].members.iter().map(|&w| (w, cap[w] as f64)));
+        self.terms.push((v, (cap[v] + bytes) as f64));
+        pair_utility(&self.terms, ctx)
+    }
+
+    /// Loads the walk stop at `g`'s position into `g.at`; the first group
+    /// of its stream to reach a stop computes it.
+    fn arrive(&mut self, g: usize, d: &StreamDemand) {
+        let st = &mut self.groups[g];
+        let walk = &mut self.walks[st.stream];
+        if st.step == walk.len() {
+            let misses = d.curve.misses_at(st.total);
+            let seg = d.curve.segment_from(st.total, misses);
+            walk.push(Step { total: st.total, misses, seg });
+        }
+        st.at = walk[st.step];
+        debug_assert_eq!(st.at.total, st.total, "group {g} left its stream's walk");
+    }
+
+    /// Stream `s`'s largest live group, lowest index on ties.
+    fn largest_alive(&self, s: usize) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for g in self.first[s]..self.first[s + 1] {
+            let st = &self.groups[g];
+            if st.alive && best.is_none_or(|b| st.total > self.groups[b].total) {
+                best = Some(g);
+            }
+        }
+        best
+    }
+
+    fn primary_at(&self, g: usize, d: &StreamDemand) -> Primary {
         let total = d.total_accesses.max(1) as f64;
-        let covered = (1.0 - d.curve.misses_at(gs[group].total) / total).clamp(0.0, 1.0);
-        Primary { group, covered }
+        let covered = (1.0 - self.groups[g].at.misses / total).clamp(0.0, 1.0);
+        Primary { group: g, covered }
     }
 
-    /// Updates `primary` after live group `g`'s total grew.
-    fn grown(primary: &mut Option<Primary>, gs: &[GroupState], g: usize, d: &StreamDemand) {
-        let takes_over = primary.is_none_or(|p| {
-            let (mine, theirs) = (gs[g].total, gs[p.group].total);
+    fn primary_of(&self, s: usize, d: &StreamDemand) -> Option<Primary> {
+        let g = self.largest_alive(s)?;
+        Some(self.primary_at(g, d))
+    }
+
+    /// Updates the primary of `g`'s stream after live group `g`'s total
+    /// grew.
+    fn grown(&mut self, g: usize, d: &StreamDemand) {
+        let s = self.groups[g].stream;
+        let takes_over = self.primary[s].is_none_or(|p| {
+            let (mine, theirs) = (self.groups[g].total, self.groups[p.group].total);
             p.group == g || mine > theirs || (mine == theirs && g < p.group)
         });
         if takes_over {
-            *primary = Some(Primary::at(gs, g, d));
+            self.primary[s] = Some(self.primary_at(g, d));
         }
     }
-}
 
-/// The group's next lookahead segment: `(target capacity, slope weighted by
-/// the group's access share and replica factor)`.
-fn weighted_segment(
-    gs: &[GroupState],
-    g: usize,
-    primary: Option<Primary>,
-    d: &StreamDemand,
-    ctx: &ConfigCtx,
-) -> Option<(u64, f64)> {
-    debug_assert_eq!(primary.map(|p| p.group), Primary::of(gs, d).map(|p| p.group));
-    let (next_cap, slope) = gs[g].next_segment(&d.curve)?;
-    Some((next_cap, slope * gs[g].share * replica_factor(gs, g, primary, ctx)))
-}
+    /// Discounts a replica group's marginal utility: if the stream already
+    /// has a larger group covering its accesses, an extra copy only converts
+    /// *remote hits* into *local hits* — worth the interconnect saving, not
+    /// the full miss penalty (the paper's hit-rate vs hit-latency tradeoff,
+    /// §V-C).
+    fn replica_factor(&mut self, g: usize, ctx: &ConfigCtx) -> f64 {
+        // The stream's primary copy earns full miss-curve credit; every
+        // other group is a replica.
+        let st = &self.groups[g];
+        debug_assert!(st.alive, "dead groups are never scored");
+        let Some(Primary { group: other, covered }) =
+            self.primary[st.stream].filter(|p| p.group != g)
+        else {
+            return 1.0;
+        };
+        // Value of localizing a covered access: the interconnect saving
+        // relative to the full miss penalty an uncovered access pays.
+        let (a, b) = (st.anchor, self.groups[other].anchor);
+        let latency_value = *self.latency_value[a * self.units + b].get_or_insert_with(|| {
+            let noc = ctx.noc_ps(a, b).max(0.0);
+            (noc / (ctx.dram_lat_ps + ctx.miss_extra_ps)).min(1.0)
+        });
+        covered * latency_value + (1.0 - covered)
+    }
 
-/// The merge candidate of lines 9–21 for a group that ran out of room:
-/// the lowest-utility live group (any stream, first on ties) that holds
-/// capacity at a member unit of `of`, with the nearest live sibling group
-/// of its stream to fold into, as `(stream, group, sibling)`.
-///
-/// A candidate has a sibling exactly when its stream has another live
-/// group, so the sibling search runs for the winner only.
-fn merge_candidate(
-    groups: &[Vec<GroupState>],
-    alive_count: &[usize],
-    of: &GroupState,
-    ctx: &ConfigCtx,
-) -> Option<(usize, usize, usize)> {
-    let mut best: Option<(usize, usize, f64)> = None;
-    for (s2, gs2) in groups.iter().enumerate() {
-        if alive_count[s2] < 2 {
-            continue;
+    /// The group's next lookahead segment: `(target capacity, slope
+    /// weighted by the group's access share and replica factor)`.
+    fn weighted_segment(&mut self, g: usize, ctx: &ConfigCtx) -> Option<(u64, f64)> {
+        debug_assert_eq!(
+            self.primary[self.groups[g].stream].map(|p| p.group),
+            self.largest_alive(self.groups[g].stream)
+        );
+        let (next_cap, slope) = self.groups[g].at.seg?;
+        let shared = slope * self.groups[g].share;
+        Some((next_cap, shared * self.replica_factor(g, ctx)))
+    }
+
+    /// Queues live group `g` at its current weighted slope, if positive.
+    fn push(&mut self, heap: &mut BinaryHeap<u128>, g: usize, ctx: &ConfigCtx) {
+        if !self.groups[g].alive {
+            return;
         }
-        for (g2, st2) in gs2.iter().enumerate() {
-            // Only merging a group that holds capacity frees space.
-            if !st2.alive || st2.total == 0 || !st2.overlaps(of) {
+        if let Some((_, weighted)) = self.weighted_segment(g, ctx) {
+            if weighted > 0.0 {
+                heap.push(heap_key(weighted, g));
+            }
+        }
+    }
+
+    /// The greedy loop: pops the steepest weighted segment and places it
+    /// within its group's members, or extends or merges groups when the
+    /// members are out of room.
+    fn run_heap(&mut self, demands: &[StreamDemand], ctx: &ConfigCtx) {
+        let mut heap = std::mem::take(&mut self.heap);
+        // A dead group's entry would only be popped and skipped, so dead
+        // groups are never queued.
+        for g in 0..self.first[demands.len()] {
+            self.push(&mut heap, g, ctx);
+        }
+        loop {
+            let Some(top) = heap.peek_mut() else { break };
+            let g = key_index(*top);
+            if !self.groups[g].alive {
+                PeekMut::pop(top);
                 continue;
             }
-            let u = st2.utility(ctx);
-            if best.is_none_or(|(.., best_u)| u < best_u) {
-                best = Some((s2, g2, u));
+            let d = &demands[self.groups[g].stream];
+            // Lazy heap: recompute, and requeue a stale entry.
+            let cur_total = self.groups[g].total;
+            let Some((next_cap, weighted)) = self.weighted_segment(g, ctx) else {
+                PeekMut::pop(top);
+                continue;
+            };
+            if heap_key(weighted, g) != *top {
+                requeue(top, weighted, g);
+                continue;
+            }
+
+            let grain = d.grain.max(1);
+            // A group never needs more than one full copy of the stream.
+            let room = d.footprint.saturating_sub(cur_total);
+            if room == 0 {
+                PeekMut::pop(top);
+                continue;
+            }
+            let seg = ((next_cap - cur_total).min(room).div_ceil(grain)) * grain;
+            let remaining = self.stage(g, seg, grain, d.affine);
+            if remaining > 0 {
+                PeekMut::pop(top);
+                // Lines 9–21: extend the group or merge two groups, then
+                // retry this group next round.
+                if self.extend_or_merge(&mut heap, g, remaining, demands, ctx) {
+                    self.push(&mut heap, g, ctx);
+                }
+                continue;
+            }
+            self.commit(g, d);
+            let next = self.weighted_segment(g, ctx).map_or(0.0, |(_, w)| w);
+            requeue(top, next, g);
+        }
+        self.heap = heap;
+    }
+
+    /// Stages `seg` bytes on `g`'s members, most available space first
+    /// (member order on ties). Returns the bytes that do not fit.
+    ///
+    /// When the members' grain-rounded space falls short, every member
+    /// gives all of it in any order, so only the shortfall is returned.
+    /// Otherwise members are picked by repeated first-maximum selection —
+    /// the order a stable descending sort gives — until `seg` is placed.
+    fn stage(&mut self, g: usize, seg: u64, grain: u64, affine: bool) -> u64 {
+        self.staged.clear();
+        self.member_order.clear();
+        let mut room = 0u64;
+        for &u in &self.groups[g].members {
+            let avail = self.budget.available(u, affine);
+            room = room.saturating_add((avail / grain) * grain);
+            self.member_order.push((avail, u));
+        }
+        if room < seg {
+            return seg - room;
+        }
+        let mut remaining = seg;
+        while remaining > 0 {
+            let mut pick = 0;
+            for (i, &(avail, _)) in self.member_order.iter().enumerate().skip(1) {
+                if avail > self.member_order[pick].0 {
+                    pick = i;
+                }
+            }
+            let (avail, u) = self.member_order[pick];
+            let take = ((avail / grain) * grain).min(remaining);
+            self.staged.push((u, take));
+            remaining -= take;
+            self.member_order[pick].0 = 0;
+        }
+        0
+    }
+
+    /// Moves the staged bytes from the budget into `g`, one walk step on.
+    fn commit(&mut self, g: usize, d: &StreamDemand) {
+        let was_empty = self.groups[g].total == 0;
+        for i in 0..self.staged.len() {
+            let (u, b) = self.staged[i];
+            self.budget.take(u, d.affine, b);
+            self.add_cap(g, u, b);
+        }
+        self.groups[g].step += 1;
+        self.arrive(g, d);
+        if was_empty && self.alive_count[self.groups[g].stream] >= 2 {
+            self.index_insert(g);
+        }
+        self.grown(g, d);
+    }
+
+    /// Lines 9–21 for group `g`, whose members lack room for `remaining`
+    /// bytes of its next segment: extends it to the nearest unit
+    /// with space or merges the best candidate replica into its sibling,
+    /// whichever gains more. Returns false when neither is possible.
+    fn extend_or_merge(
+        &mut self,
+        heap: &mut BinaryHeap<u128>,
+        g: usize,
+        remaining: u64,
+        demands: &[StreamDemand],
+        ctx: &ConfigCtx,
+    ) -> bool {
+        let d = &demands[self.groups[g].stream];
+        let (grain, affine) = (d.grain.max(1), d.affine);
+        let extend_unit = self.nearest_free(g, grain, affine);
+        let merge_pick = self.merge_candidate(g, ctx);
+        let do_merge = match (extend_unit, merge_pick) {
+            // Nothing helps: this group is done.
+            (None, None) => return false,
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+            (Some(v), Some((g2, g3))) => {
+                // Extend gain: the utility the nearest free unit adds.
+                let placeable = (self.budget.available(v, affine).min(remaining) / grain) * grain;
+                let eg = self.utility_extended(g, v, placeable, ctx) - self.utility(g, ctx);
+                // Merge gain: freed capacity enables this allocation; its
+                // utility cost is the dropped replica's utility drop.
+                let util2 = self.utility(g2, ctx);
+                let (st2, st3) = (&self.groups[g2], &self.groups[g3]);
+                let freed = st2.total as f64;
+                let merged_cost =
+                    util2 - st2.total as f64 * ctx.attenuation[st2.anchor][st3.anchor];
+                freed - merged_cost > eg
+            }
+        };
+        if do_merge {
+            let (g2, g3) = merge_pick.expect("checked above");
+            self.merge(heap, g2, g3, demands, ctx);
+        } else if let Some(v) = extend_unit {
+            self.add_member(g, v);
+            self.index_sync(g);
+        }
+        true
+    }
+
+    /// Drops replica `g2`: frees its capacity and folds its members into
+    /// its sibling `g3` (they are now served remotely).
+    fn merge(
+        &mut self,
+        heap: &mut BinaryHeap<u128>,
+        g2: usize,
+        g3: usize,
+        demands: &[StreamDemand],
+        ctx: &ConfigCtx,
+    ) {
+        let s = self.groups[g2].stream;
+        let d = &demands[s];
+        self.release(g2, d.affine);
+        self.index_remove(g2);
+        self.alive_count[s] -= 1;
+        if self.alive_count[s] == 1 {
+            // `g3` is the stream's last live group: nothing to fold it into.
+            self.index_remove(g3);
+        }
+        if self.primary[s].is_some_and(|p| p.group == g2) {
+            self.primary[s] = self.primary_of(s, d);
+        }
+        let members2 = std::mem::take(&mut self.groups[g2].members);
+        for &m in &members2 {
+            self.add_member(g3, m);
+        }
+        self.groups[g2].members = members2;
+        self.groups[g3].share += self.groups[g2].share;
+        self.index_sync(g3);
+        // The surviving group's slope improved (more share); requeue.
+        self.push(heap, g3, ctx);
+    }
+
+    /// The unit nearest `g`'s anchor (highest attenuation, lowest index on
+    /// ties) that is not a member and has a grain of space: the first such
+    /// unit in the anchor's nearest-first order. Never the anchor itself,
+    /// which is always a member.
+    fn nearest_free(&mut self, g: usize, grain: u64, affine: bool) -> Option<usize> {
+        if self.groups[g].members.len() == self.units {
+            return None;
+        }
+        let a = self.groups[g].anchor;
+        let n = self.units - 1;
+        let order = &mut self.nearest[a * n..(a + 1) * n];
+        if !self.nearest_ready[a] {
+            for (slot, v) in order.iter_mut().zip((0..self.units).filter(|&v| v != a)) {
+                *slot = v;
+            }
+            // Stable: equally near units stay in index order.
+            let row = &self.attenuation[a];
+            order.sort_by(|&x, &y| row[y].partial_cmp(&row[x]).expect("attenuations are finite"));
+            self.nearest_ready[a] = true;
+        }
+        self.nearest[a * n..(a + 1) * n]
+            .iter()
+            .copied()
+            .find(|&v| !self.is_member(g, v) && self.budget.available(v, affine) >= grain)
+    }
+
+    /// The merge candidate of lines 9–21 for a group that ran out of room:
+    /// the lowest-utility group of the merge index (first on ties) that
+    /// shares a member unit with `of`, and the nearest live sibling group
+    /// of its stream to fold into, as `(group, sibling)`.
+    fn merge_candidate(&mut self, of: usize, ctx: &ConfigCtx) -> Option<(usize, usize)> {
+        let w = self.words;
+        let of_bits = &self.bits[of * w..(of + 1) * w];
+        self.overlapping.clear();
+        for (&g2, bits2) in self.mergeable.iter().zip(self.mergeable_bits.chunks_exact(w)) {
+            if bits2.iter().zip(of_bits).any(|(a, b)| a & b != 0) {
+                self.overlapping.push(g2);
+            }
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for i in 0..self.overlapping.len() {
+            let g2 = self.overlapping[i];
+            let u = self.utility(g2, ctx);
+            if best.is_none_or(|(_, best_u)| u < best_u) {
+                best = Some((g2, u));
+            }
+        }
+        let (g2, _) = best?;
+        let st2 = &self.groups[g2];
+        let near = &ctx.attenuation[st2.anchor];
+        let (g3, _) = (self.first[st2.stream]..self.first[st2.stream + 1])
+            .map(|o| (o, &self.groups[o]))
+            .filter(|&(o, os)| o != g2 && os.alive)
+            .max_by(|a, b| {
+                near[a.1.anchor].partial_cmp(&near[b.1.anchor]).expect("attenuations are finite")
+            })?;
+        Some((g2, g3))
+    }
+
+    /// Adds `g`, which just became mergeable, to the merge index.
+    fn index_insert(&mut self, g: usize) {
+        let w = self.words;
+        let Err(at) = self.mergeable.binary_search(&g) else {
+            unreachable!("group {g} is already indexed");
+        };
+        self.mergeable.insert(at, g);
+        self.mergeable_bits.splice(at * w..at * w, self.bits[g * w..(g + 1) * w].iter().copied());
+    }
+
+    /// Drops `g` from the merge index, if it is there.
+    fn index_remove(&mut self, g: usize) {
+        let w = self.words;
+        if let Ok(at) = self.mergeable.binary_search(&g) {
+            self.mergeable.remove(at);
+            self.mergeable_bits.drain(at * w..(at + 1) * w);
+        }
+    }
+
+    /// Refreshes `g`'s inline member bits after its members changed.
+    fn index_sync(&mut self, g: usize) {
+        let w = self.words;
+        if let Ok(at) = self.mergeable.binary_search(&g) {
+            self.mergeable_bits[at * w..(at + 1) * w]
+                .copy_from_slice(&self.bits[g * w..(g + 1) * w]);
+        }
+    }
+
+    /// Leftover fill: sampled curves flatten into noise long before
+    /// capacity runs out; a real cache still uses the space. Hands each
+    /// unit's free space to the streams that access it (weighted by access
+    /// count). Capacity goes into each stream's *largest* live group (the
+    /// last on ties) — growing one shared copy rather than inflating
+    /// replication — and is capped by the stream's footprint across all
+    /// groups. Only that group grows, so it stays the largest throughout.
+    fn fill_leftover(&mut self, demands: &[StreamDemand], ctx: &ConfigCtx) {
+        let units = self.units;
+        self.acc_at.clear();
+        self.acc_at.resize(demands.len() * units, None);
+        self.fill_to.clear();
+        for (s, d) in demands.iter().enumerate() {
+            for &(u, acc) in &d.acc_units {
+                self.acc_at[s * units + u].get_or_insert(acc);
+            }
+            let (mut to, mut alive_total) = (None, 0);
+            for g in self.first[s]..self.first[s + 1] {
+                let st = &self.groups[g];
+                if st.alive {
+                    alive_total += st.total;
+                    if to.is_none_or(|t: usize| st.total >= self.groups[t].total) {
+                        to = Some(g);
+                    }
+                }
+            }
+            self.fill_to.push(to.map(|g| (g, alive_total)));
+        }
+        for u in 0..units {
+            self.cands.clear();
+            for (s, d) in demands.iter().enumerate() {
+                let (Some(acc), Some((_, have))) = (self.acc_at[s * units + u], self.fill_to[s])
+                else {
+                    continue;
+                };
+                if have < d.footprint {
+                    self.cands.push((s, acc));
+                }
+            }
+            let total_w: u64 = self.cands.iter().map(|&(_, w)| w).sum();
+            if total_w == 0 {
+                continue;
+            }
+            let free_u = self.budget.available(u, false);
+            for i in 0..self.cands.len() {
+                let (s, w) = self.cands[i];
+                let d = &demands[s];
+                let (g, have) = self.fill_to[s].expect("candidates have a group");
+                let grain = d.grain.max(1);
+                let share = free_u * w / total_w;
+                let room = d.footprint.saturating_sub(have);
+                // Keep the filled capacity spatially spread: no unit holds
+                // more than ~2× the stream's fair per-unit share
+                // (hot-spotting one unit concentrates traffic and lengthens
+                // average hops).
+                let fair = (d.footprint / ctx.units as u64).max(grain) * 2;
+                let at_u = self.cap[g * units + u];
+                let add = (share
+                    .min(room)
+                    .min(fair.saturating_sub(at_u))
+                    .min(self.budget.available(u, d.affine))
+                    / grain)
+                    * grain;
+                if add > 0 {
+                    self.budget.take(u, d.affine, add);
+                    self.add_cap(g, u, add);
+                    self.add_member(g, u);
+                    self.fill_to[s] = Some((g, have + add));
+                }
             }
         }
     }
-    let (s2, g2, _) = best?;
-    let anchor2 = groups[s2][g2].anchor;
-    let (g3, _) =
-        groups[s2].iter().enumerate().filter(|&(o, os)| o != g2 && os.alive).max_by(|a, b| {
-            let ka = ctx.attenuation[anchor2][a.1.anchor];
-            let kb = ctx.attenuation[anchor2][b.1.anchor];
-            ka.partial_cmp(&kb).expect("attenuations are finite")
-        })?;
-    Some((s2, g2, g3))
+
+    /// Consolidation pass: replication trades hit latency for hit rate
+    /// (§V-C). For each read-only stream, merges replica groups while the
+    /// estimated access time improves: a merge pools capacity (fewer misses
+    /// to slow extended memory) at the cost of remote hits on the NoC.
+    fn consolidate(&mut self, demands: &[StreamDemand], ctx: &ConfigCtx) {
+        for (s, d) in demands.iter().enumerate() {
+            loop {
+                let groups = &self.groups;
+                self.scratch.clear();
+                self.scratch
+                    .extend((self.first[s]..self.first[s + 1]).filter(|&g| groups[g].alive));
+                if self.scratch.len() < 2 {
+                    break;
+                }
+                // Merge the two smallest groups (the least capacity-efficient
+                // replicas) if that lowers expected access time.
+                self.scratch.sort_by_key(|&g| groups[g].total);
+                let (a, b) = (self.scratch[0], self.scratch[1]);
+                let before = self.group_time(a, d, ctx) + self.group_time(b, d, ctx);
+                // The merged group's members: `a`'s, then `b`'s others.
+                self.scratch.clear();
+                self.scratch.extend_from_slice(&self.groups[a].members);
+                for &m in &self.groups[b].members {
+                    if !self.is_member(a, m) {
+                        self.scratch.push(m);
+                    }
+                }
+                let (cap_a, cap_b) = (self.cap_row(a), self.cap_row(b));
+                let (st_a, st_b) = (&self.groups[a], &self.groups[b]);
+                let after = group_time(
+                    &self.scratch,
+                    |v| cap_a[v] + cap_b[v],
+                    st_a.total + st_b.total,
+                    st_a.share + st_b.share,
+                    d,
+                    ctx,
+                );
+                if after < before {
+                    self.fold(a, b);
+                } else {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Folds group `b` into `a` (members, capacity, share) and kills `b`.
+    fn fold(&mut self, a: usize, b: usize) {
+        let members_b = std::mem::take(&mut self.groups[b].members);
+        for &m in &members_b {
+            self.add_member(a, m);
+        }
+        self.groups[b].members = members_b;
+        for u in 0..self.units {
+            let c = self.cap[b * self.units + u];
+            if c > 0 {
+                self.add_cap(a, u, c);
+            }
+        }
+        self.groups[a].share += self.groups[b].share;
+        self.groups[b].alive = false;
+    }
+
+    fn group_time(&self, g: usize, d: &StreamDemand, ctx: &ConfigCtx) -> f64 {
+        let (st, cap) = (&self.groups[g], self.cap_row(g));
+        group_time(&st.members, |v| cap[v], st.total, st.share, d, ctx)
+    }
+
+    fn allocation(&self, streams: usize) -> Allocation {
+        Allocation {
+            streams: (0..streams)
+                .map(|s| {
+                    (self.first[s]..self.first[s + 1])
+                        .filter(|&g| self.groups[g].alive && self.groups[g].total > 0)
+                        .map(|g| AllocGroup {
+                            unit_bytes: self
+                                .cap_row(g)
+                                .iter()
+                                .enumerate()
+                                .filter(|&(_, &c)| c > 0)
+                                .map(|(u, &c)| (u, c))
+                                .collect(),
+                        })
+                        .collect()
+                })
+                .collect(),
+        }
+    }
 }
 
-/// Discounts a replica group's marginal utility: if the stream already has
-/// a larger group covering its accesses, an extra copy only converts
-/// *remote hits* into *local hits* — worth the interconnect saving, not the
-/// full miss penalty (the paper's hit-rate vs hit-latency tradeoff, §V-C).
-fn replica_factor(gs: &[GroupState], g: usize, primary: Option<Primary>, ctx: &ConfigCtx) -> f64 {
-    // The stream's primary copy earns full miss-curve credit; every other
-    // group is a replica.
-    debug_assert!(gs[g].alive, "dead groups are never scored");
-    let Some(Primary { group: other, covered }) = primary.filter(|p| p.group != g) else {
-        return 1.0;
-    };
-    // Value of localizing a covered access: the interconnect saving relative
-    // to the full miss penalty an uncovered access pays.
-    let noc = ctx.noc_ps(gs[g].anchor, gs[other].anchor).max(0.0);
-    let latency_value = (noc / (ctx.dram_lat_ps + ctx.miss_extra_ps)).min(1.0);
-    covered * latency_value + (1.0 - covered)
-}
-
-/// Estimated time this group's accesses spend in the memory system per
-/// epoch: misses pay the extended-memory penalty, hits pay DRAM plus the
-/// average intra-group NoC distance.
-fn group_time(g: &GroupState, d: &StreamDemand, ctx: &ConfigCtx) -> f64 {
-    let acc = d.total_accesses as f64 * g.share;
+/// Estimated time a group's accesses spend in the memory system per epoch:
+/// misses pay the extended-memory penalty, hits pay DRAM plus the average
+/// intra-group NoC distance. The group is given by its members (in
+/// order), per-unit capacity, total, and access share.
+fn group_time(
+    members: &[usize],
+    cap: impl Fn(usize) -> u64,
+    total: u64,
+    share: f64,
+    d: &StreamDemand,
+    ctx: &ConfigCtx,
+) -> f64 {
+    let acc = d.total_accesses as f64 * share;
     if acc <= 0.0 {
         return 0.0;
     }
-    let misses = d.curve.misses_at(g.total) * g.share;
+    let misses = d.curve.misses_at(total) * share;
     let hits = (acc - misses).max(0.0);
     // Average NoC distance within the group, capacity-weighted.
-    let total_cap = g.total.max(1) as f64;
+    let total_cap = total.max(1) as f64;
     let mut avg_noc = 0.0;
-    if g.members.len() > 1 {
-        for &u in &g.members {
+    if members.len() > 1 {
+        for &u in members {
             let mut from_u = 0.0;
-            for &v in &g.members {
-                from_u += g.cap[v] as f64 / total_cap * ctx.noc_ps(u, v);
+            for &v in members {
+                from_u += cap(v) as f64 / total_cap * ctx.noc_ps(u, v);
             }
-            avg_noc += from_u / g.members.len() as f64;
+            avg_noc += from_u / members.len() as f64;
         }
     }
     misses * (ctx.dram_lat_ps + ctx.miss_extra_ps) + hits * (ctx.dram_lat_ps + avg_noc)
 }
 
-fn to_allocation(groups: &[Vec<GroupState>], units: usize) -> Allocation {
-    Allocation {
-        streams: groups
-            .iter()
-            .map(|gs| {
-                gs.iter()
-                    .filter(|st| st.alive && st.total > 0)
-                    .map(|st| AllocGroup {
-                        unit_bytes: (0..units)
-                            .filter(|&u| st.cap[u] > 0)
-                            .map(|u| (u, st.cap[u]))
-                            .collect(),
-                    })
-                    .collect()
-            })
-            .collect(),
-    }
+/// Runs the NDPExt configuration algorithm (Algorithm 1) on a fresh
+/// [`Solver`].
+///
+/// Returns a per-stream group allocation. Capacity is expressed in bytes and
+/// already rounded to each stream's grain.
+pub fn allocate_ndpext(demands: &[StreamDemand], ctx: &ConfigCtx) -> Allocation {
+    Solver::default().solve(demands, ctx)
 }
 
 /// Runs one of the baseline allocators.
@@ -881,22 +1212,23 @@ fn allocate_lookahead(
         .collect();
     let mut totals: Vec<u64> = vec![0; demands.len()];
 
-    let mut heap: BinaryHeap<HeapKey> = BinaryHeap::new();
+    let mut heap: BinaryHeap<u128> = BinaryHeap::new();
     for (s, d) in demands.iter().enumerate() {
         if let Some((_, slope)) = d.curve.next_segment(0) {
             if slope > 0.0 && d.total_accesses > 0 {
-                heap.push(HeapKey(slope_bits(slope), Reverse(s), Reverse(0)));
+                heap.push(heap_key(slope, s));
             }
         }
     }
 
-    while let Some(HeapKey(bits, Reverse(s), Reverse(_))) = heap.pop() {
+    while let Some(key) = heap.pop() {
+        let s = key_index(key);
         let d = &demands[s];
         let Some((next_cap, slope)) = d.curve.next_segment(totals[s]) else {
             continue;
         };
-        if slope_bits(slope) != bits {
-            heap.push(HeapKey(slope_bits(slope), Reverse(s), Reverse(0)));
+        if heap_key(slope, s) != key {
+            heap.push(heap_key(slope, s));
             continue;
         }
         let grain = d.grain.max(1);
@@ -960,11 +1292,7 @@ fn allocate_lookahead(
             continue; // Out of space for this stream.
         }
         totals[s] = next_cap;
-        heap.push(HeapKey(
-            slope_bits(d.curve.next_segment(totals[s]).map_or(0.0, |(_, sl)| sl)),
-            Reverse(s),
-            Reverse(0),
-        ));
+        heap.push(heap_key(d.curve.next_segment(totals[s]).map_or(0.0, |(_, sl)| sl), s));
     }
 
     // Leftover fill (see allocate_ndpext): unused capacity goes to streams

@@ -12,7 +12,7 @@ pub mod maxflow;
 pub mod sampler;
 
 pub use configure::{
-    allocate_baseline, allocate_ndpext, AllocGroup, Allocation, ConfigCtx, StreamDemand,
+    allocate_baseline, allocate_ndpext, AllocGroup, Allocation, ConfigCtx, Solver, StreamDemand,
 };
 pub use maxflow::{assign_samplers, FlowNetwork, SamplerAssignment};
 pub use sampler::{capacity_points, MissCurve, SetSampler};

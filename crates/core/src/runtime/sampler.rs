@@ -74,9 +74,14 @@ impl MissCurve {
     /// rule, which steps over convex plateaus that a next-point-only search
     /// would stall on.
     pub fn next_segment(&self, capacity: u64) -> Option<(u64, f64)> {
-        let cur = self.misses_at(capacity);
+        self.segment_from(capacity, self.misses_at(capacity))
+    }
+
+    /// [`MissCurve::next_segment`] given `cur = self.misses_at(capacity)`.
+    pub(crate) fn segment_from(&self, capacity: u64, cur: f64) -> Option<(u64, f64)> {
+        let beyond = self.points.partition_point(|&(c, _)| c <= capacity);
         let mut best: Option<(u64, f64)> = None;
-        for &(c, m) in self.points.iter().filter(|&&(c, _)| c > capacity) {
+        for &(c, m) in &self.points[beyond..] {
             let slope = (cur - m).max(0.0) / (c - capacity) as f64;
             if best.is_none_or(|(_, bs)| slope > bs) {
                 best = Some((c, slope));

@@ -11,7 +11,7 @@ use ndpx_stream::StreamId;
 use super::NdpSystem;
 use crate::config::PolicyKind;
 use crate::layout::StreamLayout;
-use crate::runtime::configure::{allocate_baseline, allocate_ndpext};
+use crate::runtime::configure::allocate_baseline;
 
 /// Per-event recovery record (`fault.recovery.e##.*`). `applied` guards
 /// registration: events the run never reached publish nothing.
@@ -308,7 +308,7 @@ impl NdpSystem {
         let demands = self.collect_demands(false);
         let ctx = self.config_ctx();
         let alloc = if self.cfg.policy == PolicyKind::NdpExt {
-            allocate_ndpext(&demands, &ctx)
+            self.solver.solve(&demands, &ctx)
         } else {
             allocate_baseline(self.cfg.policy, &demands, &ctx, self.cfg.nexus_degree)
         };

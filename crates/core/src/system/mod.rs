@@ -55,7 +55,7 @@ use crate::config::{PolicyKind, SystemConfig};
 use crate::desc::{DescParams, StreamDesc};
 use crate::driver::{self, Engine, Simulated};
 use crate::layout::StreamLayout;
-use crate::runtime::configure::allocate_baseline;
+use crate::runtime::configure::{allocate_baseline, Solver};
 use crate::runtime::sampler::MissCurve;
 use crate::stats::{Breakdown, RunReport};
 
@@ -131,6 +131,8 @@ pub struct NdpSystem {
     acc_history: Vec<u64>,
     samplers: Vec<Option<SamplerSlot>>,
     prev_curves: Vec<Option<MissCurve>>,
+    /// Algorithm 1's solver, reused by every epoch and forced re-placement.
+    solver: Solver,
     // Statistics.
     mem_ops: u64,
     l1_hits: u64,
@@ -232,6 +234,7 @@ impl NdpSystem {
             acc_history: vec![0; stream_count * units_n],
             samplers: (0..stream_count).map(|_| None).collect(),
             prev_curves: vec![None; stream_count],
+            solver: Solver::default(),
             table: workload.table,
             source: workload.source,
             workload_name: workload.name,

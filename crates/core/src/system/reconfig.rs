@@ -12,9 +12,7 @@ use ndpx_stream::StreamId;
 use super::{NdpSystem, LINE_BYTES};
 use crate::config::{PolicyKind, ReconfigTransfer};
 use crate::layout::{Group, StreamLayout};
-use crate::runtime::configure::{
-    allocate_baseline, allocate_ndpext, Allocation, ConfigCtx, StreamDemand,
-};
+use crate::runtime::configure::{allocate_baseline, Allocation, ConfigCtx, StreamDemand};
 use crate::runtime::maxflow::assign_samplers;
 use crate::runtime::sampler::{capacity_points, MissCurve, SetSampler};
 
@@ -342,7 +340,7 @@ impl NdpSystem {
                 let demands = self.collect_demands(false);
                 let ctx = self.config_ctx();
                 if self.cfg.policy == PolicyKind::NdpExt {
-                    allocate_ndpext(&demands, &ctx)
+                    self.solver.solve(&demands, &ctx)
                 } else {
                     allocate_baseline(self.cfg.policy, &demands, &ctx, self.cfg.nexus_degree)
                 }
@@ -431,18 +429,15 @@ impl NdpSystem {
         self.noc_weights = noc_weights;
     }
 
-    /// Whether any decision reads the miss-curve samples: an epoch
-    /// reconfiguration, or a chaos event's forced re-placement. Without a
-    /// reader no sampler is built, so the access path skips `observe` and
-    /// epochs skip the max-flow assignment.
-    fn reads_samples(&self) -> bool {
-        self.cfg.policy.reconfigures() || self.chaos.is_some()
-    }
-
     /// Runs the max-flow sampler assignment on this epoch's access bitvector
     /// and instantiates fresh samplers; a no-op when nothing reads them.
     pub(super) fn assign_epoch_samplers(&mut self) {
-        if !self.reads_samples() {
+        // Only the reconfiguring policies' allocators read miss curves, at
+        // epochs and at a chaos event's forced re-placement alike; the
+        // static allocators (`allocate_equal`, `allocate_interleave`) never
+        // do. Without a reader no sampler is built, so the access path
+        // skips `observe` and epochs skip the max-flow assignment.
+        if !self.cfg.policy.reconfigures() {
             return;
         }
         let units_n = self.cfg.units();

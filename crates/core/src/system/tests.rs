@@ -287,9 +287,12 @@ fn samplers_exist_only_where_a_decision_reads_them() {
     }
     let (built, after) = sampler_slots(PolicyKind::NdpExt, None);
     assert!(built > 0 && after > 0, "NDPExt reconfigures from its samples");
-    // Any chaos plan can force a re-placement, not only a stack loss.
-    let (built, after) = sampler_slots(PolicyKind::NdpExtStatic, Some("noc-down@1ms:0-1"));
-    assert!(built > 0 && after > 0, "a chaos plan's forced re-placement reads the samples");
+    // A chaos plan forces re-placements, but the static allocators ignore
+    // miss curves, so a static policy still builds no sampler.
+    for policy in [PolicyKind::NdpExtStatic, PolicyKind::StaticInterleave] {
+        let slots = sampler_slots(policy, Some("noc-down@1ms:0-1"));
+        assert_eq!(slots, (0, 0), "{policy:?}'s forced re-placement reads no samples");
+    }
 }
 
 fn count(r: &RunReport, k: &str) -> u64 {

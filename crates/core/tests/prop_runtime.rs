@@ -1,13 +1,16 @@
 //! Randomized property tests for the runtime: miss curves, the sampler,
 //! max-flow assignment, the configuration algorithm's capacity invariants,
-//! the incremental Algorithm 1 solver against its from-scratch oracle, and
-//! the packed sampler against its per-case oracle.
+//! the incremental Algorithm 1 solver (fresh and reused across solves)
+//! against its from-scratch oracle, and the packed sampler against its
+//! per-case oracle.
 //!
 //! Cases are driven by the workspace's seeded [`Xoshiro256`] so the suite is
 //! deterministic and needs no external property-testing framework.
 
 use ndpx_core::config::PolicyKind;
-use ndpx_core::runtime::configure::{allocate_baseline, allocate_ndpext, ConfigCtx, StreamDemand};
+use ndpx_core::runtime::configure::{
+    allocate_baseline, allocate_ndpext, ConfigCtx, Solver, StreamDemand,
+};
 use ndpx_core::runtime::maxflow::assign_samplers;
 use ndpx_core::runtime::sampler::{capacity_points, MissCurve, SetSampler};
 use ndpx_sim::rng::Xoshiro256;
@@ -306,4 +309,71 @@ fn incremental_solver_matches_the_from_scratch_oracle() {
     ] {
         assert!(hits >= 20, "{path} reached only {hits} times");
     }
+}
+
+/// Replica-heavy demands: three to five read-only streams accessed by every
+/// unit share one 64-point curve on the samplers' capacity points, so each
+/// stream's replicas walk one lookahead memo and the merge index churns as
+/// replicas merge; a few random streams ride along.
+fn replica_heavy_demands(rng: &mut Xoshiro256, ctx: &ConfigCtx) -> Vec<StreamDemand> {
+    let units = ctx.units;
+    let global = ctx.unit_capacity * units as u64;
+    let total = 10_000 + rng.below(100_000);
+    let footprint = global / 4 + rng.below(global);
+    let pts = capacity_points((global / 16384).max(64), global, 64)
+        .into_iter()
+        .map(|c| {
+            let covered = (c as f64 / footprint as f64).min(1.0);
+            (c, total as f64 * (1.0 - 0.9 * covered.sqrt()))
+        })
+        .collect();
+    let curve = MissCurve::from_samples(total as f64, pts);
+    let replicated = 3 + rng.below(3) as usize;
+    let mut demands: Vec<StreamDemand> = (0..replicated)
+        .map(|_| StreamDemand {
+            curve: curve.clone(),
+            acc_units: (0..units).map(|u| (u, 1 + rng.below(1000))).collect(),
+            read_only: true,
+            affine: rng.chance(0.3),
+            grain: 64,
+            total_accesses: total,
+            footprint,
+        })
+        .collect();
+    demands.extend(random_demands(rng, units, false).into_iter().take(3));
+    demands
+}
+
+#[test]
+fn reused_solver_matches_the_from_scratch_oracle() {
+    let mut rng = Xoshiro256::seed_from(0x5E05);
+    let mut solver = Solver::default();
+    let mut merged = 0;
+    for case in 0..64 {
+        // One reused solver across unit counts whose member bitsets take
+        // one, two, and three words, random dead-unit masks, and stream
+        // counts that grow and shrink between solves.
+        let units = [16, 70, 130, 16][case % 4];
+        let ctx = mesh_ctx(&mut rng, units);
+        // Replica-heavy cases at the bfs cell's 16 units (hundreds of
+        // replicas would make the from-scratch oracle slow).
+        let replica_heavy = units == 16;
+        let demands = if replica_heavy {
+            replica_heavy_demands(&mut rng, &ctx)
+        } else {
+            let ties = rng.chance(0.25);
+            random_demands(&mut rng, units, ties)
+        };
+        let want = oracle::allocate_ndpext_oracle(&demands, &ctx);
+        let got = solver.solve(&demands, &ctx);
+        assert_eq!(got.streams, want.streams, "case {case}: reused solver differs");
+        if replica_heavy {
+            merged += demands
+                .iter()
+                .zip(&want.streams)
+                .filter(|(d, gs)| d.read_only && !gs.is_empty() && gs.len() < d.acc_units.len())
+                .count();
+        }
+    }
+    assert!(merged >= 20, "replica merges reached only {merged} times");
 }
