@@ -98,7 +98,7 @@ fn bench_sampler() {
     let caps = capacity_points(32 << 10, 256 << 20, 64);
     let mut s = SetSampler::new(&caps, 64, 32);
     let mut key = 0u64;
-    bench("sampler_observe_1k", || {
+    bench("sampler_observe_x1000", || {
         for _ in 0..1000 {
             key = key.wrapping_add(0x9E37_79B9);
             s.observe(black_box(key % 100_000));

@@ -2,12 +2,12 @@
 //!
 //! Times the raw hot kernels the full-matrix gauge exercises indirectly:
 //! event-queue scheduling ([`EventQueue`]), the miss-curve sampler's
-//! observe path, the Algorithm 1 solver (a small shape and the bfs
-//! reconfiguration cell's shape), consistent-hash bucket-table
-//! construction, the reconfiguration tag transfer, and power-law graph
-//! generation. Results land in `BENCH_PERF.json` under `"micro"` so a CI
-//! artifact records where a wall-clock regression came from without
-//! re-profiling the whole matrix.
+//! observe path (also per slot grain: 8 B, 64 B, 1 KB), the Algorithm 1
+//! solver (a small shape and the bfs reconfiguration cell's shape),
+//! consistent-hash bucket-table construction, the reconfiguration tag
+//! transfer, and power-law graph generation. Results land in
+//! `BENCH_PERF.json` under `"micro"` so a CI artifact records where a
+//! wall-clock regression came from without re-profiling the whole matrix.
 //!
 //! These are wall-clock measurements, not digest-gated simulation: they
 //! exist to explain performance, never to define correctness.
@@ -145,6 +145,24 @@ fn sampler_observe(iters: u64) -> MicroResult {
     let mut s = SetSampler::new(&caps, 64, 32);
     let mut rng = Xoshiro256::seed_from(0x0B5E);
     timed("sampler_observe", iters, || {
+        for _ in 0..iters {
+            s.observe(rng.below(1 << 20));
+        }
+        black_box(s.observed());
+    })
+}
+
+/// The observe path at one slot grain, on the capacity points of a
+/// 16-unit × 1 MB system (`global / 16384` to `global`, 64 points, k = 32),
+/// as the reconfiguring cells' samplers see it. The grain sets how many
+/// cases can take an access: at 8 B few do, at 1 KB the smallest cases
+/// monitor every slot and take them all.
+fn sampler_observe_at(name: &'static str, grain: u64, iters: u64) -> MicroResult {
+    let global = 16u64 << 20;
+    let caps = capacity_points(global / 16384, global, 64);
+    let mut s = SetSampler::new(&caps, grain, 32);
+    let mut rng = Xoshiro256::seed_from(0x0B5E ^ grain);
+    timed(name, iters, || {
         for _ in 0..iters {
             s.observe(rng.below(1 << 20));
         }
@@ -315,6 +333,9 @@ pub fn run_all() -> Vec<MicroResult> {
         queue_run_ahead("run_ahead", 2_000_000),
         queue_churn("queue_batch_churn", 1_000_000),
         sampler_observe(300_000),
+        sampler_observe_at("sampler_observe_8", 8, 300_000),
+        sampler_observe_at("sampler_observe_64", 64, 300_000),
+        sampler_observe_at("sampler_observe_1k", 1 << 10, 300_000),
         configure_ndpext(500),
         configure_ndpext_bfs(500),
         bucket_table(2_000),
@@ -335,6 +356,9 @@ mod tests {
             queue_run_ahead("r", 4_000),
             queue_churn("c", 8_192),
             sampler_observe(2_000),
+            sampler_observe_at("s8", 8, 2_000),
+            sampler_observe_at("s64", 64, 2_000),
+            sampler_observe_at("s1k", 1 << 10, 2_000),
             configure_ndpext(2),
             configure_ndpext_bfs(2),
             bucket_table(8),

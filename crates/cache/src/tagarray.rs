@@ -7,6 +7,8 @@
 //! This models both the baselines' in-DRAM cacheline tags and NDPExt's
 //! affine/indirect stream caches.
 
+use ndpx_sim::fastdiv::Divisor;
+
 use crate::setassoc::Outcome;
 
 /// A resizable tag array of `slots` entries grouped into sets of `ways`.
@@ -37,6 +39,9 @@ use crate::setassoc::Outcome;
 pub struct TagArray {
     ways: usize,
     sets: u64,
+    /// Strength-reduced `% sets` for slot reduction (divisor 1 while the
+    /// array is empty); rebuilt by [`TagArray::reset`].
+    set_div: Divisor,
     /// Key + 1 per physical slot; 0 = invalid.
     tags: Vec<u64>,
     dirty: Vec<bool>,
@@ -65,6 +70,7 @@ impl TagArray {
         let mut t = TagArray {
             ways: 1,
             sets: 0,
+            set_div: Divisor::new(1),
             tags: Vec::new(),
             dirty: Vec::new(),
             lru: Vec::new(),
@@ -100,6 +106,7 @@ impl TagArray {
         self.valid.resize(n.div_ceil(64), 0);
         self.ways = ways;
         self.sets = sets;
+        self.set_div = Divisor::new(sets.max(1));
         self.tick = 0;
     }
 
@@ -125,7 +132,7 @@ impl TagArray {
         if self.sets == 0 {
             return Outcome::Miss { evicted: None };
         }
-        let set = (slot % self.sets) as usize;
+        let set = self.set_div.rem(slot) as usize;
         if self.ways == 1 {
             let old = self.tags[set];
             if old == key + 1 {
@@ -173,7 +180,7 @@ impl TagArray {
         if self.sets == 0 {
             return false;
         }
-        let base = (slot % self.sets) as usize * self.ways;
+        let base = self.set_div.rem(slot) as usize * self.ways;
         self.tags[base..base + self.ways].iter().any(|&t| t == key + 1)
     }
 
@@ -210,7 +217,7 @@ impl TagArray {
         if self.sets == 0 {
             return false;
         }
-        let base = (slot % self.sets) as usize * self.ways;
+        let base = self.set_div.rem(slot) as usize * self.ways;
         if let Some(j) = (base..base + self.ways).find(|&j| self.tags[j] == 0) {
             self.tags[j] = key + 1;
             self.dirty[j] = dirty;

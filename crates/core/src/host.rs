@@ -19,6 +19,7 @@ use ndpx_sim::time::{Freq, Time};
 use ndpx_workloads::trace::{Op, Workload};
 
 use crate::config::PolicyKind;
+use crate::desc::{DescParams, StreamDesc};
 use crate::driver::{self, Engine, EngineScope, RunTotals, Simulated};
 use crate::stats::{Breakdown, EnergyBreakdown, LatComponent, RunReport};
 
@@ -90,6 +91,10 @@ impl HostConfig {
 pub struct HostSystem {
     cfg: HostConfig,
     table: ndpx_stream::StreamTable,
+    /// Per-stream address descriptors at line grain, indexed by stream id:
+    /// the element→address walk `NdpSystem` uses, with its divides
+    /// strength-reduced.
+    descs: Vec<StreamDesc>,
     source: Box<dyn ndpx_workloads::trace::OpSource>,
     workload_name: &'static str,
     l1s: Vec<SetAssocCache>,
@@ -145,7 +150,10 @@ impl HostSystem {
         let l1s = (0..cfg.cores)
             .map(|_| SetAssocCache::with_capacity(cfg.l1_bytes, 64, cfg.l1_ways))
             .collect();
+        let line_grain = DescParams { stream_grain: false, affine_block: 64, line_bytes: 64 };
+        let descs = workload.table.iter().map(|s| StreamDesc::build(*s, line_grain)).collect();
         Ok(HostSystem {
+            descs,
             mem: DramDevice::new(DramConfig::ddr5_extended(cfg.mem_capacity)),
             net,
             banks,
@@ -329,7 +337,7 @@ impl Simulated for HostSystem {
         let done = match op {
             Op::Compute(c) => return t + self.cfg.freq.cycles_to_time(u64::from(c)),
             Op::Mem(m) => {
-                let addr = self.table.get(m.sid).addr_of(m.elem);
+                let addr = self.descs[m.sid.index()].addr_of_elem(m.elem);
                 self.access(core, addr, m.write, t)
             }
             Op::RawMem { addr, write } => self.access(core, addr, write, t),
@@ -342,7 +350,7 @@ impl Simulated for HostSystem {
     fn execute_private(&mut self, core: usize, op: Op, t: Time) -> Option<Time> {
         let (addr, write) = match op {
             Op::Compute(c) => return Some(t + self.cfg.freq.cycles_to_time(u64::from(c))),
-            Op::Mem(m) => (self.table.get(m.sid).addr_of(m.elem), m.write),
+            Op::Mem(m) => (self.descs[m.sid.index()].addr_of_elem(m.elem), m.write),
             Op::RawMem { addr, write } => (addr, write),
         };
         if !self.l1s[core].access_if_hit(addr / 64, write) {

@@ -15,4 +15,4 @@ pub use configure::{
     allocate_baseline, allocate_ndpext, AllocGroup, Allocation, ConfigCtx, Solver, StreamDemand,
 };
 pub use maxflow::{assign_samplers, FlowNetwork, SamplerAssignment};
-pub use sampler::{capacity_points, MissCurve, SetSampler};
+pub use sampler::{capacity_points, MissCurve, SamplerShape, SetSampler};

@@ -7,6 +7,8 @@
 //! of address each) and counts hits/misses. Scaling the sampled miss rate by
 //! the stream's total access count yields the absolute miss curve.
 
+use std::sync::Arc;
+
 use ndpx_sim::fastdiv::{Divisor, MultipleTest};
 use ndpx_sim::rng::mix64;
 
@@ -106,49 +108,147 @@ pub fn capacity_points(min_cap: u64, max_cap: u64, count: usize) -> Vec<u64> {
     points
 }
 
-/// The per-case test every access runs: `slots` is the case's slot count,
+/// Bits of `mix64(key)` that pick a candidate-index bucket.
+const BUCKET_BITS: u32 = 12;
+/// Buckets in a candidate index.
+const BUCKETS: usize = 1 << BUCKET_BITS;
+
+/// One capacity case's fixed parameters: `slots` is its slot count,
 /// `stride` the divisibility test of its monitoring stride
-/// `(slots / monitored).max(1)`. Packed apart from the rest of the case so
-/// the loop in [`SetSampler::observe`] streams through 32 bytes per case.
+/// `(slots / monitored).max(1)`, and its `monitored` sets start at `base`
+/// in [`SetSampler::sets`].
 #[derive(Debug, Clone, Copy)]
-struct Filter {
+struct Case {
     slots: u64,
     stride: MultipleTest,
+    monitored: u64,
+    base: usize,
 }
 
-impl Filter {
+impl Case {
     /// The case's slot for a mixed key: multiply-shift range reduction.
     #[inline]
     fn slot_of(&self, mixed: u64) -> u64 {
         ((u128::from(mixed) * u128::from(self.slots)) >> 64) as u64
     }
+
+    /// The monitored set a mixed key lands in, or `None` when the case
+    /// does not sample it. A sampled slot is a multiple of the stride, and
+    /// the divisibility test's rotated product is then the exact quotient
+    /// `slot / stride`, which is below `2 · monitored` (the stride is
+    /// `⌊slots / monitored⌋`), so one conditional subtraction reduces it
+    /// mod `monitored`.
+    #[inline]
+    fn set_of(&self, mixed: u64) -> Option<usize> {
+        let q = self.stride.quotient(self.slot_of(mixed))?;
+        debug_assert!(q < 2 * self.monitored, "quotient {q} of {self:?}");
+        let set = if q >= self.monitored { q - self.monitored } else { q };
+        Some(self.base + set as usize)
+    }
 }
 
-/// The per-case state read only when a case's filter passes.
-#[derive(Debug, Clone)]
-struct CapCase {
-    capacity: u64,
-    /// Strength-reduced monitoring stride (a hardware divide per passing
-    /// case would serialize the loop).
-    stride_div: Divisor,
-    /// Strength-reduced monitored-set count, for the set index.
-    monitored_div: Divisor,
-    /// Start of this case's monitored sets in [`SetSampler::sets`].
-    base: usize,
+/// The smallest mixed key whose slot among `slots` is at least `j`
+/// (`j ≤ slots`): `⌈j · 2⁶⁴ / slots⌉`, so `2⁶⁴` for `j = slots`.
+fn first_mixed_of_slot(j: u64, slots: u64) -> u128 {
+    ((u128::from(j) << 64) + u128::from(slots - 1)) / u128::from(slots)
+}
+
+/// Everything about a sampler that its capacity points, slot grain and
+/// set count fix: the cases and the candidate index. Samplers of one
+/// shape share it (see [`SetSampler::with_shape`]); only their counters
+/// and set contents are their own.
+///
+/// The candidate index lists, for each of the `2¹²` buckets of the top
+/// bits of `mix64(key)`, every case that samples some key in the bucket,
+/// as one mask word per 64 cases. A case samples the keys whose slot is a
+/// multiple of its stride; each such slot is one interval of mixed keys,
+/// and there are at most `2 · monitored` of them, so the index is built
+/// from interval bounds in integer arithmetic. The index is a simulator
+/// cache (32 KB per 64 cases), not modelled hardware storage.
+#[derive(Debug)]
+pub struct SamplerShape {
+    capacities: Vec<u64>,
+    grain: u64,
+    k: usize,
+    cases: Vec<Case>,
+    /// Total monitored sets over all cases.
+    sets: usize,
+    /// Mask words per bucket (`⌈cases / 64⌉`).
+    words: usize,
+    /// Bucket-major candidate masks: bit `i % 64` of word
+    /// `bucket · words + i / 64` is set iff case `i` samples some key in
+    /// the bucket.
+    index: Vec<u64>,
+}
+
+impl SamplerShape {
+    /// The shape of a sampler over `capacities` for a stream cached at
+    /// `grain` bytes per slot, monitoring up to `k` sets per case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero or `grain` is zero.
+    pub fn new(capacities: &[u64], grain: u64, k: usize) -> Self {
+        assert!(k > 0, "need at least one sample set");
+        assert!(grain > 0, "slot granularity must be positive");
+        let words = capacities.len().div_ceil(64);
+        let mut index = vec![0u64; BUCKETS * words];
+        let mut cases = Vec::with_capacity(capacities.len());
+        let mut base = 0;
+        for (i, &capacity) in capacities.iter().enumerate() {
+            let slots = (capacity / grain).max(1);
+            let monitored = k.min(slots as usize) as u64;
+            let stride = (slots / monitored).max(1);
+            let (word, bit) = (i / 64, 1u64 << (i % 64));
+            for j in (0..slots).step_by(stride as usize) {
+                let first = (first_mixed_of_slot(j, slots) >> (64 - BUCKET_BITS)) as usize;
+                let last = ((first_mixed_of_slot(j + 1, slots) - 1) >> (64 - BUCKET_BITS)) as usize;
+                for bucket in first..=last {
+                    index[bucket * words + word] |= bit;
+                }
+            }
+            cases.push(Case {
+                slots,
+                stride: Divisor::new(stride).multiple_test(),
+                monitored,
+                base,
+            });
+            base += monitored as usize;
+        }
+        SamplerShape { capacities: capacities.to_vec(), grain, k, cases, sets: base, words, index }
+    }
+
+    /// Whether this is the shape `SamplerShape::new(capacities, grain, k)`
+    /// would build.
+    pub fn matches(&self, capacities: &[u64], grain: u64, k: usize) -> bool {
+        self.grain == grain && self.k == k && self.capacities == capacities
+    }
+
+    /// The candidate masks of the bucket a mixed key falls in.
+    #[inline]
+    fn candidates(&self, mixed: u64) -> &[u64] {
+        let bucket = (mixed >> (64 - BUCKET_BITS)) as usize;
+        &self.index[bucket * self.words..(bucket + 1) * self.words]
+    }
+}
+
+/// Hit and miss counts of one capacity case.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
     hits: u64,
     misses: u64,
 }
 
 /// One hardware sampler, watching one stream at one unit.
 ///
-/// Storage per the paper: `k` sets × `c` cases × 4 B ≈ 8 kB. The cases
-/// are laid out as parallel arrays over one contiguous set buffer: every
-/// access walks only the packed `filters`, and touches a case's divisors,
-/// counters and sets only when its filter passes.
+/// Storage per the paper: `k` sets × `c` cases × 4 B ≈ 8 kB, held here
+/// as one contiguous set buffer, case-major. The hardware checks its `c`
+/// cases in parallel; [`SetSampler::observe`] visits only the cases the
+/// shape's candidate index lists for the access's bucket.
 #[derive(Debug, Clone)]
 pub struct SetSampler {
-    filters: Vec<Filter>,
-    cases: Vec<CapCase>,
+    shape: Arc<SamplerShape>,
+    counts: Vec<Counts>,
     /// Sampled-set contents of every case, case-major: key + 1 per
     /// monitored set (0 = empty).
     sets: Vec<u64>,
@@ -162,60 +262,43 @@ impl SetSampler {
     ///
     /// Panics if `k` is zero or `grain` is zero.
     pub fn new(capacities: &[u64], grain: u64, k: usize) -> Self {
-        assert!(k > 0, "need at least one sample set");
-        assert!(grain > 0, "slot granularity must be positive");
-        let mut filters = Vec::with_capacity(capacities.len());
-        let mut cases = Vec::with_capacity(capacities.len());
-        let mut base = 0;
-        for &capacity in capacities {
-            let slots = (capacity / grain).max(1);
-            let monitored = k.min(slots as usize) as u64;
-            let stride_div = Divisor::new((slots / monitored).max(1));
-            filters.push(Filter { slots, stride: stride_div.multiple_test() });
-            cases.push(CapCase {
-                capacity,
-                stride_div,
-                monitored_div: Divisor::new(monitored),
-                base,
-                hits: 0,
-                misses: 0,
-            });
-            base += monitored as usize;
+        Self::with_shape(Arc::new(SamplerShape::new(capacities, grain, k)))
+    }
+
+    /// Creates an empty sampler of a shared shape.
+    pub fn with_shape(shape: Arc<SamplerShape>) -> Self {
+        SetSampler {
+            counts: vec![Counts::default(); shape.cases.len()],
+            sets: vec![0; shape.sets],
+            shape,
         }
-        SetSampler { filters, cases, sets: vec![0; base] }
     }
 
     /// Observes one access to the stream (key = slot-granularity index).
     ///
     /// One hashed draw serves every capacity case: `hash_range(key, n)` is
     /// a multiply-shift range reduction of `mix64(key)`, so hoisting the
-    /// mix out of the loop leaves each case a single widening multiply —
-    /// the same bits `hash_range` would produce per case, at a fraction of
-    /// the cost (the mix is three xor-shift-multiply rounds, and a sampled
-    /// stream pays it per capacity point per access).
+    /// mix leaves each case a single widening multiply, and the candidate
+    /// index narrows the cases to those that can sample the draw's bucket.
+    /// The index may list a case that does not sample this very key; the
+    /// case's own filter decides, exactly as if every case were tested.
     pub fn observe(&mut self, key: u64) {
         let mixed = mix64(key);
         let tag = key + 1;
-        for (chunk, filters) in self.filters.chunks(64).enumerate() {
-            // Straight-line pass listing the cases whose filter takes this
-            // access. Few do, so only those pay for the set lookup.
-            let mut taken = [0u8; 64];
-            let mut n = 0;
-            for (i, f) in filters.iter().enumerate() {
-                taken[n] = i as u8;
-                n += usize::from(f.stride.is_multiple(f.slot_of(mixed)));
-            }
-            for &i in &taken[..n] {
-                let i = chunk * 64 + usize::from(i);
-                let case = &mut self.cases[i];
-                let slot = self.filters[i].slot_of(mixed);
-                let idx = case.base + case.monitored_div.rem(case.stride_div.div(slot)) as usize;
-                if self.sets[idx] == tag {
-                    case.hits += 1;
-                } else {
-                    case.misses += 1;
-                    self.sets[idx] = tag;
-                }
+        let shape = &*self.shape;
+        for (word, &mask) in shape.candidates(mixed).iter().enumerate() {
+            let mut mask = mask;
+            while mask != 0 {
+                let i = word * 64 + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let Some(idx) = shape.cases[i].set_of(mixed) else { continue };
+                // Branch-free: whether a sampled access hits is data, and
+                // a hit rewrites the tag it matched.
+                let hit = self.sets[idx] == tag;
+                self.sets[idx] = tag;
+                let counts = &mut self.counts[i];
+                counts.hits += u64::from(hit);
+                counts.misses += u64::from(!hit);
             }
         }
     }
@@ -223,28 +306,27 @@ impl SetSampler {
     /// Zeroes hit/miss counters while keeping the shadow-set contents, so a
     /// new epoch's curve is not dominated by cold-start misses.
     pub fn reset_counters(&mut self) {
-        for case in &mut self.cases {
-            case.hits = 0;
-            case.misses = 0;
-        }
+        self.counts.fill(Counts::default());
     }
 
     /// Total observations at the smallest-capacity case (every case sees a
     /// k/slots fraction; this is a health metric, not a rate).
     pub fn observed(&self) -> u64 {
-        self.cases.first().map_or(0, |c| c.hits + c.misses)
+        self.counts.first().map_or(0, |c| c.hits + c.misses)
     }
 
     /// Builds the absolute miss curve, scaling sampled miss *rates* by the
     /// stream's total epoch access count.
     pub fn curve(&self, total_accesses: u64) -> MissCurve {
         let samples = self
-            .cases
+            .shape
+            .capacities
             .iter()
-            .map(|c| {
+            .zip(&self.counts)
+            .map(|(&capacity, c)| {
                 let seen = c.hits + c.misses;
                 let rate = if seen == 0 { 1.0 } else { c.misses as f64 / seen as f64 };
-                (c.capacity, rate * total_accesses as f64)
+                (capacity, rate * total_accesses as f64)
             })
             .collect();
         MissCurve::from_samples(total_accesses as f64, samples)
@@ -324,6 +406,65 @@ mod tests {
         assert_eq!(c.misses_at(0), 500.0);
         assert_eq!(c.misses_at(1 << 30), 500.0);
         assert_eq!(c.next_segment(0), None);
+    }
+
+    /// Whether case `i` of `shape` samples a mixed key, by plain `%`.
+    fn takes(shape: &SamplerShape, i: usize, mixed: u64) -> bool {
+        let case = &shape.cases[i];
+        let stride = (case.slots / case.monitored).max(1);
+        case.slot_of(mixed).is_multiple_of(stride)
+    }
+
+    /// Whether the candidate index lists case `i` for a mixed key.
+    fn listed(shape: &SamplerShape, i: usize, mixed: u64) -> bool {
+        shape.candidates(mixed)[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    #[test]
+    fn every_taken_key_lands_in_a_bucket_listing_its_case() {
+        let mut rng = Xoshiro256::seed_from(0x1DE7);
+        for round in 0..40 {
+            let n = 1 + rng.below(if round % 2 == 0 { 64 } else { 150 }) as usize;
+            let caps: Vec<u64> = (0..n)
+                .map(|_| {
+                    let bits = 4 + rng.below(28);
+                    1 + rng.below(1 << bits)
+                })
+                .collect();
+            let grain = 1 + rng.below(2048);
+            let k = 1 + rng.below(64) as usize;
+            let shape = SamplerShape::new(&caps, grain, k);
+            for i in 0..n {
+                let case = shape.cases[i];
+                let stride = (case.slots / case.monitored).max(1);
+                // The ends of every sampled slot's interval of mixed keys,
+                // the keys next to them, and random keys.
+                let mut mixed: Vec<u64> = (0..case.slots)
+                    .step_by(stride as usize)
+                    .flat_map(|j| {
+                        let first = first_mixed_of_slot(j, case.slots);
+                        let last = first_mixed_of_slot(j + 1, case.slots) - 1;
+                        [first, first.saturating_sub(1), last, last + 1]
+                    })
+                    .filter_map(|m| u64::try_from(m).ok())
+                    .collect();
+                mixed.extend((0..2_000).map(|key| mix64(rng.next_u64() ^ key)));
+                for m in mixed {
+                    if takes(&shape, i, m) {
+                        assert!(listed(&shape, i, m), "case {i} of {caps:?} grain {grain} k {k}");
+                        assert!(case.set_of(m).is_some());
+                    } else {
+                        assert_eq!(case.set_of(m), None);
+                    }
+                }
+            }
+            // A case whose every slot is monitored is listed everywhere.
+            for (i, case) in shape.cases.iter().enumerate() {
+                if case.slots / case.monitored <= 1 {
+                    assert!((0..BUCKETS as u64).all(|b| listed(&shape, i, b << 52)));
+                }
+            }
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl NdpSystem {
     /// The CXL port unit of `unit`'s stack (multi-headed device: one head
     /// per stack at local index 0).
     fn port_of(&self, unit: usize) -> usize {
-        self.cfg.topology.stack_of(UnitId(unit)) * self.cfg.topology.units_per_stack()
+        self.net.stack_of(UnitId(unit)) * self.cfg.topology.units_per_stack()
     }
 
     /// Accesses extended memory from `unit` at `t`; returns the response

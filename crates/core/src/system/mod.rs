@@ -33,6 +33,8 @@ mod chaos;
 mod reconfig;
 mod telemetry;
 
+use std::sync::Arc;
+
 use ndpx_cache::setassoc::SetAssocCache;
 use ndpx_cache::tagarray::TagArray;
 use ndpx_cxl::{CxlFault, ExtendedMemory};
@@ -56,7 +58,7 @@ use crate::desc::{DescParams, StreamDesc};
 use crate::driver::{self, Engine, Simulated};
 use crate::layout::StreamLayout;
 use crate::runtime::configure::{allocate_baseline, Solver};
-use crate::runtime::sampler::MissCurve;
+use crate::runtime::sampler::{MissCurve, SamplerShape};
 use crate::stats::{Breakdown, RunReport};
 
 use chaos::ChaosState;
@@ -130,6 +132,9 @@ pub struct NdpSystem {
     /// Same flat layout as `acc_counts`.
     acc_history: Vec<u64>,
     samplers: Vec<Option<SamplerSlot>>,
+    /// Every sampler shape built so far, shared by all samplers of that
+    /// shape across streams and reassignments (one candidate index each).
+    sampler_shapes: Vec<Arc<SamplerShape>>,
     prev_curves: Vec<Option<MissCurve>>,
     /// Algorithm 1's solver, reused by every epoch and forced re-placement.
     solver: Solver,
@@ -233,6 +238,7 @@ impl NdpSystem {
             acc_counts: vec![0; stream_count * units_n],
             acc_history: vec![0; stream_count * units_n],
             samplers: (0..stream_count).map(|_| None).collect(),
+            sampler_shapes: Vec::new(),
             prev_curves: vec![None; stream_count],
             solver: Solver::default(),
             table: workload.table,

@@ -2,6 +2,8 @@
 //! tag-array transfer, sampler assignment, and the NoC-derived matrices
 //! the placement algorithms read.
 
+use std::sync::Arc;
+
 use ndpx_cache::tagarray::TagArray;
 use ndpx_noc::topology::UnitId;
 use ndpx_sim::ndpx_debug;
@@ -14,7 +16,7 @@ use crate::config::{PolicyKind, ReconfigTransfer};
 use crate::layout::{Group, StreamLayout};
 use crate::runtime::configure::{allocate_baseline, Allocation, ConfigCtx, StreamDemand};
 use crate::runtime::maxflow::assign_samplers;
-use crate::runtime::sampler::{capacity_points, MissCurve, SetSampler};
+use crate::runtime::sampler::{capacity_points, MissCurve, SamplerShape, SetSampler};
 
 pub(super) struct SamplerSlot {
     pub(super) unit: usize,
@@ -465,6 +467,7 @@ impl NdpSystem {
         let global = self.cfg.unit_capacity * units_n as u64;
         let min_cap = (global / 16384).max(self.cfg.line_bytes);
         let caps = capacity_points(min_cap, global, self.cfg.sampler_points);
+        let k = self.cfg.sampler_sets;
         for si in 0..self.table.len() {
             let target = assignment.unit_for_stream[si];
             let grain = self.descs[si].grain;
@@ -474,10 +477,19 @@ impl NdpSystem {
             match (&mut self.samplers[si], target) {
                 (Some(slot), Some(unit)) if slot.unit == unit => slot.sampler.reset_counters(),
                 (slot, Some(unit)) => {
-                    *slot = Some(SamplerSlot {
-                        unit,
-                        sampler: SetSampler::new(&caps, grain, self.cfg.sampler_sets),
-                    });
+                    // Samplers are re-created at every reassignment, so
+                    // each shape's candidate index is built once per
+                    // system and shared.
+                    let shapes = &mut self.sampler_shapes;
+                    let shape = match shapes.iter().find(|s| s.matches(&caps, grain, k)) {
+                        Some(shape) => Arc::clone(shape),
+                        None => {
+                            let shape = Arc::new(SamplerShape::new(&caps, grain, k));
+                            shapes.push(Arc::clone(&shape));
+                            shape
+                        }
+                    };
+                    *slot = Some(SamplerSlot { unit, sampler: SetSampler::with_shape(shape) });
                 }
                 (slot, None) => *slot = None,
             }

@@ -1,10 +1,12 @@
 //! The previous `SetSampler`, kept verbatim as a test oracle.
 //!
 //! Each capacity case used to own its shadow sets as a separate heap
-//! vector next to two full divisors. The production sampler now keeps the
-//! cases as packed arrays over one contiguous set buffer and must count
-//! exactly the same hits and misses; `prop_runtime.rs` compares the two on
-//! seeded random streams.
+//! vector next to two full divisors, and every access tested every case.
+//! The production sampler keeps one contiguous set buffer, tests only the
+//! cases its candidate index lists for the access, and takes the set index
+//! from the divisibility test's quotient; it must count exactly the same
+//! hits and misses, and `prop_runtime.rs` compares the two on seeded random
+//! streams.
 
 use ndpx_core::runtime::sampler::MissCurve;
 use ndpx_sim::fastdiv::Divisor;

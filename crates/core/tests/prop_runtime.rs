@@ -1,18 +1,20 @@
 //! Randomized property tests for the runtime: miss curves, the sampler,
 //! max-flow assignment, the configuration algorithm's capacity invariants,
 //! the incremental Algorithm 1 solver (fresh and reused across solves)
-//! against its from-scratch oracle, and the packed sampler against its
-//! per-case oracle.
+//! against its from-scratch oracle, and the indexed sampler (shapes shared
+//! between samplers) against its per-case oracle.
 //!
 //! Cases are driven by the workspace's seeded [`Xoshiro256`] so the suite is
 //! deterministic and needs no external property-testing framework.
+
+use std::sync::Arc;
 
 use ndpx_core::config::PolicyKind;
 use ndpx_core::runtime::configure::{
     allocate_baseline, allocate_ndpext, ConfigCtx, Solver, StreamDemand,
 };
 use ndpx_core::runtime::maxflow::assign_samplers;
-use ndpx_core::runtime::sampler::{capacity_points, MissCurve, SetSampler};
+use ndpx_core::runtime::sampler::{capacity_points, MissCurve, SamplerShape, SetSampler};
 use ndpx_sim::rng::Xoshiro256;
 
 mod oracle;
@@ -81,33 +83,56 @@ fn sampler_curve_is_bounded_by_access_count() {
 #[test]
 fn packed_sampler_matches_the_per_case_oracle() {
     let mut rng = Xoshiro256::seed_from(0x5E7_5A3);
-    for _ in 0..48 {
-        // Up to 150 cases, so some samplers span several 64-case chunks;
-        // unsorted and duplicated capacities are allowed.
-        let n = 1 + rng.below(150) as usize;
+    for round in 0..96 {
+        let grain = 1 + rng.below(4096);
+        let k = if round % 4 == 2 { 2 + rng.below(63) } else { 1 + rng.below(64) } as usize;
+        // Four shape families, in turn: random capacities (up to 150
+        // cases); stride-1 cases (`k ≤ slots < 2k`, every slot monitored
+        // by one of `k` sets); `k > slots` (fewer slots than sets); and
+        // 65–200 cases, so the candidate index has several words per
+        // bucket. Unsorted and duplicated capacities are allowed.
+        let (n, slot_range) = match round % 4 {
+            0 => (1 + rng.below(150) as usize, None),
+            1 => (1 + rng.below(64) as usize, Some((k as u64, 2 * k as u64))),
+            2 => (1 + rng.below(64) as usize, Some((1, k as u64))),
+            _ => (65 + rng.below(136) as usize, None),
+        };
         let caps: Vec<u64> = (0..n)
-            .map(|_| {
-                let bits = 6 + rng.below(24);
-                1 + rng.below(1 << bits)
+            .map(|_| match slot_range {
+                Some((lo, hi)) => (lo + rng.below(hi - lo)) * grain,
+                None => {
+                    let bits = 6 + rng.below(24);
+                    1 + rng.below(1 << bits)
+                }
             })
             .collect();
-        let grain = 1 + rng.below(4096);
-        let k = 1 + rng.below(64) as usize;
-        let mut packed = SetSampler::new(&caps, grain, k);
-        let mut per_case = oracle::sampler::SetSampler::new(&caps, grain, k);
+        // Two samplers share one shape, as a system's samplers of one
+        // grain do; each is checked against its own oracle, across four
+        // epochs of `reset_counters` with warm sets.
+        let shape = Arc::new(SamplerShape::new(&caps, grain, k));
+        let mut packed =
+            [SetSampler::with_shape(Arc::clone(&shape)), SetSampler::with_shape(shape)];
+        let mut per_case = [
+            oracle::sampler::SetSampler::new(&caps, grain, k),
+            oracle::sampler::SetSampler::new(&caps, grain, k),
+        ];
         for _ in 0..4 {
             let bits = 4 + rng.below(20);
             let range = 1 + rng.below(1 << bits);
             let total = rng.below(2_000);
             for _ in 0..total {
                 let key = rng.below(range);
-                packed.observe(key);
-                per_case.observe(key);
+                let s = (key & 1) as usize;
+                packed[s].observe(key);
+                per_case[s].observe(key);
             }
-            assert_eq!(packed.observed(), per_case.observed(), "caps {caps:?} grain {grain} k {k}");
-            assert_eq!(packed.curve(total), per_case.curve(total), "caps {caps:?} grain {grain}");
-            packed.reset_counters();
-            per_case.reset_counters();
+            for (packed, per_case) in packed.iter_mut().zip(&mut per_case) {
+                let ctx = format!("caps {caps:?} grain {grain} k {k}");
+                assert_eq!(packed.observed(), per_case.observed(), "{ctx}");
+                assert_eq!(packed.curve(total), per_case.curve(total), "{ctx}");
+                packed.reset_counters();
+                per_case.reset_counters();
+            }
         }
     }
 }

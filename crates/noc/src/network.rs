@@ -161,6 +161,9 @@ pub struct Network {
     inter: LinkParams,
     /// Precomputed intra-/inter-stack hop counts for every unit pair.
     dist: DistanceTable,
+    /// The stack of every unit, so the send path never divides by the
+    /// units per stack.
+    unit_stack: Vec<u32>,
     /// Per `(src stack, dst stack)` pair (row-major): the directed
     /// inter-stack link indices along the XY route, precomputed so `send`
     /// reserves links without re-deriving coordinates per hop.
@@ -245,6 +248,7 @@ impl Network {
             link_bytes_acc: vec![0; stacks * 4],
             link_flits_acc: vec![0; stacks * 4],
             dist: DistanceTable::new(&topo),
+            unit_stack: (0..topo.units()).map(|u| topo.stack_of(UnitId(u)) as u32).collect(),
             routes,
             topo,
             intra,
@@ -268,6 +272,13 @@ impl Network {
     /// The topology in use.
     pub fn topology(&self) -> &Topology {
         &self.topo
+    }
+
+    /// The stack holding `unit` ([`Topology::stack_of`], read from a
+    /// per-unit table).
+    #[inline]
+    pub fn stack_of(&self, unit: UnitId) -> usize {
+        self.unit_stack[unit.index()] as usize
     }
 
     /// Uncontended one-way latency between two units for a message of
@@ -315,7 +326,7 @@ impl Network {
 
         // Inter-stack XY route (links precomputed per stack pair).
         if inter_h > 0 {
-            let pair = self.topo.stack_of(src) * self.topo.stacks() + self.topo.stack_of(dst);
+            let pair = self.stack_of(src) * self.topo.stacks() + self.stack_of(dst);
             self.pair_msgs[pair] += 1;
             self.pair_bytes[pair] += u64::from(bytes);
             self.pair_flits[pair] += u64::from(bytes.div_ceil(FLIT_BYTES));
@@ -389,8 +400,8 @@ impl Network {
     /// the Manhattan stack distance while every link is alive (routes are
     /// XY); after a link death it reflects the detour.
     fn inter_hops(&self, src: UnitId, dst: UnitId) -> u64 {
-        let s = self.topo.stack_of(src);
-        let d = self.topo.stack_of(dst);
+        let s = self.stack_of(src);
+        let d = self.stack_of(dst);
         if s == d {
             0
         } else {

@@ -145,7 +145,17 @@ impl MultipleTest {
     /// multiply, one rotate, one compare, and no branch.
     #[inline]
     pub fn is_multiple(&self, n: u64) -> bool {
-        n.wrapping_mul(self.odd_inv).rotate_right(self.tz) <= self.limit
+        self.quotient(n).is_some()
+    }
+
+    /// `Some(n / d)` if `d` divides `n`, else `None`, for all 64-bit `n`.
+    /// For `n = q · d` the product `n · odd⁻¹` is `q · 2^k` (no wrap, as
+    /// `q · 2^k ≤ n`), so the rotated value [`is_multiple`](Self::is_multiple)
+    /// compares is the quotient itself.
+    #[inline]
+    pub fn quotient(&self, n: u64) -> Option<u64> {
+        let q = n.wrapping_mul(self.odd_inv).rotate_right(self.tz);
+        (q <= self.limit).then_some(q)
     }
 }
 
@@ -183,6 +193,8 @@ mod tests {
                 assert_eq!(fd.rem(n), n % d, "rem n={n} d={d}");
                 assert_eq!(fd.divmod(n), (n / d, n % d), "divmod n={n} d={d}");
                 assert_eq!(fd.is_multiple(n), n % d == 0, "is_multiple n={n} d={d}");
+                let quotient = fd.multiple_test().quotient(n);
+                assert_eq!(quotient, (n % d == 0).then_some(n / d), "quotient n={n} d={d}");
             }
         }
     }

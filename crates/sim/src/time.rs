@@ -50,13 +50,14 @@ impl Time {
         Time(us * 1_000_000)
     }
 
-    /// Creates a time from fractional nanoseconds, rounding to picoseconds.
+    /// Creates a time from fractional nanoseconds, rounding to picoseconds
+    /// (half away from zero; see [`round_to_u64`]).
     ///
     /// Handy for datasheet values such as "1.5 ns per hop".
     #[inline]
     pub fn from_ns_f64(ns: f64) -> Self {
         debug_assert!(ns >= 0.0, "negative durations are not representable");
-        Time((ns * 1_000.0).round() as u64)
+        Time(round_to_u64(ns * 1_000.0))
     }
 
     /// Raw picoseconds.
@@ -113,6 +114,28 @@ impl Time {
         self.0 == 0
     }
 }
+
+/// `x.round() as u64` for every `f64`, including the cast's saturation
+/// (negative and NaN give 0, at or above 2⁶⁴ gives `u64::MAX`), without
+/// `f64::round`, which the baseline x86-64 target lowers to a library
+/// call. Below 2⁵³ the truncating cast to `i64` (one instruction) is
+/// exact and so is `x - whole`: it is the fraction, and rounding half away
+/// from zero adds one when the fraction is at least one half.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    if (0.0..TWO_POW_53).contains(&x) {
+        let whole = x as i64;
+        (whole + i64::from(x - whole as f64 >= 0.5)) as u64
+    } else {
+        // Integral from 2⁵³ up, so the cast is the rounding. A negative
+        // input rounds to 0 or below and NaN stays NaN; the cast
+        // saturates both to 0.
+        x as u64
+    }
+}
+
+/// 2⁵³: every `f64` from here up is an integer.
+const TWO_POW_53: f64 = 9_007_199_254_740_992.0;
 
 impl Add for Time {
     type Output = Time;
@@ -236,6 +259,54 @@ mod tests {
         assert_eq!(Time::from_us(2).as_ns(), 2_000);
         assert_eq!(Time::from_ns_f64(1.5).as_ps(), 1_500);
         assert_eq!(Time::from_ps(123).as_ns(), 0);
+    }
+
+    #[test]
+    fn rounding_matches_f64_round() {
+        use crate::rng::Xoshiro256;
+        let two52 = 4_503_599_627_370_496.0;
+        let two64 = 18_446_744_073_709_551_616.0;
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            -0.4,
+            -0.5,
+            -0.6,
+            -1.5,
+            -1e300,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0 - 1.0,
+            two52 * 2.0,
+            two52 * 2.0 + 2.0,
+            two64 - 2048.0,
+            two64,
+            two64 * 2.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut rng = Xoshiro256::seed_from(0x0B0D);
+        for _ in 0..10_000 {
+            let k = rng.below(1 << 40) as f64;
+            let x = f64::from_bits(rng.next_u64());
+            inputs.extend([k + 0.5, k - 0.5, k + 0.49999999999999994, x, -x, rng.next_f64() * 1e6]);
+            let half = k + 0.5;
+            inputs.extend([f64::from_bits(half.to_bits() - 1), f64::from_bits(half.to_bits() + 1)]);
+        }
+        for x in inputs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e} ({:#x})", x.to_bits());
+        }
+        assert_eq!(Time::from_ns_f64(0.0015).as_ps(), 2);
+        assert_eq!(Time::from_ns_f64(1e300), Time::MAX);
     }
 
     #[test]

@@ -208,11 +208,22 @@ impl AffineShape {
         // validated non-overlapping so the decomposition is unique.
         // Length-1 dimensions always contribute coordinate 0 and their
         // strides carry no information, so they are skipped.
-        let mut idx: Vec<usize> = (0..3).filter(|&i| self.lengths[i] > 1).collect();
-        idx.sort_by_key(|&i| std::cmp::Reverse(self.strides[i]));
+        // The dimensions go into a fixed array by stable insertion, so
+        // equal strides keep index order as a stable sort would.
+        let mut idx = [0usize; 3];
+        let mut n = 0;
+        for i in (0..3).filter(|&i| self.lengths[i] > 1) {
+            let mut at = n;
+            while at > 0 && self.strides[idx[at - 1]] < self.strides[i] {
+                idx[at] = idx[at - 1];
+                at -= 1;
+            }
+            idx[at] = i;
+            n += 1;
+        }
         let mut rem = off;
         let mut c = [0u64; 3];
-        for &i in &idx {
+        for &i in &idx[..n] {
             let v = rem / self.strides[i];
             if v >= self.lengths[i] {
                 return None;
@@ -380,6 +391,45 @@ impl StreamConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocating decomposition `offset_to_coords` replaced: a `Vec`
+    /// of the non-unit dimensions, stably sorted by descending stride.
+    fn offset_to_coords_by_sort(s: &AffineShape, off: u64, elem_size: u32) -> Option<[u64; 3]> {
+        let mut idx: Vec<usize> = (0..3).filter(|&i| s.lengths[i] > 1).collect();
+        idx.sort_by_key(|&i| std::cmp::Reverse(s.strides[i]));
+        let mut rem = off;
+        let mut c = [0u64; 3];
+        for &i in &idx {
+            let v = rem / s.strides[i];
+            if v >= s.lengths[i] {
+                return None;
+            }
+            c[i] = v;
+            rem %= s.strides[i];
+        }
+        (rem < u64::from(elem_size)).then_some(c)
+    }
+
+    #[test]
+    fn offset_to_coords_matches_the_sorting_decomposition() {
+        let mut rng = ndpx_sim::rng::Xoshiro256::seed_from(0x0FF5);
+        for _ in 0..2_000 {
+            // Small strides and lengths, unvalidated, so equal and
+            // overlapping strides occur.
+            let lengths = [1 + rng.below(6), 1 + rng.below(6), 1 + rng.below(6)];
+            let strides = [1 + rng.below(40), 1 + rng.below(40), 1 + rng.below(40)];
+            let order = DimOrder::ALL[rng.below(6) as usize];
+            let shape = AffineShape { lengths, strides, order };
+            let elem_size = 1 + rng.below(8) as u32;
+            for off in 0..300 {
+                assert_eq!(
+                    shape.offset_to_coords(off, elem_size),
+                    offset_to_coords_by_sort(&shape, off, elem_size),
+                    "{shape:?} off {off} elem {elem_size}"
+                );
+            }
+        }
+    }
 
     fn linear_stream(n: u64, elem: u32) -> StreamConfig {
         StreamConfig {
