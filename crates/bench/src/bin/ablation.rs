@@ -1,77 +1,8 @@
-//! Ablation study: how much each NDPExt mechanism contributes.
-//!
-//! Not a paper figure — DESIGN.md calls for ablations of the design choices.
-//! Each row disables one mechanism and reports the slowdown relative to full
-//! NDPExt (geomean over the representative workloads):
-//!
-//! * `no-replication`   — cap replication groups at 1 (placement only);
-//! * `bulk-invalidate`  — disable consistent-hash transfer;
-//! * `line-blocks`      — affine blocks shrunk to one cacheline (no spatial
-//!   prefetch from the stream abstraction);
-//! * `no-reconfig`      — freeze the warmup configuration (≈NDPExt-static).
+//! Ablation study of the NDPExt mechanisms: [`ndpx_bench::figures::ablation`].
 
-use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{geomean, run_many_monitored, BenchScale, RunSpec};
-use ndpx_bench::TraceCache;
-use ndpx_core::config::{MemKind, PolicyKind, ReconfigTransfer};
-use ndpx_workloads::REPRESENTATIVE_WORKLOADS;
-
-type Tweak = Option<fn(&mut ndpx_core::SystemConfig)>;
-
-/// Geomean runtime of `policy` over the representative set. The cache is
-/// shared across variants: tweaks change the configuration, not the trace.
-/// `variant` labels the run's telemetry (heartbeats and `NDPX_METRICS`
-/// sidecars).
-fn geotime(
-    variant: &str,
-    scale: BenchScale,
-    cache: &TraceCache,
-    policy: PolicyKind,
-    tweak: Tweak,
-) -> f64 {
-    let specs: Vec<RunSpec> = REPRESENTATIVE_WORKLOADS
-        .iter()
-        .map(|&w| {
-            let mut s = RunSpec::new(MemKind::Hbm, policy, w, scale);
-            if let Some(t) = tweak {
-                s = s.with_tweak(t);
-            }
-            s
-        })
-        .collect();
-    let run_name = format!("ablation_{variant}");
-    let reports = run_many_monitored(&run_name, CellPool::from_env(), cache, &specs);
-    geomean(reports.iter().map(|r| r.sim_time.as_ps() as f64))
-}
+use ndpx_bench::figures;
+use ndpx_bench::runner::Session;
 
 fn main() {
-    let scale = BenchScale::from_env();
-    let cache = TraceCache::from_env();
-    println!("# Ablation: slowdown vs full NDPExt (geomean, representative set)");
-    let full = geotime("full-ndpext", scale, &cache, PolicyKind::NdpExt, None);
-
-    let rows: [(&str, PolicyKind, Tweak); 4] = [
-        (
-            "no-replication",
-            PolicyKind::NdpExt,
-            Some(
-                (|cfg: &mut ndpx_core::SystemConfig| cfg.allow_replication = false)
-                    as fn(&mut ndpx_core::SystemConfig),
-            ),
-        ),
-        (
-            "bulk-invalidate",
-            PolicyKind::NdpExt,
-            Some(|cfg| cfg.transfer = ReconfigTransfer::BulkInvalidate),
-        ),
-        ("line-blocks", PolicyKind::NdpExt, Some(|cfg| cfg.affine_block = cfg.line_bytes)),
-        ("no-reconfig", PolicyKind::NdpExtStatic, None),
-    ];
-    println!("{:>16} {:>10}", "variant", "slowdown");
-    println!("{:>16} {:>10.3}", "full-ndpext", 1.0);
-    for (label, policy, tweak) in rows {
-        let t = geotime(label, scale, &cache, policy, tweak);
-        println!("{label:>16} {:>10.3}", t / full);
-    }
-    println!("\n(>1.0 means the removed mechanism was helping)");
+    figures::ablation(&mut Session::from_env());
 }

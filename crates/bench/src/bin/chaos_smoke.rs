@@ -15,9 +15,9 @@
 //!    (`fault.recovery.e##.ttr_ps`), so a silently-ignored schedule cannot
 //!    pass.
 //!
-//! The pooled leg runs through [`run_many_monitored`], so the
-//! `metrics.json` + registry-dump sidecars land under `NDPX_METRICS` for
-//! artifact upload.
+//! Each leg runs on its own [`Session`], so both legs simulate every cell;
+//! the pooled leg's `metrics.json` + registry-dump sidecars land under
+//! `NDPX_METRICS` as `chaos_smoke.*` for artifact upload.
 //!
 //! Exit codes: 0 on success, 2 on missing/empty `NDPX_CHAOS`, 1 on any
 //! assertion failure (via panic).
@@ -25,7 +25,7 @@
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::cell_key;
 use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{run_many_monitored, run_many_with, BenchScale, RunSpec};
+use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
 use ndpx_core::config::{MemKind, PolicyKind};
 use ndpx_core::stats::RunReport;
 use ndpx_sim::chaos::ChaosConfig;
@@ -61,12 +61,14 @@ fn main() {
 
     // Phase 1: thread-count invariance. The schedule reaches every cell
     // through the environment (SystemConfig inherits ChaosConfig::from_env())
-    // and is keyed on sim time, so worker count must not matter. The pooled
-    // leg is monitored, which writes the NDPX_METRICS sidecars.
+    // and is keyed on sim time, so worker count must not matter.
     let matrix = specs();
-    let serial = run_many_with(CellPool::with_threads(1), &TraceCache::disabled(), &matrix);
-    let pooled =
-        run_many_monitored("chaos_smoke", CellPool::with_threads(4), &TraceCache::new(), &matrix);
+    let leg = |run, threads, cache| {
+        let cells = matrix.iter().map(|spec| Cell::ndp("", spec.clone()));
+        Session::new(BenchScale::Test, CellPool::with_threads(threads), cache).run(run, cells)
+    };
+    let serial = leg("chaos_smoke_serial", 1, TraceCache::disabled());
+    let pooled = leg("chaos_smoke", 4, TraceCache::new());
     for ((spec, a), b) in matrix.iter().zip(&serial).zip(&pooled) {
         let key = cell_key(spec);
         assert_eq!(

@@ -21,7 +21,7 @@ use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::cell_key;
 use ndpx_bench::manifest;
 use ndpx_bench::pool::{CellPool, CellTask};
-use ndpx_bench::runner::{run_many_with, run_ndp_cached, BenchScale, RunSpec};
+use ndpx_bench::runner::{run_ndp_cached, BenchScale, Cell, RunSpec, Session};
 use ndpx_core::config::{MemKind, PolicyKind};
 use ndpx_core::stats::RunReport;
 use ndpx_sim::fault::FaultConfig;
@@ -71,9 +71,14 @@ fn main() {
     // Phase 1: thread-count invariance of the seeded schedule. The fault
     // config reaches every cell through the environment (SystemConfig
     // inherits FaultConfig::from_env()).
+    // Each leg has its own session, so both simulate every cell.
     let matrix = specs();
-    let serial = run_many_with(CellPool::with_threads(1), &TraceCache::disabled(), &matrix);
-    let pooled = run_many_with(CellPool::with_threads(4), &TraceCache::new(), &matrix);
+    let leg = |run, threads, cache| {
+        let cells = matrix.iter().map(|spec| Cell::ndp("", spec.clone()));
+        Session::new(BenchScale::Test, CellPool::with_threads(threads), cache).run(run, cells)
+    };
+    let serial = leg("fault_smoke_serial", 1, TraceCache::disabled());
+    let pooled = leg("fault_smoke_pooled", 4, TraceCache::new());
     for ((spec, a), b) in matrix.iter().zip(&serial).zip(&pooled) {
         let key = cell_key(spec);
         assert_eq!(
@@ -120,7 +125,8 @@ fn main() {
         Box::new(|| -> RunReport { panic!("deliberate fault_smoke panic") }),
     ];
     let results = CellPool::with_threads(2).run_cells(None, tasks);
-    manifest::emit("fault_smoke", 2, &names, &results, Some(cache.stats()));
+    let dir = manifest::metrics_dir();
+    manifest::emit(dir.as_deref(), "fault_smoke", 2, &names, &results, Some(cache.stats()));
     let failed: Vec<&String> =
         names.iter().zip(&results).filter(|(_, r)| r.value.is_err()).map(|(n, _)| n).collect();
     assert_eq!(

@@ -1,37 +1,7 @@
-//! Figure 4(b): host-processor execution time of the max-flow sampler
-//! assignment as the stream count grows.
-//!
-//! Expected shape (paper): well under half a millisecond even at 512
-//! streams on 64 units.
+//! Figure 4(b): host runtime of the max-flow sampler assignment: [`ndpx_bench::figures::fig04`].
 
-use std::time::Instant;
-
-use ndpx_core::runtime::maxflow::assign_samplers;
-use ndpx_sim::rng::Xoshiro256;
+use ndpx_bench::figures;
 
 fn main() {
-    println!("# Fig 4b: sampler-assignment (Edmonds-Karp) host runtime");
-    println!("{:>8}  {:>12}  {:>8}", "streams", "time_us", "covered");
-    let units = 64;
-    let samplers = 4;
-    for &streams in &[32usize, 64, 128, 256, 512] {
-        // Each unit accesses a random ~25% subset of the streams.
-        let mut rng = Xoshiro256::seed_from(42);
-        let accessed: Vec<Vec<usize>> =
-            (0..units).map(|_| (0..streams).filter(|_| rng.chance(0.25)).collect()).collect();
-        // Median of several runs for a stable wall-clock figure.
-        let mut times: Vec<f64> = (0..9)
-            .map(|_| {
-                let t0 = Instant::now();
-                let a = assign_samplers(&accessed, streams, samplers);
-                let dt = t0.elapsed().as_secs_f64() * 1e6;
-                assert!(a.covered <= streams);
-                dt
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        let a = assign_samplers(&accessed, streams, samplers);
-        println!("{streams:>8}  {:>12.1}  {:>8}", times[times.len() / 2], a.covered);
-    }
-    println!("\n(paper: < 500 us to assign 512 streams)");
+    figures::fig04();
 }

@@ -1,63 +1,8 @@
-//! Figure 6: energy breakdown, NDPExt vs Nexus, normalized to Nexus.
-//!
-//! Expected shape (paper): NDPExt saves ≈40% total energy on average —
-//! static energy follows execution time, DRAM energy drops (fewer tag
-//! accesses, fewer extended-memory misses), interconnect energy roughly
-//! halves.
+//! Figure 6: energy breakdown, NDPExt vs Nexus: [`ndpx_bench::figures::fig06`].
 
-use ndpx_bench::runner::{geomean, run_many, BenchScale, RunSpec};
-use ndpx_core::config::{MemKind, PolicyKind};
-use ndpx_workloads::ALL_WORKLOADS;
+use ndpx_bench::figures;
+use ndpx_bench::runner::Session;
 
 fn main() {
-    let scale = BenchScale::from_env();
-    println!("# Fig 6: energy breakdown (normalized to Nexus total)");
-    println!(
-        "{:<11} {:>7} {:>7} {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "workload",
-        "nx-st",
-        "nx-dram",
-        "nx-noc",
-        "nx-cxl",
-        "nx-tot",
-        "nd-st",
-        "nd-dram",
-        "nd-noc",
-        "nd-cxl",
-        "nd-tot"
-    );
-
-    let mut specs = Vec::new();
-    for &w in &ALL_WORKLOADS {
-        specs.push(RunSpec::new(MemKind::Hbm, PolicyKind::Nexus, w, scale));
-        specs.push(RunSpec::new(MemKind::Hbm, PolicyKind::NdpExt, w, scale));
-    }
-    let reports = run_many(specs);
-
-    let mut totals = Vec::new();
-    for (i, &w) in ALL_WORKLOADS.iter().enumerate() {
-        let nexus = &reports[2 * i];
-        let ndpx = &reports[2 * i + 1];
-        let base = nexus.energy.total().as_pj();
-        let f = |e: ndpx_sim::energy::Energy| e.as_pj() / base;
-        println!(
-            "{:<11} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3} | {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
-            w,
-            f(nexus.energy.static_),
-            f(nexus.energy.dram),
-            f(nexus.energy.noc),
-            f(nexus.energy.cxl),
-            1.0,
-            f(ndpx.energy.static_),
-            f(ndpx.energy.dram),
-            f(ndpx.energy.noc),
-            f(ndpx.energy.cxl),
-            f(ndpx.energy.total()),
-        );
-        totals.push(f(ndpx.energy.total()));
-    }
-    println!(
-        "\nNDPExt total energy vs Nexus: geomean {:.2} (paper: ~0.60, i.e. 40.3% saving)",
-        geomean(totals)
-    );
+    figures::fig06(&mut Session::from_env());
 }

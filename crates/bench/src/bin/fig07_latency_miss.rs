@@ -1,39 +1,8 @@
-//! Figure 7: average interconnect latency (bars) and DRAM-cache miss rate
-//! (dots), Nexus vs NDPExt, on a representative workload subset.
-//!
-//! Expected shape (paper): NDPExt sharply reduces interconnect latency
-//! (e.g. hotspot 113 ns → 38 ns) via placement and replication; miss rates
-//! drop for spatial workloads (block prefetching) and may rise slightly
-//! where replication trades capacity (mv).
+//! Figure 7: interconnect latency and miss rate, Nexus vs NDPExt: [`ndpx_bench::figures::fig07`].
 
-use ndpx_bench::runner::{run_many, BenchScale, RunSpec};
-use ndpx_core::config::{MemKind, PolicyKind};
-use ndpx_workloads::REPRESENTATIVE_WORKLOADS;
+use ndpx_bench::figures;
+use ndpx_bench::runner::Session;
 
 fn main() {
-    let scale = BenchScale::from_env();
-    println!("# Fig 7: interconnect latency and miss rate, Nexus vs NDPExt");
-    println!(
-        "{:<11} {:>12} {:>12} {:>10} {:>10}",
-        "workload", "nexus_icn_ns", "ndpx_icn_ns", "nexus_miss", "ndpx_miss"
-    );
-
-    let mut specs = Vec::new();
-    for &w in &REPRESENTATIVE_WORKLOADS {
-        specs.push(RunSpec::new(MemKind::Hbm, PolicyKind::Nexus, w, scale));
-        specs.push(RunSpec::new(MemKind::Hbm, PolicyKind::NdpExt, w, scale));
-    }
-    let reports = run_many(specs);
-    for (i, &w) in REPRESENTATIVE_WORKLOADS.iter().enumerate() {
-        let nexus = &reports[2 * i];
-        let ndpx = &reports[2 * i + 1];
-        println!(
-            "{:<11} {:>12.1} {:>12.1} {:>10.3} {:>10.3}",
-            w,
-            nexus.avg_interconnect().as_ns_f64(),
-            ndpx.avg_interconnect().as_ns_f64(),
-            nexus.miss_rate(),
-            ndpx.miss_rate()
-        );
-    }
+    figures::fig07(&mut Session::from_env());
 }

@@ -1,54 +1,8 @@
-//! Figure 8(a): NDPExt speedup over Nexus across NDP core counts,
-//! presented as `#stacks × #cores-per-stack`.
-//!
-//! Expected shape (paper): more stacks at the same core count raise the
-//! speedup (up to 1.65× at 16 stacks); fewer cores shrink it (1.09× at 32
-//! cores); 256 cores raise it further (1.75×); a single unit still wins
-//! 1.16× from the stream abstraction alone.
+//! Figure 8(a): NDPExt speedup over Nexus across core counts: [`ndpx_bench::figures::fig08a`].
 
-use ndpx_bench::runner::{geomean, run_many, BenchScale, RunSpec};
-use ndpx_core::config::{MemKind, PolicyKind};
-use ndpx_noc::topology::{IntraKind, Topology};
-use ndpx_workloads::REPRESENTATIVE_WORKLOADS;
-
-/// `(label, stacks_x, stacks_y, units_x, units_y)` — cores = product.
-const CONFIGS: [(&str, usize, usize, usize, usize); 6] = [
-    ("4x32", 2, 2, 8, 4),
-    ("8x16", 4, 2, 4, 4),
-    ("16x8", 4, 4, 4, 2),
-    ("4x8", 2, 2, 4, 2),
-    ("16x16", 4, 4, 4, 4),
-    ("1x1", 1, 1, 1, 1),
-];
+use ndpx_bench::figures;
+use ndpx_bench::runner::Session;
 
 fn main() {
-    let scale = BenchScale::from_env();
-    println!("# Fig 8a: NDPExt speedup over Nexus vs core count (stacks x cores/stack)");
-    println!("{:>8} {:>7} {:>10}", "config", "cores", "speedup");
-    for &(label, sx, sy, ux, uy) in &CONFIGS {
-        let topo = Topology {
-            stacks_x: sx,
-            stacks_y: sy,
-            units_x: ux,
-            units_y: uy,
-            intra: IntraKind::Crossbar,
-        };
-        let set_topo = move |cfg: &mut ndpx_core::SystemConfig| {
-            cfg.topology = topo;
-        };
-        let mut ratios = Vec::new();
-        let specs: Vec<RunSpec> = REPRESENTATIVE_WORKLOADS
-            .iter()
-            .flat_map(|&w| {
-                [PolicyKind::Nexus, PolicyKind::NdpExt]
-                    .into_iter()
-                    .map(move |p| RunSpec::new(MemKind::Hbm, p, w, scale).with_tweak(set_topo))
-            })
-            .collect();
-        let reports = run_many(specs);
-        for pair in reports.chunks(2) {
-            ratios.push(pair[0].sim_time.as_ps() as f64 / pair[1].sim_time.as_ps() as f64);
-        }
-        println!("{label:>8} {:>7} {:>10.2}", topo.units(), geomean(ratios.iter().copied()));
-    }
+    figures::fig08a(&mut Session::from_env());
 }

@@ -1,38 +1,8 @@
-//! Figure 8(b): NDPExt speedup over Nexus at different CXL link latencies.
-//!
-//! Expected shape (paper): higher link latency makes misses to the extended
-//! memory dearer, so NDPExt's better placement pays off more — speedups grow
-//! from ≈1.33× at 50 ns to ≈1.50× at 400 ns.
+//! Figure 8(b): NDPExt speedup over Nexus vs CXL latency: [`ndpx_bench::figures::fig08b`].
 
-use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{geomean, run_many_with, BenchScale, RunSpec};
-use ndpx_bench::TraceCache;
-use ndpx_core::config::{MemKind, PolicyKind};
-use ndpx_sim::time::Time;
-use ndpx_workloads::REPRESENTATIVE_WORKLOADS;
+use ndpx_bench::figures;
+use ndpx_bench::runner::Session;
 
 fn main() {
-    let scale = BenchScale::from_env();
-    // Link latency changes the configuration, not the trace: one cache
-    // serves every point of the sweep.
-    let cache = TraceCache::from_env();
-    println!("# Fig 8b: NDPExt speedup over Nexus vs CXL link latency");
-    println!("{:>10} {:>10}", "latency_ns", "speedup");
-    for &ns in &[50u64, 100, 200, 400] {
-        let specs: Vec<RunSpec> = REPRESENTATIVE_WORKLOADS
-            .iter()
-            .flat_map(|&w| {
-                [PolicyKind::Nexus, PolicyKind::NdpExt].into_iter().map(move |p| {
-                    RunSpec::new(MemKind::Hbm, p, w, scale)
-                        .with_tweak(move |cfg| cfg.cxl = cfg.cxl.with_latency(Time::from_ns(ns)))
-                })
-            })
-            .collect();
-        let reports = run_many_with(CellPool::from_env(), &cache, &specs);
-        let ratios: Vec<f64> = reports
-            .chunks(2)
-            .map(|pair| pair[0].sim_time.as_ps() as f64 / pair[1].sim_time.as_ps() as f64)
-            .collect();
-        println!("{ns:>10} {:>10.2}", geomean(ratios));
-    }
+    figures::fig08b(&mut Session::from_env());
 }

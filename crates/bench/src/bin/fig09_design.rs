@@ -1,161 +1,19 @@
-//! Figure 9: design-choice studies. One subcommand per panel:
-//!
-//! * `assoc`      — (a) indirect stream-cache associativity 1–64 way;
-//! * `block`      — (b) affine block size 256 B – 4 kB;
-//! * `affine-cap` — (c) affine space restriction (plus the ideal no-cap);
-//! * `sampler`    — (d) sampled sets k ∈ {8, 16, 32, 64};
-//! * `method`     — (e) reconfiguration method Static / Partial / Full;
-//! * `interval`   — (f) reconfiguration interval sweep;
-//! * `all`        — every panel in sequence.
-//!
-//! All results are NDPExt runtimes normalized to the paper's default value
-//! of the swept parameter (so 1.00 = default; higher = faster).
+//! Figure 9: design-choice studies ([`ndpx_bench::figures::fig09`]). The
+//! argument names one panel (`assoc`, `block`, `affine-cap`, `sampler`,
+//! `method`, `interval`) or `all` of them, the default.
 
-use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{geomean, run_many_with, BenchScale, RunSpec};
-use ndpx_bench::TraceCache;
-use ndpx_core::config::{MemKind, PolicyKind};
-use ndpx_workloads::REPRESENTATIVE_WORKLOADS;
-
-/// Runs NDPExt on the representative set with `tweak`, returning the
-/// geomean runtime in picoseconds. The cache is shared across the whole
-/// sweep: tweaks change the system configuration, never the trace, so every
-/// sweep value replays the same materialized workloads.
-fn run_with(
-    scale: BenchScale,
-    cache: &TraceCache,
-    tweak: impl Fn(&mut ndpx_core::SystemConfig) + Send + Sync + Clone + 'static,
-) -> f64 {
-    let specs: Vec<RunSpec> = REPRESENTATIVE_WORKLOADS
-        .iter()
-        .map(|&w| {
-            RunSpec::new(MemKind::Hbm, PolicyKind::NdpExt, w, scale).with_tweak(tweak.clone())
-        })
-        .collect();
-    let reports = run_many_with(CellPool::from_env(), cache, &specs);
-    geomean(reports.iter().map(|r| r.sim_time.as_ps() as f64))
-}
-
-fn normalized_sweep<T: Copy + std::fmt::Display + Send + Sync + 'static>(
-    scale: BenchScale,
-    cache: &TraceCache,
-    name: &str,
-    values: &[T],
-    default_idx: usize,
-    apply: impl Fn(&mut ndpx_core::SystemConfig, T) + Send + Sync + Clone + 'static,
-) {
-    println!("# Fig 9 ({name}); speedup normalized to the default value");
-    let times: Vec<f64> = values
-        .iter()
-        .map(|&v| {
-            let apply = apply.clone();
-            run_with(scale, cache, move |cfg| apply(cfg, v))
-        })
-        .collect();
-    let base = times[default_idx];
-    println!("{:>12} {:>10}", name, "speedup");
-    for (v, t) in values.iter().zip(&times) {
-        println!("{v:>12} {:>10.3}", base / t);
-    }
-    println!();
-}
-
-fn panel(scale: BenchScale, cache: &TraceCache, which: &str) {
-    match which {
-        "assoc" => {
-            normalized_sweep(scale, cache, "indirect ways", &[1usize, 4, 16, 64], 0, |cfg, v| {
-                cfg.indirect_ways = v;
-            })
-        }
-        "block" => normalized_sweep(
-            scale,
-            cache,
-            "affine block B",
-            &[256u64, 512, 1024, 2048, 4096],
-            2,
-            |cfg, v| cfg.affine_block = v,
-        ),
-        "affine-cap" => {
-            // Fractions of the unit capacity, plus the unrestricted ideal.
-            println!("# Fig 9c (affine space restriction)");
-            let fractions = [("1/16", 16u64), ("1/8", 8), ("1/4", 4), ("ideal", 1)];
-            let times: Vec<f64> = fractions
-                .iter()
-                .map(|&(_, div)| {
-                    run_with(scale, cache, move |cfg| {
-                        cfg.affine_cap =
-                            if div == 1 { cfg.unit_capacity } else { cfg.unit_capacity / div }
-                    })
-                })
-                .collect();
-            let base = times[0];
-            println!("{:>12} {:>10}", "cap", "speedup");
-            for ((label, _), t) in fractions.iter().zip(&times) {
-                println!("{label:>12} {:>10.3}", base / t);
-            }
-            println!();
-        }
-        "sampler" => {
-            normalized_sweep(scale, cache, "sampled sets k", &[8usize, 16, 32, 64], 2, |cfg, v| {
-                cfg.sampler_sets = v;
-            })
-        }
-        "method" => {
-            println!("# Fig 9e (reconfiguration method)");
-            let static_t = {
-                let specs: Vec<RunSpec> = REPRESENTATIVE_WORKLOADS
-                    .iter()
-                    .map(|&w| RunSpec::new(MemKind::Hbm, PolicyKind::NdpExtStatic, w, scale))
-                    .collect();
-                let reports = run_many_with(CellPool::from_env(), cache, &specs);
-                geomean(reports.iter().map(|r| r.sim_time.as_ps() as f64))
-            };
-            let partial_t = run_with(scale, cache, |cfg| cfg.max_reconfigs = Some(2));
-            let full_t = run_with(scale, cache, |_| {});
-            println!("{:>12} {:>10}", "method", "speedup");
-            for (label, t) in [("S(tatic)", static_t), ("P(artial)", partial_t), ("F(ull)", full_t)]
-            {
-                println!("{label:>12} {:>10.3}", full_t / t);
-            }
-            println!();
-        }
-        "interval" => {
-            println!("# Fig 9f (reconfiguration interval, fraction of the default epoch)");
-            let muls =
-                [("1/4x", 4u64, 1u64), ("1/2x", 2, 1), ("1x", 1, 1), ("2x", 1, 2), ("4x", 1, 4)];
-            let times: Vec<f64> = muls
-                .iter()
-                .map(|&(_, div, mul)| {
-                    run_with(scale, cache, move |cfg| {
-                        cfg.epoch_cycles = cfg.epoch_cycles / div * mul
-                    })
-                })
-                .collect();
-            let base = times[2];
-            println!("{:>12} {:>10}", "interval", "speedup");
-            for ((label, _, _), t) in muls.iter().zip(&times) {
-                println!("{label:>12} {:>10.3}", base / t);
-            }
-            println!();
-        }
-        other => {
-            eprintln!(
-                "unknown panel `{other}`; use assoc|block|affine-cap|sampler|method|interval|all"
-            );
-            std::process::exit(2);
-        }
-    }
-}
+use ndpx_bench::figures::{self, FIG09_PANELS};
+use ndpx_bench::runner::Session;
 
 fn main() {
-    let scale = BenchScale::from_env();
-    let cache = TraceCache::from_env();
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    if which == "all" {
-        for p in ["assoc", "block", "affine-cap", "sampler", "method", "interval"] {
-            panel(scale, &cache, p);
+    let panels = match FIG09_PANELS.iter().find(|&&p| p == which) {
+        Some(panel) => vec![*panel],
+        None if which == "all" => FIG09_PANELS.to_vec(),
+        None => {
+            eprintln!("unknown panel `{which}`; use {}|all", FIG09_PANELS.join("|"));
+            std::process::exit(2);
         }
-    } else {
-        panel(scale, &cache, &which);
-    }
+    };
+    figures::fig09(&mut Session::from_env(), &panels);
 }

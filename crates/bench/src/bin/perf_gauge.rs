@@ -158,7 +158,8 @@ fn run_matrix(
     let results = pool.run_cells(monitor, tasks);
     let wall_s = t0.elapsed().as_secs_f64();
     if let Some(m) = monitor {
-        manifest::emit("perf_gauge", pool.threads(), &m.names, &results, Some(cache.stats()));
+        let (dir, stats) = (manifest::metrics_dir(), Some(cache.stats()));
+        manifest::emit(dir.as_deref(), "perf_gauge", pool.threads(), &m.names, &results, stats);
     }
     let results = expect_ok(results);
     let cells = specs

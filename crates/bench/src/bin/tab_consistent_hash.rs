@@ -1,52 +1,9 @@
-//! §V-D table: consistent hashing vs bulk invalidation at reconfiguration.
-//!
-//! Expected shape (paper): consistent hashing cuts invalidation traffic
-//! (paper: −9.4% on average) and yields a small overall speedup (+3.7%);
-//! migration requests stay a small fraction of all accesses (~1.3%).
+//! §V-D table: consistent hashing vs bulk invalidation:
+//! [`ndpx_bench::figures::tab_consistent_hash`].
 
-use ndpx_bench::runner::{geomean, run_many, BenchScale, RunSpec};
-use ndpx_core::config::{MemKind, PolicyKind, ReconfigTransfer};
-use ndpx_workloads::ALL_WORKLOADS;
+use ndpx_bench::figures;
+use ndpx_bench::runner::Session;
 
 fn main() {
-    let scale = BenchScale::from_env();
-    println!("# V-D: consistent hashing vs bulk invalidation (NDPExt)");
-    println!(
-        "{:<11} {:>10} {:>10} {:>9} {:>10}",
-        "workload", "inv_bulk", "inv_cons", "speedup", "migr_frac"
-    );
-    let mut speedups = Vec::new();
-    let mut inv_ratios = Vec::new();
-    let mut specs = Vec::new();
-    for &w in &ALL_WORKLOADS {
-        specs.push(
-            RunSpec::new(MemKind::Hbm, PolicyKind::NdpExt, w, scale)
-                .with_tweak(|cfg| cfg.transfer = ReconfigTransfer::BulkInvalidate),
-        );
-        specs.push(
-            RunSpec::new(MemKind::Hbm, PolicyKind::NdpExt, w, scale)
-                .with_tweak(|cfg| cfg.transfer = ReconfigTransfer::ConsistentHash),
-        );
-    }
-    let reports = run_many(specs);
-    for (i, &w) in ALL_WORKLOADS.iter().enumerate() {
-        let bulk = &reports[2 * i];
-        let cons = &reports[2 * i + 1];
-        let speedup = bulk.sim_time.as_ps() as f64 / cons.sim_time.as_ps() as f64;
-        let migr_frac =
-            cons.migrations as f64 / (cons.cache_hits + cons.cache_misses).max(1) as f64;
-        println!(
-            "{:<11} {:>10} {:>10} {:>9.3} {:>10.4}",
-            w, bulk.invalidations, cons.invalidations, speedup, migr_frac
-        );
-        speedups.push(speedup);
-        if bulk.invalidations > 0 {
-            inv_ratios.push((cons.invalidations.max(1)) as f64 / bulk.invalidations as f64);
-        }
-    }
-    println!(
-        "\nspeedup geomean {:.3} (paper: 1.037); invalidation ratio geomean {:.3} (paper: ~0.91)",
-        geomean(speedups),
-        geomean(inv_ratios)
-    );
+    figures::tab_consistent_hash(&mut Session::from_env());
 }

@@ -11,6 +11,10 @@
 //! * `<run>.registry.json` — the full hierarchical stat registry of every
 //!   cell, nested under its cell key.
 //!
+//! A [`crate::runner::Session`] run lists only the cells it simulated, so
+//! each cell appears once, under the first figure of the session that ran
+//! it; its trace-cache totals are the session's so far.
+//!
 //! Simulated fields (sim time, ops, events, queue depth, registries) are
 //! byte-identical at any `NDPX_THREADS`; only wall-clock, worker, and the
 //! derived events-per-second rates vary run to run.
@@ -309,17 +313,18 @@ pub fn write_sidecars(
     Ok(metrics_path)
 }
 
-/// The one-call sidecar hook every monitored run uses: when `NDPX_METRICS`
-/// is set, writes the metrics and registry sidecars over the cells that
-/// succeeded (so partial results survive a lost cell) and, when any cell
-/// failed, a `<run>.failures.json` failure manifest alongside them. Logs
-/// each destination at info level and any filesystem failure at warn
-/// level. A no-op (no allocation, no I/O) when the variable is unset.
+/// The one-call sidecar hook every monitored run uses: when `dir` is set
+/// (usually [`metrics_dir`]), writes the metrics and registry sidecars over
+/// the cells that succeeded (so partial results survive a lost cell) and,
+/// when any cell failed, a `<run>.failures.json` failure manifest alongside
+/// them. Logs each destination at info level and any filesystem failure at
+/// warn level. A no-op (no allocation, no I/O) when `dir` is `None`.
 ///
 /// # Panics
 ///
 /// Panics if `names` and `results` disagree in length.
 pub fn emit(
+    dir: Option<&Path>,
     run: &str,
     threads: usize,
     names: &[String],
@@ -327,7 +332,7 @@ pub fn emit(
     trace_cache: Option<TraceCacheStats>,
 ) {
     assert_eq!(names.len(), results.len(), "one name per cell");
-    let Some(dir) = metrics_dir() else { return };
+    let Some(dir) = dir else { return };
     let (ok_names, ok): (Vec<String>, Vec<CellResult<&RunReport>>) = names
         .iter()
         .zip(results)
@@ -338,7 +343,7 @@ pub fn emit(
         .unzip();
     let manifest = RunManifest::collect(run, threads, &ok_names, &ok, trace_cache);
     let reports: Vec<&RunReport> = ok.iter().map(|r| r.value).collect();
-    match write_sidecars(&dir, &manifest, &ok_names, &reports) {
+    match write_sidecars(dir, &manifest, &ok_names, &reports) {
         Ok(path) => ndpx_sim::ndpx_info!("{run}: wrote {}", path.display()),
         Err(e) => ndpx_sim::ndpx_warn!("{run}: cannot write metrics under {}: {e}", dir.display()),
     }

@@ -13,7 +13,7 @@ use ndpx_core::system::NdpSystem;
 use ndpx_workloads::trace::ScaleParams;
 use ndpx_workloads::TraceCache;
 
-use crate::pool::{expect_ok, CellPool, CellTask, MonitorConfig};
+use crate::pool::{expect_ok, CellPool, CellResult, CellTask, MonitorConfig};
 
 /// Benchmark scale profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +137,15 @@ impl RunSpec {
     ) -> Self {
         RunSpec { mem, policy, workload, scale, ops_per_core: scale.ops_per_core(), tweak: None }
     }
+
+    /// The configuration the run simulates: the scale's, then the tweak.
+    pub fn config(&self) -> SystemConfig {
+        let mut cfg = self.scale.system(self.mem, self.policy);
+        if let Some(tweak) = &self.tweak {
+            tweak(&mut cfg);
+        }
+        cfg
+    }
 }
 
 /// Executes one NDP run with the workload trace served from `cache`
@@ -147,10 +156,7 @@ impl RunSpec {
 /// Panics on unknown workloads or invalid configurations — bench inputs are
 /// static.
 pub fn run_ndp_cached(spec: &RunSpec, cache: &TraceCache) -> RunReport {
-    let mut cfg = spec.scale.system(spec.mem, spec.policy);
-    if let Some(tweak) = &spec.tweak {
-        tweak(&mut cfg);
-    }
+    let cfg = spec.config();
     let params = spec.scale.workload(&cfg);
     let trace_gen_start = std::time::Instant::now();
     let wl = cache.workload(spec.workload, &params, spec.ops_per_core);
@@ -160,16 +166,6 @@ pub fn run_ndp_cached(spec: &RunSpec, cache: &TraceCache) -> RunReport {
     // only exists once the system does.
     sys.record_phase(ndpx_core::Phase::TraceGen, trace_gen);
     sys.run(spec.ops_per_core)
-}
-
-/// Executes one NDP run with a live (uncached) workload trace.
-///
-/// # Panics
-///
-/// Panics on unknown workloads or invalid configurations — bench inputs are
-/// static.
-pub fn run_ndp(spec: &RunSpec) -> RunReport {
-    run_ndp_cached(spec, &TraceCache::disabled())
 }
 
 /// Executes the non-NDP host baseline on the same workload and op count,
@@ -210,82 +206,139 @@ pub fn run_host_cached(
     HostSystem::new(host_cfg, wl).expect("consistent").run(host_ops)
 }
 
-/// One unmonitored NDP task per spec, each served from `cache`.
-fn spec_tasks<'a>(specs: &'a [RunSpec], cache: &'a TraceCache) -> Vec<CellTask<'a, RunReport>> {
-    specs
-        .iter()
-        .map(|spec| Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, RunReport>)
-        .collect()
+/// One named cell of a [`Session::run`] submission.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The cell's name in log lines and sidecars: its sweep point, then
+    /// `mem/policy/workload` or `host/workload`.
+    pub name: String,
+    sim: Sim,
 }
 
-/// Runs many independent specs on `pool`, sharing `cache` across cells, and
-/// returns reports in spec order regardless of thread count.
-///
-/// # Panics
-///
-/// After the whole matrix has run, if any cell panicked.
-pub fn run_many_with(pool: CellPool, cache: &TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
-    expect_ok(pool.run_cells(None, spec_tasks(specs, cache))).into_iter().map(|r| r.value).collect()
+/// What a cell simulates.
+#[derive(Debug, Clone)]
+enum Sim {
+    Ndp(RunSpec),
+    /// The host baseline on a workload at this many ops per core.
+    Host(&'static str, u64),
 }
 
-/// Runs report-producing `tasks` (named by `names`, in submission order) on
-/// `pool` inside the full telemetry envelope: heartbeat lines and the
-/// slow-cell watchdog via a monitored [`CellPool::run_cells`], and the
-/// `metrics.json` + registry-dump sidecars under `NDPX_METRICS` (see
-/// [`crate::manifest`]). `run_name` labels log lines and sidecar files.
-///
-/// Cells are panic-isolated: a failed cell never aborts its siblings, and
-/// the sidecars plus a `<run>.failures.json` manifest are written *before*
-/// the failure is escalated, so a partial sweep is never lost.
-///
-/// # Panics
-///
-/// After the whole matrix has run and every manifest is on disk, if any
-/// cell panicked.
-pub fn run_tasks_monitored(
-    run_name: &str,
+/// Everything a cell's report depends on, compared field by field: two
+/// cells with equal keys simulate the same run.
+#[derive(Clone, PartialEq)]
+enum CellKey {
+    /// Workload, ops per core and the effective (post-tweak) configuration.
+    Ndp(&'static str, u64, Box<SystemConfig>),
+    Host(&'static str, u64, BenchScale),
+}
+
+impl Cell {
+    /// An NDP cell named `<point><mem>/<policy>/<workload>`; `point` names
+    /// the sweep point (e.g. `"bulk/"`) and is empty at a figure's default.
+    pub fn ndp(point: &str, spec: RunSpec) -> Self {
+        Cell { name: format!("{point}{}", crate::gauge::cell_key(&spec)), sim: Sim::Ndp(spec) }
+    }
+
+    /// The host baseline of `workload` ([`run_host_cached`] at the
+    /// session's scale), named `host/<workload>`.
+    pub fn host(workload: &'static str, ops_per_core: u64) -> Self {
+        Cell { name: format!("host/{workload}"), sim: Sim::Host(workload, ops_per_core) }
+    }
+
+    fn key(&self, scale: BenchScale) -> CellKey {
+        match &self.sim {
+            Sim::Ndp(spec) => {
+                CellKey::Ndp(spec.workload, spec.ops_per_core, Box::new(spec.config()))
+            }
+            Sim::Host(workload, ops) => CellKey::Host(workload, *ops, scale),
+        }
+    }
+}
+
+/// One evaluation session: the scale, pool and trace cache that every
+/// figure of a process shares, and a memo of each cell it has simulated, so
+/// a cell that several figures read runs once.
+pub struct Session {
+    /// Scale of the figures' specs and of the host cells.
+    pub scale: BenchScale,
     pool: CellPool,
-    cache: &TraceCache,
-    names: Vec<String>,
-    tasks: Vec<CellTask<'_, RunReport>>,
-) -> Vec<RunReport> {
-    let monitor = MonitorConfig::from_env(run_name, names);
-    let results = pool.run_cells(Some(&monitor), tasks);
-    crate::manifest::emit(run_name, pool.threads(), &monitor.names, &results, Some(cache.stats()));
-    expect_ok(results).into_iter().map(|r| r.value).collect()
+    /// Traces shared by every cell of the session.
+    pub cache: TraceCache,
+    /// Where each submission writes its sidecars (`NDPX_METRICS` by
+    /// default; see [`crate::manifest`]).
+    pub metrics: Option<std::path::PathBuf>,
+    memo: Vec<(CellKey, RunReport)>,
 }
 
-/// [`run_many_with`] inside the telemetry envelope of
-/// [`run_tasks_monitored`], with cells named by [`crate::gauge::cell_key`].
-///
-/// # Panics
-///
-/// After the whole matrix has run and every manifest is on disk, if any
-/// cell panicked.
-pub fn run_many_monitored(
-    run_name: &str,
-    pool: CellPool,
-    cache: &TraceCache,
-    specs: &[RunSpec],
-) -> Vec<RunReport> {
-    let names = specs.iter().map(crate::gauge::cell_key).collect();
-    run_tasks_monitored(run_name, pool, cache, names, spec_tasks(specs, cache))
-}
+impl Session {
+    /// A session with an empty memo.
+    pub fn new(scale: BenchScale, pool: CellPool, cache: TraceCache) -> Self {
+        Session { scale, pool, cache, metrics: crate::manifest::metrics_dir(), memo: Vec::new() }
+    }
 
-/// The current binary's name, for run labels (`"bench"` as a fallback).
-pub fn run_label() -> String {
-    std::env::args()
-        .next()
-        .as_deref()
-        .and_then(|p| std::path::Path::new(p).file_stem()?.to_str().map(str::to_string))
-        .unwrap_or_else(|| "bench".to_string())
-}
+    /// A session at `NDPX_SCALE`, `NDPX_THREADS` and `NDPX_TRACE_CACHE`.
+    pub fn from_env() -> Self {
+        Self::new(BenchScale::from_env(), CellPool::from_env(), TraceCache::from_env())
+    }
 
-/// Runs many specs with the environment's thread count (`NDPX_THREADS`), a
-/// trace cache shared across the whole matrix (`NDPX_TRACE_CACHE`), and the
-/// monitored-run telemetry envelope labeled with the binary's name.
-pub fn run_many(specs: Vec<RunSpec>) -> Vec<RunReport> {
-    run_many_monitored(&run_label(), CellPool::from_env(), &TraceCache::from_env(), &specs)
+    /// How many distinct cells the session has simulated.
+    pub fn simulated(&self) -> usize {
+        self.memo.len()
+    }
+
+    fn recall(&self, key: &CellKey) -> Option<&RunReport> {
+        self.memo.iter().find(|(k, _)| k == key).map(|(_, r)| r)
+    }
+
+    /// Returns one report per cell, in cell order. Only the cells the
+    /// session has not simulated yet are submitted, each once, on the pool
+    /// with heartbeats and the slow-cell watchdog; the sidecars named
+    /// `run` list exactly those cells. A cell never aborts its siblings:
+    /// the sidecars, and a `<run>.failures.json` naming every failed cell,
+    /// are written and the others memoized before a failure is escalated.
+    ///
+    /// # Panics
+    ///
+    /// If two distinct new cells share a name, or, once the submission has
+    /// run, if any cell panicked.
+    pub fn run(&mut self, run: &str, cells: impl IntoIterator<Item = Cell>) -> Vec<RunReport> {
+        let cells: Vec<Cell> = cells.into_iter().collect();
+        let keys: Vec<CellKey> = cells.iter().map(|c| c.key(self.scale)).collect();
+        let mut fresh: Vec<usize> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            if self.recall(key).is_none() && !fresh.iter().any(|&j| keys[j] == *key) {
+                let name = &cells[i].name;
+                assert!(!fresh.iter().any(|&j| cells[j].name == *name), "{run}: two cells {name}");
+                fresh.push(i);
+            }
+        }
+        let (scale, cache) = (self.scale, &self.cache);
+        let tasks: Vec<CellTask<'_, RunReport>> = fresh
+            .iter()
+            .map(|&i| match &cells[i].sim {
+                Sim::Ndp(spec) => Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, _>,
+                Sim::Host(workload, ops) => {
+                    Box::new(move || run_host_cached(workload, scale, *ops, cache))
+                }
+            })
+            .collect();
+        let names = fresh.iter().map(|&i| cells[i].name.clone()).collect();
+        let monitor = MonitorConfig::from_env(run, names);
+        let results = self.pool.run_cells(Some(&monitor), tasks);
+        let (dir, threads) = (self.metrics.as_deref(), self.pool.threads());
+        crate::manifest::emit(dir, run, threads, &monitor.names, &results, Some(cache.stats()));
+        let outcomes: Vec<_> = fresh
+            .iter()
+            .zip(results)
+            .map(|(&i, r)| CellResult {
+                value: r.value.map(|report| self.memo.push((keys[i].clone(), report))),
+                worker: r.worker,
+                wall_s: r.wall_s,
+            })
+            .collect();
+        expect_ok(outcomes);
+        keys.iter().map(|key| self.recall(key).expect("memoized above").clone()).collect()
+    }
 }
 
 /// Geometric mean of an iterator of positive values.
@@ -343,7 +396,7 @@ mod tests {
             ops_per_core: 1000,
             ..RunSpec::new(MemKind::Hbm, PolicyKind::NdpExt, "pr", BenchScale::Test)
         };
-        let r = run_ndp(&spec);
+        let r = run_ndp_cached(&spec, &TraceCache::disabled());
         assert!(r.ops > 0);
     }
 }

@@ -14,7 +14,7 @@
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops};
 use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{run_many_with, BenchScale, RunSpec};
+use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
 use ndpx_core::stats::RunReport;
@@ -23,6 +23,13 @@ use ndpx_sim::telemetry::StatValue;
 
 fn count(r: &RunReport, path: &str) -> u64 {
     r.registry.get(path).and_then(StatValue::as_count).unwrap_or(0)
+}
+
+/// Runs `specs` on a fresh session, so every cell simulates even when
+/// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
+fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
+    let cells = specs.iter().enumerate().map(|(i, s)| Cell::ndp(&format!("{i}/"), s.clone()));
+    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache).run("test", cells)
 }
 
 #[test]
@@ -44,7 +51,7 @@ fn chaos_off_reproduces_committed_perf_digests() {
             .with_tweak(|cfg| cfg.chaos = ChaosConfig::disabled())
         })
         .collect();
-    let reports = run_many_with(CellPool::with_threads(4), &TraceCache::new(), &specs);
+    let reports = run_fresh(4, TraceCache::new(), &specs);
     for (spec, report) in specs.iter().zip(&reports) {
         let key = cell_key(spec);
         let baseline = committed
@@ -86,8 +93,8 @@ fn stack_loss_recovers_and_is_thread_invariant() {
             })
         })
         .collect();
-    let serial = run_many_with(CellPool::with_threads(1), &TraceCache::disabled(), &specs);
-    let pooled = run_many_with(CellPool::with_threads(4), &TraceCache::new(), &specs);
+    let serial = run_fresh(1, TraceCache::disabled(), &specs);
+    let pooled = run_fresh(4, TraceCache::new(), &specs);
     for ((spec, a), b) in specs.iter().zip(&serial).zip(&pooled) {
         let key = cell_key(spec);
         assert!(a.sim_time.as_ps() > 0, "{key}: run must complete under stack loss");

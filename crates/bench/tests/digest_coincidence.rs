@@ -13,7 +13,8 @@
 
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::gauge_ops;
-use ndpx_bench::runner::{run_ndp, BenchScale, RunSpec};
+use ndpx_bench::runner::{run_ndp_cached, BenchScale, RunSpec};
+use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
 
 const LINE_GRAIN: [PolicyKind; 4] =
@@ -22,7 +23,7 @@ const LINE_GRAIN: [PolicyKind; 4] =
 fn digest_at(policy: PolicyKind, ops: u64) -> (u64, u64) {
     let spec =
         RunSpec { ops_per_core: ops, ..RunSpec::new(MemKind::Hbm, policy, "pr", BenchScale::Test) };
-    let r = run_ndp(&spec);
+    let r = run_ndp_cached(&spec, &TraceCache::disabled());
     (report_digest(&r), r.reconfigs)
 }
 

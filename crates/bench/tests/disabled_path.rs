@@ -11,7 +11,7 @@ use std::time::Instant;
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops};
 use ndpx_bench::pool::{expect_ok, CellPool, CellTask};
-use ndpx_bench::runner::{run_many_with, BenchScale, RunSpec};
+use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
 use ndpx_core::stats::RunReport;
@@ -56,12 +56,19 @@ fn extract_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&rest[..rest.find('"')?])
 }
 
+/// Runs `specs` on a fresh session, so every cell simulates even when
+/// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
+fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
+    let cells = specs.iter().enumerate().map(|(i, s)| Cell::ndp(&format!("{i}/"), s.clone()));
+    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache).run("test", cells)
+}
+
 #[test]
 fn telemetry_off_matches_committed_digests_and_omits_scopes() {
     let committed = committed_digests();
     assert!(!committed.is_empty(), "BENCH_PERF.json must hold cell digests");
     let specs = specs();
-    let reports = run_many_with(CellPool::with_threads(4), &TraceCache::new(), &specs);
+    let reports = run_fresh(4, TraceCache::new(), &specs);
     for (spec, report) in specs.iter().zip(&reports) {
         let key = cell_key(spec);
         let baseline = committed
@@ -92,7 +99,7 @@ fn full_telemetry_does_not_move_a_digest() {
     let cache = &cache;
 
     let t_off = Instant::now();
-    let off = run_many_with(CellPool::with_threads(1), cache, &specs);
+    let off = run_fresh(1, TraceCache::new(), &specs);
     let wall_off = t_off.elapsed();
 
     let t_on = Instant::now();

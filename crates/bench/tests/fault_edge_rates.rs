@@ -6,7 +6,7 @@
 //! non-finite degradation feedback.
 
 use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{run_many_with, BenchScale, RunSpec};
+use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
 use ndpx_core::stats::RunReport;
@@ -45,10 +45,17 @@ fn count(r: &RunReport, path: &str) -> u64 {
 
 const ALL_KNOBS: [Knob; 4] = [Knob::CxlBer, Knob::MemCe, Knob::MemUe, Knob::NocFer];
 
+/// Runs `specs` on a fresh session, so every cell simulates even when
+/// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
+fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
+    let cells = specs.iter().enumerate().map(|(i, s)| Cell::ndp(&format!("{i}/"), s.clone()));
+    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache).run("test", cells)
+}
+
 #[test]
 fn zero_rates_draw_decisions_but_inject_nothing() {
     let specs: Vec<RunSpec> = ALL_KNOBS.iter().map(|&k| spec_with_rate(k, 0.0)).collect();
-    let reports = run_many_with(CellPool::with_threads(1), &TraceCache::disabled(), &specs);
+    let reports = run_fresh(1, TraceCache::disabled(), &specs);
     for (knob, r) in ALL_KNOBS.iter().zip(&reports) {
         assert!(r.sim_time.as_ps() > 0, "{knob:?}@0.0 must complete");
         // Seeded injectors are installed, so the fault scope is present and
@@ -67,9 +74,9 @@ fn zero_rates_draw_decisions_but_inject_nothing() {
 #[test]
 fn unit_rates_escalate_boundedly() {
     let specs: Vec<RunSpec> = ALL_KNOBS.iter().map(|&k| spec_with_rate(k, 1.0)).collect();
-    // `run_many_with` returning at all proves no rate-1.0 escalation loop
+    // `run_fresh` returning at all proves no rate-1.0 escalation loop
     // (CRC replay, retrain, poison storm, retransmit) diverges.
-    let reports = run_many_with(CellPool::with_threads(1), &TraceCache::disabled(), &specs);
+    let reports = run_fresh(1, TraceCache::disabled(), &specs);
     for (knob, r) in ALL_KNOBS.iter().zip(&reports) {
         assert!(r.sim_time.as_ps() > 0, "{knob:?}@1.0 must still make progress");
         match knob {
@@ -108,8 +115,8 @@ fn edge_rates_replay_deterministically() {
     // The 1.0 corner exercises escalation paths ordinary rates rarely hit;
     // pin that the worst case is as replayable as the common one.
     let specs: Vec<RunSpec> = ALL_KNOBS.iter().map(|&k| spec_with_rate(k, 1.0)).collect();
-    let a = run_many_with(CellPool::with_threads(1), &TraceCache::disabled(), &specs);
-    let b = run_many_with(CellPool::with_threads(4), &TraceCache::new(), &specs);
+    let a = run_fresh(1, TraceCache::disabled(), &specs);
+    let b = run_fresh(4, TraceCache::new(), &specs);
     for ((knob, x), y) in ALL_KNOBS.iter().zip(&a).zip(&b) {
         assert_eq!(
             x.registry.to_json(),

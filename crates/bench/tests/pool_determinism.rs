@@ -10,27 +10,30 @@
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_specs};
 use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{run_many_with, BenchScale};
+use ndpx_bench::runner::{BenchScale, Cell, Session};
 use ndpx_bench::TraceCache;
 
 /// Debug builds are slow; a reduced op count still exercises every policy's
 /// steady state (reconfigure epochs included at test scale).
 const OPS_PER_CORE: u64 = 750;
 
-fn digests(pool: CellPool, cache: &TraceCache) -> Vec<(String, u64)> {
+/// Each call has its own session, so every leg simulates every cell.
+fn digests(pool: CellPool, cache: TraceCache) -> (Vec<(String, u64)>, TraceCache) {
     let specs = gauge_specs(BenchScale::Test, OPS_PER_CORE);
-    let reports = run_many_with(pool, cache, &specs);
-    specs.iter().zip(&reports).map(|(s, r)| (cell_key(s), report_digest(r))).collect()
+    let mut session = Session::new(BenchScale::Test, pool, cache);
+    let reports = session.run("pool_determinism", specs.iter().map(|s| Cell::ndp("", s.clone())));
+    let digests =
+        specs.iter().zip(&reports).map(|(s, r)| (cell_key(s), report_digest(r))).collect();
+    (digests, session.cache)
 }
 
 #[test]
 fn all_36_digests_identical_across_thread_counts_and_caching() {
-    let serial_uncached = digests(CellPool::with_threads(1), &TraceCache::disabled());
+    let (serial_uncached, _) = digests(CellPool::with_threads(1), TraceCache::disabled());
     assert_eq!(serial_uncached.len(), 36);
 
-    let serial_cached = digests(CellPool::with_threads(1), &TraceCache::new());
-    let shared = TraceCache::new();
-    let pooled = digests(CellPool::with_threads(4), &shared);
+    let (serial_cached, _) = digests(CellPool::with_threads(1), TraceCache::new());
+    let (pooled, shared) = digests(CellPool::with_threads(4), TraceCache::new());
 
     for (((key, base), (_, cached)), (_, par)) in
         serial_uncached.iter().zip(&serial_cached).zip(&pooled)

@@ -23,12 +23,19 @@
 
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{run_many_with, BenchScale, RunSpec};
+use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind, ReconfigTransfer};
 use ndpx_core::stats::RunReport;
 use ndpx_sim::chaos::ChaosConfig;
 use ndpx_sim::telemetry::StatValue;
+
+/// Runs `specs` on a fresh session, so every cell simulates even when
+/// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
+fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
+    let cells = specs.iter().enumerate().map(|(i, s)| Cell::ndp(&format!("{i}/"), s.clone()));
+    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache).run("test", cells)
+}
 
 /// Epoch shortening of the benchmark's `reconfig` workload.
 const EPOCH_DIV: u64 = 10;
@@ -90,7 +97,7 @@ fn reconfiguring_cells_keep_their_digests() {
         ),
     ];
     let specs: Vec<RunSpec> = cells.iter().map(|(_, s, _, _)| s.clone()).collect();
-    let reports = run_many_with(CellPool::with_threads(1), &TraceCache::new(), &specs);
+    let reports = run_fresh(1, TraceCache::new(), &specs);
     for ((name, _, want, migrates), r) in cells.iter().zip(&reports) {
         assert!(r.reconfigs > 0, "{name}: no epoch fired");
         if *migrates {
@@ -122,7 +129,7 @@ fn bulk_invalidate_and_line_grain_cells_keep_their_digests() {
         ("jigsaw pr", spec(PolicyKind::Jigsaw, "pr", None), 0x8489_3c1b_9ad3_28b7),
     ];
     let specs: Vec<RunSpec> = cells.iter().map(|(_, s, _)| s.clone()).collect();
-    let reports = run_many_with(CellPool::with_threads(1), &TraceCache::new(), &specs);
+    let reports = run_fresh(1, TraceCache::new(), &specs);
     for ((name, _, want), r) in cells.iter().zip(&reports) {
         assert!(r.reconfigs > 0, "{name}: no epoch fired");
         assert!(r.invalidations > 0, "{name}: no entry invalidated");

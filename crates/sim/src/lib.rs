@@ -53,6 +53,6 @@ pub use chaos::{ChaosConfig, ChaosEvent, ChaosKind, ChaosPlan};
 pub use energy::{Energy, Power};
 pub use engine::{EventQueue, ProgressWatchdog, Stall};
 pub use fault::{FaultConfig, FaultPlan};
-pub use stats::{Counter, Histogram, LatencyStat, LogHistogram, MeanAcc};
+pub use stats::{Counter, Histogram, LatencyStat, MeanAcc};
 pub use telemetry::{StatRegistry, TraceSink};
 pub use time::{Freq, Time};

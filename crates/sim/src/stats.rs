@@ -184,10 +184,6 @@ pub struct Histogram {
     total: Time,
 }
 
-/// Former name of [`Histogram`], kept for readability at call sites that
-/// predate the telemetry layer.
-pub type LogHistogram = Histogram;
-
 impl Default for Histogram {
     fn default() -> Self {
         Self::new()
@@ -315,7 +311,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_percentiles() {
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new();
         for _ in 0..90 {
             h.record(Time::from_ns(2));
         }
@@ -331,7 +327,7 @@ mod tests {
 
     #[test]
     fn histogram_zero_and_huge() {
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new();
         h.record(Time::ZERO);
         h.record(Time::from_us(4_000_000)); // 4s, clamps to top bucket
         assert_eq!(h.count(), 2);
