@@ -260,8 +260,9 @@ fn main() {
     let micros = if micro::enabled_from_env() {
         let rs = micro::run_all();
         for r in &rs {
+            let slow = r.slow_share.map_or(String::new(), |s| format!(", {:.1}% slow", s * 100.0));
             eprintln!(
-                "micro {:<28} {:>12.1} ops/s  ({:.1} ns/op)",
+                "micro {:<28} {:>12.1} ops/s  ({:.1} ns/op{slow})",
                 r.name,
                 r.ops_per_sec(),
                 r.ns_per_iter
@@ -386,9 +387,10 @@ fn render_json(
         s.push_str("  \"micro\": [\n");
         for (i, m) in micros.iter().enumerate() {
             let comma = if i + 1 < micros.len() { "," } else { "" };
+            let slow = m.slow_share.map_or(String::new(), |s| format!(", \"slow_share\": {s:.4}"));
             let _ = writeln!(
                 s,
-                "    {{\"name\": \"{}\", \"iters\": {}, \"ns_per_iter\": {:.2}, \"ops_per_sec\": {:.1}}}{comma}",
+                "    {{\"name\": \"{}\", \"iters\": {}, \"ns_per_iter\": {:.2}, \"ops_per_sec\": {:.1}{slow}}}{comma}",
                 m.name,
                 m.iters,
                 m.ns_per_iter,

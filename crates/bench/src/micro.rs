@@ -5,9 +5,10 @@
 //! observe path (also per slot grain: 8 B, 64 B, 1 KB), the Algorithm 1
 //! solver (a small shape and the bfs reconfiguration cell's shape),
 //! consistent-hash bucket-table construction, the reconfiguration tag
-//! transfer, and power-law graph generation. Results land in
-//! `BENCH_PERF.json` under `"micro"` so a CI artifact records where a
-//! wall-clock regression came from without re-profiling the whole matrix.
+//! transfer, power-law graph generation, and single power-law draws.
+//! Results land in `BENCH_PERF.json` under `"micro"` so a CI artifact
+//! records where a wall-clock regression came from without re-profiling
+//! the whole matrix.
 //!
 //! These are wall-clock measurements, not digest-gated simulation: they
 //! exist to explain performance, never to define correctness.
@@ -20,7 +21,7 @@ use ndpx_core::layout::Group;
 use ndpx_core::runtime::configure::{allocate_ndpext, ConfigCtx, Solver, StreamDemand};
 use ndpx_core::runtime::sampler::{capacity_points, MissCurve, SetSampler};
 use ndpx_sim::engine::EventQueue;
-use ndpx_sim::rng::Xoshiro256;
+use ndpx_sim::rng::{PowerlawSampler, Xoshiro256};
 use ndpx_sim::time::Time;
 use ndpx_workloads::graph::CsrGraph;
 
@@ -33,6 +34,9 @@ pub struct MicroResult {
     pub iters: u64,
     /// Nanoseconds per operation.
     pub ns_per_iter: f64,
+    /// Share of operations that take the kernel's slow path, for kernels
+    /// that have one.
+    pub slow_share: Option<f64>,
 }
 
 impl MicroResult {
@@ -56,7 +60,7 @@ fn timed(name: &'static str, iters: u64, f: impl FnOnce()) -> MicroResult {
     let t0 = Instant::now();
     f();
     let ns = t0.elapsed().as_nanos() as f64;
-    MicroResult { name, iters, ns_per_iter: ns / iters as f64 }
+    MicroResult { name, iters, ns_per_iter: ns / iters as f64, slow_share: None }
 }
 
 /// The simulator's scheduling pattern: one pending event per core, each pop
@@ -311,8 +315,8 @@ fn tag_transfer(iters: u64) -> MicroResult {
     })
 }
 
-/// Raw power-law graph generation (the inverse-CDF `powf` kernel the
-/// process-wide graph cache exists to amortize); measured per edge.
+/// Raw power-law graph generation (one power-law draw per edge, plus the
+/// CSR build; the process-wide graph cache amortizes it); measured per edge.
 fn graph_powerlaw() -> MicroResult {
     let (vertices, avg_degree) = (20_000u32, 12u32);
     let g = CsrGraph::powerlaw(vertices, avg_degree, 0x6EAF);
@@ -323,7 +327,30 @@ fn graph_powerlaw() -> MicroResult {
     let ns = t0.elapsed().as_nanos() as f64;
     let edges2 = g2.edge_count().max(edges);
     black_box(g2.vertices());
-    MicroResult { name: "powerlaw_edge_gen", iters: edges2, ns_per_iter: ns / edges2 as f64 }
+    MicroResult {
+        name: "powerlaw_edge_gen",
+        iters: edges2,
+        ns_per_iter: ns / edges2 as f64,
+        slow_share: None,
+    }
+}
+
+/// One power-law draw from a [`PowerlawSampler`] over the largest `small`
+/// registry range at `alpha` (recsys rows at 1.7, graph vertices at 1.8);
+/// the slow-path share is the interval share the draw table leaves to
+/// `powf`.
+fn powerlaw_draw(name: &'static str, n: u64, alpha: f64, iters: u64) -> MicroResult {
+    let sampler = PowerlawSampler::new(n, alpha);
+    let mut rng = Xoshiro256::seed_from(0x9D12);
+    let mut r = timed(name, iters, || {
+        let mut acc = 0u64;
+        for _ in 0..iters {
+            acc = acc.wrapping_add(sampler.sample(&mut rng));
+        }
+        black_box(acc);
+    });
+    r.slow_share = Some(sampler.slow_share());
+    r
 }
 
 /// Runs the full micro-bench suite (a few hundred milliseconds).
@@ -341,6 +368,8 @@ pub fn run_all() -> Vec<MicroResult> {
         bucket_table(2_000),
         tag_transfer(2_000),
         graph_powerlaw(),
+        powerlaw_draw("powerlaw_draw_a17", 1 << 20, 1.7, 4_000_000),
+        powerlaw_draw("powerlaw_draw_a18", 35_791_394, 1.8, 4_000_000),
     ]
 }
 
@@ -363,6 +392,7 @@ mod tests {
             configure_ndpext_bfs(2),
             bucket_table(8),
             tag_transfer(4),
+            powerlaw_draw("p17", 1 << 20, 1.7, 1_000),
         ];
         for r in rs {
             assert!(r.iters > 0, "{}: no iterations", r.name);

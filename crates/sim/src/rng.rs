@@ -51,6 +51,12 @@ pub fn hash_range(x: u64, n: u64) -> u64 {
     ((mix64(x) as u128 * n as u128) >> 64) as u64
 }
 
+/// `m / 2^53`, exact for `m < 2^53`.
+#[inline]
+fn unit_f64(m: u64) -> f64 {
+    m as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// xoshiro256\*\* pseudo-random generator.
 ///
 /// The workhorse RNG for synthetic dataset generation. Deterministic for a
@@ -107,7 +113,14 @@ impl Xoshiro256 {
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u53())
+    }
+
+    /// The 53 random bits behind [`next_f64`](Self::next_f64), which returns
+    /// `unit_f64` of them.
+    #[inline]
+    fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
     /// Bernoulli draw with probability `p`.
@@ -125,25 +138,22 @@ impl Xoshiro256 {
     /// exponent `alpha > 1`; small indices are most likely.
     ///
     /// Used for skewed access patterns (e.g. recommendation-system embedding
-    /// rows and graph degree distributions).
+    /// rows and graph degree distributions). Evaluates the inverse CDF with
+    /// `powf` on every call; repeated draws with fixed parameters should use
+    /// a [`PowerlawSampler`], which returns the same values faster.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero or `alpha <= 1.0`.
     pub fn powerlaw_below(&mut self, n: u64, alpha: f64) -> u64 {
-        PowerlawSampler::new(n, alpha).sample(self)
+        InverseCdf::new(n, alpha).eval(self.next_f64())
     }
 }
 
-/// Repeated truncated power-law draws with fixed `(n, alpha)`.
-///
-/// Inverse-CDF sampling needs two `powf` evaluations per draw, but one of
-/// them — the truncation term `n^(1-alpha)` — depends only on the
-/// distribution parameters. This sampler hoists it (and the inverse
-/// exponent) out of the per-draw path; every draw is bit-identical to
-/// [`Xoshiro256::powerlaw_below`] with the same parameters.
+/// The truncated power-law inverse CDF over `[0, n)`: one `powf` per
+/// evaluation, with the parameter-only terms hoisted.
 #[derive(Debug, Clone, Copy)]
-pub struct PowerlawSampler {
+struct InverseCdf {
     last: u64,
     /// `1 - n^(1-alpha)`: the truncated-CDF scale factor.
     trunc: f64,
@@ -151,29 +161,130 @@ pub struct PowerlawSampler {
     inv_exp: f64,
 }
 
-impl PowerlawSampler {
-    /// Prepares a sampler over `[0, n)` with exponent `alpha > 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `alpha <= 1.0`.
-    pub fn new(n: u64, alpha: f64) -> Self {
+impl InverseCdf {
+    fn new(n: u64, alpha: f64) -> Self {
         assert!(n > 0, "powerlaw_below requires a non-empty range");
         assert!(alpha > 1.0, "powerlaw exponent must exceed 1");
-        PowerlawSampler {
+        InverseCdf {
             last: n - 1,
             trunc: 1.0 - (n as f64).powf(1.0 - alpha),
             inv_exp: 1.0 / (1.0 - alpha),
         }
     }
 
+    /// The real-valued draw for uniform `u`, before truncation to an index.
+    #[inline]
+    fn raw(&self, u: f64) -> f64 {
+        (1.0 - u * self.trunc).powf(self.inv_exp)
+    }
+
+    #[inline]
+    fn eval(&self, u: f64) -> u64 {
+        (self.raw(u) as u64).min(self.last)
+    }
+}
+
+/// Buckets of a [`PowerlawSampler`] table: bucket `b` holds the uniform
+/// draws `u` in `[b/BUCKETS, (b+1)/BUCKETS)`.
+const BUCKETS: usize = 1 << BUCKET_BITS;
+const BUCKET_BITS: u32 = 12;
+/// Table entry of a bucket whose draws differ or may differ: they evaluate
+/// the inverse CDF.
+const SLOW: u32 = u32::MAX;
+/// Relative distance both endpoint values of a bucket keep from the integers
+/// bounding their draw, far above the ≤ 1 ULP error of `powf`.
+const MARGIN: f64 = 8.0 * f64::EPSILON;
+
+/// Repeated truncated power-law draws with fixed `(n, alpha)`.
+///
+/// Every draw is bit-identical to [`Xoshiro256::powerlaw_below`] with the
+/// same parameters, but most take no `powf`. At construction the unit
+/// interval is cut into 4096 buckets; a bucket in which every `u` provably
+/// truncates to the same index stores that index, and the rest (each bucket
+/// holding an integer crossing, and the dense tail) keep the `powf`
+/// evaluation. The proof and the measured slow-path share are in DESIGN.md
+/// §14.
+#[derive(Debug, Clone)]
+pub struct PowerlawSampler {
+    cdf: InverseCdf,
+    /// The index every `u` of a bucket draws, or [`SLOW`].
+    table: Box<[u32; BUCKETS]>,
+}
+
+impl PowerlawSampler {
+    /// Prepares a sampler over `[0, n)` with exponent `alpha > 1`
+    /// (4097 `powf` evaluations).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero or `alpha <= 1.0`.
+    pub fn new(n: u64, alpha: f64) -> Self {
+        let cdf = InverseCdf::new(n, alpha);
+        let mut lo = cdf.raw(0.0);
+        let table = (0..BUCKETS)
+            .map(|b| {
+                let hi = cdf.raw((b + 1) as f64 / BUCKETS as f64);
+                // Bucket 0 always evaluates: negative and NaN inputs of
+                // `from_uniform` cast to its index.
+                let entry = if b == 0 { SLOW } else { settled_draw(lo, hi, cdf.last) };
+                lo = hi;
+                entry
+            })
+            .collect::<Box<[u32]>>()
+            .try_into()
+            .expect("one entry per bucket");
+        PowerlawSampler { cdf, table }
+    }
+
     /// Draws one value; small indices are most likely.
     #[inline]
     pub fn sample(&self, rng: &mut Xoshiro256) -> u64 {
-        // Inverse-CDF sampling of a Pareto-like distribution truncated to n.
-        let u = rng.next_f64();
-        let x = (1.0 - u * self.trunc).powf(self.inv_exp);
-        (x as u64).min(self.last)
+        // `from_uniform(rng.next_f64())`, with the bucket read off the
+        // draw's top 12 bits instead of a float-to-integer cast.
+        let m = rng.next_u53();
+        match self.table[(m >> (53 - BUCKET_BITS)) as usize] {
+            SLOW => self.cdf.eval(unit_f64(m)),
+            k => u64::from(k),
+        }
+    }
+
+    /// The draw for a uniform `u` in `[0, 1]`: the inverse CDF evaluated at
+    /// `u`, bit-identical to `powf` and usually a table load. Inputs outside
+    /// `[0, 1)`, `1.0` included, take the `powf` path.
+    #[inline]
+    pub fn from_uniform(&self, u: f64) -> u64 {
+        // `u * BUCKETS` is exact, so the cast is the bucket of `u`.
+        match self.table.get((u * BUCKETS as f64) as usize) {
+            Some(&k) if k != SLOW => u64::from(k),
+            _ => self.cdf.eval(u),
+        }
+    }
+
+    /// Share of the unit interval whose draws evaluate `powf`: the expected
+    /// slow-path share of uniform draws.
+    pub fn slow_share(&self) -> f64 {
+        self.table.iter().filter(|&&k| k == SLOW).count() as f64 / BUCKETS as f64
+    }
+}
+
+/// The index shared by every draw of a bucket whose endpoints evaluate to
+/// `lo` (at its lower `u`) and `hi` (at its upper `u`), or [`SLOW`].
+///
+/// `y = 1 - u·trunc` rounds monotonically in `u` and the exact `y^inv_exp`
+/// is monotone in `y`, so the exact value of any `u` in the bucket lies
+/// between the exact values at its ends; `powf` is within 1 ULP (a relative
+/// `f64::EPSILON`) of those. If `lo` clears the candidate draw `d` and `hi`
+/// stays below `d + 1`, both by [`MARGIN`], every draw of the bucket
+/// truncates to `d`. When `d` is `last` the lower bound alone settles it.
+fn settled_draw(lo: f64, hi: f64, last: u64) -> u32 {
+    // The cast saturates; a NaN `lo` gives 0 and fails `above_floor`.
+    let draw = (lo as u64).min(last);
+    let d = draw as f64;
+    let above_floor = lo >= d * (1.0 + MARGIN);
+    let below_ceiling = draw == last || hi < (d + 1.0) * (1.0 - MARGIN);
+    match u32::try_from(draw) {
+        Ok(k) if above_floor && below_ceiling => k,
+        _ => SLOW,
     }
 }
 

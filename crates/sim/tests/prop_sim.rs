@@ -1,12 +1,12 @@
 //! Randomized property tests for the simulation substrate: time arithmetic,
-//! event ordering, and RNG range guarantees.
+//! event ordering, RNG range guarantees, and the power-law draw table.
 //!
 //! Cases are driven by the crate's own seeded [`Xoshiro256`] so the suite is
 //! deterministic and needs no external property-testing framework (the
 //! workspace builds fully offline).
 
 use ndpx_sim::engine::EventQueue;
-use ndpx_sim::rng::{hash_range, Xoshiro256};
+use ndpx_sim::rng::{hash_range, PowerlawSampler, Xoshiro256};
 use ndpx_sim::time::{Freq, Time};
 
 const CASES: u64 = 256;
@@ -271,6 +271,134 @@ fn rng_below_and_powerlaw_bounded() {
             assert!(rng.powerlaw_below(n2, 1.8) < n2);
         }
     }
+}
+
+/// Every `(rows, alpha)` / `(vertices, alpha)` a registry workload samples
+/// at `NDPX_SCALE=test` and `small`, across all figures' sweep points and
+/// the host baseline: recsys rows at 1.7, gnn and GAP graphs at 1.8.
+const REGISTRY_POWERLAWS: [(u64, f64); 45] = [
+    // test
+    (1024, 1.7),
+    (9830, 1.7),
+    (19_660, 1.7),
+    (32_768, 1.7),
+    (78_643, 1.7),
+    (157_286, 1.7),
+    (17_476, 1.8),
+    (20_971, 1.8),
+    (109_416, 1.8),
+    (264_903, 1.8),
+    (279_620, 1.8),
+    (314_572, 1.8),
+    (335_544, 1.8),
+    (364_722, 1.8),
+    (559_240, 1.8),
+    (671_088, 1.8),
+    (883_011, 1.8),
+    (932_067, 1.8),
+    (1_048_576, 1.8),
+    (1_118_481, 1.8),
+    (2_236_962, 1.8),
+    (2_684_354, 1.8),
+    (4_473_924, 1.8),
+    (5_368_709, 1.8),
+    // small
+    (2457, 1.7),
+    (78_643, 1.7),
+    (314_572, 1.7),
+    (629_145, 1.7),
+    (1_048_576, 1.7),
+    (69_905, 1.8),
+    (83_886, 1.8),
+    (2_236_962, 1.8),
+    (2_684_354, 1.8),
+    (3_501_332, 1.8),
+    (8_476_909, 1.8),
+    (8_947_848, 1.8),
+    (10_066_329, 1.8),
+    (10_737_418, 1.8),
+    (11_671_106, 1.8),
+    (17_895_697, 1.8),
+    (21_474_836, 1.8),
+    (28_256_363, 1.8),
+    (29_826_161, 1.8),
+    (33_554_432, 1.8),
+    (35_791_394, 1.8),
+];
+
+/// The per-draw `powf` inverse CDF over `[0, n)`, written out as the
+/// generators used it (parameter-only terms hoisted).
+fn powf_draw(n: u64, alpha: f64) -> impl Fn(f64) -> u64 {
+    let trunc = 1.0 - (n as f64).powf(1.0 - alpha);
+    let inv_exp = 1.0 / (1.0 - alpha);
+    move |u| (((1.0 - u * trunc).powf(inv_exp)) as u64).min(n - 1)
+}
+
+/// Checks a sampler against the `powf` oracle at every bucket edge and its
+/// neighbours, on `draws` uniform draws through both `sample` and
+/// `from_uniform`, and on a short stream paired with
+/// [`Xoshiro256::powerlaw_below`]; returns the draws compared.
+fn check_sampler(n: u64, alpha: f64, draws: u64, seed: u64) -> u64 {
+    let sampler = PowerlawSampler::new(n, alpha);
+    let oracle = powf_draw(n, alpha);
+    let mut checked = 0;
+    for b in 0..=4096u64 {
+        let edge = b as f64 / 4096.0;
+        for u in [edge.next_down(), edge, edge.next_up()] {
+            if (0.0..=1.0).contains(&u) {
+                assert_eq!(sampler.from_uniform(u), oracle(u), "n={n} alpha={alpha} u={u:e}");
+                checked += 1;
+            }
+        }
+    }
+    let (mut table_rng, mut uniform_rng) =
+        (Xoshiro256::seed_from(seed), Xoshiro256::seed_from(seed));
+    for _ in 0..draws {
+        let u = uniform_rng.next_f64();
+        let want = oracle(u);
+        assert_eq!(sampler.sample(&mut table_rng), want, "n={n} alpha={alpha} u={u:e}");
+        assert_eq!(sampler.from_uniform(u), want, "n={n} alpha={alpha} u={u:e}");
+    }
+    let (mut table_rng, mut powf_rng) =
+        (Xoshiro256::seed_from(!seed), Xoshiro256::seed_from(!seed));
+    for _ in 0..1000 {
+        assert_eq!(sampler.sample(&mut table_rng), powf_rng.powerlaw_below(n, alpha));
+    }
+    checked + draws + 1000
+}
+
+#[test]
+fn powerlaw_table_matches_powf_on_ten_million_draws() {
+    let mut total = 0;
+    for (i, &(n, alpha)) in REGISTRY_POWERLAWS.iter().enumerate() {
+        total += check_sampler(n, alpha, 150_000, 0x9_0000 + i as u64);
+    }
+    let mut meta = Xoshiro256::seed_from(0x70DE);
+    for i in 0..64 {
+        let n = 1 + meta.below((1 << 32) - 1);
+        // (1, 3]: `1 - next_f64()` lies in (0, 1].
+        let alpha = 1.0 + 2.0 * (1.0 - meta.next_f64());
+        total += check_sampler(n, alpha, 60_000, 0xA_0000 + i);
+    }
+    assert!(total >= 10_000_000, "only {total} draws compared");
+}
+
+#[test]
+fn powerlaw_table_edge_cases() {
+    let top = ((1u64 << 53) - 1) as f64 / (1u64 << 53) as f64;
+    for (n, alpha) in [(1, 1.8), (2, 1.8), (2, 1.01), (3, 3.0), (1 << 40, 1.7), (u64::MAX, 2.0)] {
+        let (sampler, oracle) = (PowerlawSampler::new(n, alpha), powf_draw(n, alpha));
+        // `next_f64`'s extremes (m = 0 and m = 2^53 - 1), the gather's
+        // reachable 1.0, and inputs outside [0, 1).
+        for u in [0.0, top, 1.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(sampler.from_uniform(u), oracle(u), "n={n} u={u}");
+        }
+        check_sampler(n, alpha, 10_000, n);
+    }
+    assert_eq!(PowerlawSampler::new(1, 1.8).slow_share(), 1.0 / 4096.0);
+    // Registry shapes settle all but a few percent of the interval.
+    let share = PowerlawSampler::new(35_791_394, 1.8).slow_share();
+    assert!(share > 0.0 && share < 0.1, "slow share {share}");
 }
 
 #[test]

@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ndpx_sim::rng::mix64;
+use ndpx_sim::rng::{mix64, PowerlawSampler};
 use ndpx_stream::StreamId;
 
 use crate::graph::CsrGraph;
@@ -566,6 +566,8 @@ struct GatherCoreState {
 /// The skewed-gather engine.
 pub struct Gather {
     spec: GatherSpec,
+    /// Row popularity: power law over `rows_per_table` with `spec.alpha`.
+    rows: PowerlawSampler,
     state: Vec<GatherCoreState>,
 }
 
@@ -574,25 +576,24 @@ impl Gather {
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero or the spec has no tables.
+    /// Panics if `cores` is zero, the spec has no tables or rows, or
+    /// `spec.alpha <= 1.0`.
     pub fn new(cores: usize, spec: GatherSpec) -> Self {
         assert!(cores > 0, "need at least one core");
         assert!(!spec.tables.is_empty(), "need at least one embedding table");
         let state = (0..cores)
             .map(|c| GatherCoreState { request: c as u64, buf: VecDeque::new() })
             .collect();
-        Gather { spec, state }
+        let rows = PowerlawSampler::new(spec.rows_per_table, spec.alpha);
+        Gather { spec, rows, state }
     }
 
     /// Draws a deterministic power-law row for (request, table, lookup).
     fn row_for(&self, request: u64, table: usize, lookup: u32) -> u64 {
         let h = mix64(request ^ mix64(table as u64) ^ (u64::from(lookup) << 32));
-        // Inverse-CDF power law on a uniform double derived from the hash.
-        let u = h as f64 / u64::MAX as f64;
-        let n = self.spec.rows_per_table as f64;
-        let x =
-            (1.0 - u * (1.0 - n.powf(1.0 - self.spec.alpha))).powf(1.0 / (1.0 - self.spec.alpha));
-        (x as u64).min(self.spec.rows_per_table - 1)
+        // Inverse-CDF power law on a uniform double derived from the hash
+        // (`u` reaches 1.0 for the largest hashes).
+        self.rows.from_uniform(h as f64 / u64::MAX as f64)
     }
 
     fn refill(&mut self, core: usize) {

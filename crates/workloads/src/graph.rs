@@ -24,9 +24,10 @@ type GraphKey = (u32, u32, u64);
 
 /// Most-recently-generated power-law graphs. Sharing one immutable `Arc`
 /// across workload constructions is observationally identical to
-/// regenerating — but skips millions of inverse-CDF `powf` draws when a
-/// bench matrix builds the same workload for many policy cells. Bounded so
-/// paper-scale sweeps cannot hoard memory.
+/// regenerating — but skips one power-law draw per edge (a table load for
+/// most, a `powf` for ~5%) and the CSR build when a bench matrix builds the
+/// same workload for many policy cells. Bounded so paper-scale sweeps
+/// cannot hoard memory.
 static POWERLAW_CACHE: Mutex<Vec<(GraphKey, Arc<CsrGraph>)>> = Mutex::new(Vec::new());
 /// Distinct graphs kept alive by the cache.
 const POWERLAW_CACHE_CAP: usize = 6;
@@ -205,6 +206,29 @@ mod tests {
         assert!(Arc::ptr_eq(&shared, &again), "second lookup must share the Arc");
         let other = CsrGraph::powerlaw_shared(1500, 6, 0xCAFF);
         assert_ne!(*other, direct);
+    }
+
+    /// One hash over a graph's CSR arrays.
+    fn csr_hash(g: &CsrGraph) -> u64 {
+        let offsets = g.offsets.iter().copied();
+        let edges = g.edges.iter().map(|&e| u64::from(e));
+        offsets.chain(edges).fold(0, |h, x| ndpx_sim::rng::mix64(h ^ x))
+    }
+
+    #[test]
+    fn powerlaw_graphs_match_pinned_hashes() {
+        // Recorded from the per-edge `powf` generator; the table sampler
+        // must reproduce every edge. The largest graph reaches the dense
+        // tail of the destination distribution.
+        let pins = [
+            ((1500, 6, 0xCAFE), 0xfd51_8d8b_0d83_9e0a),
+            ((20_000, 12, 0xBEEF), 0x9e09_7fb8_03d4_1813),
+            ((300_000, 12, 0xBEEF), 0x852e_5c79_3503_6774),
+        ];
+        for ((vertices, avg_degree, seed), pin) in pins {
+            let g = CsrGraph::powerlaw(vertices, avg_degree, seed);
+            assert_eq!(csr_hash(&g), pin, "powerlaw({vertices}, {avg_degree}, {seed:#x}) moved");
+        }
     }
 
     #[test]
