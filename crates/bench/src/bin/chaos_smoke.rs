@@ -16,8 +16,8 @@
 //!    pass.
 //!
 //! Each leg runs on its own [`Session`], so both legs simulate every cell;
-//! the pooled leg's `metrics.json` + registry-dump sidecars land under
-//! `NDPX_METRICS` as `chaos_smoke.*` for artifact upload.
+//! the pooled leg's run document lands under `NDPX_METRICS` as
+//! `chaos_smoke.cells.json` for artifact upload.
 //!
 //! Exit codes: 0 on success, 2 on missing/empty `NDPX_CHAOS`, 1 on any
 //! assertion failure (via panic).

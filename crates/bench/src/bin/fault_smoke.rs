@@ -12,7 +12,7 @@
 //! 3. re-runs one cell next to a deliberately panicking cell through the
 //!    panic-isolated [`CellPool::run_cells`] path and [`manifest::emit`],
 //!    asserting the sweep completes with partial results and (under
-//!    `NDPX_METRICS`) a failure manifest.
+//!    `NDPX_METRICS`) a run document naming the lost cell under `failed`.
 //!
 //! Exit codes: 0 on success, 2 on missing/zeroed fault environment, 1 on
 //! any assertion failure (via panic).
@@ -112,7 +112,7 @@ fn main() {
     // Phase 3: panic isolation. One real cell and one deliberately
     // panicking cell run through the outcome-carrying pool path; the sweep
     // must complete, keep the real result, and (under NDPX_METRICS) leave
-    // a failure manifest naming the lost cell.
+    // a run document naming the lost cell under `failed`.
     let demo_spec = matrix[0].clone();
     let cache = TraceCache::new();
     let names = vec![cell_key(&demo_spec), "smoke/deliberate-panic".to_string()];
@@ -126,7 +126,7 @@ fn main() {
     ];
     let results = CellPool::with_threads(2).run_cells(None, tasks);
     let dir = manifest::metrics_dir();
-    manifest::emit(dir.as_deref(), "fault_smoke", 2, &names, &results, Some(cache.stats()));
+    manifest::emit(dir.as_deref(), "fault_smoke", 2, &names, &results, cache.stats());
     let failed: Vec<&String> =
         names.iter().zip(&results).filter(|(_, r)| r.value.is_err()).map(|(n, _)| n).collect();
     assert_eq!(

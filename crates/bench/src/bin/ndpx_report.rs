@@ -9,7 +9,7 @@
 //!       [--strict]                 # exit 3 on throughput regressions
 //!       [--timeline A.json B.json] # append a windowed-timeline diff
 //!       [--registry A.json B.json] # append profile.*/slo.* deltas from
-//!                                  # two registry dumps
+//!                                  # two `<run>.cells.json` run documents
 //!
 //! Exit status encodes signal quality, matching how CI consumes it:
 //!
@@ -103,7 +103,7 @@ fn main() {
     if let Some((a, b)) = &registry_pair {
         match diff_registry_phases(&read(a), &read(b)) {
             Ok(md) if !md.is_empty() => sections.push(md),
-            Ok(_) => eprintln!("note: no profile.*/slo.* scopes in the registry dumps"),
+            Ok(_) => eprintln!("note: no profile.*/slo.* scopes in the run documents"),
             Err(e) => {
                 eprintln!("ndpx_report: registry diff failed: {e}");
                 std::process::exit(2);

@@ -15,8 +15,8 @@
 //!                                   # digest, and report the speedup
 //!   NDPX_THREADS=n perf_gauge       # pool width of the optimized phase
 //!   NDPX_PERF_OUT=path perf_gauge   # write somewhere else
-//!   NDPX_METRICS=dir perf_gauge     # also write metrics.json + registry
-//!                                   # dump sidecars (see ndpx_bench::manifest)
+//!   NDPX_METRICS=dir perf_gauge     # also write the perf_gauge.cells.json
+//!                                   # run document (see ndpx_bench::manifest)
 //!   NDPX_GAUGE_MICRO=1 perf_gauge   # also run component micro-benchmarks
 //!                                   # (queue ops, vectorized kernels) and
 //!                                   # record them under "micro"
@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops, gauge_specs, scale_name};
-use ndpx_bench::manifest::{self, RunManifest};
+use ndpx_bench::manifest;
 use ndpx_bench::micro::{self, MicroResult};
 use ndpx_bench::pool::{expect_ok, CellPool, CellResult, CellTask, MonitorConfig, ThreadPlan};
 use ndpx_bench::report::{compare, parse_perf, PerfRun};
@@ -54,6 +54,8 @@ struct Cell {
     ops: u64,
     wall_s: f64,
     worker: usize,
+    /// Event-queue high-water mark (`engine.queue.peak_depth`).
+    peak_queue_depth: u64,
     digest: u64,
 }
 
@@ -131,6 +133,20 @@ impl Phase {
         self.cells.iter().map(|c| c.ops).sum()
     }
 
+    /// Ops per second of summed cell wall clock (0 when the clock is zero).
+    fn cell_rate(&self) -> f64 {
+        let wall: f64 = self.cells.iter().map(|c| c.wall_s).sum();
+        if wall > 0.0 {
+            self.ops_total() as f64 / wall
+        } else {
+            0.0
+        }
+    }
+
+    fn peak_queue_depth(&self) -> u64 {
+        self.cells.iter().map(|c| c.peak_queue_depth).max().unwrap_or(0)
+    }
+
     fn rate(&self) -> f64 {
         if self.wall_s > 0.0 {
             self.ops_total() as f64 / self.wall_s
@@ -141,9 +157,9 @@ impl Phase {
 }
 
 /// Runs the matrix once. With a monitor the pool emits heartbeat/watchdog
-/// lines and the run writes its `NDPX_METRICS` sidecars (failure manifest
-/// included) before a failed cell escalates; without one (the serial
-/// baseline) results are only digested.
+/// lines and the run writes its `NDPX_METRICS` run document before a
+/// failed cell escalates; without one (the serial baseline) results are
+/// only digested.
 fn run_matrix(
     specs: &[RunSpec],
     pool: CellPool,
@@ -158,7 +174,7 @@ fn run_matrix(
     let results = pool.run_cells(monitor, tasks);
     let wall_s = t0.elapsed().as_secs_f64();
     if let Some(m) = monitor {
-        let (dir, stats) = (manifest::metrics_dir(), Some(cache.stats()));
+        let (dir, stats) = (manifest::metrics_dir(), cache.stats());
         manifest::emit(dir.as_deref(), "perf_gauge", pool.threads(), &m.names, &results, stats);
     }
     let results = expect_ok(results);
@@ -171,6 +187,12 @@ fn run_matrix(
             ops: r.value.ops,
             wall_s: r.wall_s,
             worker: r.worker,
+            peak_queue_depth: r
+                .value
+                .registry
+                .get("engine.queue.peak_depth")
+                .and_then(|v| v.as_count())
+                .expect("engine.queue.peak_depth in every cell registry"),
             digest: report_digest(&r.value),
         })
         .collect();
@@ -199,7 +221,7 @@ fn main() {
     let plan = ThreadPlan::from_env();
     let pool = plan.pool();
     let cache = TraceCache::from_env();
-    let monitor = MonitorConfig::from_env("perf_gauge", names);
+    let monitor = MonitorConfig::new("perf_gauge", names);
     let (parallel, parallel_results) = run_matrix(&specs, pool, &cache, Some(&monitor));
 
     // The two phases must agree cell for cell before anything is reported:
@@ -240,14 +262,6 @@ fn main() {
         cache_stats.saved().as_secs_f64()
     );
 
-    // The run manifest feeds the v3 report fields below.
-    let run_manifest = RunManifest::collect(
-        "perf_gauge",
-        parallel.threads,
-        &monitor.names,
-        &parallel_results,
-        Some(cache_stats),
-    );
     // Run-ahead batch telemetry, read out of each cell's registry before
     // the reports are dropped.
     let batch_cells: Vec<BatchCell> =
@@ -286,16 +300,7 @@ fn main() {
     }
 
     let out_path = ndpx_sim::knobs::PERF_OUT.raw().unwrap_or_else(|| "BENCH_PERF.json".to_string());
-    let json = render_json(
-        scale,
-        &phases,
-        plan,
-        &cache_stats,
-        baseline_agg,
-        &run_manifest,
-        &micros,
-        &batch_cells,
-    );
+    let json = render_json(scale, &phases, plan, &cache_stats, baseline_agg, &micros, &batch_cells);
     if let Some(base) = &baseline {
         check(base, &json);
     }
@@ -320,7 +325,6 @@ fn render_json(
     plan: ThreadPlan,
     cache_stats: &ndpx_workloads::TraceCacheStats,
     baseline_agg: Option<f64>,
-    run_manifest: &RunManifest,
     micros: &[MicroResult],
     batch_cells: &[BatchCell],
 ) -> String {
@@ -337,15 +341,15 @@ fn render_json(
     let _ = writeln!(s, "  \"ops_total\": {},", parallel.ops_total());
     let _ = writeln!(s, "  \"wall_seconds\": {:.3},", parallel.wall_s);
     let _ = writeln!(s, "  \"sim_ops_per_sec\": {agg:.1},");
-    let _ = writeln!(s, "  \"events_total\": {},", run_manifest.events_total());
-    let _ = writeln!(s, "  \"events_per_sec\": {:.1},", run_manifest.events_per_sec());
-    let _ = writeln!(s, "  \"peak_queue_depth\": {},", run_manifest.peak_queue_depth());
+    // An engine event is a completed op (one queue event can carry a whole
+    // run-ahead batch), so the event fields are op counts and rates.
+    let _ = writeln!(s, "  \"events_total\": {},", parallel.ops_total());
+    let _ = writeln!(s, "  \"events_per_sec\": {:.1},", parallel.cell_rate());
+    let _ = writeln!(s, "  \"peak_queue_depth\": {},", parallel.peak_queue_depth());
     let _ = writeln!(s, "  \"serial_wall_seconds\": {:.3},", serial.wall_s);
     let _ = writeln!(s, "  \"serial_sim_ops_per_sec\": {:.1},", serial.rate());
-    // `engine.events` is defined as completed ops (one queue event can
-    // carry a whole run-ahead batch), so the serial event rate IS the
-    // serial op rate; written explicitly so trend tooling need not know
-    // that equivalence.
+    // Written explicitly so trend tooling need not know that the serial
+    // event rate is the serial op rate.
     let _ = writeln!(s, "  \"serial_events_per_sec\": {:.1},", serial.rate());
     let speedup = serial.wall_s / parallel.wall_s.max(1e-9);
     let _ = writeln!(s, "  \"parallel_speedup_vs_serial\": {speedup:.3},");
@@ -427,7 +431,7 @@ fn render_json(
     }
     s.push_str("  },\n");
     s.push_str("  \"cells\": [\n");
-    for (i, (c, m)) in parallel.cells.iter().zip(&run_manifest.cells).enumerate() {
+    for (i, c) in parallel.cells.iter().enumerate() {
         let comma = if i + 1 < parallel.cells.len() { "," } else { "" };
         let bc = batch_cells.get(i).copied().unwrap_or_default();
         let _ = writeln!(
@@ -438,8 +442,8 @@ fn render_json(
             c.wall_s * 1e3,
             c.ops_per_sec(),
             c.worker,
-            m.events_per_sec(),
-            m.peak_queue_depth,
+            c.ops_per_sec(),
+            c.peak_queue_depth,
             bc.mean_len(),
             bc.fast_hit_ratio(),
             c.digest

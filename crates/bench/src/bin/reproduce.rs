@@ -31,7 +31,7 @@ fn main() {
     let mut session = Session::from_env();
     if let Some(metrics) = &session.metrics {
         println!(
-            "telemetry: each figure writes metrics.json + registry sidecars under {}",
+            "telemetry: each figure writes a <run>.cells.json run document under {}",
             metrics.display()
         );
     }

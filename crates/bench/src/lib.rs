@@ -18,7 +18,6 @@ pub mod pool;
 pub mod report;
 pub mod runner;
 
-pub use manifest::{CellFailure, CellMetrics, RunManifest};
 pub use ndpx_workloads::TraceCache;
 pub use pool::{expect_ok, CellPool, CellResult, CellTask, MonitorConfig};
 pub use runner::{geomean, run_host_cached, run_ndp_cached, BenchScale, Cell, RunSpec, Session};

@@ -160,12 +160,11 @@ impl CellPool {
     /// deposit results into per-cell slots, so the output order never
     /// depends on scheduling.
     ///
-    /// With a `monitor`, each finished cell may emit one throttled
-    /// heartbeat line (info level, so silent unless `NDPX_LOG=info`); after
-    /// the matrix completes, cells whose wall clock exceeded
-    /// `monitor.slow_mult` × the median are named at warn level. Monitoring
-    /// never changes what runs or the order results come back in — it only
-    /// observes.
+    /// With a `monitor`, finished cells emit heartbeat lines, at most one
+    /// every 5 s (info level, so silent unless `NDPX_LOG=info`); after the
+    /// matrix completes, cells whose wall clock exceeded 4× the median are
+    /// named at warn level. Monitoring never changes what runs or the order
+    /// results come back in — it only observes.
     pub fn run_cells<'env, T: Send>(
         self,
         monitor: Option<&MonitorConfig>,
@@ -176,7 +175,6 @@ impl CellPool {
         let t0 = Instant::now();
         let done = AtomicUsize::new(0);
         let last_beat_ms = AtomicU64::new(0);
-        let beat_ms = monitor.heartbeat_ms;
         let wrapped: Vec<CellTask<'_, T>> = tasks
             .into_iter()
             .map(|task| {
@@ -185,25 +183,18 @@ impl CellPool {
                 Box::new(move || {
                     let value = task();
                     let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if beat_ms > 0 {
-                        let now_ms = t0.elapsed().as_millis() as u64;
-                        let prev = last_beat_ms.load(Ordering::Relaxed);
-                        let due = finished == n || now_ms >= prev.saturating_add(beat_ms);
-                        if due
-                            && last_beat_ms
-                                .compare_exchange(
-                                    prev,
-                                    now_ms,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                        {
-                            ndpx_info!(
-                                "{label}: {finished}/{n} cells done in {:.1}s",
-                                now_ms as f64 / 1e3
-                            );
-                        }
+                    let now_ms = t0.elapsed().as_millis() as u64;
+                    let prev = last_beat_ms.load(Ordering::Relaxed);
+                    let due = finished == n || now_ms >= prev.saturating_add(HEARTBEAT_MS);
+                    if due
+                        && last_beat_ms
+                            .compare_exchange(prev, now_ms, Ordering::Relaxed, Ordering::Relaxed)
+                            .is_ok()
+                    {
+                        ndpx_info!(
+                            "{label}: {finished}/{n} cells done in {:.1}s",
+                            now_ms as f64 / 1e3
+                        );
                     }
                     value
                 }) as CellTask<'_, T>
@@ -211,7 +202,7 @@ impl CellPool {
             .collect();
         let results = self.execute(wrapped);
         let walls: Vec<f64> = results.iter().map(|r| r.wall_s).collect();
-        for i in slow_cells(&walls, monitor.slow_mult) {
+        for i in slow_cells(&walls, SLOW_MULT) {
             let name = monitor.names.get(i).map_or("?", |s| s.as_str());
             ndpx_warn!(
                 "{}: slow cell {name} took {:.2}s ({:.1}x the {:.2}s median) on worker {}",
@@ -266,7 +257,7 @@ impl CellPool {
 
 /// Escalates a finished run: panics naming every failed cell, otherwise
 /// returns the results with their values unwrapped. Call it only once the
-/// whole matrix has run (and any failure manifest is on disk), so a lost
+/// whole matrix has run (and its run document is on disk), so a lost
 /// cell never discards its siblings' work.
 ///
 /// # Panics
@@ -294,55 +285,28 @@ pub fn expect_ok<T>(results: Vec<CellResult<Result<T, String>>>) -> Vec<CellResu
         .collect()
 }
 
-/// Configuration for a monitored [`CellPool::run_cells`]: a run label,
-/// per-cell names (for the watchdog), the heartbeat throttle, and the
-/// slow-cell threshold multiple.
+/// A monitored [`CellPool::run_cells`]: a run label and per-cell names
+/// for the heartbeat and watchdog lines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorConfig {
     /// Run label prefixed to every heartbeat/watchdog line.
     pub label: String,
     /// Cell names in submission order (watchdog lines name cells by these).
     pub names: Vec<String>,
-    /// Minimum milliseconds between heartbeat lines; `0` disables
-    /// heartbeats.
-    pub heartbeat_ms: u64,
-    /// Watchdog threshold as a multiple of the median cell wall clock;
-    /// `0.0` disables the watchdog.
-    pub slow_mult: f64,
 }
 
 impl MonitorConfig {
-    /// A monitor with the default heartbeat (5 s) and watchdog (4× median).
+    /// A monitor labelled `label` over cells named `names`.
     pub fn new(label: impl Into<String>, names: Vec<String>) -> Self {
-        MonitorConfig { label: label.into(), names, heartbeat_ms: 5000, slow_mult: 4.0 }
-    }
-
-    /// Reads `NDPX_HEARTBEAT_SECS` and `NDPX_SLOW_MULT` overrides.
-    pub fn from_env(label: impl Into<String>, names: Vec<String>) -> Self {
-        let mut m = Self::new(label, names);
-        let heartbeat = ndpx_sim::knobs::HEARTBEAT_SECS.raw();
-        if let Some(ms) = parse_heartbeat_ms(heartbeat.as_deref()) {
-            m.heartbeat_ms = ms;
-        }
-        if let Some(mult) = parse_monitor_value(ndpx_sim::knobs::SLOW_MULT.raw().as_deref()) {
-            m.slow_mult = mult;
-        }
-        m
+        MonitorConfig { label: label.into(), names }
     }
 }
 
-/// Monitor overrides must be finite and non-negative; anything else
-/// (`None` included) keeps the default.
-fn parse_monitor_value(value: Option<&str>) -> Option<f64> {
-    value?.trim().parse::<f64>().ok().filter(|v| v.is_finite() && *v >= 0.0)
-}
+/// Minimum milliseconds between heartbeat lines.
+const HEARTBEAT_MS: u64 = 5000;
 
-/// Parses an `NDPX_HEARTBEAT_SECS` value into whole milliseconds, rounding
-/// up so fractional seconds keep heartbeats on; `0` disables them. `None`
-/// keeps the default. Pure so tests need not touch the environment.
-fn parse_heartbeat_ms(value: Option<&str>) -> Option<u64> {
-    parse_monitor_value(value).map(|secs| (secs * 1000.0).ceil() as u64)
-}
+/// Watchdog threshold as a multiple of the median cell wall clock.
+const SLOW_MULT: f64 = 4.0;
 
 /// Wall clocks below this never trigger the watchdog: at test scale a cell
 /// runs for milliseconds, where scheduler noise routinely exceeds any
@@ -504,18 +468,6 @@ mod tests {
         assert!(message.contains("1 of 4 cells failed"), "{message}");
         assert!(message.contains("cell 1"), "{message}");
         assert!(message.contains("boom in cell one"), "{message}");
-    }
-
-    #[test]
-    fn heartbeat_parse_keeps_fractional_seconds() {
-        assert_eq!(parse_heartbeat_ms(None), None);
-        assert_eq!(parse_heartbeat_ms(Some("5")), Some(5000));
-        assert_eq!(parse_heartbeat_ms(Some(" 0.5 ")), Some(500));
-        assert_eq!(parse_heartbeat_ms(Some("0.0001")), Some(1), "positive stays on");
-        assert_eq!(parse_heartbeat_ms(Some("0")), Some(0), "0 disables heartbeats");
-        for bad in ["-1", "inf", "NaN", "bogus", ""] {
-            assert_eq!(parse_heartbeat_ms(Some(bad)), None, "{bad:?} keeps the default");
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Run-diff reporting: compare two perf-gauge reports (and optionally two
-//! timelines or registry dumps) and render a markdown trend report.
+//! timelines or run documents) and render a markdown trend report.
 //!
 //! This is the library half of the `ndpx_report` binary. The comparison is
 //! split by signal quality:
@@ -466,10 +466,11 @@ pub fn diff_timelines(a_src: &str, b_src: &str, top: usize) -> Result<String, St
     Ok(s)
 }
 
-/// Diffs the `profile.*` and `slo.*` scopes of two `ndpx-registry-dump-v1`
-/// documents cell by cell, rendering a markdown section of per-phase sim
-/// time and SLO movement. Cells or scopes absent from both sides are
-/// skipped, so profiler-off dumps produce an empty section.
+/// Diffs the `profile.*` and `slo.*` scopes of two `ndpx-run-v1` run
+/// documents ([`crate::manifest`]) cell by cell, rendering a markdown
+/// section of per-phase sim time and SLO movement. Cells or scopes absent
+/// from both sides are skipped, so profiler-off documents produce an empty
+/// section.
 ///
 /// # Errors
 ///
@@ -482,7 +483,7 @@ pub fn diff_registry_phases(a_src: &str, b_src: &str) -> Result<String, String> 
         doc.get("cells")
             .and_then(Json::as_object)
             .map(|fields| fields.to_vec())
-            .ok_or_else(|| "registry dump has no cells object".to_string())
+            .ok_or_else(|| "run document has no cells object".to_string())
     };
     let (ca, cb) = (cells(&a)?, cells(&b)?);
     let mut s = String::new();
@@ -619,21 +620,25 @@ mod tests {
 
     #[test]
     fn registry_phase_diff_reports_profile_and_slo_only() {
-        let dump = |run_ps: u64| {
+        let doc = |run_ps: u64, worker: usize| {
             format!(
-                "{{\n  \"schema\": \"ndpx-registry-dump-v1\",\n  \"run\": \"t\",\n  \"cells\": {{\n    \
+                "{{\n  \"schema\": \"ndpx-run-v1\",\n  \"run\": \"t\",\n  \"cells\": {{\n    \
                  \"hbm/ndpext/pr\": {{\n      \"core.mem_ops\": 5,\n      \
                  \"profile.run\": {{\"mean_ps\": {run_ps}, \"total_ps\": {run_ps}, \"count\": 1}},\n      \
-                 \"slo.epochs\": 3\n    }}\n  }}\n}}\n"
+                 \"slo.epochs\": 3\n    }}\n  }},\n  \"failed\": {{\n    \"hbm/ndpext/mv\": \"boom\"\n  }},\n  \
+                 \"threads\": 2,\n  \"trace_cache\": {{\"hits\": 0, \"misses\": 1, \"saved_seconds\": 0.000}},\n  \
+                 \"wall\": {{\n    \"hbm/ndpext/pr\": {{\"worker\": {worker}, \"wall_ms\": 1.5}},\n    \
+                 \"hbm/ndpext/mv\": {{\"worker\": 0, \"wall_ms\": 0.1}}\n  }}\n}}\n"
             )
         };
-        let md = diff_registry_phases(&dump(100), &dump(200)).unwrap();
+        let md = diff_registry_phases(&doc(100, 0), &doc(200, 1)).unwrap();
         assert!(md.contains("Per-phase / SLO deltas"));
         assert!(md.contains("`profile.run`"));
         assert!(md.contains("`slo.epochs`"));
         assert!(!md.contains("core.mem_ops"));
-        // Dumps without profile/slo scopes produce an empty section.
-        let bare = "{\"schema\": \"ndpx-registry-dump-v1\", \"run\": \"t\", \"cells\": {\"c\": {\"core.mem_ops\": 5}}}";
+        assert!(!md.contains("hbm/ndpext/mv"), "failed cells carry no stats to diff");
+        // Documents without profile/slo scopes produce an empty section.
+        let bare = "{\"schema\": \"ndpx-run-v1\", \"run\": \"t\", \"cells\": {\"c\": {\"core.mem_ops\": 5}}, \"failed\": {}}";
         assert_eq!(diff_registry_phases(bare, bare).unwrap(), "");
     }
 }

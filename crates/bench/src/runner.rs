@@ -209,7 +209,7 @@ pub fn run_host_cached(
 /// One named cell of a [`Session::run`] submission.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// The cell's name in log lines and sidecars: its sweep point, then
+    /// The cell's name in log lines and run documents: its sweep point, then
     /// `mem/policy/workload` or `host/workload`.
     pub name: String,
     sim: Sim,
@@ -264,7 +264,7 @@ pub struct Session {
     pool: CellPool,
     /// Traces shared by every cell of the session.
     pub cache: TraceCache,
-    /// Where each submission writes its sidecars (`NDPX_METRICS` by
+    /// Where each submission writes its run document (`NDPX_METRICS` by
     /// default; see [`crate::manifest`]).
     pub metrics: Option<std::path::PathBuf>,
     memo: Vec<(CellKey, RunReport)>,
@@ -292,10 +292,10 @@ impl Session {
 
     /// Returns one report per cell, in cell order. Only the cells the
     /// session has not simulated yet are submitted, each once, on the pool
-    /// with heartbeats and the slow-cell watchdog; the sidecars named
-    /// `run` list exactly those cells. A cell never aborts its siblings:
-    /// the sidecars, and a `<run>.failures.json` naming every failed cell,
-    /// are written and the others memoized before a failure is escalated.
+    /// with heartbeats and the slow-cell watchdog; the run document named
+    /// `run` lists exactly those cells. A cell never aborts its siblings:
+    /// the document, which names every failed cell under `failed`, is
+    /// written and the others memoized before a failure is escalated.
     ///
     /// # Panics
     ///
@@ -323,10 +323,10 @@ impl Session {
             })
             .collect();
         let names = fresh.iter().map(|&i| cells[i].name.clone()).collect();
-        let monitor = MonitorConfig::from_env(run, names);
+        let monitor = MonitorConfig::new(run, names);
         let results = self.pool.run_cells(Some(&monitor), tasks);
         let (dir, threads) = (self.metrics.as_deref(), self.pool.threads());
-        crate::manifest::emit(dir, run, threads, &monitor.names, &results, Some(cache.stats()));
+        crate::manifest::emit(dir, run, threads, &monitor.names, &results, cache.stats());
         let outcomes: Vec<_> = fresh
             .iter()
             .zip(results)

@@ -1,8 +1,9 @@
 //! The session memo and its sidecars.
 //!
 //! A [`Session`] simulates each distinct cell once, keyed on the effective
-//! (post-tweak) configuration, the workload and the ops per core, and its
-//! registry dump lists each simulated cell once under its own name.
+//! (post-tweak) configuration, the workload and the ops per core, and each
+//! run's `<run>.cells.json` document lists each simulated cell once under
+//! its own name.
 
 use std::path::Path;
 
@@ -45,10 +46,10 @@ fn memo_simulates_each_effective_config_once() {
     assert_eq!(report_digest(&again[0]), report_digest(&reports[0]));
 }
 
-/// The cell names of a registry dump, in file order, duplicates kept.
+/// The `cells` names of a run document, in file order, duplicates kept.
 fn dump_keys(path: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(path).expect("registry sidecar written");
-    let doc = Json::parse(&text).expect("registry dump is JSON");
+    let text = std::fs::read_to_string(path).expect("run document written");
+    let doc = Json::parse(&text).expect("run document is JSON");
     let cells = doc.get("cells").and_then(Json::as_object).expect("cells object");
     cells.iter().map(|(k, _)| k.clone()).collect()
 }
@@ -72,12 +73,18 @@ fn registry_dump_lists_each_simulated_cell_once() {
         Cell::host("pr", OPS),
     ];
     session.run("first", cells);
-    let keys = dump_keys(&dir.join("first.registry.json"));
+    let keys = dump_keys(&dir.join("first.cells.json"));
     assert_eq!(keys, ["bulk/hbm/NDPExt/pr", "consistent/hbm/NDPExt/pr", "host/pr"]);
 
     // A second figure lists only the cells it simulated.
     let cells = [Cell::host("pr", OPS), Cell::ndp("", spec(PolicyKind::Nexus, "pr"))];
     session.run("second", cells);
-    assert_eq!(dump_keys(&dir.join("second.registry.json")), ["hbm/Nexus/pr"]);
+    assert_eq!(dump_keys(&dir.join("second.cells.json")), ["hbm/Nexus/pr"]);
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read the metrics directory")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["first.cells.json", "second.cells.json"], "one file per run");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,10 +1,13 @@
-//! Determinism and validity gates for the telemetry layer (ISSUE 3).
+//! Determinism and validity gates for the telemetry layer.
 //!
-//! * Registry dumps must be byte-identical at any `NDPX_THREADS` width —
-//!   they are built from single-threaded simulation state, so the pool may
-//!   only move wall clock, never a stat.
-//! * Run-manifest simulated fields (sim time, ops, events, queue depth)
-//!   must likewise be thread-count-invariant.
+//! * The `cells` object of a run document (`ndpx_bench::manifest`) must be
+//!   identical at any `NDPX_THREADS` width: stats are built from
+//!   single-threaded simulation state, so the pool may only move wall
+//!   clock, never a stat.
+//! * Every cell's `engine.sim_ps` is its report's simulated time, on the
+//!   NDP system and on the host.
+//! * A panicking cell is listed under `failed`, its message escaped, and
+//!   its sibling keeps its stats under `cells`.
 //! * A trace written by a real simulation run must parse against the
 //!   Chrome trace-event schema.
 //!
@@ -12,72 +15,121 @@
 //! process environment (parallel tests race on env vars).
 
 use ndpx_bench::gauge::{cell_key, gauge_specs};
-use ndpx_bench::manifest::{registry_dump_json, RunManifest};
-use ndpx_bench::pool::{expect_ok, CellPool, CellTask};
-use ndpx_bench::runner::{run_ndp_cached, BenchScale, RunSpec};
+use ndpx_bench::manifest::{emit, render};
+use ndpx_bench::pool::{CellPool, CellTask};
+use ndpx_bench::runner::{run_host_cached, run_ndp_cached, BenchScale, RunSpec};
 use ndpx_bench::{CellResult, TraceCache};
 use ndpx_core::stats::RunReport;
 use ndpx_core::system::NdpSystem;
-use ndpx_sim::telemetry::{validate_chrome_trace, TraceConfig};
+use ndpx_sim::telemetry::{validate_chrome_trace, Json, TraceConfig};
 use ndpx_workloads::trace::ScaleParams;
+use ndpx_workloads::TraceCacheStats;
 
-/// A reduced matrix — every policy once, both memory families — keeps the
-/// debug-build runtime in seconds while still exercising each registry
-/// shape.
-fn small_matrix() -> Vec<RunSpec> {
-    gauge_specs(BenchScale::Test, 500).into_iter().step_by(3).collect()
-}
+const OPS: u64 = 500;
 
-fn run_matrix(pool: CellPool, specs: &[RunSpec]) -> Vec<CellResult<RunReport>> {
+type Outcomes = Vec<CellResult<Result<RunReport, String>>>;
+
+/// A reduced matrix (every policy once, both memory families) plus one
+/// host cell: debug-build runtime stays in seconds while every registry
+/// shape is exercised.
+fn run_matrix(pool: CellPool) -> (Vec<String>, Outcomes) {
+    let specs: Vec<RunSpec> = gauge_specs(BenchScale::Test, OPS).into_iter().step_by(3).collect();
     let cache = TraceCache::new();
     let cache = &cache;
-    let tasks: Vec<CellTask<'_, RunReport>> = specs
+    let mut names: Vec<String> = specs.iter().map(cell_key).collect();
+    let mut tasks: Vec<CellTask<'_, RunReport>> = specs
         .iter()
         .map(|spec| Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, RunReport>)
         .collect();
-    expect_ok(pool.run_cells(None, tasks))
+    names.push("host/pr".to_string());
+    tasks.push(Box::new(move || run_host_cached("pr", BenchScale::Test, OPS, cache)));
+    (names, pool.run_cells(None, tasks))
+}
+
+fn cells(document: &str) -> Json {
+    let doc = Json::parse(document).expect("the run document is JSON");
+    doc.get("cells").cloned().expect("cells object")
+}
+
+fn count(stats: &Json, path: &str) -> u64 {
+    stats.get(path).and_then(Json::as_f64).unwrap_or_else(|| panic!("{path} missing")) as u64
 }
 
 #[test]
 fn registry_dump_is_byte_identical_across_thread_counts() {
-    let specs = small_matrix();
-    let names: Vec<String> = specs.iter().map(cell_key).collect();
-    let serial = run_matrix(CellPool::with_threads(1), &specs);
-    let pooled = run_matrix(CellPool::with_threads(4), &specs);
-
-    let serial_reports: Vec<&RunReport> = serial.iter().map(|r| &r.value).collect();
-    let pooled_reports: Vec<&RunReport> = pooled.iter().map(|r| &r.value).collect();
-    let dump1 = registry_dump_json("telemetry_test", &names, &serial_reports);
-    let dump4 = registry_dump_json("telemetry_test", &names, &pooled_reports);
-    assert!(!dump1.is_empty() && dump1.contains("ndpx-registry-dump-v1"));
-    assert_eq!(dump1, dump4, "registry dumps must not depend on pool width");
-
-    // Per-cell registry JSON is also individually deterministic.
-    for (name, (a, b)) in names.iter().zip(serial_reports.iter().zip(&pooled_reports)) {
-        assert_eq!(a.registry.to_json(), b.registry.to_json(), "{name}");
-        assert!(!a.registry.is_empty(), "{name}: registry must have stats");
+    let (names, serial) = run_matrix(CellPool::with_threads(1));
+    let (_, pooled) = run_matrix(CellPool::with_threads(4));
+    let doc1 = render("telemetry_test", 1, &names, &serial, TraceCacheStats::default());
+    let doc4 = render("telemetry_test", 4, &names, &pooled, TraceCacheStats::default());
+    assert_eq!(cells(&doc1), cells(&doc4), "cell stats must not depend on pool width");
+    assert_eq!(cells(&doc1).as_object().map(<[_]>::len), Some(names.len()));
+    // Everything before `threads` is the simulated part, byte for byte.
+    let simulated =
+        |doc: &str| doc[..doc.find("\n  \"threads\"").expect("threads key")].to_string();
+    assert_eq!(simulated(&doc1), simulated(&doc4));
+    for (name, r) in names.iter().zip(&serial) {
+        let report = r.value.as_ref().expect("no cell fails");
+        assert!(!report.registry.is_empty(), "{name}: registry must have stats");
     }
 }
 
 #[test]
 fn manifest_simulated_fields_are_thread_count_invariant() {
-    let specs = small_matrix();
-    let names: Vec<String> = specs.iter().map(cell_key).collect();
-    let serial = run_matrix(CellPool::with_threads(1), &specs);
-    let pooled = run_matrix(CellPool::with_threads(4), &specs);
-    let m1 = RunManifest::collect("t", 1, &names, &serial, None);
-    let m4 = RunManifest::collect("t", 4, &names, &pooled, None);
-    for (a, b) in m1.cells.iter().zip(&m4.cells) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.sim_us, b.sim_us, "{}: simulated time moved", a.name);
-        assert_eq!(a.ops, b.ops, "{}", a.name);
-        assert_eq!(a.engine_events, b.engine_events, "{}", a.name);
-        assert_eq!(a.peak_queue_depth, b.peak_queue_depth, "{}", a.name);
-        assert!(a.engine_events >= a.ops, "{}: every op is an engine event", a.name);
-        assert!(a.peak_queue_depth > 0, "{}", a.name);
+    for threads in [1, 4] {
+        let (names, results) = run_matrix(CellPool::with_threads(threads));
+        let doc = cells(&render("t", threads, &names, &results, TraceCacheStats::default()));
+        for (name, r) in names.iter().zip(&results) {
+            let report = r.value.as_ref().expect("no cell fails");
+            let stats = doc.get(name).unwrap_or_else(|| panic!("{name} listed"));
+            let case = format!("{name} at {threads} threads");
+            assert_eq!(count(stats, "engine.sim_ps"), report.sim_time.as_ps(), "{case}");
+            assert_eq!(count(stats, "engine.batch.ops"), report.ops, "{case}");
+            assert!(count(stats, "engine.queue.peak_depth") > 0, "{case}");
+        }
+        assert!(names.iter().any(|n| n.starts_with("host/")), "the host cell carries sim_ps");
     }
-    assert_eq!(m1.events_total(), m4.events_total());
-    assert_eq!(m1.peak_queue_depth(), m4.peak_queue_depth());
+}
+
+#[test]
+fn failed_cell_is_listed_and_its_sibling_keeps_stats() {
+    let spec = RunSpec {
+        ops_per_core: OPS,
+        ..RunSpec::new(
+            ndpx_core::config::MemKind::Hbm,
+            ndpx_core::config::PolicyKind::NdpExt,
+            "pr",
+            BenchScale::Test,
+        )
+    };
+    let message = "cell \"b\" died\nhere";
+    let names = vec![cell_key(&spec), "smoke/\"panic\"".to_string()];
+    let cache = TraceCache::new();
+    let tasks: Vec<CellTask<'_, RunReport>> = vec![
+        Box::new(|| run_ndp_cached(&spec, &cache)),
+        Box::new(move || -> RunReport { panic!("{message}") }),
+    ];
+    let results = CellPool::with_threads(2).run_cells(None, tasks);
+
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("run_document_failed");
+    let _ = std::fs::remove_dir_all(&dir);
+    emit(Some(&dir), "with/failure", 2, &names, &results, cache.stats());
+    let written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("emit creates the directory")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(written, ["with-failure.cells.json"], "one document per run");
+    let text = std::fs::read_to_string(dir.join(&written[0])).expect("read the document");
+    let doc = Json::parse(&text).expect("an escaped panic message keeps the document JSON");
+    let failed = doc.get("failed").and_then(Json::as_object).expect("failed object");
+    assert_eq!(failed.len(), 1);
+    assert_eq!(failed[0].0, names[1]);
+    assert_eq!(failed[0].1.as_str(), Some(message));
+    let cells = doc.get("cells").and_then(Json::as_object).expect("cells object");
+    assert_eq!(cells.len(), 1, "the failed cell carries no stats");
+    let report = results[0].value.as_ref().expect("the sibling survives");
+    assert_eq!(cells[0].0, names[0]);
+    assert_eq!(count(&cells[0].1, "engine.sim_ps"), report.sim_time.as_ps());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

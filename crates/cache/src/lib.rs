@@ -31,9 +31,7 @@
 pub mod placement;
 pub mod setassoc;
 pub mod tagarray;
-pub mod tcam;
 
 pub use placement::SharePlacement;
 pub use setassoc::{CacheStats, Outcome, SetAssocCache};
 pub use tagarray::TagArray;
-pub use tcam::{RangeEntry, RangeTcam};

@@ -53,8 +53,9 @@ pub(crate) struct Engine {
 pub(crate) enum EngineScope<'a> {
     /// One timeline window: the live queue depth and the batch counters.
     Window { queue_depth: usize },
-    /// The end-of-run dump: queue totals, stalls and the batch summary.
-    Run(&'a QueueStats),
+    /// The end-of-run dump: simulated time, queue totals, stalls and the
+    /// batch summary.
+    Run(&'a RunTotals),
 }
 
 impl Engine {
@@ -78,15 +79,13 @@ impl Engine {
             EngineScope::Window { queue_depth } => {
                 engine.gauge("queue.depth", queue_depth as f64);
             }
-            EngineScope::Run(q) => {
-                // Engine-loop events are *ops executed by the loop*: one
-                // queue event can carry a whole run-ahead batch, so this
-                // counts ops (comparable across batching on/off and with
-                // pre-batching baselines), while the raw queue traffic
-                // stays under `engine.queue.*`.
-                engine.count("events", b.ops);
-                engine.count("peak_queue_depth", q.peak_depth);
+            EngineScope::Run(totals) => {
+                // Ops executed by the loop are `engine.batch.ops`: one queue
+                // event can carry a whole run-ahead batch, so the raw queue
+                // traffic stays under `engine.queue.*`.
+                engine.count("sim_ps", totals.makespan.as_ps());
                 engine.count("stalls", self.stalls);
+                let q = &totals.queue;
                 let mut queue = engine.scope("queue");
                 queue.count("scheduled", q.scheduled);
                 queue.count("processed", q.processed);

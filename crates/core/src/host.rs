@@ -262,7 +262,7 @@ impl HostSystem {
 
     fn build_registry(&self, totals: &RunTotals) -> StatRegistry {
         let mut registry = StatRegistry::new();
-        self.engine.register(&mut registry, EngineScope::Run(&totals.queue));
+        self.engine.register(&mut registry, EngineScope::Run(totals));
         {
             let mut core = registry.scope("core");
             core.count("mem_ops", self.mem_ops);
@@ -306,7 +306,6 @@ impl HostSystem {
             migrations: 0,
             replicated_fraction: 0.0,
             access_latency: self.access_latency.clone(),
-            peak_queue_depth: totals.queue.peak_depth,
             registry: self.build_registry(totals),
         }
     }

@@ -153,12 +153,10 @@ pub struct RunReport {
     pub replicated_fraction: f64,
     /// End-to-end latency distribution of post-L1 memory accesses.
     ///
-    /// Telemetry fields below are deliberately *not* mixed into the bench
-    /// digest (`ndpx-bench`'s `report_digest` enumerates fields explicitly),
+    /// This field and the registry below are telemetry, deliberately *not*
+    /// mixed into the bench digest (`ndpx-bench`'s `report_digest` enumerates fields explicitly),
     /// so observability changes can never shift a perf baseline.
     pub access_latency: Histogram,
-    /// High-water mark of the event queue.
-    pub peak_queue_depth: u64,
     /// Hierarchical stat dump gathered from every subsystem after the run.
     pub registry: StatRegistry,
 }
@@ -238,7 +236,6 @@ mod tests {
             migrations: 5,
             replicated_fraction: 0.2,
             access_latency: Histogram::new(),
-            peak_queue_depth: 0,
             registry: StatRegistry::new(),
         }
     }

@@ -89,7 +89,7 @@ impl NdpSystem {
     fn build_registry(&self, totals: &RunTotals) -> StatRegistry {
         let makespan = totals.makespan;
         let mut registry = StatRegistry::new();
-        self.engine.register(&mut registry, EngineScope::Run(&totals.queue));
+        self.engine.register(&mut registry, EngineScope::Run(totals));
         {
             let mut core = registry.scope("core");
             core.count("mem_ops", self.mem_ops);
@@ -200,7 +200,6 @@ impl NdpSystem {
             migrations: self.migrations,
             replicated_fraction: self.replicated_fraction,
             access_latency: self.access_latency.clone(),
-            peak_queue_depth: totals.queue.peak_depth,
             registry: self.build_registry(totals),
         }
     }

@@ -28,8 +28,9 @@ use ndpx_workloads::{build, Workload, REPRESENTATIVE_WORKLOADS};
 /// counter and breakdown, and the registry JSON pins the full stat dump.
 /// The `engine.batch.*` and `engine.queue.*` scopes are excluded — they
 /// describe the shape of the run loop itself (batch lengths, raw queue
-/// traffic), which batching changes on purpose; everything simulated must
-/// match to the bit.
+/// traffic), which batching changes on purpose — except the queue's
+/// high-water mark, `engine.queue.peak_depth`, which both loops must reach
+/// alike; everything simulated must match to the bit.
 fn fingerprint(r: &RunReport) -> String {
     let debug = format!("{r:?}");
     let head = debug.split(", registry:").next().unwrap_or(&debug).to_string();
@@ -37,7 +38,8 @@ fn fingerprint(r: &RunReport) -> String {
         .registry
         .iter()
         .filter(|(path, _)| {
-            !path.starts_with("engine.batch.") && !path.starts_with("engine.queue.")
+            *path == "engine.queue.peak_depth"
+                || (!path.starts_with("engine.batch.") && !path.starts_with("engine.queue."))
         })
         .map(|(path, value)| format!("{path}: {value:?}\n"))
         .collect();

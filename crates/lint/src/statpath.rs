@@ -50,7 +50,7 @@ pub fn patterns() -> Vec<String> {
     // Engine: run loop, run-ahead batching, and the event queue. The
     // `ops`/`queue.depth` leaves are live timeline series rather than
     // end-of-run registry nodes; both namespaces share this grammar.
-    for leaf in ["events", "stalls", "peak_queue_depth", "ops"] {
+    for leaf in ["sim_ps", "stalls", "ops"] {
         push(&format!("engine.{leaf}"));
     }
     for leaf in [
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn exact_paths_validate() {
         for p in [
-            "engine.events",
+            "engine.sim_ps",
             "engine.batch.len_c3",
             "engine.queue.peak_depth",
             "core.l1_hits",
@@ -306,6 +306,8 @@ mod tests {
             "chaos.availability_pct",    // leaf that never existed
             "fault.recovery.e.ttr_ps",   // event id without digits
             "engine.queue.bucket_occ3",  // removed with the time-wheel queue
+            "engine.events",             // removed copy of engine.batch.ops
+            "engine.peak_queue_depth",   // removed copy of engine.queue.peak_depth
         ] {
             assert!(!validate(p), "{p} must fail validation");
         }

@@ -123,21 +123,6 @@ knob!(
     "small",
     "Benchmark scale: `test` (CI geometry), `small`, or `paper` (full Table II geometry)."
 );
-knob!(
-    HEARTBEAT_SECS,
-    "NDPX_HEARTBEAT_SECS",
-    KnobKind::F64,
-    "5",
-    "Minimum seconds between pool progress heartbeat lines (info level); fractions allowed, `0` \
-     disables heartbeats."
-);
-knob!(
-    SLOW_MULT,
-    "NDPX_SLOW_MULT",
-    KnobKind::F64,
-    "4.0",
-    "Slow-cell watchdog threshold as a multiple of the median cell wall clock; `0` disables."
-);
 
 // Engine ---------------------------------------------------------------------
 knob!(
@@ -219,7 +204,7 @@ knob!(
     "NDPX_METRICS",
     KnobKind::Path,
     "unset",
-    "Directory for `metrics.json`/registry-dump/failure-manifest sidecars; unset disables them."
+    "Directory for each monitored run's `<run>.cells.json` document; unset disables it."
 );
 
 // Caches ---------------------------------------------------------------------
@@ -332,8 +317,6 @@ knob!(
 pub const ALL: &[&Knob] = &[
     &THREADS,
     &SCALE,
-    &HEARTBEAT_SECS,
-    &SLOW_MULT,
     &STALL_ITERS,
     &LOG,
     &TRACE,
@@ -382,7 +365,7 @@ mod tests {
     fn the_registry_holds_all_knobs() {
         // The count is asserted so adding a knob without registering it in
         // `ALL` (or removing one without pruning) cannot go unnoticed.
-        assert_eq!(ALL.len(), 28);
+        assert_eq!(ALL.len(), 26);
     }
 
     #[test]

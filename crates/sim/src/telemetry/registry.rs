@@ -76,8 +76,8 @@ impl StatValue {
 ///
 /// let mut reg = StatRegistry::new();
 /// let mut engine = reg.scope("engine");
-/// engine.count("events", 42);
-/// assert!(reg.to_json().contains("\"engine.events\": 42"));
+/// engine.count("stalls", 42);
+/// assert!(reg.to_json().contains("\"engine.stalls\": 42"));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatRegistry {
@@ -266,7 +266,7 @@ pub(crate) fn write_json_f64(out: &mut String, v: f64) {
 }
 
 /// Writes a JSON string literal with the required escapes.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

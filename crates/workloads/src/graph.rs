@@ -172,16 +172,6 @@ impl CsrGraph {
     pub fn edge_dst(&self, e: u64) -> u32 {
         self.edges[e as usize]
     }
-
-    /// Footprint of the offsets array, bytes (8 B per entry).
-    pub fn offsets_bytes(&self) -> u64 {
-        self.offsets.len() as u64 * 8
-    }
-
-    /// Footprint of the edge array, bytes (4 B per entry).
-    pub fn edges_bytes(&self) -> u64 {
-        self.edges.len() as u64 * 4
-    }
 }
 
 #[cfg(test)]

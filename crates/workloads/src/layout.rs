@@ -4,7 +4,7 @@
 //! range before configuring it as a stream. [`AddressSpace`] is a simple bump
 //! allocator over the extended-memory physical space.
 
-use ndpx_stream::{StreamError, StreamId, StreamKind, StreamSpec, StreamTable};
+use ndpx_stream::{StreamError, StreamId, StreamSpec, StreamTable};
 
 /// Alignment of every allocation (a 2 MB huge page).
 pub const ALLOC_ALIGN: u64 = 2 << 20;
@@ -53,22 +53,6 @@ impl AddressSpace {
     ) -> Result<(StreamId, u64), StreamError> {
         let base = self.bump(size);
         let sid = self.table.configure(StreamSpec::affine_linear(base, size, elem_size))?;
-        Ok((sid, base))
-    }
-
-    /// Allocates an affine stream with an explicit shape.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stream-configuration failures.
-    pub fn alloc_shaped(
-        &mut self,
-        kind: StreamKind,
-        size: u64,
-        elem_size: u32,
-    ) -> Result<(StreamId, u64), StreamError> {
-        let base = self.bump(size);
-        let sid = self.table.configure(StreamSpec { kind, base, size, elem_size })?;
         Ok((sid, base))
     }
 
