@@ -4,8 +4,9 @@
 //! event-queue scheduling ([`EventQueue`]), the miss-curve sampler's
 //! observe path (also per slot grain: 8 B, 64 B, 1 KB), the Algorithm 1
 //! solver (a small shape and the bfs reconfiguration cell's shape),
-//! consistent-hash bucket-table construction, the reconfiguration tag
-//! transfer, power-law graph generation, and single power-law draws.
+//! consistent-hash bucket-table construction and lookup, the
+//! reconfiguration tag transfer, power-law graph generation, and single
+//! power-law draws.
 //! Results land in `BENCH_PERF.json` under `"micro"` so a CI artifact
 //! records where a wall-clock regression came from without re-profiling
 //! the whole matrix.
@@ -289,6 +290,25 @@ fn bucket_table(iters: u64) -> MicroResult {
     })
 }
 
+/// Consistent-hash lookup: one [`Group::locate`] per iteration on a
+/// 16-unit consistent group, over scattered keys (the key-to-unit step of
+/// every access that misses L1).
+fn layout_locate(iters: u64) -> MicroResult {
+    let mut rng = Xoshiro256::seed_from(0x10CA);
+    let group = Group::new((0..16).map(|_| 1024 + rng.below(4096)).collect(), true);
+    let mut key = 0u64;
+    timed("layout_locate", iters, || {
+        let mut acc = 0u64;
+        for _ in 0..iters {
+            key = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            if let Some((unit, slot)) = group.locate(black_box(key)) {
+                acc = acc.wrapping_add(unit as u64 ^ slot);
+            }
+        }
+        black_box(acc);
+    })
+}
+
 /// The reconfiguration tag transfer (`apply_allocation`): collect the
 /// resident entries of a 1M-slot direct-mapped array holding ~1k keys,
 /// `reset` it in place, and reinstall them. One transfer per iteration; the
@@ -366,6 +386,7 @@ pub fn run_all() -> Vec<MicroResult> {
         configure_ndpext(500),
         configure_ndpext_bfs(500),
         bucket_table(2_000),
+        layout_locate(2_000_000),
         tag_transfer(2_000),
         graph_powerlaw(),
         powerlaw_draw("powerlaw_draw_a17", 1 << 20, 1.7, 4_000_000),
@@ -391,6 +412,7 @@ mod tests {
             configure_ndpext(2),
             configure_ndpext_bfs(2),
             bucket_table(8),
+            layout_locate(1_000),
             tag_transfer(4),
             powerlaw_draw("p17", 1 << 20, 1.7, 1_000),
         ];

@@ -6,16 +6,16 @@
 //!
 //! * **Digests** are deterministic — any mismatch means simulated results
 //!   changed and is always a hard failure.
-//! * **Throughput aggregates** (`sim_ops_per_sec`, the serial rate, the
-//!   event rate, per-policy rates) are wall-clock measurements on shared CI
-//!   runners, so they regress *advisorily*: the report lists them and the
-//!   caller decides whether to enforce (`ndpx_report --strict`).
+//! * **Throughput aggregates** (`sim_ops_per_sec` and the per-policy
+//!   rates) are wall-clock measurements on shared CI runners, so they
+//!   regress *advisorily*: the report lists them and the caller decides
+//!   whether to enforce (`ndpx_report --strict`).
 //! * **Per-cell rates** are the noisiest; they are reported as the biggest
 //!   movers but never drive the exit status on their own.
 //!
 //! Everything is parsed with [`Json`], the dependency-free telemetry
 //! parser, so any line-format drift between gauge schema versions
-//! (v1 … v6) is absorbed by real parsing instead of line scans.
+//! (v1 … v7) is absorbed by real parsing instead of line scans.
 
 use std::fmt::Write as _;
 
@@ -30,20 +30,12 @@ pub struct PerfRun {
     pub schema: String,
     /// Scale profile name (`micro`, `small`, …).
     pub scale: String,
-    /// Pool width of the measured (cached) phase.
+    /// Pool width of the measured run.
     pub threads: u64,
     /// CPUs visible to the run.
     pub host_cpus: u64,
-    /// Aggregate cached-phase throughput.
+    /// Aggregate throughput of the measured run.
     pub sim_ops_per_sec: f64,
-    /// Serial-phase throughput (the historical baseline path).
-    pub serial_sim_ops_per_sec: f64,
-    /// Aggregate event rate.
-    pub events_per_sec: f64,
-    /// Cached-phase wall-clock speedup over the serial phase.
-    pub speedup_vs_serial: f64,
-    /// v6: the sub-1.0-speedup-on-1-CPU case, named.
-    pub pool_overhead: bool,
     /// Per-policy throughput, in report order.
     pub per_policy: Vec<(String, f64)>,
     /// Per-cell results, in report order.
@@ -113,10 +105,6 @@ pub fn parse_perf(source: &str) -> Result<PerfRun, String> {
         threads: num(&doc, "threads") as u64,
         host_cpus: num(&doc, "host_cpus") as u64,
         sim_ops_per_sec: num(&doc, "sim_ops_per_sec"),
-        serial_sim_ops_per_sec: num(&doc, "serial_sim_ops_per_sec"),
-        events_per_sec: num(&doc, "events_per_sec"),
-        speedup_vs_serial: num(&doc, "parallel_speedup_vs_serial"),
-        pool_overhead: doc.get("pool_overhead").and_then(Json::as_bool).unwrap_or(false),
         per_policy,
         cells,
     })
@@ -177,23 +165,11 @@ impl Comparison {
 /// Compares `cur` against `base` at `threshold` (a fraction; 0.10 flags
 /// throughput drops beyond 10%).
 pub fn compare(base: &PerfRun, cur: &PerfRun, threshold: f64) -> Comparison {
-    let mut aggregates = vec![
-        Delta {
-            name: "sim_ops_per_sec".into(),
-            baseline: base.sim_ops_per_sec,
-            current: cur.sim_ops_per_sec,
-        },
-        Delta {
-            name: "serial_sim_ops_per_sec".into(),
-            baseline: base.serial_sim_ops_per_sec,
-            current: cur.serial_sim_ops_per_sec,
-        },
-        Delta {
-            name: "events_per_sec".into(),
-            baseline: base.events_per_sec,
-            current: cur.events_per_sec,
-        },
-    ];
+    let mut aggregates = vec![Delta {
+        name: "sim_ops_per_sec".into(),
+        baseline: base.sim_ops_per_sec,
+        current: cur.sim_ops_per_sec,
+    }];
     for (policy, rate) in &cur.per_policy {
         let baseline =
             base.per_policy.iter().find(|(p, _)| p == policy).map(|(_, r)| *r).unwrap_or(0.0);
@@ -261,12 +237,6 @@ pub fn render_markdown(
         "Clean: digests identical, throughput within threshold."
     };
     let _ = writeln!(s, "{verdict}\n");
-    if cur.pool_overhead {
-        s.push_str(
-            "Note: current run reports `pool_overhead` — sub-1.0 parallel speedup on a \
-             1-CPU host is thread-pool cost, not a simulator regression.\n\n",
-        );
-    }
 
     s.push_str("## Aggregates\n\n| metric | baseline | current | Δ% |\n|---|---:|---:|---:|\n");
     for d in &cmp.aggregates {
@@ -519,55 +489,80 @@ pub fn diff_registry_phases(a_src: &str, b_src: &str) -> Result<String, String> 
 mod tests {
     use super::*;
 
+    const V6: &str = "ndpx-perf-gauge-v6";
+    const V7: &str = "ndpx-perf-gauge-v7";
+
+    /// A one-cell report. Before v7 the gauge also wrote a serial pass
+    /// (`serial_*`, `parallel_speedup_vs_serial`, `runs`), `pool_overhead`
+    /// and the `events_*` repeats of the op fields; the parser skips them.
     fn sample(schema: &str, rate: f64, digest: &str) -> String {
-        format!(
-            "{{\n  \"schema\": \"{schema}\",\n  \"scale\": \"micro\",\n  \"queue_impl\": \"wheel\",\n  \
-             \"threads\": 4,\n  \"host_cpus\": 4,\n  \"sim_ops_per_sec\": {rate},\n  \
+        let dropped = if schema == V7 {
+            ""
+        } else {
+            "\"queue_impl\": \"wheel\",\n  \"events_total\": 10,\n  \
              \"serial_sim_ops_per_sec\": 900.0,\n  \"events_per_sec\": 1800.0,\n  \
-             \"parallel_speedup_vs_serial\": 1.5,\n  \
+             \"parallel_speedup_vs_serial\": 1.5,\n  \"pool_overhead\": true,\n  \
+             \"runs\": [{\"threads\": 1, \"sim_ops_per_sec\": 900.0}],\n  "
+        };
+        let cell_events = if schema == V7 { "" } else { "\"events_per_sec\": 1.0, " };
+        format!(
+            "{{\n  \"schema\": \"{schema}\",\n  \"scale\": \"micro\",\n  {dropped}\
+             \"threads\": 4,\n  \"host_cpus\": 4,\n  \"sim_ops_per_sec\": {rate},\n  \
              \"per_policy\": {{\"ndpext\": {rate}}},\n  \
              \"cells\": [{{\"cell\": \"hbm/ndpext/pr\", \"ops\": 10, \"wall_ms\": 1.0, \
-             \"ops_per_sec\": {rate}, \"digest\": \"{digest}\"}}]\n}}\n"
+             \"ops_per_sec\": {rate}, {cell_events}\"digest\": \"{digest}\"}}]\n}}\n"
         )
+    }
+
+    fn aggregate_names(cmp: &Comparison) -> Vec<&str> {
+        cmp.aggregates.iter().map(|d| d.name.as_str()).collect()
     }
 
     #[test]
     fn parse_reads_aggregates_policies_and_cells() {
-        let run = parse_perf(&sample("ndpx-perf-gauge-v6", 1000.0, "00ff")).unwrap();
-        assert_eq!(run.schema, "ndpx-perf-gauge-v6");
-        assert_eq!(run.threads, 4);
-        assert_eq!(run.sim_ops_per_sec, 1000.0);
-        assert_eq!(run.per_policy, vec![("ndpext".to_string(), 1000.0)]);
-        assert_eq!(run.cells.len(), 1);
-        assert_eq!(run.cells[0].digest, "00ff");
-        assert!(!run.pool_overhead);
+        for schema in [V6, V7] {
+            let run = parse_perf(&sample(schema, 1000.0, "00ff")).unwrap();
+            assert_eq!(run.schema, schema);
+            assert_eq!(run.threads, 4);
+            assert_eq!(run.sim_ops_per_sec, 1000.0);
+            assert_eq!(run.per_policy, vec![("ndpext".to_string(), 1000.0)]);
+            assert_eq!(run.cells.len(), 1);
+            assert_eq!(run.cells[0].ops_per_sec, 1000.0);
+            assert_eq!(run.cells[0].digest, "00ff");
+        }
     }
 
     #[test]
     fn identical_runs_compare_clean() {
-        let run = parse_perf(&sample("ndpx-perf-gauge-v6", 1000.0, "00ff")).unwrap();
+        let run = parse_perf(&sample(V7, 1000.0, "00ff")).unwrap();
         let cmp = compare(&run, &run, 0.10);
         assert!(cmp.is_clean());
         assert!(cmp.regressions.is_empty());
-        assert_eq!(cmp.aggregates.len(), 4, "three aggregates + one policy");
+        // A v6 baseline vouches for a v7 run whose digests match, and the
+        // aggregates are the ones both schemas measure.
+        let v6 = parse_perf(&sample(V6, 1000.0, "00ff")).unwrap();
+        let cmp = compare(&v6, &run, 0.10);
+        assert!(cmp.is_clean());
+        assert!(cmp.regressions.is_empty());
+        assert_eq!(aggregate_names(&cmp), ["sim_ops_per_sec", "policy/ndpext"]);
     }
 
     #[test]
     fn throughput_drop_past_threshold_is_flagged_but_stays_clean() {
-        let base = parse_perf(&sample("ndpx-perf-gauge-v5", 1000.0, "00ff")).unwrap();
-        let cur = parse_perf(&sample("ndpx-perf-gauge-v6", 800.0, "00ff")).unwrap();
+        let base = parse_perf(&sample(V6, 1000.0, "00ff")).unwrap();
+        let cur = parse_perf(&sample(V7, 800.0, "00ff")).unwrap();
         let cmp = compare(&base, &cur, 0.10);
         assert!(cmp.is_clean(), "throughput noise never dirties the diff");
         let names: Vec<&str> = cmp.regressions.iter().map(|d| d.name.as_str()).collect();
-        assert!(names.contains(&"sim_ops_per_sec"));
-        assert!(names.contains(&"policy/ndpext"));
-        assert!(!names.contains(&"serial_sim_ops_per_sec"), "unchanged rate not flagged");
+        assert_eq!(names, ["sim_ops_per_sec", "policy/ndpext"]);
+        let unchanged = compare(&base, &parse_perf(&sample(V7, 1000.0, "00ff")).unwrap(), 0.10);
+        assert!(unchanged.regressions.is_empty(), "unchanged rates are not flagged");
     }
 
     #[test]
     fn digest_change_is_a_hard_mismatch() {
-        let base = parse_perf(&sample("ndpx-perf-gauge-v6", 1000.0, "00ff")).unwrap();
-        let cur = parse_perf(&sample("ndpx-perf-gauge-v6", 1000.0, "beef")).unwrap();
+        let base = parse_perf(&sample(V6, 1000.0, "00ff")).unwrap();
+        let cur = parse_perf(&sample(V7, 1000.0, "beef")).unwrap();
         let cmp = compare(&base, &cur, 0.10);
         assert!(!cmp.is_clean());
         assert_eq!(cmp.digest_mismatches, vec!["hbm/ndpext/pr".to_string()]);
@@ -581,8 +576,8 @@ mod tests {
         // A baseline the parser accepts but that names no cell must not
         // vouch for the current run's digests.
         let base =
-            parse_perf("{\"schema\": \"ndpx-perf-gauge-v6\", \"sim_ops_per_sec\": 1.0}").unwrap();
-        let cur = parse_perf(&sample("ndpx-perf-gauge-v6", 1000.0, "00ff")).unwrap();
+            parse_perf("{\"schema\": \"ndpx-perf-gauge-v7\", \"sim_ops_per_sec\": 1.0}").unwrap();
+        let cur = parse_perf(&sample(V7, 1000.0, "00ff")).unwrap();
         let cmp = compare(&base, &cur, 0.10);
         assert!(!cmp.is_clean());
         assert_eq!(cmp.missing_cells, vec!["hbm/ndpext/pr".to_string()]);
@@ -590,14 +585,17 @@ mod tests {
 
     #[test]
     fn markdown_includes_aggregate_table_and_sections() {
-        let base = parse_perf(&sample("ndpx-perf-gauge-v5", 1000.0, "00ff")).unwrap();
-        let cur = parse_perf(&sample("ndpx-perf-gauge-v6", 1200.0, "00ff")).unwrap();
+        let base = parse_perf(&sample(V6, 1000.0, "00ff")).unwrap();
+        let cur = parse_perf(&sample(V7, 1200.0, "00ff")).unwrap();
         let cmp = compare(&base, &cur, 0.10);
         let md = render_markdown(&base, &cur, &cmp, &["## extra\ncustom".to_string()]);
         assert!(md.starts_with("# ndpx run diff"));
         assert!(md.contains("| sim_ops_per_sec | 1000 | 1200 | +20.0% |"));
         assert!(md.contains("## extra"));
         assert!(md.contains("Clean: digests identical"));
+        // A v6 run's `pool_overhead` flag is no longer read.
+        let back = render_markdown(&cur, &base, &compare(&cur, &base, 0.10), &[]);
+        assert!(!back.contains("pool_overhead"));
     }
 
     #[test]

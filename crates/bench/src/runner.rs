@@ -276,7 +276,7 @@ impl Session {
         Session { scale, pool, cache, metrics: crate::manifest::metrics_dir(), memo: Vec::new() }
     }
 
-    /// A session at `NDPX_SCALE`, `NDPX_THREADS` and `NDPX_TRACE_CACHE`.
+    /// A session at `NDPX_SCALE`, `NDPX_THREADS` and `NDPX_TRACE_CACHE_BYTES`.
     pub fn from_env() -> Self {
         Self::new(BenchScale::from_env(), CellPool::from_env(), TraceCache::from_env())
     }

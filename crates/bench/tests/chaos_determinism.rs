@@ -11,6 +11,8 @@
 //!    the dead stack, publishes per-event recovery records, and replays
 //!    byte-identically at one and at four worker threads.
 
+mod common;
+
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops};
 use ndpx_bench::pool::CellPool;
@@ -34,8 +36,7 @@ fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunRep
 
 #[test]
 fn chaos_off_reproduces_committed_perf_digests() {
-    let committed = committed_digests();
-    assert!(!committed.is_empty(), "BENCH_PERF.json must hold cell digests");
+    let committed = common::committed_digests();
     // One workload row covers every policy without re-running the full
     // 36-cell matrix in a debug build. The disabled config is forced
     // explicitly so a stray NDPX_CHAOS in the test environment cannot
@@ -123,27 +124,4 @@ fn stack_loss_recovers_and_is_thread_invariant() {
             "{key}: chaos digests must be thread-count invariant"
         );
     }
-}
-
-/// Reads the `("cell", digest)` pairs out of the committed perf report
-/// (same line-oriented scan `perf_gauge --check` uses).
-fn committed_digests() -> Vec<(String, u64)> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PERF.json");
-    let json = std::fs::read_to_string(path).expect("committed BENCH_PERF.json");
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(cell) = extract_str(line, "\"cell\": \"") else { continue };
-        let Some(digest) = extract_str(line, "\"digest\": \"") else { continue };
-        if let Ok(d) = u64::from_str_radix(digest, 16) {
-            out.push((cell.to_string(), d));
-        }
-    }
-    out
-}
-
-fn extract_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
 }

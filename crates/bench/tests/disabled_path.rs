@@ -5,6 +5,8 @@
 //! ON must not move a single digest either: sampling reads simulated state,
 //! it never schedules into it.
 
+mod common;
+
 use std::path::Path;
 use std::time::Instant;
 
@@ -34,28 +36,6 @@ fn specs() -> Vec<RunSpec> {
         .collect()
 }
 
-/// Reads the `("cell", digest)` pairs out of the committed perf report
-/// (same line-oriented scan `perf_gauge --check` uses, v1–v6).
-fn committed_digests() -> Vec<(String, u64)> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PERF.json");
-    let json = std::fs::read_to_string(path).expect("committed BENCH_PERF.json");
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(cell) = extract_str(line, "\"cell\": \"") else { continue };
-        let Some(digest) = extract_str(line, "\"digest\": \"") else { continue };
-        if let Ok(d) = u64::from_str_radix(digest, 16) {
-            out.push((cell.to_string(), d));
-        }
-    }
-    out
-}
-
-fn extract_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
 /// Runs `specs` on a fresh session, so every cell simulates even when
 /// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
 fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
@@ -65,8 +45,7 @@ fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunRep
 
 #[test]
 fn telemetry_off_matches_committed_digests_and_omits_scopes() {
-    let committed = committed_digests();
-    assert!(!committed.is_empty(), "BENCH_PERF.json must hold cell digests");
+    let committed = common::committed_digests();
     let specs = specs();
     let reports = run_fresh(4, TraceCache::new(), &specs);
     for (spec, report) in specs.iter().zip(&reports) {

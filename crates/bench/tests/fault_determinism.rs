@@ -10,6 +10,8 @@
 //!    [`ndpx_sim::fault::FaultConfig`]), every injector compiles down to the
 //!    ideal path: the committed `BENCH_PERF.json` digests reproduce exactly.
 
+mod common;
+
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops};
 use ndpx_bench::pool::CellPool;
@@ -87,8 +89,7 @@ fn fixed_seed_injection_is_thread_invariant() {
 
 #[test]
 fn seed_unset_reproduces_committed_perf_digests() {
-    let committed = committed_digests();
-    assert!(!committed.is_empty(), "BENCH_PERF.json must hold cell digests");
+    let committed = common::committed_digests();
     // One workload per memory family covers both DRAM configs without
     // re-running the full 36-cell matrix in a debug build.
     let ops = gauge_ops(BenchScale::Test);
@@ -120,27 +121,4 @@ fn seed_unset_reproduces_committed_perf_digests() {
             "{key}: fault-off registries must omit the fault scope"
         );
     }
-}
-
-/// Reads the `("cell", digest)` pairs out of the committed perf report
-/// (same line-oriented scan `perf_gauge --check` uses).
-fn committed_digests() -> Vec<(String, u64)> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PERF.json");
-    let json = std::fs::read_to_string(path).expect("committed BENCH_PERF.json");
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(cell) = extract_str(line, "\"cell\": \"") else { continue };
-        let Some(digest) = extract_str(line, "\"digest\": \"") else { continue };
-        if let Ok(d) = u64::from_str_radix(digest, 16) {
-            out.push((cell.to_string(), d));
-        }
-    }
-    out
-}
-
-fn extract_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
 }

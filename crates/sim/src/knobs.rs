@@ -209,14 +209,6 @@ knob!(
 
 // Caches ---------------------------------------------------------------------
 knob!(
-    TRACE_CACHE,
-    "NDPX_TRACE_CACHE",
-    KnobKind::Bool,
-    "1",
-    "Shared immutable workload trace cache; disabling regenerates every trace live (identical \
-     results, more wall clock)."
-);
-knob!(
     TRACE_CACHE_BYTES,
     "NDPX_TRACE_CACHE_BYTES",
     KnobKind::U64,
@@ -328,7 +320,6 @@ pub const ALL: &[&Knob] = &[
     &TIMELINE_CAP,
     &PROFILE,
     &METRICS,
-    &TRACE_CACHE,
     &TRACE_CACHE_BYTES,
     &GRAPH_CACHE,
     &FAULT_SEED,
@@ -365,7 +356,7 @@ mod tests {
     fn the_registry_holds_all_knobs() {
         // The count is asserted so adding a knob without registering it in
         // `ALL` (or removing one without pruning) cannot go unnoticed.
-        assert_eq!(ALL.len(), 26);
+        assert_eq!(ALL.len(), 25);
     }
 
     #[test]

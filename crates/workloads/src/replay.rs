@@ -175,7 +175,7 @@ type TraceSlot = Arc<OnceLock<Arc<CachedTrace>>>;
 
 /// A shared, thread-safe cache of materialized workload traces.
 pub struct TraceCache {
-    /// `None` disables caching entirely (`NDPX_TRACE_CACHE=0`).
+    /// `None` disables caching entirely ([`TraceCache::disabled`]).
     slots: Option<Mutex<BTreeMap<TraceKey, TraceSlot>>>,
     budget_bytes: u64,
     hits: AtomicU64,
@@ -228,19 +228,11 @@ impl TraceCache {
         TraceCache { slots: None, ..Self::with_budget(0) }
     }
 
-    /// Reads `NDPX_TRACE_CACHE` (unified boolean grammar, on by default)
-    /// and `NDPX_TRACE_CACHE_BYTES` (budget override).
+    /// An enabled cache at the `NDPX_TRACE_CACHE_BYTES` budget (`0` sends
+    /// every request to live generation).
     pub fn from_env() -> Self {
-        use ndpx_sim::knobs;
-        if !knobs::TRACE_CACHE.bool_or(true) {
-            return Self::disabled();
-        }
-        Self::with_budget(knobs::TRACE_CACHE_BYTES.u64_opt().unwrap_or(DEFAULT_CACHE_BYTES))
-    }
-
-    /// True when requests may be served from materialized traces.
-    pub fn is_enabled(&self) -> bool {
-        self.slots.is_some()
+        let budget = ndpx_sim::knobs::TRACE_CACHE_BYTES.u64_opt();
+        Self::with_budget(budget.unwrap_or(DEFAULT_CACHE_BYTES))
     }
 
     /// The materialized trace for `key`, generating it on first request.
@@ -378,7 +370,6 @@ mod tests {
     #[test]
     fn disabled_cache_builds_live() {
         let cache = TraceCache::disabled();
-        assert!(!cache.is_enabled());
         assert!(cache.get(&TraceKey::new("mv", &params(), 100)).is_none());
         let wl = cache.workload("mv", &params(), 100);
         assert_eq!(wl.cores, params().cores);
