@@ -27,6 +27,10 @@
 //!   NDPX_PROFILE=1 perf_gauge       # cells attribute wall/sim time to
 //!                                   # phases (profile.* registry scope)
 //!
+//! The fault, chaos and telemetry knobs reach the cells through
+//! [`Overrides`], parsed once at start-up; a bad value exits 2 before any
+//! cell runs.
+//!
 //! `--check` exits 1 on any digest mismatch against the baseline file or
 //! on a cell present in only one of the runs, and 2 when the baseline
 //! cannot be read or parsed, so the CI smoke run doubles as a regression
@@ -43,8 +47,8 @@ use ndpx_bench::manifest;
 use ndpx_bench::micro::{self, MicroResult};
 use ndpx_bench::pool::{expect_ok, CellTask, MonitorConfig, ThreadPlan};
 use ndpx_bench::report::{compare, parse_perf, PerfRun};
-use ndpx_bench::runner::{run_ndp_cached, BenchScale, RunSpec};
-use ndpx_core::config::PolicyKind;
+use ndpx_bench::runner::{or_exit, run_ndp_cached, BenchScale, Overrides, RunSpec};
+use ndpx_core::config::{PolicyKind, TelemetryConfig};
 use ndpx_core::stats::RunReport;
 use ndpx_sim::telemetry::StatRegistry;
 use ndpx_workloads::{TraceCache, TraceCacheStats};
@@ -185,12 +189,14 @@ fn run_matrix(specs: &[RunSpec], plan: ThreadPlan, cache: &TraceCache) -> Matrix
 
 fn main() {
     let scale = BenchScale::from_env();
+    let overrides = or_exit(Overrides::from_env());
     let args: Vec<String> = std::env::args().collect();
     let baseline = args
         .iter()
         .position(|a| a == "--check")
         .map(|i| read_baseline(args.get(i + 1).expect("--check needs a path")));
-    let specs = gauge_specs(scale, gauge_ops(scale));
+    let specs: Vec<RunSpec> =
+        gauge_specs(scale, gauge_ops(scale)).into_iter().map(|s| overrides.onto(s)).collect();
 
     // The plan keeps the requested-vs-host distinction for the report:
     // explicit widths past the host are honored but flagged as
@@ -237,7 +243,7 @@ fn main() {
         Vec::new()
     };
 
-    let json = render_json(scale, &matrix, plan, &cache_stats, &micros);
+    let json = render_json(scale, &matrix, plan, &cache_stats, &micros, &overrides.telemetry);
     if let Some(base) = &baseline {
         check(base, &json);
     }
@@ -271,6 +277,7 @@ fn render_json(
     plan: ThreadPlan,
     cache_stats: &TraceCacheStats,
     micros: &[MicroResult],
+    telemetry: &TelemetryConfig,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -287,8 +294,8 @@ fn render_json(
     let _ = writeln!(
         s,
         "  \"telemetry\": {{\"timeline\": {}, \"profile\": {}}},",
-        timeline_active(),
-        profile_active()
+        telemetry.timeline.is_some(),
+        telemetry.profile
     );
     let _ = writeln!(
         s,
@@ -398,14 +405,4 @@ fn check(base: &PerfRun, report: &str) {
         std::process::exit(1);
     }
     eprintln!("digests unchanged ({} cells)", cur.cells.len());
-}
-
-/// True when `NDPX_TIMELINE` pointed the run at a timeline output path.
-fn timeline_active() -> bool {
-    ndpx_sim::knobs::TIMELINE.path().is_some()
-}
-
-/// True when `NDPX_PROFILE` enabled the sim-phase profiler.
-fn profile_active() -> bool {
-    ndpx_sim::knobs::PROFILE.bool_or(false)
 }

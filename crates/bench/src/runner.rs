@@ -5,11 +5,20 @@
 //! `test` (seconds, CI-sized), `small` (default, minutes), or `paper`
 //! (the full Table II geometry; long). Runs at one scale are directly
 //! comparable: every policy executes the identical op stream.
+//!
+//! The simulator crates read no environment. The fault, chaos and
+//! telemetry knobs reach a run only through [`Overrides`], which the
+//! harness parses once at start-up.
 
-use ndpx_core::config::{MemKind, PolicyKind, SystemConfig};
+use ndpx_core::config::{MemKind, PolicyKind, SystemConfig, TelemetryConfig};
 use ndpx_core::host::{HostConfig, HostSystem};
 use ndpx_core::stats::RunReport;
 use ndpx_core::system::NdpSystem;
+use ndpx_sim::chaos::ChaosConfig;
+use ndpx_sim::fault::{self, FaultConfig};
+use ndpx_sim::knobs::{self, Knob};
+use ndpx_sim::telemetry::{TimelineConfig, TraceConfig};
+use ndpx_sim::time::Time;
 use ndpx_workloads::trace::ScaleParams;
 use ndpx_workloads::TraceCache;
 
@@ -31,10 +40,7 @@ impl BenchScale {
     /// that names no scale ends the process with exit status 2: a typo must
     /// not silently run a different geometry.
     pub fn from_env() -> Self {
-        Self::parse(ndpx_sim::knobs::SCALE.raw().as_deref()).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        or_exit(Self::parse(knobs::SCALE.raw().as_deref()))
     }
 
     /// Parses a scale name; `None` and the empty string map to the default
@@ -52,7 +58,7 @@ impl BenchScale {
             Some("paper") => Ok(BenchScale::Paper),
             Some(other) => Err(format!(
                 "{}={other:?} is not a scale; use one of test, small, paper",
-                ndpx_sim::knobs::SCALE.name
+                knobs::SCALE.name
             )),
         }
     }
@@ -86,6 +92,130 @@ impl BenchScale {
             BenchScale::Small => 30_000,
             BenchScale::Paper => 400_000,
         }
+    }
+}
+
+/// Unwraps a start-up parse, or prints the error and ends the process with
+/// exit status 2: a bad knob must stop the run before any cell simulates.
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// The fault, chaos and telemetry settings the harness applies to every
+/// cell of a run, before the cell's own tweak. The default overrides
+/// nothing: every field equals the configuration profiles' own.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Overrides {
+    /// `NDPX_FAULT_SEED` and the `NDPX_FAULT_*` rates.
+    pub fault: FaultConfig,
+    /// `NDPX_CHAOS` and `NDPX_CHAOS_RETRY_NS`.
+    pub chaos: ChaosConfig,
+    /// `NDPX_TRACE*`, `NDPX_TIMELINE*` and `NDPX_PROFILE`.
+    pub telemetry: TelemetryConfig,
+}
+
+impl Overrides {
+    /// Reads the knobs from the process environment.
+    ///
+    /// # Errors
+    ///
+    /// As [`parse`](Self::parse).
+    pub fn from_env() -> Result<Self, String> {
+        Self::parse(|k| k.raw())
+    }
+
+    /// Parses the knobs, reading each through `lookup`. A value that trims
+    /// to empty counts as unset, as for `NDPX_SCALE`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first knob whose value does not parse, is out
+    /// of range, or (for `NDPX_CHAOS`) describes an inconsistent schedule.
+    pub fn parse(lookup: impl Fn(&Knob) -> Option<String>) -> Result<Self, String> {
+        let get = |knob: &Knob| lookup(knob).filter(|v| !v.trim().is_empty());
+        let rate = |knob: &Knob, default: f64| -> Result<f64, String> {
+            Ok(knob_value(get(knob), knob, fault::parse_rate)?.unwrap_or(default))
+        };
+        let count = |knob: &Knob| knob_value(get(knob), knob, positive);
+        let fault = FaultConfig {
+            seed: knob_value(get(&knobs::FAULT_SEED), &knobs::FAULT_SEED, fault::parse_seed)?,
+            cxl_ber: rate(&knobs::FAULT_CXL_BER, fault::DEFAULT_CXL_BER)?,
+            mem_ce: rate(&knobs::FAULT_MEM_CE, fault::DEFAULT_MEM_CE)?,
+            mem_ue: rate(&knobs::FAULT_MEM_UE, fault::DEFAULT_MEM_UE)?,
+            noc_fer: rate(&knobs::FAULT_NOC_FER, fault::DEFAULT_NOC_FER)?,
+        };
+        let retry_ns = count(&knobs::CHAOS_RETRY_NS)?;
+        let chaos = knob_value(get(&knobs::CHAOS), &knobs::CHAOS, |spec| {
+            let chaos = ChaosConfig::parse(Some(spec), retry_ns)?;
+            chaos.validate().map(|()| chaos)
+        })?
+        .unwrap_or_default();
+
+        let us = |knob: &Knob| {
+            knob_value(get(knob), knob, |v| match v.parse::<f64>() {
+                Ok(us) if us.is_finite() && us >= 0.0 => Ok(Time::from_ns_f64(us * 1e3)),
+                _ => Err("not a non-negative number of microseconds".to_string()),
+            })
+        };
+        let (start, stop) = (us(&knobs::TRACE_START)?, us(&knobs::TRACE_STOP)?);
+        let trace_cap = count(&knobs::TRACE_CAP)?;
+        let trace = get(&knobs::TRACE).map(|path| TraceConfig {
+            start: start.unwrap_or(Time::ZERO),
+            stop: stop.unwrap_or(Time::MAX),
+            capacity: trace_cap.map_or(TraceConfig::DEFAULT_CAPACITY, |c| c as usize),
+            ..TraceConfig::to_path(path)
+        });
+        let (window_ns, timeline_cap) =
+            (count(&knobs::TIMELINE_WINDOW_NS)?, count(&knobs::TIMELINE_CAP)?);
+        let timeline = get(&knobs::TIMELINE).map(|path| TimelineConfig {
+            window: Time::from_ns(window_ns.unwrap_or(TimelineConfig::DEFAULT_WINDOW_NS)),
+            capacity: timeline_cap.map_or(TimelineConfig::DEFAULT_CAPACITY, |c| c as usize),
+            ..TimelineConfig::to_path(path)
+        });
+        let profile = knobs::parse_bool(get(&knobs::PROFILE).as_deref(), false);
+        Ok(Overrides { fault, chaos, telemetry: TelemetryConfig { trace, timeline, profile } })
+    }
+
+    /// Sets the overridden fields of `cfg`.
+    pub fn apply(&self, cfg: &mut SystemConfig) {
+        cfg.fault = self.fault;
+        cfg.chaos = self.chaos.clone();
+        cfg.telemetry = self.telemetry.clone();
+    }
+
+    /// `spec` with these overrides applied to its scale's configuration
+    /// before its own tweak; unchanged when nothing is overridden.
+    pub fn onto(&self, spec: RunSpec) -> RunSpec {
+        if *self == Overrides::default() {
+            return spec;
+        }
+        let (overrides, tweak) = (self.clone(), spec.tweak.clone());
+        spec.with_tweak(move |cfg| {
+            overrides.apply(cfg);
+            if let Some(tweak) = &tweak {
+                tweak(cfg);
+            }
+        })
+    }
+}
+
+/// Parses a set knob's value, naming the knob in the error.
+fn knob_value<T>(
+    value: Option<String>,
+    knob: &Knob,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    value.map(|v| parse(v.trim()).map_err(|e| format!("{}={v:?}: {e}", knob.name))).transpose()
+}
+
+/// Parses a positive integer.
+fn positive(v: &str) -> Result<u64, String> {
+    match v.parse::<u64>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err("not a positive integer".to_string()),
     }
 }
 
@@ -162,14 +292,14 @@ pub fn run_ndp_cached(spec: &RunSpec, cache: &TraceCache) -> RunReport {
     let wl = cache.workload(spec.workload, &params, spec.ops_per_core);
     let trace_gen = trace_gen_start.elapsed();
     let mut sys = NdpSystem::new(cfg, wl).expect("config and workload are consistent");
-    // Attributed post-hoc: the profiler (if `NDPX_PROFILE` enabled one)
-    // only exists once the system does.
+    // Attributed post-hoc: the profiler (if the config asks for one) only
+    // exists once the system does.
     sys.record_phase(ndpx_core::Phase::TraceGen, trace_gen);
     sys.run(spec.ops_per_core)
 }
 
 /// Executes the non-NDP host baseline on the same workload and op count,
-/// with the trace served from `cache`.
+/// with the trace served from `cache` and, if given, a timeline attached.
 ///
 /// The host always uses 64 cores at `Small`/`Paper` scale and the NDP unit
 /// count at `Test` scale (so the tiny profile stays comparable).
@@ -181,6 +311,7 @@ pub fn run_host_cached(
     workload: &'static str,
     scale: BenchScale,
     ops_per_core: u64,
+    timeline: Option<TimelineConfig>,
     cache: &TraceCache,
 ) -> RunReport {
     let ndp_cfg = scale.system(MemKind::Hbm, PolicyKind::NdpExt);
@@ -193,6 +324,7 @@ pub fn run_host_cached(
         _ => HostConfig::paper(),
     };
     host_cfg.cores = cores;
+    host_cfg.timeline = timeline;
     // Scale the host LLC with the NDP cache, preserving the paper's
     // 32 MB : 16 GB (1:512) capacity ratio.
     let ndp_cache = ndp_cfg.units() as u64 * ndp_cfg.unit_capacity;
@@ -267,18 +399,33 @@ pub struct Session {
     /// Where each submission writes its run document (`NDPX_METRICS` by
     /// default; see [`crate::manifest`]).
     pub metrics: Option<std::path::PathBuf>,
+    /// Applied to every NDP cell before its tweak; the host cells take the
+    /// timeline.
+    pub overrides: Overrides,
     memo: Vec<(CellKey, RunReport)>,
 }
 
 impl Session {
-    /// A session with an empty memo.
+    /// A session with an empty memo and no overrides.
     pub fn new(scale: BenchScale, pool: CellPool, cache: TraceCache) -> Self {
-        Session { scale, pool, cache, metrics: crate::manifest::metrics_dir(), memo: Vec::new() }
+        Session {
+            scale,
+            pool,
+            cache,
+            metrics: crate::manifest::metrics_dir(),
+            overrides: Overrides::default(),
+            memo: Vec::new(),
+        }
     }
 
-    /// A session at `NDPX_SCALE`, `NDPX_THREADS` and `NDPX_TRACE_CACHE_BYTES`.
+    /// A session at `NDPX_SCALE`, `NDPX_THREADS` and
+    /// `NDPX_TRACE_CACHE_BYTES`, with the [`Overrides`] the environment
+    /// sets. A bad value ends the process with exit status 2.
     pub fn from_env() -> Self {
-        Self::new(BenchScale::from_env(), CellPool::from_env(), TraceCache::from_env())
+        let overrides = or_exit(Overrides::from_env());
+        let session =
+            Self::new(BenchScale::from_env(), CellPool::from_env(), TraceCache::from_env());
+        Session { overrides, ..session }
     }
 
     /// How many distinct cells the session has simulated.
@@ -302,7 +449,13 @@ impl Session {
     /// If two distinct new cells share a name, or, once the submission has
     /// run, if any cell panicked.
     pub fn run(&mut self, run: &str, cells: impl IntoIterator<Item = Cell>) -> Vec<RunReport> {
-        let cells: Vec<Cell> = cells.into_iter().collect();
+        let cells: Vec<Cell> = cells
+            .into_iter()
+            .map(|cell| match cell.sim {
+                Sim::Ndp(spec) => Cell { sim: Sim::Ndp(self.overrides.onto(spec)), ..cell },
+                Sim::Host(..) => cell,
+            })
+            .collect();
         let keys: Vec<CellKey> = cells.iter().map(|c| c.key(self.scale)).collect();
         let mut fresh: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
@@ -313,13 +466,14 @@ impl Session {
             }
         }
         let (scale, cache) = (self.scale, &self.cache);
+        let timeline = &self.overrides.telemetry.timeline;
         let tasks: Vec<CellTask<'_, RunReport>> = fresh
             .iter()
             .map(|&i| match &cells[i].sim {
                 Sim::Ndp(spec) => Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, _>,
-                Sim::Host(workload, ops) => {
-                    Box::new(move || run_host_cached(workload, scale, *ops, cache))
-                }
+                Sim::Host(workload, ops) => Box::new(move || {
+                    run_host_cached(workload, scale, *ops, timeline.clone(), cache)
+                }),
             })
             .collect();
         let names = fresh.iter().map(|&i| cells[i].name.clone()).collect();
@@ -388,6 +542,72 @@ mod tests {
         // fallback to another scale.
         let err = BenchScale::parse(Some("bogus")).expect_err("unknown scale");
         assert!(err.contains("bogus") && err.contains("test, small, paper"), "{err}");
+    }
+
+    /// Parses `env` (knob name, value) pairs through the lookup closure.
+    fn overrides(env: &[(&Knob, &str)]) -> Result<Overrides, String> {
+        Overrides::parse(|k| env.iter().find(|(e, _)| e.name == k.name).map(|(_, v)| v.to_string()))
+    }
+
+    #[test]
+    fn overrides_parse_every_knob_or_name_the_bad_one() {
+        use knobs::*;
+        assert_eq!(overrides(&[]), Ok(Overrides::default()), "unset overrides nothing");
+        assert_eq!(overrides(&[(&FAULT_SEED, " "), (&CHAOS, "")]), Ok(Overrides::default()));
+
+        let set = overrides(&[
+            (&FAULT_SEED, "0x2A"),
+            (&FAULT_MEM_CE, "1e-2"),
+            (&CHAOS, "cxl-down@5us+20us;stack-down@20us:1"),
+            (&CHAOS_RETRY_NS, "250"),
+            (&TRACE, "t.json"),
+            (&TRACE_START, "1.5"),
+            (&TRACE_CAP, "64"),
+            (&TIMELINE, "tl.json"),
+            (&TIMELINE_WINDOW_NS, "5000"),
+            (&PROFILE, "1"),
+        ])
+        .expect("valid values");
+        assert_eq!(set.fault.seed, Some(42));
+        assert_eq!(set.fault.mem_ce, 1e-2);
+        assert_eq!(set.fault.cxl_ber, fault::DEFAULT_CXL_BER);
+        assert_eq!(set.chaos.events.len(), 2);
+        assert_eq!(set.chaos.retry, Time::from_ns(250));
+        let trace = set.telemetry.trace.expect("trace path set");
+        assert_eq!((trace.start, trace.stop, trace.capacity), (Time::from_ns(1500), Time::MAX, 64));
+        let timeline = set.telemetry.timeline.expect("timeline path set");
+        assert_eq!(timeline.window, Time::from_ns(5000));
+        assert_eq!(timeline.capacity, TimelineConfig::DEFAULT_CAPACITY);
+        assert!(set.telemetry.profile);
+
+        // Each bad value is an error naming its knob, never a fallback.
+        let bad: [(&Knob, &str); 12] = [
+            (&FAULT_SEED, "nope"),
+            (&FAULT_CXL_BER, "x"),
+            (&FAULT_MEM_CE, "2"),
+            (&FAULT_MEM_UE, "-1"),
+            (&FAULT_NOC_FER, "NaN"),
+            (&CHAOS, "bogus"),
+            (&CHAOS, "cxl-down@10us"),
+            (&CHAOS_RETRY_NS, "0"),
+            (&TRACE_START, "-3"),
+            (&TRACE_CAP, "many"),
+            (&TIMELINE_WINDOW_NS, "0"),
+            (&TIMELINE_CAP, "1.5"),
+        ];
+        for (knob, value) in bad {
+            let err = overrides(&[(knob, value)]).expect_err(value);
+            assert!(err.starts_with(&format!("{}=", knob.name)), "{err}");
+        }
+    }
+
+    #[test]
+    fn overrides_come_before_the_tweak() {
+        let o = Overrides { fault: FaultConfig::with_seed(7), ..Overrides::default() };
+        let spec = RunSpec::new(MemKind::Hbm, PolicyKind::NdpExt, "pr", BenchScale::Test);
+        assert_eq!(o.onto(spec.clone()).config().fault.seed, Some(7));
+        let tweaked = spec.with_tweak(|cfg| cfg.fault = FaultConfig::disabled());
+        assert_eq!(o.onto(tweaked).config().fault.seed, None, "the cell's tweak has the last word");
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! Two properties are pinned at the bench level, above the core unit tests:
 //!
-//! 1. **Chaos-off fidelity** — with an explicitly disabled
-//!    [`ChaosConfig`], the committed `BENCH_PERF.json` digests reproduce
-//!    exactly and the registry carries no `chaos.` scope: the layer is
-//!    free when unused.
-//! 2. **Recovery under escalation** — a mid-run stack loss across every
-//!    policy completes without deadlock, leaves zero streams resident on
-//!    the dead stack, publishes per-event recovery records, and replays
-//!    byte-identically at one and at four worker threads.
+//! 1. **Chaos-off fidelity** — with no schedule configured, the committed
+//!    `BENCH_PERF.json` digests reproduce exactly and the registry carries
+//!    no `chaos.` scope: the layer is free when unused.
+//! 2. **Recovery under escalation** — a CXL outage and a mid-run stack
+//!    loss across every policy complete without deadlock, leave zero
+//!    streams resident on the dead stack, publish a recovery record for
+//!    every applied event, and replay byte-identically at one and at four
+//!    worker threads.
 
 mod common;
 
@@ -38,18 +38,13 @@ fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunRep
 fn chaos_off_reproduces_committed_perf_digests() {
     let committed = common::committed_digests();
     // One workload row covers every policy without re-running the full
-    // 36-cell matrix in a debug build. The disabled config is forced
-    // explicitly so a stray NDPX_CHAOS in the test environment cannot
-    // reach the cells.
+    // 36-cell matrix in a debug build.
     let ops = gauge_ops(BenchScale::Test);
     let specs: Vec<RunSpec> = PolicyKind::ALL
         .iter()
-        .map(|&policy| {
-            RunSpec {
-                ops_per_core: ops,
-                ..RunSpec::new(MemKind::Hbm, policy, "pr", BenchScale::Test)
-            }
-            .with_tweak(|cfg| cfg.chaos = ChaosConfig::disabled())
+        .map(|&policy| RunSpec {
+            ops_per_core: ops,
+            ..RunSpec::new(MemKind::Hbm, policy, "pr", BenchScale::Test)
         })
         .collect();
     let reports = run_fresh(4, TraceCache::new(), &specs);
@@ -63,8 +58,7 @@ fn chaos_off_reproduces_committed_perf_digests() {
         assert_eq!(
             report_digest(report),
             baseline,
-            "{key}: with {} unset the chaos-off path must be bit-identical to main",
-            ndpx_sim::knobs::CHAOS.name
+            "{key}: with no schedule the chaos-off path must be bit-identical to main"
         );
         assert!(
             !report.registry.iter().any(|(path, _)| path.starts_with("chaos.")),
@@ -79,8 +73,9 @@ fn chaos_off_reproduces_committed_perf_digests() {
 
 #[test]
 fn stack_loss_recovers_and_is_thread_invariant() {
-    // Stack 1 dies permanently at 20us, mid-run for a 20k-op cell at test
-    // scale. Every policy must drain its dead-stack streams and finish.
+    // The CXL link is down from 5us to 25us and stack 1 dies permanently at
+    // 20us, mid-run for a 20k-op cell at test scale. Every policy must ride
+    // out the outage, drain its dead-stack streams and finish.
     let specs: Vec<RunSpec> = PolicyKind::ALL
         .iter()
         .map(|&policy| {
@@ -89,8 +84,8 @@ fn stack_loss_recovers_and_is_thread_invariant() {
                 ..RunSpec::new(MemKind::Hbm, policy, "pr", BenchScale::Test)
             }
             .with_tweak(|cfg| {
-                cfg.chaos =
-                    ChaosConfig::parse(Some("stack-down@20us:1"), None).expect("valid chaos spec")
+                cfg.chaos = ChaosConfig::parse(Some("cxl-down@5us+20us;stack-down@20us:1"), None)
+                    .expect("valid chaos spec")
             })
         })
         .collect();
@@ -99,7 +94,7 @@ fn stack_loss_recovers_and_is_thread_invariant() {
     for ((spec, a), b) in specs.iter().zip(&serial).zip(&pooled) {
         let key = cell_key(spec);
         assert!(a.sim_time.as_ps() > 0, "{key}: run must complete under stack loss");
-        assert_eq!(count(a, "chaos.applied"), 1, "{key}: the scheduled loss must fire");
+        assert_eq!(count(a, "chaos.applied"), 2, "{key}: both scheduled failures must fire");
         assert!(
             count(a, "chaos.forced_reconfigs") >= 1,
             "{key}: the loss must force a re-placement"
@@ -109,10 +104,14 @@ fn stack_loss_recovers_and_is_thread_invariant() {
             0,
             "{key}: no stream may end the run resident on the dead stack"
         );
-        assert!(
-            a.registry.get("fault.recovery.e00.ttr_ps").is_some(),
-            "{key}: the applied event must publish a recovery record"
-        );
+        for e in 0..count(a, "chaos.applied") {
+            // Windowed failures report their outage as TTR; permanent ones
+            // report the re-placement drain, which a policy with nothing to
+            // move may finish in zero time, so the record's presence is
+            // asserted, not its magnitude.
+            let ttr = format!("fault.recovery.e{e:02}.ttr_ps");
+            assert!(a.registry.get(&ttr).is_some(), "{key}: applied event {e} has no {ttr}");
+        }
         assert_eq!(
             a.registry.to_json(),
             b.registry.to_json(),

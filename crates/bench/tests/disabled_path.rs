@@ -12,12 +12,11 @@ use std::time::Instant;
 
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops};
-use ndpx_bench::pool::{expect_ok, CellPool, CellTask};
+use ndpx_bench::pool::CellPool;
 use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
 use ndpx_bench::TraceCache;
-use ndpx_core::config::{MemKind, PolicyKind};
+use ndpx_core::config::{MemKind, PolicyKind, TelemetryConfig};
 use ndpx_core::stats::RunReport;
-use ndpx_core::system::NdpSystem;
 use ndpx_sim::telemetry::TimelineConfig;
 use ndpx_sim::Time;
 
@@ -74,35 +73,23 @@ fn full_telemetry_does_not_move_a_digest() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("disabled_path_tl");
     std::fs::create_dir_all(&dir).expect("create timeline dir");
     let specs = specs();
-    let cache = TraceCache::new();
-    let cache = &cache;
+    let mut tl = TimelineConfig::to_path(dir.join("timeline.json"));
+    tl.window = Time::from_ns(2_000);
+    let telemetry = TelemetryConfig { timeline: Some(tl), profile: true, ..Default::default() };
+    let traced: Vec<RunSpec> = specs
+        .iter()
+        .map(|spec| {
+            let telemetry = telemetry.clone();
+            spec.clone().with_tweak(move |cfg| cfg.telemetry = telemetry.clone())
+        })
+        .collect();
 
     let t_off = Instant::now();
     let off = run_fresh(1, TraceCache::new(), &specs);
     let wall_off = t_off.elapsed();
 
     let t_on = Instant::now();
-    let tasks: Vec<CellTask<'_, RunReport>> = specs
-        .iter()
-        .map(|spec| {
-            let dir = dir.clone();
-            Box::new(move || {
-                let cfg = spec.scale.system(spec.mem, spec.policy);
-                let params = spec.scale.workload(&cfg);
-                let wl = cache.workload(spec.workload, &params, spec.ops_per_core);
-                let mut sys = NdpSystem::new(cfg, wl).expect("static bench config");
-                let mut tl = TimelineConfig::to_path(dir.join("timeline.json"));
-                tl.window = Time::from_ns(2_000);
-                sys.set_timeline(Some(tl));
-                sys.set_profile(true);
-                sys.run(spec.ops_per_core)
-            }) as CellTask<'_, RunReport>
-        })
-        .collect();
-    let on: Vec<RunReport> = expect_ok(CellPool::with_threads(1).run_cells(None, tasks))
-        .into_iter()
-        .map(|r| r.value)
-        .collect();
+    let on = run_fresh(1, TraceCache::new(), &traced);
     let wall_on = t_on.elapsed();
 
     for ((spec, a), b) in specs.iter().zip(&off).zip(&on) {

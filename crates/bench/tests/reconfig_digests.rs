@@ -20,6 +20,12 @@
 //! stream held and empties its arrays instead of moving entries, and the
 //! line-grain Jigsaw baseline on pr, whose direct-mapped arrays over 64 B
 //! slots both keep and drop lines when consistent hashing re-places them.
+//!
+//! The last test runs all seven pins again with the sim-phase profiler and
+//! a timeline attached through each cell's configuration: observing a run
+//! must not move its digest.
+
+use std::path::Path;
 
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::pool::CellPool;
@@ -28,7 +34,7 @@ use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind, ReconfigTransfer};
 use ndpx_core::stats::RunReport;
 use ndpx_sim::chaos::ChaosConfig;
-use ndpx_sim::telemetry::StatValue;
+use ndpx_sim::telemetry::{StatValue, TimelineConfig};
 
 /// Runs `specs` on a fresh session, so every cell simulates even when
 /// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
@@ -44,8 +50,7 @@ fn count(r: &RunReport, path: &str) -> u64 {
     r.registry.get(path).and_then(StatValue::as_count).unwrap_or(0)
 }
 
-/// A cell at test scale with a tenfold shorter epoch. Chaos is forced
-/// explicitly so an environment schedule cannot reach the cell.
+/// A cell at test scale with a tenfold shorter epoch.
 fn spec(policy: PolicyKind, workload: &'static str, chaos: Option<&'static str>) -> RunSpec {
     spec_with(policy, workload, chaos, ReconfigTransfer::ConsistentHash)
 }
@@ -60,22 +65,21 @@ fn spec_with(
     RunSpec::new(MemKind::Hbm, policy, workload, BenchScale::Test).with_tweak(move |cfg| {
         cfg.epoch_cycles /= EPOCH_DIV;
         cfg.transfer = transfer;
-        cfg.chaos = match chaos {
-            Some(s) => ChaosConfig::parse(Some(s), None).expect("valid chaos spec"),
-            None => ChaosConfig::disabled(),
-        };
+        if let Some(s) = chaos {
+            cfg.chaos = ChaosConfig::parse(Some(s), None).expect("valid chaos spec");
+        }
     })
 }
 
-#[test]
-fn reconfiguring_cells_keep_their_digests() {
+/// The cells whose epochs or chaos events reconfigure: (name, spec,
+/// pinned digest, migrates). The chaos events land about halfway through
+/// the bfs run (~650us of simulated time). The static cells migrate
+/// nothing: equal shares on the surviving units are unchanged, so
+/// consistent hashing keeps every surviving entry in place.
+fn epoch_pins() -> Vec<(&'static str, RunSpec, u64, bool)> {
     use PolicyKind::{NdpExt, NdpExtStatic};
-    // (name, spec, pinned digest, migrates); the chaos events land about
-    // halfway through the bfs run (~650us of simulated time). The static
-    // cells migrate nothing: equal shares on the surviving units are
-    // unchanged, so consistent hashing keeps every surviving entry in place.
-    let cells = [
-        ("bfs", spec(NdpExt, "bfs", None), 0x4897_b852_6d1f_615c_u64, true),
+    vec![
+        ("bfs", spec(NdpExt, "bfs", None), 0x4897_b852_6d1f_615c, true),
         ("recsys", spec(NdpExt, "recsys", None), 0x9155_b161_d090_37e9, true),
         (
             "bfs+stack-down",
@@ -95,7 +99,29 @@ fn reconfiguring_cells_keep_their_digests() {
             0x8d48_b507_8021_260d,
             false,
         ),
-    ];
+    ]
+}
+
+/// The cells pinning the other two ways a reconfiguration rebuilds tag
+/// arrays: (name, spec, pinned digest). NDPExt empties every changed
+/// stream's arrays and counts their occupancy; Jigsaw re-places 64 B lines
+/// through direct-mapped arrays under consistent hashing. (Jigsaw on bfs
+/// finds a free slot for every line it moves, so it would not pin the
+/// dropped-line path; pr does.)
+fn transfer_pins() -> Vec<(&'static str, RunSpec, u64)> {
+    vec![
+        (
+            "bfs bulk-invalidate",
+            spec_with(PolicyKind::NdpExt, "bfs", None, ReconfigTransfer::BulkInvalidate),
+            0x1d1c_c732_b8d1_4fa7,
+        ),
+        ("jigsaw pr", spec(PolicyKind::Jigsaw, "pr", None), 0x8489_3c1b_9ad3_28b7),
+    ]
+}
+
+#[test]
+fn reconfiguring_cells_keep_their_digests() {
+    let cells = epoch_pins();
     let specs: Vec<RunSpec> = cells.iter().map(|(_, s, _, _)| s.clone()).collect();
     let reports = run_fresh(1, TraceCache::new(), &specs);
     for ((name, _, want, migrates), r) in cells.iter().zip(&reports) {
@@ -115,19 +141,7 @@ fn reconfiguring_cells_keep_their_digests() {
 
 #[test]
 fn bulk_invalidate_and_line_grain_cells_keep_their_digests() {
-    // (name, spec, pinned digest): NDPExt empties every changed stream's
-    // arrays and counts their occupancy; Jigsaw re-places 64 B lines
-    // through direct-mapped arrays under consistent hashing. (Jigsaw on bfs
-    // finds a free slot for every line it moves, so it would not pin the
-    // dropped-line path; pr does.)
-    let cells = [
-        (
-            "bfs bulk-invalidate",
-            spec_with(PolicyKind::NdpExt, "bfs", None, ReconfigTransfer::BulkInvalidate),
-            0x1d1c_c732_b8d1_4fa7_u64,
-        ),
-        ("jigsaw pr", spec(PolicyKind::Jigsaw, "pr", None), 0x8489_3c1b_9ad3_28b7),
-    ];
+    let cells = transfer_pins();
     let specs: Vec<RunSpec> = cells.iter().map(|(_, s, _)| s.clone()).collect();
     let reports = run_fresh(1, TraceCache::new(), &specs);
     for ((name, _, want), r) in cells.iter().zip(&reports) {
@@ -136,4 +150,41 @@ fn bulk_invalidate_and_line_grain_cells_keep_their_digests() {
         let got = report_digest(r);
         assert_eq!(got, *want, "{name}: digest moved to {got:016x}");
     }
+}
+
+#[test]
+fn pins_hold_with_the_profiler_and_timelines_on() {
+    // The SamplerSolve/Rehash profiler spans and the slo.* epoch stats wrap
+    // the reused solver and apply_allocation, healthy and under chaos:
+    // telemetry must not move these digests either.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("reconfig_digests_tl");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the timeline directory");
+    let pins: Vec<(&str, RunSpec, u64)> = epoch_pins()
+        .into_iter()
+        .map(|(name, spec, digest, _)| (name, spec, digest))
+        .chain(transfer_pins())
+        .collect();
+    assert_eq!(pins.len(), 7);
+    let specs: Vec<RunSpec> = pins
+        .iter()
+        .enumerate()
+        .map(|(i, (_, spec, _))| {
+            let tweak = spec.tweak.clone().expect("every pin is tweaked");
+            let timeline = TimelineConfig::to_path(dir.join(format!("pin{i}.json")));
+            spec.clone().with_tweak(move |cfg| {
+                tweak(cfg);
+                cfg.telemetry.timeline = Some(timeline.clone());
+                cfg.telemetry.profile = true;
+            })
+        })
+        .collect();
+    let reports = run_fresh(1, TraceCache::new(), &specs);
+    for ((name, _, want), r) in pins.iter().zip(&reports) {
+        let got = report_digest(r);
+        assert_eq!(got, *want, "{name}: telemetry moved the digest to {got:016x}");
+        let has = |scope: &str| r.registry.iter().any(|(path, _)| path.starts_with(scope));
+        assert!(has("profile.") && has("slo."), "{name}: profile.* and slo.* must be recorded");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

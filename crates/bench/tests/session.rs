@@ -3,16 +3,17 @@
 //! A [`Session`] simulates each distinct cell once, keyed on the effective
 //! (post-tweak) configuration, the workload and the ops per core, and each
 //! run's `<run>.cells.json` document lists each simulated cell once under
-//! its own name.
+//! its own name. The session's overrides reach every cell it runs.
 
 use std::path::Path;
 
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{run_ndp_cached, BenchScale, Cell, RunSpec, Session};
+use ndpx_bench::runner::{run_ndp_cached, BenchScale, Cell, Overrides, RunSpec, Session};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind, ReconfigTransfer};
-use ndpx_sim::telemetry::Json;
+use ndpx_sim::knobs;
+use ndpx_sim::telemetry::{Json, StatValue};
 
 const OPS: u64 = 750;
 
@@ -86,5 +87,36 @@ fn registry_dump_lists_each_simulated_cell_once() {
         .collect();
     written.sort();
     assert_eq!(written, ["first.cells.json", "second.cells.json"], "one file per run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn overrides_reach_ndp_and_host_cells() {
+    // The knobs as `Session::from_env` would read them, through a lookup
+    // table instead of the (process-global, racy) environment.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("session_overrides");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the timeline directory");
+    let timeline = dir.join("timeline.json").to_string_lossy().into_owned();
+    let env = [
+        (knobs::FAULT_SEED.name, "42".to_string()),
+        (knobs::FAULT_MEM_CE.name, "1e-2".to_string()),
+        (knobs::TIMELINE.name, timeline),
+    ];
+    let mut session = Session::new(BenchScale::Test, CellPool::with_threads(2), TraceCache::new());
+    session.overrides =
+        Overrides::parse(|k| env.iter().find(|(n, _)| *n == k.name).map(|(_, v)| v.clone()))
+            .expect("valid overrides");
+    let cells = [Cell::ndp("", spec(PolicyKind::NdpExt, "pr")), Cell::host("pr", OPS)];
+    let reports = session.run("overrides", cells);
+    let count = |path| reports[0].registry.get(path).and_then(StatValue::as_count).unwrap_or(0);
+    assert!(count("fault.mem.rolls") > 0, "the fault seed must reach the NDP cell");
+    assert!(count("fault.mem.ce") > 0, "a 1e-2 CE rate must inject");
+    let written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("timelines written")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(written.len(), 2, "one timeline per cell, the host's included: {written:?}");
+    assert!(written.iter().any(|n| n.contains("Host")), "{written:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,8 +11,9 @@
 //! * A trace written by a real simulation run must parse against the
 //!   Chrome trace-event schema.
 //!
-//! Pools and trace sinks are configured through their APIs, never the
-//! process environment (parallel tests race on env vars).
+//! Pools and trace sinks are configured through their APIs and the cell
+//! configuration, never the process environment (parallel tests race on
+//! env vars).
 
 use ndpx_bench::gauge::{cell_key, gauge_specs};
 use ndpx_bench::manifest::{emit, render};
@@ -21,6 +22,7 @@ use ndpx_bench::runner::{run_host_cached, run_ndp_cached, BenchScale, RunSpec};
 use ndpx_bench::{CellResult, TraceCache};
 use ndpx_core::stats::RunReport;
 use ndpx_core::system::NdpSystem;
+use ndpx_core::SystemConfig;
 use ndpx_sim::telemetry::{validate_chrome_trace, Json, TraceConfig};
 use ndpx_workloads::trace::ScaleParams;
 use ndpx_workloads::TraceCacheStats;
@@ -42,7 +44,7 @@ fn run_matrix(pool: CellPool) -> (Vec<String>, Outcomes) {
         .map(|spec| Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, RunReport>)
         .collect();
     names.push("host/pr".to_string());
-    tasks.push(Box::new(move || run_host_cached("pr", BenchScale::Test, OPS, cache)));
+    tasks.push(Box::new(move || run_host_cached("pr", BenchScale::Test, OPS, None, cache)));
     (names, pool.run_cells(None, tasks))
 }
 
@@ -138,12 +140,11 @@ fn emitted_trace_is_valid_chrome_trace_json() {
     std::fs::create_dir_all(&dir).expect("create trace dir");
     let requested = dir.join("trace.json");
 
-    let cfg = ndpx_core::SystemConfig::test(ndpx_core::config::PolicyKind::NdpExt);
+    let mut cfg = SystemConfig::test(ndpx_core::config::PolicyKind::NdpExt);
+    cfg.telemetry.trace = Some(TraceConfig::to_path(&requested));
     let params = ScaleParams { cores: cfg.units(), footprint: 4 << 20, seed: 7 };
     let wl = ndpx_workloads::build("pr", &params).unwrap().unwrap();
-    let mut sys = NdpSystem::new(cfg, wl).unwrap();
-    sys.set_trace(Some(TraceConfig::to_path(&requested)));
-    let report = sys.run(2000);
+    let report = NdpSystem::new(cfg, wl).unwrap().run(2000);
     assert!(report.ops > 0);
 
     // The sink sequences its output path for parallel-cell uniqueness, so

@@ -4,19 +4,18 @@
 //! their bytes are a pure function of the run: identical at any pool width
 //! and under seeded fault injection.
 //!
-//! Timelines and the profiler are configured through their APIs
-//! (`set_timeline` / `set_profile`), never the environment: parallel tests
-//! race on env vars.
+//! Timelines and the profiler are set in each cell's configuration, never
+//! the environment: parallel tests race on env vars.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use ndpx_bench::gauge::gauge_specs;
-use ndpx_bench::pool::{expect_ok, CellPool, CellTask};
-use ndpx_bench::runner::{BenchScale, RunSpec};
+use ndpx_bench::pool::CellPool;
+use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
 use ndpx_bench::TraceCache;
+use ndpx_core::config::TelemetryConfig;
 use ndpx_core::stats::RunReport;
-use ndpx_core::system::NdpSystem;
 use ndpx_sim::fault::FaultConfig;
 use ndpx_sim::telemetry::TimelineConfig;
 use ndpx_sim::Time;
@@ -27,8 +26,8 @@ fn small_matrix() -> Vec<RunSpec> {
     gauge_specs(BenchScale::Test, 500).into_iter().step_by(3).collect()
 }
 
-/// Runs the matrix on a pool of `threads`, each cell writing its timeline
-/// under `dir` and attributing phases, and returns the reports.
+/// Runs the matrix on a fresh session of `threads`, each cell writing its
+/// timeline under `dir` and attributing phases, and returns the reports.
 fn run_with_timelines(
     threads: usize,
     dir: &Path,
@@ -36,37 +35,26 @@ fn run_with_timelines(
     fault: bool,
 ) -> Vec<RunReport> {
     std::fs::create_dir_all(dir).expect("create timeline dir");
-    let cache = TraceCache::new();
-    let cache = &cache;
-    let tasks: Vec<CellTask<'_, RunReport>> = specs
-        .iter()
-        .map(|spec| {
-            let dir = dir.to_path_buf();
-            Box::new(move || {
-                let mut cfg = spec.scale.system(spec.mem, spec.policy);
-                if fault {
-                    let mut f = FaultConfig::with_seed(42);
-                    f.cxl_ber = 1e-7;
-                    f.mem_ce = 1e-2;
-                    f.mem_ue = 1e-5;
-                    f.noc_fer = 1e-5;
-                    cfg.fault = f;
-                }
-                let params = spec.scale.workload(&cfg);
-                let wl = cache.workload(spec.workload, &params, spec.ops_per_core);
-                let mut sys = NdpSystem::new(cfg, wl).expect("static bench config");
-                let mut tl = TimelineConfig::to_path(dir.join("timeline.json"));
-                tl.window = Time::from_ns(2_000);
-                sys.set_timeline(Some(tl));
-                sys.set_profile(true);
-                sys.run(spec.ops_per_core)
-            }) as CellTask<'_, RunReport>
-        })
-        .collect();
-    expect_ok(CellPool::with_threads(threads).run_cells(None, tasks))
-        .into_iter()
-        .map(|r| r.value)
-        .collect()
+    let mut tl = TimelineConfig::to_path(dir.join("timeline.json"));
+    tl.window = Time::from_ns(2_000);
+    let cells = specs.iter().map(|spec| {
+        let tl = tl.clone();
+        let spec = spec.clone().with_tweak(move |cfg| {
+            if fault {
+                let mut f = FaultConfig::with_seed(42);
+                f.cxl_ber = 1e-7;
+                f.mem_ce = 1e-2;
+                f.mem_ue = 1e-5;
+                f.noc_fer = 1e-5;
+                cfg.fault = f;
+            }
+            cfg.telemetry =
+                TelemetryConfig { timeline: Some(tl.clone()), profile: true, ..Default::default() };
+        });
+        Cell::ndp("", spec)
+    });
+    let pool = CellPool::with_threads(threads);
+    Session::new(BenchScale::Test, pool, TraceCache::new()).run("timelines", cells)
 }
 
 /// All timeline files under `dir`, keyed by file name.

@@ -6,6 +6,7 @@ use ndpx_noc::network::LinkParams;
 use ndpx_noc::topology::{IntraKind, Topology};
 use ndpx_sim::chaos::{ChaosConfig, ChaosKind};
 use ndpx_sim::fault::FaultConfig;
+use ndpx_sim::telemetry::{TimelineConfig, TraceConfig};
 use ndpx_sim::time::{Freq, Time};
 
 /// Which 3D memory family backs the NDP stacks.
@@ -84,6 +85,18 @@ pub enum ReconfigTransfer {
     ConsistentHash,
 }
 
+/// The observers a run attaches. None by default; they read simulated
+/// state and never change it, so no digest depends on them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TelemetryConfig {
+    /// Chrome trace-event export.
+    pub trace: Option<TraceConfig>,
+    /// Windowed timeline of the stat registry.
+    pub timeline: Option<TimelineConfig>,
+    /// Sim-phase profiler (`profile.*` registry scope).
+    pub profile: bool,
+}
+
 /// Full system configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
@@ -145,16 +158,15 @@ pub struct SystemConfig {
     pub metadata_block: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Fault-injection configuration. Profiles read it from the
-    /// `NDPX_FAULT_*` environment (like the trace sink); tests override the
-    /// field directly. Disabled by default, in which case every device keeps
-    /// the ideal fault-free path.
+    /// Fault-injection configuration. Disabled by default, in which case
+    /// every device keeps the ideal fault-free path.
     pub fault: FaultConfig,
-    /// Hard-failure schedule (device and link loss). Profiles read it from
-    /// `NDPX_CHAOS` / `NDPX_CHAOS_RETRY_NS`; tests set the field directly.
-    /// Disabled (no events) by default, in which case no escalation machinery
-    /// engages and runs are byte-identical to the ideal path.
+    /// Hard-failure schedule (device and link loss). Disabled (no events)
+    /// by default, in which case no escalation machinery engages and runs
+    /// are byte-identical to the ideal path.
     pub chaos: ChaosConfig,
+    /// Observers attached to the run; none by default.
+    pub telemetry: TelemetryConfig,
 }
 
 impl SystemConfig {
@@ -194,8 +206,9 @@ impl SystemConfig {
             metadata_cache_bytes: 128 << 10,
             metadata_block: 512,
             seed: 0x5EED_0D9C,
-            fault: FaultConfig::from_env(),
-            chaos: ChaosConfig::from_env(),
+            fault: FaultConfig::disabled(),
+            chaos: ChaosConfig::disabled(),
+            telemetry: TelemetryConfig::default(),
         }
     }
 

@@ -29,7 +29,7 @@
 //! batch.
 
 use ndpx_sim::engine::{BatchStats, EventQueue, ProgressWatchdog, QueueStats, BATCH_CAP};
-use ndpx_sim::telemetry::{StatRegistry, TimelineSampler};
+use ndpx_sim::telemetry::{StatRegistry, TimelineConfig, TimelineSampler};
 use ndpx_sim::time::Time;
 use ndpx_sim::{ndpx_info, ndpx_warn};
 use ndpx_workloads::trace::Op;
@@ -44,8 +44,8 @@ pub(crate) struct Engine {
     pub(crate) batch_stats: BatchStats,
     /// Progress-watchdog stall diagnostics observed during the run.
     pub(crate) stalls: u64,
-    /// Opt-in windowed timeline sampler (`NDPX_TIMELINE`); `None` costs one
-    /// branch per scheduler pop.
+    /// Opt-in windowed timeline sampler; `None` costs one branch per
+    /// scheduler pop.
     pub(crate) timeline: Option<Box<TimelineSampler>>,
 }
 
@@ -59,13 +59,13 @@ pub(crate) enum EngineScope<'a> {
 }
 
 impl Engine {
-    /// Batching on, no stalls, the timeline `NDPX_TIMELINE` configures.
-    pub(crate) fn from_env() -> Self {
+    /// Batching on, no stalls, and a sampler if `timeline` configures one.
+    pub(crate) fn new(timeline: Option<&TimelineConfig>) -> Self {
         Engine {
             batch: true,
             batch_stats: BatchStats::default(),
             stalls: 0,
-            timeline: TimelineSampler::from_env().map(Box::new),
+            timeline: timeline.map(|c| Box::new(TimelineSampler::new(c.clone()))),
         }
     }
 

@@ -14,7 +14,7 @@ use ndpx_sim::energy::Power;
 use ndpx_sim::engine::ProgressWatchdog;
 use ndpx_sim::rng::hash_range;
 use ndpx_sim::stats::Histogram;
-use ndpx_sim::telemetry::{StatRegistry, TimelineSampler};
+use ndpx_sim::telemetry::{StatRegistry, TimelineConfig};
 use ndpx_sim::time::{Freq, Time};
 use ndpx_workloads::trace::{Op, Workload};
 
@@ -44,6 +44,8 @@ pub struct HostConfig {
     pub hop_cycles: u64,
     /// Main-memory capacity.
     pub mem_capacity: u64,
+    /// Windowed timeline of the run's stat registry; none by default.
+    pub timeline: Option<TimelineConfig>,
 }
 
 impl HostConfig {
@@ -59,6 +61,7 @@ impl HostConfig {
             bank_cycles: 9,
             hop_cycles: 3,
             mem_capacity: 512 << 30,
+            timeline: None,
         }
     }
 
@@ -161,21 +164,15 @@ impl HostSystem {
             table: workload.table,
             source: workload.source,
             workload_name: workload.name,
-            cfg,
             breakdown: Breakdown::default(),
             mem_ops: 0,
             l1_hits: 0,
             llc_hits: 0,
             llc_misses: 0,
             access_latency: Histogram::new(),
-            engine: Engine::from_env(),
+            engine: Engine::new(cfg.timeline.as_ref()),
+            cfg,
         })
-    }
-
-    /// Attaches (or, with `None`, detaches) a windowed timeline sampler,
-    /// overriding whatever `NDPX_TIMELINE` configured at construction.
-    pub fn set_timeline(&mut self, cfg: Option<ndpx_sim::telemetry::TimelineConfig>) {
-        self.engine.timeline = cfg.map(|c| Box::new(TimelineSampler::new(c)));
     }
 
     /// Enables or disables run-ahead batching for this host. Bit-identical
@@ -191,11 +188,11 @@ impl HostSystem {
     /// [`crate::system::NdpSystem::run`]. The host has no epochs or chaos,
     /// so only a timeline boundary bounds the private horizon.
     pub fn run(&mut self, ops_per_core: u64) -> RunReport {
-        self.run_with_watchdog(ops_per_core, ProgressWatchdog::from_env())
+        self.run_with_watchdog(ops_per_core, ProgressWatchdog::new(ProgressWatchdog::DEFAULT_LIMIT))
     }
 
     /// [`run`](Self::run) with an explicit progress watchdog (tests inject
-    /// small limits; the environment default is `NDPX_STALL_ITERS`).
+    /// small limits).
     pub fn run_with_watchdog(
         &mut self,
         ops_per_core: u64,
@@ -430,18 +427,14 @@ mod tests {
 
     #[test]
     fn host_timeline_writes_and_stays_bit_identical() {
-        use ndpx_sim::telemetry::TimelineConfig;
-
         let base = run_host("mv", 8, 1500);
-        let cfg = HostConfig::test(8);
-        let p = ScaleParams { cores: 8, footprint: 8 << 20, seed: 42 };
-        let wl = ndpx_workloads::build("mv", &p).unwrap().unwrap();
-        let mut sys = HostSystem::new(cfg, wl).unwrap();
         let stem = std::env::temp_dir().join("ndpx-host-test-timeline.json");
         let mut tc = TimelineConfig::to_path(&stem);
         tc.window = Time::from_ns(2_000);
-        sys.set_timeline(Some(tc));
-        let r = sys.run(1500);
+        let cfg = HostConfig { timeline: Some(tc), ..HostConfig::test(8) };
+        let p = ScaleParams { cores: 8, footprint: 8 << 20, seed: 42 };
+        let wl = ndpx_workloads::build("mv", &p).unwrap().unwrap();
+        let r = HostSystem::new(cfg, wl).unwrap().run(1500);
         assert_eq!(r.sim_time, base.sim_time, "sampling must not perturb results");
         let path = std::env::temp_dir().join("ndpx-host-test-timeline.Host-mv.json");
         let text = std::fs::read_to_string(&path).expect("timeline written");

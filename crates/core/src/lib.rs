@@ -41,7 +41,7 @@ mod driver;
 pub mod layout;
 pub mod runtime;
 
-pub use config::{MemKind, PolicyKind, ReconfigTransfer, SystemConfig};
+pub use config::{MemKind, PolicyKind, ReconfigTransfer, SystemConfig, TelemetryConfig};
 
 pub mod stats;
 pub mod system;

@@ -1,4 +1,4 @@
-//! Hard-failure escalation (`NDPX_CHAOS`): scheduled stack, link, and CXL
+//! Hard-failure escalation (`cfg.chaos`): scheduled stack, link, and CXL
 //! outages, their restores, forced re-placement, and the `chaos.*` and
 //! `fault.recovery.*` stats.
 

@@ -47,7 +47,7 @@ use ndpx_sim::fastdiv::Divisor;
 use ndpx_sim::fault::domain;
 use ndpx_sim::stats::Histogram;
 use ndpx_sim::telemetry::log::{enabled, Level};
-use ndpx_sim::telemetry::{Phase, PhaseProfiler, StatRegistry, TimelineSampler, TraceSink};
+use ndpx_sim::telemetry::{Phase, PhaseProfiler, StatRegistry, TraceSink};
 use ndpx_sim::time::Time;
 use ndpx_sim::{ndpx_info, ndpx_warn};
 use ndpx_stream::StreamTable;
@@ -168,16 +168,16 @@ pub struct NdpSystem {
     /// boolean test instead of an atomic load per access.
     trace_noc: bool,
     trace_alloc: bool,
-    /// Opt-in Chrome-trace exporter (`NDPX_TRACE`); `None` costs one branch
-    /// per recording site.
+    /// Opt-in Chrome-trace exporter (`cfg.telemetry.trace`); `None` costs
+    /// one branch per recording site.
     trace: Option<Box<TraceSink>>,
-    /// Opt-in sim-phase profiler (`NDPX_PROFILE`); phase boundaries are
-    /// per-epoch, so the hot path never sees it.
+    /// Opt-in sim-phase profiler (`cfg.telemetry.profile`); phase
+    /// boundaries are per-epoch, so the hot path never sees it.
     profile: Option<Box<PhaseProfiler>>,
     /// Epoch SLO stats; active only while a time-resolved consumer is
     /// attached (see [`SloTracker`]).
     slo: SloTracker,
-    /// Hard-failure escalation state (`NDPX_CHAOS`); `None` whenever the
+    /// Hard-failure escalation state (`cfg.chaos`); `None` whenever the
     /// schedule is empty, keeping chaos-off runs byte-identical.
     chaos: Option<Box<ChaosState>>,
 }
@@ -246,7 +246,6 @@ impl NdpSystem {
             workload_name: workload.name,
             line_div: Divisor::new(cfg.line_bytes.max(1)),
             meta_div: Divisor::new(cfg.metadata_block.max(1)),
-            cfg,
             mem_ops: 0,
             l1_hits: 0,
             cache_hits: 0,
@@ -262,13 +261,14 @@ impl NdpSystem {
             stream_aborts: 0,
             replicated_fraction: 0.0,
             access_latency: Histogram::new(),
-            engine: Engine::from_env(),
+            engine: Engine::new(cfg.telemetry.timeline.as_ref()),
             trace_noc: enabled(Level::Trace),
             trace_alloc: enabled(Level::Debug),
-            trace: TraceSink::from_env().map(Box::new),
-            profile: PhaseProfiler::from_env().map(Box::new),
+            trace: cfg.telemetry.trace.clone().map(|c| Box::new(TraceSink::new(c))),
+            profile: cfg.telemetry.profile.then(Box::default),
             slo: SloTracker::default(),
             chaos: None,
+            cfg,
         };
         sys.slo.enabled = sys.engine.timeline.is_some() || sys.profile.is_some();
         sys.rebuild_noc_matrices();
@@ -316,42 +316,12 @@ impl NdpSystem {
         Ok(sys)
     }
 
-    /// Attaches (or, with `None`, detaches) a Chrome-trace exporter,
-    /// overriding whatever `NDPX_TRACE` configured at construction. Lets
-    /// tests and embedders enable tracing without touching the process
-    /// environment.
-    pub fn set_trace(&mut self, cfg: Option<ndpx_sim::telemetry::TraceConfig>) {
-        self.trace = cfg.map(|c| Box::new(TraceSink::new(c)));
-    }
-
-    /// Attaches (or, with `None`, detaches) a windowed timeline sampler,
-    /// overriding whatever `NDPX_TIMELINE` configured at construction. Also
-    /// switches epoch SLO tracking, which feeds the timeline's `slo.*`
-    /// series.
-    pub fn set_timeline(&mut self, cfg: Option<ndpx_sim::telemetry::TimelineConfig>) {
-        self.engine.timeline = cfg.map(|c| Box::new(TimelineSampler::new(c)));
-        self.sync_slo();
-    }
-
-    /// Enables or disables the sim-phase profiler, overriding whatever
-    /// `NDPX_PROFILE` configured at construction. Phases that already ran
-    /// (warmup happens inside [`new`](Self::new)) are not retroactively
-    /// attributed.
-    pub fn set_profile(&mut self, on: bool) {
-        self.profile = on.then(|| Box::new(PhaseProfiler::new()));
-        self.sync_slo();
-    }
-
     /// Attributes an externally timed phase (e.g. trace generation in the
     /// bench harness) to this system's profiler, if one is attached.
     pub fn record_phase(&mut self, phase: Phase, wall: std::time::Duration) {
         if let Some(p) = self.profile.as_deref_mut() {
             p.add(phase, wall, Time::ZERO);
         }
-    }
-
-    fn sync_slo(&mut self) {
-        self.slo.enabled = self.engine.timeline.is_some() || self.profile.is_some();
     }
 
     /// Enables or disables run-ahead batching for this system. Batching is
@@ -370,11 +340,11 @@ impl NdpSystem {
     /// reconfigurations and chaos events as boundary actions, and the open
     /// trace window as a private-horizon clamp.
     pub fn run(&mut self, ops_per_core: u64) -> RunReport {
-        self.run_with_watchdog(ops_per_core, ProgressWatchdog::from_env())
+        self.run_with_watchdog(ops_per_core, ProgressWatchdog::new(ProgressWatchdog::DEFAULT_LIMIT))
     }
 
     /// [`run`](Self::run) with an explicit progress watchdog (tests inject
-    /// small limits; the environment default is `NDPX_STALL_ITERS`).
+    /// small limits).
     pub fn run_with_watchdog(
         &mut self,
         ops_per_core: u64,

@@ -222,12 +222,11 @@ fn zero_sized_structures_fail_construction_without_panicking() {
 
 #[test]
 fn slo_and_profile_scopes_are_opt_in() {
-    let cfg = SystemConfig::test(PolicyKind::NdpExt);
+    let mut cfg = SystemConfig::test(PolicyKind::NdpExt);
+    cfg.telemetry.profile = true;
     let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
     let wl = ndpx_workloads::build("pr", &p).unwrap().unwrap();
-    let mut sys = NdpSystem::new(cfg, wl).expect("valid");
-    sys.set_profile(true);
-    let on = sys.run(40_000);
+    let on = NdpSystem::new(cfg, wl).expect("valid").run(40_000);
     assert!(on.reconfigs > 0, "need at least one epoch for SLO stats");
     let epochs = on.registry.get("slo.epochs").expect("slo scope").as_count().expect("count");
     assert!(epochs > 0);
@@ -388,16 +387,15 @@ fn timeline_writes_windows_without_perturbing_results() {
 
     let base = run_one(PolicyKind::NdpExt, "mv", 4000);
 
-    let cfg = SystemConfig::test(PolicyKind::NdpExt);
-    let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
-    let wl = ndpx_workloads::build("mv", &p).unwrap().unwrap();
-    let mut sys = NdpSystem::new(cfg, wl).expect("valid");
     let dir = std::env::temp_dir();
     let stem = dir.join("ndpx-core-test-timeline.json");
     let mut tc = TimelineConfig::to_path(&stem);
     tc.window = Time::from_ns(2_000);
-    sys.set_timeline(Some(tc));
-    let r = sys.run(4000);
+    let mut cfg = SystemConfig::test(PolicyKind::NdpExt);
+    cfg.telemetry.timeline = Some(tc);
+    let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
+    let wl = ndpx_workloads::build("mv", &p).unwrap().unwrap();
+    let r = NdpSystem::new(cfg, wl).expect("valid").run(4000);
 
     assert_eq!(r.sim_time, base.sim_time, "sampling must not perturb results");
     assert_eq!(r.cache_hits, base.cache_hits);

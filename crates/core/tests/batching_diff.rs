@@ -13,7 +13,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ndpx_core::config::{PolicyKind, SystemConfig};
+use ndpx_core::config::{PolicyKind, SystemConfig, TelemetryConfig};
 use ndpx_core::{HostConfig, HostSystem, NdpSystem, RunReport};
 use ndpx_sim::chaos::ChaosConfig;
 use ndpx_sim::engine::ProgressWatchdog;
@@ -148,19 +148,20 @@ fn mean_len(r: &RunReport) -> f64 {
 }
 
 /// Runs `cfg` on `name` once per loop (run-ahead first, then the per-op
-/// oracle), letting `attach` hook telemetry onto each system; returns both
+/// oracle), letting `attach` set each run's telemetry; returns both
 /// reports after asserting their fingerprints match.
 fn ndp_both(
     cfg: &SystemConfig,
     name: &str,
     p: &ScaleParams,
     ops: u64,
-    attach: impl Fn(&mut NdpSystem, bool),
+    attach: impl Fn(&mut TelemetryConfig, bool),
 ) -> (RunReport, RunReport) {
     let run = |batch: bool| {
-        let mut sys = NdpSystem::new(cfg.clone(), build_wl(name, p)).expect("valid");
+        let mut cfg = cfg.clone();
+        attach(&mut cfg.telemetry, batch);
+        let mut sys = NdpSystem::new(cfg, build_wl(name, p)).expect("valid");
         sys.set_batching(batch);
-        attach(&mut sys, batch);
         sys.run(ops)
     };
     let (ahead, oracle) = (run(true), run(false));
@@ -203,7 +204,7 @@ fn run_ahead_stops_at_epoch_boundaries_that_reconfigure() {
     cfg.epoch_cycles /= 10;
     for name in ["bfs", "recsys", "pathfinder"] {
         let p = ScaleParams { cores: cfg.units(), footprint: 20 << 20, seed: 0xBEEF };
-        let (r, _) = ndp_both(&cfg, name, &p, 4_000, |sys, _| sys.set_profile(true));
+        let (r, _) = ndp_both(&cfg, name, &p, 4_000, |t, _| t.profile = true);
         assert!(count(&r, "slo.epochs") > 0, "{name}: no epoch percentiles recorded");
         assert!(r.reconfigs > 0, "{name}: no epoch fired");
         assert!(r.migrations > 0, "{name}: no entry migrated");
@@ -226,10 +227,10 @@ fn run_ahead_stops_at_timeline_boundaries() {
     let cfg = SystemConfig::test(PolicyKind::NdpExt);
     let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 5 };
     let dirs = [fresh_temp_dir("timeline-ahead"), fresh_temp_dir("timeline-oracle")];
-    ndp_both(&cfg, "mv", &p, 3_000, |sys, batch| {
+    ndp_both(&cfg, "mv", &p, 3_000, |t, batch| {
         let mut tc = TimelineConfig::to_path(dirs[usize::from(!batch)].join("tl.json"));
         tc.window = Time::from_ns(700);
-        sys.set_timeline(Some(tc));
+        t.timeline = Some(tc);
     });
     // The `engine.batch.*` series describe the loop's shape and differ on
     // purpose; every other line must match.
@@ -248,12 +249,12 @@ fn run_ahead_keeps_the_trace_ring_order() {
     let cfg = SystemConfig::test(PolicyKind::NdpExtStatic);
     let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 9 };
     let dirs = [fresh_temp_dir("trace-ahead"), fresh_temp_dir("trace-oracle")];
-    let (r, _) = ndp_both(&cfg, "tc", &p, 3_000, |sys, batch| {
+    let (r, _) = ndp_both(&cfg, "tc", &p, 3_000, |t, batch| {
         let mut tc = TraceConfig::to_path(dirs[usize::from(!batch)].join("trace.json"));
         tc.start = Time::from_us(4);
         tc.stop = Time::from_us(8);
         tc.capacity = 512;
-        sys.set_trace(Some(tc));
+        t.trace = Some(tc);
     });
     assert!(r.sim_time > Time::from_us(8), "the run must outlast the trace window");
     let [ahead, oracle] = dirs.map(|d| take_only_file(&d));
@@ -269,11 +270,11 @@ fn host_run_ahead_matches_with_a_timeline() {
     let dirs = [fresh_temp_dir("host-tl-ahead"), fresh_temp_dir("host-tl-oracle")];
     let mut reports = Vec::new();
     for (dir, batch) in dirs.iter().zip([true, false]) {
-        let mut sys = HostSystem::new(cfg.clone(), build_wl("hotspot", &p)).expect("valid");
-        sys.set_batching(batch);
         let mut tc = TimelineConfig::to_path(dir.join("tl.json"));
         tc.window = Time::from_ns(2_000);
-        sys.set_timeline(Some(tc));
+        let cfg = HostConfig { timeline: Some(tc), ..cfg.clone() };
+        let mut sys = HostSystem::new(cfg, build_wl("hotspot", &p)).expect("valid");
+        sys.set_batching(batch);
         reports.push(sys.run(3_000));
     }
     assert_eq!(fingerprint(&reports[0]), fingerprint(&reports[1]));

@@ -8,7 +8,8 @@
 //!   or `thread::current` in the digest-affecting crates, whose simulated
 //!   results must stay byte-identical across thread counts and backends;
 //! * **Knob hygiene** — every environment read and every `NDPX_*` name
-//!   lives in [`ndpx_sim::knobs`], the central registry;
+//!   lives in [`ndpx_sim::knobs`], the central registry, and the simulator
+//!   crates name no knob at all;
 //! * **Stat paths** — dotted registry-path literals must parse under the
 //!   declared grammar, so renamed counters cannot leave stale references.
 //!
@@ -54,7 +55,10 @@ pub fn knobs_md() -> String {
          `ndpx_sim::knobs`; `ndpx-lint` rejects environment reads and knob-name\n\
          literals anywhere else. Boolean knobs share one grammar: a set value\n\
          is false exactly when it trims to `\"\"`, `0`, `false`, `off`, or `no`\n\
-         (case-insensitive), true otherwise; unset takes the default below.\n\n",
+         (case-insensitive), true otherwise; unset takes the default below.\n\n\
+         The simulator crates read no knob: the fault, chaos and telemetry\n\
+         knobs are parsed once, at start-up, by `ndpx-bench`\n\
+         (`runner::Overrides`), and a bad value exits 2 naming its knob.\n\n",
     );
     out.push_str("| Knob | Type | Default | Effect |\n");
     out.push_str("|------|------|---------|--------|\n");

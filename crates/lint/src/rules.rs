@@ -9,7 +9,9 @@
 //!   them.
 //! * **Knob hygiene** (`env-read`, `knob-literal`) — apply workspace-wide.
 //!   Every environment read and every `NDPX_*` name must live in
-//!   `ndpx_sim::knobs`, the single source of truth.
+//!   `ndpx_sim::knobs`, the single source of truth. `sim-knob` keeps the
+//!   simulator crates from naming a knob at all: their settings arrive in
+//!   the configuration, which `ndpx-bench` fills from the knobs once.
 //! * **Telemetry** (`stat-path`) — applies workspace-wide. Dotted registry
 //!   paths in string literals must parse under the declared grammar
 //!   ([`crate::statpath`]), so a renamed counter cannot leave stale
@@ -43,6 +45,8 @@ pub enum Rule {
     EnvRead,
     /// `"NDPX_*"` string literal outside the knob registry.
     KnobLiteral,
+    /// `knobs::` path in a simulator crate.
+    SimKnob,
     /// Registry-path literal that fails the stat-path grammar.
     StatPath,
     /// Pragma without a justification.
@@ -60,6 +64,7 @@ impl Rule {
             Rule::DetThreadId => "det-threadid",
             Rule::EnvRead => "env-read",
             Rule::KnobLiteral => "knob-literal",
+            Rule::SimKnob => "sim-knob",
             Rule::StatPath => "stat-path",
             Rule::PragmaJustify => "pragma-justify",
             Rule::PragmaUnused => "pragma-unused",
@@ -75,6 +80,7 @@ impl Rule {
             "det-threadid" => Rule::DetThreadId,
             "env-read" => Rule::EnvRead,
             "knob-literal" => Rule::KnobLiteral,
+            "sim-knob" => Rule::SimKnob,
             "stat-path" => Rule::StatPath,
             _ => return None,
         })
@@ -109,6 +115,18 @@ const DIGEST_SCOPE: &[&str] = &[
     "tests/",
 ];
 
+/// The simulator crates, which read no knob: a run's settings arrive in its
+/// configuration (`sim-knob`).
+const SIM_SCOPE: &[&str] = &[
+    "crates/core/",
+    "crates/sim/",
+    "crates/mem/",
+    "crates/noc/",
+    "crates/cxl/",
+    "crates/stream/",
+    "crates/cache/",
+];
+
 /// Module-level allowances, each carrying its reason. Pragmas handle
 /// single sites; these handle files whose whole purpose exempts them.
 const ALLOWLIST: &[(&str, Rule, &str)] = &[
@@ -119,6 +137,12 @@ const ALLOWLIST: &[(&str, Rule, &str)] = &[
     ),
     ("crates/sim/src/knobs.rs", Rule::EnvRead, "the registry is the one sanctioned env reader"),
     ("crates/sim/src/knobs.rs", Rule::KnobLiteral, "the registry declares the knob names"),
+    ("crates/sim/src/knobs.rs", Rule::SimKnob, "the registry declares the knobs"),
+    (
+        "crates/sim/src/telemetry/log.rs",
+        Rule::SimKnob,
+        "the log facade reads NDPX_LOG lazily, from any thread that logs",
+    ),
     ("crates/lint/", Rule::KnobLiteral, "the linter names the prefix it scans for"),
     ("crates/lint/", Rule::StatPath, "the linter declares the grammar patterns"),
 ];
@@ -175,6 +199,8 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
 
     let mut found: Vec<Violation> = Vec::new();
     let det = in_digest_scope(rel_path);
+    let sim =
+        SIM_SCOPE.iter().any(|p| rel_path.starts_with(p)) && !allowlisted(rel_path, Rule::SimKnob);
 
     for (i, t) in code.iter().enumerate() {
         match &t.tok {
@@ -218,6 +244,15 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
                         rule: Rule::DetThreadId,
                         message: "thread::current exposes thread identity; results must be \
                                   identical at any NDPX_THREADS"
+                            .to_string(),
+                    });
+                } else if sim && id == "knobs" && path_sep(&code, i) {
+                    found.push(Violation {
+                        path: rel_path.to_string(),
+                        line: t.line,
+                        rule: Rule::SimKnob,
+                        message: "the simulator reads no knob; take the setting from the run's \
+                                  configuration, which ndpx-bench fills (runner::Overrides)"
                             .to_string(),
                     });
                 } else if id == "env"
@@ -308,6 +343,14 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
     out
 }
 
+/// True when the identifier at `i` is followed by `::`.
+fn path_sep(code: &[Token], i: usize) -> bool {
+    matches!(
+        (code.get(i + 1).map(|t| &t.tok), code.get(i + 2).map(|t| &t.tok)),
+        (Some(Tok::Punct(':')), Some(Tok::Punct(':')))
+    )
+}
+
 /// True when the identifier at `i` is followed by `:: <method>` —
 /// i.e. tokens `Punct(':') Punct(':') Ident(method)`.
 fn path_call(code: &[Token], i: usize, method: &str) -> bool {
@@ -356,6 +399,18 @@ mod tests {
         let src = "let v = \"NDPX_THREADS\";";
         assert_eq!(rules_of(BENCH, src), [Rule::KnobLiteral]);
         assert!(rules_of("crates/sim/src/knobs.rs", src).is_empty());
+    }
+
+    #[test]
+    fn knob_paths_are_banned_in_the_simulator_crates() {
+        let src = "let on = ndpx_sim::knobs::PROFILE.bool_or(false);";
+        assert_eq!(rules_of(SIM, src), [Rule::SimKnob]);
+        assert_eq!(rules_of("crates/core/src/system/mod.rs", src), [Rule::SimKnob]);
+        assert!(rules_of(BENCH, src).is_empty(), "the harness is the one reader");
+        assert!(rules_of("crates/workloads/src/graph.rs", src).is_empty());
+        assert!(rules_of("crates/sim/src/telemetry/log.rs", src).is_empty());
+        // A module named in a `use` list, or a local called `knobs`, is no read.
+        assert!(rules_of(SIM, "use crate::{fault, knobs};\nlet knobs = 3;").is_empty());
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! scrubs, flit retransmits — drawn from a seeded per-decision hash. This
 //! module models *hard* failures: whole devices or links going away at a
 //! scheduled simulated time, optionally coming back after a window. The
-//! schedule is parsed from the `NDPX_CHAOS` knob (or set directly on a
-//! config by tests) and is a pure function of the spec string, so chaos
+//! schedule is parsed from a spec string (the bench harness reads it from
+//! the `NDPX_CHAOS` knob) and is a pure function of that string, so chaos
 //! runs replay byte-identically at any worker-thread count, exactly like
 //! [`FaultPlan`](crate::fault::FaultPlan) schedules do.
 //!
 //! # Spec grammar
 //!
-//! `NDPX_CHAOS` is a semicolon-separated list of events, each
+//! A spec is a semicolon-separated list of events, each
 //! `kind@time[+duration][:target]`:
 //!
 //! * `cxl-down@10us+5us` — the CXL link to extended memory goes down at
@@ -88,7 +88,7 @@ pub struct ChaosConfig {
     /// Scheduled failures, sorted by time (ties keep spec order).
     pub events: Vec<ChaosEvent>,
     /// Base backoff of the bounded retry loop that ext accesses spin on
-    /// during a CXL outage (doubles per probe). From `NDPX_CHAOS_RETRY_NS`.
+    /// during a CXL outage (doubles per probe).
     pub retry: Time,
 }
 
@@ -110,21 +110,6 @@ impl ChaosConfig {
     /// True when at least one failure is scheduled.
     pub fn enabled(&self) -> bool {
         !self.events.is_empty()
-    }
-
-    /// Reads `NDPX_CHAOS` / `NDPX_CHAOS_RETRY_NS`.
-    ///
-    /// # Panics
-    ///
-    /// On an unparsable `NDPX_CHAOS` spec: a chaos experiment with a typo'd
-    /// schedule must fail loudly, not silently run the ideal path.
-    pub fn from_env() -> Self {
-        let spec = crate::knobs::CHAOS.raw();
-        let retry_ns = crate::knobs::CHAOS_RETRY_NS.u64_opt();
-        match Self::parse(spec.as_deref(), retry_ns) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{}: {e}", crate::knobs::CHAOS.name),
-        }
     }
 
     /// Pure parse of the spec grammar (see the module docs). `None` or an

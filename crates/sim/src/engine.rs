@@ -320,26 +320,14 @@ pub struct ProgressWatchdog {
 }
 
 impl ProgressWatchdog {
-    /// Iteration limit used by [`from_env`](Self::from_env) when
-    /// `NDPX_STALL_ITERS` is unset. Far above any legitimate same-time
-    /// event burst at the scales the harness runs.
+    /// Iteration limit of the systems' `run`. Far above any legitimate
+    /// same-time event burst at the scales the harness runs.
     pub const DEFAULT_LIMIT: u64 = 4_000_000;
 
     /// Creates a watchdog firing after `limit` frozen iterations.
     /// A limit of zero disables it.
     pub fn new(limit: u64) -> Self {
         ProgressWatchdog { limit, last: None, frozen: 0, fired: false }
-    }
-
-    /// Creates a watchdog from `NDPX_STALL_ITERS` (`0` disables; unset or
-    /// unparsable uses [`DEFAULT_LIMIT`](Self::DEFAULT_LIMIT)).
-    pub fn from_env() -> Self {
-        Self::new(Self::parse_limit(crate::knobs::STALL_ITERS.raw().as_deref()))
-    }
-
-    /// Pure form of the `NDPX_STALL_ITERS` parse for tests.
-    pub fn parse_limit(v: Option<&str>) -> u64 {
-        v.and_then(|s| s.trim().parse().ok()).unwrap_or(Self::DEFAULT_LIMIT)
     }
 
     /// Records one loop iteration at simulated time `now` with `depth`
@@ -544,11 +532,16 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_limit_parse() {
-        assert_eq!(ProgressWatchdog::parse_limit(None), ProgressWatchdog::DEFAULT_LIMIT);
-        assert_eq!(ProgressWatchdog::parse_limit(Some("123")), 123);
-        assert_eq!(ProgressWatchdog::parse_limit(Some("0")), 0);
-        assert_eq!(ProgressWatchdog::parse_limit(Some("bad")), ProgressWatchdog::DEFAULT_LIMIT);
+    fn watchdog_limit_zero_disables() {
+        let t = Time::from_ns(5);
+        let mut off = ProgressWatchdog::new(0);
+        assert!((0..1_000).all(|_| off.observe(t, 4).is_none()));
+        assert!(!off.fired());
+        let mut dog = ProgressWatchdog::new(ProgressWatchdog::DEFAULT_LIMIT);
+        assert!(
+            (0..1_000).all(|_| dog.observe(t, 4).is_none()),
+            "the default is far above a burst"
+        );
     }
 
     #[test]

@@ -92,38 +92,6 @@ impl FaultConfig {
         FaultConfig { seed: Some(seed), ..FaultConfig::disabled() }
     }
 
-    /// Reads `NDPX_FAULT_SEED`, `NDPX_FAULT_CXL_BER`, `NDPX_FAULT_MEM_CE`,
-    /// `NDPX_FAULT_MEM_UE`, and `NDPX_FAULT_NOC_FER` from the environment.
-    pub fn from_env() -> Self {
-        use crate::knobs;
-        Self::parse(
-            knobs::FAULT_SEED.raw().as_deref(),
-            knobs::FAULT_CXL_BER.raw().as_deref(),
-            knobs::FAULT_MEM_CE.raw().as_deref(),
-            knobs::FAULT_MEM_UE.raw().as_deref(),
-            knobs::FAULT_NOC_FER.raw().as_deref(),
-        )
-    }
-
-    /// Pure form of [`from_env`](Self::from_env) for tests: an unset or
-    /// unparsable seed disables injection; unparsable or out-of-range rates
-    /// fall back to the defaults.
-    pub fn parse(
-        seed: Option<&str>,
-        cxl_ber: Option<&str>,
-        mem_ce: Option<&str>,
-        mem_ue: Option<&str>,
-        noc_fer: Option<&str>,
-    ) -> Self {
-        FaultConfig {
-            seed: parse_seed(seed),
-            cxl_ber: parse_rate(cxl_ber, DEFAULT_CXL_BER),
-            mem_ce: parse_rate(mem_ce, DEFAULT_MEM_CE),
-            mem_ue: parse_rate(mem_ue, DEFAULT_MEM_UE),
-            noc_fer: parse_rate(noc_fer, DEFAULT_NOC_FER),
-        }
-    }
-
     /// True when a master seed is configured.
     pub const fn enabled(&self) -> bool {
         self.seed.is_some()
@@ -158,21 +126,30 @@ impl FaultConfig {
     }
 }
 
-/// Accepts decimal (`42`) or `0x`-prefixed hex (`0x2A`); anything else
-/// (including empty) reads as "unset".
-fn parse_seed(v: Option<&str>) -> Option<u64> {
-    let v = v?.trim();
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        v.parse().ok()
+/// Parses a master seed: decimal (`42`) or `0x`-prefixed hex (`0x2A`),
+/// surrounding space ignored.
+///
+/// # Errors
+///
+/// Anything else, so a typo cannot silently turn injection off.
+pub fn parse_seed(v: &str) -> Result<u64, String> {
+    let v = v.trim();
+    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
     }
+    .map_err(|_| "not a seed; use a decimal or 0x-prefixed hex integer".to_string())
 }
 
-fn parse_rate(v: Option<&str>, default: f64) -> f64 {
-    match v.and_then(|s| s.trim().parse::<f64>().ok()) {
-        Some(r) if r.is_finite() && (0.0..=1.0).contains(&r) => r,
-        _ => default,
+/// Parses a fault rate: a probability in `[0, 1]`.
+///
+/// # Errors
+///
+/// A value that is not a number, or is one outside `[0, 1]`.
+pub fn parse_rate(v: &str) -> Result<f64, String> {
+    match v.trim().parse::<f64>() {
+        Ok(r) if (0.0..=1.0).contains(&r) => Ok(r),
+        _ => Err("not a probability in [0, 1]".to_string()),
     }
 }
 
@@ -279,22 +256,25 @@ mod tests {
 
     #[test]
     fn seed_parsing() {
-        assert_eq!(FaultConfig::parse(None, None, None, None, None).seed, None);
-        assert_eq!(FaultConfig::parse(Some("42"), None, None, None, None).seed, Some(42));
-        assert_eq!(FaultConfig::parse(Some("0x2A"), None, None, None, None).seed, Some(42));
-        assert_eq!(FaultConfig::parse(Some(" 7 "), None, None, None, None).seed, Some(7));
-        assert_eq!(FaultConfig::parse(Some("nope"), None, None, None, None).seed, None);
-        assert_eq!(FaultConfig::parse(Some(""), None, None, None, None).seed, None);
+        assert_eq!(parse_seed("42"), Ok(42));
+        assert_eq!(parse_seed("0x2A"), Ok(42));
+        assert_eq!(parse_seed(" 7 "), Ok(7));
+        // A typo is an error, never a silently disabled injector.
+        for bad in ["nope", "", "-1", "0x", "4 2"] {
+            assert!(parse_seed(bad).is_err(), "{bad:?} must not parse");
+        }
     }
 
     #[test]
-    fn rate_parsing_clamps_to_defaults() {
-        let cfg = FaultConfig::parse(Some("1"), Some("1e-3"), Some("2.0"), Some("-1"), Some("x"));
-        assert_eq!(cfg.cxl_ber, 1e-3);
-        assert_eq!(cfg.mem_ce, DEFAULT_MEM_CE);
-        assert_eq!(cfg.mem_ue, DEFAULT_MEM_UE);
-        assert_eq!(cfg.noc_fer, DEFAULT_NOC_FER);
-        assert!(cfg.validate().is_ok());
+    fn rate_parsing_rejects_bad_values() {
+        assert_eq!(parse_rate("1e-3"), Ok(1e-3));
+        assert_eq!(parse_rate(" 0 "), Ok(0.0));
+        assert_eq!(parse_rate("1"), Ok(1.0));
+        // Out of range or not a number is an error, never the default.
+        for bad in ["2.0", "2", "-1", "x", "", "NaN", "inf"] {
+            assert!(parse_rate(bad).is_err(), "{bad:?} must not parse");
+        }
+        assert!(FaultConfig::with_seed(1).validate().is_ok());
         let bad = FaultConfig { mem_ce: 2.0, ..FaultConfig::disabled() };
         assert!(bad.validate().is_err());
     }

@@ -77,11 +77,6 @@ impl Knob {
         self.raw()?.trim().parse().ok()
     }
 
-    /// Parses the value as `f64`; unset or unparsable is `None`.
-    pub fn f64_opt(&self) -> Option<f64> {
-        self.raw()?.trim().parse().ok()
-    }
-
     /// The value as an output path; set-but-empty behaves as unset.
     pub fn path(&self) -> Option<String> {
         self.raw().filter(|p| !p.is_empty())
@@ -122,16 +117,6 @@ knob!(
     KnobKind::Enum(&["test", "small", "paper"]),
     "small",
     "Benchmark scale: `test` (CI geometry), `small`, or `paper` (full Table II geometry)."
-);
-
-// Engine ---------------------------------------------------------------------
-knob!(
-    STALL_ITERS,
-    "NDPX_STALL_ITERS",
-    KnobKind::U64,
-    "4000000",
-    "Progress-watchdog limit: frozen same-time loop iterations before a stall is flagged; `0` \
-     disables."
 );
 
 // Telemetry ------------------------------------------------------------------
@@ -309,7 +294,6 @@ knob!(
 pub const ALL: &[&Knob] = &[
     &THREADS,
     &SCALE,
-    &STALL_ITERS,
     &LOG,
     &TRACE,
     &TRACE_START,
@@ -356,7 +340,7 @@ mod tests {
     fn the_registry_holds_all_knobs() {
         // The count is asserted so adding a knob without registering it in
         // `ALL` (or removing one without pruning) cannot go unnoticed.
-        assert_eq!(ALL.len(), 25);
+        assert_eq!(ALL.len(), 24);
     }
 
     #[test]

@@ -12,18 +12,21 @@
 //!   `Counter`/`MeanAcc`/`Histogram` nodes under hierarchical dotted paths
 //!   (`noc.link.s00-s01.flits`), serialized deterministically to JSON.
 //! * [`timeline`] — [`TimelineSampler`]: opt-in registry snapshots in fixed
-//!   sim-time windows rendered as per-window delta series, enabled via
-//!   `NDPX_TIMELINE=<path>`; byte-identical at any thread count.
+//!   sim-time windows rendered as per-window delta series; byte-identical at
+//!   any thread count.
 //! * [`profile`] — [`PhaseProfiler`]: per-phase wall/sim time attribution
-//!   (trace-gen, warmup, run, sampler-solve, rehash, reconfig), enabled via
-//!   `NDPX_PROFILE=1`; sim time goes to the registry, wall time to the trace.
+//!   (trace-gen, warmup, run, sampler-solve, rehash, reconfig); sim time
+//!   goes to the registry, wall time to the trace.
 //! * [`trace`] — [`TraceSink`]: an opt-in bounded ring buffer of simulation
 //!   events written as Chrome trace-event JSON (loadable in Perfetto or
-//!   `chrome://tracing`), enabled via `NDPX_TRACE=<path>`.
+//!   `chrome://tracing`).
 //! * [`json`] — [`Json`]: the dependency-free JSON parser backing the trace
 //!   validator and the `ndpx_report` run-diff tool.
 //! * [`log`] — a tiny levelled `eprintln!` switchboard (`NDPX_LOG=debug`)
 //!   replacing ad-hoc debug prints in the system models.
+//!
+//! A run attaches the timeline, profiler and trace sink its configuration
+//! names; the models read no environment for them.
 
 pub mod json;
 pub mod log;

@@ -12,8 +12,8 @@
 //!   counter tracks, where wall time is allowed because trace files are
 //!   diagnostic artifacts, never compared byte-for-byte.
 //!
-//! Profiling is off unless the harness constructs a profiler (usually from
-//! `NDPX_PROFILE=1`); disabled runs pay one `Option` branch per phase
+//! Profiling is off unless a run's configuration asks for a profiler;
+//! disabled runs pay one `Option` branch per phase
 //! boundary — phase boundaries are per-epoch, not per-op, so the hot path
 //! never sees the profiler at all.
 
@@ -95,12 +95,6 @@ impl PhaseProfiler {
     /// Creates an empty profiler.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a profiler if `NDPX_PROFILE` reads as true (unified boolean
-    /// grammar; off by default).
-    pub fn from_env() -> Option<Self> {
-        crate::knobs::PROFILE.bool_or(false).then(Self::new)
     }
 
     /// Attributes one completed span to `phase`.

@@ -9,8 +9,8 @@
 //! event-queue backend — the same guarantee the end-of-run registry dumps
 //! give, extended over time.
 //!
-//! Sampling is off unless the harness constructs a sampler (usually from
-//! `NDPX_TIMELINE`); disabled runs pay one `Option` branch per scheduler
+//! Sampling is off unless a run's configuration carries a
+//! [`TimelineConfig`]; disabled runs pay one `Option` branch per scheduler
 //! pop and nothing else.
 
 use std::io;
@@ -19,8 +19,7 @@ use std::path::{Path, PathBuf};
 use super::registry::{write_json_string, StatRegistry, StatValue};
 use crate::time::Time;
 
-/// Configuration for a [`TimelineSampler`], usually read from the
-/// environment.
+/// Configuration for a [`TimelineSampler`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineConfig {
     /// Output path stem for the timeline JSON. The run label is inserted
@@ -47,22 +46,6 @@ impl TimelineConfig {
             window: Time::from_ns(Self::DEFAULT_WINDOW_NS),
             capacity: Self::DEFAULT_CAPACITY,
         }
-    }
-
-    /// Reads `NDPX_TIMELINE` (output path; unset disables sampling),
-    /// `NDPX_TIMELINE_WINDOW_NS` (window width in simulated nanoseconds) and
-    /// `NDPX_TIMELINE_CAP` (ring capacity in windows).
-    pub fn from_env() -> Option<Self> {
-        use crate::knobs;
-        let path = knobs::TIMELINE.path()?;
-        let mut cfg = TimelineConfig::to_path(path);
-        if let Some(ns) = knobs::TIMELINE_WINDOW_NS.u64_opt() {
-            cfg.window = Time::from_ns(ns.max(1));
-        }
-        if let Some(cap) = knobs::TIMELINE_CAP.u64_opt() {
-            cfg.capacity = (cap as usize).max(1);
-        }
-        Some(cfg)
     }
 }
 
@@ -121,11 +104,6 @@ impl TimelineSampler {
             evicted: 0,
             evicted_base: None,
         }
-    }
-
-    /// Creates a sampler if `NDPX_TIMELINE` is set.
-    pub fn from_env() -> Option<Self> {
-        TimelineConfig::from_env().map(Self::new)
     }
 
     /// The configured window width.

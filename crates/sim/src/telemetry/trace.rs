@@ -15,7 +15,7 @@ use super::json::Json;
 use super::registry::{write_json_f64, write_json_string};
 use crate::time::Time;
 
-/// Configuration for a [`TraceSink`], usually read from the environment.
+/// Configuration for a [`TraceSink`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Output path for the trace JSON. Multi-cell runs append a unique
@@ -43,25 +43,6 @@ impl TraceConfig {
             stop: Time::MAX,
             capacity: Self::DEFAULT_CAPACITY,
         }
-    }
-
-    /// Reads `NDPX_TRACE` (output path; unset disables tracing),
-    /// `NDPX_TRACE_START` / `NDPX_TRACE_STOP` (simulated-time window in
-    /// microseconds), and `NDPX_TRACE_CAP` (ring capacity in events).
-    pub fn from_env() -> Option<Self> {
-        use crate::knobs;
-        let path = knobs::TRACE.path()?;
-        let mut cfg = TraceConfig::to_path(path);
-        if let Some(us) = knobs::TRACE_START.f64_opt() {
-            cfg.start = Time::from_ns_f64(us * 1e3);
-        }
-        if let Some(us) = knobs::TRACE_STOP.f64_opt() {
-            cfg.stop = Time::from_ns_f64(us * 1e3);
-        }
-        if let Some(cap) = knobs::TRACE_CAP.u64_opt() {
-            cfg.capacity = cap as usize;
-        }
-        Some(cfg)
     }
 }
 
@@ -111,11 +92,6 @@ impl TraceSink {
     pub fn new(cfg: TraceConfig) -> Self {
         let cap = cfg.capacity.max(1);
         TraceSink { cfg, events: Vec::with_capacity(cap.min(4096)), head: 0, dropped: 0 }
-    }
-
-    /// Creates a sink if `NDPX_TRACE` is set.
-    pub fn from_env() -> Option<Self> {
-        TraceConfig::from_env().map(Self::new)
     }
 
     /// Whether an event at simulated time `t` falls inside the capture
