@@ -27,9 +27,12 @@
 //!   NDPX_PROFILE=1 perf_gauge       # cells attribute wall/sim time to
 //!                                   # phases (profile.* registry scope)
 //!
-//! The fault, chaos and telemetry knobs reach the cells through
-//! [`Overrides`], parsed once at start-up; a bad value exits 2 before any
+//! The scale, thread, trace-cache, fault, chaos and telemetry knobs are
+//! parsed once at start-up ([`BenchEnv`]); a bad value exits 2 before any
 //! cell runs.
+//!
+//! The report records the process's peak resident set (`VmHWM`) after the
+//! matrix as `peak_rss_mb`.
 //!
 //! `--check` exits 1 on any digest mismatch against the baseline file or
 //! on a cell present in only one of the runs, and 2 when the baseline
@@ -42,12 +45,12 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use ndpx_bench::digest::report_digest;
-use ndpx_bench::gauge::{cell_key, gauge_ops, gauge_specs, scale_name};
+use ndpx_bench::gauge::{cell_key, gauge_ops, gauge_specs, peak_rss_mb, scale_name};
 use ndpx_bench::manifest;
 use ndpx_bench::micro::{self, MicroResult};
 use ndpx_bench::pool::{expect_ok, CellTask, MonitorConfig, ThreadPlan};
 use ndpx_bench::report::{compare, parse_perf, PerfRun};
-use ndpx_bench::runner::{or_exit, run_ndp_cached, BenchScale, Overrides, RunSpec};
+use ndpx_bench::runner::{run_ndp_cached, BenchEnv, BenchScale, RunSpec};
 use ndpx_core::config::{PolicyKind, TelemetryConfig};
 use ndpx_core::stats::RunReport;
 use ndpx_sim::telemetry::StatRegistry;
@@ -130,6 +133,8 @@ impl BatchCell {
 struct Matrix {
     cells: Vec<Cell>,
     wall_s: f64,
+    /// Peak resident set of the process once the matrix has run, MB.
+    peak_rss_mb: Option<f64>,
 }
 
 impl Matrix {
@@ -184,12 +189,12 @@ fn run_matrix(specs: &[RunSpec], plan: ThreadPlan, cache: &TraceCache) -> Matrix
             digest: report_digest(&r.value),
         })
         .collect();
-    Matrix { cells, wall_s }
+    Matrix { cells, wall_s, peak_rss_mb: peak_rss_mb() }
 }
 
 fn main() {
-    let scale = BenchScale::from_env();
-    let overrides = or_exit(Overrides::from_env());
+    let env = BenchEnv::from_env();
+    let (scale, plan, overrides) = (env.scale, env.threads, &env.overrides);
     let args: Vec<String> = std::env::args().collect();
     let baseline = args
         .iter()
@@ -197,12 +202,7 @@ fn main() {
         .map(|i| read_baseline(args.get(i + 1).expect("--check needs a path")));
     let specs: Vec<RunSpec> =
         gauge_specs(scale, gauge_ops(scale)).into_iter().map(|s| overrides.onto(s)).collect();
-
-    // The plan keeps the requested-vs-host distinction for the report:
-    // explicit widths past the host are honored but flagged as
-    // oversubscribed.
-    let plan = ThreadPlan::from_env();
-    let cache = TraceCache::from_env();
+    let cache = env.trace_cache();
     let matrix = run_matrix(&specs, plan, &cache);
 
     for c in &matrix.cells {
@@ -266,11 +266,10 @@ fn main() {
     );
 }
 
-/// Renders the report (`ndpx-perf-gauge-v7`: one measured pass; v6 minus
-/// the serial pass's fields, the `runs` array, `pool_overhead`, the
-/// baseline speedup and the `events_*` fields, which repeated op counts
-/// and rates). Hand-rolled: the workspace has no JSON dependency;
-/// [`parse_perf`] reads every version back.
+/// Renders the report (`ndpx-perf-gauge-v8`: v7 plus `peak_rss_mb`, `null`
+/// where the host does not report it, minus `requested_threads`, which
+/// always equalled `threads`). Hand-rolled: the workspace has no JSON
+/// dependency; [`parse_perf`] reads every version back.
 fn render_json(
     scale: BenchScale,
     matrix: &Matrix,
@@ -281,16 +280,17 @@ fn render_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"ndpx-perf-gauge-v7\",");
+    let _ = writeln!(s, "  \"schema\": \"ndpx-perf-gauge-v8\",");
     let _ = writeln!(s, "  \"scale\": \"{}\",", scale_name(scale));
     let _ = writeln!(s, "  \"threads\": {},", plan.requested);
-    let _ = writeln!(s, "  \"requested_threads\": {},", plan.requested);
     let _ = writeln!(s, "  \"host_cpus\": {},", plan.host_cpus);
     let _ = writeln!(s, "  \"oversubscribed\": {},", plan.oversubscribed());
     let _ = writeln!(s, "  \"ops_total\": {},", matrix.ops_total());
     let _ = writeln!(s, "  \"wall_seconds\": {:.3},", matrix.wall_s);
     let _ = writeln!(s, "  \"sim_ops_per_sec\": {:.1},", matrix.rate());
     let _ = writeln!(s, "  \"peak_queue_depth\": {},", matrix.peak_queue_depth());
+    let rss = matrix.peak_rss_mb.map_or("null".to_string(), |mb| format!("{mb:.1}"));
+    let _ = writeln!(s, "  \"peak_rss_mb\": {rss},");
     let _ = writeln!(
         s,
         "  \"telemetry\": {{\"timeline\": {}, \"profile\": {}}},",

@@ -18,7 +18,7 @@ use ndpx_sim::rng::Xoshiro256;
 use ndpx_sim::time::Time;
 use ndpx_workloads::{ALL_WORKLOADS, REPRESENTATIVE_WORKLOADS};
 
-use crate::runner::{geomean, print_row, BenchScale, Cell, ConfigTweak, RunSpec, Session};
+use crate::runner::{geomean, or_exit, print_row, BenchScale, Cell, ConfigTweak, RunSpec, Session};
 
 /// A shareable configuration change.
 fn tweak(f: impl Fn(&mut SystemConfig) + Send + Sync + 'static) -> ConfigTweak {
@@ -492,17 +492,37 @@ pub fn fig09(s: &mut Session, panels: &[&str]) {
     }
 }
 
+/// The policies `sanity` runs: the one an `NDPX_POLICY` value names by its
+/// label, or all of them when unset or empty.
+///
+/// # Errors
+///
+/// A message naming the knob and the labels when `value` names no policy.
+pub fn sanity_policies(value: Option<&str>) -> Result<Vec<PolicyKind>, String> {
+    match value.map(str::trim).filter(|v| !v.is_empty()) {
+        None => Ok(PolicyKind::ALL.to_vec()),
+        Some(label) => {
+            PolicyKind::ALL.into_iter().find(|p| p.label() == label).map(|p| vec![p]).ok_or_else(
+                || {
+                    let labels: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.label()).collect();
+                    format!(
+                        "{}={label:?} is not a policy; use one of {}",
+                        ndpx_sim::knobs::POLICY.name,
+                        labels.join(", ")
+                    )
+                },
+            )
+        }
+    }
+}
+
 /// Quick trend sanity check: NDPExt vs baselines vs host on one workload,
 /// with each policy's Fig 2a latency breakdown. `NDPX_POLICY` keeps one
-/// policy.
+/// policy; a label that names none ends the process with exit status 2.
 pub fn sanity(s: &mut Session, workload: &'static str) {
     let scale = s.scale;
     let ops = scale.ops_per_core();
-    let filter = ndpx_sim::knobs::POLICY.raw();
-    let policies: Vec<PolicyKind> = PolicyKind::ALL
-        .into_iter()
-        .filter(|p| filter.as_deref().is_none_or(|f| p.label() == f))
-        .collect();
+    let policies = or_exit(sanity_policies(ndpx_sim::knobs::POLICY.raw().as_deref()));
     let ndp =
         policies.iter().map(|&p| Cell::ndp("", RunSpec::new(MemKind::Hbm, p, workload, scale)));
     let mut reports = s.run("sanity", std::iter::once(Cell::host(workload, ops)).chain(ndp));

@@ -56,6 +56,14 @@ pub fn cell_key(spec: &RunSpec) -> String {
     format!("{}/{}/{}", mem_name(spec.mem), spec.policy.label(), spec.workload)
 }
 
+/// Peak resident set size of this process in MB (`VmHWM` of
+/// `/proc/self/status`), or `None` where the host does not report it.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    kb.trim().trim_end_matches("kB").trim().parse::<f64>().ok().map(|kb| kb / 1024.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +76,13 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 36, "cell keys must be unique");
+    }
+
+    #[test]
+    fn peak_rss_is_reported_on_linux() {
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_mb().is_some_and(|mb| mb > 0.0));
+        }
     }
 
     #[test]

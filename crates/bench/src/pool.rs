@@ -81,8 +81,8 @@ pub fn host_cpus() -> usize {
 /// host offers, and whether honoring the request oversubscribes the
 /// machine.
 ///
-/// The default (no `NDPX_THREADS`, zero, or unparsable) clamps to
-/// [`host_cpus`], so an unconfigured run never oversubscribes. An explicit
+/// The default (no `NDPX_THREADS`, or zero) clamps to [`host_cpus`], so an
+/// unconfigured run never oversubscribes. An explicit
 /// request is honored even past the host width — digest checks deliberately
 /// run `threads=4` on narrow CI boxes — but the report marks such runs
 /// `oversubscribed` so their wall clocks are not read as scaling data.
@@ -95,18 +95,22 @@ pub struct ThreadPlan {
 }
 
 impl ThreadPlan {
-    /// Resolves the plan from `NDPX_THREADS`.
-    pub fn from_env() -> Self {
-        Self::parse(ndpx_sim::knobs::THREADS.raw().as_deref())
-    }
-
-    /// Pure resolution for tests: explicit `n >= 1` is honored, anything
-    /// else clamps to the host width.
-    pub fn parse(value: Option<&str>) -> Self {
+    /// Resolves an `NDPX_THREADS` value: explicit `n >= 1` is honored,
+    /// unset or `0` takes the host width.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the knob when the value is not a count.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
         let host = host_cpus();
-        match value.and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n >= 1 => ThreadPlan { requested: n, host_cpus: host },
-            _ => ThreadPlan { requested: host, host_cpus: host },
+        match value.map(|v| v.trim().parse::<usize>()) {
+            None | Some(Ok(0)) => Ok(ThreadPlan { requested: host, host_cpus: host }),
+            Some(Ok(n)) => Ok(ThreadPlan { requested: n, host_cpus: host }),
+            Some(Err(_)) => Err(format!(
+                "{}={:?}: not a thread count (0 or unset uses every core)",
+                ndpx_sim::knobs::THREADS.name,
+                value.unwrap_or_default()
+            )),
         }
     }
 
@@ -131,19 +135,6 @@ impl CellPool {
     /// A pool of exactly `threads` workers (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Self {
         CellPool { threads: threads.max(1) }
-    }
-
-    /// Reads `NDPX_THREADS` (default: available parallelism, via
-    /// [`ThreadPlan`]).
-    pub fn from_env() -> Self {
-        ThreadPlan::from_env().pool()
-    }
-
-    /// Parses a thread-count override; `None`, zero, and unparsable values
-    /// map to the machine's available parallelism. Pure so tests need not
-    /// touch the (process-global, racy) environment.
-    pub fn parse(value: Option<&str>) -> usize {
-        ThreadPlan::parse(value).requested
     }
 
     /// The configured worker count.
@@ -365,32 +356,36 @@ mod tests {
 
     #[test]
     fn parse_thread_counts() {
-        assert_eq!(CellPool::parse(Some("4")), 4);
-        assert_eq!(CellPool::parse(Some("1")), 1);
-        let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        assert_eq!(CellPool::parse(None), auto);
-        assert_eq!(CellPool::parse(Some("0")), auto);
-        assert_eq!(CellPool::parse(Some("bogus")), auto);
+        let requested = |v| ThreadPlan::parse(v).map(|p| p.requested);
+        assert_eq!(requested(Some("4")), Ok(4));
+        assert_eq!(requested(Some("1")), Ok(1));
+        assert_eq!(requested(None), Ok(host_cpus()));
+        assert_eq!(requested(Some("0")), Ok(host_cpus()));
+        // A typo is an error naming the knob, never the host width.
+        for bad in ["bogus", "-1", "2.5", "4 threads"] {
+            let err = requested(Some(bad)).expect_err(bad);
+            assert!(err.starts_with(&format!("{}=", ndpx_sim::knobs::THREADS.name)), "{err}");
+        }
     }
 
     #[test]
     fn thread_plan_clamps_default_and_marks_oversubscription() {
         let host = host_cpus();
-        // Unset / zero / garbage requests clamp to the host width and can
-        // never oversubscribe.
-        for v in [None, Some("0"), Some("bogus")] {
-            let plan = ThreadPlan::parse(v);
+        // Unset and zero requests clamp to the host width and can never
+        // oversubscribe.
+        for v in [None, Some("0")] {
+            let plan = ThreadPlan::parse(v).expect("a count");
             assert_eq!(plan.requested, host);
             assert_eq!(plan.host_cpus, host);
             assert!(!plan.oversubscribed());
         }
         // Explicit requests are honored verbatim; past the host width they
         // are flagged, not clamped (digest checks need threads=4 anywhere).
-        let wide = ThreadPlan::parse(Some(&(host + 1).to_string()));
+        let wide = ThreadPlan::parse(Some(&(host + 1).to_string())).expect("a count");
         assert_eq!(wide.requested, host + 1);
         assert!(wide.oversubscribed());
         assert_eq!(wide.pool().threads(), host + 1);
-        let one = ThreadPlan::parse(Some("1"));
+        let one = ThreadPlan::parse(Some("1")).expect("a count");
         assert_eq!(one.requested, 1);
         assert!(!one.oversubscribed());
     }

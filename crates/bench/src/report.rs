@@ -15,7 +15,7 @@
 //!
 //! Everything is parsed with [`Json`], the dependency-free telemetry
 //! parser, so any line-format drift between gauge schema versions
-//! (v1 … v7) is absorbed by real parsing instead of line scans.
+//! (v1 … v8) is absorbed by real parsing instead of line scans.
 
 use std::fmt::Write as _;
 
@@ -36,6 +36,8 @@ pub struct PerfRun {
     pub host_cpus: u64,
     /// Aggregate throughput of the measured run.
     pub sim_ops_per_sec: f64,
+    /// Peak resident set of the gauge process in MB (v8 on; `None` before).
+    pub peak_rss_mb: Option<f64>,
     /// Per-policy throughput, in report order.
     pub per_policy: Vec<(String, f64)>,
     /// Per-cell results, in report order.
@@ -105,6 +107,7 @@ pub fn parse_perf(source: &str) -> Result<PerfRun, String> {
         threads: num(&doc, "threads") as u64,
         host_cpus: num(&doc, "host_cpus") as u64,
         sim_ops_per_sec: num(&doc, "sim_ops_per_sec"),
+        peak_rss_mb: doc.get("peak_rss_mb").and_then(Json::as_f64),
         per_policy,
         cells,
     })
@@ -227,6 +230,13 @@ pub fn render_markdown(
         base.schema, cur.schema, base.scale, cur.scale,
         base.threads, cur.threads, base.host_cpus, cur.host_cpus
     );
+    let mb = |v: Option<f64>| v.map_or("—".to_string(), |mb| format!("{mb:.1} MB"));
+    let rss_delta = match (base.peak_rss_mb, cur.peak_rss_mb) {
+        (Some(b), Some(c)) if b > 0.0 => format!(" ({:+.1}%)", (c / b - 1.0) * 100.0),
+        _ => String::new(),
+    };
+    let _ =
+        writeln!(s, "| peak RSS | {} | {}{rss_delta} |", mb(base.peak_rss_mb), mb(cur.peak_rss_mb));
     s.push('\n');
 
     let verdict = if !cmp.is_clean() {
@@ -491,20 +501,25 @@ mod tests {
 
     const V6: &str = "ndpx-perf-gauge-v6";
     const V7: &str = "ndpx-perf-gauge-v7";
+    const V8: &str = "ndpx-perf-gauge-v8";
 
     /// A one-cell report. Before v7 the gauge also wrote a serial pass
     /// (`serial_*`, `parallel_speedup_vs_serial`, `runs`), `pool_overhead`
     /// and the `events_*` repeats of the op fields; the parser skips them.
+    /// v8 adds `peak_rss_mb`, here `rate / 40`.
     fn sample(schema: &str, rate: f64, digest: &str) -> String {
-        let dropped = if schema == V7 {
-            ""
+        let dropped = if schema == V8 {
+            format!("\"peak_rss_mb\": {},\n  ", rate / 40.0)
+        } else if schema == V7 {
+            String::new()
         } else {
             "\"queue_impl\": \"wheel\",\n  \"events_total\": 10,\n  \
              \"serial_sim_ops_per_sec\": 900.0,\n  \"events_per_sec\": 1800.0,\n  \
              \"parallel_speedup_vs_serial\": 1.5,\n  \"pool_overhead\": true,\n  \
              \"runs\": [{\"threads\": 1, \"sim_ops_per_sec\": 900.0}],\n  "
+                .to_string()
         };
-        let cell_events = if schema == V7 { "" } else { "\"events_per_sec\": 1.0, " };
+        let cell_events = if schema == V6 { "\"events_per_sec\": 1.0, " } else { "" };
         format!(
             "{{\n  \"schema\": \"{schema}\",\n  \"scale\": \"micro\",\n  {dropped}\
              \"threads\": 4,\n  \"host_cpus\": 4,\n  \"sim_ops_per_sec\": {rate},\n  \
@@ -520,9 +535,10 @@ mod tests {
 
     #[test]
     fn parse_reads_aggregates_policies_and_cells() {
-        for schema in [V6, V7] {
+        for schema in [V6, V7, V8] {
             let run = parse_perf(&sample(schema, 1000.0, "00ff")).unwrap();
             assert_eq!(run.schema, schema);
+            assert_eq!(run.peak_rss_mb, (schema == V8).then_some(25.0));
             assert_eq!(run.threads, 4);
             assert_eq!(run.sim_ops_per_sec, 1000.0);
             assert_eq!(run.per_policy, vec![("ndpext".to_string(), 1000.0)]);
@@ -596,6 +612,19 @@ mod tests {
         // A v6 run's `pool_overhead` flag is no longer read.
         let back = render_markdown(&cur, &base, &compare(&cur, &base, 0.10), &[]);
         assert!(!back.contains("pool_overhead"));
+    }
+
+    #[test]
+    fn markdown_reports_the_peak_rss_delta() {
+        let render = |a: &str, b: &str| {
+            let (base, cur) = (parse_perf(a).unwrap(), parse_perf(b).unwrap());
+            render_markdown(&base, &cur, &compare(&base, &cur, 0.10), &[])
+        };
+        let md = render(&sample(V8, 1000.0, "00ff"), &sample(V8, 500.0, "00ff"));
+        assert!(md.contains("| peak RSS | 25.0 MB | 12.5 MB (-50.0%) |"), "{md}");
+        // A v7 baseline predates the field: no delta to show.
+        let md = render(&sample(V7, 1000.0, "00ff"), &sample(V8, 1000.0, "00ff"));
+        assert!(md.contains("| peak RSS | — | 25.0 MB |"), "{md}");
     }
 
     #[test]

@@ -19,10 +19,11 @@ use ndpx_sim::fault::{self, FaultConfig};
 use ndpx_sim::knobs::{self, Knob};
 use ndpx_sim::telemetry::{TimelineConfig, TraceConfig};
 use ndpx_sim::time::Time;
+use ndpx_workloads::replay::DEFAULT_CACHE_BYTES;
 use ndpx_workloads::trace::ScaleParams;
 use ndpx_workloads::TraceCache;
 
-use crate::pool::{expect_ok, CellPool, CellResult, CellTask, MonitorConfig};
+use crate::pool::{expect_ok, CellPool, CellResult, CellTask, MonitorConfig, ThreadPlan};
 
 /// Benchmark scale profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,13 +37,6 @@ pub enum BenchScale {
 }
 
 impl BenchScale {
-    /// Reads `NDPX_SCALE` (defaults to [`BenchScale::Small`]). A value
-    /// that names no scale ends the process with exit status 2: a typo must
-    /// not silently run a different geometry.
-    pub fn from_env() -> Self {
-        or_exit(Self::parse(knobs::SCALE.raw().as_deref()))
-    }
-
     /// Parses a scale name; `None` and the empty string map to the default
     /// ([`BenchScale::Small`]), any other unknown name is an error naming
     /// the allowed values. Pure so tests need not touch the (process
@@ -104,6 +98,59 @@ pub fn or_exit<T>(parsed: Result<T, String>) -> T {
     })
 }
 
+/// Everything a bench binary reads from its environment at start-up,
+/// checked before any cell runs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchEnv {
+    /// `NDPX_SCALE`.
+    pub scale: BenchScale,
+    /// `NDPX_THREADS`.
+    pub threads: ThreadPlan,
+    /// `NDPX_TRACE_CACHE_BYTES`; `0` sends every trace request to live
+    /// generation.
+    pub trace_budget: u64,
+    /// The fault, chaos and telemetry knobs.
+    pub overrides: Overrides,
+}
+
+impl BenchEnv {
+    /// Reads the knobs from the process environment; a bad value ends the
+    /// process with exit status 2, naming the knob.
+    pub fn from_env() -> Self {
+        or_exit(Self::parse(|k| k.raw()))
+    }
+
+    /// Parses the knobs, reading each through `lookup`. A chaos schedule is
+    /// also checked against the scale's topology of both memory families,
+    /// so a target outside it stops the run here rather than in a cell.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first knob whose value is unusable.
+    pub fn parse(lookup: impl Fn(&Knob) -> Option<String>) -> Result<Self, String> {
+        let get = |knob: &Knob| lookup(knob).filter(|v| !v.trim().is_empty());
+        let scale = BenchScale::parse(get(&knobs::SCALE).as_deref())?;
+        let threads = ThreadPlan::parse(get(&knobs::THREADS).as_deref())?;
+        let trace_budget =
+            knob_value(get(&knobs::TRACE_CACHE_BYTES), &knobs::TRACE_CACHE_BYTES, |v| {
+                v.parse::<u64>().map_err(|_| "not a byte count".to_string())
+            })?
+            .unwrap_or(DEFAULT_CACHE_BYTES);
+        let overrides = Overrides::parse(&lookup)?;
+        for (mem, _) in crate::gauge::GAUGE_MEMS {
+            let mut cfg = scale.system(mem, PolicyKind::NdpExt);
+            overrides.apply(&mut cfg);
+            knob_value(get(&knobs::CHAOS), &knobs::CHAOS, |_| cfg.validate())?;
+        }
+        Ok(BenchEnv { scale, threads, trace_budget, overrides })
+    }
+
+    /// A trace cache at the budget.
+    pub fn trace_cache(&self) -> TraceCache {
+        TraceCache::with_budget(self.trace_budget)
+    }
+}
+
 /// The fault, chaos and telemetry settings the harness applies to every
 /// cell of a run, before the cell's own tweak. The default overrides
 /// nothing: every field equals the configuration profiles' own.
@@ -118,15 +165,6 @@ pub struct Overrides {
 }
 
 impl Overrides {
-    /// Reads the knobs from the process environment.
-    ///
-    /// # Errors
-    ///
-    /// As [`parse`](Self::parse).
-    pub fn from_env() -> Result<Self, String> {
-        Self::parse(|k| k.raw())
-    }
-
     /// Parses the knobs, reading each through `lookup`. A value that trims
     /// to empty counts as unset, as for `NDPX_SCALE`.
     ///
@@ -420,12 +458,12 @@ impl Session {
 
     /// A session at `NDPX_SCALE`, `NDPX_THREADS` and
     /// `NDPX_TRACE_CACHE_BYTES`, with the [`Overrides`] the environment
-    /// sets. A bad value ends the process with exit status 2.
+    /// sets ([`BenchEnv::from_env`]). A bad value ends the process with
+    /// exit status 2.
     pub fn from_env() -> Self {
-        let overrides = or_exit(Overrides::from_env());
-        let session =
-            Self::new(BenchScale::from_env(), CellPool::from_env(), TraceCache::from_env());
-        Session { overrides, ..session }
+        let env = BenchEnv::from_env();
+        let session = Self::new(env.scale, env.threads.pool(), env.trace_cache());
+        Session { overrides: env.overrides, ..session }
     }
 
     /// How many distinct cells the session has simulated.
@@ -544,9 +582,14 @@ mod tests {
         assert!(err.contains("bogus") && err.contains("test, small, paper"), "{err}");
     }
 
+    /// A knob lookup over (knob, value) pairs.
+    fn lookup<'a>(env: &'a [(&'a Knob, &'a str)]) -> impl Fn(&Knob) -> Option<String> + 'a {
+        |k| env.iter().find(|(e, _)| e.name == k.name).map(|(_, v)| v.to_string())
+    }
+
     /// Parses `env` (knob name, value) pairs through the lookup closure.
     fn overrides(env: &[(&Knob, &str)]) -> Result<Overrides, String> {
-        Overrides::parse(|k| env.iter().find(|(e, _)| e.name == k.name).map(|(_, v)| v.to_string()))
+        Overrides::parse(lookup(env))
     }
 
     #[test]
@@ -599,6 +642,49 @@ mod tests {
             let err = overrides(&[(knob, value)]).expect_err(value);
             assert!(err.starts_with(&format!("{}=", knob.name)), "{err}");
         }
+    }
+
+    #[test]
+    fn start_up_knobs_reject_typos_before_any_cell_runs() {
+        use knobs::*;
+        let env = |pairs: &[(&Knob, &str)]| BenchEnv::parse(lookup(pairs));
+        let unset = env(&[]).expect("defaults");
+        assert_eq!(unset.scale, BenchScale::Small);
+        assert_eq!(unset.threads.requested, crate::pool::host_cpus());
+        assert_eq!(unset.trace_budget, DEFAULT_CACHE_BYTES);
+        assert_eq!(unset.overrides, Overrides::default());
+
+        let set = env(&[
+            (&SCALE, "test"),
+            (&THREADS, "3"),
+            (&TRACE_CACHE_BYTES, "0"),
+            (&CHAOS, "stack-down@10us:3"),
+        ])
+        .expect("valid values");
+        assert_eq!((set.scale, set.threads.requested, set.trace_budget), (BenchScale::Test, 3, 0));
+        assert_eq!(set.overrides.chaos.events.len(), 1);
+
+        // The test topology has 4 stacks: target 9 names none of them.
+        let bad: [(&Knob, &str); 6] = [
+            (&SCALE, "tset"),
+            (&THREADS, "abc"),
+            (&TRACE_CACHE_BYTES, "abc"),
+            (&TRACE_CACHE_BYTES, "-1"),
+            (&CHAOS, "stack-down@10us:9"),
+            (&FAULT_SEED, "nope"),
+        ];
+        for (knob, value) in bad {
+            let err = env(&[(knob, value), (&SCALE, "test")]).expect_err(value);
+            assert!(err.starts_with(&format!("{}=", knob.name)), "{err}");
+        }
+
+        let policies =
+            |v: &str| crate::figures::sanity_policies(lookup(&[(&POLICY, v)])(&POLICY).as_deref());
+        assert_eq!(policies(""), Ok(PolicyKind::ALL.to_vec()));
+        assert_eq!(policies("NDPExt-static"), Ok(vec![PolicyKind::NdpExtStatic]));
+        let err = policies("Bogus").expect_err("no such policy");
+        assert!(err.starts_with(&format!("{}=", POLICY.name)), "{err}");
+        assert!(err.contains("NDPExt-static"), "{err}");
     }
 
     #[test]

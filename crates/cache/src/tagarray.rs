@@ -23,6 +23,10 @@ use crate::setassoc::Outcome;
 /// rather than a scan of every slot, and [`TagArray::reset`] re-sizes an
 /// array in place for a reconfiguration instead of allocating a new one.
 ///
+/// A slot costs 4 bytes of tag plus a valid and a dirty bit, so keys must
+/// be below `u32::MAX`; `NdpSystem::new` rejects any stream whose keys
+/// could reach it.
+///
 /// # Examples
 ///
 /// ```
@@ -43,8 +47,9 @@ pub struct TagArray {
     /// array is empty); rebuilt by [`TagArray::reset`].
     set_div: Divisor,
     /// Key + 1 per physical slot; 0 = invalid.
-    tags: Vec<u64>,
-    dirty: Vec<bool>,
+    tags: Vec<u32>,
+    /// One bit per slot, set only while the slot is valid and dirty.
+    dirty: Vec<u64>,
     /// LRU stamps, empty when direct-mapped: with one way the only
     /// candidate victim is the slot itself, so no stamp is ever compared.
     /// A stamp is written whenever its slot is filled and read only while
@@ -101,7 +106,7 @@ impl TagArray {
         // Every slot below the old length is empty now, so only growth is
         // zeroed.
         self.tags.resize(n, 0);
-        self.dirty.resize(n, false);
+        self.dirty.resize(n.div_ceil(64), 0);
         self.lru.resize(if ways > 1 { n } else { 0 }, 0);
         self.valid.resize(n.div_ceil(64), 0);
         self.ways = ways;
@@ -126,6 +131,20 @@ impl TagArray {
         self.live += 1;
     }
 
+    fn is_dirty(&self, i: usize) -> bool {
+        self.dirty[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn set_dirty(&mut self, i: usize, dirty: bool) {
+        let w = &mut self.dirty[i / 64];
+        *w = *w & !(1 << (i % 64)) | u64::from(dirty) << (i % 64);
+    }
+
+    /// Marks slot `i` dirty on a write; a read leaves it as it was.
+    fn or_dirty(&mut self, i: usize, write: bool) {
+        self.dirty[i / 64] |= u64::from(write) << (i % 64);
+    }
+
     /// Accesses `key` at placement `slot` (reduced mod the set count),
     /// filling on miss.
     pub fn access(&mut self, slot: u64, key: u64, write: bool) -> Outcome {
@@ -133,29 +152,30 @@ impl TagArray {
             return Outcome::Miss { evicted: None };
         }
         let set = self.set_div.rem(slot) as usize;
+        let tag = tag_of(key);
         if self.ways == 1 {
             let old = self.tags[set];
-            if old == key + 1 {
-                self.dirty[set] |= write;
+            if old == tag {
+                self.or_dirty(set, write);
                 return Outcome::Hit;
             }
             let evicted = if old != 0 {
-                Some((old - 1, self.dirty[set]))
+                Some((u64::from(old - 1), self.is_dirty(set)))
             } else {
                 self.mark_valid(set);
                 None
             };
-            self.tags[set] = key + 1;
-            self.dirty[set] = write;
+            self.tags[set] = tag;
+            self.set_dirty(set, write);
             return Outcome::Miss { evicted };
         }
 
         self.tick += 1;
         let base = set * self.ways;
         for i in base..base + self.ways {
-            if self.tags[i] == key + 1 {
+            if self.tags[i] == tag {
                 self.lru[i] = self.tick;
-                self.dirty[i] |= write;
+                self.or_dirty(i, write);
                 return Outcome::Hit;
             }
         }
@@ -164,13 +184,13 @@ impl TagArray {
             .min_by_key(|&i| if self.tags[i] == 0 { (0, 0) } else { (1, self.lru[i]) })
             .expect("ways >= 1");
         let evicted = if self.tags[victim] != 0 {
-            Some((self.tags[victim] - 1, self.dirty[victim]))
+            Some((u64::from(self.tags[victim] - 1), self.is_dirty(victim)))
         } else {
             self.mark_valid(victim);
             None
         };
-        self.tags[victim] = key + 1;
-        self.dirty[victim] = write;
+        self.tags[victim] = tag;
+        self.set_dirty(victim, write);
         self.lru[victim] = self.tick;
         Outcome::Miss { evicted }
     }
@@ -181,7 +201,7 @@ impl TagArray {
             return false;
         }
         let base = self.set_div.rem(slot) as usize * self.ways;
-        self.tags[base..base + self.ways].iter().any(|&t| t == key + 1)
+        self.tags[base..base + self.ways].contains(&tag_of(key))
     }
 
     /// Invalidates everything; returns `(valid, dirty)` counts. Touches
@@ -189,11 +209,10 @@ impl TagArray {
     pub fn invalidate_all(&mut self) -> (u64, u64) {
         let mut dirty = 0;
         for w in 0..self.valid.len() {
-            for b in SetBits(std::mem::take(&mut self.valid[w])) {
-                let i = w * 64 + b;
-                dirty += u64::from(self.dirty[i]);
-                self.tags[i] = 0;
-                self.dirty[i] = false;
+            let valid = std::mem::take(&mut self.valid[w]);
+            dirty += u64::from(std::mem::take(&mut self.dirty[w]).count_ones());
+            for b in SetBits(valid) {
+                self.tags[w * 64 + b] = 0;
             }
         }
         (std::mem::take(&mut self.live), dirty)
@@ -206,7 +225,7 @@ impl TagArray {
             .iter()
             .enumerate()
             .flat_map(|(w, &bits)| SetBits(bits).map(move |b| w * 64 + b))
-            .map(|i| (self.tags[i] - 1, self.dirty[i]))
+            .map(|i| (u64::from(self.tags[i] - 1), self.is_dirty(i)))
     }
 
     /// Installs `key` at `slot` only if a free way exists (no eviction);
@@ -219,8 +238,8 @@ impl TagArray {
         }
         let base = self.set_div.rem(slot) as usize * self.ways;
         if let Some(j) = (base..base + self.ways).find(|&j| self.tags[j] == 0) {
-            self.tags[j] = key + 1;
-            self.dirty[j] = dirty;
+            self.tags[j] = tag_of(key);
+            self.set_dirty(j, dirty);
             if self.ways > 1 {
                 self.lru[j] = 0;
             }
@@ -235,6 +254,13 @@ impl TagArray {
     pub fn occupancy(&self) -> u64 {
         self.live
     }
+}
+
+/// The stored tag of `key`: key + 1, so that 0 marks an empty slot.
+#[inline]
+fn tag_of(key: u64) -> u32 {
+    debug_assert!(key < u64::from(u32::MAX), "cache key {key} exceeds the 32-bit tag");
+    key as u32 + 1
 }
 
 /// The indices of a word's set bits, ascending.

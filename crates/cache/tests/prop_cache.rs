@@ -232,10 +232,12 @@ fn assert_same(t: &TagArray, o: &DenseTags, ctx: &str) {
 /// probes, checking every outcome.
 fn drive(rng: &mut Xoshiro256, t: &mut TagArray, o: &mut DenseTags, ops: usize, ctx: &str) {
     // A small key space so hits, conflicts and duplicates all occur; slots
-    // range past the set count to exercise the modulo.
+    // range past the set count to exercise the modulo. Half the runs place
+    // it at the top of the 32-bit tag range, ending at `u32::MAX - 1`.
     let keys = 1 + rng.below(400);
+    let lowest = if rng.below(2) == 0 { 0 } else { u64::from(u32::MAX) - keys };
     for step in 0..ops {
-        let (slot, key, flag) = (rng.below(400), rng.below(keys), rng.below(3) == 0);
+        let (slot, key, flag) = (rng.below(400), lowest + rng.below(keys), rng.below(3) == 0);
         match rng.below(10) {
             0..=4 => {
                 assert_eq!(t.access(slot, key, flag), o.access(slot, key, flag), "{ctx}@{step}")

@@ -51,6 +51,18 @@ pub fn key_of(s: &StreamConfig, p: DescParams, elem: u64, addr: u64) -> u64 {
     }
 }
 
+/// The largest cache key any reference to `s` can yield under the policy:
+/// the last element's key at stream grain, the line of the stream's last
+/// byte at line grain (a bound; element addresses lie below
+/// [`StreamConfig::end`]).
+pub fn max_key(s: &StreamConfig, p: DescParams) -> u64 {
+    if p.stream_grain {
+        key_of(s, p, s.elems() - 1, 0)
+    } else {
+        (s.end() - 1) / p.line_bytes
+    }
+}
+
 /// Reference: bytes fetched from extended memory on a miss.
 pub fn fetch_bytes(s: &StreamConfig, p: DescParams) -> u32 {
     if p.stream_grain && s.kind.is_affine() {

@@ -207,6 +207,19 @@ impl NdpSystem {
             affine_block: cfg.affine_block,
             line_bytes: cfg.line_bytes,
         };
+        // Tag arrays store key + 1 in 32 bits; checked once here so the hot
+        // path needs only a debug assertion.
+        if let Some((s, key)) = workload
+            .table
+            .iter()
+            .map(|s| (s, crate::desc::max_key(s, desc_params)))
+            .find(|&(_, key)| key >= u64::from(u32::MAX))
+        {
+            return Err(format!(
+                "workload {}: stream {} reaches cache key {key}, past the 32-bit tag range",
+                workload.name, s.sid
+            ));
+        }
         let descs: Vec<StreamDesc> =
             workload.table.iter().map(|s| StreamDesc::build(*s, desc_params)).collect();
 

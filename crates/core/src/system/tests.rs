@@ -202,6 +202,34 @@ fn rejects_mismatched_core_count() {
 }
 
 #[test]
+fn rejects_a_stream_whose_keys_overflow_the_32_bit_tags() {
+    struct Idle;
+    impl ndpx_workloads::OpSource for Idle {
+        fn next_op(&mut self, _core: usize) -> ndpx_workloads::Op {
+            ndpx_workloads::Op::Compute(1)
+        }
+    }
+    // Metadata only: a 2^32-element indirect stream allocates nothing.
+    let workload = |elems: u64| {
+        let mut table = ndpx_stream::StreamTable::new();
+        let spec = ndpx_stream::table::StreamSpec::indirect(2 << 20, elems * 4, 4, None);
+        table.configure(spec).expect("fits the 48-bit size field");
+        let cores = SystemConfig::test(PolicyKind::NdpExt).units();
+        Workload { name: "huge", table, cores, source: Box::new(Idle) }
+    };
+    let err = NdpSystem::new(SystemConfig::test(PolicyKind::NdpExt), workload(1 << 32))
+        .map(|_| ())
+        .expect_err("element keys reach 2^32 - 1");
+    assert!(err.contains("huge") && err.contains("stream s0"), "{err}");
+    // One element fewer fits; at line grain the same stream's keys are
+    // 16x smaller.
+    assert!(NdpSystem::new(SystemConfig::test(PolicyKind::NdpExt), workload((1 << 32) - 1)).is_ok());
+    assert!(
+        NdpSystem::new(SystemConfig::test(PolicyKind::StaticInterleave), workload(1 << 32)).is_ok()
+    );
+}
+
+#[test]
 fn zero_sized_structures_fail_construction_without_panicking() {
     // A zero-set sampler or a zero-entry SLB would panic in the
     // constructor and a zero epoch would spin the boundary loop, so

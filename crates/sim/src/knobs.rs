@@ -72,11 +72,6 @@ impl Knob {
         parse_bool(self.raw().as_deref(), default)
     }
 
-    /// Parses the value as `u64`; unset or unparsable is `None`.
-    pub fn u64_opt(&self) -> Option<u64> {
-        self.raw()?.trim().parse().ok()
-    }
-
     /// The value as an output path; set-but-empty behaves as unset.
     pub fn path(&self) -> Option<String> {
         self.raw().filter(|p| !p.is_empty())

@@ -15,16 +15,24 @@
 //! is `Sync`; concurrent requests for one key block on a single generation
 //! (no duplicate work) while requests for different keys proceed in
 //! parallel.
+//!
+//! Each materialized op occupies one `u64` ([`PackedOps`]): a 2-bit kind,
+//! then for `Mem` the write bit, the 9-bit sid and a 52-bit element index,
+//! for `RawMem` the write bit and a 61-bit address, for `Compute` the
+//! `u32` cycle count. The encoding is a bijection on every op that fits
+//! those widths; [`CachedTrace::materialize`] rejects any other op, so a
+//! replay returns exactly the op the generator produced.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use ndpx_stream::StreamTable;
+use ndpx_stream::{StreamId, StreamTable};
 
 use crate::registry;
-use crate::trace::{Op, OpSource, ScaleParams, Workload};
+use crate::trace::{MemRef, Op, OpSource, ScaleParams, Workload};
 
 /// Everything the trace of one workload instance depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,7 +68,115 @@ impl TraceKey {
     /// Approximate bytes a materialization of this key will occupy (used
     /// against the cache byte budget before any generation happens).
     pub fn approx_bytes(&self) -> u64 {
-        self.cores as u64 * self.ops_per_core * std::mem::size_of::<Op>() as u64
+        self.cores as u64 * self.ops_per_core * std::mem::size_of::<u64>() as u64
+    }
+}
+
+// The packed op layout (see the module docs). Bits 0-1 hold the kind, bit 2
+// the write flag of `Mem` and `RawMem`.
+const KIND_MASK: u64 = 0b11;
+const COMPUTE: u64 = 0;
+const MEM: u64 = 1;
+const RAW_MEM: u64 = 2;
+const WRITE: u64 = 1 << 2;
+const SID_SHIFT: u32 = 3;
+const SID_BITS: u32 = 9;
+const ELEM_SHIFT: u32 = SID_SHIFT + SID_BITS;
+const ADDR_SHIFT: u32 = 3;
+const CYCLES_SHIFT: u32 = 32;
+
+/// Largest `MemRef::elem` a trace can hold (52 bits).
+pub const MAX_TRACE_ELEM: u64 = u64::MAX >> ELEM_SHIFT;
+/// Largest `RawMem` address a trace can hold (61 bits).
+pub const MAX_TRACE_ADDR: u64 = u64::MAX >> ADDR_SHIFT;
+
+// Every sid a `StreamTable` hands out fits the sid field.
+const _: () = assert!(StreamId::MAX_STREAMS == 1 << SID_BITS);
+
+/// `op` in its 8-byte trace form, or `None` if a field is too wide.
+fn pack(op: Op) -> Option<u64> {
+    let write = |w: bool| if w { WRITE } else { 0 };
+    match op {
+        Op::Compute(cycles) => Some(COMPUTE | u64::from(cycles) << CYCLES_SHIFT),
+        Op::Mem(m) => (m.sid.index() < StreamId::MAX_STREAMS && m.elem <= MAX_TRACE_ELEM)
+            .then(|| MEM | write(m.write) | u64::from(m.sid.0) << SID_SHIFT | m.elem << ELEM_SHIFT),
+        Op::RawMem { addr, write: w } => {
+            (addr <= MAX_TRACE_ADDR).then(|| RAW_MEM | write(w) | addr << ADDR_SHIFT)
+        }
+    }
+}
+
+/// The op `word` was packed from.
+#[inline]
+fn unpack(word: u64) -> Op {
+    let write = word & WRITE != 0;
+    match word & KIND_MASK {
+        COMPUTE => Op::Compute((word >> CYCLES_SHIFT) as u32),
+        MEM => Op::Mem(MemRef {
+            sid: StreamId((word >> SID_SHIFT) as u16 & ((1 << SID_BITS) - 1)),
+            elem: word >> ELEM_SHIFT,
+            write,
+        }),
+        // RAW_MEM: kind 3 is never packed.
+        _ => Op::RawMem { addr: word >> ADDR_SHIFT, write },
+    }
+}
+
+/// Pulls `ops_per_core` ops per core from `wl` and packs them.
+///
+/// # Errors
+///
+/// A message naming the workload if an op does not fit the encoding (a
+/// sid of 512 or more, an element index above [`MAX_TRACE_ELEM`] or a raw
+/// address above [`MAX_TRACE_ADDR`]).
+fn pack_ops(wl: &mut Workload, ops_per_core: u64) -> Result<Vec<PackedOps>, String> {
+    let mut ops = Vec::with_capacity(wl.cores);
+    for core in 0..wl.cores {
+        let mut seq = Vec::with_capacity(ops_per_core as usize);
+        for k in 0..ops_per_core {
+            let op = wl.source.next_op(core);
+            seq.push(pack(op).ok_or_else(|| {
+                format!(
+                    "workload {}: core {core} op {k} {op:?} does not fit the 8-byte trace encoding",
+                    wl.name
+                )
+            })?);
+        }
+        ops.push(PackedOps(seq));
+    }
+    Ok(ops)
+}
+
+/// One core's materialized op sequence, 8 bytes per op.
+#[derive(Debug)]
+pub struct PackedOps(Vec<u64>);
+
+impl PackedOps {
+    /// Number of ops.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the sequence holds no op.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The ops in order.
+    pub fn iter(&self) -> impl Iterator<Item = OpView> + '_ {
+        self.0.iter().map(|&w| OpView(unpack(w)))
+    }
+}
+
+/// A decoded op of a [`PackedOps`]; dereferences to the [`Op`].
+#[derive(Debug, Clone, Copy)]
+pub struct OpView(Op);
+
+impl Deref for OpView {
+    type Target = Op;
+
+    fn deref(&self) -> &Op {
+        &self.0
     }
 }
 
@@ -72,8 +188,8 @@ pub struct CachedTrace {
     /// The pristine stream annotations (cloned per run — runs mutate the
     /// read-only bits).
     pub table: StreamTable,
-    /// Per-core operation sequences, `ops[core][k]` = the k-th op of `core`.
-    pub ops: Vec<Vec<Op>>,
+    /// Per-core operation sequences, `ops[core]` = the ops of `core`.
+    pub ops: Vec<PackedOps>,
     /// Wall-clock cost of the generation (what every cache hit saves).
     pub gen_wall: Duration,
 }
@@ -83,18 +199,16 @@ impl CachedTrace {
     ///
     /// # Panics
     ///
-    /// Panics on unknown workload names or construction errors — trace
-    /// requests come from static benchmark matrices.
+    /// Panics on unknown workload names, construction errors, or an op
+    /// that does not fit the 8-byte encoding (the message names the
+    /// workload) — trace requests come from static benchmark matrices.
     pub fn materialize(key: &TraceKey) -> Self {
         // ndpx-lint: allow(det-wallclock): gen_wall is cache-saving telemetry; it never reaches a digest or registry dump
         let t0 = Instant::now();
-        let params = key.params();
-        let mut wl = registry::build(key.workload, &params)
+        let mut wl = registry::build(key.workload, &key.params())
             .expect("workload name is known")
             .expect("workload constructs");
-        let ops = (0..key.cores)
-            .map(|core| (0..key.ops_per_core).map(|_| wl.source.next_op(core)).collect())
-            .collect();
+        let ops = pack_ops(&mut wl, key.ops_per_core).unwrap_or_else(|e| panic!("{e}"));
         CachedTrace { name: wl.name, table: wl.table, ops, gen_wall: t0.elapsed() }
     }
 
@@ -130,16 +244,16 @@ impl ReplaySource {
 
 impl OpSource for ReplaySource {
     fn next_op(&mut self, core: usize) -> Op {
-        let seq = &self.trace.ops[core];
+        let seq = &self.trace.ops[core].0;
         let cursor = &mut self.cursors[core];
         // Wrap by compare, not `%`: a 64-bit divide per op is measurable
         // in the run loop, and the cursor value itself is not observable.
         if *cursor >= seq.len() {
             *cursor = 0;
         }
-        let op = seq[*cursor];
+        let word = seq[*cursor];
         *cursor += 1;
-        op
+        unpack(word)
     }
 }
 
@@ -165,8 +279,9 @@ impl TraceCacheStats {
     }
 }
 
-/// Default byte budget for materialized traces (8 GiB); beyond it new keys
-/// fall back to live generation. Override with `NDPX_TRACE_CACHE_BYTES`.
+/// Default byte budget for materialized traces (8 GiB, about a billion
+/// ops); beyond it new keys fall back to live generation. The bench
+/// binaries override it with `NDPX_TRACE_CACHE_BYTES`.
 pub const DEFAULT_CACHE_BYTES: u64 = 8 << 30;
 
 /// One generation slot: requests for the same key block on a single
@@ -226,13 +341,6 @@ impl TraceCache {
     /// as if no cache existed.
     pub fn disabled() -> Self {
         TraceCache { slots: None, ..Self::with_budget(0) }
-    }
-
-    /// An enabled cache at the `NDPX_TRACE_CACHE_BYTES` budget (`0` sends
-    /// every request to live generation).
-    pub fn from_env() -> Self {
-        let budget = ndpx_sim::knobs::TRACE_CACHE_BYTES.u64_opt();
-        Self::with_budget(budget.unwrap_or(DEFAULT_CACHE_BYTES))
     }
 
     /// The materialized trace for `key`, generating it on first request.
@@ -343,6 +451,58 @@ mod tests {
                 assert_eq!(replay.next_op(core), live.source.next_op(core), "core {core} op {k}");
             }
         }
+    }
+
+    #[test]
+    fn packing_round_trips_every_op_within_the_widths() {
+        let mut rng = ndpx_sim::rng::Xoshiro256::seed_from(0x00BA_C4ED);
+        let sid = StreamId((StreamId::MAX_STREAMS - 1) as u16);
+        let mut ops = vec![
+            Op::Compute(0),
+            Op::Compute(u32::MAX),
+            Op::Mem(MemRef::write(sid, MAX_TRACE_ELEM)),
+            Op::Mem(MemRef::read(StreamId(0), 0)),
+            Op::RawMem { addr: MAX_TRACE_ADDR, write: true },
+            Op::RawMem { addr: 0, write: false },
+        ];
+        for _ in 0..10_000 {
+            let write = rng.below(2) == 1;
+            ops.push(match rng.below(3) {
+                0 => Op::Compute(rng.below(1 << 32) as u32),
+                1 => Op::Mem(MemRef {
+                    sid: StreamId(rng.below(StreamId::MAX_STREAMS as u64) as u16),
+                    elem: rng.below(MAX_TRACE_ELEM + 1),
+                    write,
+                }),
+                _ => Op::RawMem { addr: rng.below(MAX_TRACE_ADDR + 1), write },
+            });
+        }
+        for op in ops {
+            let word = pack(op).unwrap_or_else(|| panic!("{op:?} fits"));
+            assert_eq!(unpack(word), op);
+        }
+        // One past each bound is rejected, never truncated.
+        for op in [
+            Op::Mem(MemRef::read(StreamId(0), MAX_TRACE_ELEM + 1)),
+            Op::Mem(MemRef::read(StreamId(StreamId::MAX_STREAMS as u16), 0)),
+            Op::RawMem { addr: MAX_TRACE_ADDR + 1, write: false },
+        ] {
+            assert_eq!(pack(op), None, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn packing_names_the_workload_of_an_op_that_does_not_fit() {
+        struct Wide;
+        impl OpSource for Wide {
+            fn next_op(&mut self, _core: usize) -> Op {
+                Op::RawMem { addr: MAX_TRACE_ADDR + 1, write: false }
+            }
+        }
+        let mut wl =
+            Workload { name: "wide", table: StreamTable::new(), cores: 2, source: Box::new(Wide) };
+        let err = pack_ops(&mut wl, 4).expect_err("a 62-bit address does not fit");
+        assert!(err.starts_with("workload wide: core 0 op 0"), "{err}");
     }
 
     #[test]
