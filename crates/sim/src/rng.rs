@@ -236,7 +236,9 @@ impl PowerlawSampler {
         PowerlawSampler { cdf, table }
     }
 
-    /// Draws one value; small indices are most likely.
+    /// Draws one value; small indices are most likely. Consumes exactly one
+    /// `next_u64` of `rng` on either path, which [`skip`](Self::skip)
+    /// relies on.
     #[inline]
     pub fn sample(&self, rng: &mut Xoshiro256) -> u64 {
         // `from_uniform(rng.next_f64())`, with the bucket read off the
@@ -245,6 +247,16 @@ impl PowerlawSampler {
         match self.table[(m >> (53 - BUCKET_BITS)) as usize] {
             SLOW => self.cdf.eval(unit_f64(m)),
             k => u64::from(k),
+        }
+    }
+
+    /// Advances `rng` past `draws` samples without evaluating them: the
+    /// state `draws` calls of [`sample`](Self::sample) would leave. A lazy
+    /// power-law graph skips its edges this way (DESIGN.md §16).
+    #[inline]
+    pub fn skip(&self, rng: &mut Xoshiro256, draws: u64) {
+        for _ in 0..draws {
+            rng.next_u64();
         }
     }
 

@@ -337,7 +337,8 @@ fn powf_draw(n: u64, alpha: f64) -> impl Fn(f64) -> u64 {
 /// Checks a sampler against the `powf` oracle at every bucket edge and its
 /// neighbours, on `draws` uniform draws through both `sample` and
 /// `from_uniform`, and on a short stream paired with
-/// [`Xoshiro256::powerlaw_below`]; returns the draws compared.
+/// [`Xoshiro256::powerlaw_below`]; checks that `skip` leaves the generator
+/// where the `draws` samples did; returns the draws compared.
 fn check_sampler(n: u64, alpha: f64, draws: u64, seed: u64) -> u64 {
     let sampler = PowerlawSampler::new(n, alpha);
     let oracle = powf_draw(n, alpha);
@@ -359,6 +360,10 @@ fn check_sampler(n: u64, alpha: f64, draws: u64, seed: u64) -> u64 {
         assert_eq!(sampler.sample(&mut table_rng), want, "n={n} alpha={alpha} u={u:e}");
         assert_eq!(sampler.from_uniform(u), want, "n={n} alpha={alpha} u={u:e}");
     }
+    // Every draw, on the table or the `powf` path, consumes one `next_u64`.
+    let mut skipped = Xoshiro256::seed_from(seed);
+    sampler.skip(&mut skipped, draws);
+    assert_eq!(skipped, table_rng, "n={n} alpha={alpha}: skip drifted from sample");
     let (mut table_rng, mut powf_rng) =
         (Xoshiro256::seed_from(!seed), Xoshiro256::seed_from(!seed));
     for _ in 0..1000 {

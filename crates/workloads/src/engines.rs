@@ -144,6 +144,8 @@ struct GraphCoreState {
     v: u32,
     v_begin: u32,
     v_end: u32,
+    /// Edge index of `v`'s first edge.
+    e_begin: u64,
     e: u64,
     e_end: u64,
     in_edges: bool,
@@ -174,6 +176,7 @@ impl GraphKernel {
                     v: b as u32,
                     v_begin: b as u32,
                     v_end: e as u32,
+                    e_begin: 0,
                     e: 0,
                     e_end: 0,
                     in_edges: false,
@@ -207,7 +210,7 @@ impl GraphKernel {
             if s.in_edges {
                 // Emit one edge's worth of operations.
                 let e = s.e;
-                let dst = graph.edge_dst(e);
+                let dst = graph.neighbors(s.v)[(e - s.e_begin) as usize];
                 s.buf.push_back(Op::Mem(MemRef::read(spec.edges, e)));
                 for action in &spec.edge_actions {
                     match *action {
@@ -261,6 +264,7 @@ impl GraphKernel {
             if eb == ee {
                 Self::finish_vertex(spec, s);
             } else {
+                s.e_begin = eb;
                 s.e = eb;
                 s.e_end = ee;
                 s.in_edges = true;

@@ -5,17 +5,37 @@
 //! same indirect-stream locality behaviour (hot high-degree vertices are
 //! cache-friendly; the cold tail misses). See DESIGN.md §3.
 
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ndpx_sim::rng::{PowerlawSampler, Xoshiro256};
 
+/// Vertices per edge chunk, the unit in which a power-law graph generates
+/// its edges on first read (DESIGN.md §16).
+const CHUNK_VERTICES: usize = 256;
+
 /// A directed graph in compressed-sparse-row form.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The edge list is held in chunks of 256 consecutive vertices. A
+/// power-law graph fills a chunk the first time one of its vertices'
+/// neighbours is read, from the generator state recorded at the chunk's
+/// first vertex; the result is the same edge list an eager generator would
+/// build. A lattice fills every chunk at construction.
 pub struct CsrGraph {
-    /// `offsets[v]..offsets[v+1]` indexes `edges` for vertex `v`.
+    /// `offsets[v]..offsets[v+1]` indexes the edges of vertex `v`.
     offsets: Vec<u64>,
-    /// Destination vertex of each edge.
-    edges: Vec<u32>,
+    /// Destinations of the edges of chunk `c`'s vertices, in edge order.
+    chunks: Box<[OnceLock<Box<[u32]>>]>,
+    /// Generates unfilled chunks; `None` when every chunk is filled.
+    source: Option<PowerlawEdges>,
+}
+
+/// What a power-law graph needs to generate a chunk's edges.
+struct PowerlawEdges {
+    dst: PowerlawSampler,
+    avg_degree: u32,
+    /// The generator state at the first vertex of each chunk.
+    checkpoints: Vec<Xoshiro256>,
 }
 
 /// Cache key: the full generator parameter tuple `(vertices, avg_degree,
@@ -24,10 +44,9 @@ type GraphKey = (u32, u32, u64);
 
 /// Most-recently-generated power-law graphs. Sharing one immutable `Arc`
 /// across workload constructions is observationally identical to
-/// regenerating — but skips one power-law draw per edge (a table load for
-/// most, a `powf` for ~5%) and the CSR build when a bench matrix builds the
-/// same workload for many policy cells. Bounded so paper-scale sweeps
-/// cannot hoard memory.
+/// regenerating, but runs the degree pass once and generates each edge
+/// chunk at most once when a bench matrix builds the same workload for many
+/// policy cells. Bounded so paper-scale sweeps cannot hoard memory.
 static POWERLAW_CACHE: Mutex<Vec<(GraphKey, Arc<CsrGraph>)>> = Mutex::new(Vec::new());
 /// Distinct graphs kept alive by the cache.
 const POWERLAW_CACHE_CAP: usize = 6;
@@ -37,9 +56,20 @@ fn powerlaw_cache_enabled() -> bool {
     *ON.get_or_init(|| ndpx_sim::knobs::GRAPH_CACHE.bool_or(true))
 }
 
+/// Out-degree draw of vertex `v` of an `n`-vertex power-law graph: hubs
+/// (the lowest 1% of IDs) emit up to 8× more edges. One `next_u64`.
+fn draw_degree(rng: &mut Xoshiro256, v: usize, n: usize, avg_degree: u32) -> u64 {
+    let deg_scale = if v < n / 100 + 1 { 8 } else { 1 };
+    let deg = 1 + rng.below(u64::from(avg_degree) * 2 * deg_scale - 1);
+    deg.min(n as u64 - 1)
+}
+
 impl CsrGraph {
     /// Generates a power-law graph of `vertices` vertices and roughly
     /// `vertices * avg_degree` edges. Low vertex IDs are high-degree hubs.
+    ///
+    /// Only the degrees are drawn here; each chunk's edges are drawn on the
+    /// first [`neighbors`](Self::neighbors) call that reads it.
     ///
     /// # Panics
     ///
@@ -49,31 +79,32 @@ impl CsrGraph {
         assert!(avg_degree > 0, "graph must have edges");
         let mut rng = Xoshiro256::seed_from(seed);
         let n = vertices as usize;
-        // Vertices are generated in order, so the CSR arrays build directly.
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(n * avg_degree as usize);
+        let mut checkpoints = Vec::with_capacity(n.div_ceil(CHUNK_VERTICES));
         offsets.push(0);
         // Out-degree is skewed: hubs emit many edges. Destination choice is
         // also skewed toward hubs (preferential attachment flavour).
         let dst = PowerlawSampler::new(u64::from(vertices), 1.8);
+        let mut edges = 0;
         for v in 0..n {
-            let deg_scale = if v < n / 100 + 1 { 8 } else { 1 };
-            let deg = 1 + rng.below(u64::from(avg_degree) * 2 * deg_scale - 1) as usize;
-            let deg = deg.min(n - 1);
-            for _ in 0..deg {
-                edges.push(dst.sample(&mut rng) as u32);
+            if v.is_multiple_of(CHUNK_VERTICES) {
+                checkpoints.push(rng.clone());
             }
-            offsets.push(edges.len() as u64);
+            let deg = draw_degree(&mut rng, v, n, avg_degree);
+            dst.skip(&mut rng, deg);
+            edges += deg;
+            offsets.push(edges);
         }
-        CsrGraph { offsets, edges }
+        let chunks = (0..checkpoints.len()).map(|_| OnceLock::new()).collect();
+        CsrGraph { offsets, chunks, source: Some(PowerlawEdges { dst, avg_degree, checkpoints }) }
     }
 
     /// [`powerlaw`](Self::powerlaw) behind the process-wide graph cache:
     /// returns a shared immutable graph, generating it only on first use.
     /// Workload constructors go through this so a bench matrix that builds
     /// the same `(workload, footprint, seed)` cell under many policies pays
-    /// the skewed-edge generation once per process instead of once per
-    /// cell. Set `NDPX_GRAPH_CACHE=0` to regenerate every time.
+    /// the degree pass and each read chunk's edges once per process instead
+    /// of once per cell. Set `NDPX_GRAPH_CACHE=0` to regenerate every time.
     ///
     /// # Panics
     ///
@@ -89,9 +120,9 @@ impl CsrGraph {
                 return Arc::clone(g);
             }
         }
-        // Generate outside the lock: construction takes tens of
-        // milliseconds at bench scales and workers may race here. A racing
-        // duplicate insert is harmless (both Arcs hold identical graphs).
+        // Generate outside the lock: the degree pass takes milliseconds at
+        // bench scales and workers may race here. A racing duplicate insert
+        // is harmless (both Arcs hold identical graphs).
         let g = Arc::new(Self::powerlaw(vertices, avg_degree, seed));
         let mut cache = POWERLAW_CACHE.lock().expect("graph cache poisoned");
         if !cache.iter().any(|(k, _)| *k == key) {
@@ -114,34 +145,37 @@ impl CsrGraph {
         assert!(dim > 0, "lattice must be non-empty");
         let n = (dim * dim * dim) as usize;
         let mut offsets = Vec::with_capacity(n + 1);
+        let mut chunks = Vec::with_capacity(n.div_ceil(CHUNK_VERTICES));
         let mut edges = Vec::new();
         offsets.push(0);
-        for z in 0..dim {
-            for y in 0..dim {
-                for x in 0..dim {
-                    for dz in -1i64..=1 {
-                        for dy in -1i64..=1 {
-                            for dx in -1i64..=1 {
-                                if dx == 0 && dy == 0 && dz == 0 {
-                                    continue;
-                                }
-                                let (nx, ny, nz) =
-                                    (i64::from(x) + dx, i64::from(y) + dy, i64::from(z) + dz);
-                                let lim = i64::from(dim);
-                                if (0..lim).contains(&nx)
-                                    && (0..lim).contains(&ny)
-                                    && (0..lim).contains(&nz)
-                                {
-                                    edges.push((nz as u32 * dim + ny as u32) * dim + nx as u32);
-                                }
-                            }
+        let lim = i64::from(dim);
+        for v in 0..n as u32 {
+            let (x, y, z) = (v % dim, v / dim % dim, v / (dim * dim));
+            let before = edges.len();
+            for dz in -1i64..=1 {
+                for dy in -1i64..=1 {
+                    for dx in -1i64..=1 {
+                        if dx == 0 && dy == 0 && dz == 0 {
+                            continue;
+                        }
+                        let (nx, ny, nz) =
+                            (i64::from(x) + dx, i64::from(y) + dy, i64::from(z) + dz);
+                        if (0..lim).contains(&nx)
+                            && (0..lim).contains(&ny)
+                            && (0..lim).contains(&nz)
+                        {
+                            edges.push((nz as u32 * dim + ny as u32) * dim + nx as u32);
                         }
                     }
-                    offsets.push(edges.len() as u64);
                 }
             }
+            offsets.push(offsets[v as usize] + (edges.len() - before) as u64);
+            let v = v as usize + 1;
+            if v.is_multiple_of(CHUNK_VERTICES) || v == n {
+                chunks.push(OnceLock::from(std::mem::take(&mut edges).into_boxed_slice()));
+            }
         }
-        CsrGraph { offsets, edges }
+        CsrGraph { offsets, chunks: chunks.into_boxed_slice(), source: None }
     }
 
     /// Number of vertices.
@@ -151,7 +185,7 @@ impl CsrGraph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> u64 {
-        self.edges.len() as u64
+        self.offsets[self.offsets.len() - 1]
     }
 
     /// The half-open edge index range of `v`.
@@ -167,10 +201,65 @@ impl CsrGraph {
         e - s
     }
 
-    /// Destination of edge index `e`.
+    /// Destinations of `v`'s edges, in edge order; generates `v`'s chunk
+    /// on its first read.
     #[inline]
-    pub fn edge_dst(&self, e: u64) -> u32 {
-        self.edges[e as usize]
+    pub fn neighbors(&self, v: u32) -> &[u32] {
+        let c = v as usize / CHUNK_VERTICES;
+        let chunk = self.chunks[c].get_or_init(|| self.generate_chunk(c));
+        let base = self.offsets[c * CHUNK_VERTICES];
+        let (s, e) = self.edge_range(v);
+        &chunk[(s - base) as usize..(e - base) as usize]
+    }
+
+    /// Edge chunks, each of 256 vertices (the last may hold fewer).
+    pub fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// Edge chunks whose edges are resident: generated by a read, or
+    /// filled at construction.
+    pub fn resident_chunks(&self) -> usize {
+        self.chunks.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    /// Replays the power-law generator from chunk `c`'s checkpoint: the same
+    /// draws, in the same order, as the degree pass skipped.
+    #[cold]
+    fn generate_chunk(&self, c: usize) -> Box<[u32]> {
+        let src = self.source.as_ref().expect("only power-law graphs have unfilled chunks");
+        let n = self.offsets.len() - 1;
+        let (vb, ve) = (c * CHUNK_VERTICES, ((c + 1) * CHUNK_VERTICES).min(n));
+        let mut rng = src.checkpoints[c].clone();
+        let mut edges = Vec::with_capacity((self.offsets[ve] - self.offsets[vb]) as usize);
+        for v in vb..ve {
+            let deg = draw_degree(&mut rng, v, n, src.avg_degree);
+            debug_assert_eq!(deg, self.offsets[v + 1] - self.offsets[v], "replayed degree drifted");
+            edges.extend((0..deg).map(|_| src.dst.sample(&mut rng) as u32));
+        }
+        edges.into_boxed_slice()
+    }
+}
+
+impl PartialEq for CsrGraph {
+    /// Graphs are equal when their offsets and every neighbour list are;
+    /// comparing generates every chunk of both.
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets
+            && (0..self.vertices()).all(|v| self.neighbors(v) == other.neighbors(v))
+    }
+}
+
+impl Eq for CsrGraph {}
+
+impl fmt::Debug for CsrGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CsrGraph")
+            .field("vertices", &self.vertices())
+            .field("edges", &self.edge_count())
+            .field("chunks", &self.chunk_count())
+            .field("resident_chunks", &self.resident_chunks())
+            .finish()
     }
 }
 
@@ -201,7 +290,7 @@ mod tests {
     /// One hash over a graph's CSR arrays.
     fn csr_hash(g: &CsrGraph) -> u64 {
         let offsets = g.offsets.iter().copied();
-        let edges = g.edges.iter().map(|&e| u64::from(e));
+        let edges = (0..g.vertices()).flat_map(|v| g.neighbors(v)).map(|&e| u64::from(e));
         offsets.chain(edges).fold(0, |h, x| ndpx_sim::rng::mix64(h ^ x))
     }
 
@@ -231,9 +320,8 @@ mod tests {
             let (s, e) = g.edge_range(v);
             assert!(s <= e);
             total += e - s;
-            for i in s..e {
-                assert!(g.edge_dst(i) < g.vertices());
-            }
+            assert_eq!(g.neighbors(v).len() as u64, e - s);
+            assert!(g.neighbors(v).iter().all(|&d| d < g.vertices()));
         }
         assert_eq!(total, g.edge_count());
     }
@@ -242,14 +330,20 @@ mod tests {
     fn degree_distribution_is_skewed() {
         let g = CsrGraph::powerlaw(10_000, 8, 9);
         // In-degree of hubs (low IDs) should dominate: count edge targets.
-        let mut hot = 0u64;
-        for i in 0..g.edge_count() {
-            if g.edge_dst(i) < 100 {
-                hot += 1;
-            }
-        }
+        let hot = (0..g.vertices()).flat_map(|v| g.neighbors(v)).filter(|&&d| d < 100).count();
         let frac = hot as f64 / g.edge_count() as f64;
         assert!(frac > 0.2, "top-1% vertices draw only {frac} of edges");
+    }
+
+    #[test]
+    fn lattice_chunks_are_filled_at_construction() {
+        // 7³ = 343 cells: one full chunk and a partial one.
+        let g = CsrGraph::lattice3d(7);
+        assert_eq!((g.chunk_count(), g.resident_chunks()), (2, 2));
+        assert_eq!(g.neighbors(0), [1, 7, 8, 49, 50, 56, 57]);
+        let centre = (3 * 7 + 3) * 7 + 3;
+        assert_eq!(g.neighbors(centre).len(), 26);
+        assert_eq!(g.neighbors(342), [285, 286, 292, 293, 334, 335, 341]);
     }
 
     #[test]
