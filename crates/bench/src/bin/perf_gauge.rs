@@ -55,7 +55,7 @@ use ndpx_bench::runner::{run_ndp_cached, BenchEnv, BenchScale, RunSpec};
 use ndpx_core::config::{PolicyKind, TelemetryConfig};
 use ndpx_core::stats::RunReport;
 use ndpx_sim::telemetry::StatRegistry;
-use ndpx_workloads::{TraceCache, TraceCacheStats};
+use ndpx_workloads::{TraceCache, TraceCacheStats, TraceKey};
 
 struct Cell {
     key: String,
@@ -156,15 +156,17 @@ impl Matrix {
     }
 }
 
-/// Materializes each distinct trace of the matrix (its graph included)
-/// before the timed pass, so no cell's wall clock pays for generation. With
-/// the trace cache off this still warms the process-wide graph cache.
+/// Materializes each distinct trace of the matrix into the trace cache
+/// before the timed pass, so no cell's wall clock pays for generation. A
+/// trace the cache does not keep (cache off, or past its budget) is not
+/// generated here: its cells generate it inside their own runs.
 fn warm_traces(specs: &[RunSpec], cache: &TraceCache) {
     let mut warmed = Vec::new();
     for spec in specs {
-        let key = (spec.workload, spec.scale.workload(&spec.config()), spec.ops_per_core);
+        let key =
+            TraceKey::new(spec.workload, &spec.scale.workload(&spec.config()), spec.ops_per_core);
         if !warmed.contains(&key) {
-            cache.workload(key.0, &key.1, key.2);
+            cache.get(&key);
             warmed.push(key);
         }
     }
@@ -264,7 +266,7 @@ fn main() {
         check(base, &json);
     }
     // A check writes only where asked to, never over its own baseline.
-    let out_path = ndpx_sim::knobs::PERF_OUT
+    let out_path = ndpx_bench::knobs::PERF_OUT
         .path()
         .or_else(|| baseline.is_none().then(|| "BENCH_PERF.json".to_string()));
     let dest = match out_path {
@@ -272,7 +274,7 @@ fn main() {
             std::fs::write(&path, json).expect("write the perf report");
             format!("-> {path}")
         }
-        None => format!("(no report written: set {})", ndpx_sim::knobs::PERF_OUT.name),
+        None => format!("(no report written: set {})", ndpx_bench::knobs::PERF_OUT.name),
     };
     println!(
         "{:.0} simulated ops/sec over {} cells at {} thread(s) {dest}",

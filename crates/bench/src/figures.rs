@@ -75,7 +75,7 @@ pub fn fig02(s: &mut Session) {
     let scale = s.scale;
     let spec = RunSpec::new(MemKind::Hbm, PolicyKind::StaticInterleave, "pr", scale);
     let cells = [Cell::ndp("", spec), Cell::host("pr", scale.ops_per_core())];
-    let reports = s.run("fig02_breakdown", cells);
+    let reports = or_exit(s.run("fig02_breakdown", cells));
     let (ndp, host) = (&reports[0], &reports[1]);
 
     print_breakdown("NUCA", host);
@@ -152,7 +152,7 @@ pub fn fig05(s: &mut Session, mem: MemKind) {
     });
     let hosts = ALL_WORKLOADS.iter().map(|&w| Cell::host(w, scale.ops_per_core()));
     let run = format!("fig05_overall_{}", if mem == MemKind::Hmc { "hmc" } else { "hbm" });
-    let mut reports = s.run(&run, ndp.chain(hosts));
+    let mut reports = or_exit(s.run(&run, ndp.chain(hosts)));
     let hosts = reports.split_off(ALL_WORKLOADS.len() * PolicyKind::ALL.len());
 
     let header: Vec<String> = std::iter::once("workload".to_string())
@@ -211,7 +211,7 @@ pub fn fig06(s: &mut Session) {
         [PolicyKind::Nexus, PolicyKind::NdpExt]
             .map(|p| Cell::ndp("", RunSpec::new(MemKind::Hbm, p, w, scale)))
     });
-    let reports = s.run("fig06_energy", cells);
+    let reports = or_exit(s.run("fig06_energy", cells));
 
     let mut totals = Vec::new();
     for (&w, pair) in ALL_WORKLOADS.iter().zip(reports.chunks(2)) {
@@ -244,7 +244,7 @@ pub fn fig07(s: &mut Session) {
         "{:<11} {:>12} {:>12} {:>10} {:>10}",
         "workload", "nexus_icn_ns", "ndpx_icn_ns", "nexus_miss", "ndpx_miss"
     );
-    let reports = s.run("fig07_latency_miss", nexus_vs_ndpext(s.scale, "", tweak(|_| {})));
+    let reports = or_exit(s.run("fig07_latency_miss", nexus_vs_ndpext(s.scale, "", tweak(|_| {}))));
     for (&w, pair) in REPRESENTATIVE_WORKLOADS.iter().zip(reports.chunks(2)) {
         let (nexus, ndpx) = (&pair[0], &pair[1]);
         println!(
@@ -289,7 +289,7 @@ pub fn fig08a(s: &mut Session) {
         let t = topo(c);
         nexus_vs_ndpext(scale, &format!("{}/", c.0), tweak(move |cfg| cfg.topology = t))
     });
-    let reports = s.run("fig08a_scaling", cells);
+    let reports = or_exit(s.run("fig08a_scaling", cells));
     for (&c, point) in CONFIGS.iter().zip(reports.chunks(2 * REPRESENTATIVE_WORKLOADS.len())) {
         println!("{:>8} {:>7} {:>10.2}", c.0, topo(c).units(), nexus_over_ndpext(point));
     }
@@ -309,7 +309,7 @@ pub fn fig08b(s: &mut Session) {
         let latency = tweak(move |cfg| cfg.cxl = cfg.cxl.with_latency(Time::from_ns(ns)));
         nexus_vs_ndpext(scale, &format!("{ns}ns/"), latency)
     });
-    let reports = s.run("fig08b_cxl", cells);
+    let reports = or_exit(s.run("fig08b_cxl", cells));
     for (ns, point) in LATENCIES_NS.iter().zip(reports.chunks(2 * REPRESENTATIVE_WORKLOADS.len())) {
         println!("{ns:>10} {:>10.2}", nexus_over_ndpext(point));
     }
@@ -338,7 +338,7 @@ pub fn tab_consistent_hash(s: &mut Session) {
             Cell::ndp(point, spec)
         })
     });
-    let reports = s.run("tab_consistent_hash", cells);
+    let reports = or_exit(s.run("tab_consistent_hash", cells));
     let mut speedups = Vec::new();
     let mut inv_ratios = Vec::new();
     for (&w, pair) in ALL_WORKLOADS.iter().zip(reports.chunks(2)) {
@@ -479,7 +479,7 @@ pub fn fig09(s: &mut Session, panels: &[&str]) {
         panels.iter().flat_map(|p| point_cells(s.scale, &format!("{}=", p.name), &p.points));
     let cells: Vec<Cell> = cells.collect();
     let name = if panels.len() == 1 { panels[0].name } else { "all" };
-    let reports = s.run(&format!("fig09_design_{name}"), cells);
+    let reports = or_exit(s.run(&format!("fig09_design_{name}"), cells));
     let mut rows = reports.chunks(REPRESENTATIVE_WORKLOADS.len()).map(geotime);
     for panel in panels {
         let times: Vec<f64> = rows.by_ref().take(panel.points.len()).collect();
@@ -507,7 +507,7 @@ pub fn sanity_policies(value: Option<&str>) -> Result<Vec<PolicyKind>, String> {
                     let labels: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.label()).collect();
                     format!(
                         "{}={label:?} is not a policy; use one of {}",
-                        ndpx_sim::knobs::POLICY.name,
+                        crate::knobs::POLICY.name,
                         labels.join(", ")
                     )
                 },
@@ -522,10 +522,11 @@ pub fn sanity_policies(value: Option<&str>) -> Result<Vec<PolicyKind>, String> {
 pub fn sanity(s: &mut Session, workload: &'static str) {
     let scale = s.scale;
     let ops = scale.ops_per_core();
-    let policies = or_exit(sanity_policies(ndpx_sim::knobs::POLICY.raw().as_deref()));
+    let policies = or_exit(sanity_policies(crate::knobs::POLICY.raw().as_deref()));
     let ndp =
         policies.iter().map(|&p| Cell::ndp("", RunSpec::new(MemKind::Hbm, p, workload, scale)));
-    let mut reports = s.run("sanity", std::iter::once(Cell::host(workload, ops)).chain(ndp));
+    let mut reports =
+        or_exit(s.run("sanity", std::iter::once(Cell::host(workload, ops)).chain(ndp)));
     let rest = reports.split_off(1);
     let host = &reports[0];
 
@@ -575,7 +576,7 @@ pub fn ablation(s: &mut Session) {
         row("line-blocks", NdpExt, |c| c.affine_block = c.line_bytes),
         row("no-reconfig", NdpExtStatic, |_| {}),
     ];
-    let reports = s.run("ablation", point_cells(s.scale, "", &points));
+    let reports = or_exit(s.run("ablation", point_cells(s.scale, "", &points)));
     let times: Vec<f64> = reports.chunks(REPRESENTATIVE_WORKLOADS.len()).map(geotime).collect();
     println!("{:>16} {:>10}", "variant", "slowdown");
     for ((label, _, _), t) in points.iter().zip(&times) {

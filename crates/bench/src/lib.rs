@@ -4,7 +4,9 @@
 //! NDPExt paper. [`figures`] holds one function per figure or table; each
 //! `fig*` binary prints one of them and `reproduce` prints them all.
 //! [`runner`] provides the shared machinery: scale profiles and the
-//! [`Session`] that runs each distinct cell once.
+//! [`Session`] that runs each distinct cell once. [`knobs`] declares every
+//! `NDPX_*` environment knob; the harness is the only crate that reads
+//! them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,6 +14,7 @@
 pub mod digest;
 pub mod figures;
 pub mod gauge;
+pub mod knobs;
 pub mod manifest;
 pub mod micro;
 pub mod pool;

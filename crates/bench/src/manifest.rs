@@ -90,7 +90,7 @@ pub fn render(
 
 /// The run-document directory: `NDPX_METRICS` when set and non-empty.
 pub fn metrics_dir() -> Option<PathBuf> {
-    ndpx_sim::knobs::METRICS.path().map(PathBuf::from)
+    crate::knobs::METRICS.path().map(PathBuf::from)
 }
 
 /// A run label safe to embed in a file name: every byte outside

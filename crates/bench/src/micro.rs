@@ -54,7 +54,7 @@ impl MicroResult {
 /// True when the environment requests the micro-bench pass (unified
 /// boolean grammar; off by default).
 pub fn enabled_from_env() -> bool {
-    ndpx_sim::knobs::GAUGE_MICRO.bool_or(false)
+    crate::knobs::GAUGE_MICRO.bool_or(false)
 }
 
 fn timed(name: &'static str, iters: u64, f: impl FnOnce()) -> MicroResult {
@@ -427,7 +427,7 @@ mod tests {
     #[test]
     fn env_gate_defaults_off() {
         // The gauge only runs micros when explicitly asked.
-        if ndpx_sim::knobs::GAUGE_MICRO.raw().is_none() {
+        if crate::knobs::GAUGE_MICRO.raw().is_none() {
             assert!(!enabled_from_env());
         }
     }

@@ -108,7 +108,7 @@ impl ThreadPlan {
             Some(Ok(n)) => Ok(ThreadPlan { requested: n, host_cpus: host }),
             Some(Err(_)) => Err(format!(
                 "{}={:?}: not a thread count (0 or unset uses every core)",
-                ndpx_sim::knobs::THREADS.name,
+                crate::knobs::THREADS.name,
                 value.unwrap_or_default()
             )),
         }
@@ -364,7 +364,7 @@ mod tests {
         // A typo is an error naming the knob, never the host width.
         for bad in ["bogus", "-1", "2.5", "4 threads"] {
             let err = requested(Some(bad)).expect_err(bad);
-            assert!(err.starts_with(&format!("{}=", ndpx_sim::knobs::THREADS.name)), "{err}");
+            assert!(err.starts_with(&format!("{}=", crate::knobs::THREADS.name)), "{err}");
         }
     }
 

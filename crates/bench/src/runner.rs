@@ -16,13 +16,14 @@ use ndpx_core::stats::RunReport;
 use ndpx_core::system::NdpSystem;
 use ndpx_sim::chaos::ChaosConfig;
 use ndpx_sim::fault::{self, FaultConfig};
-use ndpx_sim::knobs::{self, Knob};
+use ndpx_sim::telemetry::log::{self, Level};
 use ndpx_sim::telemetry::{TimelineConfig, TraceConfig};
 use ndpx_sim::time::Time;
 use ndpx_workloads::replay::DEFAULT_CACHE_BYTES;
 use ndpx_workloads::trace::ScaleParams;
 use ndpx_workloads::TraceCache;
 
+use crate::knobs::{self, Knob};
 use crate::pool::{expect_ok, CellPool, CellResult, CellTask, MonitorConfig, ThreadPlan};
 
 /// Benchmark scale profile.
@@ -111,13 +112,18 @@ pub struct BenchEnv {
     pub trace_budget: u64,
     /// The fault, chaos and telemetry knobs.
     pub overrides: Overrides,
+    /// `NDPX_LOG`: the stderr log level (`None` logs nothing).
+    pub log: Option<Level>,
 }
 
 impl BenchEnv {
-    /// Reads the knobs from the process environment; a bad value ends the
-    /// process with exit status 2, naming the knob.
+    /// Reads the knobs from the process environment and sets the log
+    /// level; a bad value ends the process with exit status 2, naming the
+    /// knob.
     pub fn from_env() -> Self {
-        or_exit(Self::parse(|k| k.raw()))
+        let env = or_exit(Self::parse(|k| k.raw()));
+        log::set_max_level(env.log);
+        env
     }
 
     /// Parses the knobs, reading each through `lookup`. A chaos schedule is
@@ -136,13 +142,15 @@ impl BenchEnv {
                 v.parse::<u64>().map_err(|_| "not a byte count".to_string())
             })?
             .unwrap_or(DEFAULT_CACHE_BYTES);
+        let log = knob_value(get(&knobs::LOG), &knobs::LOG, log::parse_level)?
+            .unwrap_or(Some(Level::Warn));
         let overrides = Overrides::parse(&lookup)?;
         for (mem, _) in crate::gauge::GAUGE_MEMS {
             let mut cfg = scale.system(mem, PolicyKind::NdpExt);
             overrides.apply(&mut cfg);
             knob_value(get(&knobs::CHAOS), &knobs::CHAOS, |_| cfg.validate())?;
         }
-        Ok(BenchEnv { scale, threads, trace_budget, overrides })
+        Ok(BenchEnv { scale, threads, trace_budget, overrides, log })
     }
 
     /// A trace cache at the budget.
@@ -482,11 +490,21 @@ impl Session {
     /// the document, which names every failed cell under `failed`, is
     /// written and the others memoized before a failure is escalated.
     ///
+    /// # Errors
+    ///
+    /// A message naming the first new cell whose effective configuration
+    /// is invalid, such as a chaos target outside its sweep point's
+    /// topology; no cell runs then.
+    ///
     /// # Panics
     ///
     /// If two distinct new cells share a name, or, once the submission has
     /// run, if any cell panicked.
-    pub fn run(&mut self, run: &str, cells: impl IntoIterator<Item = Cell>) -> Vec<RunReport> {
+    pub fn run(
+        &mut self,
+        run: &str,
+        cells: impl IntoIterator<Item = Cell>,
+    ) -> Result<Vec<RunReport>, String> {
         let cells: Vec<Cell> = cells
             .into_iter()
             .map(|cell| match cell.sim {
@@ -501,6 +519,21 @@ impl Session {
                 let name = &cells[i].name;
                 assert!(!fresh.iter().any(|&j| cells[j].name == *name), "{run}: two cells {name}");
                 fresh.push(i);
+            }
+        }
+        for &i in &fresh {
+            if let CellKey::Ndp(_, _, cfg) = &keys[i] {
+                cfg.validate().map_err(|e| {
+                    // The chaos override is the one knob whose validity
+                    // depends on a sweep point's topology.
+                    let knob = if cfg.chaos == self.overrides.chaos && !cfg.chaos.events.is_empty()
+                    {
+                        format!("{}: ", knobs::CHAOS.name)
+                    } else {
+                        String::new()
+                    };
+                    format!("{knob}{run}: cell {}: {e}", cells[i].name)
+                })?;
             }
         }
         let (scale, cache) = (self.scale, &self.cache);
@@ -529,7 +562,7 @@ impl Session {
             })
             .collect();
         expect_ok(outcomes);
-        keys.iter().map(|key| self.recall(key).expect("memoized above").clone()).collect()
+        Ok(keys.iter().map(|key| self.recall(key).expect("memoized above").clone()).collect())
     }
 }
 
@@ -653,25 +686,30 @@ mod tests {
         assert_eq!(unset.threads.requested, crate::pool::host_cpus());
         assert_eq!(unset.trace_budget, DEFAULT_CACHE_BYTES);
         assert_eq!(unset.overrides, Overrides::default());
+        assert_eq!(unset.log, Some(Level::Warn));
 
         let set = env(&[
             (&SCALE, "test"),
             (&THREADS, "3"),
             (&TRACE_CACHE_BYTES, "0"),
             (&CHAOS, "stack-down@10us:3"),
+            (&LOG, "debug"),
         ])
         .expect("valid values");
         assert_eq!((set.scale, set.threads.requested, set.trace_budget), (BenchScale::Test, 3, 0));
         assert_eq!(set.overrides.chaos.events.len(), 1);
+        assert_eq!(set.log, Some(Level::Debug));
+        assert_eq!(env(&[(&LOG, "off")]).map(|e| e.log), Ok(None));
 
         // The test topology has 4 stacks: target 9 names none of them.
-        let bad: [(&Knob, &str); 6] = [
+        let bad: [(&Knob, &str); 7] = [
             (&SCALE, "tset"),
             (&THREADS, "abc"),
             (&TRACE_CACHE_BYTES, "abc"),
             (&TRACE_CACHE_BYTES, "-1"),
             (&CHAOS, "stack-down@10us:9"),
             (&FAULT_SEED, "nope"),
+            (&LOG, "verbose"),
         ];
         for (knob, value) in bad {
             let err = env(&[(knob, value), (&SCALE, "test")]).expect_err(value);

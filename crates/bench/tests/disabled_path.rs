@@ -39,7 +39,9 @@ fn specs() -> Vec<RunSpec> {
 /// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
 fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
     let cells = specs.iter().enumerate().map(|(i, s)| Cell::ndp(&format!("{i}/"), s.clone()));
-    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache).run("test", cells)
+    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache)
+        .run("test", cells)
+        .expect("valid cells")
 }
 
 #[test]

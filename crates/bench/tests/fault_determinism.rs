@@ -52,7 +52,9 @@ fn count(r: &RunReport, path: &str) -> u64 {
 /// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
 fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
     let cells = specs.iter().enumerate().map(|(i, s)| Cell::ndp(&format!("{i}/"), s.clone()));
-    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache).run("test", cells)
+    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache)
+        .run("test", cells)
+        .expect("valid cells")
 }
 
 #[test]
@@ -114,7 +116,7 @@ fn seed_unset_reproduces_committed_perf_digests() {
             report_digest(report),
             baseline,
             "{key}: with {} unset the fault-off path must be bit-identical to main",
-            ndpx_sim::knobs::FAULT_SEED.name
+            ndpx_bench::knobs::FAULT_SEED.name
         );
         assert!(
             report.registry.get("fault.mem.rolls").is_none(),

@@ -21,7 +21,9 @@ const OPS_PER_CORE: u64 = 750;
 fn digests(pool: CellPool, cache: TraceCache) -> (Vec<(String, u64)>, TraceCache) {
     let specs = gauge_specs(BenchScale::Test, OPS_PER_CORE);
     let mut session = Session::new(BenchScale::Test, pool, cache);
-    let reports = session.run("pool_determinism", specs.iter().map(|s| Cell::ndp("", s.clone())));
+    let reports = session
+        .run("pool_determinism", specs.iter().map(|s| Cell::ndp("", s.clone())))
+        .expect("valid cells");
     let digests =
         specs.iter().zip(&reports).map(|(s, r)| (cell_key(s), report_digest(r))).collect();
     (digests, session.cache)

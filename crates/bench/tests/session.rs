@@ -3,16 +3,18 @@
 //! A [`Session`] simulates each distinct cell once, keyed on the effective
 //! (post-tweak) configuration, the workload and the ops per core, and each
 //! run's `<run>.cells.json` document lists each simulated cell once under
-//! its own name. The session's overrides reach every cell it runs.
+//! its own name. The session's overrides reach every cell it runs, and a
+//! submission with an invalid cell runs none of them.
 
 use std::path::Path;
 
 use ndpx_bench::digest::report_digest;
+use ndpx_bench::knobs;
 use ndpx_bench::pool::CellPool;
 use ndpx_bench::runner::{run_ndp_cached, BenchScale, Cell, Overrides, RunSpec, Session};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind, ReconfigTransfer};
-use ndpx_sim::knobs;
+use ndpx_noc::topology::{IntraKind, Topology};
 use ndpx_sim::telemetry::{Json, StatValue};
 
 const OPS: u64 = 750;
@@ -33,7 +35,9 @@ fn memo_simulates_each_effective_config_once() {
         ("half-block/", a.with_tweak(|c| c.affine_block /= 2)),
     ];
     let mut session = Session::new(BenchScale::Test, CellPool::with_threads(2), TraceCache::new());
-    let reports = session.run("memo", cells.iter().map(|(p, s)| Cell::ndp(p, s.clone())));
+    let reports = session
+        .run("memo", cells.iter().map(|(p, s)| Cell::ndp(p, s.clone())))
+        .expect("valid cells");
     assert_eq!(session.simulated(), 3, "the default-valued tweak must hit the memo");
     for (i, ((_, spec), r)) in cells.iter().zip(&reports).enumerate() {
         let fresh = run_ndp_cached(spec, &TraceCache::disabled());
@@ -42,7 +46,8 @@ fn memo_simulates_each_effective_config_once() {
     assert_ne!(report_digest(&reports[0]), report_digest(&reports[3]), "the block tweak is a cell");
 
     // A later submission reads every cell from the memo.
-    let again = session.run("memo_again", [Cell::ndp("", cells[0].1.clone())]);
+    let again =
+        session.run("memo_again", [Cell::ndp("", cells[0].1.clone())]).expect("valid cells");
     assert_eq!(session.simulated(), 3);
     assert_eq!(report_digest(&again[0]), report_digest(&reports[0]));
 }
@@ -73,13 +78,13 @@ fn registry_dump_lists_each_simulated_cell_once() {
         Cell::ndp("", spec(PolicyKind::NdpExt, "pr")),
         Cell::host("pr", OPS),
     ];
-    session.run("first", cells);
+    session.run("first", cells).expect("valid cells");
     let keys = dump_keys(&dir.join("first.cells.json"));
     assert_eq!(keys, ["bulk/hbm/NDPExt/pr", "consistent/hbm/NDPExt/pr", "host/pr"]);
 
     // A second figure lists only the cells it simulated.
     let cells = [Cell::host("pr", OPS), Cell::ndp("", spec(PolicyKind::Nexus, "pr"))];
-    session.run("second", cells);
+    session.run("second", cells).expect("valid cells");
     assert_eq!(dump_keys(&dir.join("second.cells.json")), ["hbm/Nexus/pr"]);
     let mut written: Vec<String> = std::fs::read_dir(&dir)
         .expect("read the metrics directory")
@@ -108,7 +113,7 @@ fn overrides_reach_ndp_and_host_cells() {
         Overrides::parse(|k| env.iter().find(|(n, _)| *n == k.name).map(|(_, v)| v.clone()))
             .expect("valid overrides");
     let cells = [Cell::ndp("", spec(PolicyKind::NdpExt, "pr")), Cell::host("pr", OPS)];
-    let reports = session.run("overrides", cells);
+    let reports = session.run("overrides", cells).expect("valid cells");
     let count = |path| reports[0].registry.get(path).and_then(StatValue::as_count).unwrap_or(0);
     assert!(count("fault.mem.rolls") > 0, "the fault seed must reach the NDP cell");
     assert!(count("fault.mem.ce") > 0, "a 1e-2 CE rate must inject");
@@ -119,4 +124,26 @@ fn overrides_reach_ndp_and_host_cells() {
     assert_eq!(written.len(), 2, "one timeline per cell, the host's included: {written:?}");
     assert!(written.iter().any(|n| n.contains("Host")), "{written:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_chaos_target_outside_a_sweep_point_stops_the_submission() {
+    // The test topology has 4 stacks, so `BenchEnv` accepts target 3; a
+    // sweep point with one stack has no stack 3.
+    let env = [(knobs::CHAOS.name, "stack-down@10us:3".to_string())];
+    let mut session = Session::new(BenchScale::Test, CellPool::with_threads(2), TraceCache::new());
+    session.metrics = None;
+    session.overrides =
+        Overrides::parse(|k| env.iter().find(|(n, _)| *n == k.name).map(|(_, v)| v.clone()))
+            .expect("valid overrides");
+    let one =
+        Topology { stacks_x: 1, stacks_y: 1, units_x: 1, units_y: 1, intra: IntraKind::Crossbar };
+    let cells = [
+        Cell::ndp("", spec(PolicyKind::NdpExt, "pr")),
+        Cell::ndp("1x1/", spec(PolicyKind::NdpExt, "pr").with_tweak(move |c| c.topology = one)),
+    ];
+    let err = session.run("chaos", cells).expect_err("stack 3 is outside the 1x1 topology");
+    assert!(err.starts_with(knobs::CHAOS.name), "{err}");
+    assert!(err.contains("1x1/hbm/NDPExt/pr"), "the error names the sweep point: {err}");
+    assert_eq!(session.simulated(), 0, "no cell runs, the valid one included");
 }

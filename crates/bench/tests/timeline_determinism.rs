@@ -54,7 +54,9 @@ fn run_with_timelines(
         Cell::ndp("", spec)
     });
     let pool = CellPool::with_threads(threads);
-    Session::new(BenchScale::Test, pool, TraceCache::new()).run("timelines", cells)
+    Session::new(BenchScale::Test, pool, TraceCache::new())
+        .run("timelines", cells)
+        .expect("valid cells")
 }
 
 /// All timeline files under `dir`, keyed by file name.

@@ -8,17 +8,15 @@
 //!   or `thread::current` in the digest-affecting crates, whose simulated
 //!   results must stay byte-identical across thread counts and backends;
 //! * **Knob hygiene** — every environment read and every `NDPX_*` name
-//!   lives in [`ndpx_sim::knobs`], the central registry, and the simulator
-//!   crates name no knob at all;
+//!   lives in `ndpx_bench::knobs`, the central registry (the simulator
+//!   crates cannot depend on `ndpx-bench`, so they read no knob at all);
 //! * **Stat paths** — dotted registry-path literals must parse under the
 //!   declared grammar, so renamed counters cannot leave stale references.
 //!
 //! The analyzer is a hand-rolled token scanner ([`lexer`]) — no syn, no
 //! regex crate — in the same spirit as the workspace's hand-rolled JSON.
 //! Violations are suppressible per-site with justified pragmas
-//! ([`rules`]); `--format json` emits machine-readable output;
-//! `--knobs-md` renders the knob registry as the committed
-//! `docs/knobs.md`.
+//! ([`rules`]); `--format json` emits machine-readable output.
 
 pub mod lexer;
 pub mod rules;
@@ -39,47 +37,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
         out.extend(lint_source(&rel, &src));
     }
     Ok(out)
-}
-
-/// Renders the knob registry as the markdown table committed at
-/// `docs/knobs.md`. Deterministic: documentation order, no timestamps.
-pub fn knobs_md() -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("# Environment knobs\n\n");
-    out.push_str(
-        "Generated by `cargo run -p ndpx-lint -- --knobs-md`; do not edit by hand.\n\
-         CI regenerates this table and fails on drift.\n\n",
-    );
-    out.push_str(
-        "Every `NDPX_*` variable the workspace reads is declared in\n\
-         `ndpx_sim::knobs`; `ndpx-lint` rejects environment reads and knob-name\n\
-         literals anywhere else. Boolean knobs share one grammar: a set value\n\
-         is false exactly when it trims to `\"\"`, `0`, `false`, `off`, or `no`\n\
-         (case-insensitive), true otherwise; unset takes the default below.\n\n\
-         The simulator crates read no knob: the fault, chaos and telemetry\n\
-         knobs are parsed once, at start-up, by `ndpx-bench`\n\
-         (`runner::Overrides`), and a bad value exits 2 naming its knob.\n\n",
-    );
-    out.push_str("| Knob | Type | Default | Effect |\n");
-    out.push_str("|------|------|---------|--------|\n");
-    for k in ndpx_sim::knobs::ALL {
-        let kind = match k.kind {
-            ndpx_sim::knobs::KnobKind::Enum(values) => format!("enum: {}", values.join(" \\| ")),
-            ref other => other.label().to_string(),
-        };
-        out.push_str(&format!(
-            "| `{}` | {} | {} | {} |\n",
-            k.name,
-            kind,
-            escape_md(k.default),
-            escape_md(k.doc)
-        ));
-    }
-    out
-}
-
-fn escape_md(s: &str) -> String {
-    s.replace('|', "\\|").replace('\n', " ")
 }
 
 /// Renders violations as a deterministic JSON array (hand-rolled, matching
@@ -124,20 +81,6 @@ fn json_string(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn knobs_md_lists_every_knob_once() {
-        let md = knobs_md();
-        for k in ndpx_sim::knobs::ALL {
-            assert_eq!(
-                md.matches(&format!("| `{}` |", k.name)).count(),
-                1,
-                "{} must appear exactly once",
-                k.name
-            );
-        }
-        assert_eq!(md.matches("| `NDPX_").count(), ndpx_sim::knobs::ALL.len());
-    }
 
     #[test]
     fn json_output_is_wellformed_enough() {

@@ -2,7 +2,6 @@
 //!
 //! Usage:
 //!   ndpx-lint [--check] [--format text|json] [--root DIR]
-//!   ndpx-lint --knobs-md          # print docs/knobs.md to stdout
 //!
 //! Exit status: `0` clean, `1` violations found, `2` usage or I/O error.
 //! `--check` is an explicit alias for the default lint mode, kept so CI
@@ -14,14 +13,12 @@ use std::process::exit;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut format_json = false;
-    let mut knobs_md = false;
     let mut root: Option<PathBuf> = None;
 
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--check" => {}
-            "--knobs-md" => knobs_md = true,
             "--format" => {
                 i += 1;
                 match args.get(i).map(String::as_str) {
@@ -46,16 +43,10 @@ fn main() {
             other => {
                 eprintln!("ndpx-lint: unknown argument {other:?}");
                 eprintln!("usage: ndpx-lint [--check] [--format text|json] [--root DIR]");
-                eprintln!("       ndpx-lint --knobs-md");
                 exit(2);
             }
         }
         i += 1;
-    }
-
-    if knobs_md {
-        print!("{}", ndpx_lint::knobs_md());
-        return;
     }
 
     let root = root.or_else(|| {

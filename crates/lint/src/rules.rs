@@ -9,9 +9,9 @@
 //!   them.
 //! * **Knob hygiene** (`env-read`, `knob-literal`) — apply workspace-wide.
 //!   Every environment read and every `NDPX_*` name must live in
-//!   `ndpx_sim::knobs`, the single source of truth. `sim-knob` keeps the
-//!   simulator crates from naming a knob at all: their settings arrive in
-//!   the configuration, which `ndpx-bench` fills from the knobs once.
+//!   `ndpx_bench::knobs`, the single source of truth. The simulator crates
+//!   cannot depend on `ndpx-bench`, so the compiler keeps them from naming
+//!   a knob at all.
 //! * **Telemetry** (`stat-path`) — applies workspace-wide. Dotted registry
 //!   paths in string literals must parse under the declared grammar
 //!   ([`crate::statpath`]), so a renamed counter cannot leave stale
@@ -45,8 +45,6 @@ pub enum Rule {
     EnvRead,
     /// `"NDPX_*"` string literal outside the knob registry.
     KnobLiteral,
-    /// `knobs::` path in a simulator crate.
-    SimKnob,
     /// Registry-path literal that fails the stat-path grammar.
     StatPath,
     /// Pragma without a justification.
@@ -64,7 +62,6 @@ impl Rule {
             Rule::DetThreadId => "det-threadid",
             Rule::EnvRead => "env-read",
             Rule::KnobLiteral => "knob-literal",
-            Rule::SimKnob => "sim-knob",
             Rule::StatPath => "stat-path",
             Rule::PragmaJustify => "pragma-justify",
             Rule::PragmaUnused => "pragma-unused",
@@ -80,7 +77,6 @@ impl Rule {
             "det-threadid" => Rule::DetThreadId,
             "env-read" => Rule::EnvRead,
             "knob-literal" => Rule::KnobLiteral,
-            "sim-knob" => Rule::SimKnob,
             "stat-path" => Rule::StatPath,
             _ => return None,
         })
@@ -115,18 +111,6 @@ const DIGEST_SCOPE: &[&str] = &[
     "tests/",
 ];
 
-/// The simulator crates, which read no knob: a run's settings arrive in its
-/// configuration (`sim-knob`).
-const SIM_SCOPE: &[&str] = &[
-    "crates/core/",
-    "crates/sim/",
-    "crates/mem/",
-    "crates/noc/",
-    "crates/cxl/",
-    "crates/stream/",
-    "crates/cache/",
-];
-
 /// Module-level allowances, each carrying its reason. Pragmas handle
 /// single sites; these handle files whose whole purpose exempts them.
 const ALLOWLIST: &[(&str, Rule, &str)] = &[
@@ -135,14 +119,8 @@ const ALLOWLIST: &[(&str, Rule, &str)] = &[
         Rule::DetWallclock,
         "the profiler measures wall time by design; dumps carry sim time only",
     ),
-    ("crates/sim/src/knobs.rs", Rule::EnvRead, "the registry is the one sanctioned env reader"),
-    ("crates/sim/src/knobs.rs", Rule::KnobLiteral, "the registry declares the knob names"),
-    ("crates/sim/src/knobs.rs", Rule::SimKnob, "the registry declares the knobs"),
-    (
-        "crates/sim/src/telemetry/log.rs",
-        Rule::SimKnob,
-        "the log facade reads NDPX_LOG lazily, from any thread that logs",
-    ),
+    ("crates/bench/src/knobs.rs", Rule::EnvRead, "the registry is the one sanctioned env reader"),
+    ("crates/bench/src/knobs.rs", Rule::KnobLiteral, "the registry declares the knob names"),
     ("crates/lint/", Rule::KnobLiteral, "the linter names the prefix it scans for"),
     ("crates/lint/", Rule::StatPath, "the linter declares the grammar patterns"),
 ];
@@ -199,8 +177,6 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
 
     let mut found: Vec<Violation> = Vec::new();
     let det = in_digest_scope(rel_path);
-    let sim =
-        SIM_SCOPE.iter().any(|p| rel_path.starts_with(p)) && !allowlisted(rel_path, Rule::SimKnob);
 
     for (i, t) in code.iter().enumerate() {
         match &t.tok {
@@ -246,15 +222,6 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
                                   identical at any NDPX_THREADS"
                             .to_string(),
                     });
-                } else if sim && id == "knobs" && path_sep(&code, i) {
-                    found.push(Violation {
-                        path: rel_path.to_string(),
-                        line: t.line,
-                        rule: Rule::SimKnob,
-                        message: "the simulator reads no knob; take the setting from the run's \
-                                  configuration, which ndpx-bench fills (runner::Overrides)"
-                            .to_string(),
-                    });
                 } else if id == "env"
                     && ["var", "var_os", "vars", "vars_os"].iter().any(|f| path_call(&code, i, f))
                     && !allowlisted(rel_path, Rule::EnvRead)
@@ -263,8 +230,8 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
                         path: rel_path.to_string(),
                         line: t.line,
                         rule: Rule::EnvRead,
-                        message: "environment reads must go through ndpx_sim::knobs, the central \
-                                  knob registry"
+                        message: "environment reads must go through ndpx_bench::knobs, the \
+                                  central knob registry"
                             .to_string(),
                     });
                 }
@@ -276,7 +243,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
                         line: t.line,
                         rule: Rule::KnobLiteral,
                         message: format!(
-                            "knob name literal {s:?}; reference ndpx_sim::knobs::<KNOB>.name \
+                            "knob name literal {s:?}; reference ndpx_bench::knobs::<KNOB>.name \
                              instead"
                         ),
                     });
@@ -343,14 +310,6 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
     out
 }
 
-/// True when the identifier at `i` is followed by `::`.
-fn path_sep(code: &[Token], i: usize) -> bool {
-    matches!(
-        (code.get(i + 1).map(|t| &t.tok), code.get(i + 2).map(|t| &t.tok)),
-        (Some(Tok::Punct(':')), Some(Tok::Punct(':')))
-    )
-}
-
 /// True when the identifier at `i` is followed by `:: <method>` —
 /// i.e. tokens `Punct(':') Punct(':') Ident(method)`.
 fn path_call(code: &[Token], i: usize, method: &str) -> bool {
@@ -387,7 +346,7 @@ mod tests {
         let src = "let v = std::env::var(\"HOME\");";
         assert_eq!(rules_of(SIM, src), [Rule::EnvRead]);
         assert_eq!(rules_of(BENCH, src), [Rule::EnvRead]);
-        assert!(rules_of("crates/sim/src/knobs.rs", src).is_empty());
+        assert!(rules_of("crates/bench/src/knobs.rs", src).is_empty());
         // env! and env::args are not reads of a knob.
         assert!(
             rules_of(SIM, "let p = env!(\"CARGO_MANIFEST_DIR\"); let a = env::args();").is_empty()
@@ -398,19 +357,7 @@ mod tests {
     fn knob_literals_are_banned_outside_the_registry() {
         let src = "let v = \"NDPX_THREADS\";";
         assert_eq!(rules_of(BENCH, src), [Rule::KnobLiteral]);
-        assert!(rules_of("crates/sim/src/knobs.rs", src).is_empty());
-    }
-
-    #[test]
-    fn knob_paths_are_banned_in_the_simulator_crates() {
-        let src = "let on = ndpx_sim::knobs::PROFILE.bool_or(false);";
-        assert_eq!(rules_of(SIM, src), [Rule::SimKnob]);
-        assert_eq!(rules_of("crates/core/src/system/mod.rs", src), [Rule::SimKnob]);
-        assert!(rules_of(BENCH, src).is_empty(), "the harness is the one reader");
-        assert!(rules_of("crates/workloads/src/graph.rs", src).is_empty());
-        assert!(rules_of("crates/sim/src/telemetry/log.rs", src).is_empty());
-        // A module named in a `use` list, or a local called `knobs`, is no read.
-        assert!(rules_of(SIM, "use crate::{fault, knobs};\nlet knobs = 3;").is_empty());
+        assert!(rules_of("crates/bench/src/knobs.rs", src).is_empty());
     }
 
     #[test]

@@ -82,7 +82,7 @@ mod tests {
     fn finds_this_workspace() {
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = find_workspace_root(here).expect("workspace root above crates/lint");
-        assert!(root.join("crates/sim/src/knobs.rs").exists());
+        assert!(root.join("crates/bench/src/knobs.rs").exists());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-// Fixture: environment reads outside ndpx_sim::knobs.
+// Fixture: environment reads outside ndpx_bench::knobs.
 fn reads() {
     let _a = std::env::var("HOME");
     let _b = std::env::var_os("PATH");

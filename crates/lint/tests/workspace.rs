@@ -71,16 +71,6 @@ fn knob_literal_fixture() {
 }
 
 #[test]
-fn sim_knob_fixture() {
-    let counts = rule_counts(&lint_fixture("bad_sim_knob.rs"));
-    assert_eq!(counts.get("sim-knob"), Some(&2), "a knob read at each of the two paths");
-    assert_eq!(counts.len(), 1);
-    // The bench harness parses the knobs, so the same source is fine there.
-    let src = fixture("bad_sim_knob.rs");
-    assert!(lint_source("crates/bench/src/runner.rs", &src).is_empty());
-}
-
-#[test]
 fn stat_path_fixture() {
     let found = lint_fixture("bad_stat_path.rs");
     let counts = rule_counts(&found);

@@ -13,11 +13,11 @@
 //!   and a levelled logging facade;
 //! * [`rng`] — seeded pseudo-random generation and placement hashing;
 //! * [`fault`] — deterministic, seeded fault-injection plans;
-//! * [`chaos`] — scheduled hard-failure plans (device and link loss);
-//! * [`knobs`] — the central registry of every `NDPX_*` environment knob.
+//! * [`chaos`] — scheduled hard-failure plans (device and link loss).
 //!
 //! Everything is single-threaded and allocation-light: a simulation run is a
-//! pure function of its configuration and seed.
+//! pure function of its configuration and seed. The crate reads no
+//! environment.
 //!
 //! # Examples
 //!
@@ -43,7 +43,6 @@ pub mod energy;
 pub mod engine;
 pub mod fastdiv;
 pub mod fault;
-pub mod knobs;
 pub mod rng;
 pub mod stats;
 pub mod telemetry;

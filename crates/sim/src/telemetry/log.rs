@@ -2,9 +2,10 @@
 //!
 //! The system models used to carry ad-hoc `eprintln!` debug paths, each with
 //! its own environment flag. This module replaces them with one switchboard:
-//! `NDPX_LOG=error|warn|info|debug|trace|off` sets the global level (default
-//! `warn`, so normal runs are silent on stderr), and the `ndpx_error!` …
-//! `ndpx_trace!` macros gate formatting on the level check so disabled
+//! a global level (default `warn`, so normal runs are silent on stderr) that
+//! the bench harness sets from `NDPX_LOG` at start-up through
+//! [`parse_level`] and [`set_max_level`], and the `ndpx_error!` …
+//! `ndpx_trace!` macros that gate formatting on the level check, so disabled
 //! statements cost one relaxed atomic load.
 
 use std::fmt;
@@ -39,39 +40,34 @@ impl Level {
     }
 }
 
-/// Sentinel meaning "not yet initialized from the environment".
-const UNSET: u8 = u8::MAX;
 /// Level value meaning "log nothing".
 const OFF: u8 = 0;
 
-static MAX_LEVEL: AtomicU8 = AtomicU8::new(UNSET);
+static MAX_LEVEL: AtomicU8 = AtomicU8::new(Level::Warn as u8);
 
-/// Parses a level name as accepted by `NDPX_LOG` (case-insensitive; `off`,
-/// `0`, and `none` disable logging entirely).
-pub fn parse_level(s: &str) -> Option<u8> {
+/// Parses a level name (case-insensitive; numeric forms `0`–`5` too). `off`,
+/// `0`, and `none` parse as `None`, which [`set_max_level`] reads as "log
+/// nothing".
+///
+/// # Errors
+///
+/// A message listing the accepted names.
+pub fn parse_level(s: &str) -> Result<Option<Level>, String> {
     match s.trim().to_ascii_lowercase().as_str() {
-        "off" | "none" | "0" => Some(OFF),
-        "error" | "1" => Some(Level::Error as u8),
-        "warn" | "warning" | "2" => Some(Level::Warn as u8),
-        "info" | "3" => Some(Level::Info as u8),
-        "debug" | "4" => Some(Level::Debug as u8),
-        "trace" | "5" => Some(Level::Trace as u8),
-        _ => None,
+        "off" | "none" | "0" => Ok(None),
+        "error" | "1" => Ok(Some(Level::Error)),
+        "warn" | "warning" | "2" => Ok(Some(Level::Warn)),
+        "info" | "3" => Ok(Some(Level::Info)),
+        "debug" | "4" => Ok(Some(Level::Debug)),
+        "trace" | "5" => Ok(Some(Level::Trace)),
+        _ => Err("not a log level; use one of off, error, warn, info, debug, trace".to_string()),
     }
-}
-
-fn init_from_env() -> u8 {
-    let level = crate::knobs::LOG.raw().and_then(|v| parse_level(&v)).unwrap_or(Level::Warn as u8);
-    MAX_LEVEL.store(level, Ordering::Relaxed);
-    level
 }
 
 /// Whether messages at `level` are currently emitted.
 #[inline]
 pub fn enabled(level: Level) -> bool {
-    let max = MAX_LEVEL.load(Ordering::Relaxed);
-    let max = if max == UNSET { init_from_env() } else { max };
-    level as u8 <= max
+    level as u8 <= MAX_LEVEL.load(Ordering::Relaxed)
 }
 
 /// Overrides the global level (tests and harness binaries; `None` disables
@@ -164,15 +160,14 @@ mod tests {
 
     #[test]
     fn level_parsing() {
-        assert_eq!(parse_level("warn"), Some(Level::Warn as u8));
-        assert_eq!(parse_level("DEBUG"), Some(Level::Debug as u8));
-        assert_eq!(parse_level("off"), Some(0));
-        assert_eq!(parse_level("bogus"), None);
+        assert_eq!(parse_level("warn"), Ok(Some(Level::Warn)));
+        assert_eq!(parse_level("DEBUG"), Ok(Some(Level::Debug)));
+        assert_eq!(parse_level("off"), Ok(None));
+        assert!(parse_level("bogus").is_err());
     }
 
     #[test]
     fn explicit_level_gates() {
-        // Do not touch NDPX_LOG here: env mutation races parallel tests.
         set_max_level(Some(Level::Info));
         assert!(enabled(Level::Warn));
         assert!(enabled(Level::Info));

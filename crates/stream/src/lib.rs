@@ -30,9 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod detect;
 pub mod table;
 
 pub use config::{AffineShape, DimOrder, StreamConfig, StreamError, StreamId, StreamKind};
-pub use detect::{DetectedStream, DetectorConfig, StreamDetector};
 pub use table::{StreamSpec, StreamTable};

@@ -22,11 +22,42 @@ const AVG_DEGREE: u32 = 12;
 /// Period of injected non-stream (bypass) accesses.
 const RAW_PERIOD: u32 = 2048;
 
-/// Sizes a graph so `offsets + edges + aux_bytes_per_vertex` ≈ footprint.
-fn sized_graph(p: &ScaleParams, aux_bytes_per_vertex: u64) -> Arc<CsrGraph> {
+/// A kernel's constructor over its graph.
+type Kernel = fn(&ScaleParams, Arc<CsrGraph>) -> Result<Workload, StreamError>;
+
+/// Each kernel by name, with the footprint bytes per vertex that its own
+/// arrays add to the CSR arrays.
+const KERNELS: [(&str, u64, Kernel); 5] =
+    [("bfs", 8, bfs), ("pr", 16, pagerank), ("cc", 4, cc), ("bc", 20, bc), ("tc", 4, tc)];
+
+fn kernel(name: &str) -> Option<&'static (&'static str, u64, Kernel)> {
+    KERNELS.iter().find(|(n, ..)| *n == name)
+}
+
+/// The graph GAP kernel `name` reads at `p`, sized so its offsets, edges
+/// and per-vertex arrays fill about the footprint; `None` for a name
+/// outside GAP.
+pub fn graph(name: &str, p: &ScaleParams) -> Option<CsrGraph> {
+    let &(_, aux_bytes_per_vertex, _) = kernel(name)?;
     let bytes_per_vertex = 8 + 4 * u64::from(AVG_DEGREE) + aux_bytes_per_vertex;
     let vertices = (p.footprint / bytes_per_vertex).clamp(1024, u32::MAX as u64 / 2) as u32;
-    CsrGraph::powerlaw_shared(vertices, AVG_DEGREE, p.seed)
+    Some(CsrGraph::powerlaw(vertices, AVG_DEGREE, p.seed))
+}
+
+/// Builds GAP kernel `name` over `g`, which the registry takes from
+/// [`graph`]; `None` for a name outside GAP.
+///
+/// # Errors
+///
+/// Propagates stream-configuration failures (cannot happen for valid scale
+/// parameters).
+pub fn build(
+    name: &str,
+    p: &ScaleParams,
+    g: Arc<CsrGraph>,
+) -> Option<Result<Workload, StreamError>> {
+    let &(_, _, kernel) = kernel(name)?;
+    Some(kernel(p, g))
 }
 
 struct GraphStreams {
@@ -60,13 +91,7 @@ fn finish(
 }
 
 /// PageRank: full edge scans, indirect rank reads, ping-pong rank arrays.
-///
-/// # Errors
-///
-/// Propagates stream-configuration failures (cannot happen for valid scale
-/// parameters).
-pub fn pagerank(p: &ScaleParams) -> Result<Workload, StreamError> {
-    let g = sized_graph(p, 16);
+fn pagerank(p: &ScaleParams, g: Arc<CsrGraph>) -> Result<Workload, StreamError> {
     let mut gs = graph_streams(&g)?;
     let v = u64::from(g.vertices());
     let (rank_a, _) = gs.space.alloc_indirect(v * 8, 8, Some(gs.edges))?;
@@ -94,12 +119,7 @@ pub fn pagerank(p: &ScaleParams) -> Result<Workload, StreamError> {
 }
 
 /// Breadth-first search: frontier-wave visits, visited-flag updates.
-///
-/// # Errors
-///
-/// Propagates stream-configuration failures.
-pub fn bfs(p: &ScaleParams) -> Result<Workload, StreamError> {
-    let g = sized_graph(p, 8);
+fn bfs(p: &ScaleParams, g: Arc<CsrGraph>) -> Result<Workload, StreamError> {
     let mut gs = graph_streams(&g)?;
     let v = u64::from(g.vertices());
     let (visited, _) = gs.space.alloc_indirect(v * 4, 4, Some(gs.edges))?;
@@ -126,12 +146,7 @@ pub fn bfs(p: &ScaleParams) -> Result<Workload, StreamError> {
 }
 
 /// Connected components (label propagation).
-///
-/// # Errors
-///
-/// Propagates stream-configuration failures.
-pub fn cc(p: &ScaleParams) -> Result<Workload, StreamError> {
-    let g = sized_graph(p, 4);
+fn cc(p: &ScaleParams, g: Arc<CsrGraph>) -> Result<Workload, StreamError> {
     let mut gs = graph_streams(&g)?;
     let v = u64::from(g.vertices());
     let (labels, _) = gs.space.alloc_indirect(v * 4, 4, Some(gs.edges))?;
@@ -159,12 +174,7 @@ pub fn cc(p: &ScaleParams) -> Result<Workload, StreamError> {
 
 /// Betweenness centrality: frontier traversal reading per-vertex path counts
 /// and depths, accumulating dependencies.
-///
-/// # Errors
-///
-/// Propagates stream-configuration failures.
-pub fn bc(p: &ScaleParams) -> Result<Workload, StreamError> {
-    let g = sized_graph(p, 20);
+fn bc(p: &ScaleParams, g: Arc<CsrGraph>) -> Result<Workload, StreamError> {
     let mut gs = graph_streams(&g)?;
     let v = u64::from(g.vertices());
     let (sigma, _) = gs.space.alloc_indirect(v * 8, 8, Some(gs.edges))?;
@@ -193,12 +203,7 @@ pub fn bc(p: &ScaleParams) -> Result<Workload, StreamError> {
 
 /// Triangle counting: per-edge intersection walks of the destination's
 /// adjacency list (heavy irregular re-reads of the edge stream).
-///
-/// # Errors
-///
-/// Propagates stream-configuration failures.
-pub fn tc(p: &ScaleParams) -> Result<Workload, StreamError> {
-    let g = sized_graph(p, 4);
+fn tc(p: &ScaleParams, g: Arc<CsrGraph>) -> Result<Workload, StreamError> {
     let mut gs = graph_streams(&g)?;
     let v = u64::from(g.vertices());
     let (counts, _) = gs.space.alloc_indirect(v * 4, 4, Some(gs.edges))?;
@@ -229,10 +234,14 @@ mod tests {
         ScaleParams { cores: 4, footprint: 4 << 20, seed: 1 }
     }
 
+    fn built(name: &str, p: &ScaleParams) -> Workload {
+        crate::registry::build(name, p).expect("a GAP kernel").expect("constructs")
+    }
+
     #[test]
     fn all_kernels_construct_and_generate() {
-        for ctor in [pagerank, bfs, cc, bc, tc] {
-            let mut w = ctor(&small()).unwrap();
+        for (name, ..) in KERNELS {
+            let mut w = built(name, &small());
             assert!(w.table.len() >= 3, "{} has too few streams", w.name);
             let mut mem = 0;
             for _ in 0..1000 {
@@ -250,7 +259,7 @@ mod tests {
     #[test]
     fn pagerank_ping_pongs_ranks() {
         // Tiny graph, one core, so the op budget spans several iterations.
-        let mut w = pagerank(&ScaleParams { cores: 1, footprint: 128 << 10, seed: 1 }).unwrap();
+        let mut w = built("pr", &ScaleParams { cores: 1, footprint: 128 << 10, seed: 1 });
         let mut sids = std::collections::BTreeSet::new();
         for _ in 0..400_000 {
             if let Op::Mem(m) = w.source.next_op(0) {
@@ -265,16 +274,16 @@ mod tests {
 
     #[test]
     fn footprint_scales_with_params() {
-        let small_g = pagerank(&small()).unwrap();
+        let small_g = built("pr", &small());
         let big = ScaleParams { footprint: 16 << 20, ..small() };
-        let big_g = pagerank(&big).unwrap();
+        let big_g = built("pr", &big);
         let sum = |w: &Workload| -> u64 { w.table.iter().map(|s| s.size).sum() };
         assert!(sum(&big_g) > sum(&small_g) * 2);
     }
 
     #[test]
     fn bypass_accesses_are_rare_but_present() {
-        let mut w = cc(&small()).unwrap();
+        let mut w = built("cc", &small());
         let mut raw = 0;
         let mut total = 0;
         for _ in 0..10_000 {

@@ -6,7 +6,7 @@
 //! cache-friendly; the cold tail misses). See DESIGN.md §3.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use ndpx_sim::rng::{PowerlawSampler, Xoshiro256};
 
@@ -36,24 +36,6 @@ struct PowerlawEdges {
     avg_degree: u32,
     /// The generator state at the first vertex of each chunk.
     checkpoints: Vec<Xoshiro256>,
-}
-
-/// Cache key: the full generator parameter tuple `(vertices, avg_degree,
-/// seed)`. Generation is a pure function of this key.
-type GraphKey = (u32, u32, u64);
-
-/// Most-recently-generated power-law graphs. Sharing one immutable `Arc`
-/// across workload constructions is observationally identical to
-/// regenerating, but runs the degree pass once and generates each edge
-/// chunk at most once when a bench matrix builds the same workload for many
-/// policy cells. Bounded so paper-scale sweeps cannot hoard memory.
-static POWERLAW_CACHE: Mutex<Vec<(GraphKey, Arc<CsrGraph>)>> = Mutex::new(Vec::new());
-/// Distinct graphs kept alive by the cache.
-const POWERLAW_CACHE_CAP: usize = 6;
-
-fn powerlaw_cache_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| ndpx_sim::knobs::GRAPH_CACHE.bool_or(true))
 }
 
 /// Out-degree draw of vertex `v` of an `n`-vertex power-law graph: hubs
@@ -97,41 +79,6 @@ impl CsrGraph {
         }
         let chunks = (0..checkpoints.len()).map(|_| OnceLock::new()).collect();
         CsrGraph { offsets, chunks, source: Some(PowerlawEdges { dst, avg_degree, checkpoints }) }
-    }
-
-    /// [`powerlaw`](Self::powerlaw) behind the process-wide graph cache:
-    /// returns a shared immutable graph, generating it only on first use.
-    /// Workload constructors go through this so a bench matrix that builds
-    /// the same `(workload, footprint, seed)` cell under many policies pays
-    /// the degree pass and each read chunk's edges once per process instead
-    /// of once per cell. Set `NDPX_GRAPH_CACHE=0` to regenerate every time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vertices` is zero or `avg_degree` is zero.
-    pub fn powerlaw_shared(vertices: u32, avg_degree: u32, seed: u64) -> Arc<Self> {
-        if !powerlaw_cache_enabled() {
-            return Arc::new(Self::powerlaw(vertices, avg_degree, seed));
-        }
-        let key = (vertices, avg_degree, seed);
-        {
-            let cache = POWERLAW_CACHE.lock().expect("graph cache poisoned");
-            if let Some((_, g)) = cache.iter().find(|(k, _)| *k == key) {
-                return Arc::clone(g);
-            }
-        }
-        // Generate outside the lock: the degree pass takes milliseconds at
-        // bench scales and workers may race here. A racing duplicate insert
-        // is harmless (both Arcs hold identical graphs).
-        let g = Arc::new(Self::powerlaw(vertices, avg_degree, seed));
-        let mut cache = POWERLAW_CACHE.lock().expect("graph cache poisoned");
-        if !cache.iter().any(|(k, _)| *k == key) {
-            if cache.len() >= POWERLAW_CACHE_CAP {
-                cache.remove(0);
-            }
-            cache.push((key, Arc::clone(&g)));
-        }
-        g
     }
 
     /// Generates a 3D lattice of `dim³` cells where each cell's neighbours
@@ -274,17 +221,6 @@ mod tests {
         assert_eq!(a, b);
         let c = CsrGraph::powerlaw(1000, 8, 43);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn shared_generation_matches_direct() {
-        let direct = CsrGraph::powerlaw(1500, 6, 0xCAFE);
-        let shared = CsrGraph::powerlaw_shared(1500, 6, 0xCAFE);
-        assert_eq!(*shared, direct, "cache must be observationally identical");
-        let again = CsrGraph::powerlaw_shared(1500, 6, 0xCAFE);
-        assert!(Arc::ptr_eq(&shared, &again), "second lookup must share the Arc");
-        let other = CsrGraph::powerlaw_shared(1500, 6, 0xCAFF);
-        assert_ne!(*other, direct);
     }
 
     /// One hash over a graph's CSR arrays.

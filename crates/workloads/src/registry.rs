@@ -1,5 +1,7 @@
 //! Workload registry: construct any of the paper's 13 workloads by name.
 
+use std::sync::Arc;
+
 use ndpx_stream::StreamError;
 
 use crate::trace::{ScaleParams, Workload};
@@ -42,12 +44,7 @@ pub fn build(name: &str, p: &ScaleParams) -> Option<Result<Workload, StreamError
         "lavaMD" => rodinia::lavamd(p),
         "lud" => rodinia::lud(p),
         "pathfinder" => rodinia::pathfinder(p),
-        "bfs" => gap::bfs(p),
-        "pr" => gap::pagerank(p),
-        "cc" => gap::cc(p),
-        "bc" => gap::bc(p),
-        "tc" => gap::tc(p),
-        _ => return None,
+        other => return gap::build(other, p, Arc::new(gap::graph(other, p)?)),
     })
 }
 

@@ -11,6 +11,8 @@
 //!   power-law row popularity plus a small dense MLP. The paper's largest
 //!   NDPExt win (up to 2.43×).
 
+use std::sync::Arc;
+
 use ndpx_stream::{StreamError, StreamId};
 
 use crate::engines::{
@@ -77,7 +79,7 @@ pub fn gnn(p: &ScaleParams) -> Result<Workload, StreamError> {
     let avg_degree = 12u32;
     // Footprint per vertex: offsets 8 + edges 48 + feature row 64 + out 64.
     let vertices = (p.footprint / 184).clamp(1024, u32::MAX as u64 / 2) as u32;
-    let g = CsrGraph::powerlaw_shared(vertices, avg_degree, p.seed);
+    let g = Arc::new(CsrGraph::powerlaw(vertices, avg_degree, p.seed));
     let v = u64::from(g.vertices());
 
     let mut space = AddressSpace::new();
