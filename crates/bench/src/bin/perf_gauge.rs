@@ -1,8 +1,8 @@
 //! Wall-clock performance gauge for the simulator itself.
 //!
 //! Runs the fixed 36-cell `(mem, policy, workload)` matrix (see
-//! [`ndpx_bench::gauge`]) once at the `NDPX_SCALE` profile, on the
-//! [`ndpx_bench::pool::CellPool`] with the shared trace cache, and writes
+//! [`ndpx_bench::gauge`]) once at the `NDPX_SCALE` profile, as one
+//! [`ndpx_bench::runner::Session`] submission, and writes
 //! `BENCH_PERF.json`. Perf optimisations must keep every digest
 //! byte-identical — only the wall clock may move. That serial, pooled and
 //! uncached execution agree is the `pool_determinism` test's job, not the
@@ -28,8 +28,8 @@
 //!                                   # phases (profile.* registry scope)
 //!
 //! The scale, thread, trace-cache, fault, chaos and telemetry knobs are
-//! parsed once at start-up ([`BenchEnv`]); a bad value exits 2 before any
-//! cell runs.
+//! parsed once at start-up ([`BenchEnv`]); a bad value, or a chaos target
+//! outside the topology, exits 2 before any cell runs.
 //!
 //! Every distinct trace is materialized before the timed pass, so a cell's
 //! wall clock is its run alone. The report records the process's peak
@@ -47,11 +47,10 @@ use std::time::Instant;
 
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops, gauge_specs, peak_rss_mb, scale_name};
-use ndpx_bench::manifest;
 use ndpx_bench::micro::{self, MicroResult};
-use ndpx_bench::pool::{expect_ok, CellTask, MonitorConfig, ThreadPlan};
+use ndpx_bench::pool::{CellResult, ThreadPlan};
 use ndpx_bench::report::{compare, parse_perf, PerfRun};
-use ndpx_bench::runner::{run_ndp_cached, BenchEnv, BenchScale, RunSpec};
+use ndpx_bench::runner::{self, or_exit, BenchEnv, BenchScale, RunSpec, Session};
 use ndpx_core::config::{PolicyKind, TelemetryConfig};
 use ndpx_core::stats::RunReport;
 use ndpx_sim::telemetry::StatRegistry;
@@ -70,6 +69,23 @@ struct Cell {
 }
 
 impl Cell {
+    fn new(spec: &RunSpec, r: CellResult<RunReport>) -> Self {
+        let registry = &r.value.registry;
+        Cell {
+            key: cell_key(spec),
+            policy: spec.policy,
+            ops: r.value.ops,
+            wall_s: r.wall_s,
+            worker: r.worker,
+            peak_queue_depth: registry
+                .get("engine.queue.peak_depth")
+                .and_then(|v| v.as_count())
+                .expect("engine.queue.peak_depth in every cell registry"),
+            batch: BatchCell::from_registry(registry),
+            digest: report_digest(&r.value),
+        }
+    }
+
     fn ops_per_sec(&self) -> f64 {
         if self.wall_s > 0.0 {
             self.ops as f64 / self.wall_s
@@ -172,43 +188,6 @@ fn warm_traces(specs: &[RunSpec], cache: &TraceCache) {
     }
 }
 
-/// Runs the matrix once on the pool with heartbeat and watchdog attached,
-/// and writes the `NDPX_METRICS` run document before a failed cell
-/// escalates.
-fn run_matrix(specs: &[RunSpec], plan: ThreadPlan, cache: &TraceCache) -> Matrix {
-    let pool = plan.pool();
-    let monitor = MonitorConfig::new("perf_gauge", specs.iter().map(cell_key).collect());
-    let t0 = Instant::now();
-    let tasks: Vec<CellTask<'_, RunReport>> = specs
-        .iter()
-        .map(|spec| Box::new(move || run_ndp_cached(spec, cache)) as CellTask<'_, RunReport>)
-        .collect();
-    let results = pool.run_cells(Some(&monitor), tasks);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let (dir, stats) = (manifest::metrics_dir(), cache.stats());
-    manifest::emit(dir.as_deref(), "perf_gauge", pool.threads(), &monitor.names, &results, stats);
-    let cells = specs
-        .iter()
-        .zip(expect_ok(results))
-        .map(|(spec, r)| Cell {
-            key: cell_key(spec),
-            policy: spec.policy,
-            ops: r.value.ops,
-            wall_s: r.wall_s,
-            worker: r.worker,
-            peak_queue_depth: r
-                .value
-                .registry
-                .get("engine.queue.peak_depth")
-                .and_then(|v| v.as_count())
-                .expect("engine.queue.peak_depth in every cell registry"),
-            batch: BatchCell::from_registry(&r.value.registry),
-            digest: report_digest(&r.value),
-        })
-        .collect();
-    Matrix { cells, wall_s, peak_rss_mb: peak_rss_mb() }
-}
-
 fn main() {
     let env = BenchEnv::from_env();
     let (scale, plan, overrides) = (env.scale, env.threads, &env.overrides);
@@ -217,11 +196,17 @@ fn main() {
         .iter()
         .position(|a| a == "--check")
         .map(|i| read_baseline(args.get(i + 1).expect("--check needs a path")));
-    let specs: Vec<RunSpec> =
-        gauge_specs(scale, gauge_ops(scale)).into_iter().map(|s| overrides.onto(s)).collect();
-    let cache = env.trace_cache();
-    warm_traces(&specs, &cache);
-    let matrix = run_matrix(&specs, plan, &cache);
+    let specs = gauge_specs(scale, gauge_ops(scale));
+    let mut session = Session::new(scale, plan.pool(), env.trace_cache());
+    session.overrides = overrides.clone();
+    warm_traces(&specs, &session.cache);
+    let t0 = Instant::now();
+    let cells = specs.iter().map(|spec| runner::Cell::ndp("", spec.clone()));
+    let reports = or_exit(session.run("perf_gauge", cells));
+    let wall_s = t0.elapsed().as_secs_f64();
+    let cells = specs.iter().zip(reports).map(|(spec, r)| Cell::new(spec, r)).collect();
+    let matrix = Matrix { cells, wall_s, peak_rss_mb: peak_rss_mb() };
+    let cache = session.cache;
 
     for c in &matrix.cells {
         eprintln!(

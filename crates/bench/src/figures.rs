@@ -18,7 +18,14 @@ use ndpx_sim::rng::Xoshiro256;
 use ndpx_sim::time::Time;
 use ndpx_workloads::{ALL_WORKLOADS, REPRESENTATIVE_WORKLOADS};
 
+use crate::pool::CellResult;
 use crate::runner::{geomean, or_exit, print_row, BenchScale, Cell, ConfigTweak, RunSpec, Session};
+
+/// A submission's reports, in cell order; an invalid cell ends the process
+/// with exit status 2 ([`or_exit`]).
+fn reports(run: Result<Vec<CellResult<RunReport>>, String>) -> Vec<RunReport> {
+    or_exit(run).into_iter().map(|r| r.value).collect()
+}
 
 /// A shareable configuration change.
 fn tweak(f: impl Fn(&mut SystemConfig) + Send + Sync + 'static) -> ConfigTweak {
@@ -75,7 +82,7 @@ pub fn fig02(s: &mut Session) {
     let scale = s.scale;
     let spec = RunSpec::new(MemKind::Hbm, PolicyKind::StaticInterleave, "pr", scale);
     let cells = [Cell::ndp("", spec), Cell::host("pr", scale.ops_per_core())];
-    let reports = or_exit(s.run("fig02_breakdown", cells));
+    let reports = reports(s.run("fig02_breakdown", cells));
     let (ndp, host) = (&reports[0], &reports[1]);
 
     print_breakdown("NUCA", host);
@@ -152,7 +159,7 @@ pub fn fig05(s: &mut Session, mem: MemKind) {
     });
     let hosts = ALL_WORKLOADS.iter().map(|&w| Cell::host(w, scale.ops_per_core()));
     let run = format!("fig05_overall_{}", if mem == MemKind::Hmc { "hmc" } else { "hbm" });
-    let mut reports = or_exit(s.run(&run, ndp.chain(hosts)));
+    let mut reports = reports(s.run(&run, ndp.chain(hosts)));
     let hosts = reports.split_off(ALL_WORKLOADS.len() * PolicyKind::ALL.len());
 
     let header: Vec<String> = std::iter::once("workload".to_string())
@@ -211,7 +218,7 @@ pub fn fig06(s: &mut Session) {
         [PolicyKind::Nexus, PolicyKind::NdpExt]
             .map(|p| Cell::ndp("", RunSpec::new(MemKind::Hbm, p, w, scale)))
     });
-    let reports = or_exit(s.run("fig06_energy", cells));
+    let reports = reports(s.run("fig06_energy", cells));
 
     let mut totals = Vec::new();
     for (&w, pair) in ALL_WORKLOADS.iter().zip(reports.chunks(2)) {
@@ -244,7 +251,7 @@ pub fn fig07(s: &mut Session) {
         "{:<11} {:>12} {:>12} {:>10} {:>10}",
         "workload", "nexus_icn_ns", "ndpx_icn_ns", "nexus_miss", "ndpx_miss"
     );
-    let reports = or_exit(s.run("fig07_latency_miss", nexus_vs_ndpext(s.scale, "", tweak(|_| {}))));
+    let reports = reports(s.run("fig07_latency_miss", nexus_vs_ndpext(s.scale, "", tweak(|_| {}))));
     for (&w, pair) in REPRESENTATIVE_WORKLOADS.iter().zip(reports.chunks(2)) {
         let (nexus, ndpx) = (&pair[0], &pair[1]);
         println!(
@@ -289,7 +296,7 @@ pub fn fig08a(s: &mut Session) {
         let t = topo(c);
         nexus_vs_ndpext(scale, &format!("{}/", c.0), tweak(move |cfg| cfg.topology = t))
     });
-    let reports = or_exit(s.run("fig08a_scaling", cells));
+    let reports = reports(s.run("fig08a_scaling", cells));
     for (&c, point) in CONFIGS.iter().zip(reports.chunks(2 * REPRESENTATIVE_WORKLOADS.len())) {
         println!("{:>8} {:>7} {:>10.2}", c.0, topo(c).units(), nexus_over_ndpext(point));
     }
@@ -309,7 +316,7 @@ pub fn fig08b(s: &mut Session) {
         let latency = tweak(move |cfg| cfg.cxl = cfg.cxl.with_latency(Time::from_ns(ns)));
         nexus_vs_ndpext(scale, &format!("{ns}ns/"), latency)
     });
-    let reports = or_exit(s.run("fig08b_cxl", cells));
+    let reports = reports(s.run("fig08b_cxl", cells));
     for (ns, point) in LATENCIES_NS.iter().zip(reports.chunks(2 * REPRESENTATIVE_WORKLOADS.len())) {
         println!("{ns:>10} {:>10.2}", nexus_over_ndpext(point));
     }
@@ -338,7 +345,7 @@ pub fn tab_consistent_hash(s: &mut Session) {
             Cell::ndp(point, spec)
         })
     });
-    let reports = or_exit(s.run("tab_consistent_hash", cells));
+    let reports = reports(s.run("tab_consistent_hash", cells));
     let mut speedups = Vec::new();
     let mut inv_ratios = Vec::new();
     for (&w, pair) in ALL_WORKLOADS.iter().zip(reports.chunks(2)) {
@@ -479,7 +486,7 @@ pub fn fig09(s: &mut Session, panels: &[&str]) {
         panels.iter().flat_map(|p| point_cells(s.scale, &format!("{}=", p.name), &p.points));
     let cells: Vec<Cell> = cells.collect();
     let name = if panels.len() == 1 { panels[0].name } else { "all" };
-    let reports = or_exit(s.run(&format!("fig09_design_{name}"), cells));
+    let reports = reports(s.run(&format!("fig09_design_{name}"), cells));
     let mut rows = reports.chunks(REPRESENTATIVE_WORKLOADS.len()).map(geotime);
     for panel in panels {
         let times: Vec<f64> = rows.by_ref().take(panel.points.len()).collect();
@@ -526,7 +533,7 @@ pub fn sanity(s: &mut Session, workload: &'static str) {
     let ndp =
         policies.iter().map(|&p| Cell::ndp("", RunSpec::new(MemKind::Hbm, p, workload, scale)));
     let mut reports =
-        or_exit(s.run("sanity", std::iter::once(Cell::host(workload, ops)).chain(ndp)));
+        reports(s.run("sanity", std::iter::once(Cell::host(workload, ops)).chain(ndp)));
     let rest = reports.split_off(1);
     let host = &reports[0];
 
@@ -576,7 +583,7 @@ pub fn ablation(s: &mut Session) {
         row("line-blocks", NdpExt, |c| c.affine_block = c.line_bytes),
         row("no-reconfig", NdpExtStatic, |_| {}),
     ];
-    let reports = or_exit(s.run("ablation", point_cells(s.scale, "", &points)));
+    let reports = reports(s.run("ablation", point_cells(s.scale, "", &points)));
     let times: Vec<f64> = reports.chunks(REPRESENTATIVE_WORKLOADS.len()).map(geotime).collect();
     println!("{:>16} {:>10}", "variant", "slowdown");
     for ((label, _, _), t) in points.iter().zip(&times) {

@@ -132,20 +132,6 @@ knob!(
     "Chrome/Perfetto trace-event output path; unset (or empty) disables tracing."
 );
 knob!(
-    TRACE_START,
-    "NDPX_TRACE_START",
-    KnobKind::F64,
-    "0",
-    "Simulated-time start of the trace window, in microseconds."
-);
-knob!(
-    TRACE_STOP,
-    "NDPX_TRACE_STOP",
-    KnobKind::F64,
-    "unbounded",
-    "Simulated-time end of the trace window, in microseconds."
-);
-knob!(
     TRACE_CAP,
     "NDPX_TRACE_CAP",
     KnobKind::U64,
@@ -165,13 +151,6 @@ knob!(
     KnobKind::U64,
     "10000",
     "Timeline window width in simulated nanoseconds."
-);
-knob!(
-    TIMELINE_CAP,
-    "NDPX_TIMELINE_CAP",
-    KnobKind::U64,
-    "4096",
-    "Timeline ring capacity in windows; on overflow the ring folds by dropping odd windows."
 );
 knob!(
     PROFILE,
@@ -245,14 +224,6 @@ knob!(
      (`cxl-down@10us+5us`, `stack-down@20us:1`, `noc-down@15us:0-1`); unset disables every \
      hard-failure injector."
 );
-knob!(
-    CHAOS_RETRY_NS,
-    "NDPX_CHAOS_RETRY_NS",
-    KnobKind::U64,
-    "500",
-    "Base backoff (ns, doubling per probe) of the bounded retry loop that extended-memory \
-     accesses spin on during a scheduled CXL outage."
-);
 
 // Bench binaries -------------------------------------------------------------
 knob!(
@@ -285,12 +256,9 @@ pub const ALL: &[&Knob] = &[
     &SCALE,
     &LOG,
     &TRACE,
-    &TRACE_START,
-    &TRACE_STOP,
     &TRACE_CAP,
     &TIMELINE,
     &TIMELINE_WINDOW_NS,
-    &TIMELINE_CAP,
     &PROFILE,
     &METRICS,
     &TRACE_CACHE_BYTES,
@@ -300,7 +268,6 @@ pub const ALL: &[&Knob] = &[
     &FAULT_MEM_UE,
     &FAULT_NOC_FER,
     &CHAOS,
-    &CHAOS_RETRY_NS,
     &GAUGE_MICRO,
     &PERF_OUT,
     &POLICY,
@@ -370,7 +337,7 @@ mod tests {
     fn the_registry_holds_all_knobs() {
         // The count is asserted so adding a knob without registering it in
         // `ALL` (or removing one without pruning) cannot go unnoticed.
-        assert_eq!(ALL.len(), 23);
+        assert_eq!(ALL.len(), 19);
     }
 
     #[test]

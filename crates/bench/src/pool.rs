@@ -314,8 +314,8 @@ fn median(walls: &[f64]) -> f64 {
     sorted[(sorted.len() - 1) / 2]
 }
 
-/// Indices of cells whose wall clock exceeds `mult` × the median (and the
-/// [`SLOW_FLOOR_S`] noise floor), in submission order. Pure so the watchdog
+/// Indices of cells whose wall clock exceeds `mult` × the median (and a
+/// 0.1 s noise floor), in submission order. Pure so the watchdog
 /// policy is testable without timing a real pool.
 pub fn slow_cells(walls: &[f64], mult: f64) -> Vec<usize> {
     if mult <= 0.0 || walls.len() < 2 {

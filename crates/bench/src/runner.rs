@@ -126,9 +126,9 @@ impl BenchEnv {
         env
     }
 
-    /// Parses the knobs, reading each through `lookup`. A chaos schedule is
-    /// also checked against the scale's topology of both memory families,
-    /// so a target outside it stops the run here rather than in a cell.
+    /// Parses the knobs, reading each through `lookup`. A chaos target
+    /// outside a cell's topology is caught by [`Session::run`], before any
+    /// cell runs.
     ///
     /// # Errors
     ///
@@ -145,11 +145,6 @@ impl BenchEnv {
         let log = knob_value(get(&knobs::LOG), &knobs::LOG, log::parse_level)?
             .unwrap_or(Some(Level::Warn));
         let overrides = Overrides::parse(&lookup)?;
-        for (mem, _) in crate::gauge::GAUGE_MEMS {
-            let mut cfg = scale.system(mem, PolicyKind::NdpExt);
-            overrides.apply(&mut cfg);
-            knob_value(get(&knobs::CHAOS), &knobs::CHAOS, |_| cfg.validate())?;
-        }
         Ok(BenchEnv { scale, threads, trace_budget, overrides, log })
     }
 
@@ -166,7 +161,7 @@ impl BenchEnv {
 pub struct Overrides {
     /// `NDPX_FAULT_SEED` and the `NDPX_FAULT_*` rates.
     pub fault: FaultConfig,
-    /// `NDPX_CHAOS` and `NDPX_CHAOS_RETRY_NS`.
+    /// `NDPX_CHAOS`.
     pub chaos: ChaosConfig,
     /// `NDPX_TRACE*`, `NDPX_TIMELINE*` and `NDPX_PROFILE`.
     pub telemetry: TelemetryConfig,
@@ -193,32 +188,20 @@ impl Overrides {
             mem_ue: rate(&knobs::FAULT_MEM_UE, fault::DEFAULT_MEM_UE)?,
             noc_fer: rate(&knobs::FAULT_NOC_FER, fault::DEFAULT_NOC_FER)?,
         };
-        let retry_ns = count(&knobs::CHAOS_RETRY_NS)?;
         let chaos = knob_value(get(&knobs::CHAOS), &knobs::CHAOS, |spec| {
-            let chaos = ChaosConfig::parse(Some(spec), retry_ns)?;
+            let chaos = ChaosConfig::parse(Some(spec))?;
             chaos.validate().map(|()| chaos)
         })?
         .unwrap_or_default();
 
-        let us = |knob: &Knob| {
-            knob_value(get(knob), knob, |v| match v.parse::<f64>() {
-                Ok(us) if us.is_finite() && us >= 0.0 => Ok(Time::from_ns_f64(us * 1e3)),
-                _ => Err("not a non-negative number of microseconds".to_string()),
-            })
-        };
-        let (start, stop) = (us(&knobs::TRACE_START)?, us(&knobs::TRACE_STOP)?);
         let trace_cap = count(&knobs::TRACE_CAP)?;
         let trace = get(&knobs::TRACE).map(|path| TraceConfig {
-            start: start.unwrap_or(Time::ZERO),
-            stop: stop.unwrap_or(Time::MAX),
             capacity: trace_cap.map_or(TraceConfig::DEFAULT_CAPACITY, |c| c as usize),
             ..TraceConfig::to_path(path)
         });
-        let (window_ns, timeline_cap) =
-            (count(&knobs::TIMELINE_WINDOW_NS)?, count(&knobs::TIMELINE_CAP)?);
+        let window_ns = count(&knobs::TIMELINE_WINDOW_NS)?;
         let timeline = get(&knobs::TIMELINE).map(|path| TimelineConfig {
             window: Time::from_ns(window_ns.unwrap_or(TimelineConfig::DEFAULT_WINDOW_NS)),
-            capacity: timeline_cap.map_or(TimelineConfig::DEFAULT_CAPACITY, |c| c as usize),
             ..TimelineConfig::to_path(path)
         });
         let profile = knobs::parse_bool(get(&knobs::PROFILE).as_deref(), false);
@@ -448,7 +431,7 @@ pub struct Session {
     /// Applied to every NDP cell before its tweak; the host cells take the
     /// timeline.
     pub overrides: Overrides,
-    memo: Vec<(CellKey, RunReport)>,
+    memo: Vec<(CellKey, CellResult<RunReport>)>,
 }
 
 impl Session {
@@ -479,14 +462,16 @@ impl Session {
         self.memo.len()
     }
 
-    fn recall(&self, key: &CellKey) -> Option<&RunReport> {
+    fn recall(&self, key: &CellKey) -> Option<&CellResult<RunReport>> {
         self.memo.iter().find(|(k, _)| k == key).map(|(_, r)| r)
     }
 
-    /// Returns one report per cell, in cell order. Only the cells the
-    /// session has not simulated yet are submitted, each once, on the pool
-    /// with heartbeats and the slow-cell watchdog; the run document named
-    /// `run` lists exactly those cells. A cell never aborts its siblings:
+    /// Returns one report per cell, in cell order, with the worker and wall
+    /// clock of the cell's one simulation (in this submission or, for a
+    /// memoized cell, an earlier one). Only the cells the session has not
+    /// simulated yet are submitted, each once, on the pool with heartbeats
+    /// and the slow-cell watchdog; the run document named `run` lists
+    /// exactly those cells. A cell never aborts its siblings:
     /// the document, which names every failed cell under `failed`, is
     /// written and the others memoized before a failure is escalated.
     ///
@@ -504,7 +489,7 @@ impl Session {
         &mut self,
         run: &str,
         cells: impl IntoIterator<Item = Cell>,
-    ) -> Result<Vec<RunReport>, String> {
+    ) -> Result<Vec<CellResult<RunReport>>, String> {
         let cells: Vec<Cell> = cells
             .into_iter()
             .map(|cell| match cell.sim {
@@ -555,10 +540,12 @@ impl Session {
         let outcomes: Vec<_> = fresh
             .iter()
             .zip(results)
-            .map(|(&i, r)| CellResult {
-                value: r.value.map(|report| self.memo.push((keys[i].clone(), report))),
-                worker: r.worker,
-                wall_s: r.wall_s,
+            .map(|(&i, r)| {
+                let (worker, wall_s) = (r.worker, r.wall_s);
+                let value = r.value.map(|value| {
+                    self.memo.push((keys[i].clone(), CellResult { value, worker, wall_s }));
+                });
+                CellResult { value, worker, wall_s }
             })
             .collect();
         expect_ok(outcomes);
@@ -635,9 +622,7 @@ mod tests {
             (&FAULT_SEED, "0x2A"),
             (&FAULT_MEM_CE, "1e-2"),
             (&CHAOS, "cxl-down@5us+20us;stack-down@20us:1"),
-            (&CHAOS_RETRY_NS, "250"),
             (&TRACE, "t.json"),
-            (&TRACE_START, "1.5"),
             (&TRACE_CAP, "64"),
             (&TIMELINE, "tl.json"),
             (&TIMELINE_WINDOW_NS, "5000"),
@@ -648,16 +633,14 @@ mod tests {
         assert_eq!(set.fault.mem_ce, 1e-2);
         assert_eq!(set.fault.cxl_ber, fault::DEFAULT_CXL_BER);
         assert_eq!(set.chaos.events.len(), 2);
-        assert_eq!(set.chaos.retry, Time::from_ns(250));
-        let trace = set.telemetry.trace.expect("trace path set");
-        assert_eq!((trace.start, trace.stop, trace.capacity), (Time::from_ns(1500), Time::MAX, 64));
+        assert_eq!(set.telemetry.trace.expect("trace path set").capacity, 64);
         let timeline = set.telemetry.timeline.expect("timeline path set");
         assert_eq!(timeline.window, Time::from_ns(5000));
         assert_eq!(timeline.capacity, TimelineConfig::DEFAULT_CAPACITY);
         assert!(set.telemetry.profile);
 
         // Each bad value is an error naming its knob, never a fallback.
-        let bad: [(&Knob, &str); 12] = [
+        let bad: [(&Knob, &str); 9] = [
             (&FAULT_SEED, "nope"),
             (&FAULT_CXL_BER, "x"),
             (&FAULT_MEM_CE, "2"),
@@ -665,11 +648,8 @@ mod tests {
             (&FAULT_NOC_FER, "NaN"),
             (&CHAOS, "bogus"),
             (&CHAOS, "cxl-down@10us"),
-            (&CHAOS_RETRY_NS, "0"),
-            (&TRACE_START, "-3"),
             (&TRACE_CAP, "many"),
             (&TIMELINE_WINDOW_NS, "0"),
-            (&TIMELINE_CAP, "1.5"),
         ];
         for (knob, value) in bad {
             let err = overrides(&[(knob, value)]).expect_err(value);
@@ -701,13 +681,11 @@ mod tests {
         assert_eq!(set.log, Some(Level::Debug));
         assert_eq!(env(&[(&LOG, "off")]).map(|e| e.log), Ok(None));
 
-        // The test topology has 4 stacks: target 9 names none of them.
-        let bad: [(&Knob, &str); 7] = [
+        let bad: [(&Knob, &str); 6] = [
             (&SCALE, "tset"),
             (&THREADS, "abc"),
             (&TRACE_CACHE_BYTES, "abc"),
             (&TRACE_CACHE_BYTES, "-1"),
-            (&CHAOS, "stack-down@10us:9"),
             (&FAULT_SEED, "nope"),
             (&LOG, "verbose"),
         ];
@@ -723,6 +701,23 @@ mod tests {
         let err = policies("Bogus").expect_err("no such policy");
         assert!(err.starts_with(&format!("{}=", POLICY.name)), "{err}");
         assert!(err.contains("NDPExt-static"), "{err}");
+    }
+
+    #[test]
+    fn gauge_cells_reject_a_chaos_target_outside_the_topology() {
+        use crate::gauge::{gauge_ops, gauge_specs};
+        use knobs::*;
+        // The test topology has 4 stacks: target 9 names none of them.
+        let env = BenchEnv::parse(lookup(&[(&SCALE, "test"), (&CHAOS, "stack-down@10us:9")]))
+            .expect("the schedule itself parses");
+        let mut session =
+            Session::new(env.scale, CellPool::with_threads(1), TraceCache::disabled());
+        session.overrides = env.overrides;
+        let cells =
+            gauge_specs(env.scale, gauge_ops(env.scale)).into_iter().map(|s| Cell::ndp("", s));
+        let err = session.run("perf_gauge", cells).expect_err("stack 9 is outside the topology");
+        assert!(err.starts_with(&format!("{}: ", CHAOS.name)), "{err}");
+        assert_eq!(session.simulated(), 0, "no cell runs");
     }
 
     #[test]

@@ -13,10 +13,10 @@
 
 mod common;
 
+use common::run_fresh;
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops};
-use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
+use ndpx_bench::runner::{BenchScale, RunSpec};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
 use ndpx_core::stats::RunReport;
@@ -25,15 +25,6 @@ use ndpx_sim::telemetry::StatValue;
 
 fn count(r: &RunReport, path: &str) -> u64 {
     r.registry.get(path).and_then(StatValue::as_count).unwrap_or(0)
-}
-
-/// Runs `specs` on a fresh session, so every cell simulates even when
-/// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
-fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
-    let cells = specs.iter().enumerate().map(|(i, s)| Cell::ndp(&format!("{i}/"), s.clone()));
-    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache)
-        .run("test", cells)
-        .expect("valid cells")
 }
 
 #[test]
@@ -86,7 +77,7 @@ fn stack_loss_recovers_and_is_thread_invariant() {
                 ..RunSpec::new(MemKind::Hbm, policy, "pr", BenchScale::Test)
             }
             .with_tweak(|cfg| {
-                cfg.chaos = ChaosConfig::parse(Some("cxl-down@5us+20us;stack-down@20us:1"), None)
+                cfg.chaos = ChaosConfig::parse(Some("cxl-down@5us+20us;stack-down@20us:1"))
                     .expect("valid chaos spec")
             })
         })

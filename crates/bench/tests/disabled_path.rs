@@ -10,13 +10,12 @@ mod common;
 use std::path::Path;
 use std::time::Instant;
 
+use common::run_fresh;
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::gauge::{cell_key, gauge_ops};
-use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
+use ndpx_bench::runner::{BenchScale, RunSpec};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind, TelemetryConfig};
-use ndpx_core::stats::RunReport;
 use ndpx_sim::telemetry::TimelineConfig;
 use ndpx_sim::Time;
 
@@ -33,15 +32,6 @@ fn specs() -> Vec<RunSpec> {
             })
         })
         .collect()
-}
-
-/// Runs `specs` on a fresh session, so every cell simulates even when
-/// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
-fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
-    let cells = specs.iter().enumerate().map(|(i, s)| Cell::ndp(&format!("{i}/"), s.clone()));
-    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache)
-        .run("test", cells)
-        .expect("valid cells")
 }
 
 #[test]

@@ -5,8 +5,10 @@
 //! re-fetch, flit retransmit) without panicking, wedging, or producing
 //! non-finite degradation feedback.
 
-use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
+mod common;
+
+use common::run_fresh;
+use ndpx_bench::runner::{BenchScale, RunSpec};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
 use ndpx_core::stats::RunReport;
@@ -44,15 +46,6 @@ fn count(r: &RunReport, path: &str) -> u64 {
 }
 
 const ALL_KNOBS: [Knob; 4] = [Knob::CxlBer, Knob::MemCe, Knob::MemUe, Knob::NocFer];
-
-/// Runs `specs` on a fresh session, so every cell simulates even when
-/// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
-fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
-    let cells = specs.iter().enumerate().map(|(i, s)| Cell::ndp(&format!("{i}/"), s.clone()));
-    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache)
-        .run("test", cells)
-        .expect("valid cells")
-}
 
 #[test]
 fn zero_rates_draw_decisions_but_inject_nothing() {

@@ -25,7 +25,7 @@ fn digests(pool: CellPool, cache: TraceCache) -> (Vec<(String, u64)>, TraceCache
         .run("pool_determinism", specs.iter().map(|s| Cell::ndp("", s.clone())))
         .expect("valid cells");
     let digests =
-        specs.iter().zip(&reports).map(|(s, r)| (cell_key(s), report_digest(r))).collect();
+        specs.iter().zip(&reports).map(|(s, r)| (cell_key(s), report_digest(&r.value))).collect();
     (digests, session.cache)
 }
 

@@ -25,25 +25,18 @@
 //! a timeline attached through each cell's configuration: observing a run
 //! must not move its digest.
 
+mod common;
+
 use std::path::Path;
 
+use common::run_fresh;
 use ndpx_bench::digest::report_digest;
-use ndpx_bench::pool::CellPool;
-use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
+use ndpx_bench::runner::{BenchScale, RunSpec};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind, ReconfigTransfer};
 use ndpx_core::stats::RunReport;
 use ndpx_sim::chaos::ChaosConfig;
 use ndpx_sim::telemetry::{StatValue, TimelineConfig};
-
-/// Runs `specs` on a fresh session, so every cell simulates even when
-/// another call ran it; cell `i` is named `<i>/<mem>/<policy>/<workload>`.
-fn run_fresh(threads: usize, cache: TraceCache, specs: &[RunSpec]) -> Vec<RunReport> {
-    let cells = specs.iter().enumerate().map(|(i, s)| Cell::ndp(&format!("{i}/"), s.clone()));
-    Session::new(BenchScale::Test, CellPool::with_threads(threads), cache)
-        .run("test", cells)
-        .expect("valid cells")
-}
 
 /// Epoch shortening of the benchmark's `reconfig` workload.
 const EPOCH_DIV: u64 = 10;
@@ -68,7 +61,7 @@ fn spec_with(
         cfg.epoch_cycles /= EPOCH_DIV;
         cfg.transfer = transfer;
         if let Some(s) = chaos {
-            cfg.chaos = ChaosConfig::parse(Some(s), None).expect("valid chaos spec");
+            cfg.chaos = ChaosConfig::parse(Some(s)).expect("valid chaos spec");
         }
     })
 }

@@ -10,10 +10,11 @@ use std::path::Path;
 
 use ndpx_bench::digest::report_digest;
 use ndpx_bench::knobs;
-use ndpx_bench::pool::CellPool;
+use ndpx_bench::pool::{CellPool, CellResult};
 use ndpx_bench::runner::{run_ndp_cached, BenchScale, Cell, Overrides, RunSpec, Session};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind, ReconfigTransfer};
+use ndpx_core::stats::RunReport;
 use ndpx_noc::topology::{IntraKind, Topology};
 use ndpx_sim::telemetry::{Json, StatValue};
 
@@ -41,15 +42,18 @@ fn memo_simulates_each_effective_config_once() {
     assert_eq!(session.simulated(), 3, "the default-valued tweak must hit the memo");
     for (i, ((_, spec), r)) in cells.iter().zip(&reports).enumerate() {
         let fresh = run_ndp_cached(spec, &TraceCache::disabled());
-        assert_eq!(report_digest(r), report_digest(&fresh), "cell {i} differs from a fresh run");
+        assert_eq!(report_digest(&r.value), report_digest(&fresh), "cell {i} differs");
     }
-    assert_ne!(report_digest(&reports[0]), report_digest(&reports[3]), "the block tweak is a cell");
+    let digest = |i: usize| report_digest(&reports[i].value);
+    assert_ne!(digest(0), digest(3), "the block tweak is a cell");
+    let run = |r: &CellResult<RunReport>| (report_digest(&r.value), r.worker, r.wall_s);
+    assert_eq!(run(&reports[1]), run(&reports[0]), "a memo hit is the one simulation's run");
 
     // A later submission reads every cell from the memo.
     let again =
         session.run("memo_again", [Cell::ndp("", cells[0].1.clone())]).expect("valid cells");
     assert_eq!(session.simulated(), 3);
-    assert_eq!(report_digest(&again[0]), report_digest(&reports[0]));
+    assert_eq!(run(&again[0]), run(&reports[0]));
 }
 
 /// The `cells` names of a run document, in file order, duplicates kept.
@@ -114,7 +118,8 @@ fn overrides_reach_ndp_and_host_cells() {
             .expect("valid overrides");
     let cells = [Cell::ndp("", spec(PolicyKind::NdpExt, "pr")), Cell::host("pr", OPS)];
     let reports = session.run("overrides", cells).expect("valid cells");
-    let count = |path| reports[0].registry.get(path).and_then(StatValue::as_count).unwrap_or(0);
+    let count =
+        |path| reports[0].value.registry.get(path).and_then(StatValue::as_count).unwrap_or(0);
     assert!(count("fault.mem.rolls") > 0, "the fault seed must reach the NDP cell");
     assert!(count("fault.mem.ce") > 0, "a 1e-2 CE rate must inject");
     let written: Vec<String> = std::fs::read_dir(&dir)

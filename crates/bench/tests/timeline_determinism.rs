@@ -57,6 +57,9 @@ fn run_with_timelines(
     Session::new(BenchScale::Test, pool, TraceCache::new())
         .run("timelines", cells)
         .expect("valid cells")
+        .into_iter()
+        .map(|r| r.value)
+        .collect()
 }
 
 /// All timeline files under `dir`, keyed by file name.

@@ -81,16 +81,6 @@ impl SharePlacement {
         Some((unit, global - self.prefix[unit]))
     }
 
-    /// The global slot index `key` hashes to, or `None` when empty.
-    pub fn global_slot(&self, key: u64) -> Option<u64> {
-        let total = self.total();
-        if total == 0 {
-            None
-        } else {
-            Some(hash_range(key, total))
-        }
-    }
-
     /// A second-level hash distributing `key` within `n` slots; used to pick
     /// a replica among equivalent choices.
     pub fn subhash(key: u64, salt: u64, n: u64) -> u64 {
@@ -128,7 +118,6 @@ mod tests {
         let p = SharePlacement::empty(4);
         assert_eq!(p.total(), 0);
         assert_eq!(p.locate(123), None);
-        assert_eq!(p.global_slot(123), None);
     }
 
     #[test]

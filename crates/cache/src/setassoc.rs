@@ -115,11 +115,6 @@ impl SetAssocCache {
         Self::new(sets, ways)
     }
 
-    /// Total line count.
-    pub fn line_count(&self) -> usize {
-        self.sets * self.ways
-    }
-
     #[inline]
     fn set_of(&self, key: u64) -> usize {
         let h = mix64(key);
@@ -220,18 +215,6 @@ impl SetAssocCache {
         n
     }
 
-    /// Invalidates all lines whose key satisfies `pred`; returns how many.
-    pub fn invalidate_matching(&mut self, mut pred: impl FnMut(u64) -> bool) -> usize {
-        let mut n = 0;
-        for w in &mut self.lines {
-            if w.tag != 0 && pred(w.tag - 1) {
-                n += 1;
-                *w = Way::EMPTY;
-            }
-        }
-        n
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
@@ -317,7 +300,7 @@ mod tests {
         // Hashed sets may conflict, so fewer than 32 keys can be resident.
         let before = c.occupancy();
         assert!(before > 0);
-        let evens = c.invalidate_matching(|k| k % 2 == 0);
+        let evens = (0..32).step_by(2).filter(|&k| c.invalidate(k).is_some()).count();
         assert!(evens > 0);
         assert_eq!(c.occupancy(), before - evens);
         assert_eq!(c.invalidate_all(), before - evens);
@@ -352,7 +335,7 @@ mod tests {
     fn with_capacity_sizing() {
         // 64 kB / 64 B lines / 4 ways = 256 sets (the paper's L1D).
         let c = SetAssocCache::with_capacity(64 << 10, 64, 4);
-        assert_eq!(c.line_count(), 1024);
+        assert_eq!(c.sets * c.ways, 1024);
     }
 
     #[test]

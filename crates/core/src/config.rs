@@ -398,16 +398,16 @@ mod tests {
     fn chaos_targets_are_validated_against_the_topology() {
         // Test profile: 2×2 stacks.
         let mut cfg = SystemConfig::test(PolicyKind::NdpExt);
-        cfg.chaos = ChaosConfig::parse(Some("stack-down@10us:1"), None).unwrap();
+        cfg.chaos = ChaosConfig::parse(Some("stack-down@10us:1")).unwrap();
         cfg.validate().unwrap();
-        cfg.chaos = ChaosConfig::parse(Some("stack-down@10us:4"), None).unwrap();
+        cfg.chaos = ChaosConfig::parse(Some("stack-down@10us:4")).unwrap();
         assert!(cfg.validate().is_err(), "stack index past the grid must be rejected");
-        cfg.chaos = ChaosConfig::parse(Some("noc-down@10us:0-1"), None).unwrap();
+        cfg.chaos = ChaosConfig::parse(Some("noc-down@10us:0-1")).unwrap();
         cfg.validate().unwrap();
         // Stacks 0 and 3 are diagonal on the 2×2 grid: no direct link.
-        cfg.chaos = ChaosConfig::parse(Some("noc-down@10us:0-3"), None).unwrap();
+        cfg.chaos = ChaosConfig::parse(Some("noc-down@10us:0-3")).unwrap();
         assert!(cfg.validate().is_err(), "non-adjacent link must be rejected");
-        cfg.chaos = ChaosConfig::parse(Some("cxl-down@10us"), None).unwrap();
+        cfg.chaos = ChaosConfig::parse(Some("cxl-down@10us")).unwrap();
         assert!(cfg.validate().is_err(), "permanent CXL outage must be rejected");
     }
 

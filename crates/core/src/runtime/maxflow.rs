@@ -2,97 +2,15 @@
 //!
 //! Each NDP unit owns `S` miss-curve samplers, and a sampler can only watch a
 //! stream that the local unit actually accesses. Covering as many streams as
-//! possible is a bipartite matching problem, solved as max-flow with the
-//! Edmonds–Karp algorithm on: source → units (capacity `S`) → streams
-//! (capacity 1, edge iff accessed) → sink.
+//! possible is a bipartite matching problem: max-flow on source → units
+//! (capacity `S`) → streams (capacity 1, edge iff accessed) → sink.
+//!
+//! The network is implicit. `left[u]` holds unit `u`'s free samplers and
+//! `owner[s]` the unit sampling stream `s`; the search makes Edmonds–Karp's
+//! augmentations in Edmonds–Karp's order on that network (DESIGN.md §17),
+//! so the assignment is the one the edge-list solver produced.
 
 use std::collections::VecDeque;
-
-/// A directed flow network on dense node indices.
-#[derive(Debug, Clone)]
-pub struct FlowNetwork {
-    nodes: usize,
-    /// Edge list: (to, capacity); reverse edges interleaved at `i ^ 1`.
-    edges: Vec<(usize, i64)>,
-    /// Adjacency: node → edge indices.
-    adj: Vec<Vec<usize>>,
-}
-
-impl FlowNetwork {
-    /// Creates a network with `nodes` nodes and no edges.
-    pub fn new(nodes: usize) -> Self {
-        FlowNetwork { nodes, edges: Vec::new(), adj: vec![Vec::new(); nodes] }
-    }
-
-    /// Adds a directed edge `from → to` with the given capacity; returns the
-    /// edge index (use `flow_on` to read its final flow).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn add_edge(&mut self, from: usize, to: usize, capacity: i64) -> usize {
-        assert!(from < self.nodes && to < self.nodes, "edge endpoint out of range");
-        let id = self.edges.len();
-        self.edges.push((to, capacity));
-        self.edges.push((from, 0));
-        self.adj[from].push(id);
-        self.adj[to].push(id + 1);
-        id
-    }
-
-    /// Runs Edmonds–Karp from `source` to `sink`; returns the max flow.
-    /// Capacities are consumed in place.
-    pub fn max_flow(&mut self, source: usize, sink: usize) -> i64 {
-        let mut total = 0;
-        // BFS state, reset (not reallocated) for every augmenting path.
-        let mut parent_edge = vec![usize::MAX; self.nodes];
-        let mut queue = VecDeque::new();
-        loop {
-            // BFS for a shortest augmenting path.
-            parent_edge.fill(usize::MAX);
-            queue.clear();
-            queue.push_back(source);
-            let mut found = false;
-            'bfs: while let Some(u) = queue.pop_front() {
-                for &eid in &self.adj[u] {
-                    let (v, cap) = self.edges[eid];
-                    if cap > 0 && parent_edge[v] == usize::MAX && v != source {
-                        parent_edge[v] = eid;
-                        if v == sink {
-                            found = true;
-                            break 'bfs;
-                        }
-                        queue.push_back(v);
-                    }
-                }
-            }
-            if !found {
-                return total;
-            }
-            // Find the bottleneck and augment.
-            let mut bottleneck = i64::MAX;
-            let mut v = sink;
-            while v != source {
-                let eid = parent_edge[v];
-                bottleneck = bottleneck.min(self.edges[eid].1);
-                v = self.edges[eid ^ 1].0;
-            }
-            let mut v = sink;
-            while v != source {
-                let eid = parent_edge[v];
-                self.edges[eid].1 -= bottleneck;
-                self.edges[eid ^ 1].1 += bottleneck;
-                v = self.edges[eid ^ 1].0;
-            }
-            total += bottleneck;
-        }
-    }
-
-    /// Flow pushed through edge `id` (its consumed capacity).
-    pub fn flow_on(&self, id: usize) -> i64 {
-        self.edges[id ^ 1].1
-    }
-}
 
 /// Result of assigning samplers to streams for one epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,65 +23,104 @@ pub struct SamplerAssignment {
 
 /// Assigns up to `samplers_per_unit` streams to each unit, maximizing stream
 /// coverage. `accessed[u]` lists the stream indices unit `u` touched this
-/// epoch (the per-unit bitvector of §V-B).
+/// epoch (the per-unit bitvector of §V-B), each at most once.
 pub fn assign_samplers(
     accessed: &[Vec<usize>],
     num_streams: usize,
     samplers_per_unit: usize,
 ) -> SamplerAssignment {
+    debug_assert!(lists_are_sets(accessed, num_streams), "a stream listed twice or out of range");
     let units = accessed.len();
-    // Nodes: 0 = source, 1..=units, units+1..=units+num_streams, sink last.
-    let source = 0;
-    let sink = units + num_streams + 1;
-    let mut net = FlowNetwork::new(sink + 1);
-    for u in 0..units {
-        net.add_edge(source, 1 + u, samplers_per_unit as i64);
-    }
-    let mut stream_unit_edges: Vec<(usize, usize, usize)> = Vec::new();
+    let mut left = vec![samplers_per_unit; units];
+    let mut owner: Vec<Option<usize>> = vec![None; num_streams];
+    let mut covered = 0;
+
+    // Length-3 paths first: Edmonds–Karp's BFS queues every unit with free
+    // samplers before any stream, so it takes the lowest such unit's first
+    // unowned stream, in list order, for as long as one exists.
     for (u, streams) in accessed.iter().enumerate() {
         for &s in streams {
-            debug_assert!(s < num_streams, "stream index out of range");
-            let eid = net.add_edge(1 + u, 1 + units + s, 1);
-            stream_unit_edges.push((eid, u, s));
+            if left[u] == 0 {
+                break;
+            }
+            if owner[s].is_none() {
+                owner[s] = Some(u);
+                left[u] -= 1;
+                covered += 1;
+            }
         }
     }
-    for s in 0..num_streams {
-        net.add_edge(1 + units + s, sink, 1);
-    }
-    let covered = net.max_flow(source, sink) as usize;
 
-    let mut unit_for_stream = vec![None; num_streams];
-    for &(eid, u, s) in &stream_unit_edges {
-        if net.flow_on(eid) > 0 {
-            unit_for_stream[s] = Some(u);
+    // Longer paths: BFS from the units with free samplers, in index order;
+    // a unit reaches the listed streams it does not own, an owned stream
+    // reaches its owner, and an unowned one ends the path.
+    let mut via_stream: Vec<Option<usize>> = vec![None; units];
+    let mut seen_unit = vec![false; units];
+    let mut from_unit: Vec<Option<usize>> = vec![None; num_streams];
+    let mut queue = VecDeque::new();
+    loop {
+        seen_unit.fill(false);
+        from_unit.fill(None);
+        queue.clear();
+        for u in (0..units).filter(|&u| left[u] > 0) {
+            seen_unit[u] = true;
+            via_stream[u] = None;
+            queue.push_back(u);
         }
+        let mut end = None;
+        'bfs: while let Some(u) = queue.pop_front() {
+            for &s in &accessed[u] {
+                if owner[s] == Some(u) || from_unit[s].is_some() {
+                    continue;
+                }
+                from_unit[s] = Some(u);
+                match owner[s] {
+                    None => {
+                        end = Some(s);
+                        break 'bfs;
+                    }
+                    Some(o) if !seen_unit[o] => {
+                        seen_unit[o] = true;
+                        via_stream[o] = Some(s);
+                        queue.push_back(o);
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        let Some(mut s) = end else {
+            break;
+        };
+        // Augment: each stream on the path passes to the unit before it.
+        loop {
+            let u = from_unit[s].expect("a path stream was reached from a unit");
+            owner[s] = Some(u);
+            match via_stream[u] {
+                Some(prev) => s = prev,
+                None => {
+                    left[u] -= 1;
+                    break;
+                }
+            }
+        }
+        covered += 1;
     }
-    SamplerAssignment { unit_for_stream, covered }
+    SamplerAssignment { unit_for_stream: owner, covered }
+}
+
+/// Whether every list names each stream at most once, all below
+/// `num_streams`: a repeated entry would be a parallel edge, which the
+/// edge-list solver's search order depended on.
+fn lists_are_sets(accessed: &[Vec<usize>], num_streams: usize) -> bool {
+    let mut last = vec![usize::MAX; num_streams];
+    accessed.iter().enumerate().all(|(u, streams)| {
+        streams.iter().all(|&s| s < num_streams && std::mem::replace(&mut last[s], u) != u)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn simple_max_flow() {
-        // source -> a -> sink and source -> b -> sink, capacities 3 and 2.
-        let mut net = FlowNetwork::new(4);
-        net.add_edge(0, 1, 3);
-        net.add_edge(0, 2, 2);
-        net.add_edge(1, 3, 3);
-        net.add_edge(2, 3, 2);
-        assert_eq!(net.max_flow(0, 3), 5);
-    }
-
-    #[test]
-    fn bottleneck_limits_flow() {
-        let mut net = FlowNetwork::new(4);
-        net.add_edge(0, 1, 10);
-        net.add_edge(1, 2, 1);
-        net.add_edge(2, 3, 10);
-        assert_eq!(net.max_flow(0, 3), 1);
-    }
 
     #[test]
     fn paper_fig4_example() {

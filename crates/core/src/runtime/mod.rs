@@ -14,5 +14,5 @@ pub mod sampler;
 pub use configure::{
     allocate_baseline, allocate_ndpext, AllocGroup, Allocation, ConfigCtx, Solver, StreamDemand,
 };
-pub use maxflow::{assign_samplers, FlowNetwork, SamplerAssignment};
+pub use maxflow::{assign_samplers, SamplerAssignment};
 pub use sampler::{capacity_points, MissCurve, SamplerShape, SetSampler};

@@ -200,15 +200,6 @@ impl RunReport {
             self.ops as f64 / self.sim_time.as_us_f64()
         }
     }
-
-    /// Speedup of this run over `baseline` (same op count assumed).
-    pub fn speedup_over(&self, baseline: &RunReport) -> f64 {
-        if self.sim_time.is_zero() {
-            0.0
-        } else {
-            baseline.sim_time.as_ps() as f64 / self.sim_time.as_ps() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -259,13 +250,6 @@ mod tests {
         assert!((r.miss_rate() - 0.25).abs() < 1e-12);
         assert!((r.l1_hit_rate() - 0.75).abs() < 1e-12);
         assert!((r.ops_per_us() - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn speedup_is_time_ratio() {
-        let fast = report(500_000);
-        let slow = report(1_000_000);
-        assert!((fast.speedup_over(&slow) - 2.0).abs() < 1e-12);
     }
 
     #[test]

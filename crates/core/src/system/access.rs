@@ -33,9 +33,7 @@ impl NdpSystem {
         self.access_latency.record(lat);
         self.slo.record(lat);
         if let Some(tr) = self.trace.as_deref_mut() {
-            if tr.in_window(t) {
-                tr.complete("engine", "mem_op", core as u32, t, lat);
-            }
+            tr.complete("engine", "mem_op", core as u32, t, lat);
         }
     }
 
@@ -98,11 +96,9 @@ impl NdpSystem {
         let t3 = self.net.send(UnitId(port), UnitId(unit), bytes.max(REQ_BYTES), t2);
         self.charge_noc(port, unit, t3 - t2);
         if let Some(tr) = self.trace.as_deref_mut() {
-            if tr.in_window(t) {
-                tr.complete("noc", "ext_req", unit as u32, t, t1 - t);
-                tr.complete("cxl", "ext_access", port as u32, t1, t2 - t1);
-                tr.complete("noc", "ext_rsp", port as u32, t2, t3 - t2);
-            }
+            tr.complete("noc", "ext_req", unit as u32, t, t1 - t);
+            tr.complete("cxl", "ext_access", port as u32, t1, t2 - t1);
+            tr.complete("noc", "ext_rsp", port as u32, t2, t3 - t2);
         }
         t3
     }
@@ -289,9 +285,7 @@ impl NdpSystem {
                 poisoned = ecc == EccOutcome::Poisoned;
                 self.breakdown.add(LatComponent::DramCache, t2 - now);
                 if let Some(tr) = self.trace.as_deref_mut() {
-                    if tr.in_window(now) {
-                        tr.complete("dram", "cache_hit", target as u32, now, t2 - now);
-                    }
+                    tr.complete("dram", "cache_hit", target as u32, now, t2 - now);
                 }
                 now = t2;
             }

@@ -289,7 +289,6 @@ impl NdpSystem {
         // plan. With no events scheduled the option stays `None` and every
         // hot path keeps its ideal shape.
         if sys.cfg.chaos.enabled() {
-            sys.ext.set_outage_retry(sys.cfg.chaos.retry);
             sys.chaos = Some(Box::new(ChaosState::new(ChaosPlan::new(&sys.cfg.chaos), units_n)));
         }
         // Deterministic fault injection: each device derives an independent
@@ -464,9 +463,13 @@ impl Simulated for NdpSystem {
     }
 
     /// The trace ring keeps insertion order, so private ops may not run
-    /// ahead into (or inside) its capture window.
+    /// ahead while a trace is attached.
     fn private_bound(&self, t: Time) -> Time {
-        self.trace.as_deref().map_or(Time::MAX, |tr| tr.reorder_bound(t))
+        if self.trace.is_some() {
+            t
+        } else {
+            Time::MAX
+        }
     }
 
     #[inline]

@@ -282,7 +282,7 @@ fn slo_and_profile_scopes_are_opt_in() {
 
 fn run_chaos(policy: PolicyKind, spec: &str, workload: &str, ops: u64) -> RunReport {
     let mut cfg = SystemConfig::test(policy);
-    cfg.chaos = ndpx_sim::chaos::ChaosConfig::parse(Some(spec), None).expect("valid spec");
+    cfg.chaos = ndpx_sim::chaos::ChaosConfig::parse(Some(spec)).expect("valid spec");
     let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
     let wl = ndpx_workloads::build(workload, &p).expect("known").expect("builds");
     let mut sys = NdpSystem::new(cfg, wl).expect("valid");
@@ -295,7 +295,7 @@ fn sampler_slots(policy: PolicyKind, chaos: Option<&str>) -> (usize, usize) {
     let mut cfg = SystemConfig::test(policy);
     cfg.epoch_cycles /= 10;
     if let Some(spec) = chaos {
-        cfg.chaos = ndpx_sim::chaos::ChaosConfig::parse(Some(spec), None).expect("valid spec");
+        cfg.chaos = ndpx_sim::chaos::ChaosConfig::parse(Some(spec)).expect("valid spec");
     }
     let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
     let wl = ndpx_workloads::build("pr", &p).expect("known").expect("builds");

@@ -214,8 +214,8 @@ fn run_ahead_stops_at_epoch_boundaries_that_reconfigure() {
 #[test]
 fn run_ahead_stops_at_chaos_events() {
     let mut cfg = SystemConfig::test(PolicyKind::NdpExt);
-    cfg.chaos = ChaosConfig::parse(Some("cxl-down@5us+20us;stack-down@20us:1"), None)
-        .expect("valid chaos spec");
+    cfg.chaos =
+        ChaosConfig::parse(Some("cxl-down@5us+20us;stack-down@20us:1")).expect("valid chaos spec");
     let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 42 };
     let (r, _) = ndp_both(&cfg, "pr", &p, 6_000, |_, _| {});
     assert_eq!(count(&r, "chaos.applied"), 2, "both failures must fire mid-run");
@@ -244,21 +244,18 @@ fn run_ahead_stops_at_timeline_boundaries() {
 
 #[test]
 fn run_ahead_keeps_the_trace_ring_order() {
-    // The window opens mid-run and the ring wraps inside it, so both which
-    // events survive and their order depend on recording order.
+    // The ring wraps many times over the run, so both which events survive
+    // and their order depend on recording order.
     let cfg = SystemConfig::test(PolicyKind::NdpExtStatic);
     let p = ScaleParams { cores: cfg.units(), footprint: 8 << 20, seed: 9 };
     let dirs = [fresh_temp_dir("trace-ahead"), fresh_temp_dir("trace-oracle")];
-    let (r, _) = ndp_both(&cfg, "tc", &p, 3_000, |t, batch| {
+    ndp_both(&cfg, "tc", &p, 3_000, |t, batch| {
         let mut tc = TraceConfig::to_path(dirs[usize::from(!batch)].join("trace.json"));
-        tc.start = Time::from_us(4);
-        tc.stop = Time::from_us(8);
         tc.capacity = 512;
         t.trace = Some(tc);
     });
-    assert!(r.sim_time > Time::from_us(8), "the run must outlast the trace window");
     let [ahead, oracle] = dirs.map(|d| take_only_file(&d));
-    assert!(ahead.matches("\"mem_op\"").count() > 100, "the window must record ops");
+    assert!(ahead.matches("\"mem_op\"").count() > 100, "the ring must record ops");
     assert!(!ahead.contains("\"dropped_events\": 0}"), "the ring must wrap");
     assert_eq!(ahead, oracle, "trace rings diverged between loops");
 }

@@ -7,8 +7,10 @@
 //! Apart from the two private `ConfigCtx` helpers becoming free functions,
 //! the code below is the from-scratch solver unchanged.
 //!
-//! The previous `SetSampler` is the [`sampler`] submodule.
+//! The previous `SetSampler` is the [`sampler`] submodule, the previous
+//! flow-network sampler assignment the [`maxflow`] one.
 
+pub mod maxflow;
 pub mod sampler;
 
 use std::cmp::Reverse;

@@ -1,5 +1,6 @@
 //! Randomized property tests for the runtime: miss curves, the sampler,
-//! max-flow assignment, the configuration algorithm's capacity invariants,
+//! max-flow assignment (bounds, and the implicit matcher against the old
+//! flow network), the configuration algorithm's capacity invariants,
 //! the incremental Algorithm 1 solver (fresh and reused across solves)
 //! against its from-scratch oracle, and the indexed sampler (shapes shared
 //! between samplers) against its per-case oracle.
@@ -162,6 +163,70 @@ fn maxflow_coverage_is_bounded() {
             assert!(used <= samplers);
         }
     }
+}
+
+/// Per-unit stream lists for the matcher-vs-network check: each unit
+/// accesses each of `streams` with its own probability, listed in ascending
+/// order (as both callers build them) or shuffled.
+fn random_lists(rng: &mut Xoshiro256, units: usize, streams: usize) -> Vec<Vec<usize>> {
+    (0..units)
+        .map(|_| {
+            let density = rng.next_f64();
+            let mut list: Vec<usize> = (0..streams).filter(|_| rng.chance(density)).collect();
+            if rng.chance(0.5) {
+                for i in (1..list.len()).rev() {
+                    list.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+            }
+            list
+        })
+        .collect()
+}
+
+#[test]
+fn matcher_equals_the_flow_network_oracle() {
+    let mut rng = Xoshiro256::seed_from(0x3A7C);
+    let mut cases = 0;
+    let mut long_paths = 0;
+    for _ in 0..10_000 {
+        let units = 1 + rng.below(70) as usize;
+        let samplers = 1 + rng.below(5) as usize;
+        // Mostly small networks, with a thin tail out to 512 streams: the
+        // oracle's cost grows with flow × edges.
+        let span = 1 << rng.below(10).min(rng.below(10));
+        let streams = 1 + rng.below(span) as usize;
+        let accessed = random_lists(&mut rng, units, streams);
+        let want = oracle::maxflow::assign_samplers(&accessed, streams, samplers);
+        let got = assign_samplers(&accessed, streams, samplers);
+        assert_eq!(got, want, "units {units} S {samplers} streams {streams}: {accessed:?}");
+        // A greedy pass alone leaves a path the network still augments.
+        let mut greedy = vec![samplers; units];
+        let mut owned = vec![false; streams];
+        let mut greedy_covered = 0;
+        for (u, list) in accessed.iter().enumerate() {
+            for &s in list {
+                if greedy[u] > 0 && !owned[s] {
+                    owned[s] = true;
+                    greedy[u] -= 1;
+                    greedy_covered += 1;
+                }
+            }
+        }
+        long_paths += usize::from(want.covered > greedy_covered);
+        cases += 1;
+    }
+    // Fig. 4b's shapes: 64 units, 4 samplers, ~25% density, as `fig04`
+    // draws them.
+    for streams in [32usize, 64, 128, 256, 512] {
+        let mut rng = Xoshiro256::seed_from(42);
+        let accessed: Vec<Vec<usize>> =
+            (0..64).map(|_| (0..streams).filter(|_| rng.chance(0.25)).collect()).collect();
+        let want = oracle::maxflow::assign_samplers(&accessed, streams, 4);
+        assert_eq!(assign_samplers(&accessed, streams, 4), want, "fig 4b, {streams} streams");
+        cases += 1;
+    }
+    assert!(cases >= 10_000);
+    assert!(long_paths >= 100, "only {long_paths} cases needed a path longer than 3");
 }
 
 #[test]

@@ -629,12 +629,6 @@ impl Network {
     pub fn dynamic_energy(&self) -> Energy {
         self.dynamic
     }
-
-    /// Clears link reservations (statistics are preserved).
-    pub fn reset_state(&mut self) {
-        self.unit_ports.fill(Time::ZERO);
-        self.stack_links.fill(Time::ZERO);
-    }
 }
 
 /// The `VIRTUAL_CHANNELS`-wide slice of resource `idx`.
@@ -904,14 +898,5 @@ mod tests {
         assert!(!n.set_link_dead(0, 0, true), "self loop");
         assert!(!n.set_link_dead(0, 99, true), "out of range");
         assert_eq!(n.dead_link_count(), 0);
-    }
-
-    #[test]
-    fn reset_clears_reservations() {
-        let mut n = mesh_net();
-        n.send(UnitId(0), UnitId(16), 4096, Time::ZERO);
-        n.reset_state();
-        let again = n.send(UnitId(0), UnitId(16), 64, Time::ZERO);
-        assert_eq!(again, n.base_latency(UnitId(0), UnitId(16), 64));
     }
 }

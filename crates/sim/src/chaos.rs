@@ -87,9 +87,6 @@ impl ChaosEvent {
 pub struct ChaosConfig {
     /// Scheduled failures, sorted by time (ties keep spec order).
     pub events: Vec<ChaosEvent>,
-    /// Base backoff of the bounded retry loop that ext accesses spin on
-    /// during a CXL outage (doubles per probe).
-    pub retry: Time,
 }
 
 impl Default for ChaosConfig {
@@ -99,12 +96,9 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Default outage-probe backoff base.
-    pub const DEFAULT_RETRY: Time = Time::from_ns(500);
-
     /// The disabled configuration: no scheduled failures.
     pub const fn disabled() -> Self {
-        ChaosConfig { events: Vec::new(), retry: Self::DEFAULT_RETRY }
+        ChaosConfig { events: Vec::new() }
     }
 
     /// True when at least one failure is scheduled.
@@ -118,11 +112,8 @@ impl ChaosConfig {
     /// # Errors
     ///
     /// Returns a description of the first malformed event.
-    pub fn parse(spec: Option<&str>, retry_ns: Option<u64>) -> Result<Self, String> {
+    pub fn parse(spec: Option<&str>) -> Result<Self, String> {
         let mut cfg = ChaosConfig::disabled();
-        if let Some(ns) = retry_ns {
-            cfg.retry = Time::from_ns(ns.max(1));
-        }
         let Some(spec) = spec else { return Ok(cfg) };
         for part in spec.split(';') {
             let part = part.trim();
@@ -286,15 +277,15 @@ mod tests {
     use super::*;
 
     fn parse(spec: &str) -> ChaosConfig {
-        ChaosConfig::parse(Some(spec), None).expect("valid spec")
+        ChaosConfig::parse(Some(spec)).expect("valid spec")
     }
 
     #[test]
     fn disabled_by_default() {
-        let cfg = ChaosConfig::parse(None, None).unwrap();
+        let cfg = ChaosConfig::parse(None).unwrap();
         assert!(!cfg.enabled());
         assert_eq!(cfg, ChaosConfig::disabled());
-        assert!(ChaosConfig::parse(Some("  "), None).unwrap().events.is_empty());
+        assert!(ChaosConfig::parse(Some("  ")).unwrap().events.is_empty());
         cfg.validate().unwrap();
     }
 
@@ -322,13 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_override_clamps_to_one_ns() {
-        assert_eq!(ChaosConfig::parse(None, Some(0)).unwrap().retry, Time::from_ns(1));
-        assert_eq!(ChaosConfig::parse(None, Some(250)).unwrap().retry, Time::from_ns(250));
-        assert_eq!(ChaosConfig::disabled().retry, ChaosConfig::DEFAULT_RETRY);
-    }
-
-    #[test]
     fn rejects_malformed_specs() {
         for bad in [
             "stack-down",            // no @time
@@ -341,7 +325,7 @@ mod tests {
             "stack-down@1.5us:0",    // fractional time
             "stack-down@10parsec:0", // unknown suffix
         ] {
-            assert!(ChaosConfig::parse(Some(bad), None).is_err(), "{bad:?} must not parse");
+            assert!(ChaosConfig::parse(Some(bad)).is_err(), "{bad:?} must not parse");
         }
     }
 

@@ -73,14 +73,6 @@ impl Json {
         }
     }
 
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
@@ -282,7 +274,7 @@ mod tests {
         let a = doc.get("a").and_then(Json::as_array).unwrap();
         assert_eq!(a.len(), 3);
         assert_eq!(a[2].as_f64(), Some(-300.0));
-        assert_eq!(doc.get("b").and_then(|b| b.get("c")).and_then(Json::as_bool), Some(true));
+        assert_eq!(doc.get("b").and_then(|b| b.get("c")), Some(&Json::Bool(true)));
         assert_eq!(doc.get("b").and_then(|b| b.get("d")), Some(&Json::Null));
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x\ny"));
     }

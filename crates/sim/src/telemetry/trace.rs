@@ -22,10 +22,6 @@ pub struct TraceConfig {
     /// sequence suffix before the extension so cells never clobber each
     /// other.
     pub path: PathBuf,
-    /// Only events at or after this simulated time are recorded.
-    pub start: Time,
-    /// Only events strictly before this simulated time are recorded.
-    pub stop: Time,
     /// Ring-buffer capacity in events; older events are dropped first.
     pub capacity: usize,
 }
@@ -37,12 +33,7 @@ impl TraceConfig {
 
     /// Builds a config capturing the whole run into `path`.
     pub fn to_path(path: impl Into<PathBuf>) -> Self {
-        TraceConfig {
-            path: path.into(),
-            start: Time::ZERO,
-            stop: Time::MAX,
-            capacity: Self::DEFAULT_CAPACITY,
-        }
+        TraceConfig { path: path.into(), capacity: Self::DEFAULT_CAPACITY }
     }
 }
 
@@ -94,30 +85,6 @@ impl TraceSink {
         TraceSink { cfg, events: Vec::with_capacity(cap.min(4096)), head: 0, dropped: 0 }
     }
 
-    /// Whether an event at simulated time `t` falls inside the capture
-    /// window. Call sites that must format event names can use this to skip
-    /// the formatting work entirely.
-    #[inline]
-    pub fn in_window(&self, t: Time) -> bool {
-        t >= self.cfg.start && t < self.cfg.stop
-    }
-
-    /// The latest simulated time up to which a run loop serving an event at
-    /// `t` may execute ops out of global time order without changing which
-    /// events the ring holds or their order: the capture start while `t`
-    /// precedes the window, `t` itself inside it (no reordering), and
-    /// unbounded once the window has closed.
-    #[inline]
-    pub fn reorder_bound(&self, t: Time) -> Time {
-        if t < self.cfg.start {
-            self.cfg.start
-        } else if t < self.cfg.stop {
-            t
-        } else {
-            Time::MAX
-        }
-    }
-
     /// Records a complete (duration) event.
     pub fn complete(
         &mut self,
@@ -127,32 +94,28 @@ impl TraceSink {
         start: Time,
         dur: Time,
     ) {
-        if self.in_window(start) {
-            self.push(TraceEvent {
-                ph: 'X',
-                cat,
-                name: name.into(),
-                track,
-                ts: start,
-                dur,
-                value: 0.0,
-            });
-        }
+        self.push(TraceEvent {
+            ph: 'X',
+            cat,
+            name: name.into(),
+            track,
+            ts: start,
+            dur,
+            value: 0.0,
+        });
     }
 
     /// Records an instant event.
     pub fn instant(&mut self, cat: &'static str, name: impl Into<String>, track: u32, at: Time) {
-        if self.in_window(at) {
-            self.push(TraceEvent {
-                ph: 'i',
-                cat,
-                name: name.into(),
-                track,
-                ts: at,
-                dur: Time::ZERO,
-                value: 0.0,
-            });
-        }
+        self.push(TraceEvent {
+            ph: 'i',
+            cat,
+            name: name.into(),
+            track,
+            ts: at,
+            dur: Time::ZERO,
+            value: 0.0,
+        });
     }
 
     /// Records a counter sample. Perfetto renders consecutive samples with
@@ -165,17 +128,15 @@ impl TraceSink {
         at: Time,
         value: f64,
     ) {
-        if self.in_window(at) {
-            self.push(TraceEvent {
-                ph: 'C',
-                cat,
-                name: name.into(),
-                track,
-                ts: at,
-                dur: Time::ZERO,
-                value,
-            });
-        }
+        self.push(TraceEvent {
+            ph: 'C',
+            cat,
+            name: name.into(),
+            track,
+            ts: at,
+            dur: Time::ZERO,
+            value,
+        });
     }
 
     fn push(&mut self, ev: TraceEvent) {
@@ -327,23 +288,6 @@ mod tests {
         let mut cfg = TraceConfig::to_path("/tmp/t.json");
         cfg.capacity = cap;
         TraceSink::new(cfg)
-    }
-
-    #[test]
-    fn window_filters_events() {
-        let mut cfg = TraceConfig::to_path("/tmp/t.json");
-        cfg.start = Time::from_ns(100);
-        cfg.stop = Time::from_ns(200);
-        let mut s = TraceSink::new(cfg);
-        s.instant("core", "early", 0, Time::from_ns(50));
-        s.instant("core", "in", 0, Time::from_ns(150));
-        s.instant("core", "late", 0, Time::from_ns(250));
-        assert_eq!(s.len(), 1);
-        // Run-ahead may reach the window's start, never into it.
-        assert_eq!(s.reorder_bound(Time::from_ns(50)), Time::from_ns(100));
-        assert_eq!(s.reorder_bound(Time::from_ns(100)), Time::from_ns(100));
-        assert_eq!(s.reorder_bound(Time::from_ns(150)), Time::from_ns(150));
-        assert_eq!(s.reorder_bound(Time::from_ns(200)), Time::MAX);
     }
 
     #[test]

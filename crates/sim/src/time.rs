@@ -51,7 +51,7 @@ impl Time {
     }
 
     /// Creates a time from fractional nanoseconds, rounding to picoseconds
-    /// (half away from zero; see [`round_to_u64`]).
+    /// (half away from zero, as `f64::round` does, without its library call).
     ///
     /// Handy for datasheet values such as "1.5 ns per hop".
     #[inline]
