@@ -5,8 +5,9 @@
 //! observe path (also per slot grain: 8 B, 64 B, 1 KB), the Algorithm 1
 //! solver (a small shape and the bfs reconfiguration cell's shape),
 //! consistent-hash bucket-table construction and lookup, the
-//! reconfiguration tag transfer, power-law graph generation, and single
-//! power-law draws.
+//! reconfiguration tag transfer, power-law graph generation, single
+//! power-law draws, the L1 access (a stream walk's sequential lines and
+//! random keys), and the divide-free element address of a 1-D stream.
 //! Results land in `BENCH_PERF.json` under `"micro"` so a CI artifact
 //! records where a wall-clock regression came from without re-profiling
 //! the whole matrix.
@@ -17,13 +18,16 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use ndpx_cache::setassoc::SetAssocCache;
 use ndpx_cache::tagarray::TagArray;
+use ndpx_core::desc::{DescParams, StreamDesc};
 use ndpx_core::layout::Group;
 use ndpx_core::runtime::configure::{allocate_ndpext, ConfigCtx, Solver, StreamDemand};
 use ndpx_core::runtime::sampler::{capacity_points, MissCurve, SetSampler};
 use ndpx_sim::engine::EventQueue;
 use ndpx_sim::rng::{PowerlawSampler, Xoshiro256};
 use ndpx_sim::time::Time;
+use ndpx_stream::{AffineShape, DimOrder, StreamConfig, StreamId, StreamKind};
 use ndpx_workloads::graph::CsrGraph;
 
 /// One micro-benchmark measurement.
@@ -375,6 +379,62 @@ fn powerlaw_draw(name: &'static str, n: u64, alpha: f64, iters: u64) -> MicroRes
     r
 }
 
+/// One L1 access per iteration on the paper's L1D (64 KB, 64 B lines,
+/// 4 ways), over 512 lines (half the cache, so nearly every access hits)
+/// warmed first. `sequential` walks 8-byte elements, so eight accesses in
+/// a row touch one line and the way memo answers seven of them; otherwise
+/// the keys are random, so nearly every access hashes and scans its set.
+fn l1_access(name: &'static str, sequential: bool, iters: u64) -> MicroResult {
+    let mut l1 = SetAssocCache::with_capacity(64 << 10, 64, 4);
+    let mut rng = Xoshiro256::seed_from(0x11AC);
+    let keys: Vec<u64> = if sequential {
+        (0..iters).map(|i| i / 8 % 512).collect()
+    } else {
+        (0..iters).map(|_| rng.below(512)).collect()
+    };
+    for &k in &keys {
+        l1.access(k, false);
+    }
+    timed(name, iters, || {
+        let mut hits = 0u64;
+        for &k in &keys {
+            hits += u64::from(l1.access(black_box(k), false).is_hit());
+        }
+        black_box(hits);
+    })
+}
+
+/// One element address per iteration on a 1-D affine stream of 8-byte
+/// elements, walked in order (every affine stream of the tc, bfs, recsys
+/// and hotspot traces has this shape).
+fn addr_of_elem_1d(iters: u64) -> MicroResult {
+    let elems = 1u64 << 20;
+    let shape = AffineShape {
+        lengths: [elems, 1, 1],
+        strides: [8, 8 * elems, 8 * elems],
+        order: DimOrder::D012,
+    };
+    let cfg = StreamConfig {
+        sid: StreamId(0),
+        kind: StreamKind::Affine(shape),
+        base: 1 << 30,
+        size: elems * 8,
+        elem_size: 8,
+        read_only: true,
+    };
+    let desc = StreamDesc::build(
+        cfg,
+        DescParams { stream_grain: false, affine_block: 64, line_bytes: 64 },
+    );
+    timed("addr_of_elem_1d", iters, || {
+        let mut acc = 0u64;
+        for i in 0..iters {
+            acc = acc.wrapping_add(desc.addr_of_elem(black_box(i % elems)));
+        }
+        black_box(acc);
+    })
+}
+
 /// Runs the full micro-bench suite (a few hundred milliseconds).
 pub fn run_all() -> Vec<MicroResult> {
     vec![
@@ -393,6 +453,9 @@ pub fn run_all() -> Vec<MicroResult> {
         graph_powerlaw(),
         powerlaw_draw("powerlaw_draw_a17", 1 << 20, 1.7, 4_000_000),
         powerlaw_draw("powerlaw_draw_a18", 35_791_394, 1.8, 4_000_000),
+        l1_access("l1_access_seq", true, 4_000_000),
+        l1_access("l1_access_rand", false, 4_000_000),
+        addr_of_elem_1d(4_000_000),
     ]
 }
 
@@ -417,6 +480,9 @@ mod tests {
             layout_locate(1_000),
             tag_transfer(4),
             powerlaw_draw("p17", 1 << 20, 1.7, 1_000),
+            l1_access("l1s", true, 1_000),
+            l1_access("l1r", false, 1_000),
+            addr_of_elem_1d(1_000),
         ];
         for r in rs {
             assert!(r.iters > 0, "{}: no iterations", r.name);

@@ -85,6 +85,11 @@ pub struct SetAssocCache {
     set_mask: Option<u64>,
     ways: usize,
     lines: Vec<Way>,
+    /// Way memo: the line of the most recent hit or fill. A key lives in
+    /// at most one way, only ever in its own set, so a line whose tag
+    /// matches is the key's line wherever the memo points; a stale memo
+    /// fails the tag test and falls through to the set scan.
+    last: usize,
     tick: u64,
     stats: CacheStats,
 }
@@ -102,6 +107,7 @@ impl SetAssocCache {
             set_mask: if sets.is_power_of_two() { Some(sets as u64 - 1) } else { None },
             ways,
             lines: vec![Way::EMPTY; sets * ways],
+            last: 0,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -126,11 +132,13 @@ impl SetAssocCache {
 
     /// Accesses `key`, filling on miss. `write` marks the line dirty.
     pub fn access(&mut self, key: u64, write: bool) -> Outcome {
-        let base = self.set_of(key) * self.ways;
-        if self.hit_at(base, key, write) {
-            return Outcome::Hit;
+        match self.find(key) {
+            Ok(line) => {
+                self.touch(line, write);
+                Outcome::Hit
+            }
+            Err(base) => self.fill_at(base, key, write),
         }
-        self.fill_at(base, key, write)
     }
 
     /// Accesses `key` only if it is present: on a hit this does exactly
@@ -139,22 +147,36 @@ impl SetAssocCache {
     /// `false`, so a later `access` of the same key sees the same state.
     #[inline]
     pub fn access_if_hit(&mut self, key: u64, write: bool) -> bool {
-        let base = self.set_of(key) * self.ways;
-        self.hit_at(base, key, write)
-    }
-
-    /// The hit half of an access to the set starting at `base`.
-    #[inline]
-    fn hit_at(&mut self, base: usize, key: u64, write: bool) -> bool {
-        let Some(w) = self.lines[base..base + self.ways].iter_mut().find(|w| w.tag == key + 1)
-        else {
+        let Ok(line) = self.find(key) else {
             return false;
         };
+        self.touch(line, write);
+        true
+    }
+
+    /// The line holding `key`, or the first line of its set when absent.
+    /// The memoized line is tried before the set is hashed and scanned.
+    #[inline]
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        if self.lines[self.last].tag == key + 1 {
+            return Ok(self.last);
+        }
+        let base = self.set_of(key) * self.ways;
+        match self.lines[base..base + self.ways].iter().position(|w| w.tag == key + 1) {
+            Some(way) => Ok(base + way),
+            None => Err(base),
+        }
+    }
+
+    /// The hit half of an access: recency, dirty bit, stats.
+    #[inline]
+    fn touch(&mut self, line: usize, write: bool) {
+        self.last = line;
         self.tick += 1;
+        let w = &mut self.lines[line];
         w.lru = self.tick;
         w.dirty |= write;
         self.stats.hits.inc();
-        true
     }
 
     /// The miss half: fills `key` into the set starting at `base`.
@@ -179,6 +201,7 @@ impl SetAssocCache {
             None
         };
         *w = Way { tag: key + 1, dirty: write, lru: self.tick };
+        self.last = base + victim;
         Outcome::Miss { evicted }
     }
 

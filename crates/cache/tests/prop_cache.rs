@@ -309,3 +309,199 @@ fn tagarray_reset_matches_fresh_array() {
         assert_eq!(reused.entries().collect::<Vec<_>>(), fresh.entries().collect::<Vec<_>>());
     }
 }
+
+/// The set-associative cache before its way memo, kept as an oracle:
+/// every access hashes the key to its set and scans the set's ways. The
+/// code is the original's, without `with_capacity` and `register_stats`.
+mod scan {
+    use ndpx_cache::setassoc::{CacheStats, Outcome};
+    use ndpx_sim::rng::mix64;
+
+    #[derive(Debug, Clone, Copy)]
+    struct Way {
+        /// Key + 1; zero means invalid.
+        tag: u64,
+        dirty: bool,
+        lru: u64,
+    }
+
+    impl Way {
+        const EMPTY: Way = Way { tag: 0, dirty: false, lru: 0 };
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct SetAssocCache {
+        sets: usize,
+        set_mask: Option<u64>,
+        ways: usize,
+        lines: Vec<Way>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl SetAssocCache {
+        pub fn new(sets: usize, ways: usize) -> Self {
+            assert!(sets > 0 && ways > 0, "cache must have at least one line");
+            SetAssocCache {
+                sets,
+                set_mask: if sets.is_power_of_two() { Some(sets as u64 - 1) } else { None },
+                ways,
+                lines: vec![Way::EMPTY; sets * ways],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        #[inline]
+        fn set_of(&self, key: u64) -> usize {
+            let h = mix64(key);
+            match self.set_mask {
+                Some(mask) => (h & mask) as usize,
+                None => (h % self.sets as u64) as usize,
+            }
+        }
+
+        pub fn access(&mut self, key: u64, write: bool) -> Outcome {
+            let base = self.set_of(key) * self.ways;
+            if self.hit_at(base, key, write) {
+                return Outcome::Hit;
+            }
+            self.fill_at(base, key, write)
+        }
+
+        #[inline]
+        pub fn access_if_hit(&mut self, key: u64, write: bool) -> bool {
+            let base = self.set_of(key) * self.ways;
+            self.hit_at(base, key, write)
+        }
+
+        #[inline]
+        fn hit_at(&mut self, base: usize, key: u64, write: bool) -> bool {
+            let Some(w) = self.lines[base..base + self.ways].iter_mut().find(|w| w.tag == key + 1)
+            else {
+                return false;
+            };
+            self.tick += 1;
+            w.lru = self.tick;
+            w.dirty |= write;
+            self.stats.hits.inc();
+            true
+        }
+
+        fn fill_at(&mut self, base: usize, key: u64, write: bool) -> Outcome {
+            self.tick += 1;
+            self.stats.misses.inc();
+            let ways = &mut self.lines[base..base + self.ways];
+            // Choose an invalid way, else the LRU way.
+            let victim = ways
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, w)| if w.tag == 0 { (0, 0) } else { (1, w.lru) })
+                .map(|(i, _)| i)
+                .expect("ways is non-empty");
+            let w = &mut ways[victim];
+            let evicted = if w.tag != 0 {
+                if w.dirty {
+                    self.stats.writebacks.inc();
+                }
+                Some((w.tag - 1, w.dirty))
+            } else {
+                None
+            };
+            *w = Way { tag: key + 1, dirty: write, lru: self.tick };
+            Outcome::Miss { evicted }
+        }
+
+        pub fn probe(&self, key: u64) -> bool {
+            let set = self.set_of(key);
+            let base = set * self.ways;
+            self.lines[base..base + self.ways].iter().any(|w| w.tag == key + 1)
+        }
+
+        pub fn invalidate(&mut self, key: u64) -> Option<bool> {
+            let set = self.set_of(key);
+            let base = set * self.ways;
+            for w in &mut self.lines[base..base + self.ways] {
+                if w.tag == key + 1 {
+                    let dirty = w.dirty;
+                    *w = Way::EMPTY;
+                    return Some(dirty);
+                }
+            }
+            None
+        }
+
+        pub fn invalidate_all(&mut self) -> usize {
+            let mut n = 0;
+            for w in &mut self.lines {
+                if w.tag != 0 {
+                    n += 1;
+                    *w = Way::EMPTY;
+                }
+            }
+            n
+        }
+
+        pub fn stats(&self) -> &CacheStats {
+            &self.stats
+        }
+
+        pub fn occupancy(&self) -> usize {
+            self.lines.iter().filter(|w| w.tag != 0).count()
+        }
+    }
+}
+
+/// The next key of a seeded stream that mixes the memo's case (the same
+/// or the next line, as a stream walk issues them) with jumps across a
+/// small key space, so hits, conflicts, evictions and stale memos all
+/// occur.
+fn next_key(rng: &mut Xoshiro256, prev: u64, keys: u64) -> u64 {
+    match rng.below(8) {
+        0..=2 => prev,
+        3..=4 => (prev + 1) % keys,
+        _ => rng.below(keys),
+    }
+}
+
+#[test]
+fn memoized_cache_matches_the_set_scan_oracle() {
+    let mut rng = Xoshiro256::seed_from(0x3E30);
+    for case in 0..400 {
+        let ways = 1 + rng.below(8) as usize;
+        // One set (the SLB's shape), powers of two, and other set counts.
+        let sets = match rng.below(3) {
+            0 => 1,
+            1 => 1 << rng.below(6),
+            _ => 3 + 2 * rng.below(20) as usize,
+        };
+        let keys = 1 + rng.below(4 * (sets * ways) as u64);
+        let mut c = SetAssocCache::new(sets, ways);
+        let mut o = scan::SetAssocCache::new(sets, ways);
+        let mut key = 0;
+        for step in 0..1500 {
+            let ctx = format!("case {case} ({sets}x{ways}, {keys} keys) step {step}");
+            key = next_key(&mut rng, key, keys);
+            let write = rng.chance(0.3);
+            match rng.below(20) {
+                0..=9 => assert_eq!(c.access(key, write), o.access(key, write), "{ctx}: access"),
+                10..=14 => assert_eq!(
+                    c.access_if_hit(key, write),
+                    o.access_if_hit(key, write),
+                    "{ctx}: access_if_hit"
+                ),
+                15..=16 => assert_eq!(c.probe(key), o.probe(key), "{ctx}: probe"),
+                17..=18 => assert_eq!(c.invalidate(key), o.invalidate(key), "{ctx}: invalidate"),
+                _ if rng.chance(0.1) => {
+                    assert_eq!(c.invalidate_all(), o.invalidate_all(), "{ctx}: invalidate_all")
+                }
+                _ => {}
+            }
+            assert_eq!(c.stats(), o.stats(), "{ctx}: stats");
+            if step % 64 == 0 {
+                assert_eq!(c.occupancy(), o.occupancy(), "{ctx}: occupancy");
+            }
+        }
+        assert_eq!(c.occupancy(), o.occupancy(), "case {case}: occupancy");
+    }
+}

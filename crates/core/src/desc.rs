@@ -108,17 +108,20 @@ pub struct StreamDesc {
     pub affine: bool,
     /// Stream base address.
     base: u64,
-    /// Element bytes (indirect element→address math).
-    elem_bytes: u64,
     /// Strength-reduced `/ epb` for affine stream-grain keys.
     epb_div: Divisor,
     /// Strength-reduced `/ line_bytes` for line-grain keys.
     line_div: Divisor,
+    /// Length of the first access-order dimension: elements below it sit
+    /// at `base + elem * sp[0]`. `u64::MAX` for an indirect stream, whose
+    /// elements are all one stride apart.
+    lp0: u64,
     /// Strength-reduced first/second access-order dimension lengths of an
     /// affine shape (the two divides of `access_to_coords`).
     lp0_div: Divisor,
     lp1_div: Divisor,
-    /// Byte strides permuted into access order (`strides[perm[i]]`).
+    /// Byte strides permuted into access order (`strides[perm[i]]`); an
+    /// indirect stream's first stride is its element size.
     sp: [u64; 3],
 }
 
@@ -139,7 +142,7 @@ impl StreamDesc {
                     [shape.strides[perm[0]], shape.strides[perm[1]], shape.strides[perm[2]]],
                 )
             }
-            StreamKind::Indirect { .. } => (1, 1, [0; 3]),
+            StreamKind::Indirect { .. } => (u64::MAX, 1, [u64::from(cfg.elem_size), 0, 0]),
         };
         StreamDesc {
             grain: grain_of(&cfg, p),
@@ -150,9 +153,9 @@ impl StreamDesc {
             stream_grain: p.stream_grain,
             affine: cfg.kind.is_affine(),
             base: cfg.base,
-            elem_bytes: u64::from(cfg.elem_size),
             epb_div: Divisor::new(epb),
             line_div: Divisor::new(p.line_bytes.max(1)),
+            lp0,
             lp0_div: Divisor::new(lp0.max(1)),
             lp1_div: Divisor::new(lp1.max(1)),
             sp,
@@ -162,18 +165,25 @@ impl StreamDesc {
 
     /// Physical address of element `elem` — [`StreamConfig::addr_of`]
     /// with the coordinate divides strength-reduced through the
-    /// precomputed dimension divisors.
+    /// precomputed dimension divisors. An element inside the first
+    /// access-order dimension (every element of a 1-D shape or an
+    /// indirect stream) has coordinates `(elem, 0, 0)` and needs no divide.
     #[inline]
     pub fn addr_of_elem(&self, elem: u64) -> u64 {
-        let addr = if self.affine {
-            let (k1, c0) = self.lp0_div.divmod(elem);
-            let (c2, c1) = self.lp1_div.divmod(k1);
-            self.base + c0 * self.sp[0] + c1 * self.sp[1] + c2 * self.sp[2]
-        } else {
-            self.base + elem * self.elem_bytes
-        };
+        let addr =
+            if elem < self.lp0 { self.base + elem * self.sp[0] } else { self.addr_past_lp0(elem) };
         debug_assert_eq!(addr, self.cfg.addr_of(elem));
         addr
+    }
+
+    /// [`addr_of_elem`](Self::addr_of_elem) past the first dimension: the
+    /// two divides of `access_to_coords`. Out of line so the divide-free
+    /// case inlines into the run loop.
+    #[inline(never)]
+    fn addr_past_lp0(&self, elem: u64) -> u64 {
+        let (k1, c0) = self.lp0_div.divmod(elem);
+        let (c2, c1) = self.lp1_div.divmod(k1);
+        self.base + c0 * self.sp[0] + c1 * self.sp[1] + c2 * self.sp[2]
     }
 
     /// Cache key of element `elem` at address `addr`.

@@ -109,11 +109,16 @@ pub struct HostSystem {
     l1_hits: u64,
     llc_hits: u64,
     llc_misses: u64,
+    /// Latency distribution of the memory accesses that miss L1;
+    /// [`access_latency`](Self::access_latency) adds the L1 hits.
     access_latency: Histogram,
     /// Run-loop state: batching switch, batch and stall telemetry, and
     /// the opt-in timeline sampler.
     engine: Engine,
 }
+
+/// L1 hit latency of a host core, cycles.
+const L1_CYCLES: u64 = 2;
 
 /// Static power of one host core (wider than an NDP core).
 const HOST_CORE_STATIC: Power = Power::from_mw(500.0);
@@ -203,11 +208,14 @@ impl HostSystem {
     }
 
     /// Bookkeeping of an L1 hit issued at `t`; returns its completion.
+    /// Hits are counted, not recorded: each takes [`L1_CYCLES`], and the
+    /// report's histogram adds them in bulk
+    /// ([`access_latency`](Self::access_latency)).
     #[inline]
     fn l1_hit(&mut self, t: Time) -> Time {
         self.mem_ops += 1;
         self.l1_hits += 1;
-        t + self.cfg.freq.cycles_to_time(2)
+        t + self.cfg.freq.cycles_to_time(L1_CYCLES)
     }
 
     /// One memory access: the slim L1 probe inlines into the run loop; the
@@ -219,8 +227,18 @@ impl HostSystem {
             return self.l1_hit(t);
         }
         self.mem_ops += 1;
-        let l1_lat = self.cfg.freq.cycles_to_time(2);
-        self.access_miss(core, addr, line, write, l1_lat, t + l1_lat)
+        let l1_lat = self.cfg.freq.cycles_to_time(L1_CYCLES);
+        let done = self.access_miss(core, addr, line, write, l1_lat, t + l1_lat);
+        self.access_latency.record(done - t);
+        done
+    }
+
+    /// Latency distribution of every memory op: the recorded post-L1
+    /// accesses plus the L1 hits.
+    fn access_latency(&self) -> Histogram {
+        let mut h = self.access_latency.clone();
+        h.record_n(self.cfg.freq.cycles_to_time(L1_CYCLES), self.l1_hits);
+        h
     }
 
     /// The post-L1 continuation of [`access`](Self::access).
@@ -266,7 +284,7 @@ impl HostSystem {
             core.count("l1_hits", self.l1_hits);
             core.count("llc_hits", self.llc_hits);
             core.count("llc_misses", self.llc_misses);
-            core.hist("access_latency", &self.access_latency);
+            core.hist("access_latency", &self.access_latency());
         }
         self.net.register_stats(&mut registry.scope("noc"));
         self.mem.register_stats(&mut registry.scope("mem"));
@@ -302,7 +320,7 @@ impl HostSystem {
             invalidations: 0,
             migrations: 0,
             replicated_fraction: 0.0,
-            access_latency: self.access_latency.clone(),
+            access_latency: self.access_latency(),
             registry: self.build_registry(totals),
         }
     }
@@ -330,16 +348,14 @@ impl Simulated for HostSystem {
 
     #[inline]
     fn execute(&mut self, core: usize, op: Op, t: Time) -> Time {
-        let done = match op {
-            Op::Compute(c) => return t + self.cfg.freq.cycles_to_time(u64::from(c)),
+        match op {
+            Op::Compute(c) => t + self.cfg.freq.cycles_to_time(u64::from(c)),
             Op::Mem(m) => {
                 let addr = self.descs[m.sid.index()].addr_of_elem(m.elem);
                 self.access(core, addr, m.write, t)
             }
             Op::RawMem { addr, write } => self.access(core, addr, write, t),
-        };
-        self.access_latency.record(done.saturating_sub(t));
-        done
+        }
     }
 
     #[inline]
@@ -352,9 +368,7 @@ impl Simulated for HostSystem {
         if !self.l1s[core].access_if_hit(addr / 64, write) {
             return None;
         }
-        let done = self.l1_hit(t);
-        self.access_latency.record(done - t);
-        Some(done)
+        Some(self.l1_hit(t))
     }
 
     #[inline]

@@ -151,7 +151,9 @@ pub struct RunReport {
     pub migrations: u64,
     /// Fraction of cache capacity spent on replicas in the last epoch.
     pub replicated_fraction: f64,
-    /// End-to-end latency distribution of post-L1 memory accesses.
+    /// End-to-end latency distribution of every memory op, L1 hits
+    /// included (each at the L1 hit latency; the systems count them and
+    /// add them here in bulk).
     ///
     /// This field and the registry below are telemetry, deliberately *not*
     /// mixed into the bench digest (`ndpx-bench`'s `report_digest` enumerates fields explicitly),

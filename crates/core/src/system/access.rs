@@ -18,17 +18,25 @@ use crate::layout::{Group, StreamLayout};
 use crate::stats::LatComponent;
 
 impl NdpSystem {
-    /// Bookkeeping of an L1 hit issued at `t`; returns its completion.
+    /// Bookkeeping of an L1 hit issued by `core` at `t`; returns its
+    /// completion. Hits are counted, not recorded: every one takes
+    /// [`L1_CYCLES`], so the latency histograms add them in bulk from
+    /// `l1_hits` ([`access_latency`](Self::access_latency) and the SLO
+    /// tracker's epoch close).
     #[inline]
-    pub(super) fn l1_hit(&mut self, t: Time) -> Time {
+    pub(super) fn l1_hit(&mut self, core: usize, t: Time) -> Time {
         self.mem_ops += 1;
         self.l1_hits += 1;
-        t + self.cycles(L1_CYCLES)
+        let done = t + self.cycles(L1_CYCLES);
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.complete("engine", "mem_op", core as u32, t, done - t);
+        }
+        done
     }
 
-    /// Records a memory op issued at `t` and completing at `done`.
+    /// Records a post-L1 memory op issued at `t` and completing at `done`.
     #[inline]
-    pub(super) fn record_access(&mut self, core: usize, t: Time, done: Time) {
+    fn record_access(&mut self, core: usize, t: Time, done: Time) {
         let lat = done.saturating_sub(t);
         self.access_latency.record(lat);
         self.slo.record(lat);
@@ -117,15 +125,17 @@ impl NdpSystem {
     pub(super) fn process_raw(&mut self, core: usize, addr: u64, write: bool, t: Time) -> Time {
         let line = self.line_div.div(addr);
         if self.l1s[core].access(line, write).is_hit() {
-            return self.l1_hit(t);
+            return self.l1_hit(core, t);
         }
         self.mem_ops += 1;
-        let t = t + self.cycles(L1_CYCLES);
+        let now = t + self.cycles(L1_CYCLES);
         self.breakdown.add(LatComponent::CoreL1, self.cycles(L1_CYCLES));
         // Not a stream: bypass the DRAM cache (§IV-C).
         self.bypass += 1;
-        let done = self.ext_access(core, addr, LINE_BYTES, write, t);
-        done + self.cycles(RESTART_CYCLES)
+        let done =
+            self.ext_access(core, addr, LINE_BYTES, write, now) + self.cycles(RESTART_CYCLES);
+        self.record_access(core, t, done);
+        done
     }
 
     /// One memory op. The body is only the slim L1 probe — the common
@@ -142,7 +152,7 @@ impl NdpSystem {
         // L1.
         let line = self.line_div.div(addr);
         match self.l1s[core].access(line, m.write) {
-            ndpx_cache::setassoc::Outcome::Hit => self.l1_hit(t),
+            ndpx_cache::setassoc::Outcome::Hit => self.l1_hit(core, t),
             ndpx_cache::setassoc::Outcome::Miss { evicted } => {
                 self.mem_ops += 1;
                 // Copy out the cached descriptor only on the miss path:
@@ -151,7 +161,9 @@ impl NdpSystem {
                 // path above stays copy-free.
                 let desc = self.descs[m.sid.index()];
                 let now = t + self.cycles(L1_CYCLES);
-                self.process_mem_miss(core, m, desc, addr, evicted, now)
+                let done = self.process_mem_miss(core, m, desc, addr, evicted, now);
+                self.record_access(core, t, done);
+                done
             }
         }
     }

@@ -155,7 +155,8 @@ pub struct NdpSystem {
     /// events triggered by uncorrectable ECC errors.
     stream_aborts: u64,
     replicated_fraction: f64,
-    /// End-to-end latency distribution of post-L1 memory accesses.
+    /// End-to-end latency distribution of the memory accesses that miss
+    /// L1; [`access_latency`](Self::access_latency) adds the L1 hits.
     access_latency: Histogram,
     /// Run-loop state: batching switch, batch and stall telemetry, and
     /// the opt-in timeline sampler.
@@ -405,13 +406,11 @@ impl Simulated for NdpSystem {
 
     #[inline]
     fn execute(&mut self, core: usize, op: Op, t: Time) -> Time {
-        let done = match op {
-            Op::Compute(cycles) => return t + self.cycles(u64::from(cycles)),
+        match op {
+            Op::Compute(cycles) => t + self.cycles(u64::from(cycles)),
             Op::Mem(m) => self.process_mem(core, m, t),
             Op::RawMem { addr, write } => self.process_raw(core, addr, write, t),
-        };
-        self.record_access(core, t, done);
-        done
+        }
     }
 
     #[inline]
@@ -424,9 +423,7 @@ impl Simulated for NdpSystem {
         if !self.l1s[core].access_if_hit(self.line_div.div(addr), write) {
             return None;
         }
-        let done = self.l1_hit(t);
-        self.record_access(core, t, done);
-        Some(done)
+        Some(self.l1_hit(core, t))
     }
 
     /// Boundary actions in simulated-time order: due chaos events (and

@@ -11,7 +11,7 @@ use ndpx_sim::telemetry::{Phase, PhaseProfiler, ProfileSpan};
 use ndpx_sim::time::Time;
 use ndpx_stream::StreamId;
 
-use super::{NdpSystem, LINE_BYTES};
+use super::{NdpSystem, L1_CYCLES, LINE_BYTES};
 use crate::config::{PolicyKind, ReconfigTransfer};
 use crate::layout::{Group, StreamLayout};
 use crate::runtime::configure::{allocate_baseline, Allocation, ConfigCtx, StreamDemand};
@@ -312,7 +312,7 @@ impl NdpSystem {
     pub(super) fn reconfigure(&mut self, t: Time, mut prof: Option<&mut PhaseProfiler>) {
         self.reconfigs += 1;
         if self.slo.enabled {
-            self.slo.close_epoch(t);
+            self.slo.close_epoch(t, self.l1_hits, self.cycles(L1_CYCLES));
             if let Some(tr) = self.trace.as_deref_mut() {
                 tr.counter("slo", "slo.epoch_p50_ns", 0, t, self.slo.last_p50.as_ns() as f64);
                 tr.counter("slo", "slo.epoch_p99_ns", 0, t, self.slo.last_p99.as_ns() as f64);

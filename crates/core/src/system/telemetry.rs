@@ -5,7 +5,7 @@ use ndpx_sim::stats::Histogram;
 use ndpx_sim::telemetry::{StatRegistry, StatScope};
 use ndpx_sim::time::Time;
 
-use super::{NdpSystem, CORE_STATIC};
+use super::{NdpSystem, CORE_STATIC, L1_CYCLES};
 use crate::driver::{EngineScope, RunTotals};
 use crate::stats::{EnergyBreakdown, RunReport};
 
@@ -19,8 +19,11 @@ use crate::stats::{EnergyBreakdown, RunReport};
 #[derive(Debug, Default)]
 pub(super) struct SloTracker {
     pub(super) enabled: bool,
-    /// Access-latency distribution of the epoch in progress.
+    /// Latency distribution of the epoch's post-L1 accesses; its L1 hits
+    /// join at the close.
     epoch_hist: Histogram,
+    /// The system's `l1_hits` when the last epoch closed.
+    l1_hits_closed: u64,
     /// Epochs closed so far.
     epochs: u64,
     /// Percentiles of the last closed epoch (bucket floors).
@@ -48,10 +51,13 @@ impl SloTracker {
         }
     }
 
-    /// Closes the epoch ending at `t`: captures the percentiles and the
-    /// placement staleness (time since the last applied reconfiguration),
-    /// then resets the per-epoch histogram.
-    pub(super) fn close_epoch(&mut self, t: Time) {
+    /// Closes the epoch ending at `t`: adds the epoch's L1 hits (the
+    /// system's count is `l1_hits`, each took `hit_lat`), captures the
+    /// percentiles and the placement staleness (time since the last applied
+    /// reconfiguration), then resets the per-epoch histogram.
+    pub(super) fn close_epoch(&mut self, t: Time, l1_hits: u64, hit_lat: Time) {
+        self.epoch_hist.record_n(hit_lat, l1_hits - self.l1_hits_closed);
+        self.l1_hits_closed = l1_hits;
         self.epochs += 1;
         self.last_p50 = self.epoch_hist.p50();
         self.last_p95 = self.epoch_hist.p95();
@@ -104,7 +110,7 @@ impl NdpSystem {
             core.count("invalidations", self.invalidations);
             core.count("migrations", self.migrations);
             core.gauge("replicated_fraction", self.replicated_fraction);
-            core.hist("access_latency", &self.access_latency);
+            core.hist("access_latency", &self.access_latency());
         }
         self.net.register_stats(&mut registry.scope("noc"));
         {
@@ -167,6 +173,14 @@ impl NdpSystem {
         fault.scope("stream").count("aborts", self.stream_aborts);
     }
 
+    /// Latency distribution of every memory op: the recorded post-L1
+    /// accesses plus the L1 hits, each [`L1_CYCLES`] long.
+    fn access_latency(&self) -> Histogram {
+        let mut h = self.access_latency.clone();
+        h.record_n(self.cycles(L1_CYCLES), self.l1_hits);
+        h
+    }
+
     pub(super) fn report(&self, totals: &RunTotals) -> RunReport {
         let (makespan, ops) = (totals.makespan, totals.ops);
         let mut energy = EnergyBreakdown::default();
@@ -199,7 +213,7 @@ impl NdpSystem {
             invalidations: self.invalidations,
             migrations: self.migrations,
             replicated_fraction: self.replicated_fraction,
-            access_latency: self.access_latency.clone(),
+            access_latency: self.access_latency(),
             registry: self.build_registry(totals),
         }
     }

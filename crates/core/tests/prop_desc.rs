@@ -111,3 +111,76 @@ fn descriptor_grain_divides_consistently() {
         }
     }
 }
+
+/// An affine stream of `lengths` walked in `order`; with `padded`, each
+/// outer stride skips one element of padding, so the address of the first
+/// element past a dimension differs from one more step of the inner
+/// stride.
+fn affine_stream(lengths: [u64; 3], order: DimOrder, padded: bool, elem_size: u32) -> StreamConfig {
+    let pad = u64::from(padded) * u64::from(elem_size);
+    let s0 = u64::from(elem_size);
+    let s1 = lengths[0] * s0 + pad;
+    let s2 = lengths[1] * s1 + pad;
+    let shape = AffineShape { lengths, strides: [s0, s1, s2], order };
+    StreamConfig {
+        sid: StreamId(0),
+        kind: StreamKind::Affine(shape),
+        base: 0x4000_0000,
+        size: lengths[2] * s2,
+        elem_size,
+        read_only: true,
+    }
+}
+
+#[test]
+fn addr_of_elem_agrees_with_the_stream_for_every_element() {
+    // Every element of every shape, so both sides of the first
+    // access-order dimension's end (elements `lp0 - 1` and `lp0`) are
+    // checked wherever the shape has them. `debug_assert` inside
+    // `addr_of_elem` is compiled out in release; this comparison is not.
+    let mut rng = Xoshiro256::seed_from(0xADD1);
+    let mut shapes: Vec<([u64; 3], bool)> = Vec::new();
+    for n in [1, 2, 7, 64, 300] {
+        // 1-D: the one long dimension in every position.
+        shapes.extend([([n, 1, 1], false), ([1, n, 1], false), ([1, 1, n], false)]);
+    }
+    for _ in 0..40 {
+        let lengths = [1 + rng.below(9), 1 + rng.below(9), 1 + rng.below(9)];
+        shapes.push((lengths, rng.chance(0.5)));
+    }
+    let p = DescParams { stream_grain: true, affine_block: 1024, line_bytes: 64 };
+    let mut crossings = 0;
+    for &(lengths, padded) in &shapes {
+        for order in DimOrder::ALL {
+            let cfg = affine_stream(lengths, order, padded, [4, 8, 64][rng.below(3) as usize]);
+            let d = StreamDesc::build(cfg, p);
+            for elem in 0..cfg.elems() {
+                assert_eq!(d.addr_of_elem(elem), cfg.addr_of(elem), "elem {elem}: {cfg:?}");
+            }
+            // The element at `lp0` starts the next access-order dimension:
+            // with padding it is not one more step of the first stride.
+            let StreamKind::Affine(shape) = cfg.kind else { unreachable!("affine") };
+            let first = order.perm()[0];
+            let (lp0, sp0) = (shape.lengths[first], shape.strides[first]);
+            if lp0 < cfg.elems() && cfg.addr_of(lp0) != cfg.base + lp0 * sp0 {
+                crossings += 1;
+            }
+        }
+    }
+    assert!(crossings >= 50, "only {crossings} shapes cross a padded dimension end");
+    // Indirect streams: every element one element size apart.
+    for elems in [1u64, 2, 1000] {
+        let cfg = StreamConfig {
+            sid: StreamId(0),
+            kind: StreamKind::Indirect { source: None },
+            base: 0x1000,
+            size: elems * 12,
+            elem_size: 12,
+            read_only: false,
+        };
+        let d = StreamDesc::build(cfg, p);
+        for elem in 0..elems {
+            assert_eq!(d.addr_of_elem(elem), cfg.addr_of(elem), "indirect elem {elem}");
+        }
+    }
+}

@@ -170,13 +170,14 @@ pub struct ExtendedMemory {
     fault: Option<CxlFault>,
     /// The link is hard-down (scheduled outage) until this time.
     outage_until: Time,
-    /// Base backoff of the outage retry loop (doubles per probe).
-    outage_retry: Time,
     outage: OutageStats,
 }
 
 /// Size of a CXL.mem request header flit, bytes.
 const REQUEST_BYTES: u32 = 16;
+
+/// Base backoff of the outage retry loop (doubles per probe).
+const OUTAGE_RETRY: Time = Time::from_ns(500);
 
 impl ExtendedMemory {
     /// Creates an expander of `capacity` bytes behind the given link.
@@ -190,7 +191,6 @@ impl ExtendedMemory {
             link_energy: Energy::ZERO,
             fault: None,
             outage_until: Time::ZERO,
-            outage_retry: Time::from_ns(500),
             outage: OutageStats::default(),
         }
     }
@@ -208,11 +208,6 @@ impl ExtendedMemory {
     /// True when a fault model is installed.
     pub fn fault_enabled(&self) -> bool {
         self.fault.is_some()
-    }
-
-    /// Sets the base backoff of the outage retry loop.
-    pub fn set_outage_retry(&mut self, base: Time) {
-        self.outage_retry = base.max(Time::from_ps(1));
     }
 
     /// Takes the link hard-down until `until`: every access issued while
@@ -257,7 +252,7 @@ impl ExtendedMemory {
             let mut probe = now;
             let mut exp = 0u32;
             while probe < self.outage_until {
-                probe += self.outage_retry * (1u64 << exp.min(8));
+                probe += OUTAGE_RETRY * (1u64 << exp.min(8));
                 exp += 1;
                 self.outage.probes += 1;
             }
@@ -459,20 +454,19 @@ mod tests {
     #[test]
     fn outage_stalls_accesses_behind_bounded_backoff() {
         let mut e = ext();
-        e.set_outage_retry(Time::from_ns(100));
         e.begin_outage(Time::from_us(10));
         assert!(e.outage_active(Time::ZERO));
         assert!(!e.outage_active(Time::from_us(10)));
         let done = e.access(0, 64, false, Time::ZERO);
-        // Doubling probes from 100 ns land at 100, 300, 700, 1500, 3100,
-        // 6300, 12700 ns: the seventh probe is the first past the restore.
-        assert_eq!(e.outage_stats().probes, 7);
-        assert_eq!(e.outage_stats().stall, Time::from_ns(12_700));
+        // Doubling probes from the 500 ns base land at 500, 1500, 3500,
+        // 7500, 15500 ns: the fifth probe is the first past the restore.
+        assert_eq!(e.outage_stats().probes, 5);
+        assert_eq!(e.outage_stats().stall, Time::from_ns(15_500));
         assert!(done > Time::from_us(10), "the access may not complete inside the outage");
         assert!(e.degradation() > 1.0, "outage probes must feed the placement signal");
         // After the restore the link is healthy again: no new probes.
         e.access(0, 64, false, Time::from_us(20));
-        assert_eq!(e.outage_stats().probes, 7);
+        assert_eq!(e.outage_stats().probes, 5);
         assert_eq!(e.outage_stats().outages, 1);
     }
 

@@ -202,11 +202,18 @@ impl Histogram {
     /// Records one duration.
     #[inline]
     pub fn record(&mut self, t: Time) {
+        self.record_n(t, 1);
+    }
+
+    /// Records `n` samples of the same duration: the same histogram as `n`
+    /// calls of [`record`](Self::record).
+    #[inline]
+    pub fn record_n(&mut self, t: Time, n: u64) {
         let ns = t.as_ns();
         let idx =
             if ns == 0 { 0 } else { (63 - ns.leading_zeros() as usize).min(Self::BUCKETS - 1) };
-        self.buckets[idx] += 1;
-        self.total += t;
+        self.buckets[idx] += n;
+        self.total += t * n;
     }
 
     /// Total number of samples.
@@ -323,6 +330,25 @@ mod tests {
         assert_eq!(h.percentile(0.99).as_ns(), 1024);
         let buckets: Vec<_> = h.iter().collect();
         assert_eq!(buckets, vec![(2, 90), (1024, 10)]);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        // Sub-ns, bucket-interior, power-of-two and top-bucket durations,
+        // each on top of a prior sample so the totals add.
+        for ps in [0, 999, 1500, 2_000, 64_000, 4_000_000_000_000] {
+            for n in [0u64, 1, 2, 7, 1000] {
+                let t = Time::from_ps(ps);
+                let (mut bulk, mut one_by_one) = (Histogram::new(), Histogram::new());
+                bulk.record(Time::from_ns(3));
+                one_by_one.record(Time::from_ns(3));
+                bulk.record_n(t, n);
+                for _ in 0..n {
+                    one_by_one.record(t);
+                }
+                assert_eq!(bulk, one_by_one, "{ps} ps x {n}");
+            }
+        }
     }
 
     #[test]
