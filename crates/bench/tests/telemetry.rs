@@ -5,7 +5,9 @@
 //!   single-threaded simulation state, so the pool may only move wall
 //!   clock, never a stat.
 //! * Every cell's `engine.sim_ps` is its report's simulated time, on the
-//!   NDP system and on the host.
+//!   NDP system and on the host, and its memory ops are conserved: every
+//!   one is counted once in `core.mem_ops` and once in
+//!   `core.access_latency`, and the L1 hits are the run loop's fast hits.
 //! * A panicking cell is listed under `failed`, its message escaped, and
 //!   its sibling keeps its stats under `cells`.
 //! * A trace written by a real simulation run must parse against the
@@ -23,11 +25,13 @@ use ndpx_bench::{CellResult, TraceCache};
 use ndpx_core::stats::RunReport;
 use ndpx_core::system::NdpSystem;
 use ndpx_core::SystemConfig;
-use ndpx_sim::telemetry::{validate_chrome_trace, Json, TraceConfig};
+use ndpx_sim::telemetry::{validate_chrome_trace, Json, StatValue, TraceConfig};
 use ndpx_workloads::trace::ScaleParams;
 use ndpx_workloads::TraceCacheStats;
 
-const OPS: u64 = 500;
+/// Past the workloads' raw-op period (one raw op every 2048 ops per core),
+/// so every cell also serves raw misses.
+const OPS: u64 = 2_100;
 
 type Outcomes = Vec<CellResult<Result<RunReport, String>>>;
 
@@ -55,6 +59,15 @@ fn cells(document: &str) -> Json {
 
 fn count(stats: &Json, path: &str) -> u64 {
     stats.get(path).and_then(Json::as_f64).unwrap_or_else(|| panic!("{path} missing")) as u64
+}
+
+/// A count leaf of the report's registry, or a histogram leaf's sample
+/// count.
+fn registry_count(report: &RunReport, path: &str) -> u64 {
+    match report.registry.get(path) {
+        Some(StatValue::Count(n) | StatValue::Hist { count: n, .. }) => *n,
+        other => panic!("{path} is not a count: {other:?}"),
+    }
 }
 
 #[test]
@@ -87,6 +100,14 @@ fn manifest_simulated_fields_are_thread_count_invariant() {
             assert_eq!(count(stats, "engine.sim_ps"), report.sim_time.as_ps(), "{case}");
             assert_eq!(count(stats, "engine.batch.ops"), report.ops, "{case}");
             assert!(count(stats, "engine.queue.peak_depth") > 0, "{case}");
+            let mem_ops = registry_count(report, "core.mem_ops");
+            let l1_hits = registry_count(report, "core.l1_hits");
+            assert_eq!(registry_count(report, "core.access_latency"), mem_ops, "{case}");
+            assert_eq!(registry_count(report, "engine.batch.fast_hits"), l1_hits, "{case}");
+            assert!(l1_hits <= mem_ops, "{case}: {l1_hits} hits of {mem_ops} memory ops");
+            if !name.starts_with("host/") {
+                assert!(registry_count(report, "core.bypass") > 0, "{case}: no raw miss");
+            }
         }
         assert!(names.iter().any(|n| n.starts_with("host/")), "the host cell carries sim_ps");
     }

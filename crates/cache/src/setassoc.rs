@@ -145,7 +145,9 @@ impl SetAssocCache {
     /// what [`access`](Self::access) does (recency, dirty bit, stats) and
     /// returns `true`; on a miss it leaves the cache untouched and returns
     /// `false`, so a later `access` of the same key sees the same state.
-    #[inline]
+    /// Always inlined, with `find` and `touch`: it is the whole L1 probe
+    /// of a run-ahead hit.
+    #[inline(always)]
     pub fn access_if_hit(&mut self, key: u64, write: bool) -> bool {
         let Ok(line) = self.find(key) else {
             return false;
@@ -156,7 +158,7 @@ impl SetAssocCache {
 
     /// The line holding `key`, or the first line of its set when absent.
     /// The memoized line is tried before the set is hashed and scanned.
-    #[inline]
+    #[inline(always)]
     fn find(&self, key: u64) -> Result<usize, usize> {
         if self.lines[self.last].tag == key + 1 {
             return Ok(self.last);
@@ -169,7 +171,7 @@ impl SetAssocCache {
     }
 
     /// The hit half of an access: recency, dirty bit, stats.
-    #[inline]
+    #[inline(always)]
     fn touch(&mut self, line: usize, write: bool) {
         self.last = line;
         self.tick += 1;

@@ -90,9 +90,8 @@ pub fn addr_of_key(s: &StreamConfig, p: DescParams, key: u64) -> u64 {
 /// Precomputed per-stream facts for the access path.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamDesc {
-    /// The stream configuration, copied out of the table.
-    pub cfg: StreamConfig,
-    /// Caching grain (slot bytes) under the active policy.
+    /// Caching grain (slot bytes) under the active policy: the line size
+    /// under a line-grain policy.
     pub grain: u64,
     /// Bytes fetched from extended memory on a miss.
     pub fetch_bytes: u32,
@@ -100,8 +99,6 @@ pub struct StreamDesc {
     epb: u64,
     /// `elems() - 1`: clamp bound for key→address mapping.
     last_elem: u64,
-    /// Line bytes for line-grain key/address math.
-    line_bytes: u64,
     /// Stream-grain policy active.
     stream_grain: bool,
     /// Affine stream.
@@ -110,8 +107,6 @@ pub struct StreamDesc {
     base: u64,
     /// Strength-reduced `/ epb` for affine stream-grain keys.
     epb_div: Divisor,
-    /// Strength-reduced `/ line_bytes` for line-grain keys.
-    line_div: Divisor,
     /// Length of the first access-order dimension: elements below it sit
     /// at `base + elem * sp[0]`. `u64::MAX` for an indirect stream, whose
     /// elements are all one stride apart.
@@ -149,17 +144,14 @@ impl StreamDesc {
             fetch_bytes: fetch_bytes(&cfg, p),
             epb,
             last_elem: cfg.elems() - 1,
-            line_bytes: p.line_bytes,
             stream_grain: p.stream_grain,
             affine: cfg.kind.is_affine(),
             base: cfg.base,
             epb_div: Divisor::new(epb),
-            line_div: Divisor::new(p.line_bytes.max(1)),
             lp0,
             lp0_div: Divisor::new(lp0.max(1)),
             lp1_div: Divisor::new(lp1.max(1)),
             sp,
-            cfg,
         }
     }
 
@@ -170,10 +162,11 @@ impl StreamDesc {
     /// indirect stream) has coordinates `(elem, 0, 0)` and needs no divide.
     #[inline]
     pub fn addr_of_elem(&self, elem: u64) -> u64 {
-        let addr =
-            if elem < self.lp0 { self.base + elem * self.sp[0] } else { self.addr_past_lp0(elem) };
-        debug_assert_eq!(addr, self.cfg.addr_of(elem));
-        addr
+        if elem < self.lp0 {
+            self.base + elem * self.sp[0]
+        } else {
+            self.addr_past_lp0(elem)
+        }
     }
 
     /// [`addr_of_elem`](Self::addr_of_elem) past the first dimension: the
@@ -186,9 +179,10 @@ impl StreamDesc {
         self.base + c0 * self.sp[0] + c1 * self.sp[1] + c2 * self.sp[2]
     }
 
-    /// Cache key of element `elem` at address `addr`.
+    /// Cache key of element `elem` on line `line` (its address divided by
+    /// the policy's line bytes, which is the line-grain key).
     #[inline]
-    pub fn key_of(&self, elem: u64, addr: u64) -> u64 {
+    pub fn key_of(&self, elem: u64, line: u64) -> u64 {
         if self.stream_grain {
             if self.affine {
                 self.epb_div.div(elem)
@@ -196,7 +190,7 @@ impl StreamDesc {
                 elem
             }
         } else {
-            self.line_div.div(addr)
+            line
         }
     }
 
@@ -210,7 +204,7 @@ impl StreamDesc {
                 self.addr_of_elem(key.min(self.last_elem))
             }
         } else {
-            key * self.line_bytes
+            key * self.grain
         }
     }
 }

@@ -1,5 +1,12 @@
 //! The run loop shared by [`NdpSystem`](crate::system::NdpSystem) and
-//! [`HostSystem`](crate::host::HostSystem).
+//! [`HostSystem`](crate::host::HostSystem), and the core front end they
+//! share.
+//!
+//! Both systems model the same in-order core with a private L1D, so each
+//! holds one [`FrontEnd`]: it decodes ops, computes stream addresses,
+//! probes the L1 and counts its hits, and the loop below runs compute ops
+//! and L1 hits through it. A system sees only an L1 miss
+//! ([`Simulated::miss`]).
 //!
 //! Cores are scheduled through one [`EventQueue`] with the core index as
 //! the equal-time rank (lower core first). When a core is popped at time
@@ -14,7 +21,7 @@
 //!   per-op order;
 //! - the **private horizon** `P ≥ W`: the same bound without the queue,
 //!   further clamped by the system (the NDP system clamps it while a trace
-//!   window is open). An op issued in `[W, P)` runs at once only if it
+//!   is attached). An op issued in `[W, P)` runs at once only if it
 //!   touches nothing but the core's own state — compute, or an L1 hit (L1s
 //!   belong to their core, op sources keep per-core cursors, and
 //!   everything a hit updates is an order-free integer sum). Any other op
@@ -28,40 +35,104 @@
 //! boundary checks and watchdog observation are simply amortized over the
 //! batch.
 
+use ndpx_cache::setassoc::{Outcome, SetAssocCache};
 use ndpx_sim::engine::{BatchStats, EventQueue, ProgressWatchdog, QueueStats, BATCH_CAP};
+use ndpx_sim::stats::Histogram;
 use ndpx_sim::telemetry::{StatRegistry, TimelineConfig, TimelineSampler};
-use ndpx_sim::time::Time;
+use ndpx_sim::time::{Freq, Time};
 use ndpx_sim::{ndpx_info, ndpx_warn};
-use ndpx_workloads::trace::Op;
+use ndpx_workloads::trace::{MemRef, Op, OpSource};
 
-/// Run-loop state every system owns and the driver updates.
-pub(crate) struct Engine {
+use crate::desc::StreamDesc;
+
+/// The core side both systems share, up to and including the L1: op
+/// decode, stream addresses, the per-core L1s and their hit accounting,
+/// and the run-loop state. A system sees only the ops that miss L1
+/// ([`Simulated::miss`]).
+pub(crate) struct FrontEnd {
+    /// The workload's ops, one cursor per core.
+    source: Box<dyn OpSource>,
+    /// Per-stream address descriptors, indexed by `StreamId`; immutable
+    /// for a run.
+    pub(crate) descs: Vec<StreamDesc>,
+    /// Per-core L1 data caches.
+    pub(crate) l1s: Vec<SetAssocCache>,
+    /// `log2` of the L1 line size (a power of two).
+    line_shift: u32,
+    /// Core clock of compute ops.
+    freq: Freq,
+    /// L1 hit/probe latency.
+    pub(crate) l1_lat: Time,
+    /// Memory ops issued, hits included.
+    pub(crate) mem_ops: u64,
+    /// Memory ops that hit L1.
+    pub(crate) l1_hits: u64,
+    /// Latency distribution of the memory ops that miss L1;
+    /// [`access_latency`](Self::access_latency) adds the hits.
+    access_latency: Histogram,
     /// Run-ahead batching enabled (on unless a differential test turns it
     /// off through `set_batching`). Purely a performance switch: results
     /// are bit-identical either way.
     pub(crate) batch: bool,
     /// Run-loop batch telemetry (`engine.batch.*`).
-    pub(crate) batch_stats: BatchStats,
+    batch_stats: BatchStats,
     /// Progress-watchdog stall diagnostics observed during the run.
-    pub(crate) stalls: u64,
+    stalls: u64,
     /// Opt-in windowed timeline sampler; `None` costs one branch per
     /// scheduler pop.
-    pub(crate) timeline: Option<Box<TimelineSampler>>,
+    timeline: Option<Box<TimelineSampler>>,
 }
 
-/// Which view of the `engine.*` scope [`Engine::register`] publishes.
+/// An op that missed L1, as [`run`] hands it to [`Simulated::miss`]. The
+/// L1 has already filled `line`.
+pub(crate) struct Miss {
+    /// The stream reference; `None` for a raw op.
+    pub(crate) mem: Option<MemRef>,
+    /// The op's physical address.
+    pub(crate) addr: u64,
+    /// Its L1 line, `addr >> line_shift`.
+    pub(crate) line: u64,
+    /// True for stores.
+    pub(crate) write: bool,
+    /// The L1 victim and whether it was dirty.
+    pub(crate) evicted: Option<(u64, bool)>,
+}
+
+/// Which view of the `engine.*` and `core.*` counters
+/// [`FrontEnd::register`] publishes.
 pub(crate) enum EngineScope<'a> {
-    /// One timeline window: the live queue depth and the batch counters.
+    /// One timeline window: the live queue depth, the batch and hit
+    /// counters.
     Window { queue_depth: usize },
-    /// The end-of-run dump: simulated time, queue totals, stalls and the
-    /// batch summary.
+    /// The end-of-run dump: simulated time, queue totals, stalls, the
+    /// batch summary and the access-latency histogram.
     Run(&'a RunTotals),
 }
 
-impl Engine {
-    /// Batching on, no stalls, and a sampler if `timeline` configures one.
-    pub(crate) fn new(timeline: Option<&TimelineConfig>) -> Self {
-        Engine {
+impl FrontEnd {
+    /// A front end over `l1s` (one per core) with `line_bytes`-byte lines
+    /// and hits of `l1_lat`; batching on, no stalls, and a sampler if
+    /// `timeline` configures one.
+    pub(crate) fn new(
+        source: Box<dyn OpSource>,
+        descs: Vec<StreamDesc>,
+        l1s: Vec<SetAssocCache>,
+        line_bytes: u64,
+        freq: Freq,
+        l1_lat: Time,
+        timeline: Option<&TimelineConfig>,
+    ) -> Self {
+        debug_assert!(line_bytes.is_power_of_two());
+        FrontEnd {
+            source,
+            descs,
+            l1s,
+            line_shift: line_bytes.trailing_zeros(),
+            freq,
+            l1_lat,
+            mem_ops: 0,
+            l1_hits: 0,
+            access_latency: Histogram::new(),
             batch: true,
             batch_stats: BatchStats::default(),
             stalls: 0,
@@ -69,10 +140,48 @@ impl Engine {
         }
     }
 
-    /// Publishes the `engine.*` scope. Timeline windows carry only values
-    /// that are a pure function of simulated event order, so timelines are
-    /// byte-identical at any thread count.
+    /// Latency distribution of every memory op: the recorded post-L1
+    /// accesses plus the L1 hits, each `l1_lat` long.
+    pub(crate) fn access_latency(&self) -> Histogram {
+        let mut h = self.access_latency.clone();
+        h.record_n(self.l1_lat, self.l1_hits);
+        h
+    }
+
+    /// A memory op's stream reference (`None` if raw), address and write
+    /// flag; `Err` carries a compute op's completion when issued at `t`.
+    #[inline(always)]
+    fn decode(&self, op: Op, t: Time) -> Result<(Option<MemRef>, u64, bool), Time> {
+        match op {
+            Op::Compute(c) => Err(t + self.freq.cycles_to_time(u64::from(c))),
+            Op::Mem(m) => Ok((Some(m), self.descs[m.sid.index()].addr_of_elem(m.elem), m.write)),
+            Op::RawMem { addr, write } => Ok((None, addr, write)),
+        }
+    }
+
+    /// Counts an L1 hit issued at `t`; returns its completion. Hits are
+    /// counted, not recorded: every one takes `l1_lat`, so the latency
+    /// histograms add them in bulk from `l1_hits`.
+    #[inline(always)]
+    fn hit(&mut self, t: Time) -> Time {
+        self.mem_ops += 1;
+        self.l1_hits += 1;
+        t + self.l1_lat
+    }
+
+    /// Publishes the `engine.*` scope and the front end's `core.*`
+    /// counters. Timeline windows carry only values that are a pure
+    /// function of simulated event order, so timelines are byte-identical
+    /// at any thread count.
     pub(crate) fn register(&self, reg: &mut StatRegistry, view: EngineScope<'_>) {
+        {
+            let mut core = reg.scope("core");
+            core.count("mem_ops", self.mem_ops);
+            core.count("l1_hits", self.l1_hits);
+            if let EngineScope::Run(_) = view {
+                core.hist("access_latency", &self.access_latency());
+            }
+        }
         let b = &self.batch_stats;
         let mut engine = reg.scope("engine");
         match view {
@@ -108,23 +217,21 @@ impl Engine {
     }
 }
 
-/// What a system plugs into [`run`]: its op source, its two access paths,
+/// What a system plugs into [`run`]: its front end, its path past the L1,
 /// its boundary actions and horizon clamps, and its telemetry.
 pub(crate) trait Simulated {
-    /// The shared run-loop state.
-    fn engine(&self) -> &Engine;
-    /// The shared run-loop state, mutably.
-    fn engine_mut(&mut self) -> &mut Engine;
-    /// Cores, one queue rank each.
-    fn cores(&self) -> usize;
-    /// The next op of `core`'s trace.
-    fn next_op(&mut self, core: usize) -> Op;
-    /// Runs one op through the full access path; returns its completion.
-    fn execute(&mut self, core: usize, op: Op, t: Time) -> Time;
-    /// Runs `op` only if it touches nothing but `core`'s private state —
-    /// compute, or an L1 hit — and returns its completion; returns `None`
-    /// with all state untouched otherwise.
-    fn execute_private(&mut self, core: usize, op: Op, t: Time) -> Option<Time>;
+    /// The shared core front end.
+    fn front(&self) -> &FrontEnd;
+    /// The shared core front end, mutably.
+    fn front_mut(&mut self) -> &mut FrontEnd;
+    /// Serves an op of `core` that missed L1: issued at `issue`, leaving
+    /// the L1 at `now`. Returns its completion; the front end has counted
+    /// it in `mem_ops` and records `done - issue` itself.
+    fn miss(&mut self, core: usize, miss: Miss, issue: Time, now: Time) -> Time;
+    /// Sees an L1 hit of `core` issued at `issue` and done at `done`
+    /// (already counted).
+    #[inline(always)]
+    fn hit(&mut self, _core: usize, _issue: Time, _done: Time) {}
     /// Applies the boundary actions due at `t`, before the popped core
     /// runs. An action that kills cores zeroes their `remaining` ops.
     fn boundaries(&mut self, _t: Time, _remaining: &mut [u64]) {}
@@ -136,14 +243,57 @@ pub(crate) trait Simulated {
     fn private_bound(&self, _t: Time) -> Time {
         Time::MAX
     }
-    /// L1 hits so far (the fast-path share of [`BatchStats`]).
-    fn l1_hits(&self) -> u64;
     /// Adds the system's own series to a timeline window's registry.
     fn timeline_stats(&self, reg: &mut StatRegistry, now: Time);
     /// Stable label naming the timeline file.
     fn timeline_label(&self) -> String;
     /// What the run is, for diagnostics.
     fn run_label(&self) -> String;
+}
+
+/// Runs `op` of `core`, issued at `t`, through the full path; returns its
+/// completion. Out of line, so the run-ahead path below stays small enough
+/// for the L1 probe of a private hit to inline into the run loop.
+#[inline(never)]
+fn execute<S: Simulated>(sys: &mut S, core: usize, op: Op, t: Time) -> Time {
+    let fe = sys.front_mut();
+    let (mem, addr, write) = match fe.decode(op, t) {
+        Ok(access) => access,
+        Err(done) => return done,
+    };
+    let line = addr >> fe.line_shift;
+    match fe.l1s[core].access(line, write) {
+        Outcome::Hit => {
+            let done = fe.hit(t);
+            sys.hit(core, t, done);
+            done
+        }
+        Outcome::Miss { evicted } => {
+            fe.mem_ops += 1;
+            let now = t + fe.l1_lat;
+            let done = sys.miss(core, Miss { mem, addr, line, write, evicted }, t, now);
+            sys.front_mut().access_latency.record(done - t);
+            done
+        }
+    }
+}
+
+/// Runs `op` only if it touches nothing but `core`'s private state —
+/// compute, or an L1 hit — and returns its completion; returns `None`
+/// with all state untouched otherwise.
+#[inline(always)]
+fn execute_private<S: Simulated>(sys: &mut S, core: usize, op: Op, t: Time) -> Option<Time> {
+    let fe = sys.front_mut();
+    let (_, addr, write) = match fe.decode(op, t) {
+        Ok(access) => access,
+        Err(done) => return Some(done),
+    };
+    if !fe.l1s[core].access_if_hit(addr >> fe.line_shift, write) {
+        return None;
+    }
+    let done = fe.hit(t);
+    sys.hit(core, t, done);
+    Some(done)
 }
 
 /// What [`run`] hands back for the system's report.
@@ -163,7 +313,7 @@ pub(crate) fn run<S: Simulated>(
     ops_per_core: u64,
     mut watchdog: ProgressWatchdog,
 ) -> RunTotals {
-    let cores = sys.cores();
+    let cores = sys.front().l1s.len();
     let mut queue: EventQueue<usize> = EventQueue::new();
     let mut remaining: Vec<u64> = vec![ops_per_core; cores];
     // Per-core pending slot: an op fetched past the shared window that
@@ -178,7 +328,7 @@ pub(crate) fn run<S: Simulated>(
     let mut next = queue.pop();
     while let Some((mut t, core)) = next {
         if let Some(stall) = watchdog.observe(t, queue.len()) {
-            sys.engine_mut().stalls += 1;
+            sys.front_mut().stalls += 1;
             ndpx_warn!(
                 "engine deadlock suspected in {} while serving core {core}: {stall}",
                 sys.run_label()
@@ -197,17 +347,17 @@ pub(crate) fn run<S: Simulated>(
         // Timeline boundary: snapshot the cumulative state strictly before
         // processing the first event at or past it. Sim-order only, so
         // timelines are identical at any thread count.
-        if sys.engine().timeline.as_deref().is_some_and(|tl| tl.due(t)) {
+        if sys.front().timeline.as_deref().is_some_and(|tl| tl.due(t)) {
             let snap = snapshot(sys, queue.len(), t);
-            if let Some(tl) = sys.engine_mut().timeline.as_deref_mut() {
+            if let Some(tl) = sys.front_mut().timeline.as_deref_mut() {
                 tl.record(t, snap);
             }
         }
         let (window, horizon) = horizons(sys, queue.peek_time(), t);
-        let fast0 = sys.l1_hits();
+        let fast0 = sys.front().l1_hits;
         let mut batch_len = 0u64;
-        let op = pending[core].take().unwrap_or_else(|| sys.next_op(core));
-        let mut done = sys.execute(core, op, t);
+        let op = pending[core].take().unwrap_or_else(|| sys.front_mut().source.next_op(core));
+        let mut done = execute(sys, core, op, t);
         loop {
             batch_len += 1;
             makespan = makespan.max(done);
@@ -218,11 +368,11 @@ pub(crate) fn run<S: Simulated>(
             }
             t = done;
             if batch_len < BATCH_CAP && t < horizon {
-                let op = sys.next_op(core);
+                let op = sys.front_mut().source.next_op(core);
                 let ran = if t < window {
-                    Some(sys.execute(core, op, t))
+                    Some(execute(sys, core, op, t))
                 } else {
-                    sys.execute_private(core, op, t)
+                    execute_private(sys, core, op, t)
                 };
                 if let Some(d) = ran {
                     done = d;
@@ -234,15 +384,16 @@ pub(crate) fn run<S: Simulated>(
             break;
         }
         total_ops += batch_len;
-        let fast = sys.l1_hits() - fast0;
-        sys.engine_mut().batch_stats.record(batch_len, fast);
+        let fe = sys.front_mut();
+        let fast = fe.l1_hits - fast0;
+        fe.batch_stats.record(batch_len, fast);
     }
 
     // Close the trailing timeline window on the end-of-run state and write
     // the file under a stable per-cell name.
-    if sys.engine().timeline.is_some() {
+    if sys.front().timeline.is_some() {
         let snap = snapshot(sys, queue.len(), makespan);
-        if let Some(mut tl) = sys.engine_mut().timeline.take() {
+        if let Some(mut tl) = sys.front_mut().timeline.take() {
             tl.finish(snap);
             let label = sys.timeline_label();
             match tl.write(&label) {
@@ -259,14 +410,14 @@ pub(crate) fn run<S: Simulated>(
 /// batching off, which is the per-op loop.
 #[inline]
 fn horizons<S: Simulated>(sys: &S, peek: Option<Time>, t: Time) -> (Time, Time) {
-    let engine = sys.engine();
-    if !engine.batch {
+    let fe = sys.front();
+    if !fe.batch {
         return (Time::ZERO, Time::ZERO);
     }
     // Boundary actions and timeline windows: no reconfiguration, failure
     // or snapshot may see an op from its future.
     let mut horizon = sys.boundary_horizon();
-    if let Some(tl) = engine.timeline.as_deref() {
+    if let Some(tl) = fe.timeline.as_deref() {
         horizon = horizon.min(tl.next_boundary());
     }
     let window = peek.map_or(horizon, |m| m.min(horizon));
@@ -276,7 +427,7 @@ fn horizons<S: Simulated>(sys: &S, peek: Option<Time>, t: Time) -> (Time, Time) 
 /// Cumulative registry snapshot for one timeline window.
 fn snapshot<S: Simulated>(sys: &S, queue_depth: usize, now: Time) -> StatRegistry {
     let mut reg = StatRegistry::new();
-    sys.engine().register(&mut reg, EngineScope::Window { queue_depth });
+    sys.front().register(&mut reg, EngineScope::Window { queue_depth });
     sys.timeline_stats(&mut reg, now);
     reg
 }

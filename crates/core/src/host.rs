@@ -13,14 +13,13 @@ use ndpx_noc::topology::{IntraKind, Topology, UnitId};
 use ndpx_sim::energy::Power;
 use ndpx_sim::engine::ProgressWatchdog;
 use ndpx_sim::rng::hash_range;
-use ndpx_sim::stats::Histogram;
 use ndpx_sim::telemetry::{StatRegistry, TimelineConfig};
 use ndpx_sim::time::{Freq, Time};
-use ndpx_workloads::trace::{Op, Workload};
+use ndpx_workloads::trace::Workload;
 
 use crate::config::PolicyKind;
 use crate::desc::{DescParams, StreamDesc};
-use crate::driver::{self, Engine, EngineScope, RunTotals, Simulated};
+use crate::driver::{self, EngineScope, FrontEnd, Miss, RunTotals, Simulated};
 use crate::stats::{Breakdown, EnergyBreakdown, LatComponent, RunReport};
 
 /// Host system configuration.
@@ -94,27 +93,16 @@ impl HostConfig {
 pub struct HostSystem {
     cfg: HostConfig,
     table: ndpx_stream::StreamTable,
-    /// Per-stream address descriptors at line grain, indexed by stream id:
-    /// the element→address walk `NdpSystem` uses, with its divides
-    /// strength-reduced.
-    descs: Vec<StreamDesc>,
-    source: Box<dyn ndpx_workloads::trace::OpSource>,
+    /// The core front end, with stream descriptors at line grain (the
+    /// host reads only their element addresses).
+    front: FrontEnd,
     workload_name: &'static str,
-    l1s: Vec<SetAssocCache>,
     banks: Vec<SetAssocCache>,
     net: Network,
     mem: DramDevice,
     breakdown: Breakdown,
-    mem_ops: u64,
-    l1_hits: u64,
     llc_hits: u64,
     llc_misses: u64,
-    /// Latency distribution of the memory accesses that miss L1;
-    /// [`access_latency`](Self::access_latency) adds the L1 hits.
-    access_latency: Histogram,
-    /// Run-loop state: batching switch, batch and stall telemetry, and
-    /// the opt-in timeline sampler.
-    engine: Engine,
 }
 
 /// L1 hit latency of a host core, cycles.
@@ -160,22 +148,19 @@ impl HostSystem {
             .collect();
         let line_grain = DescParams { stream_grain: false, affine_block: 64, line_bytes: 64 };
         let descs = workload.table.iter().map(|s| StreamDesc::build(*s, line_grain)).collect();
+        let l1_lat = cfg.freq.cycles_to_time(L1_CYCLES);
+        let front =
+            FrontEnd::new(workload.source, descs, l1s, 64, cfg.freq, l1_lat, cfg.timeline.as_ref());
         Ok(HostSystem {
-            descs,
+            front,
             mem: DramDevice::new(DramConfig::ddr5_extended(cfg.mem_capacity)),
             net,
             banks,
-            l1s,
             table: workload.table,
-            source: workload.source,
             workload_name: workload.name,
             breakdown: Breakdown::default(),
-            mem_ops: 0,
-            l1_hits: 0,
             llc_hits: 0,
             llc_misses: 0,
-            access_latency: Histogram::new(),
-            engine: Engine::new(cfg.timeline.as_ref()),
             cfg,
         })
     }
@@ -184,7 +169,7 @@ impl HostSystem {
     /// either way; switching it off exists for differential tests (see
     /// [`crate::system::NdpSystem::set_batching`]).
     pub fn set_batching(&mut self, on: bool) {
-        self.engine.batch = on;
+        self.front.batch = on;
     }
 
     /// Runs `ops_per_core` operations per core; returns the report.
@@ -207,52 +192,71 @@ impl HostSystem {
         self.report(&totals)
     }
 
-    /// Bookkeeping of an L1 hit issued at `t`; returns its completion.
-    /// Hits are counted, not recorded: each takes [`L1_CYCLES`], and the
-    /// report's histogram adds them in bulk
-    /// ([`access_latency`](Self::access_latency)).
-    #[inline]
-    fn l1_hit(&mut self, t: Time) -> Time {
-        self.mem_ops += 1;
-        self.l1_hits += 1;
-        t + self.cfg.freq.cycles_to_time(L1_CYCLES)
-    }
-
-    /// One memory access: the slim L1 probe inlines into the run loop; the
-    /// NUCA/DRAM continuation lives in [`access_miss`](Self::access_miss).
-    #[inline]
-    fn access(&mut self, core: usize, addr: u64, write: bool, t: Time) -> Time {
-        let line = addr / 64;
-        if self.l1s[core].access(line, write).is_hit() {
-            return self.l1_hit(t);
+    fn build_registry(&self, totals: &RunTotals) -> StatRegistry {
+        let mut registry = StatRegistry::new();
+        self.front.register(&mut registry, EngineScope::Run(totals));
+        {
+            let mut core = registry.scope("core");
+            core.count("llc_hits", self.llc_hits);
+            core.count("llc_misses", self.llc_misses);
         }
-        self.mem_ops += 1;
-        let l1_lat = self.cfg.freq.cycles_to_time(L1_CYCLES);
-        let done = self.access_miss(core, addr, line, write, l1_lat, t + l1_lat);
-        self.access_latency.record(done - t);
-        done
+        self.net.register_stats(&mut registry.scope("noc"));
+        self.mem.register_stats(&mut registry.scope("mem"));
+        self.table.register_stats(&mut registry.scope("stream_table"));
+        registry
     }
 
-    /// Latency distribution of every memory op: the recorded post-L1
-    /// accesses plus the L1 hits.
-    fn access_latency(&self) -> Histogram {
-        let mut h = self.access_latency.clone();
-        h.record_n(self.cfg.freq.cycles_to_time(L1_CYCLES), self.l1_hits);
-        h
+    fn report(&self, totals: &RunTotals) -> RunReport {
+        let (makespan, ops) = (totals.makespan, totals.ops);
+        let energy = EnergyBreakdown {
+            static_: (HOST_CORE_STATIC * self.cfg.cores as f64).over(makespan)
+                + self.mem.background_energy(makespan),
+            dram: self.mem.dynamic_energy(),
+            noc: self.net.dynamic_energy(),
+            ..EnergyBreakdown::default()
+        };
+        RunReport {
+            policy: PolicyKind::StaticInterleave,
+            workload: format!("{}(host)", self.workload_name),
+            sim_time: makespan,
+            ops,
+            mem_ops: self.front.mem_ops,
+            l1_hits: self.front.l1_hits,
+            cache_hits: self.llc_hits,
+            cache_misses: self.llc_misses,
+            local_hits: 0,
+            bypass: 0,
+            slb_misses: 0,
+            metadata_dram: 0,
+            breakdown: self.breakdown,
+            energy,
+            reconfigs: 0,
+            invalidations: 0,
+            migrations: 0,
+            replicated_fraction: 0.0,
+            access_latency: self.front.access_latency(),
+            registry: self.build_registry(totals),
+        }
+    }
+}
+
+impl Simulated for HostSystem {
+    #[inline]
+    fn front(&self) -> &FrontEnd {
+        &self.front
     }
 
-    /// The post-L1 continuation of [`access`](Self::access).
+    #[inline]
+    fn front_mut(&mut self) -> &mut FrontEnd {
+        &mut self.front
+    }
+
+    /// The NUCA bank and DRAM path of an L1 miss; the L1 victim is not
+    /// written back.
     #[inline(never)]
-    fn access_miss(
-        &mut self,
-        core: usize,
-        addr: u64,
-        line: u64,
-        write: bool,
-        l1_lat: Time,
-        mut now: Time,
-    ) -> Time {
-        self.breakdown.add(LatComponent::CoreL1, l1_lat);
+    fn miss(&mut self, core: usize, miss: Miss, _issue: Time, mut now: Time) -> Time {
+        let Miss { addr, line, write, .. } = miss;
+        self.breakdown.add(LatComponent::CoreL1, self.front.l1_lat);
 
         // Static line interleaving across banks.
         let bank = hash_range(line, self.cfg.cores as u64) as usize;
@@ -275,114 +279,11 @@ impl HostSystem {
         t3 + self.cfg.freq.cycle()
     }
 
-    fn build_registry(&self, totals: &RunTotals) -> StatRegistry {
-        let mut registry = StatRegistry::new();
-        self.engine.register(&mut registry, EngineScope::Run(totals));
-        {
-            let mut core = registry.scope("core");
-            core.count("mem_ops", self.mem_ops);
-            core.count("l1_hits", self.l1_hits);
-            core.count("llc_hits", self.llc_hits);
-            core.count("llc_misses", self.llc_misses);
-            core.hist("access_latency", &self.access_latency());
-        }
-        self.net.register_stats(&mut registry.scope("noc"));
-        self.mem.register_stats(&mut registry.scope("mem"));
-        self.table.register_stats(&mut registry.scope("stream_table"));
-        registry
-    }
-
-    fn report(&self, totals: &RunTotals) -> RunReport {
-        let (makespan, ops) = (totals.makespan, totals.ops);
-        let energy = EnergyBreakdown {
-            static_: (HOST_CORE_STATIC * self.cfg.cores as f64).over(makespan)
-                + self.mem.background_energy(makespan),
-            dram: self.mem.dynamic_energy(),
-            noc: self.net.dynamic_energy(),
-            ..EnergyBreakdown::default()
-        };
-        RunReport {
-            policy: PolicyKind::StaticInterleave,
-            workload: format!("{}(host)", self.workload_name),
-            sim_time: makespan,
-            ops,
-            mem_ops: self.mem_ops,
-            l1_hits: self.l1_hits,
-            cache_hits: self.llc_hits,
-            cache_misses: self.llc_misses,
-            local_hits: 0,
-            bypass: 0,
-            slb_misses: 0,
-            metadata_dram: 0,
-            breakdown: self.breakdown,
-            energy,
-            reconfigs: 0,
-            invalidations: 0,
-            migrations: 0,
-            replicated_fraction: 0.0,
-            access_latency: self.access_latency(),
-            registry: self.build_registry(totals),
-        }
-    }
-}
-
-impl Simulated for HostSystem {
-    #[inline]
-    fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    #[inline]
-    fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    fn cores(&self) -> usize {
-        self.cfg.cores
-    }
-
-    #[inline]
-    fn next_op(&mut self, core: usize) -> Op {
-        self.source.next_op(core)
-    }
-
-    #[inline]
-    fn execute(&mut self, core: usize, op: Op, t: Time) -> Time {
-        match op {
-            Op::Compute(c) => t + self.cfg.freq.cycles_to_time(u64::from(c)),
-            Op::Mem(m) => {
-                let addr = self.descs[m.sid.index()].addr_of_elem(m.elem);
-                self.access(core, addr, m.write, t)
-            }
-            Op::RawMem { addr, write } => self.access(core, addr, write, t),
-        }
-    }
-
-    #[inline]
-    fn execute_private(&mut self, core: usize, op: Op, t: Time) -> Option<Time> {
-        let (addr, write) = match op {
-            Op::Compute(c) => return Some(t + self.cfg.freq.cycles_to_time(u64::from(c))),
-            Op::Mem(m) => (self.descs[m.sid.index()].addr_of_elem(m.elem), m.write),
-            Op::RawMem { addr, write } => (addr, write),
-        };
-        if !self.l1s[core].access_if_hit(addr / 64, write) {
-            return None;
-        }
-        Some(self.l1_hit(t))
-    }
-
-    #[inline]
-    fn l1_hits(&self) -> u64 {
-        self.l1_hits
-    }
-
     /// The host's simulation-derived series only (see `NdpSystem`'s for
     /// the determinism contract).
     fn timeline_stats(&self, reg: &mut StatRegistry, _now: Time) {
         {
             let mut core = reg.scope("core");
-            core.count("mem_ops", self.mem_ops);
-            core.count("l1_hits", self.l1_hits);
             core.count("llc_hits", self.llc_hits);
             core.count("llc_misses", self.llc_misses);
         }

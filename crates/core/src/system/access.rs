@@ -1,4 +1,4 @@
-//! The access hot path: L1, metadata, placement, and data legs of one
+//! The access path past the L1: metadata, placement, and data legs of one
 //! memory op, plus the writeback and read-only-transition side paths.
 
 use ndpx_mem::device::EccOutcome;
@@ -9,42 +9,14 @@ use ndpx_stream::StreamId;
 use ndpx_workloads::trace::MemRef;
 
 use super::{
-    NdpSystem, L1_CYCLES, LINE_BYTES, REQ_BYTES, RESTART_CYCLES, RO_TRANSITION_PENALTY, SLB_CYCLES,
+    NdpSystem, LINE_BYTES, REQ_BYTES, RESTART_CYCLES, RO_TRANSITION_PENALTY, SLB_CYCLES,
     SRAM_TAG_CYCLES,
 };
 use crate::config::ReconfigTransfer;
-use crate::desc::StreamDesc;
 use crate::layout::{Group, StreamLayout};
 use crate::stats::LatComponent;
 
 impl NdpSystem {
-    /// Bookkeeping of an L1 hit issued by `core` at `t`; returns its
-    /// completion. Hits are counted, not recorded: every one takes
-    /// [`L1_CYCLES`], so the latency histograms add them in bulk from
-    /// `l1_hits` ([`access_latency`](Self::access_latency) and the SLO
-    /// tracker's epoch close).
-    #[inline]
-    pub(super) fn l1_hit(&mut self, core: usize, t: Time) -> Time {
-        self.mem_ops += 1;
-        self.l1_hits += 1;
-        let done = t + self.cycles(L1_CYCLES);
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.complete("engine", "mem_op", core as u32, t, done - t);
-        }
-        done
-    }
-
-    /// Records a post-L1 memory op issued at `t` and completing at `done`.
-    #[inline]
-    fn record_access(&mut self, core: usize, t: Time, done: Time) {
-        let lat = done.saturating_sub(t);
-        self.access_latency.record(lat);
-        self.slo.record(lat);
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.complete("engine", "mem_op", core as u32, t, lat);
-        }
-    }
-
     pub(super) fn cycles(&self, n: u64) -> Time {
         self.cfg.core_freq.cycles_to_time(n)
     }
@@ -53,7 +25,7 @@ impl NdpSystem {
     /// (`tags`, `acc_counts`, `acc_history`).
     #[inline]
     fn su(&self, si: usize, unit: usize) -> usize {
-        si * self.l1s.len() + unit
+        si * self.drams.len() + unit
     }
 
     /// Splits a NoC duration between the intra/inter components by the
@@ -65,7 +37,7 @@ impl NdpSystem {
         if self.trace_noc {
             Self::trace_slow_leg(src, dst, dur);
         }
-        let (iw, total_w) = self.noc_weights[src * self.l1s.len() + dst];
+        let (iw, total_w) = self.noc_weights[src * self.drams.len() + dst];
         let intra_part = Time::from_ps(dur.as_ps() * iw / total_w);
         self.breakdown.add(LatComponent::NocIntra, intra_part);
         self.breakdown.add(LatComponent::NocInter, dur - intra_part);
@@ -122,77 +94,39 @@ impl NdpSystem {
         self.ext.access(addr, bytes, true, t1);
     }
 
-    pub(super) fn process_raw(&mut self, core: usize, addr: u64, write: bool, t: Time) -> Time {
-        let line = self.line_div.div(addr);
-        if self.l1s[core].access(line, write).is_hit() {
-            return self.l1_hit(core, t);
-        }
-        self.mem_ops += 1;
-        let now = t + self.cycles(L1_CYCLES);
-        self.breakdown.add(LatComponent::CoreL1, self.cycles(L1_CYCLES));
-        // Not a stream: bypass the DRAM cache (§IV-C).
+    /// The post-L1 path of a raw op: it bypasses the DRAM cache (§IV-C),
+    /// and its L1 victim is not written back.
+    pub(super) fn raw_miss(&mut self, core: usize, addr: u64, write: bool, now: Time) -> Time {
         self.bypass += 1;
-        let done =
-            self.ext_access(core, addr, LINE_BYTES, write, now) + self.cycles(RESTART_CYCLES);
-        self.record_access(core, t, done);
-        done
+        self.ext_access(core, addr, LINE_BYTES, write, now) + self.cycles(RESTART_CYCLES)
     }
 
-    /// One memory op. The body is only the slim L1 probe — the common
-    /// L1-hit case returns after a cache lookup and two counter bumps, and
-    /// inlines into the run loop's batch so a hit never pays a call or the
-    /// general dispatch below. Everything past the L1 lives out-of-line in
-    /// [`process_mem_miss`](Self::process_mem_miss), in exactly the
-    /// historical order (so the split cannot move a single shared-state
-    /// mutation).
-    #[inline]
-    pub(super) fn process_mem(&mut self, core: usize, m: MemRef, t: Time) -> Time {
-        let addr = self.descs[m.sid.index()].addr_of_elem(m.elem);
-
-        // L1.
-        let line = self.line_div.div(addr);
-        match self.l1s[core].access(line, m.write) {
-            ndpx_cache::setassoc::Outcome::Hit => self.l1_hit(core, t),
-            ndpx_cache::setassoc::Outcome::Miss { evicted } => {
-                self.mem_ops += 1;
-                // Copy out the cached descriptor only on the miss path:
-                // everything it needs (grain, key math, fetch size)
-                // without re-consulting the table, while the dominant hit
-                // path above stays copy-free.
-                let desc = self.descs[m.sid.index()];
-                let now = t + self.cycles(L1_CYCLES);
-                let done = self.process_mem_miss(core, m, desc, addr, evicted, now);
-                self.record_access(core, t, done);
-                done
-            }
-        }
-    }
-
-    /// The post-L1 continuation of [`process_mem`](Self::process_mem):
-    /// metadata, placement, and data paths.
-    #[inline(never)]
-    fn process_mem_miss(
+    /// The post-L1 path of a stream op at `addr` on L1 line `line`: the
+    /// dirty L1 victim's writeback, then the metadata, placement, and data
+    /// paths.
+    pub(super) fn stream_miss(
         &mut self,
         core: usize,
         m: MemRef,
-        desc: StreamDesc,
         addr: u64,
+        line: u64,
         evicted: Option<(u64, bool)>,
         mut now: Time,
     ) -> Time {
-        self.breakdown.add(LatComponent::CoreL1, self.cycles(L1_CYCLES));
         if let Some((victim_line, true)) = evicted {
             // Dirty L1 writeback: fire-and-forget store into the
             // cache hierarchy.
-            let victim_addr = victim_line * self.cfg.line_bytes;
-            self.writeback_line(core, victim_addr, now);
+            self.writeback_line(core, victim_line, now);
         }
 
         // Epoch accounting + sampling happen at DRAM-cache level.
-        let key = desc.key_of(m.elem, addr);
-        let su = self.su(m.sid.index(), core);
+        let sid_i = m.sid.index();
+        let desc = &self.front.descs[sid_i];
+        let key = desc.key_of(m.elem, line);
+        let (affine_stream, fetch_bytes, grain) = (desc.affine, desc.fetch_bytes, desc.grain);
+        let su = self.su(sid_i, core);
         self.acc_counts[su] += 1;
-        if let Some(slot) = &mut self.samplers[m.sid.index()] {
+        if let Some(slot) = &mut self.samplers[sid_i] {
             // The sampler monitors sets of the distributed cache, which see
             // the whole system's (hashed) access mix — not just accesses
             // issued by the sampler's own unit (§V-A: sampled misses are
@@ -206,7 +140,6 @@ impl NdpSystem {
         }
 
         // Metadata path.
-        let sid_i = m.sid.index();
         let located = self.layouts[sid_i].locate(core, key);
         if self.cfg.policy.is_stream_grain() {
             now += self.cycles(SLB_CYCLES);
@@ -238,7 +171,7 @@ impl NdpSystem {
         let Some((target, slot)) = located else {
             // Stream has no cache capacity: serve from extended memory.
             self.cache_misses += 1;
-            let done = self.ext_access(core, addr, desc.fetch_bytes, m.write, now);
+            let done = self.ext_access(core, addr, fetch_bytes, m.write, now);
             return done + self.cycles(RESTART_CYCLES);
         };
 
@@ -247,9 +180,7 @@ impl NdpSystem {
         self.charge_noc(core, target, t_req - now);
         now = t_req;
 
-        let affine_stream = desc.affine;
         let stream_grain = self.cfg.policy.is_stream_grain();
-        let grain = desc.grain;
         let daddr = self.layouts[sid_i].slot_addr(target, slot);
         let tag_at = self.su(sid_i, target);
 
@@ -281,7 +212,7 @@ impl NdpSystem {
         let hit = outcome.is_hit();
         if let ndpx_cache::setassoc::Outcome::Miss { evicted: Some((victim, true)) } = outcome {
             // Dirty victim: write back to extended memory.
-            let vaddr = desc.addr_of_key(victim);
+            let vaddr = self.front.descs[sid_i].addr_of_key(victim);
             self.ext_writeback(target, vaddr, grain.min(u64::from(u32::MAX)) as u32, now);
         }
 
@@ -302,16 +233,15 @@ impl NdpSystem {
                 now = t2;
             }
             if poisoned {
-                now = self.abort_poisoned_stream(m.sid, target, &desc, key, daddr, now);
+                now = self.abort_poisoned_stream(m.sid, target, key, daddr, now);
             }
         } else {
             self.cache_misses += 1;
-            let fetch = desc.fetch_bytes;
-            let base_addr = desc.addr_of_key(key);
-            let done = self.ext_access(target, base_addr, fetch, false, now);
+            let base_addr = self.front.descs[sid_i].addr_of_key(key);
+            let done = self.ext_access(target, base_addr, fetch_bytes, false, now);
             now = done;
             // Install into the DRAM cache without blocking the response.
-            self.drams[target].access(daddr, fetch, true, now);
+            self.drams[target].access(daddr, fetch_bytes, true, now);
         }
 
         // Data response back to the requester.
@@ -328,7 +258,6 @@ impl NdpSystem {
         &mut self,
         sid: StreamId,
         unit: usize,
-        desc: &StreamDesc,
         key: u64,
         daddr: u64,
         now: Time,
@@ -345,19 +274,22 @@ impl NdpSystem {
             let (valid, _) = tags.invalidate_all();
             self.invalidations += valid;
         }
-        let done = self.ext_access(unit, desc.addr_of_key(key), desc.fetch_bytes, false, now);
+        let desc = &self.front.descs[sid.index()];
+        let (addr, fetch) = (desc.addr_of_key(key), desc.fetch_bytes);
+        let done = self.ext_access(unit, addr, fetch, false, now);
         // Reinstall the clean copy without blocking the response.
-        self.drams[unit].access(daddr, desc.fetch_bytes, true, done);
+        self.drams[unit].access(daddr, fetch, true, done);
         done
     }
 
     /// Fire-and-forget store of an evicted dirty L1 line into the hierarchy.
-    fn writeback_line(&mut self, core: usize, addr: u64, t: Time) {
+    fn writeback_line(&mut self, core: usize, line: u64, t: Time) {
+        let addr = line * self.cfg.line_bytes;
         let Some((sid, elem)) = self.table.lookup(addr) else {
             self.ext_writeback(core, addr, LINE_BYTES, t);
             return;
         };
-        let key = self.descs[sid.index()].key_of(elem, addr);
+        let key = self.front.descs[sid.index()].key_of(elem, line);
         let sid_i = sid.index();
         if let Some((target, slot)) = self.layouts[sid_i].locate(core, key) {
             let t1 = self.net.send(UnitId(core), UnitId(target), LINE_BYTES, t);

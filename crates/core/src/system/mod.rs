@@ -45,21 +45,20 @@ use ndpx_sim::energy::Power;
 use ndpx_sim::engine::ProgressWatchdog;
 use ndpx_sim::fastdiv::Divisor;
 use ndpx_sim::fault::domain;
-use ndpx_sim::stats::Histogram;
 use ndpx_sim::telemetry::log::{enabled, Level};
 use ndpx_sim::telemetry::{Phase, PhaseProfiler, StatRegistry, TraceSink};
 use ndpx_sim::time::Time;
 use ndpx_sim::{ndpx_info, ndpx_warn};
 use ndpx_stream::StreamTable;
-use ndpx_workloads::trace::{Op, Workload};
+use ndpx_workloads::trace::Workload;
 
 use crate::config::{PolicyKind, SystemConfig};
 use crate::desc::{DescParams, StreamDesc};
-use crate::driver::{self, Engine, Simulated};
+use crate::driver::{self, FrontEnd, Miss, Simulated};
 use crate::layout::StreamLayout;
 use crate::runtime::configure::{allocate_baseline, Solver};
 use crate::runtime::sampler::{MissCurve, SamplerShape};
-use crate::stats::{Breakdown, RunReport};
+use crate::stats::{Breakdown, LatComponent, RunReport};
 
 use chaos::ChaosState;
 use reconfig::SamplerSlot;
@@ -87,7 +86,9 @@ const LINE_BYTES: u32 = 64;
 pub struct NdpSystem {
     cfg: SystemConfig,
     table: StreamTable,
-    source: Box<dyn ndpx_workloads::trace::OpSource>,
+    /// The core front end: op source, stream descriptors, per-core L1s,
+    /// hit accounting and run-loop state.
+    front: FrontEnd,
     workload_name: &'static str,
     net: Network,
     ext: ExtendedMemory,
@@ -97,8 +98,6 @@ pub struct NdpSystem {
     // the cold members through the cache with it.
     /// Per-unit DRAM devices.
     drams: Vec<DramDevice>,
-    /// Per-core L1 data caches.
-    l1s: Vec<SetAssocCache>,
     /// Per-unit SLBs: fully-associative over stream IDs.
     slbs: Vec<SetAssocCache>,
     /// Baselines' per-unit SRAM metadata caches over 512 B regions.
@@ -108,10 +107,6 @@ pub struct NdpSystem {
     /// all units are one contiguous row.
     tags: Vec<Option<TagArray>>,
     layouts: Vec<StreamLayout>,
-    /// Per-stream hot-path descriptors, indexed by `StreamId`; immutable
-    /// for a run (grain/key/fetch math depends only on the stream config
-    /// and the policy).
-    descs: Vec<StreamDesc>,
     attenuation: Vec<Vec<f64>>,
     /// Uncontended unit-to-unit latency in picoseconds (64 B message),
     /// row-major flat: `distance[src * units + dst]`.
@@ -139,8 +134,6 @@ pub struct NdpSystem {
     /// Algorithm 1's solver, reused by every epoch and forced re-placement.
     solver: Solver,
     // Statistics.
-    mem_ops: u64,
-    l1_hits: u64,
     cache_hits: u64,
     cache_misses: u64,
     local_hits: u64,
@@ -155,14 +148,6 @@ pub struct NdpSystem {
     /// events triggered by uncorrectable ECC errors.
     stream_aborts: u64,
     replicated_fraction: f64,
-    /// End-to-end latency distribution of the memory accesses that miss
-    /// L1; [`access_latency`](Self::access_latency) adds the L1 hits.
-    access_latency: Histogram,
-    /// Run-loop state: batching switch, batch and stall telemetry, and
-    /// the opt-in timeline sampler.
-    engine: Engine,
-    /// Strength-reduced `/ cfg.line_bytes` (every op computes its line).
-    line_div: Divisor,
     /// Strength-reduced `/ cfg.metadata_block` (per line-grain miss).
     meta_div: Divisor,
     /// Log-facade gates cached at construction so the hot paths pay one
@@ -229,6 +214,15 @@ impl NdpSystem {
         let l1s = (0..units_n)
             .map(|_| SetAssocCache::with_capacity(cfg.l1_bytes, cfg.line_bytes, cfg.l1_ways))
             .collect();
+        let front = FrontEnd::new(
+            workload.source,
+            descs,
+            l1s,
+            cfg.line_bytes,
+            cfg.core_freq,
+            cfg.core_freq.cycles_to_time(L1_CYCLES),
+            cfg.telemetry.timeline.as_ref(),
+        );
         let slbs = (0..units_n).map(|_| SetAssocCache::new(1, cfg.slb_entries)).collect();
         let metas = (0..units_n)
             .map(|_| SetAssocCache::with_capacity(cfg.metadata_cache_bytes, 8, 8))
@@ -239,12 +233,10 @@ impl NdpSystem {
             ext: ExtendedMemory::new(cfg.cxl, cfg.ext_capacity),
             net,
             drams,
-            l1s,
             slbs,
             metas,
             tags,
             layouts: Vec::new(),
-            descs,
             attenuation: Vec::new(),
             distance: Vec::new(),
             noc_weights: Vec::new(),
@@ -256,12 +248,9 @@ impl NdpSystem {
             prev_curves: vec![None; stream_count],
             solver: Solver::default(),
             table: workload.table,
-            source: workload.source,
+            front,
             workload_name: workload.name,
-            line_div: Divisor::new(cfg.line_bytes.max(1)),
             meta_div: Divisor::new(cfg.metadata_block.max(1)),
-            mem_ops: 0,
-            l1_hits: 0,
             cache_hits: 0,
             cache_misses: 0,
             local_hits: 0,
@@ -274,8 +263,6 @@ impl NdpSystem {
             migrations: 0,
             stream_aborts: 0,
             replicated_fraction: 0.0,
-            access_latency: Histogram::new(),
-            engine: Engine::new(cfg.telemetry.timeline.as_ref()),
             trace_noc: enabled(Level::Trace),
             trace_alloc: enabled(Level::Debug),
             trace: cfg.telemetry.trace.clone().map(|c| Box::new(TraceSink::new(c))),
@@ -284,7 +271,7 @@ impl NdpSystem {
             chaos: None,
             cfg,
         };
-        sys.slo.enabled = sys.engine.timeline.is_some() || sys.profile.is_some();
+        sys.slo.enabled = sys.cfg.telemetry.timeline.is_some() || sys.profile.is_some();
         sys.rebuild_noc_matrices();
         // Hard-failure schedule: a sim-time cursor over the validated chaos
         // plan. With no events scheduled the option stays `None` and every
@@ -342,7 +329,7 @@ impl NdpSystem {
     /// [`run`](Self::run)); switching it off exists so differential tests
     /// can compare both paths, the per-op loop being the oracle.
     pub fn set_batching(&mut self, on: bool) {
-        self.engine.batch = on;
+        self.front.batch = on;
     }
 
     /// Runs `ops_per_core` trace operations on every core; returns the
@@ -350,8 +337,8 @@ impl NdpSystem {
     ///
     /// Scheduling and run-ahead batching are the shared driver's (the
     /// private `driver` module, DESIGN.md §9). This system adds epoch
-    /// reconfigurations and chaos events as boundary actions, and the open
-    /// trace window as a private-horizon clamp.
+    /// reconfigurations and chaos events as boundary actions, and clamps
+    /// the private horizon while a trace is attached.
     pub fn run(&mut self, ops_per_core: u64) -> RunReport {
         self.run_with_watchdog(ops_per_core, ProgressWatchdog::new(ProgressWatchdog::DEFAULT_LIMIT))
     }
@@ -386,44 +373,38 @@ impl NdpSystem {
 
 impl Simulated for NdpSystem {
     #[inline]
-    fn engine(&self) -> &Engine {
-        &self.engine
+    fn front(&self) -> &FrontEnd {
+        &self.front
     }
 
     #[inline]
-    fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
+    fn front_mut(&mut self) -> &mut FrontEnd {
+        &mut self.front
     }
 
-    fn cores(&self) -> usize {
-        self.cfg.units()
-    }
-
-    #[inline]
-    fn next_op(&mut self, core: usize) -> Op {
-        self.source.next_op(core)
-    }
-
-    #[inline]
-    fn execute(&mut self, core: usize, op: Op, t: Time) -> Time {
-        match op {
-            Op::Compute(cycles) => t + self.cycles(u64::from(cycles)),
-            Op::Mem(m) => self.process_mem(core, m, t),
-            Op::RawMem { addr, write } => self.process_raw(core, addr, write, t),
-        }
-    }
-
-    #[inline]
-    fn execute_private(&mut self, core: usize, op: Op, t: Time) -> Option<Time> {
-        let (addr, write) = match op {
-            Op::Compute(cycles) => return Some(t + self.cycles(u64::from(cycles))),
-            Op::Mem(m) => (self.descs[m.sid.index()].addr_of_elem(m.elem), m.write),
-            Op::RawMem { addr, write } => (addr, write),
+    /// The post-L1 path of a stream or raw op, then its latency into the
+    /// epoch SLO histogram and the trace.
+    #[inline(never)]
+    fn miss(&mut self, core: usize, miss: Miss, issue: Time, now: Time) -> Time {
+        self.breakdown.add(LatComponent::CoreL1, self.front.l1_lat);
+        let done = match miss.mem {
+            Some(m) => self.stream_miss(core, m, miss.addr, miss.line, miss.evicted, now),
+            None => self.raw_miss(core, miss.addr, miss.write, now),
         };
-        if !self.l1s[core].access_if_hit(self.line_div.div(addr), write) {
-            return None;
+        let lat = done - issue;
+        self.slo.record(lat);
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.complete("engine", "mem_op", core as u32, issue, lat);
         }
-        Some(self.l1_hit(core, t))
+        done
+    }
+
+    /// An L1 hit is a `mem_op` event while a trace is attached.
+    #[inline(always)]
+    fn hit(&mut self, core: usize, issue: Time, done: Time) {
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.complete("engine", "mem_op", core as u32, issue, done - issue);
+        }
     }
 
     /// Boundary actions in simulated-time order: due chaos events (and
@@ -469,18 +450,11 @@ impl Simulated for NdpSystem {
         }
     }
 
-    #[inline]
-    fn l1_hits(&self) -> u64 {
-        self.l1_hits
-    }
-
     /// Restricted to values that are a pure function of simulated event
     /// order, so timelines are byte-identical at any thread count.
     fn timeline_stats(&self, reg: &mut StatRegistry, now: Time) {
         {
             let mut core = reg.scope("core");
-            core.count("mem_ops", self.mem_ops);
-            core.count("l1_hits", self.l1_hits);
             core.count("cache_hits", self.cache_hits);
             core.count("cache_misses", self.cache_misses);
             core.count("reconfigs", self.reconfigs);

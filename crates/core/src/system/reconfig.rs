@@ -11,7 +11,7 @@ use ndpx_sim::telemetry::{Phase, PhaseProfiler, ProfileSpan};
 use ndpx_sim::time::Time;
 use ndpx_stream::StreamId;
 
-use super::{NdpSystem, L1_CYCLES, LINE_BYTES};
+use super::{NdpSystem, LINE_BYTES};
 use crate::config::{PolicyKind, ReconfigTransfer};
 use crate::layout::{Group, StreamLayout};
 use crate::runtime::configure::{allocate_baseline, Allocation, ConfigCtx, StreamDemand};
@@ -58,7 +58,7 @@ impl NdpSystem {
             .map(|si| {
                 let sid = StreamId(si as u16);
                 let s = self.table.get(sid);
-                let grain = self.descs[si].grain;
+                let grain = self.front.descs[si].grain;
                 let mut acc_units: Vec<(usize, u64)> = if warmup {
                     // Nothing observed yet: assume every unit touches every
                     // stream equally so the warmup allocation hands all
@@ -152,7 +152,7 @@ impl NdpSystem {
         let mut unit_offsets = vec![0u64; units_n];
         let mut new_layouts = Vec::with_capacity(self.table.len());
         for si in 0..self.table.len() {
-            let grain = self.descs[si].grain;
+            let grain = self.front.descs[si].grain;
             // Per-group slot shares; a group without a whole slot is dropped.
             let shares: Vec<Vec<u64>> = alloc
                 .streams
@@ -296,7 +296,7 @@ impl NdpSystem {
 
     fn tag_ways(&self, sid: StreamId) -> usize {
         if self.cfg.policy.is_stream_grain() {
-            if self.descs[sid.index()].affine {
+            if self.front.descs[sid.index()].affine {
                 4
             } else {
                 self.cfg.indirect_ways
@@ -312,7 +312,7 @@ impl NdpSystem {
     pub(super) fn reconfigure(&mut self, t: Time, mut prof: Option<&mut PhaseProfiler>) {
         self.reconfigs += 1;
         if self.slo.enabled {
-            self.slo.close_epoch(t, self.l1_hits, self.cycles(L1_CYCLES));
+            self.slo.close_epoch(t, self.front.l1_hits, self.front.l1_lat);
             if let Some(tr) = self.trace.as_deref_mut() {
                 tr.counter("slo", "slo.epoch_p50_ns", 0, t, self.slo.last_p50.as_ns() as f64);
                 tr.counter("slo", "slo.epoch_p99_ns", 0, t, self.slo.last_p99.as_ns() as f64);
@@ -470,7 +470,7 @@ impl NdpSystem {
         let k = self.cfg.sampler_sets;
         for si in 0..self.table.len() {
             let target = assignment.unit_for_stream[si];
-            let grain = self.descs[si].grain;
+            let grain = self.front.descs[si].grain;
             // Keep a warm sampler when the assignment is stable — resetting
             // the shadow sets every epoch would make short epochs look
             // cold-start-bound.

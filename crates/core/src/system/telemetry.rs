@@ -5,7 +5,7 @@ use ndpx_sim::stats::Histogram;
 use ndpx_sim::telemetry::{StatRegistry, StatScope};
 use ndpx_sim::time::Time;
 
-use super::{NdpSystem, CORE_STATIC, L1_CYCLES};
+use super::{NdpSystem, CORE_STATIC};
 use crate::driver::{EngineScope, RunTotals};
 use crate::stats::{EnergyBreakdown, RunReport};
 
@@ -95,11 +95,9 @@ impl NdpSystem {
     fn build_registry(&self, totals: &RunTotals) -> StatRegistry {
         let makespan = totals.makespan;
         let mut registry = StatRegistry::new();
-        self.engine.register(&mut registry, EngineScope::Run(totals));
+        self.front.register(&mut registry, EngineScope::Run(totals));
         {
             let mut core = registry.scope("core");
-            core.count("mem_ops", self.mem_ops);
-            core.count("l1_hits", self.l1_hits);
             core.count("cache_hits", self.cache_hits);
             core.count("cache_misses", self.cache_misses);
             core.count("local_hits", self.local_hits);
@@ -110,7 +108,6 @@ impl NdpSystem {
             core.count("invalidations", self.invalidations);
             core.count("migrations", self.migrations);
             core.gauge("replicated_fraction", self.replicated_fraction);
-            core.hist("access_latency", &self.access_latency());
         }
         self.net.register_stats(&mut registry.scope("noc"));
         {
@@ -136,7 +133,7 @@ impl NdpSystem {
         for i in 0..self.drams.len() {
             let mut scope = registry.scope(&format!("unit{i:03}"));
             self.drams[i].register_stats(&mut scope.scope("dram"));
-            self.l1s[i].register_stats(&mut scope.scope("l1"));
+            self.front.l1s[i].register_stats(&mut scope.scope("l1"));
             self.slbs[i].register_stats(&mut scope.scope("slb"));
             self.metas[i].register_stats(&mut scope.scope("meta"));
         }
@@ -173,14 +170,6 @@ impl NdpSystem {
         fault.scope("stream").count("aborts", self.stream_aborts);
     }
 
-    /// Latency distribution of every memory op: the recorded post-L1
-    /// accesses plus the L1 hits, each [`L1_CYCLES`] long.
-    fn access_latency(&self) -> Histogram {
-        let mut h = self.access_latency.clone();
-        h.record_n(self.cycles(L1_CYCLES), self.l1_hits);
-        h
-    }
-
     pub(super) fn report(&self, totals: &RunTotals) -> RunReport {
         let (makespan, ops) = (totals.makespan, totals.ops);
         let mut energy = EnergyBreakdown::default();
@@ -199,8 +188,8 @@ impl NdpSystem {
             workload: self.workload_name.to_string(),
             sim_time: makespan,
             ops,
-            mem_ops: self.mem_ops,
-            l1_hits: self.l1_hits,
+            mem_ops: self.front.mem_ops,
+            l1_hits: self.front.l1_hits,
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             local_hits: self.local_hits,
@@ -213,7 +202,7 @@ impl NdpSystem {
             invalidations: self.invalidations,
             migrations: self.migrations,
             replicated_fraction: self.replicated_fraction,
-            access_latency: self.access_latency(),
+            access_latency: self.front.access_latency(),
             registry: self.build_registry(totals),
         }
     }

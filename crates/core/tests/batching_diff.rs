@@ -6,10 +6,10 @@
 //! `set_batching(false)` selects and which serves as the oracle. The
 //! batched loop runs ahead over two horizons: the shared window below the
 //! queue's next event, and the private horizon past it (compute and L1
-//! hits only), clamped by epochs, chaos events, timeline boundaries and
-//! the trace window. The tests sweep random workloads, seeds, policies and
-//! footprints, then cover each clamp with a case that actually crosses it,
-//! and pin that the run-ahead engages at all.
+//! hits only), clamped by epochs, chaos events and timeline boundaries,
+//! and shut while a trace is attached. The tests sweep random workloads,
+//! seeds, policies and footprints, then cover each clamp with a case that
+//! actually crosses it, and pin that the run-ahead engages at all.
 
 use std::path::{Path, PathBuf};
 

@@ -71,7 +71,7 @@ fn cached_descriptor_agrees_with_reference_on_random_streams() {
             let elem = rng.below(cfg.elems());
             let addr = cfg.addr_of(elem);
             assert_eq!(
-                d.key_of(elem, addr),
+                d.key_of(elem, addr / p.line_bytes),
                 desc::key_of(&cfg, p, elem, addr),
                 "key_of({elem}, {addr:#x}): {cfg:?} {p:?}"
             );
