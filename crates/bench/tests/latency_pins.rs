@@ -8,14 +8,17 @@
 //! benchmark's `hit-path` pair, nearly all L1 hits) and bfs under NDPExt
 //! with a tenfold shorter epoch (the `reconfig` workload's cell, whose
 //! epochs close and fold their L1 hits into the SLO percentiles), run with
-//! the phase profiler on so the `slo.*` scope is published.
+//! the phase profiler on so the `slo.*` scope is published. The bfs cell
+//! runs once more with a timeline whose window is its epoch, which pins
+//! every epoch's percentiles, not only the last one's.
 
 use ndpx_bench::pool::CellPool;
 use ndpx_bench::runner::{BenchScale, Cell, RunSpec, Session};
 use ndpx_bench::TraceCache;
 use ndpx_core::config::{MemKind, PolicyKind};
 use ndpx_core::stats::RunReport;
-use ndpx_sim::telemetry::StatValue;
+use ndpx_sim::telemetry::{Json, StatValue, TimelineConfig};
+use ndpx_sim::Time;
 
 /// `(count, total_ps, buckets)` of a `core.access_latency` leaf.
 type Hist = (u64, u64, &'static [(u64, u64)]);
@@ -46,18 +49,9 @@ fn assert_hist(name: &str, r: &RunReport, want: Hist) {
 fn access_latency_and_slo_leaves_keep_their_values() {
     let scale = BenchScale::Test;
     let tc = RunSpec::new(MemKind::Hbm, PolicyKind::NdpExtStatic, "tc", scale);
-    let bfs = RunSpec::new(MemKind::Hbm, PolicyKind::NdpExt, "bfs", scale).with_tweak(|cfg| {
-        cfg.epoch_cycles /= 10;
-        cfg.telemetry.profile = true;
-    });
     let cells =
-        [Cell::ndp("", tc), Cell::host("hotspot", scale.ops_per_core()), Cell::ndp("", bfs)];
-    let reports: Vec<RunReport> = Session::new(scale, CellPool::with_threads(1), TraceCache::new())
-        .run("test", cells)
-        .expect("valid cells")
-        .into_iter()
-        .map(|r| r.value)
-        .collect();
+        [Cell::ndp("", tc), Cell::host("hotspot", scale.ops_per_core()), Cell::ndp("", bfs(None))];
+    let reports = run(cells);
 
     assert_hist("tc", &reports[0], TC);
     assert_hist("host hotspot", &reports[1], HOTSPOT);
@@ -70,6 +64,58 @@ fn access_latency_and_slo_leaves_keep_their_values() {
         .map(|(path, v)| format!("{path} {v:?}"))
         .collect();
     assert_eq!(slo, BFS_SLO, "bfs: slo.* moved");
+}
+
+#[test]
+fn every_epoch_keeps_its_slo_percentiles() {
+    let dir = std::env::temp_dir().join(format!("ndpx-latency-pins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create timeline dir");
+    let tl = TimelineConfig::to_path(dir.join("timeline.json"));
+    assert_eq!(tl.window, Time::from_us(10), "the default window is the cell's epoch");
+    let report = run([Cell::ndp("", bfs(Some(tl)))]).remove(0);
+    let path = dir.join("timeline.Hbm-NdpExt-bfs.json");
+    let text = std::fs::read_to_string(&path).expect("timeline written");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_hist("bfs with a timeline", &report, BFS);
+
+    let doc = Json::parse(&text).expect("timeline is JSON");
+    let windows = doc.get("windows").and_then(Json::as_array).expect("windows");
+    let leaf = |stats: &Json, name: &str| {
+        stats.get(name).and_then(Json::as_f64).unwrap_or_else(|| panic!("no {name}")) as u64
+    };
+    let mut epochs = Vec::new();
+    for w in windows {
+        let stats = w.get("stats").expect("stats");
+        let closed = leaf(stats, "slo.epochs");
+        assert!(closed <= 1, "a window closed {closed} epochs, hiding some");
+        if closed == 1 {
+            epochs.push((
+                leaf(stats, "slo.epoch_p50_ns"),
+                leaf(stats, "slo.epoch_p95_ns"),
+                leaf(stats, "slo.epoch_p99_ns"),
+            ));
+        }
+    }
+    assert_eq!(epochs, BFS_EPOCHS, "bfs: per-epoch (p50, p95, p99) moved");
+}
+
+/// The bfs cell under NDPExt with a tenfold shorter epoch (10 µs at test)
+/// and the profiler on, plus `timeline` if given.
+fn bfs(timeline: Option<TimelineConfig>) -> RunSpec {
+    RunSpec::new(MemKind::Hbm, PolicyKind::NdpExt, "bfs", BenchScale::Test).with_tweak(move |cfg| {
+        cfg.epoch_cycles /= 10;
+        cfg.telemetry.profile = true;
+        cfg.telemetry.timeline = timeline.clone();
+    })
+}
+
+fn run<const N: usize>(cells: [Cell; N]) -> Vec<RunReport> {
+    Session::new(BenchScale::Test, CellPool::with_threads(1), TraceCache::new())
+        .run("test", cells)
+        .expect("valid cells")
+        .into_iter()
+        .map(|r| r.value)
+        .collect()
 }
 
 // Recorded on the simulator before L1 hits were counted in bulk.
@@ -118,4 +164,27 @@ const BFS_SLO: &[&str] = &[
     "slo.streams.refetched Count(0)",
     "slo.worst_p99_ns Gauge(1024.0)",
     "slo.worst_staleness_ns Gauge(320000.0)",
+];
+
+// Recorded on the simulator whose NDP miss path fed the SLO epochs through
+// a histogram of its own.
+#[rustfmt::skip]
+const BFS_EPOCHS: &[(u64, u64, u64)] = &[
+    (0, 1024, 1024), (0, 512, 1024), (0, 512, 1024), (0, 256, 512),
+    (0, 512, 512), (0, 512, 512), (0, 256, 512), (0, 256, 512),
+    (0, 128, 512), (0, 64, 512), (0, 128, 512), (0, 256, 512),
+    (0, 256, 512), (0, 64, 512), (0, 256, 512), (0, 256, 512),
+    (0, 256, 512), (0, 128, 512), (0, 128, 512), (0, 64, 512),
+    (0, 128, 512), (0, 64, 512), (0, 64, 512), (0, 256, 512),
+    (0, 256, 512), (0, 256, 512), (0, 256, 512), (0, 128, 512),
+    (0, 128, 512), (0, 256, 512), (0, 128, 512), (0, 256, 512),
+    (0, 128, 512), (0, 256, 512), (0, 512, 512), (0, 64, 512),
+    (0, 512, 512), (0, 512, 512), (0, 64, 512), (0, 256, 512),
+    (0, 512, 512), (0, 512, 1024), (0, 256, 512), (0, 256, 512),
+    (0, 256, 512), (0, 128, 512), (0, 256, 512), (0, 256, 512),
+    (0, 256, 512), (0, 256, 512), (0, 128, 512), (0, 256, 512),
+    (0, 256, 512), (0, 256, 512), (0, 512, 512), (0, 256, 512),
+    (0, 256, 512), (0, 64, 512), (0, 64, 512), (0, 64, 512),
+    (0, 512, 1024), (0, 64, 512), (0, 64, 512), (0, 256, 512),
+    (0, 64, 512),
 ];

@@ -156,8 +156,6 @@ pub struct SystemConfig {
     /// Metadata block coverage of the dual-granularity metadata cache
     /// (Bi-Modal style: 512 B regions).
     pub metadata_block: u64,
-    /// RNG seed.
-    pub seed: u64,
     /// Fault-injection configuration. Disabled by default, in which case
     /// every device keeps the ideal fault-free path.
     pub fault: FaultConfig,
@@ -205,7 +203,6 @@ impl SystemConfig {
             allow_replication: true,
             metadata_cache_bytes: 128 << 10,
             metadata_block: 512,
-            seed: 0x5EED_0D9C,
             fault: FaultConfig::disabled(),
             chaos: ChaosConfig::disabled(),
             telemetry: TelemetryConfig::default(),

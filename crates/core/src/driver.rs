@@ -6,7 +6,10 @@
 //! holds one [`FrontEnd`]: it decodes ops, computes stream addresses,
 //! probes the L1 and counts its hits, and the loop below runs compute ops
 //! and L1 hits through it. A system sees only an L1 miss
-//! ([`Simulated::miss`]).
+//! ([`Simulated::miss`]). The per-op observers live here too: the
+//! post-L1 latency histogram (which also feeds the NDP system's epoch SLO
+//! percentiles) and the trace sink, which gets every memory op's
+//! `engine`/`mem_op` event from the loop.
 //!
 //! Cores are scheduled through one [`EventQueue`] with the core index as
 //! the equal-time rank (lower core first). When a core is popped at time
@@ -20,8 +23,8 @@
 //!   `W`, so such ops run through the full access path in exactly the
 //!   per-op order;
 //! - the **private horizon** `P ≥ W`: the same bound without the queue,
-//!   further clamped by the system (the NDP system clamps it while a trace
-//!   is attached). An op issued in `[W, P)` runs at once only if it
+//!   shut to `W` while a trace is attached (the trace ring keeps insertion
+//!   order). An op issued in `[W, P)` runs at once only if it
 //!   touches nothing but the core's own state — compute, or an L1 hit (L1s
 //!   belong to their core, op sources keep per-core cursors, and
 //!   everything a hit updates is an order-free integer sum). Any other op
@@ -38,17 +41,18 @@
 use ndpx_cache::setassoc::{Outcome, SetAssocCache};
 use ndpx_sim::engine::{BatchStats, EventQueue, ProgressWatchdog, QueueStats, BATCH_CAP};
 use ndpx_sim::stats::Histogram;
-use ndpx_sim::telemetry::{StatRegistry, TimelineConfig, TimelineSampler};
+use ndpx_sim::telemetry::{StatRegistry, TimelineConfig, TimelineSampler, TraceSink};
 use ndpx_sim::time::{Freq, Time};
 use ndpx_sim::{ndpx_info, ndpx_warn};
 use ndpx_workloads::trace::{MemRef, Op, OpSource};
 
 use crate::desc::StreamDesc;
+use crate::stats::{Breakdown, LatComponent};
 
 /// The core side both systems share, up to and including the L1: op
 /// decode, stream addresses, the per-core L1s and their hit accounting,
-/// and the run-loop state. A system sees only the ops that miss L1
-/// ([`Simulated::miss`]).
+/// the per-op observers (latency histogram, trace sink) and the run-loop
+/// state. A system sees only the ops that miss L1 ([`Simulated::miss`]).
 pub(crate) struct FrontEnd {
     /// The workload's ops, one cursor per core.
     source: Box<dyn OpSource>,
@@ -81,6 +85,10 @@ pub(crate) struct FrontEnd {
     /// Opt-in windowed timeline sampler; `None` costs one branch per
     /// scheduler pop.
     timeline: Option<Box<TimelineSampler>>,
+    /// Opt-in Chrome-trace exporter; `None` costs one branch per op on the
+    /// full path. The system records its own legs and boundary events into
+    /// it; while it is attached no op runs ahead of the queue.
+    pub(crate) trace: Option<Box<TraceSink>>,
 }
 
 /// An op that missed L1, as [`run`] hands it to [`Simulated::miss`]. The
@@ -98,14 +106,14 @@ pub(crate) struct Miss {
     pub(crate) evicted: Option<(u64, bool)>,
 }
 
-/// Which view of the `engine.*` and `core.*` counters
-/// [`FrontEnd::register`] publishes.
+/// Which view of the stats [`FrontEnd::register`] and
+/// [`Simulated::register`] publish.
 pub(crate) enum EngineScope<'a> {
-    /// One timeline window: the live queue depth, the batch and hit
-    /// counters.
-    Window { queue_depth: usize },
+    /// One timeline window closing at `now`: the live queue depth and the
+    /// counters that are a pure function of simulated event order.
+    Window { queue_depth: usize, now: Time },
     /// The end-of-run dump: simulated time, queue totals, stalls, the
-    /// batch summary and the access-latency histogram.
+    /// batch summary, the access-latency histogram and the run-only keys.
     Run(&'a RunTotals),
 }
 
@@ -137,6 +145,7 @@ impl FrontEnd {
             batch_stats: BatchStats::default(),
             stalls: 0,
             timeline: timeline.map(|c| Box::new(TimelineSampler::new(c.clone()))),
+            trace: None,
         }
     }
 
@@ -146,6 +155,13 @@ impl FrontEnd {
         let mut h = self.access_latency.clone();
         h.record_n(self.l1_lat, self.l1_hits);
         h
+    }
+
+    /// `system`'s latency breakdown plus the L1 share of every miss: each
+    /// op that missed L1 spent `l1_lat` in it first.
+    pub(crate) fn breakdown(&self, mut system: Breakdown) -> Breakdown {
+        system.add(LatComponent::CoreL1, self.l1_lat * (self.mem_ops - self.l1_hits));
+        system
     }
 
     /// A memory op's stream reference (`None` if raw), address and write
@@ -173,7 +189,7 @@ impl FrontEnd {
     /// counters. Timeline windows carry only values that are a pure
     /// function of simulated event order, so timelines are byte-identical
     /// at any thread count.
-    pub(crate) fn register(&self, reg: &mut StatRegistry, view: EngineScope<'_>) {
+    pub(crate) fn register(&self, reg: &mut StatRegistry, view: &EngineScope<'_>) {
         {
             let mut core = reg.scope("core");
             core.count("mem_ops", self.mem_ops);
@@ -185,8 +201,8 @@ impl FrontEnd {
         let b = &self.batch_stats;
         let mut engine = reg.scope("engine");
         match view {
-            EngineScope::Window { queue_depth } => {
-                engine.gauge("queue.depth", queue_depth as f64);
+            EngineScope::Window { queue_depth, .. } => {
+                engine.gauge("queue.depth", *queue_depth as f64);
             }
             EngineScope::Run(totals) => {
                 // Ops executed by the loop are `engine.batch.ops`: one queue
@@ -218,20 +234,16 @@ impl FrontEnd {
 }
 
 /// What a system plugs into [`run`]: its front end, its path past the L1,
-/// its boundary actions and horizon clamps, and its telemetry.
+/// its boundary actions and its stats.
 pub(crate) trait Simulated {
     /// The shared core front end.
     fn front(&self) -> &FrontEnd;
     /// The shared core front end, mutably.
     fn front_mut(&mut self) -> &mut FrontEnd;
-    /// Serves an op of `core` that missed L1: issued at `issue`, leaving
-    /// the L1 at `now`. Returns its completion; the front end has counted
-    /// it in `mem_ops` and records `done - issue` itself.
-    fn miss(&mut self, core: usize, miss: Miss, issue: Time, now: Time) -> Time;
-    /// Sees an L1 hit of `core` issued at `issue` and done at `done`
-    /// (already counted).
-    #[inline(always)]
-    fn hit(&mut self, _core: usize, _issue: Time, _done: Time) {}
+    /// Serves an op of `core` that missed L1, leaving the L1 at `now`.
+    /// Returns its completion; the front end has counted it in `mem_ops`,
+    /// and records its latency and trace event itself.
+    fn miss(&mut self, core: usize, miss: Miss, now: Time) -> Time;
     /// Applies the boundary actions due at `t`, before the popped core
     /// runs. An action that kills cores zeroes their `remaining` ops.
     fn boundaries(&mut self, _t: Time, _remaining: &mut [u64]) {}
@@ -239,12 +251,8 @@ pub(crate) trait Simulated {
     fn boundary_horizon(&self) -> Time {
         Time::MAX
     }
-    /// A further clamp on the private horizon of a batch popped at `t`.
-    fn private_bound(&self, _t: Time) -> Time {
-        Time::MAX
-    }
-    /// Adds the system's own series to a timeline window's registry.
-    fn timeline_stats(&self, reg: &mut StatRegistry, now: Time);
+    /// Publishes the system's own stats under `view` (see [`registry`]).
+    fn register(&self, reg: &mut StatRegistry, view: &EngineScope<'_>);
     /// Stable label naming the timeline file.
     fn timeline_label(&self) -> String;
     /// What the run is, for diagnostics.
@@ -262,28 +270,34 @@ fn execute<S: Simulated>(sys: &mut S, core: usize, op: Op, t: Time) -> Time {
         Err(done) => return done,
     };
     let line = addr >> fe.line_shift;
-    match fe.l1s[core].access(line, write) {
-        Outcome::Hit => {
-            let done = fe.hit(t);
-            sys.hit(core, t, done);
-            done
-        }
+    let done = match fe.l1s[core].access(line, write) {
+        Outcome::Hit => fe.hit(t),
         Outcome::Miss { evicted } => {
             fe.mem_ops += 1;
             let now = t + fe.l1_lat;
-            let done = sys.miss(core, Miss { mem, addr, line, write, evicted }, t, now);
+            let done = sys.miss(core, Miss { mem, addr, line, write, evicted }, now);
             sys.front_mut().access_latency.record(done - t);
             done
         }
+    };
+    // A miss's event follows the events of its legs past the L1.
+    if let Some(tr) = sys.front_mut().trace.as_deref_mut() {
+        tr.complete("engine", "mem_op", core as u32, t, done - t);
     }
+    done
 }
 
 /// Runs `op` only if it touches nothing but `core`'s private state —
 /// compute, or an L1 hit — and returns its completion; returns `None`
 /// with all state untouched otherwise.
+///
+/// Never called while a trace is attached: the trace shuts the private
+/// horizon to the shared window (see [`horizons`]), so every memory op's
+/// event is emitted by [`execute`] and this path needs no trace test.
 #[inline(always)]
 fn execute_private<S: Simulated>(sys: &mut S, core: usize, op: Op, t: Time) -> Option<Time> {
     let fe = sys.front_mut();
+    debug_assert!(fe.trace.is_none(), "an op ran ahead of the queue with a trace attached");
     let (_, addr, write) = match fe.decode(op, t) {
         Ok(access) => access,
         Err(done) => return Some(done),
@@ -291,9 +305,7 @@ fn execute_private<S: Simulated>(sys: &mut S, core: usize, op: Op, t: Time) -> O
     if !fe.l1s[core].access_if_hit(addr >> fe.line_shift, write) {
         return None;
     }
-    let done = fe.hit(t);
-    sys.hit(core, t, done);
-    Some(done)
+    Some(fe.hit(t))
 }
 
 /// What [`run`] hands back for the system's report.
@@ -348,12 +360,12 @@ pub(crate) fn run<S: Simulated>(
         // processing the first event at or past it. Sim-order only, so
         // timelines are identical at any thread count.
         if sys.front().timeline.as_deref().is_some_and(|tl| tl.due(t)) {
-            let snap = snapshot(sys, queue.len(), t);
+            let snap = registry(sys, &EngineScope::Window { queue_depth: queue.len(), now: t });
             if let Some(tl) = sys.front_mut().timeline.as_deref_mut() {
                 tl.record(t, snap);
             }
         }
-        let (window, horizon) = horizons(sys, queue.peek_time(), t);
+        let (window, horizon) = horizons(sys, queue.peek_time());
         let fast0 = sys.front().l1_hits;
         let mut batch_len = 0u64;
         let op = pending[core].take().unwrap_or_else(|| sys.front_mut().source.next_op(core));
@@ -392,7 +404,7 @@ pub(crate) fn run<S: Simulated>(
     // Close the trailing timeline window on the end-of-run state and write
     // the file under a stable per-cell name.
     if sys.front().timeline.is_some() {
-        let snap = snapshot(sys, queue.len(), makespan);
+        let snap = registry(sys, &EngineScope::Window { queue_depth: queue.len(), now: makespan });
         if let Some(mut tl) = sys.front_mut().timeline.take() {
             tl.finish(snap);
             let label = sys.timeline_label();
@@ -405,11 +417,11 @@ pub(crate) fn run<S: Simulated>(
     RunTotals { makespan, ops: total_ops, queue: queue.stats() }
 }
 
-/// The run-ahead horizons `(W, P)`, `W ≤ P`, for a core popped at `t` with
-/// the queue's next pending event at `peek`. Both are [`Time::ZERO`] with
-/// batching off, which is the per-op loop.
+/// The run-ahead horizons `(W, P)`, `W ≤ P`, given the queue's next pending
+/// event at `peek`. Both are [`Time::ZERO`] with batching off, which is the
+/// per-op loop.
 #[inline]
-fn horizons<S: Simulated>(sys: &S, peek: Option<Time>, t: Time) -> (Time, Time) {
+fn horizons<S: Simulated>(sys: &S, peek: Option<Time>) -> (Time, Time) {
     let fe = sys.front();
     if !fe.batch {
         return (Time::ZERO, Time::ZERO);
@@ -421,13 +433,16 @@ fn horizons<S: Simulated>(sys: &S, peek: Option<Time>, t: Time) -> (Time, Time) 
         horizon = horizon.min(tl.next_boundary());
     }
     let window = peek.map_or(horizon, |m| m.min(horizon));
-    (window, horizon.min(sys.private_bound(t)).max(window))
+    // The trace ring keeps insertion order, so while a trace is attached
+    // no op may run ahead of the queue: `P` shuts to `W`.
+    (window, if fe.trace.is_some() { window } else { horizon })
 }
 
-/// Cumulative registry snapshot for one timeline window.
-fn snapshot<S: Simulated>(sys: &S, queue_depth: usize, now: Time) -> StatRegistry {
+/// The front end's and the system's stats under `view`: a timeline
+/// window's cumulative snapshot, or the end-of-run dump.
+pub(crate) fn registry<S: Simulated>(sys: &S, view: &EngineScope<'_>) -> StatRegistry {
     let mut reg = StatRegistry::new();
-    sys.front().register(&mut reg, EngineScope::Window { queue_depth });
-    sys.timeline_stats(&mut reg, now);
+    sys.front().register(&mut reg, view);
+    sys.register(&mut reg, view);
     reg
 }

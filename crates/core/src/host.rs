@@ -192,20 +192,6 @@ impl HostSystem {
         self.report(&totals)
     }
 
-    fn build_registry(&self, totals: &RunTotals) -> StatRegistry {
-        let mut registry = StatRegistry::new();
-        self.front.register(&mut registry, EngineScope::Run(totals));
-        {
-            let mut core = registry.scope("core");
-            core.count("llc_hits", self.llc_hits);
-            core.count("llc_misses", self.llc_misses);
-        }
-        self.net.register_stats(&mut registry.scope("noc"));
-        self.mem.register_stats(&mut registry.scope("mem"));
-        self.table.register_stats(&mut registry.scope("stream_table"));
-        registry
-    }
-
     fn report(&self, totals: &RunTotals) -> RunReport {
         let (makespan, ops) = (totals.makespan, totals.ops);
         let energy = EnergyBreakdown {
@@ -228,14 +214,14 @@ impl HostSystem {
             bypass: 0,
             slb_misses: 0,
             metadata_dram: 0,
-            breakdown: self.breakdown,
+            breakdown: self.front.breakdown(self.breakdown),
             energy,
             reconfigs: 0,
             invalidations: 0,
             migrations: 0,
             replicated_fraction: 0.0,
             access_latency: self.front.access_latency(),
-            registry: self.build_registry(totals),
+            registry: driver::registry(self, &EngineScope::Run(totals)),
         }
     }
 }
@@ -254,9 +240,8 @@ impl Simulated for HostSystem {
     /// The NUCA bank and DRAM path of an L1 miss; the L1 victim is not
     /// written back.
     #[inline(never)]
-    fn miss(&mut self, core: usize, miss: Miss, _issue: Time, mut now: Time) -> Time {
+    fn miss(&mut self, core: usize, miss: Miss, mut now: Time) -> Time {
         let Miss { addr, line, write, .. } = miss;
-        self.breakdown.add(LatComponent::CoreL1, self.front.l1_lat);
 
         // Static line interleaving across banks.
         let bank = hash_range(line, self.cfg.cores as u64) as usize;
@@ -279,9 +264,9 @@ impl Simulated for HostSystem {
         t3 + self.cfg.freq.cycle()
     }
 
-    /// The host's simulation-derived series only (see `NdpSystem`'s for
-    /// the determinism contract).
-    fn timeline_stats(&self, reg: &mut StatRegistry, _now: Time) {
+    /// The LLC counters, the mesh and main memory in every view; the
+    /// stream table only at the end of the run.
+    fn register(&self, reg: &mut StatRegistry, view: &EngineScope<'_>) {
         {
             let mut core = reg.scope("core");
             core.count("llc_hits", self.llc_hits);
@@ -289,6 +274,9 @@ impl Simulated for HostSystem {
         }
         self.net.register_stats(&mut reg.scope("noc"));
         self.mem.register_stats(&mut reg.scope("mem"));
+        if let EngineScope::Run(_) = view {
+            self.table.register_stats(&mut reg.scope("stream_table"));
+        }
     }
 
     fn timeline_label(&self) -> String {

@@ -75,7 +75,7 @@ impl NdpSystem {
         self.breakdown.add(LatComponent::ExtMem, t2 - t1);
         let t3 = self.net.send(UnitId(port), UnitId(unit), bytes.max(REQ_BYTES), t2);
         self.charge_noc(port, unit, t3 - t2);
-        if let Some(tr) = self.trace.as_deref_mut() {
+        if let Some(tr) = self.front.trace.as_deref_mut() {
             tr.complete("noc", "ext_req", unit as u32, t, t1 - t);
             tr.complete("cxl", "ext_access", port as u32, t1, t2 - t1);
             tr.complete("noc", "ext_rsp", port as u32, t2, t3 - t2);
@@ -227,7 +227,7 @@ impl NdpSystem {
                 let (t2, ecc) = self.drams[target].access_checked(daddr, LINE_BYTES, m.write, now);
                 poisoned = ecc == EccOutcome::Poisoned;
                 self.breakdown.add(LatComponent::DramCache, t2 - now);
-                if let Some(tr) = self.trace.as_deref_mut() {
+                if let Some(tr) = self.front.trace.as_deref_mut() {
                     tr.complete("dram", "cache_hit", target as u32, now, t2 - now);
                 }
                 now = t2;

@@ -9,9 +9,7 @@ use ndpx_sim::{ndpx_info, ndpx_warn};
 use ndpx_stream::StreamId;
 
 use super::NdpSystem;
-use crate::config::PolicyKind;
 use crate::layout::StreamLayout;
-use crate::runtime::configure::allocate_baseline;
 
 /// Per-event recovery record (`fault.recovery.e##.*`). `applied` guards
 /// registration: events the run never reached publish nothing.
@@ -305,13 +303,7 @@ impl NdpSystem {
     fn force_reconfigure(&mut self, t: Time) -> Time {
         self.reconfigs += 1;
         self.chaos_mut().forced_reconfigs += 1;
-        let demands = self.collect_demands(false);
-        let ctx = self.config_ctx();
-        let alloc = if self.cfg.policy == PolicyKind::NdpExt {
-            self.solver.solve(&demands, &ctx)
-        } else {
-            allocate_baseline(self.cfg.policy, &demands, &ctx, self.cfg.nexus_degree)
-        };
+        let alloc = self.allocate();
         let drain = self.apply_allocation(&alloc, t);
         if self.slo.enabled {
             self.slo.applied(t, drain);

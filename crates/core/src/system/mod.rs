@@ -54,11 +54,11 @@ use ndpx_workloads::trace::Workload;
 
 use crate::config::{PolicyKind, SystemConfig};
 use crate::desc::{DescParams, StreamDesc};
-use crate::driver::{self, FrontEnd, Miss, Simulated};
+use crate::driver::{self, EngineScope, FrontEnd, Miss, Simulated};
 use crate::layout::StreamLayout;
 use crate::runtime::configure::{allocate_baseline, Solver};
 use crate::runtime::sampler::{MissCurve, SamplerShape};
-use crate::stats::{Breakdown, LatComponent, RunReport};
+use crate::stats::{Breakdown, RunReport};
 
 use chaos::ChaosState;
 use reconfig::SamplerSlot;
@@ -87,7 +87,8 @@ pub struct NdpSystem {
     cfg: SystemConfig,
     table: StreamTable,
     /// The core front end: op source, stream descriptors, per-core L1s,
-    /// hit accounting and run-loop state.
+    /// hit accounting, the latency histogram, the trace sink and run-loop
+    /// state.
     front: FrontEnd,
     workload_name: &'static str,
     net: Network,
@@ -154,9 +155,6 @@ pub struct NdpSystem {
     /// boolean test instead of an atomic load per access.
     trace_noc: bool,
     trace_alloc: bool,
-    /// Opt-in Chrome-trace exporter (`cfg.telemetry.trace`); `None` costs
-    /// one branch per recording site.
-    trace: Option<Box<TraceSink>>,
     /// Opt-in sim-phase profiler (`cfg.telemetry.profile`); phase
     /// boundaries are per-epoch, so the hot path never sees it.
     profile: Option<Box<PhaseProfiler>>,
@@ -214,7 +212,7 @@ impl NdpSystem {
         let l1s = (0..units_n)
             .map(|_| SetAssocCache::with_capacity(cfg.l1_bytes, cfg.line_bytes, cfg.l1_ways))
             .collect();
-        let front = FrontEnd::new(
+        let mut front = FrontEnd::new(
             workload.source,
             descs,
             l1s,
@@ -223,6 +221,7 @@ impl NdpSystem {
             cfg.core_freq.cycles_to_time(L1_CYCLES),
             cfg.telemetry.timeline.as_ref(),
         );
+        front.trace = cfg.telemetry.trace.clone().map(|c| Box::new(TraceSink::new(c)));
         let slbs = (0..units_n).map(|_| SetAssocCache::new(1, cfg.slb_entries)).collect();
         let metas = (0..units_n)
             .map(|_| SetAssocCache::with_capacity(cfg.metadata_cache_bytes, 8, 8))
@@ -265,7 +264,6 @@ impl NdpSystem {
             replicated_fraction: 0.0,
             trace_noc: enabled(Level::Trace),
             trace_alloc: enabled(Level::Debug),
-            trace: cfg.telemetry.trace.clone().map(|c| Box::new(TraceSink::new(c))),
             profile: cfg.telemetry.profile.then(Box::default),
             slo: SloTracker::default(),
             chaos: None,
@@ -337,8 +335,7 @@ impl NdpSystem {
     ///
     /// Scheduling and run-ahead batching are the shared driver's (the
     /// private `driver` module, DESIGN.md §9). This system adds epoch
-    /// reconfigurations and chaos events as boundary actions, and clamps
-    /// the private horizon while a trace is attached.
+    /// reconfigurations and chaos events as boundary actions.
     pub fn run(&mut self, ops_per_core: u64) -> RunReport {
         self.run_with_watchdog(ops_per_core, ProgressWatchdog::new(ProgressWatchdog::DEFAULT_LIMIT))
     }
@@ -357,7 +354,7 @@ impl NdpSystem {
             p.add(Phase::Run, run_start.elapsed(), totals.makespan);
         }
         let report = self.report(&totals);
-        if let Some(mut tr) = self.trace.take() {
+        if let Some(mut tr) = self.front.trace.take() {
             if let Some(p) = self.profile.as_deref() {
                 p.export_trace(&mut tr, 0, totals.makespan);
             }
@@ -382,28 +379,12 @@ impl Simulated for NdpSystem {
         &mut self.front
     }
 
-    /// The post-L1 path of a stream or raw op, then its latency into the
-    /// epoch SLO histogram and the trace.
+    /// The post-L1 path of a stream or raw op.
     #[inline(never)]
-    fn miss(&mut self, core: usize, miss: Miss, issue: Time, now: Time) -> Time {
-        self.breakdown.add(LatComponent::CoreL1, self.front.l1_lat);
-        let done = match miss.mem {
+    fn miss(&mut self, core: usize, miss: Miss, now: Time) -> Time {
+        match miss.mem {
             Some(m) => self.stream_miss(core, m, miss.addr, miss.line, miss.evicted, now),
             None => self.raw_miss(core, miss.addr, miss.write, now),
-        };
-        let lat = done - issue;
-        self.slo.record(lat);
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.complete("engine", "mem_op", core as u32, issue, lat);
-        }
-        done
-    }
-
-    /// An L1 hit is a `mem_op` event while a trace is attached.
-    #[inline(always)]
-    fn hit(&mut self, core: usize, issue: Time, done: Time) {
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.complete("engine", "mem_op", core as u32, issue, done - issue);
         }
     }
 
@@ -440,19 +421,15 @@ impl Simulated for NdpSystem {
         self.chaos_next_at().map_or(self.next_epoch, |c| c.min(self.next_epoch))
     }
 
-    /// The trace ring keeps insertion order, so private ops may not run
-    /// ahead while a trace is attached.
-    fn private_bound(&self, t: Time) -> Time {
-        if self.trace.is_some() {
-            t
-        } else {
-            Time::MAX
-        }
-    }
-
-    /// Restricted to values that are a pure function of simulated event
-    /// order, so timelines are byte-identical at any thread count.
-    fn timeline_stats(&self, reg: &mut StatRegistry, now: Time) {
+    /// Every subsystem's stats. A timeline window carries only values that
+    /// are a pure function of simulated event order, so timelines are
+    /// byte-identical at any thread count; the end-of-run dump, built from
+    /// single-threaded post-run state, adds the run-only keys.
+    fn register(&self, reg: &mut StatRegistry, view: &EngineScope<'_>) {
+        let now = match view {
+            EngineScope::Window { now, .. } => *now,
+            EngineScope::Run(totals) => totals.makespan,
+        };
         {
             let mut core = reg.scope("core");
             core.count("cache_hits", self.cache_hits);
@@ -470,10 +447,34 @@ impl Simulated for NdpSystem {
         self.register_fault_scope(reg);
         self.register_chaos_scope(reg, now);
         if self.slo.enabled {
+            // Epoch service stats ride only on time-resolved runs, so the
+            // scope is absent (and dumps unchanged) by default — same
+            // contract as `fault.*`.
             let mut slo = reg.scope("slo");
             self.slo.register(&mut slo, now);
             slo.count("streams.poisoned", self.table.poisoned_streams());
             slo.count("streams.refetched", self.table.poison_events());
+        }
+        if let EngineScope::Run(_) = view {
+            {
+                let mut core = reg.scope("core");
+                core.count("local_hits", self.local_hits);
+                core.count("bypass", self.bypass);
+                core.count("slb_misses", self.slb_misses);
+                core.count("metadata_dram", self.metadata_dram);
+                core.gauge("replicated_fraction", self.replicated_fraction);
+            }
+            self.table.register_stats(&mut reg.scope("stream_table"));
+            if let Some(p) = self.profile.as_deref() {
+                p.register(reg);
+            }
+            for i in 0..self.drams.len() {
+                let mut scope = reg.scope(&format!("unit{i:03}"));
+                self.drams[i].register_stats(&mut scope.scope("dram"));
+                self.front.l1s[i].register_stats(&mut scope.scope("l1"));
+                self.slbs[i].register_stats(&mut scope.scope("slb"));
+                self.metas[i].register_stats(&mut scope.scope("meta"));
+            }
         }
     }
 

@@ -306,20 +306,32 @@ impl NdpSystem {
         }
     }
 
+    /// The next allocation from this epoch's demands: Algorithm 1 under
+    /// NDPExt, the policy's own allocator otherwise.
+    pub(super) fn allocate(&mut self) -> Allocation {
+        let demands = self.collect_demands(false);
+        let ctx = self.config_ctx();
+        if self.cfg.policy == PolicyKind::NdpExt {
+            self.solver.solve(&demands, &ctx)
+        } else {
+            allocate_baseline(self.cfg.policy, &demands, &ctx, self.cfg.nexus_degree)
+        }
+    }
+
     /// Epoch boundary: derive and apply the next configuration. `prof`, when
     /// present, receives the sampler-solve / rehash / reconfig sub-phase
     /// timings.
     pub(super) fn reconfigure(&mut self, t: Time, mut prof: Option<&mut PhaseProfiler>) {
         self.reconfigs += 1;
         if self.slo.enabled {
-            self.slo.close_epoch(t, self.front.l1_hits, self.front.l1_lat);
-            if let Some(tr) = self.trace.as_deref_mut() {
+            self.slo.close_epoch(t, self.front.access_latency());
+            if let Some(tr) = self.front.trace.as_deref_mut() {
                 tr.counter("slo", "slo.epoch_p50_ns", 0, t, self.slo.last_p50.as_ns() as f64);
                 tr.counter("slo", "slo.epoch_p99_ns", 0, t, self.slo.last_p99.as_ns() as f64);
                 tr.counter("slo", "slo.staleness_ns", 0, t, self.slo.last_staleness.as_ns() as f64);
             }
         }
-        if let Some(tr) = self.trace.as_deref_mut() {
+        if let Some(tr) = self.front.trace.as_deref_mut() {
             tr.instant("core", "reconfigure", 0, t);
         }
         // Decay the flat (stream × unit) history matrix in 4-wide chunks
@@ -339,13 +351,7 @@ impl NdpSystem {
         if self.cfg.policy.reconfigures() && within_budget {
             let alloc = {
                 let _span = ProfileSpan::enter_opt(prof.as_deref_mut(), Phase::SamplerSolve);
-                let demands = self.collect_demands(false);
-                let ctx = self.config_ctx();
-                if self.cfg.policy == PolicyKind::NdpExt {
-                    self.solver.solve(&demands, &ctx)
-                } else {
-                    allocate_baseline(self.cfg.policy, &demands, &ctx, self.cfg.nexus_degree)
-                }
+                self.allocate()
             };
             // Skip immaterial reconfigurations outright: sampling noise
             // produces small deltas every epoch, and applying them costs
@@ -374,7 +380,7 @@ impl NdpSystem {
                 }
                 if self.slo.enabled {
                     self.slo.applied(t, drain);
-                    if let Some(tr) = self.trace.as_deref_mut() {
+                    if let Some(tr) = self.front.trace.as_deref_mut() {
                         tr.counter("slo", "slo.reconfig_drain_ns", 0, t, drain.as_ns() as f64);
                     }
                 }

@@ -251,6 +251,21 @@ impl Histogram {
         self.total += other.total;
     }
 
+    /// The samples recorded since `earlier`, an earlier copy of this
+    /// histogram: every bucket count and the total minus `earlier`'s. Exact,
+    /// since both are integers.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `earlier` holds a sample this histogram
+    /// does not.
+    pub fn since(&self, earlier: &Histogram) -> Histogram {
+        Histogram {
+            buckets: self.buckets.iter().zip(&earlier.buckets).map(|(a, b)| a - b).collect(),
+            total: self.total - earlier.total,
+        }
+    }
+
     /// An approximate percentile (by bucket floor). `p` in `[0, 1]`.
     ///
     /// # Panics
@@ -349,6 +364,27 @@ mod tests {
                 assert_eq!(bulk, one_by_one, "{ps} ps x {n}");
             }
         }
+    }
+
+    #[test]
+    fn since_equals_a_histogram_of_the_later_samples() {
+        let early = [0, 999, 1500, 64_000];
+        let late = [2_000, 999, 4_000_000_000_000, 0, 1500];
+        let mut cumulative = Histogram::new();
+        for ps in early {
+            cumulative.record(Time::from_ps(ps));
+        }
+        let closed = cumulative.clone();
+        let mut only_late = Histogram::new();
+        for ps in late {
+            cumulative.record(Time::from_ps(ps));
+            only_late.record(Time::from_ps(ps));
+        }
+        cumulative.record_n(Time::from_ns(3), 1000);
+        only_late.record_n(Time::from_ns(3), 1000);
+        assert_eq!(cumulative.since(&closed), only_late);
+        assert_eq!(cumulative.since(&cumulative), Histogram::new(), "nothing since itself");
+        assert_eq!(cumulative.since(&Histogram::new()), cumulative);
     }
 
     #[test]
