@@ -6,8 +6,10 @@
 //! solver (a small shape and the bfs reconfiguration cell's shape),
 //! consistent-hash bucket-table construction and lookup, the
 //! reconfiguration tag transfer, power-law graph generation, single
-//! power-law draws, the L1 access (a stream walk's sequential lines and
-//! random keys), and the divide-free element address of a 1-D stream.
+//! power-law draws, the L1 access (a stream walk's sequential lines, three
+//! interleaved walks through their stream memo slots, and random keys),
+//! the divide-free element address of a 1-D stream, and the core front
+//! end's op fetch and decode over a replayed trace.
 //! Results land in `BENCH_PERF.json` under `"micro"` so a CI artifact
 //! records where a wall-clock regression came from without re-profiling
 //! the whole matrix.
@@ -16,6 +18,7 @@
 //! exist to explain performance, never to define correctness.
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ndpx_cache::setassoc::SetAssocCache;
@@ -29,6 +32,8 @@ use ndpx_sim::rng::{PowerlawSampler, Xoshiro256};
 use ndpx_sim::time::Time;
 use ndpx_stream::{AffineShape, DimOrder, StreamConfig, StreamId, StreamKind};
 use ndpx_workloads::graph::CsrGraph;
+use ndpx_workloads::replay::ReplaySource;
+use ndpx_workloads::{CachedTrace, Op, OpLanes, ScaleParams, TraceKey};
 
 /// One micro-benchmark measurement.
 #[derive(Debug, Clone)]
@@ -404,6 +409,52 @@ fn l1_access(name: &'static str, sequential: bool, iters: u64) -> MicroResult {
     })
 }
 
+/// One L1 probe per iteration on the paper's L1D: three sequential walks of
+/// 8-byte elements over disjoint 160-line ranges (480 lines, warmed, so
+/// every probe hits), interleaved one access each, as a core interleaves
+/// its streams. Each walk passes its index as the memo hint, as the front
+/// end passes the stream id, so each keeps its own memo line and seven of
+/// eight probes skip the set scan.
+fn l1_access_interleaved(iters: u64) -> MicroResult {
+    let mut l1 = SetAssocCache::with_capacity(64 << 10, 64, 4);
+    let accesses: Vec<(u64, usize)> =
+        (0..iters).map(|i| ((i % 3) * 160 + i / 3 / 8 % 160, (i % 3) as usize)).collect();
+    for &(k, s) in &accesses {
+        l1.access_hinted(k, false, s);
+    }
+    timed("l1_access_interleaved", iters, || {
+        let mut hits = 0u64;
+        for &(k, s) in &accesses {
+            hits += u64::from(l1.access_if_hit(black_box(k), false, s));
+        }
+        black_box(hits);
+    })
+}
+
+/// The core front end's fetch and decode per op: one op from a replayed
+/// trace's lanes ([`OpLanes::next_op`]), and for a stream op its address
+/// ([`StreamDesc::addr_of_elem`]). The trace is mv's at `ops` ops on each
+/// of 16 cores, read in runs of 8 ops per core as run-ahead batches read
+/// it, wrapping past its end.
+fn op_fetch_replay(ops: u64, iters: u64) -> MicroResult {
+    let p = ScaleParams { cores: 16, footprint: 32 << 20, seed: 0xF37C };
+    let trace = Arc::new(CachedTrace::materialize(&TraceKey::new("mv", &p, ops)));
+    let line = DescParams { stream_grain: false, affine_block: 64, line_bytes: 64 };
+    let descs: Vec<StreamDesc> = trace.table.iter().map(|s| StreamDesc::build(*s, line)).collect();
+    let mut lanes = OpLanes::new(Box::new(ReplaySource::new(Arc::clone(&trace))), "mv", p.cores);
+    timed("op_fetch_replay", iters, || {
+        let mut acc = 0u64;
+        for i in 0..iters {
+            acc = acc.wrapping_add(match lanes.next_op((i / 8) as usize % p.cores) {
+                Op::Compute(c) => u64::from(c),
+                Op::Mem(m) => descs[m.sid.index()].addr_of_elem(m.elem),
+                Op::RawMem { addr, .. } => addr,
+            });
+        }
+        black_box(acc);
+    })
+}
+
 /// One element address per iteration on a 1-D affine stream of 8-byte
 /// elements, walked in order (every affine stream of the tc, bfs, recsys
 /// and hotspot traces has this shape).
@@ -455,7 +506,9 @@ pub fn run_all() -> Vec<MicroResult> {
         powerlaw_draw("powerlaw_draw_a18", 35_791_394, 1.8, 4_000_000),
         l1_access("l1_access_seq", true, 4_000_000),
         l1_access("l1_access_rand", false, 4_000_000),
+        l1_access_interleaved(4_000_000),
         addr_of_elem_1d(4_000_000),
+        op_fetch_replay(20_000, 4_000_000),
     ]
 }
 
@@ -482,7 +535,9 @@ mod tests {
             powerlaw_draw("p17", 1 << 20, 1.7, 1_000),
             l1_access("l1s", true, 1_000),
             l1_access("l1r", false, 1_000),
+            l1_access_interleaved(1_000),
             addr_of_elem_1d(1_000),
+            op_fetch_replay(100, 2_000),
         ];
         for r in rs {
             assert!(r.iters > 0, "{}: no iterations", r.name);

@@ -158,6 +158,7 @@ fn failed_cell_is_listed_and_its_sibling_keeps_stats() {
 #[test]
 fn emitted_trace_is_valid_chrome_trace_json() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("ndpx_trace_test");
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create trace dir");
     let requested = dir.join("trace.json");
 
@@ -168,14 +169,14 @@ fn emitted_trace_is_valid_chrome_trace_json() {
     let report = NdpSystem::new(cfg, wl).unwrap().run(2000);
     assert!(report.ops > 0);
 
-    // The sink sequences its output path for parallel-cell uniqueness, so
-    // scan the directory instead of assuming the requested name.
+    // The sink splices the cell's label into the requested name, as a
+    // timeline does, so the file can be matched to its cell.
     let written: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
         .expect("read trace dir")
         .filter_map(|e| Some(e.ok()?.path()))
         .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("trace")))
         .collect();
-    assert!(!written.is_empty(), "simulation with tracing enabled must write a trace file");
+    assert_eq!(written, [dir.join("trace.Hbm-NdpExt-pr.json")], "one trace, named by its cell");
     let json = std::fs::read_to_string(&written[0]).expect("read trace");
     let events = validate_chrome_trace(&json)
         .unwrap_or_else(|e| panic!("trace must satisfy the Chrome trace-event schema: {e}"));

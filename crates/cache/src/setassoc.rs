@@ -50,6 +50,11 @@ impl CacheStats {
     }
 }
 
+/// Way-memo slots per cache: the hint of a hinted access picks one,
+/// modulo this count. The core front end hints with the op's stream id,
+/// so up to this many interleaved streams each keep their own line.
+pub const MEMO_SLOTS: usize = 16;
+
 #[derive(Debug, Clone, Copy)]
 struct Way {
     /// Key + 1; zero means invalid.
@@ -85,11 +90,12 @@ pub struct SetAssocCache {
     set_mask: Option<u64>,
     ways: usize,
     lines: Vec<Way>,
-    /// Way memo: the line of the most recent hit or fill. A key lives in
-    /// at most one way, only ever in its own set, so a line whose tag
-    /// matches is the key's line wherever the memo points; a stale memo
-    /// fails the tag test and falls through to the set scan.
-    last: usize,
+    /// Way memo: per slot, the line of the most recent hit or fill made
+    /// with that slot's hint. A key lives in at most one way, only ever in
+    /// its own set, so a line whose tag matches is the key's line wherever
+    /// a memo points; a stale memo fails the tag test and falls through to
+    /// the set scan.
+    memo: [usize; MEMO_SLOTS],
     tick: u64,
     stats: CacheStats,
 }
@@ -107,7 +113,7 @@ impl SetAssocCache {
             set_mask: if sets.is_power_of_two() { Some(sets as u64 - 1) } else { None },
             ways,
             lines: vec![Way::EMPTY; sets * ways],
-            last: 0,
+            memo: [0; MEMO_SLOTS],
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -131,37 +137,50 @@ impl SetAssocCache {
     }
 
     /// Accesses `key`, filling on miss. `write` marks the line dirty.
+    /// Uses memo slot 0; see [`access_hinted`](Self::access_hinted).
     pub fn access(&mut self, key: u64, write: bool) -> Outcome {
-        match self.find(key) {
+        self.access_hinted(key, write, 0)
+    }
+
+    /// [`access`](Self::access) through the memo slot `hint` picks
+    /// (modulo [`MEMO_SLOTS`]). The hint only decides which line is tried
+    /// before the set scan: outcomes, victims and stats are the same for
+    /// every hint.
+    #[inline]
+    pub fn access_hinted(&mut self, key: u64, write: bool, hint: usize) -> Outcome {
+        let slot = hint % MEMO_SLOTS;
+        match self.find(key, slot) {
             Ok(line) => {
-                self.touch(line, write);
+                self.touch(line, write, slot);
                 Outcome::Hit
             }
-            Err(base) => self.fill_at(base, key, write),
+            Err(base) => self.fill_at(base, key, write, slot),
         }
     }
 
     /// Accesses `key` only if it is present: on a hit this does exactly
-    /// what [`access`](Self::access) does (recency, dirty bit, stats) and
-    /// returns `true`; on a miss it leaves the cache untouched and returns
-    /// `false`, so a later `access` of the same key sees the same state.
-    /// Always inlined, with `find` and `touch`: it is the whole L1 probe
-    /// of a run-ahead hit.
+    /// what [`access_hinted`](Self::access_hinted) does (recency, dirty
+    /// bit, stats, memo) and returns `true`; on a miss it leaves the cache
+    /// untouched and returns `false`, so a later access of the same key
+    /// sees the same state. Always inlined, with `find` and `touch`: it is
+    /// the whole L1 probe of a run-ahead hit.
     #[inline(always)]
-    pub fn access_if_hit(&mut self, key: u64, write: bool) -> bool {
-        let Ok(line) = self.find(key) else {
+    pub fn access_if_hit(&mut self, key: u64, write: bool, hint: usize) -> bool {
+        let slot = hint % MEMO_SLOTS;
+        let Ok(line) = self.find(key, slot) else {
             return false;
         };
-        self.touch(line, write);
+        self.touch(line, write, slot);
         true
     }
 
     /// The line holding `key`, or the first line of its set when absent.
-    /// The memoized line is tried before the set is hashed and scanned.
+    /// Memo `slot`'s line is tried before the set is hashed and scanned.
     #[inline(always)]
-    fn find(&self, key: u64) -> Result<usize, usize> {
-        if self.lines[self.last].tag == key + 1 {
-            return Ok(self.last);
+    fn find(&self, key: u64, slot: usize) -> Result<usize, usize> {
+        let memo = self.memo[slot];
+        if self.lines[memo].tag == key + 1 {
+            return Ok(memo);
         }
         let base = self.set_of(key) * self.ways;
         match self.lines[base..base + self.ways].iter().position(|w| w.tag == key + 1) {
@@ -172,8 +191,8 @@ impl SetAssocCache {
 
     /// The hit half of an access: recency, dirty bit, stats.
     #[inline(always)]
-    fn touch(&mut self, line: usize, write: bool) {
-        self.last = line;
+    fn touch(&mut self, line: usize, write: bool, slot: usize) {
+        self.memo[slot] = line;
         self.tick += 1;
         let w = &mut self.lines[line];
         w.lru = self.tick;
@@ -182,7 +201,7 @@ impl SetAssocCache {
     }
 
     /// The miss half: fills `key` into the set starting at `base`.
-    fn fill_at(&mut self, base: usize, key: u64, write: bool) -> Outcome {
+    fn fill_at(&mut self, base: usize, key: u64, write: bool, slot: usize) -> Outcome {
         self.tick += 1;
         self.stats.misses.inc();
         let ways = &mut self.lines[base..base + self.ways];
@@ -203,7 +222,7 @@ impl SetAssocCache {
             None
         };
         *w = Way { tag: key + 1, dirty: write, lru: self.tick };
-        self.last = base + victim;
+        self.memo[slot] = base + victim;
         Outcome::Miss { evicted }
     }
 
@@ -343,7 +362,7 @@ mod tests {
             let key = (i * 7 + i / 3) % 13;
             let write = i % 5 == 0;
             let expect = plain.access(key, write);
-            if probed.access_if_hit(key, write) {
+            if probed.access_if_hit(key, write, 0) {
                 assert_eq!(expect, Outcome::Hit);
             } else {
                 assert_eq!(probed.access(key, write), expect);

@@ -5,7 +5,7 @@
 //! deterministic and needs no external property-testing framework.
 
 use ndpx_cache::placement::SharePlacement;
-use ndpx_cache::setassoc::{Outcome, SetAssocCache};
+use ndpx_cache::setassoc::{Outcome, SetAssocCache, MEMO_SLOTS};
 use ndpx_cache::tagarray::TagArray;
 use ndpx_sim::rng::Xoshiro256;
 
@@ -476,17 +476,34 @@ fn memoized_cache_matches_the_set_scan_oracle() {
             _ => 3 + 2 * rng.below(20) as usize,
         };
         let keys = 1 + rng.below(4 * (sets * ways) as u64);
+        // Up to 20 interleaved walks, each hinted as the front end hints a
+        // stream (its index, so walks past MEMO_SLOTS share a slot), with
+        // random hints, or all through slot 0.
+        let walks = 1 + rng.below(20) as usize;
+        let hints = rng.below(3);
         let mut c = SetAssocCache::new(sets, ways);
         let mut o = scan::SetAssocCache::new(sets, ways);
-        let mut key = 0;
+        let mut at = vec![0; walks];
         for step in 0..1500 {
-            let ctx = format!("case {case} ({sets}x{ways}, {keys} keys) step {step}");
-            key = next_key(&mut rng, key, keys);
+            let walk = rng.below(walks as u64) as usize;
+            at[walk] = next_key(&mut rng, at[walk], keys);
+            let key = at[walk];
+            let hint = match hints {
+                0 => walk,
+                1 => rng.below(3 * MEMO_SLOTS as u64) as usize,
+                _ => 0,
+            };
+            let ctx = format!("case {case} ({sets}x{ways}, {keys} keys) step {step} hint {hint}");
             let write = rng.chance(0.3);
             match rng.below(20) {
-                0..=9 => assert_eq!(c.access(key, write), o.access(key, write), "{ctx}: access"),
+                0..=4 => assert_eq!(c.access(key, write), o.access(key, write), "{ctx}: access"),
+                5..=9 => assert_eq!(
+                    c.access_hinted(key, write, hint),
+                    o.access(key, write),
+                    "{ctx}: access_hinted"
+                ),
                 10..=14 => assert_eq!(
-                    c.access_if_hit(key, write),
+                    c.access_if_hit(key, write, hint),
                     o.access_if_hit(key, write),
                     "{ctx}: access_if_hit"
                 ),

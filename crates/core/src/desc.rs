@@ -87,6 +87,24 @@ pub fn addr_of_key(s: &StreamConfig, p: DescParams, key: u64) -> u64 {
     }
 }
 
+/// What [`StreamDesc::addr_of_elem`]'s fast path reads: an element below
+/// `lp0` sits at `base + elem * sp0`. 32-byte aligned and at most 32 bytes
+/// long, so in a `Vec<StreamDesc>` it lies within one 64-byte cache line
+/// for every stream id (see the layout asserts below).
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
+struct Walk {
+    /// Stream base address.
+    base: u64,
+    /// Length of the first access-order dimension: elements below it sit
+    /// at `base + elem * sp0`. `u64::MAX` for an indirect stream, whose
+    /// elements are all one stride apart.
+    lp0: u64,
+    /// Byte stride of the first access-order dimension; an indirect
+    /// stream's element size.
+    sp0: u64,
+}
+
 /// Precomputed per-stream facts for the access path.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamDesc {
@@ -103,22 +121,30 @@ pub struct StreamDesc {
     stream_grain: bool,
     /// Affine stream.
     pub affine: bool,
-    /// Stream base address.
-    base: u64,
+    /// Base, first dimension and first stride: the divide-free address.
+    walk: Walk,
     /// Strength-reduced `/ epb` for affine stream-grain keys.
     epb_div: Divisor,
-    /// Length of the first access-order dimension: elements below it sit
-    /// at `base + elem * sp[0]`. `u64::MAX` for an indirect stream, whose
-    /// elements are all one stride apart.
-    lp0: u64,
     /// Strength-reduced first/second access-order dimension lengths of an
     /// affine shape (the two divides of `access_to_coords`).
     lp0_div: Divisor,
     lp1_div: Divisor,
-    /// Byte strides permuted into access order (`strides[perm[i]]`); an
-    /// indirect stream's first stride is its element size.
-    sp: [u64; 3],
+    /// Byte strides of the second and third access-order dimensions
+    /// (`strides[perm[1]]`, `strides[perm[2]]`); zero for an indirect
+    /// stream.
+    sp12: [u64; 2],
 }
+
+// `Walk` never straddles a 64-byte line: a `Vec<StreamDesc>` is aligned to
+// `StreamDesc`'s alignment, its stride (the size) is a multiple of it, and
+// `walk` starts at a multiple of 32 and ends within the same 32 bytes.
+const _: () = {
+    use std::mem::{align_of, offset_of, size_of};
+    assert!(size_of::<Walk>() == 32 && align_of::<Walk>() == 32);
+    assert!(align_of::<StreamDesc>() == 32 && size_of::<StreamDesc>().is_multiple_of(32));
+    assert!(offset_of!(StreamDesc, walk).is_multiple_of(32));
+    assert!(offset_of!(StreamDesc, walk.base) / 64 == (offset_of!(StreamDesc, walk.sp0) + 7) / 64);
+};
 
 impl StreamDesc {
     /// Builds the descriptor; agrees with the reference functions by
@@ -146,12 +172,11 @@ impl StreamDesc {
             last_elem: cfg.elems() - 1,
             stream_grain: p.stream_grain,
             affine: cfg.kind.is_affine(),
-            base: cfg.base,
+            walk: Walk { base: cfg.base, lp0, sp0: sp[0] },
             epb_div: Divisor::new(epb),
-            lp0,
             lp0_div: Divisor::new(lp0.max(1)),
             lp1_div: Divisor::new(lp1.max(1)),
-            sp,
+            sp12: [sp[1], sp[2]],
         }
     }
 
@@ -162,8 +187,9 @@ impl StreamDesc {
     /// indirect stream) has coordinates `(elem, 0, 0)` and needs no divide.
     #[inline]
     pub fn addr_of_elem(&self, elem: u64) -> u64 {
-        if elem < self.lp0 {
-            self.base + elem * self.sp[0]
+        let w = &self.walk;
+        if elem < w.lp0 {
+            w.base + elem * w.sp0
         } else {
             self.addr_past_lp0(elem)
         }
@@ -176,7 +202,8 @@ impl StreamDesc {
     fn addr_past_lp0(&self, elem: u64) -> u64 {
         let (k1, c0) = self.lp0_div.divmod(elem);
         let (c2, c1) = self.lp1_div.divmod(k1);
-        self.base + c0 * self.sp[0] + c1 * self.sp[1] + c2 * self.sp[2]
+        let w = &self.walk;
+        w.base + c0 * w.sp0 + c1 * self.sp12[0] + c2 * self.sp12[1]
     }
 
     /// Cache key of element `elem` on line `line` (its address divided by

@@ -3,10 +3,11 @@
 //! share.
 //!
 //! Both systems model the same in-order core with a private L1D, so each
-//! holds one [`FrontEnd`]: it decodes ops, computes stream addresses,
-//! probes the L1 and counts its hits, and the loop below runs compute ops
-//! and L1 hits through it. A system sees only an L1 miss
-//! ([`Simulated::miss`]). The per-op observers live here too: the
+//! holds one [`FrontEnd`]: it fetches and decodes ops from per-core lanes
+//! of packed words ([`OpLanes`]), computes stream addresses, probes the
+//! L1 through the op's stream memo slot and counts its hits, and the loop
+//! below runs compute ops and L1 hits through it. A system sees only an L1
+//! miss ([`Simulated::miss`]). The per-op observers live here too: the
 //! post-L1 latency histogram (which also feeds the NDP system's epoch SLO
 //! percentiles) and the trace sink, which gets every memory op's
 //! `engine`/`mem_op` event from the loop.
@@ -26,7 +27,7 @@
 //!   shut to `W` while a trace is attached (the trace ring keeps insertion
 //!   order). An op issued in `[W, P)` runs at once only if it
 //!   touches nothing but the core's own state — compute, or an L1 hit (L1s
-//!   belong to their core, op sources keep per-core cursors, and
+//!   belong to their core, op lanes keep per-core cursors, and
 //!   everything a hit updates is an order-free integer sum). Any other op
 //!   is parked in the core's pending slot and the core re-enters the queue
 //!   at the op's issue time, where the per-op loop would have it; the
@@ -44,18 +45,20 @@ use ndpx_sim::stats::Histogram;
 use ndpx_sim::telemetry::{StatRegistry, TimelineConfig, TimelineSampler, TraceSink};
 use ndpx_sim::time::{Freq, Time};
 use ndpx_sim::{ndpx_info, ndpx_warn};
-use ndpx_workloads::trace::{MemRef, Op, OpSource};
+use ndpx_workloads::trace::{MemRef, Op};
+use ndpx_workloads::OpLanes;
 
 use crate::desc::StreamDesc;
 use crate::stats::{Breakdown, LatComponent};
 
 /// The core side both systems share, up to and including the L1: op
-/// decode, stream addresses, the per-core L1s and their hit accounting,
-/// the per-op observers (latency histogram, trace sink) and the run-loop
-/// state. A system sees only the ops that miss L1 ([`Simulated::miss`]).
+/// fetch and decode, stream addresses, the per-core L1s and their hit
+/// accounting, the per-op observers (latency histogram, trace sink) and
+/// the run-loop state. A system sees only the ops that miss L1 ([`Simulated::miss`]).
 pub(crate) struct FrontEnd {
-    /// The workload's ops, one cursor per core.
-    source: Box<dyn OpSource>,
+    /// The workload's ops: per core, packed words and a cursor, read
+    /// inline.
+    ops: OpLanes,
     /// Per-stream address descriptors, indexed by `StreamId`; immutable
     /// for a run.
     pub(crate) descs: Vec<StreamDesc>,
@@ -91,6 +94,19 @@ pub(crate) struct FrontEnd {
     pub(crate) trace: Option<Box<TraceSink>>,
 }
 
+/// A memory op as [`FrontEnd::decode`] hands it to the L1 probe.
+struct Access {
+    /// The stream reference; `None` for a raw op.
+    mem: Option<MemRef>,
+    /// The op's physical address.
+    addr: u64,
+    /// True for stores.
+    write: bool,
+    /// The L1 way-memo hint: the stream id, so each of the core's
+    /// interleaved streams keeps its own memo line; 0 for a raw op.
+    memo: usize,
+}
+
 /// An op that missed L1, as [`run`] hands it to [`Simulated::miss`]. The
 /// L1 has already filled `line`.
 pub(crate) struct Miss {
@@ -122,7 +138,7 @@ impl FrontEnd {
     /// and hits of `l1_lat`; batching on, no stalls, and a sampler if
     /// `timeline` configures one.
     pub(crate) fn new(
-        source: Box<dyn OpSource>,
+        ops: OpLanes,
         descs: Vec<StreamDesc>,
         l1s: Vec<SetAssocCache>,
         line_bytes: u64,
@@ -132,7 +148,7 @@ impl FrontEnd {
     ) -> Self {
         debug_assert!(line_bytes.is_power_of_two());
         FrontEnd {
-            source,
+            ops,
             descs,
             l1s,
             line_shift: line_bytes.trailing_zeros(),
@@ -164,14 +180,17 @@ impl FrontEnd {
         system
     }
 
-    /// A memory op's stream reference (`None` if raw), address and write
-    /// flag; `Err` carries a compute op's completion when issued at `t`.
+    /// A memory op's decoded access; `Err` carries a compute op's
+    /// completion when issued at `t`.
     #[inline(always)]
-    fn decode(&self, op: Op, t: Time) -> Result<(Option<MemRef>, u64, bool), Time> {
+    fn decode(&self, op: Op, t: Time) -> Result<Access, Time> {
         match op {
             Op::Compute(c) => Err(t + self.freq.cycles_to_time(u64::from(c))),
-            Op::Mem(m) => Ok((Some(m), self.descs[m.sid.index()].addr_of_elem(m.elem), m.write)),
-            Op::RawMem { addr, write } => Ok((None, addr, write)),
+            Op::Mem(m) => {
+                let addr = self.descs[m.sid.index()].addr_of_elem(m.elem);
+                Ok(Access { mem: Some(m), addr, write: m.write, memo: m.sid.index() })
+            }
+            Op::RawMem { addr, write } => Ok(Access { mem: None, addr, write, memo: 0 }),
         }
     }
 
@@ -265,12 +284,12 @@ pub(crate) trait Simulated {
 #[inline(never)]
 fn execute<S: Simulated>(sys: &mut S, core: usize, op: Op, t: Time) -> Time {
     let fe = sys.front_mut();
-    let (mem, addr, write) = match fe.decode(op, t) {
+    let Access { mem, addr, write, memo } = match fe.decode(op, t) {
         Ok(access) => access,
         Err(done) => return done,
     };
     let line = addr >> fe.line_shift;
-    let done = match fe.l1s[core].access(line, write) {
+    let done = match fe.l1s[core].access_hinted(line, write, memo) {
         Outcome::Hit => fe.hit(t),
         Outcome::Miss { evicted } => {
             fe.mem_ops += 1;
@@ -298,11 +317,11 @@ fn execute<S: Simulated>(sys: &mut S, core: usize, op: Op, t: Time) -> Time {
 fn execute_private<S: Simulated>(sys: &mut S, core: usize, op: Op, t: Time) -> Option<Time> {
     let fe = sys.front_mut();
     debug_assert!(fe.trace.is_none(), "an op ran ahead of the queue with a trace attached");
-    let (_, addr, write) = match fe.decode(op, t) {
+    let a = match fe.decode(op, t) {
         Ok(access) => access,
         Err(done) => return Some(done),
     };
-    if !fe.l1s[core].access_if_hit(addr >> fe.line_shift, write) {
+    if !fe.l1s[core].access_if_hit(a.addr >> fe.line_shift, a.write, a.memo) {
         return None;
     }
     Some(fe.hit(t))
@@ -348,7 +367,7 @@ pub(crate) fn run<S: Simulated>(
         }
         sys.boundaries(t, &mut remaining);
         // A core killed by a boundary action surfaces here with no ops
-        // left: retire it without touching the op source (its trace was
+        // left: retire it without touching its op lane (its trace was
         // aborted). Boundaries clamp the private horizon, so none strands
         // a parked op.
         if remaining[core] == 0 {
@@ -368,7 +387,7 @@ pub(crate) fn run<S: Simulated>(
         let (window, horizon) = horizons(sys, queue.peek_time());
         let fast0 = sys.front().l1_hits;
         let mut batch_len = 0u64;
-        let op = pending[core].take().unwrap_or_else(|| sys.front_mut().source.next_op(core));
+        let op = pending[core].take().unwrap_or_else(|| sys.front_mut().ops.next_op(core));
         let mut done = execute(sys, core, op, t);
         loop {
             batch_len += 1;
@@ -380,7 +399,7 @@ pub(crate) fn run<S: Simulated>(
             }
             t = done;
             if batch_len < BATCH_CAP && t < horizon {
-                let op = sys.front_mut().source.next_op(core);
+                let op = sys.front_mut().ops.next_op(core);
                 let ran = if t < window {
                     Some(execute(sys, core, op, t))
                 } else {

@@ -16,6 +16,7 @@ use ndpx_sim::rng::hash_range;
 use ndpx_sim::telemetry::{StatRegistry, TimelineConfig};
 use ndpx_sim::time::{Freq, Time};
 use ndpx_workloads::trace::Workload;
+use ndpx_workloads::OpLanes;
 
 use crate::config::PolicyKind;
 use crate::desc::{DescParams, StreamDesc};
@@ -149,8 +150,8 @@ impl HostSystem {
         let line_grain = DescParams { stream_grain: false, affine_block: 64, line_bytes: 64 };
         let descs = workload.table.iter().map(|s| StreamDesc::build(*s, line_grain)).collect();
         let l1_lat = cfg.freq.cycles_to_time(L1_CYCLES);
-        let front =
-            FrontEnd::new(workload.source, descs, l1s, 64, cfg.freq, l1_lat, cfg.timeline.as_ref());
+        let ops = OpLanes::new(workload.source, workload.name, workload.cores);
+        let front = FrontEnd::new(ops, descs, l1s, 64, cfg.freq, l1_lat, cfg.timeline.as_ref());
         Ok(HostSystem {
             front,
             mem: DramDevice::new(DramConfig::ddr5_extended(cfg.mem_capacity)),

@@ -51,6 +51,7 @@ use ndpx_sim::time::Time;
 use ndpx_sim::{ndpx_info, ndpx_warn};
 use ndpx_stream::StreamTable;
 use ndpx_workloads::trace::Workload;
+use ndpx_workloads::OpLanes;
 
 use crate::config::{PolicyKind, SystemConfig};
 use crate::desc::{DescParams, StreamDesc};
@@ -213,7 +214,7 @@ impl NdpSystem {
             .map(|_| SetAssocCache::with_capacity(cfg.l1_bytes, cfg.line_bytes, cfg.l1_ways))
             .collect();
         let mut front = FrontEnd::new(
-            workload.source,
+            OpLanes::new(workload.source, workload.name, workload.cores),
             descs,
             l1s,
             cfg.line_bytes,
@@ -358,7 +359,7 @@ impl NdpSystem {
             if let Some(p) = self.profile.as_deref() {
                 p.export_trace(&mut tr, 0, totals.makespan);
             }
-            let label = self.run_label();
+            let label = self.timeline_label();
             match tr.write(&label) {
                 Ok(path) => ndpx_info!("trace for {label} written to {}", path.display()),
                 Err(e) => ndpx_warn!("failed to write trace for {label}: {e}"),

@@ -241,13 +241,14 @@ fn delta_registry(cur: &StatRegistry, prev: Option<&StatRegistry>) -> StatRegist
 }
 
 /// `timeline.json` + `Hbm-NdpExt-mv` → `timeline.Hbm-NdpExt-mv.json`, with
-/// the label sanitized to filename-safe characters.
-fn labeled_path(base: &Path, label: &str) -> PathBuf {
+/// the label sanitized to filename-safe characters. Timelines and traces
+/// both name a cell's file this way.
+pub(super) fn labeled_path(base: &Path, label: &str) -> PathBuf {
     let safe: String = label
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.') { c } else { '-' })
         .collect();
-    let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("timeline");
+    let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("ndpx");
     let named = match base.extension().and_then(|e| e.to_str()) {
         Some(ext) => format!("{stem}.{safe}.{ext}"),
         None => format!("{stem}.{safe}"),

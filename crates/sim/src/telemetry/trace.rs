@@ -8,19 +8,18 @@
 
 use std::fmt::Write as _;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
 
 use super::json::Json;
 use super::registry::{write_json_f64, write_json_string};
+use super::timeline::labeled_path;
 use crate::time::Time;
 
 /// Configuration for a [`TraceSink`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Output path for the trace JSON. Multi-cell runs append a unique
-    /// sequence suffix before the extension so cells never clobber each
-    /// other.
+    /// Output path for the trace JSON. Each cell's label is spliced in
+    /// before the extension, so cells never clobber each other.
     pub path: PathBuf,
     /// Ring-buffer capacity in events; older events are dropped first.
     pub capacity: usize,
@@ -51,10 +50,6 @@ struct TraceEvent {
     /// Counter sample value; only rendered for `C` events.
     value: f64,
 }
-
-/// Monotonic suffix so concurrent cells writing the same configured path get
-/// distinct files.
-static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A bounded ring buffer of simulation events with Chrome-trace JSON output.
 ///
@@ -213,25 +208,16 @@ impl TraceSink {
         out
     }
 
-    /// Writes the rendered trace to the configured path, appending a unique
-    /// sequence suffix before the extension (`trace.json` →
-    /// `trace.0003.json`) so parallel cells never clobber each other.
-    /// Returns the path written.
-    pub fn write(&self, process_name: &str) -> io::Result<PathBuf> {
-        let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = sequenced_path(&self.cfg.path, seq);
-        std::fs::write(&path, self.render_json(process_name))?;
+    /// Writes the rendered trace, named `label` in the JSON, to the
+    /// configured path with the sanitized `label` inserted before the
+    /// extension (`trace.json` → `trace.Hbm-NdpExt-pr.json`), as a
+    /// timeline is named: a cell's label names its file whatever the
+    /// order in which parallel cells finish. Returns the path written.
+    pub fn write(&self, label: &str) -> io::Result<PathBuf> {
+        let path = labeled_path(&self.cfg.path, label);
+        std::fs::write(&path, self.render_json(label))?;
         Ok(path)
     }
-}
-
-fn sequenced_path(base: &Path, seq: u64) -> PathBuf {
-    let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-    let named = match base.extension().and_then(|e| e.to_str()) {
-        Some(ext) => format!("{stem}.{seq:04}.{ext}"),
-        None => format!("{stem}.{seq:04}"),
-    };
-    base.with_file_name(named)
 }
 
 /// Validates that `json` is a well-formed Chrome trace-event document:
@@ -336,10 +322,17 @@ mod tests {
     }
 
     #[test]
-    fn sequenced_paths_are_unique() {
-        let a = sequenced_path(Path::new("out/trace.json"), 3);
-        assert_eq!(a, Path::new("out/trace.0003.json"));
-        let b = sequenced_path(Path::new("trace"), 12);
-        assert_eq!(b, Path::new("trace.0012"));
+    fn traces_are_named_by_their_cell_label() {
+        let dir = std::env::temp_dir().join(format!("ndpx-trace-names-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut sink = TraceSink::new(TraceConfig::to_path(dir.join("trace.json")));
+        sink.complete("engine", "mem_op", 0, Time::ZERO, Time::from_ns(1));
+        let a = sink.write("Hbm-NdpExt-pr").expect("written");
+        let b = sink.write("Hmc-NdpExt-pr").expect("written");
+        assert_eq!(a, dir.join("trace.Hbm-NdpExt-pr.json"));
+        assert_eq!(b, dir.join("trace.Hmc-NdpExt-pr.json"));
+        let json = std::fs::read_to_string(&a).expect("readable");
+        assert!(json.contains("\"Hbm-NdpExt-pr\""), "the label names the process");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

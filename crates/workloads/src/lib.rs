@@ -15,7 +15,8 @@
 //! * [`engines`] — the four parametrized access-pattern engines;
 //! * [`gap`], [`tensor`], [`rodinia`] — the 13 workload constructors;
 //! * [`registry`] — lookup by name;
-//! * [`replay`] — materialized traces and the shared [`replay::TraceCache`].
+//! * [`replay`] — materialized traces, the shared [`replay::TraceCache`],
+//!   and the per-core op lanes ([`replay::OpLanes`]) the simulator reads.
 //!
 //! # Examples
 //!
@@ -46,5 +47,5 @@ pub mod tensor;
 pub mod trace;
 
 pub use registry::{build, ALL_WORKLOADS, REPRESENTATIVE_WORKLOADS};
-pub use replay::{CachedTrace, TraceCache, TraceCacheStats, TraceKey};
+pub use replay::{CachedTrace, OpLanes, TraceCache, TraceCacheStats, TraceKey};
 pub use trace::{MemRef, Op, OpSource, ScaleParams, Workload};

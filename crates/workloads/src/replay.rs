@@ -6,7 +6,7 @@
 //! regenerate the identical trace once per cell. [`TraceCache`] hoists that
 //! cost out of the per-cell path: the first request for a key materializes
 //! the per-core op vectors once ([`CachedTrace`]), every later request gets
-//! the same `Arc` and replays it through a [`ReplaySource`] cursor.
+//! the same `Arc` and replays it through per-core cursors ([`OpLanes`]).
 //!
 //! Faithfulness: [`OpSource`] implementations own all per-core state, so a
 //! trace generated core-by-core is element-identical to the lazily pulled,
@@ -22,6 +22,12 @@
 //! `u32` cycle count. The encoding is a bijection on every op that fits
 //! those widths; [`CachedTrace::materialize`] rejects any other op, so a
 //! replay returns exactly the op the generator produced.
+//!
+//! The simulator reads every op, replayed or live, through [`OpLanes`]:
+//! each core's packed words and a cursor, unpacked inline. A replay's
+//! lanes share the trace's words; a live generator's lanes hold one chunk
+//! per core, which the generator refills through one
+//! [`OpSource::pack`] call per chunk.
 
 use std::collections::BTreeMap;
 use std::ops::Deref;
@@ -94,7 +100,7 @@ pub const MAX_TRACE_ADDR: u64 = u64::MAX >> ADDR_SHIFT;
 const _: () = assert!(StreamId::MAX_STREAMS == 1 << SID_BITS);
 
 /// `op` in its 8-byte trace form, or `None` if a field is too wide.
-fn pack(op: Op) -> Option<u64> {
+pub(crate) fn pack(op: Op) -> Option<u64> {
     let write = |w: bool| if w { WRITE } else { 0 };
     match op {
         Op::Compute(cycles) => Some(COMPUTE | u64::from(cycles) << CYCLES_SHIFT),
@@ -107,7 +113,7 @@ fn pack(op: Op) -> Option<u64> {
 }
 
 /// The op `word` was packed from.
-#[inline]
+#[inline(always)]
 fn unpack(word: u64) -> Op {
     let write = word & WRITE != 0;
     match word & KIND_MASK {
@@ -122,6 +128,12 @@ fn unpack(word: u64) -> Op {
     }
 }
 
+/// The error of `workload`'s op `k` of `core`, `op`, which does not fit
+/// the encoding.
+fn unfit(workload: &str, core: usize, k: u64, op: Op) -> String {
+    format!("workload {workload}: core {core} op {k} {op:?} does not fit the 8-byte trace encoding")
+}
+
 /// Pulls `ops_per_core` ops per core from `wl` and packs them.
 ///
 /// # Errors
@@ -130,26 +142,26 @@ fn unpack(word: u64) -> Op {
 /// sid of 512 or more, an element index above [`MAX_TRACE_ELEM`] or a raw
 /// address above [`MAX_TRACE_ADDR`]).
 fn pack_ops(wl: &mut Workload, ops_per_core: u64) -> Result<Vec<PackedOps>, String> {
-    let mut ops = Vec::with_capacity(wl.cores);
-    for core in 0..wl.cores {
-        let mut seq = Vec::with_capacity(ops_per_core as usize);
-        for k in 0..ops_per_core {
-            let op = wl.source.next_op(core);
-            seq.push(pack(op).ok_or_else(|| {
-                format!(
-                    "workload {}: core {core} op {k} {op:?} does not fit the 8-byte trace encoding",
-                    wl.name
-                )
-            })?);
-        }
-        ops.push(PackedOps(seq));
-    }
-    Ok(ops)
+    (0..wl.cores)
+        .map(|core| {
+            let mut words = zeroed(ops_per_core);
+            let out = Arc::get_mut(&mut words).expect("a new slice is unshared");
+            wl.source.pack(core, out).map_err(|(k, op)| unfit(wl.name, core, k as u64, op))?;
+            Ok(PackedOps(words))
+        })
+        .collect()
 }
 
-/// One core's materialized op sequence, 8 bytes per op.
+/// `n` zero words. Collected from an exact-length iterator, so the slice
+/// is allocated once, in place, and never copied from a `Vec`.
+fn zeroed(n: u64) -> Arc<[u64]> {
+    (0..n).map(|_| 0).collect()
+}
+
+/// One core's materialized op sequence, 8 bytes per op. The words are
+/// shared, never copied, with every replay's [`OpLanes`].
 #[derive(Debug)]
-pub struct PackedOps(Vec<u64>);
+pub struct PackedOps(Arc<[u64]>);
 
 impl PackedOps {
     /// Number of ops.
@@ -223,37 +235,139 @@ impl CachedTrace {
     }
 }
 
-/// Replays a [`CachedTrace`] through per-core cursors.
+/// Ops a live lane packs per refill: 4 KiB of words per core.
+const LIVE_CHUNK: u64 = 512;
+
+/// One core's packed op words and the cursor of its next op.
+#[derive(Debug, Clone)]
+struct Lane {
+    words: Arc<[u64]>,
+    at: usize,
+}
+
+/// A live generator feeding [`OpLanes`] chunk by chunk.
+struct Live {
+    source: Box<dyn OpSource>,
+    /// The workload's name, for the error of an op that does not fit.
+    name: &'static str,
+    /// Ops packed so far, per core.
+    packed: Vec<u64>,
+}
+
+/// Every core's ops as packed 8-byte words read through a per-core cursor:
+/// the one way the simulator fetches ops.
+///
+/// [`next_op`](Self::next_op) reads the word under the core's cursor and
+/// unpacks it inline; only at the end of a lane does it call out of line,
+/// to refill it. A replay's lanes are the [`CachedTrace`]'s own words, and
+/// past the materialized horizon the cursor wraps to the start of the
+/// core's trace (runs bounded by the key's `ops_per_core` never reach the
+/// wrap). A live generator's lanes hold one chunk per core, which the
+/// refill packs through one [`OpSource::pack`] call; per-core sequences do
+/// not depend on the interleaving of cores, so packing ahead is exact.
+pub struct OpLanes {
+    lanes: Vec<Lane>,
+    /// The generator refilling the lanes; `None` for a replay.
+    live: Option<Live>,
+}
+
+impl std::fmt::Debug for OpLanes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OpLanes")
+            .field("cores", &self.lanes.len())
+            .field("live", &self.live.as_ref().map(|l| l.name))
+            .finish()
+    }
+}
+
+impl OpLanes {
+    /// The lanes of `source`, a workload named `name` on `cores` cores:
+    /// its materialized words if it replays a trace
+    /// ([`OpSource::materialized`]), else chunks packed live.
+    pub fn new(source: Box<dyn OpSource>, name: &'static str, cores: usize) -> Self {
+        if let Some(lanes) = source.materialized() {
+            return lanes;
+        }
+        // Each lane owns its chunk, empty until the first fetch refills it.
+        let lanes = (0..cores)
+            .map(|_| Lane { words: zeroed(LIVE_CHUNK), at: LIVE_CHUNK as usize })
+            .collect();
+        OpLanes { lanes, live: Some(Live { source, name, packed: vec![0; cores] }) }
+    }
+
+    /// A replay of `trace` with every cursor at the start.
+    fn replay(trace: &CachedTrace) -> Self {
+        let lanes = trace.ops.iter().map(|p| Lane { words: Arc::clone(&p.0), at: 0 }).collect();
+        OpLanes { lanes, live: None }
+    }
+
+    /// The next op of `core`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`CachedTrace::materialize`]'s message if a live
+    /// generator's op does not fit the 8-byte encoding, and on a replayed
+    /// core whose trace holds no op.
+    #[inline(always)]
+    pub fn next_op(&mut self, core: usize) -> Op {
+        let lane = &mut self.lanes[core];
+        // Both arms yield the word, unpacked once: an `Op` returned by the
+        // out-of-line refill would pass through memory on every fetch.
+        let word = match lane.words.get(lane.at) {
+            Some(&word) => {
+                lane.at += 1;
+                word
+            }
+            None => self.refill(core),
+        };
+        unpack(word)
+    }
+
+    /// Refills the lane of `core` (wraps a replay, packs a live chunk) and
+    /// returns its first word.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self, core: usize) -> u64 {
+        let lane = &mut self.lanes[core];
+        if let Some(live) = self.live.as_mut() {
+            let out = Arc::get_mut(&mut lane.words).expect("a live lane's chunk is unshared");
+            let done = live.packed[core];
+            if let Err((k, op)) = live.source.pack(core, out) {
+                panic!("{}", unfit(live.name, core, done + k as u64, op));
+            }
+            live.packed[core] = done + out.len() as u64;
+        }
+        lane.at = 1;
+        lane.words[0]
+    }
+}
+
+/// Replays a [`CachedTrace`] through per-core cursors ([`OpLanes`]).
 ///
 /// Sources never exhaust, so past the materialized horizon the cursor wraps
 /// to the start of the core's trace; runs bounded by the key's
-/// `ops_per_core` never reach the wrap.
+/// `ops_per_core` never reach the wrap. The simulator does not call
+/// `next_op`: it takes the lanes over ([`OpSource::materialized`]).
 #[derive(Debug)]
-pub struct ReplaySource {
-    trace: Arc<CachedTrace>,
-    cursors: Vec<usize>,
-}
+pub struct ReplaySource(OpLanes);
 
 impl ReplaySource {
     /// A replay of `trace` with all cursors at the start.
     pub fn new(trace: Arc<CachedTrace>) -> Self {
-        let cursors = vec![0; trace.ops.len()];
-        ReplaySource { trace, cursors }
+        ReplaySource(OpLanes::replay(&trace))
     }
 }
 
 impl OpSource for ReplaySource {
+    // Small enough to inline into a static caller, as `OpLanes::next_op`
+    // inlines into the front end.
+    #[inline]
     fn next_op(&mut self, core: usize) -> Op {
-        let seq = &self.trace.ops[core].0;
-        let cursor = &mut self.cursors[core];
-        // Wrap by compare, not `%`: a 64-bit divide per op is measurable
-        // in the run loop, and the cursor value itself is not observable.
-        if *cursor >= seq.len() {
-            *cursor = 0;
-        }
-        let word = seq[*cursor];
-        *cursor += 1;
-        unpack(word)
+        self.0.next_op(core)
+    }
+
+    fn materialized(&self) -> Option<OpLanes> {
+        Some(OpLanes { lanes: self.0.lanes.clone(), live: None })
     }
 }
 
@@ -503,6 +617,62 @@ mod tests {
             Workload { name: "wide", table: StreamTable::new(), cores: 2, source: Box::new(Wide) };
         let err = pack_ops(&mut wl, 4).expect_err("a 62-bit address does not fit");
         assert!(err.starts_with("workload wide: core 0 op 0"), "{err}");
+    }
+
+    #[test]
+    fn live_lanes_name_the_workload_of_an_op_that_does_not_fit() {
+        // Fits for one chunk and a half, then one op does not.
+        struct Widening(u64);
+        impl OpSource for Widening {
+            fn next_op(&mut self, _core: usize) -> Op {
+                self.0 += 1;
+                let addr = if self.0 > LIVE_CHUNK * 3 / 2 { MAX_TRACE_ADDR + 1 } else { 0 };
+                Op::RawMem { addr, write: false }
+            }
+        }
+        let mut lanes = OpLanes::new(Box::new(Widening(0)), "wide", 1);
+        for _ in 0..LIVE_CHUNK {
+            lanes.next_op(0);
+        }
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lanes.next_op(0)))
+            .expect_err("the second chunk holds an op that does not fit");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        let k = LIVE_CHUNK * 3 / 2;
+        assert!(msg.starts_with(&format!("workload wide: core 0 op {k} ")), "{msg}");
+    }
+
+    #[test]
+    fn live_and_replayed_lanes_match_live_generation() {
+        // Several chunks per core, read in a non-generation order, and a
+        // replay read on past its horizon, where it wraps.
+        let p = params();
+        let n = LIVE_CHUNK * 2 + 100;
+        let trace = Arc::new(CachedTrace::materialize(&TraceKey::new("bfs", &p, n)));
+        let wl = registry::build("bfs", &p).unwrap().unwrap();
+        let mut lanes = OpLanes::new(wl.source, wl.name, wl.cores);
+        let mut replayed = OpLanes::new(Box::new(ReplaySource::new(Arc::clone(&trace))), "bfs", 4);
+        let mut live = registry::build("bfs", &p).unwrap().unwrap();
+        for k in 0..n {
+            for core in (0..p.cores).rev() {
+                let op = live.source.next_op(core);
+                assert_eq!(lanes.next_op(core), op, "live lane: core {core} op {k}");
+                assert_eq!(replayed.next_op(core), op, "replayed lane: core {core} op {k}");
+            }
+        }
+        for core in 0..p.cores {
+            let first: Vec<Op> = trace.ops[core].iter().take(3).map(|op| *op).collect();
+            let wrapped: Vec<Op> = (0..3).map(|_| replayed.next_op(core)).collect();
+            assert_eq!(wrapped, first, "core {core} wraps to the start of its trace");
+        }
+    }
+
+    #[test]
+    fn replay_lanes_share_the_trace_words() {
+        let trace = Arc::new(CachedTrace::materialize(&TraceKey::new("mv", &params(), 64)));
+        let lanes = ReplaySource::new(Arc::clone(&trace)).materialized().expect("a replay");
+        for (lane, ops) in lanes.lanes.iter().zip(&trace.ops) {
+            assert!(Arc::ptr_eq(&lane.words, &ops.0), "lanes must not copy the trace");
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 
 use ndpx_stream::{StreamId, StreamTable};
 
+use crate::replay::OpLanes;
+
 /// One memory reference, in stream coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRef {
@@ -53,12 +55,37 @@ pub enum Op {
 /// Implementations own all per-core state; `next_op(core)` must be
 /// deterministic given the construction seed, and per-core sequences must
 /// be independent of the interleaving of calls across cores (this is what
-/// lets [`crate::replay`] materialize traces core-by-core and lets whole
-/// workloads move across threads).
+/// lets [`crate::replay`] materialize traces core-by-core, lets
+/// [`OpLanes`] pack a chunk of one core's ops ahead of the others, and
+/// lets whole workloads move across threads).
 pub trait OpSource: Send {
     /// The next operation for `core`. Sources never exhaust — kernels repeat
     /// their outer iteration — and the simulator bounds the run.
     fn next_op(&mut self, core: usize) -> Op;
+
+    /// Fills `out` with `core`'s next `out.len()` ops in their 8-byte trace
+    /// form ([`crate::replay`]): one call per chunk, in which `next_op` is
+    /// a static call.
+    ///
+    /// # Errors
+    ///
+    /// The position in `out` and the op that does not fit the encoding;
+    /// the ops before it are packed.
+    fn pack(&mut self, core: usize, out: &mut [u64]) -> Result<(), (usize, Op)> {
+        for (i, word) in out.iter_mut().enumerate() {
+            let op = self.next_op(core);
+            *word = crate::replay::pack(op).ok_or((i, op))?;
+        }
+        Ok(())
+    }
+
+    /// The lanes of a source that replays materialized words
+    /// ([`ReplaySource`](crate::replay::ReplaySource)), handed over at its
+    /// cursors without copying the words; `None`, the default, for a
+    /// generator, which [`OpLanes::new`] then packs chunk by chunk.
+    fn materialized(&self) -> Option<OpLanes> {
+        None
+    }
 }
 
 /// Scaling knobs shared by all workload constructors.
